@@ -7,11 +7,12 @@ compacted, or materialized as plan values.  This harness measures that
 promise on three executors over identical inputs:
 
 * **interpreter** — :meth:`Executor.execute_slots`, the reference DAG
-  walker (what ``plan.run`` uses);
-* **tape** — :class:`TapePlan`, the serving tier's positional instruction
-  tape (one kernel call + value wrap per step);
-* **fused** — :class:`FusedPlan` from :func:`compile_fused`, regions
-  compiled to python source with interiors on raw ndarrays.
+  walker (the parity oracle);
+* **tape** — :class:`TapePlan`, the plain positional instruction tape
+  (one kernel call + value wrap per step);
+* **fused** — :class:`FusedPlan` from :func:`compile_fused`, what
+  ``plan.run`` and the serving shards execute: regions compiled to python
+  source with interiors on raw ndarrays.
 
 Workloads are (a) synthetic dense elementwise chains sized to the serving
 sweet spot (the fusion planner's target shape) and (b) every root of the

@@ -27,9 +27,6 @@ Scenarios:
    (what makes every scenario above debuggable).
 7. **store-corruption** — truncated on-disk entries degrade to compiles
    (delegated to ``store_corruption_smoke``).
-8. **codegen-corruption** — damaged cached kernel sources are detected by
-   the checksum header, demoted to misses, regenerated, and the
-   regenerated plan stays bitwise-identical to the interpreter tape.
 """
 
 from __future__ import annotations
@@ -262,61 +259,6 @@ def corruption_smoke() -> None:
     store_corruption_smoke.main()
 
 
-def codegen_corruption_smoke() -> None:
-    # Same idea for the store's kernel-source tier: corrupt a cached fused
-    # source on disk, then prove the checksum demotes it to a miss, the
-    # source is regenerated, and the recompiled plan still matches the
-    # interpreter tape bitwise.
-    from repro.lang import expr as la
-    from repro.lang.dims import Shape
-    from repro.runtime.codegen import clear_module_cache, compile_fused
-    from repro.runtime.tape import TapePlan
-
-    m, n = Dim("cm", 48), Dim("cn", 32)
-    A, B = la.Var("@0", Shape(m, n)), la.Var("@1", Shape(m, n))
-    expr = Sum(la.ElemPlus(la.ElemMul(A, B), A))
-    rng = np.random.default_rng(21)
-    values = [MatrixValue(rng.random((48, 32))) for _ in range(2)]
-    want = TapePlan(expr, 2, ring="real").execute(values).value
-
-    with tempfile.TemporaryDirectory() as store_dir:
-        store = PlanStore(store_dir, config())
-        fused = compile_fused(expr, 2, ring="real", store=store, digest="chaos")
-        check("codegen-corruption", fused is not None, "plan did not compile fused")
-        check(
-            "codegen-corruption",
-            store.describe()["kernel_entries"] == 1,
-            "source was not persisted",
-        )
-
-        path = store._kernel_path("chaos", "real")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# repro-kernel sha256=deadbeef\nraise RuntimeError('boom')\n")
-        clear_module_cache()
-
-        check("codegen-corruption", store.load_kernel("chaos", "real") is None,
-              "corrupt kernel source passed its checksum")
-        check("codegen-corruption", store.stats.load_errors >= 1,
-              "corruption was not counted as a load error")
-
-        recompiled = compile_fused(expr, 2, ring="real", store=store, digest="chaos")
-        check("codegen-corruption", recompiled is not None, "regeneration failed")
-        check("codegen-corruption", recompiled.source == fused.source,
-              "regenerated source drifted from the original emission")
-        got = recompiled.execute(values).value
-        check(
-            "codegen-corruption",
-            got.is_sparse == want.is_sparse
-            and np.array_equal(got.to_dense(), want.to_dense()),
-            "recompiled plan is not bitwise-identical to the tape",
-        )
-        with open(store._kernel_path("chaos", "real"), encoding="utf-8") as handle:
-            healed = handle.read()
-        check("codegen-corruption", "deadbeef" not in healed,
-              "corrupt source left in place after regeneration")
-    print("codegen corruption OK: checksum demoted, source regenerated, bitwise parity held")
-
-
 def main() -> int:
     crash_recovery_smoke()
     retry_smoke()
@@ -325,7 +267,6 @@ def main() -> int:
     close_semantics_smoke()
     replay_smoke()
     corruption_smoke()
-    codegen_corruption_smoke()
     print("chaos smoke: all scenarios passed")
     return 0
 

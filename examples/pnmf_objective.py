@@ -64,9 +64,10 @@ def main() -> None:
     spores_plan.run(spores_inputs)  # warm-up
     result = spores_plan.run(spores_inputs)
     value = result.scalar()
+    cells = spores_plan.profile(spores_inputs).measured_cells
     print(f"{label:30s} cost {spores_plan.report.optimized_cost:12.4g}   "
           f"{result.stats.elapsed * 1e3:7.1f} ms   "
-          f"intermediates {result.stats.intermediate_cells:10.3g} cells   "
+          f"intermediates {cells:10.3g} cells   "
           f"value {value:.4f}")
     print(f"{'':30s} plan: {spores_plan.artifact.fused}")
     assert abs(value - reference) <= 1e-4 * max(1.0, abs(reference))

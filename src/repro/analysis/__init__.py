@@ -19,7 +19,7 @@ new.
 """
 
 from repro.analysis.report import AnalysisReport, Baseline, BaselineError, Finding
-from repro.analysis.semiring import (
+from repro.runtime.semiring import (
     AUDIT_SEMIRINGS,
     BOOL_OR_AND,
     MAX_TIMES,

@@ -4,7 +4,7 @@ Two oracles drive the differential rule audit:
 
 * :func:`evaluate_rexpr` generalizes the K-relation reference interpreter
   (:mod:`repro.runtime.ra_interp`) from (+, ×) to an arbitrary
-  :class:`~repro.analysis.semiring.Semiring`: join combines aligned tensors
+  :class:`~repro.runtime.semiring.Semiring`: join combines aligned tensors
   with ⊗, union with ⊕, and Σ is the ring's ⊕-reduction.  Aggregating an
   index the child does not mention multiplies by ``from_int(|i|)`` — the
   counting-literal reading of the paper's ``Σ_i A = A · dim(i)``.
@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.semiring import Array, Semiring
+from repro.runtime.semiring import Array, Semiring
 from repro.lang import expr as la
 from repro.ra.attrs import Attr
 from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar

@@ -24,14 +24,13 @@ Five checks, all on artifacts the optimizer has already committed to:
 * **generated-source hygiene** — the fused modules
   :mod:`repro.runtime.codegen` emits for an entry are re-linted like any
   hot-path source (the concurrency linter's wall-clock and unseeded-RNG
-  bans apply to emitted code too), and the module's ``META`` region
-  counts must agree with the region plan it claims to implement.
+  bans apply to emitted code too).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import Finding
 from repro.lang import expr as la
@@ -242,89 +241,33 @@ def lint_tape(
 # ---------------------------------------------------------------------------
 
 
-def lint_generated_source(
-    source: str,
-    meta: Mapping[str, object],
-    n_regions: int,
-    fused_regions: int,
-    where: str,
-) -> List[Finding]:
-    """Hygiene checks over one emitted fused-kernel module.
+def lint_codegen(entry, where: str) -> List[Finding]:
+    """Emit and lint the fused source an entry's plan executes behind.
 
-    The emitted text is *code on the serving hot path*, so the
-    concurrency linter's nondeterminism bans (``time.time``, unseeded
-    RNG) apply to it exactly as to hand-written runtime modules; on top
-    of that, the module's ``META`` record must agree with the region
-    plan it was compiled from — drift means the cached source implements
-    a different fusion than the plan (and the profiler) believe it does.
+    The emitted text is *code on the serving hot path*, so the concurrency
+    linter's nondeterminism bans (``time.time``, unseeded RNG) apply to it
+    exactly as to hand-written runtime modules.  Callers pass entries whose
+    slot plan already compiled to a tape (the region planner shares the
+    tape's linearization), so a failure to plan, emit or compile here is
+    itself a finding, not a shrug.
     """
     from repro.analysis.concurrency_lint import lint_source
-
-    findings = lint_source(source, where, hot_path=True)
-    if meta.get("regions") != n_regions or meta.get("fused_regions") != fused_regions:
-        findings.append(
-            _finding(
-                "codegen-region-drift",
-                where,
-                f"module META claims {meta.get('regions')} regions "
-                f"({meta.get('fused_regions')} fused) but the region plan "
-                f"has {n_regions} ({fused_regions} fused)",
-            )
-        )
-    return findings
-
-
-def lint_codegen(entry, where: str) -> List[Finding]:
-    """Emit and lint the fused source an entry's plan would execute behind.
-
-    A plan codegen cannot serve (non-real ring, unsupported construct)
-    yields no findings — the interpreter path carries it.  Compile
-    failures are themselves findings: the serving tier would silently
-    fall back, but an entry whose source *cannot* be generated while its
-    plan claims to support fusion deserves a report, not a shrug.
-    """
-    from repro.runtime.codegen import CodegenUnsupported, emit_source, plan_regions
+    from repro.runtime.codegen import emit_source, plan_regions
 
     n_slots = len(entry.signature.slots)
     slot_sparsity = {spec.index: spec.sparsity for spec in entry.signature.slots}
     try:
-        region_plan = plan_regions(entry.slot_plan, n_slots, slot_sparsity)
-    except CodegenUnsupported:
-        return []
-    except Exception as error:  # noqa: BLE001 - any planner crash is the finding
+        source = emit_source(plan_regions(entry.slot_plan, n_slots, slot_sparsity), "real")
+        compile(source, f"<lint:{where}>", "exec")
+    except Exception as error:  # noqa: BLE001 - any plan/emit/compile crash is the finding
         return [
             _finding(
                 "codegen-failure",
                 where,
-                f"fusion planner failed on the slot plan: {error}",
+                f"fused source cannot be generated: {error}",
             )
         ]
-    try:
-        source = emit_source(region_plan, "real")
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<lint:{where}>", "exec"), namespace)  # noqa: S102
-    except Exception as error:  # noqa: BLE001 - any emit/compile crash is the finding
-        return [
-            _finding(
-                "codegen-failure",
-                where,
-                f"emitted source does not compile: {error}",
-            )
-        ]
-    meta = namespace.get("META")
-    if not isinstance(meta, dict):
-        return [
-            _finding(
-                "codegen-failure", where, "emitted module carries no META record"
-            )
-        ]
-    return lint_generated_source(
-        source,
-        meta,
-        len(region_plan.regions),
-        region_plan.fused_regions,
-        f"{where}::codegen",
-    )
+    return lint_source(source, f"{where}::codegen", hot_path=True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +365,7 @@ def lint_entry(entry, where: str) -> List[Finding]:
         )
     else:
         findings.extend(lint_tape(tape, where))
-    findings.extend(lint_codegen(entry, where))
+        findings.extend(lint_codegen(entry, where))
     return findings
 
 

@@ -52,7 +52,7 @@ from repro.analysis.evaluate import (
     sample_rexpr_inputs,
 )
 from repro.analysis.report import Finding
-from repro.analysis.semiring import AUDIT_SEMIRINGS, Semiring, capability_table
+from repro.runtime.semiring import AUDIT_SEMIRINGS, Semiring, capability_table
 from repro.egraph.enode import OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Rule

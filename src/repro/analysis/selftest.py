@@ -191,12 +191,12 @@ def run_selftest() -> List[FixtureResult]:
 
     # plan-lint: a tape with a step bolted on after the root.
     entry, n_slots = _compiled_entry()
-    from repro.runtime.tape import TapePlan
+    from repro.runtime.tape import TapePlan, TapeStep
 
     tape = TapePlan(entry.slot_plan, n_slots)
-    tape._steps.append(lambda vals: vals[0])
-    tape._slot_deps.append(())
-    tape._step_nodes.append(None)
+    tape._steps.append(
+        TapeStep(lambda vals: vals[0], n_slots + len(tape), (), (), "Const")
+    )
     findings = plan_lint.lint_tape(tape, "selftest/tape")
     results.append(_check("doctored-tape", "dead-tape-step", findings))
 
@@ -208,27 +208,6 @@ def run_selftest() -> List[FixtureResult]:
     results.append(_check("shadowed-sum-index", "shadowed-sum-index", findings))
     findings = plan_lint.lint_rexpr(RSum(frozenset((k,)), a), "selftest/ra")
     results.append(_check("unbound-sum-index", "unbound-sum-index", findings))
-
-    # plan-lint: a generated fused module whose META region counts drifted
-    # from the region plan it claims to implement (a stale/doctored cached
-    # source).
-    from repro.runtime.codegen import emit_source, plan_regions
-
-    entry, n_slots = _compiled_entry()
-    region_plan = plan_regions(entry.slot_plan, n_slots, None)
-    source = emit_source(region_plan, "real")
-    namespace: dict = {}
-    exec(compile(source, "<selftest-codegen>", "exec"), namespace)  # noqa: S102
-    doctored_meta = dict(namespace["META"])
-    doctored_meta["regions"] = doctored_meta["regions"] + 1  # type: ignore[operator]
-    findings = plan_lint.lint_generated_source(
-        source,
-        doctored_meta,
-        len(region_plan.regions),
-        region_plan.fused_regions,
-        "selftest/codegen",
-    )
-    results.append(_check("doctored-codegen-meta", "codegen-region-drift", findings))
 
     # plan-lint: a store file that does not decode.
     with tempfile.TemporaryDirectory() as tmp:

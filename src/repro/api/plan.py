@@ -9,11 +9,12 @@ artifact and hold two cheap :class:`CompiledPlan` views.
 
 ``plan.run(**inputs)`` binds concrete values to the slots — validating that
 every declared input is provided, nothing extra is, and the shapes match
-the compiled dimension sizes — and executes the slot-space plan through
-:func:`repro.runtime.execute_slots`.  Every execution is recorded in
-per-plan statistics, including the observed sparsity of each input; when
-the observed non-zero count drifts far from the hint the cost model
-optimized under, the owning Session recompiles the plan against the
+the compiled dimension sizes — and executes the slot-space plan on the
+plan's one executable (:func:`repro.runtime.codegen.build_executable`, built
+on first use; the serving shards run the same object).  Every execution is
+recorded in per-plan statistics, including the observed sparsity of each
+input; when the observed non-zero count drifts far from the hint the cost
+model optimized under, the owning Session recompiles the plan against the
 observed statistics (the plan object keeps working, now backed by the
 re-optimized artifact).
 """
@@ -38,9 +39,11 @@ from repro.lang import dag
 from repro.lang import expr as la
 from repro.optimizer.guards import TemplateGuard
 from repro.optimizer.pipeline import OptimizationReport, PlanArtifact
+from repro.runtime.codegen import FusedPlan, build_executable, stackable_slot
 from repro.runtime.data import MatrixValue, as_value
-from repro.runtime.engine import ExecutionResult, Executor
+from repro.runtime.engine import ExecutionResult
 from repro.runtime.semiring import Semiring, resolve_semiring
+from repro.runtime.tape import TapePlan
 
 InputValue = Union[MatrixValue, np.ndarray, float, int]
 
@@ -137,7 +140,6 @@ class PlanStats:
 
     executions: int = 0
     total_elapsed: float = 0.0
-    total_intermediate_cells: float = 0.0
     drift_events: int = 0
     recompiles: int = 0
     #: last observed sparsity per slot index
@@ -165,7 +167,6 @@ class PlanStats:
         return PlanStats(
             executions=self.executions,
             total_elapsed=self.total_elapsed,
-            total_intermediate_cells=self.total_intermediate_cells,
             drift_events=self.drift_events,
             recompiles=self.recompiles,
             observed_sparsity=dict(self.observed_sparsity),
@@ -202,7 +203,9 @@ class CompiledPlan:
         self.ring = resolve_semiring(ring)
         self.stats = PlanStats()
         self._lock = threading.Lock()
-        self._executor = Executor(self.ring)
+        #: the executable of the backing entry, built on first use and
+        #: dropped when a drift recompile swaps the entry
+        self._executable: Optional[TapePlan] = None
         #: last :class:`repro.obs.profile.ProfileReport` from :meth:`profile`
         self._profile = None
 
@@ -336,7 +339,6 @@ class CompiledPlan:
             "executions": stats.executions,
             "total_elapsed": stats.total_elapsed,
             "mean_elapsed": stats.mean_elapsed,
-            "total_intermediate_cells": stats.total_intermediate_cells,
             "drift_events": stats.drift_events,
             "recompiles": stats.recompiles,
             "observed_sparsity": {
@@ -351,54 +353,53 @@ class CompiledPlan:
         record["codegen"] = self.codegen_info()
         return record
 
-    def codegen_info(self, backend: Optional[str] = None) -> Dict[str, object]:
-        """What fused code generation does (or would do) with this plan.
+    def executable(self) -> TapePlan:
+        """The one executor of this plan's backing entry (built on first use).
 
-        Compiles the slot-space plan through
-        :func:`repro.runtime.codegen.compile_fused` under ``backend``
-        (default: the same resolution the serving tier uses) and reports
-        the outcome: whether a fused executable exists, its region
-        structure against the interpreter tape's step count, the
-        columnwise batching slot, and numba availability.  Purely
-        introspective — nothing is executed and the serving state is not
-        touched.
+        :func:`~repro.runtime.codegen.build_executable` over the slot plan:
+        a :class:`~repro.runtime.codegen.FusedPlan` under real arithmetic,
+        the plain :class:`~repro.runtime.tape.TapePlan` otherwise.  ``run``,
+        ``profile``, ``codegen_info`` and the serving shards all execute or
+        describe this object; a drift recompile (``_adopt``) drops it so the
+        next use rebuilds from the new entry.
         """
-        # Local import: codegen pulls in the tape runtime, which this
-        # module must not import eagerly.
-        from repro.runtime.codegen import (
-            compile_fused,
-            numba_available,
-            resolve_backend,
-            stackable_slot,
-        )
-        from repro.runtime.tape import TapePlan
+        executable = self._executable
+        if executable is None:
+            with self._lock:
+                entry = self._entry
+                signature = self.signature
+            executable = build_executable(
+                entry.slot_plan,
+                len(signature.slots),
+                ring=self.ring,
+                slot_sparsity={spec.index: spec.sparsity for spec in signature.slots},
+            )
+            with self._lock:
+                if self._entry is entry:  # not swapped by a concurrent _adopt
+                    self._executable = executable
+        return executable
 
+    def codegen_info(self) -> Dict[str, object]:
+        """What this plan executes behind: its executable's region structure.
+
+        Reports whether the executable is fused, its regions against the
+        plain tape's step count, and the columnwise batching slot.  Purely
+        introspective — it reads :meth:`executable` and executes nothing.
+        """
+        executable = self.executable()
         with self._lock:
             entry = self._entry
-            signature = self.signature
-        n_slots = len(signature.slots)
-        choice = resolve_backend(backend)
-        fused = compile_fused(
-            entry.slot_plan,
-            n_slots,
-            ring=self.ring,
-            slot_sparsity={spec.index: spec.sparsity for spec in signature.slots},
-            backend=choice,
-        )
         info: Dict[str, object] = {
-            "backend": choice,
-            "fused": fused is not None,
-            "numba_available": numba_available(),
-            "tape_steps": len(TapePlan(entry.slot_plan, n_slots, ring=self.ring)),
-            "batch_slot": stackable_slot(entry.slot_plan, n_slots),
+            "fused": isinstance(executable, FusedPlan),
+            "tape_steps": executable.tape_steps,
+            "batch_slot": stackable_slot(entry.slot_plan, executable.n_slots),
         }
-        if fused is not None:
-            info["regions"] = len(fused)
-            info["fused_regions"] = fused.fused_regions
-            info["fused_operators"] = fused.fused_operators
-            info["numba_active"] = fused.numba_active
+        if isinstance(executable, FusedPlan):
+            info["regions"] = len(executable)
+            info["fused_regions"] = executable.fused_regions
+            info["fused_operators"] = executable.fused_operators
             info["region_labels"] = [
-                fused.step_label(index) for index in range(len(fused))
+                executable.step_label(index) for index in range(len(executable))
             ]
         return info
 
@@ -448,7 +449,7 @@ class CompiledPlan:
         return "\n".join(lines)
 
     def _describe_codegen(self) -> str:
-        """One truthful ``explain()`` line about fused code generation."""
+        """One truthful ``explain()`` line about the plan's executable."""
         info = self.codegen_info()
         batch = (
             f", column-stackable in slot {info['batch_slot']}"
@@ -456,16 +457,9 @@ class CompiledPlan:
             else ""
         )
         if not info["fused"]:
-            reason = (
-                "backend off"
-                if info["backend"] == "off"
-                else f"ring {self.ring.name}" if not self.ring.is_real
-                else "unsupported construct"
-            )
-            return f"interpreter ({reason}), tape {info['tape_steps']} steps{batch}"
-        numba = ", numba" if info.get("numba_active") else ""
+            return f"tape (ring {self.ring.name}), {info['tape_steps']} steps{batch}"
         return (
-            f"{info['backend']} backend{numba}: {info['regions']} regions"
+            f"python source: {info['regions']} regions"
             f" ({info['fused_regions']} fused, {info['fused_operators']} operators"
             f" fused) vs tape {info['tape_steps']} steps{batch}"
         )
@@ -476,61 +470,41 @@ class CompiledPlan:
         inputs: Optional[Mapping[str, InputValue]] = None,
         /,
         runs: int = 1,
-        backend: str = "tape",
         **named: InputValue,
     ):
         """Execute the plan under the per-step profiler.
 
-        Compiles the slot-space plan to an executor, runs it ``runs``
-        times over the given inputs with every step individually timed,
-        and joins the measurements against the analytic cost model's
-        per-node estimates.  Returns the resulting
-        :class:`repro.obs.profile.ProfileReport`; the report is also
-        retained so subsequent :meth:`explain` calls render its
-        predicted-cost-vs-measured table.
+        Runs the plan's :meth:`executable` ``runs`` times over the given
+        inputs with every step individually timed, and joins the
+        measurements against the analytic cost model's per-node estimates.
+        Returns the resulting :class:`repro.obs.profile.ProfileReport`; the
+        report is also retained so subsequent :meth:`explain` calls render
+        its predicted-cost-vs-measured table.
 
-        ``backend="tape"`` (the default) profiles the interpreter tape,
-        one step per operator.  ``backend="fused"`` (or any codegen
-        backend name) profiles the fused executable instead: one step per
-        *region*, with each row's predicted cost summed over the plan
-        nodes the region covers (``step_group``), so fused rows stay
-        truthful about what they measure; when codegen cannot serve the
-        plan this silently profiles the tape (same fallback the serving
-        tier takes).
+        A fused executable reports one row per *region*, with each row's
+        predicted cost summed over the plan nodes the region covers
+        (``step_group``), so fused rows stay truthful about what they
+        measure; ``measured_cells`` counts what was actually materialized.
 
         Unlike :meth:`run`, profiling executions do not count toward the
         plan's serving statistics or drift detection — the profiler's
         per-step timing overhead would pollute both.
         """
-        # Local imports: repro.obs.profile pulls in the cost model, which
+        # Local import: repro.obs.profile pulls in the cost model, which
         # this module must not import eagerly.
         from repro.obs.profile import TapeProfiler, build_report
-        from repro.runtime.codegen import build_executable
-        from repro.runtime.tape import TapePlan
 
         if runs < 1:
             raise ValueError("profile requires runs >= 1")
         values = self._bind(inputs, named)
         with self._lock:
             entry = self._entry
-            signature = self.signature
-        if backend == "tape":
-            executor: object = TapePlan(entry.slot_plan, len(values), ring=self.ring)
-        else:
-            executor = build_executable(
-                entry.slot_plan,
-                len(values),
-                ring=self.ring,
-                slot_sparsity={
-                    spec.index: spec.sparsity for spec in signature.slots
-                },
-                backend=None if backend == "fused" else backend,
-            )
-        profiler = TapeProfiler(len(executor))
+        executable = self.executable()
+        profiler = TapeProfiler(len(executable))
         for _ in range(runs):
-            executor.execute(values, profiler=profiler)
+            executable.execute(values, profiler=profiler)
             profiler.finish_run()
-        report = build_report(executor, profiler, entry.slot_plan)
+        report = build_report(executable, profiler, entry.slot_plan)
         with self._lock:
             self._profile = report
         return report
@@ -557,7 +531,7 @@ class CompiledPlan:
         plan input literally named ``inputs`` still binds by keyword.
         """
         values = self._bind(inputs, named)
-        result = self._executor.execute_slots(self._entry.slot_plan, values)
+        result = self.executable().execute(values)
         self._record(values, result)
         return result
 
@@ -575,9 +549,8 @@ class CompiledPlan:
     ) -> List[MatrixValue]:
         """Validate and coerce inputs into the plan's positional slot vector.
 
-        The binding half of :meth:`run`, exposed for executors that bypass
-        it — the serving tier binds here and then runs the instruction tape
-        (:class:`repro.runtime.tape.TapePlan`) instead of the interpreter.
+        The binding half of :meth:`run`, exposed for callers that execute
+        the slot vector themselves (the serving tier, the benchmarks).
         Raises :class:`PlanBindingError` exactly as ``run`` would.
         """
         return self._bind(inputs, named)
@@ -665,7 +638,6 @@ class CompiledPlan:
         with self._lock:
             self.stats.executions += 1
             self.stats.total_elapsed += result.stats.elapsed
-            self.stats.total_intermediate_cells += result.stats.intermediate_cells
             for spec, value in zip(self.signature.slots, values):
                 if value.cells <= 1:
                     continue
@@ -702,6 +674,7 @@ class CompiledPlan:
         """Switch this plan to a re-optimized artifact (drift recompilation)."""
         with self._lock:
             self._entry = entry
+            self._executable = None  # rebuilt from the new entry on next use
             self.signature = signature
             self.source = source
             self.stats.recompiles += 1

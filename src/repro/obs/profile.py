@@ -182,12 +182,8 @@ def build_report(
     model = cost_model or LACostModel()
     report = model.cost(slot_plan)
     steps: List[StepProfile] = []
-    group_of = getattr(tape, "step_group", None)
     for index in range(len(tape)):
-        node = tape.step_node(index)
-        group = tuple(group_of(index)) if group_of is not None else ()
-        if not group and node is not None:
-            group = (node,)
+        group = tape.step_group(index)
         predicted_cost: Optional[float] = None
         predicted_nnz: Optional[float] = None
         if group:

@@ -1,36 +1,29 @@
-"""Fused-kernel code generation for tape plans.
+"""Fused-region code generation for tape plans.
 
-Lowers a slot-space plan to fused, cached, executable Python (optionally
-numba-jitted) with bitwise interpreter parity, plus the columnwise
-batching analysis the serving tier uses to stack same-fingerprint matvec
-requests into one matmat.  See ``docs/codegen.md``.
+Lowers a slot-space plan to a tape whose steps are fusion regions — emitted,
+cached, executable Python for the fused ones — with bitwise interpreter
+parity, plus the columnwise batching analysis the serving tier uses to
+stack same-fingerprint matvec requests into one matmat.  See
+``docs/codegen.md``.
 """
 
-from repro.runtime.codegen.backend import (
-    BACKEND_ENV,
-    BACKENDS,
+from repro.runtime.codegen.batching import stackable_slot
+from repro.runtime.codegen.emit import emit_source, source_digest
+from repro.runtime.codegen.plan import (
+    FusedPlan,
     build_executable,
     clear_module_cache,
     compile_fused,
-    numba_available,
-    resolve_backend,
 )
-from repro.runtime.codegen.batching import stackable_slot
-from repro.runtime.codegen.emit import emit_source, source_digest
-from repro.runtime.codegen.plan import FusedPlan
 from repro.runtime.codegen.regions import (
     CODEGEN_VERSION,
-    CodegenUnsupported,
     Region,
     RegionPlan,
     plan_regions,
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
     "CODEGEN_VERSION",
-    "CodegenUnsupported",
     "FusedPlan",
     "Region",
     "RegionPlan",
@@ -38,9 +31,7 @@ __all__ = [
     "clear_module_cache",
     "compile_fused",
     "emit_source",
-    "numba_available",
     "plan_regions",
-    "resolve_backend",
     "source_digest",
     "stackable_slot",
 ]

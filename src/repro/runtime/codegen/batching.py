@@ -33,15 +33,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.lang import expr as la
+from repro.runtime.optable import ELEMWISE_TYPES
 from repro.runtime.tape import _slot_index
 
 _CONST = 0
 _COL = 1
 _BAD = 2
-
-#: elementwise node types that act per-column on broadcast-compatible shapes
-_ELEMWISE_BINARY = (la.ElemMul, la.ElemPlus, la.ElemMinus, la.ElemDiv)
-_ELEMWISE_UNARY = (la.Power, la.Neg, la.UnaryFunc)
 
 
 def _concrete_shape(node: la.LAExpr) -> Optional[Tuple[int, int]]:
@@ -98,8 +95,11 @@ def _classify(root: la.LAExpr, slot: int, n_slots: int) -> int:
             return _CONST
         if any(kind == _BAD for kind in kinds):
             return _BAD
-        # at least one columnwise child from here on
-        if isinstance(node, _ELEMWISE_BINARY):
+        # at least one columnwise child from here on; elementwise operators
+        # act per-column on broadcast-compatible shapes
+        if isinstance(node, ELEMWISE_TYPES):
+            if len(kinds) == 1:
+                return _COL
             left, right = node.children
             left_kind, right_kind = kinds
             if left_kind == _COL and right_kind == _COL:
@@ -107,8 +107,6 @@ def _classify(root: la.LAExpr, slot: int, n_slots: int) -> int:
             const_node = right if right_kind == _CONST else left
             col_node = left if left_kind == _COL else right
             return _COL if _broadcast_ok(const_node, col_node) else _BAD
-        if isinstance(node, _ELEMWISE_UNARY):
-            return _COL
         if isinstance(node, la.MatMul):
             left_kind, right_kind = kinds
             if left_kind == _CONST and right_kind == _COL:

@@ -1,44 +1,42 @@
-"""Python source backend: emit one compiled function per region plan.
+"""Python source emitter: one function per *fused* region of a region plan.
+
+Single-node regions need no generated code — they run as the tape's own
+step closure (:func:`repro.runtime.tape.kernel_step`).  Only multi-node
+regions are emitted, inside a ``build(rt)`` factory that closes the region
+functions over the runtime namespace ``rt`` and returns them keyed by
+region index, each with the tape's step signature ``fn(vals)``.
 
 The emitted module is deterministic text — a pure function of the
-:class:`~repro.runtime.codegen.regions.RegionPlan` — which is what makes it
-cacheable in-process (keyed by source hash) and through the
-:class:`~repro.serialize.store.PlanStore` (keyed by template/config digest).
-Constants are *not* baked into the source; they live on the runtime
-namespace (``rt``), so the source stays size-free and one cached module
-serves a whole plan-template size ladder.
+:class:`~repro.runtime.codegen.regions.RegionPlan` — which is what makes
+the compiled factory cacheable in-process (keyed by source hash).
+Constants are *not* baked into the source; they live in the value vector,
+so the source stays size-free and one cached module serves a whole
+plan-template size ladder.
 
 Bitwise-parity contract (the repo convention: ``np.array_equal`` against
-the interpreter):
+the interpreter).  Every formula and kernel call comes from the op table
+(:mod:`repro.runtime.optable`):
 
-* single-node regions call the interpreter's own kernel — identical by
-  construction;
-* multi-node regions compute interiors on raw dense ndarrays using exactly
-  the kernels' formulas in the kernels' operand order (``l + -1.0 * r`` for
-  subtraction, ``x * -1.0`` for negation, the same masked ``np.divide`` for
-  division) — for finite data these are value-identical to any sparse
-  detour the interpreter might have taken;
-* at every order-sensitive boundary (a ``Sum``/``RowSums``/``ColSums``/
-  ``MatMul`` root, or a chain value leaving the region) the emitted code
-  replays the interpreter's representation decision via ``rt.boundary`` =
+* interiors compute on raw dense ndarrays using the row's ``formula`` —
+  exactly the kernel's arithmetic in the kernel's operand order
+  (``l + -1.0 * r`` for subtraction, ``x * -1.0`` for negation, the same
+  masked ``np.divide`` for division) — for finite data these are
+  value-identical to any sparse detour the interpreter might have taken;
+* at every order-sensitive boundary (a ``fold-root`` kernel call, or a
+  chain value leaving the region) the emitted code replays the
+  interpreter's representation decision via ``rt.boundary`` =
   ``MatrixValue(t).compacted()`` before handing the value to the kernel, so
   downstream accumulation order and dense/sparse representation match the
   tape exactly;
-* every region with a raw-ndarray body is guarded: if any elementwise
-  operand is sparse at run time, ``rt.fallback`` executes the region with
-  the interpreter kernels step by step.
-
-Regions whose interiors use only ``+``/``-``/``*``/negation additionally
-get a ``_core_<i>`` function over bare ndarrays.  The optional numba
-backend jit-compiles exactly those cores (same IEEE arithmetic, no
-fastmath); transcendental and division chains stay on numpy to avoid libm
-divergence.
+* every region is guarded: if any elementwise operand is sparse at run
+  time, ``rt.fallback`` executes the region with the interpreter kernels
+  step by step.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Tuple
+from typing import List, Sequence
 
 from repro.lang import expr as la
 from repro.runtime.codegen.regions import (
@@ -47,9 +45,7 @@ from repro.runtime.codegen.regions import (
     Region,
     RegionPlan,
 )
-
-#: interior ops whose emitted arithmetic numba reproduces bitwise
-_CORE_SAFE_TYPES = (la.ElemMul, la.ElemPlus, la.ElemMinus, la.Neg)
+from repro.runtime.optable import ELEMWISE_TYPES, OP_TABLE
 
 
 def source_digest(source: str) -> str:
@@ -61,57 +57,25 @@ def emit_source(plan: RegionPlan, ring_name: str) -> str:
     lines: List[str] = [
         f"# repro-codegen v{CODEGEN_VERSION} ring={ring_name} "
         f"regions={len(plan.regions)} fused={plan.fused_regions}",
-        '"""Generated fused-kernel module - do not edit (see docs/codegen.md)."""',
+        '"""Generated fused-region module - do not edit (see docs/codegen.md)."""',
         "",
         "import numpy as np",
         "",
+        "",
+        "def build(rt):",
     ]
-    cores: Dict[int, List[int]] = {}
-    for region in plan.regions:
-        lines.extend(_emit_region(region, cores))
+    fused = [region for region in plan.regions if region.fused]
+    for region in fused:
+        lines.extend("    " + line for line in _emit_fused_region(region))
         lines.append("")
-    lines.append("def run(vals, rt):")
-    for region in plan.regions:
-        lines.append(
-            f"    vals[{region.out_position}] = _region_{region.index}(vals, rt)"
-        )
-    lines.append(f"    return vals[{plan.root_position}]")
-    lines.append("")
-    region_names = ", ".join(f"_region_{r.index}" for r in plan.regions)
-    trailing = "," if len(plan.regions) == 1 else ""
-    lines.append(f"REGIONS = ({region_names}{trailing})")
-    lines.append(
-        "META = {"
-        f'"version": {CODEGEN_VERSION}, "ring": {ring_name!r}, '
-        f'"regions": {len(plan.regions)}, '
-        f'"fused_regions": {plan.fused_regions}, '
-        f'"fused_operators": {plan.fused_operators}, '
-        f'"numba_regions": {sorted(cores)!r}'
-        "}"
-    )
+    entries = ", ".join(f"{r.index}: _region_{r.index}" for r in fused)
+    lines.append(f"    return {{{entries}}}")
     lines.append("")
     return "\n".join(lines)
 
 
-def _emit_region(region: Region, cores: Dict[int, List[int]]) -> List[str]:
-    if not region.fused:
-        node, operands = region.schedule[0]
-        return [
-            f"def _region_{region.index}(vals, rt):",
-            f"    return {_kernel_call(node, [_val_ref(op) for op in operands])}",
-        ]
-    return _emit_fused_region(region, cores)
-
-
-def _val_ref(operand: Operand) -> str:
-    kind, value = operand
-    if kind != "val":  # pragma: no cover - single-node regions read vals only
-        raise AssertionError("single-node region with a temporary operand")
-    return f"vals[{value}]"
-
-
-def _emit_fused_region(region: Region, cores: Dict[int, List[int]]) -> List[str]:
-    body: List[str] = [f"def _region_{region.index}(vals, rt):"]
+def _emit_fused_region(region: Region) -> List[str]:
+    body: List[str] = [f"def _region_{region.index}(vals):"]
     # dense guard over every external operand an elementwise member reads
     for position in region.guard_positions:
         body.append(f"    v{position} = vals[{position}]")
@@ -123,147 +87,42 @@ def _emit_fused_region(region: Region, cores: Dict[int, List[int]]) -> List[str]
         body.append(f"    x{position} = v{position}.data")
 
     root, root_operands = region.schedule[-1]
-    interiors = region.schedule[:-1]
-    chain = list(interiors)
-    root_is_elemwise = isinstance(root, _ELEMWISE_EXPR_TYPES)
+    chain = list(region.schedule[:-1])
+    root_is_elemwise = isinstance(root, ELEMWISE_TYPES)
     if root_is_elemwise:
         chain.append((root, root_operands))
-
-    core_args = _core_eligible(region, chain, root_is_elemwise)
-    if core_args is not None:
-        cores[region.index] = core_args
-        args = ", ".join(f"x{p}" for p in core_args)
-        body.append(f"    t{len(chain) - 1} = _core_{region.index}({args})")
-    else:
-        for k, (node, operands) in enumerate(chain):
-            body.append(f"    t{k} = {_interior_expr(node, operands)}")
-
+    for k, (node, operands) in enumerate(chain):
+        body.append(f"    t{k} = {_formula(node, [_ref(op) for op in operands])}")
     if root_is_elemwise:
         body.append(f"    return rt.boundary(t{len(chain) - 1})")
     else:
         refs = [_boundary_ref(op) for op in root_operands]
-        body.append(f"    return {_kernel_call(root, refs)}")
-
-    if core_args is not None:
-        args = ", ".join(f"x{p}" for p in core_args)
-        body.append("")
-        body.append(f"def _core_{region.index}({args}):")
-        for k, (node, operands) in enumerate(chain):
-            body.append(f"    t{k} = {_interior_expr(node, operands)}")
-        body.append(f"    return t{len(chain) - 1}")
+        body.append(f"    return {_root_call(root, refs)}")
     return body
-
-
-def _core_eligible(
-    region: Region, chain: List, root_is_elemwise: bool
-) -> "List[int] | None":
-    """Arg positions for a numba-safe core, or None when ineligible."""
-    for node, _operands in chain:
-        if not isinstance(node, _CORE_SAFE_TYPES):
-            return None
-    if not root_is_elemwise:
-        # the core returns only the final temporary, so a kernel-call root
-        # may reference no other temporary (e.g. a MatMul folding two
-        # separate chains is emitted inline instead)
-        _root, root_operands = region.schedule[-1]
-        tmp_refs = [value for kind, value in root_operands if kind == "tmp"]
-        if tmp_refs != [len(chain) - 1]:
-            return None
-    # guard positions double as the core's argument list
-    return list(region.guard_positions)
-
-
-_ELEMWISE_EXPR_TYPES = (
-    la.ElemMul,
-    la.ElemPlus,
-    la.ElemMinus,
-    la.ElemDiv,
-    la.Power,
-    la.Neg,
-    la.UnaryFunc,
-)
 
 
 def _ref(operand: Operand) -> str:
     """Raw-ndarray reference for an interior expression."""
     kind, value = operand
-    if kind == "tmp":
-        return f"t{value}"
-    return f"x{value}"
+    return f"t{value}" if kind == "tmp" else f"x{value}"
 
 
 def _boundary_ref(operand: Operand) -> str:
     """MatrixValue reference for a kernel-call operand at a region boundary."""
     kind, value = operand
-    if kind == "tmp":
-        return f"rt.boundary(t{value})"
-    return f"vals[{value}]"
+    return f"rt.boundary(t{value})" if kind == "tmp" else f"vals[{value}]"
 
 
-def _interior_expr(node: la.LAExpr, operands: Tuple[Operand, ...]) -> str:
-    """Raw-ndarray expression replicating the kernel formula bitwise."""
-    refs = [_ref(op) for op in operands]
-    if isinstance(node, la.ElemMul):
-        return f"({refs[0]} * {refs[1]})"
-    if isinstance(node, la.ElemPlus):
-        return f"({refs[0]} + {refs[1]})"
-    if isinstance(node, la.ElemMinus):
-        # kernels.elem_add(a, b, sign=-1.0) computes ``left + sign * right``
-        return f"({refs[0]} + -1.0 * {refs[1]})"
-    if isinstance(node, la.ElemDiv):
-        return f"rt.ediv({refs[0]}, {refs[1]})"
-    if isinstance(node, la.Power):
-        return f"np.power({refs[0]}, {node.exponent!r})"
-    if isinstance(node, la.Neg):
-        # kernels.negate is scalar_mul(-1.0, a) = ``matrix * -1.0``
-        return f"({refs[0]} * -1.0)"
-    if isinstance(node, la.UnaryFunc):
-        return f"rt.u_{node.func}({refs[0]})"
-    raise AssertionError(f"not an interior node: {type(node).__name__}")
+def _formula(node: la.LAExpr, refs: Sequence[str]) -> str:
+    """Raw-ndarray expression replicating the node's kernel bitwise."""
+    spec = OP_TABLE[type(node)]
+    static = getattr(node, spec.static) if spec.static else None
+    return spec.formula.format(*refs, s=static)
 
 
-def _kernel_call(node: la.LAExpr, refs: List[str]) -> str:
-    """Interpreter-kernel call for a region root / single-node region."""
-    if isinstance(node, la.MatMul):
-        return f"rt.k.matmul({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemMul):
-        return f"rt.k.elem_mul({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemPlus):
-        return f"rt.k.elem_add({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemMinus):
-        return f"rt.k.elem_sub({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemDiv):
-        return f"rt.k.elem_div({refs[0]}, {refs[1]})"
-    if isinstance(node, la.Transpose):
-        return f"rt.k.transpose({refs[0]})"
-    if isinstance(node, la.RowSums):
-        return f"rt.k.row_sums({refs[0]})"
-    if isinstance(node, la.ColSums):
-        return f"rt.k.col_sums({refs[0]})"
-    if isinstance(node, la.Sum):
-        return f"rt.k.full_sum({refs[0]})"
-    if isinstance(node, la.Power):
-        return f"rt.k.power({refs[0]}, {node.exponent!r})"
-    if isinstance(node, la.Neg):
-        return f"rt.k.negate({refs[0]})"
-    if isinstance(node, la.UnaryFunc):
-        return f"rt.k.unary({node.func!r}, {refs[0]})"
-    if isinstance(node, la.CastScalar):
-        return f"rt.cast({refs[0]})"
-    if isinstance(node, la.WSLoss):
-        if len(refs) == 3:
-            return f"rt.k.wsloss({refs[0]}, {refs[1]}, {refs[2]}, None)"
-        return f"rt.k.wsloss({refs[0]}, {refs[1]}, {refs[2]}, {refs[3]})"
-    if isinstance(node, la.WCeMM):
-        return f"rt.k.wcemm({refs[0]}, {refs[1]}, {refs[2]})"
-    if isinstance(node, la.WDivMM):
-        return (
-            f"rt.k.wdivmm({refs[0]}, {refs[1]}, {refs[2]}, {node.multiply_left!r})"
-        )
-    if isinstance(node, la.SProp):
-        return f"rt.k.sprop({refs[0]})"
-    if isinstance(node, la.MMChain):
-        if len(refs) == 2:
-            return f"rt.k.mmchain({refs[0]}, {refs[1]}, None)"
-        return f"rt.k.mmchain({refs[0]}, {refs[1]}, {refs[2]})"
-    raise AssertionError(f"no kernel call for node {type(node).__name__}")
+def _root_call(node: la.LAExpr, refs: Sequence[str]) -> str:
+    """Interpreter-kernel call for a region root."""
+    spec = OP_TABLE[type(node)]
+    before, after = spec.statics(node)
+    args = [repr(s) for s in before] + list(refs) + [repr(s) for s in after]
+    return f"rt.k.{spec.kernel}({', '.join(args)})"

@@ -1,36 +1,48 @@
-"""FusedPlan: a compiled region module behind the TapePlan interface.
+"""FusedPlan: a tape whose steps are fusion regions, and how to build one.
 
-A :class:`FusedPlan` executes the module emitted by
-:mod:`repro.runtime.codegen.emit` and is drop-in compatible with
-:class:`repro.runtime.tape.TapePlan` everywhere the serving tier cares:
-``execute(values, reuse, faults, profiler)``, ``__len__``, ``operators``,
-``fused_operators``, ``step_node``/``step_group``/``step_label``.  Hooks
-(reuse, fault injection, profiling) operate at *region* granularity — a
-region is the unit of work, so ``tape.step`` faults, reuse entries and
-profile rows map one-to-one onto regions.
+``compile_fused`` is the entry point: it plans regions, emits the module
+source for the fused ones, compiles it once (module factories are memoized
+in-process by source hash) and returns a :class:`FusedPlan` — or ``None``
+for a non-real semiring, whose dense ring-generic kernels own their own
+dispatch.  ``build_executable`` wraps that decision for callers that just
+want *the* executor of a plan: fused when the ring allows, the plain
+:class:`~repro.runtime.tape.TapePlan` otherwise.
 
-Every guarded region owns an interpreter fallback built from the same
-:class:`~repro.runtime.kernels.KernelSet` the tape uses: when a region's
-dense guard trips at run time (a hinted-dense input arrived sparse), the
-region executes step-by-step through the kernels and stays bitwise
-identical to the tape.
+A :class:`FusedPlan` *is* a :class:`TapePlan`: it installs one step per
+region and inherits the execution loops, so reuse, fault injection and
+profiling operate at region granularity with no code of their own.  A
+single-node region's step is the very closure the plain tape would run; a
+fused region's step is its emitted function.  Every fused region also owns
+an interpreter fallback built from the same op-table rows: when its dense
+guard trips at run time (a hinted-dense input arrived sparse), the region
+executes step-by-step through the kernels and stays bitwise identical to
+the tape.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.lang import expr as la
-from repro.reliability.faults import FaultInjector
 from repro.runtime import kernels
-from repro.runtime.codegen.regions import Region, RegionPlan
+from repro.runtime.codegen.emit import emit_source, source_digest
+from repro.runtime.codegen.regions import Region, RegionPlan, plan_regions
 from repro.runtime.data import MatrixValue
-from repro.runtime.engine import ExecutionError, ExecutionResult, ExecutionStats
-from repro.runtime.semiring import Semiring
-from repro.runtime.tape import StepReuseCache, TapeProfilerLike, ValuePool
+from repro.runtime.engine import constant_value
+from repro.runtime.optable import OP_TABLE
+from repro.runtime.semiring import Semiring, resolve_semiring
+from repro.runtime.tape import StepFn, TapePlan, TapeStep, kernel_step
+
+#: ``build(rt)`` of an emitted module: region index -> step function
+ModuleFactory = Callable[["_Runtime"], Dict[int, StepFn]]
+
+_CACHE_LIMIT = 256
+_MODULE_CACHE: "OrderedDict[str, ModuleFactory]" = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 
 def _ediv(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -45,27 +57,8 @@ def _boundary(array: np.ndarray) -> MatrixValue:
     return MatrixValue(array).compacted()
 
 
-def _cast(value: MatrixValue) -> MatrixValue:
-    return MatrixValue.scalar(value.scalar_value())
-
-
 class _Runtime:
-    """The ``rt`` namespace emitted modules execute against."""
-
-    __slots__ = (
-        "k",
-        "fallback",
-        "boundary",
-        "ediv",
-        "cast",
-        "u_exp",
-        "u_log",
-        "u_sqrt",
-        "u_abs",
-        "u_sign",
-        "u_round",
-        "u_sigmoid",
-    )
+    """The ``rt`` namespace emitted region functions close over."""
 
     def __init__(
         self,
@@ -76,61 +69,8 @@ class _Runtime:
         self.fallback = fallback
         self.boundary = _boundary
         self.ediv = _ediv
-        self.cast = _cast
         for name, fn in kernels._UNARY_KERNELS.items():
             setattr(self, f"u_{name}", fn)
-
-
-def _step_callable(
-    node: la.LAExpr, kernel_set: kernels.KernelSet
-) -> Callable[..., MatrixValue]:
-    """The interpreter kernel for one node, as a positional callable.
-
-    Mirrors ``TapePlan._compile_node``'s dispatch exactly — the fallback
-    path must stay bitwise identical to the tape.
-    """
-    k = kernel_set
-    if isinstance(node, la.MatMul):
-        return k.matmul
-    if isinstance(node, la.ElemMul):
-        return k.elem_mul
-    if isinstance(node, la.ElemPlus):
-        return k.elem_add
-    if isinstance(node, la.ElemMinus):
-        return k.elem_sub
-    if isinstance(node, la.ElemDiv):
-        return k.elem_div
-    if isinstance(node, la.Transpose):
-        return k.transpose
-    if isinstance(node, la.RowSums):
-        return k.row_sums
-    if isinstance(node, la.ColSums):
-        return k.col_sums
-    if isinstance(node, la.Sum):
-        return k.full_sum
-    if isinstance(node, la.Power):
-        return lambda a, e=node.exponent, op=k.power: op(a, e)
-    if isinstance(node, la.Neg):
-        return k.negate
-    if isinstance(node, la.UnaryFunc):
-        return lambda a, f=node.func, op=k.unary: op(f, a)
-    if isinstance(node, la.CastScalar):
-        return _cast
-    if isinstance(node, la.WSLoss):
-        if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-            return lambda x, u, v, op=k.wsloss: op(x, u, v, None)
-        return k.wsloss
-    if isinstance(node, la.WCeMM):
-        return k.wcemm
-    if isinstance(node, la.WDivMM):
-        return lambda x, u, v, ml=node.multiply_left, op=k.wdivmm: op(x, u, v, ml)
-    if isinstance(node, la.SProp):
-        return k.sprop
-    if isinstance(node, la.MMChain):
-        if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-            return lambda x, v, op=k.mmchain: op(x, v, None)
-        return k.mmchain
-    raise ExecutionError(f"cannot interpret node {type(node).__name__}")
 
 
 def _build_fallback(
@@ -138,7 +78,7 @@ def _build_fallback(
 ) -> Callable[[List[Optional[MatrixValue]]], MatrixValue]:
     """Step-by-step interpreter execution of one region (guard fallback)."""
     steps = [
-        (_step_callable(node, kernel_set), operands)
+        (OP_TABLE[type(node)].bind(node, kernel_set), operands)
         for node, operands in region.schedule
     ]
 
@@ -157,153 +97,120 @@ def _build_fallback(
     return run_region
 
 
-class FusedPlan:
-    """A slot-space plan compiled to fused regions (TapePlan-compatible)."""
+class FusedPlan(TapePlan):
+    """A slot-space plan compiled to fused regions."""
 
     def __init__(
         self,
         region_plan: RegionPlan,
-        namespace: Dict[str, object],
+        factory: ModuleFactory,
         source: str,
         ring: Semiring,
-        backend: str,
-        numba_active: bool = False,
     ) -> None:
         self.ring = ring
-        self._kernels = kernels.for_ring(ring)
         self.n_slots = region_plan.n_slots
+        #: the emitted module text the fused regions were compiled from
         self.source = source
-        self.backend = backend
-        self.numba_active = numba_active
-        self.meta: Dict[str, object] = dict(namespace["META"])  # type: ignore[arg-type]
-        self._run = namespace["run"]
-        self._region_fns: Sequence[Callable] = namespace["REGIONS"]  # type: ignore[assignment]
+        #: how many region executions took the interpreter fallback
+        self.fallback_runs = 0
         self._plan = region_plan
-        self._regions = region_plan.regions
-        self._root = region_plan.root_position
-        self._n_positions = region_plan.n_positions
-        self._consts: List[Tuple[int, MatrixValue]] = [
-            (position, self._materialize(node))
-            for position, node in region_plan.consts
-        ]
-        self._pool = ValuePool(self._n_positions, prefill=self._consts)
-        self._fallbacks: Dict[int, Callable] = {
-            region.index: _build_fallback(region, self._kernels)
-            for region in self._regions
+        kernel_set = kernels.for_ring(ring)
+        self._fallbacks = {
+            region.index: _build_fallback(region, kernel_set)
+            for region in region_plan.regions
             if region.fused
         }
-        self._fallback_runs = 0
-        self._rt = _Runtime(self._kernels, self._run_fallback)
-        self._fused_operators = region_plan.fused_operators
-
-    def _materialize(self, node: la.LAExpr) -> MatrixValue:
-        k = self._kernels
-        if isinstance(node, la.Literal):
-            return k.literal(node.value)
-        rows = node.fill_shape.rows.size  # type: ignore[attr-defined]
-        cols = node.fill_shape.cols.size  # type: ignore[attr-defined]
-        return k.fill(node.value, rows, cols)  # type: ignore[attr-defined]
+        emitted = factory(_Runtime(kernel_set, self._run_fallback))
+        steps: List[TapeStep] = []
+        for region in region_plan.regions:
+            if region.fused:
+                fn = emitted[region.index]
+            else:
+                node, operands = region.schedule[0]
+                fn = kernel_step(node, [position for _, position in operands], kernel_set)
+            steps.append(
+                TapeStep(
+                    fn, region.out_position, region.slot_deps, region.nodes, region.label()
+                )
+            )
+        self._load(
+            steps,
+            region_plan.root_position,
+            region_plan.n_positions,
+            region_plan.fused_operators,
+            prefill=[
+                (position, constant_value(node, kernel_set))
+                for position, node in region_plan.consts
+            ],
+        )
 
     def _run_fallback(
         self, region_index: int, vals: List[Optional[MatrixValue]]
     ) -> MatrixValue:
-        self._fallback_runs += 1
+        self.fallback_runs += 1
         return self._fallbacks[region_index](vals)
-
-    # -- introspection (TapePlan interface) ------------------------------------
-    def __len__(self) -> int:
-        return len(self._regions)
-
-    @property
-    def operators(self) -> int:
-        return len(self._regions)
-
-    @property
-    def fused_operators(self) -> int:
-        return self._fused_operators
 
     @property
     def fused_regions(self) -> int:
         return self._plan.fused_regions
 
     @property
-    def fallback_runs(self) -> int:
-        """How many region executions took the interpreter fallback."""
-        return self._fallback_runs
+    def tape_steps(self) -> int:
+        # the linearization is shared: every non-slot position is a tape step
+        return self._plan.n_positions - self.n_slots
 
-    def step_node(self, index: int) -> Optional[la.LAExpr]:
-        return self._regions[index].root
 
-    def step_group(self, index: int) -> Tuple[la.LAExpr, ...]:
-        """Every plan node region ``index`` materializes (root last)."""
-        return self._regions[index].nodes
+def clear_module_cache() -> None:
+    """Drop every in-process compiled module (tests / cache-bust tooling)."""
+    with _CACHE_LOCK:
+        _MODULE_CACHE.clear()
 
-    def step_label(self, index: int) -> str:
-        return self._regions[index].label()
 
-    # -- execution -------------------------------------------------------------
-    def execute(
-        self,
-        values: Sequence[MatrixValue],
-        reuse: Optional[StepReuseCache] = None,
-        faults: Optional[FaultInjector] = None,
-        profiler: Optional[TapeProfilerLike] = None,
-    ) -> ExecutionResult:
-        """Run the compiled regions over a positional slot-value vector.
+def _cached_factory(source: str) -> ModuleFactory:
+    key = source_digest(source)  # the ring is part of the source header
+    with _CACHE_LOCK:
+        cached = _MODULE_CACHE.get(key)
+        if cached is not None:
+            _MODULE_CACHE.move_to_end(key)
+            return cached
+    namespace: Dict[str, object] = {}
+    code = compile(source, f"<repro-codegen:{key[:12]}>", "exec")
+    exec(code, namespace)  # noqa: S102 - our own deterministic emitter output
+    factory: ModuleFactory = namespace["build"]  # type: ignore[assignment]
+    with _CACHE_LOCK:
+        _MODULE_CACHE[key] = factory
+        while len(_MODULE_CACHE) > _CACHE_LIMIT:
+            _MODULE_CACHE.popitem(last=False)
+    return factory
 
-        Same contract as :meth:`TapePlan.execute`; the ``tape.step`` fault
-        site, reuse entries and profiler rows are keyed by region index.
-        """
-        if len(values) != self.n_slots:
-            raise ExecutionError(
-                f"fused plan expects {self.n_slots} slot values, got {len(values)}"
-            )
-        start = time.perf_counter()
-        if reuse is None and faults is None and profiler is None:
-            vals = self._pool.acquire()
-            vals[: self.n_slots] = values
-            try:
-                value = self._run(vals, self._rt)
-            finally:
-                self._pool.release(vals)
-        else:
-            vals = [None] * self._n_positions
-            vals[: self.n_slots] = values
-            for position, const in self._consts:
-                vals[position] = const
-            rt = self._rt
-            for region in self._regions:
-                index = region.index
-                if faults is not None:
-                    faults.check("tape.step", str(index))
-                step_start = time.perf_counter() if profiler is not None else 0.0
-                reused = False
-                deps = region.slot_deps
-                if reuse is not None and deps:
-                    operands = tuple(vals[slot] for slot in deps)
-                    cached = reuse.lookup(index, operands)
-                    if cached is not None:
-                        vals[region.out_position] = cached
-                        reused = True
-                    else:
-                        result = self._region_fns[index](vals, rt)
-                        reuse.store(index, operands, result)
-                        vals[region.out_position] = result
-                else:
-                    vals[region.out_position] = self._region_fns[index](vals, rt)
-                if profiler is not None:
-                    profiler.record(
-                        index,
-                        time.perf_counter() - step_start,
-                        vals[region.out_position],
-                        reused,
-                    )
-            value = vals[self._root]
-        stats = ExecutionStats(
-            elapsed=time.perf_counter() - start,
-            operators_executed=len(self._regions),
-            fused_operators=self._fused_operators,
-        )
-        if value is None:  # pragma: no cover - root always materialized
-            raise ExecutionError("fused plan produced no root value")
-        return ExecutionResult(value=value, stats=stats)
+
+def compile_fused(
+    expr: la.LAExpr,
+    n_slots: int,
+    ring: Union[str, Semiring, None] = None,
+    slot_sparsity: Optional[Mapping[int, Optional[float]]] = None,
+) -> Optional[FusedPlan]:
+    """Compile a slot-space plan to a :class:`FusedPlan`.
+
+    ``None`` means "run the plain tape": the ring is not real.
+    """
+    resolved_ring = resolve_semiring(ring)
+    if not resolved_ring.is_real:
+        return None
+    region_plan = plan_regions(expr, n_slots, slot_sparsity)
+    source = emit_source(region_plan, resolved_ring.name)
+    factory = _cached_factory(source)
+    return FusedPlan(region_plan, factory, source, resolved_ring)
+
+
+def build_executable(
+    expr: la.LAExpr,
+    n_slots: int,
+    ring: Union[str, Semiring, None] = None,
+    slot_sparsity: Optional[Mapping[int, Optional[float]]] = None,
+) -> TapePlan:
+    """The executor of a slot plan: fused when the ring allows, tape otherwise."""
+    fused = compile_fused(expr, n_slots, ring=ring, slot_sparsity=slot_sparsity)
+    if fused is not None:
+        return fused
+    return TapePlan(expr, n_slots, ring=ring)

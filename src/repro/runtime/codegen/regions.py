@@ -7,21 +7,21 @@ operators over dense operands all of that is overhead: the chain can run as
 a handful of raw-ndarray ufunc calls with no materialized
 :class:`MatrixValue` intermediates at all.
 
-This module decides *where* that is sound.  It linearizes a slot-space plan
-exactly the way ``TapePlan._compile`` does (postorder, object-identity
-sharing, the unweighted ``WSLoss``/``MMChain`` weight-child skip) and then
-groups maximal single-consumer elementwise chains into **regions**:
+This module decides *where* that is sound.  It takes the tape's own
+linearization (:func:`repro.runtime.tape.linearize` — same positions, same
+sharing) and groups maximal single-consumer elementwise chains into
+**regions**, reading each operator's loop class from the op table
+(:mod:`repro.runtime.optable`):
 
-* an *interior* node is an elementwise operator (``ElemMul``/``ElemPlus``/
-  ``ElemMinus``/``ElemDiv``/``Power``/``Neg``/``UnaryFunc``) consumed by
-  exactly one other node of the same region;
+* an *interior* node is an ``elementwise`` operator consumed by exactly one
+  other node of the same region;
 * a region *root* is the consuming operator the chain folds into — either a
   further elementwise node with multiple consumers, or an order-sensitive
-  reducer (``Sum``/``RowSums``/``ColSums``/``MatMul``) that the emitted code
-  calls through the interpreter's own kernel;
-* every other node (fused physical operators, ``Transpose``, constants,
-  ``CastScalar``...) becomes a single-node region that executes the original
-  kernel — trivially bitwise-identical to the tape.
+  ``fold-root`` reducer that the emitted code calls through the
+  interpreter's own kernel;
+* every other node (fused physical operators, layout moves, casts) becomes
+  a single-node region that executes as the very step the tape would run —
+  trivially bitwise-identical to it.
 
 Zero-skipping discipline (COFFEE's ``ZeroLoopScheduler`` translated to this
 runtime): a chain only fuses when every operand feeding it sits in the
@@ -35,41 +35,27 @@ plan *template*, so one emitted source serves a whole size ladder.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.canonical.fingerprint import sparsity_band
 from repro.lang import expr as la
-from repro.runtime.kernels import _UNARY_KERNELS
-from repro.runtime.tape import _slot_index
+from repro.runtime.optable import (
+    CONSTANT_TYPES,
+    ELEMWISE_TYPES,
+    FUSED_KERNEL_TYPES,
+    OP_TABLE,
+    ROOT_FOLD_TYPES,
+)
+from repro.runtime.tape import Scheduled, linearize, node_label
 
 #: bump when the region/emission semantics change; embedded in emitted
-#: sources and in kernel-store keys so stale cached sources can never load
-CODEGEN_VERSION = 1
+#: sources so a reader can tell which emitter wrote them
+CODEGEN_VERSION = 2
 
 #: operand reference inside a region: ``("val", position)`` reads the shared
 #: value vector, ``("tmp", k)`` reads the k-th entry of the region schedule
 Operand = Tuple[str, int]
-
-ELEMWISE_TYPES = (
-    la.ElemMul,
-    la.ElemPlus,
-    la.ElemMinus,
-    la.ElemDiv,
-    la.Power,
-    la.Neg,
-    la.UnaryFunc,
-)
-
-#: node types an elementwise chain may fold into (the region roots)
-ROOT_FOLD_TYPES = ELEMWISE_TYPES + (la.Sum, la.RowSums, la.ColSums, la.MatMul)
-
-#: fused physical operators — single-node regions, counted as fused
-FUSED_KERNEL_TYPES = (la.WSLoss, la.WCeMM, la.WDivMM, la.SProp, la.MMChain)
-
-
-class CodegenUnsupported(RuntimeError):
-    """The plan contains a construct the code generator cannot lower."""
 
 
 @dataclass
@@ -105,15 +91,10 @@ class Region:
         return tuple(node for node, _ in self.schedule)
 
     def label(self) -> str:
-        def name(node: la.LAExpr) -> str:
-            if isinstance(node, la.UnaryFunc):
-                return f"UnaryFunc[{node.func}]"
-            return type(node).__name__
-
         if not self.fused:
-            return name(self.root)
-        interior = "+".join(name(node) for node, _ in self.schedule[:-1])
-        return f"Fused[{interior}->{name(self.root)}]"
+            return node_label(self.root)
+        interior = "+".join(node_label(node) for node, _ in self.schedule[:-1])
+        return f"Fused[{interior}->{node_label(self.root)}]"
 
 
 @dataclass
@@ -159,38 +140,11 @@ class RegionPlan:
 
 def _node_token(node: la.LAExpr) -> str:
     """Canonical per-node token for digests (payload included)."""
-    if isinstance(node, la.Literal):
-        return f"Literal[{node.value!r}]"
-    if isinstance(node, la.FilledMatrix):
-        return (
-            f"Filled[{node.value!r},{node.fill_shape.rows.size},"
-            f"{node.fill_shape.cols.size}]"
-        )
-    if isinstance(node, la.Power):
-        return f"Power[{node.exponent!r}]"
-    if isinstance(node, la.UnaryFunc):
-        return f"UnaryFunc[{node.func}]"
-    if isinstance(node, la.WDivMM):
-        return f"WDivMM[{node.multiply_left}]"
-    return type(node).__name__
-
-
-@dataclass
-class _Scheduled:
-    node: la.LAExpr
-    position: int
-    operands: Tuple[int, ...]
-    dep_set: frozenset = field(default_factory=frozenset)
-
-
-def _trimmed_children(node: la.LAExpr) -> List[la.LAExpr]:
-    """Children as the tape visits them (unweighted weight child skipped)."""
-    children = list(node.children)
-    if isinstance(node, (la.WSLoss, la.MMChain)) and (
-        isinstance(node.w, la.Literal) and node.w.value == 1.0
-    ):
-        children = children[:-1]
-    return children
+    if isinstance(node, CONSTANT_TYPES):
+        shape = node.shape
+        return f"{type(node).__name__}[{node.value!r},{shape.rows.size},{shape.cols.size}]"
+    before, after = OP_TABLE[type(node)].statics(node)
+    return f"{type(node).__name__}{list(before + after)!r}"
 
 
 def plan_regions(
@@ -201,72 +155,36 @@ def plan_regions(
     """Plan fusion regions for a slot-space expression.
 
     ``slot_sparsity`` maps slot index to the plan's sparsity hint (missing
-    or ``None`` means dense).  Raises :class:`CodegenUnsupported` for nodes
-    outside the tape's operator set or symbolic ``FilledMatrix`` dims.
+    or ``None`` means dense).  Raises :class:`~repro.runtime.engine.
+    ExecutionError` for nodes without an op-table row, as the tape does.
     """
     hints: Mapping[int, Optional[float]] = slot_sparsity or {}
+    schedule, root_position = linearize(expr, n_slots)
 
+    # Split constants from operators and predict each value's density for
+    # the fusion gate.  The prediction is template-stable: only node types
+    # and sparsity *bands* flow in, never runtime data, so one template
+    # always plans the same regions.  It errs on the sparse side: a wrong
+    # "dense" merely routes a region through its runtime guard to the
+    # interpreter fallback.
     consts: List[Tuple[int, la.LAExpr]] = []
-    sched: List[_Scheduled] = []
-    index: Dict[int, int] = {}
-    keep_alive: List[la.LAExpr] = []
-    dense: Dict[int, bool] = {}
-    dep_sets: Dict[int, frozenset] = {}
-    counter = [n_slots]
-
-    def new_position() -> int:
-        position = counter[0]
-        counter[0] += 1
-        return position
-
-    def visit(node: la.LAExpr) -> int:
-        known = index.get(id(node))
-        if known is not None:
-            return known
-        keep_alive.append(node)
-        if isinstance(node, la.Var):
-            slot = _slot_index(node.name, n_slots)
-            index[id(node)] = slot
-            dense[slot] = sparsity_band(hints.get(slot)) == "dense"
-            dep_sets[slot] = frozenset((slot,))
-            return slot
-        if isinstance(node, la.Literal):
-            position = new_position()
-            consts.append((position, node))
-            index[id(node)] = position
-            dense[position] = True
-            dep_sets[position] = frozenset()
-            return position
-        if isinstance(node, la.FilledMatrix):
-            if node.fill_shape.rows.size is None or node.fill_shape.cols.size is None:
-                raise CodegenUnsupported(
-                    "FilledMatrix requires concrete dimensions to execute"
-                )
-            position = new_position()
-            consts.append((position, node))
-            index[id(node)] = position
+    sched: List[Scheduled] = []
+    dense: Dict[int, bool] = {
+        slot: sparsity_band(hints.get(slot)) == "dense" for slot in range(n_slots)
+    }
+    for entry in schedule:
+        if isinstance(entry.node, CONSTANT_TYPES):
+            consts.append((entry.position, entry.node))
             # MatrixValue.filled(0.0, ...) materializes an empty CSR matrix
-            dense[position] = node.value != 0.0
-            dep_sets[position] = frozenset()
-            return position
-        if not isinstance(node, _SUPPORTED_TYPES):
-            raise CodegenUnsupported(
-                f"cannot lower node {type(node).__name__} to fused code"
+            predicted = not (
+                isinstance(entry.node, la.FilledMatrix) and entry.node.value == 0.0
             )
-        if isinstance(node, la.UnaryFunc) and node.func not in _UNARY_KERNELS:
-            raise CodegenUnsupported(f"unknown unary function {node.func!r}")
-        operands = tuple(visit(child) for child in _trimmed_children(node))
-        position = new_position()
-        index[id(node)] = position
-        dep_sets[position] = frozenset().union(
-            *(dep_sets[op] for op in operands)
-        )
-        dense[position] = _predict_dense(node, operands, dense)
-        sched.append(_Scheduled(node, position, operands, dep_sets[position]))
-        return position
-
-    root_position = visit(expr)
-    by_position = {entry.position: i for i, entry in enumerate(sched)}
+        else:
+            sched.append(entry)
+            predicted = OP_TABLE[type(entry.node)].dense_result
+            if predicted is None:
+                predicted = all(dense[op] for op in entry.operands)
+        dense[entry.position] = predicted
 
     # -- consumer counts (per occurrence; the plan root has an external one)
     consumers: Dict[int, List[int]] = {}
@@ -315,7 +233,7 @@ def plan_regions(
         group.remove(root_idx)
         group.append(root_idx)  # interiors in schedule order, root last
         local = {sched[i].position: k for k, i in enumerate(group[:-1])}
-        schedule: List[Tuple[la.LAExpr, Tuple[Operand, ...]]] = []
+        region_schedule: List[Tuple[la.LAExpr, Tuple[Operand, ...]]] = []
         guard: List[int] = []
         for i in group:
             entry = sched[i]
@@ -328,59 +246,22 @@ def plan_regions(
                     refs.append(("val", op))
                     if isinstance(entry.node, ELEMWISE_TYPES) and op not in guard:
                         guard.append(op)
-            schedule.append((entry.node, tuple(refs)))
+            region_schedule.append((entry.node, tuple(refs)))
         root_entry = sched[root_idx]
         regions.append(
             Region(
                 index=len(regions),
                 out_position=root_entry.position,
-                schedule=schedule,
+                schedule=region_schedule,
                 guard_positions=tuple(guard),
-                slot_deps=tuple(sorted(root_entry.dep_set)),
+                slot_deps=tuple(sorted(root_entry.slot_deps)),
             )
         )
 
     return RegionPlan(
         n_slots=n_slots,
-        n_positions=counter[0],
+        n_positions=n_slots + len(schedule),
         consts=consts,
         regions=regions,
         root_position=root_position,
     )
-
-
-_SUPPORTED_TYPES = ELEMWISE_TYPES + (
-    la.MatMul,
-    la.Transpose,
-    la.RowSums,
-    la.ColSums,
-    la.Sum,
-    la.CastScalar,
-    la.WSLoss,
-    la.WCeMM,
-    la.WDivMM,
-    la.SProp,
-    la.MMChain,
-)
-
-
-def _predict_dense(
-    node: la.LAExpr, operands: Sequence[int], dense: Dict[int, bool]
-) -> bool:
-    """Template-stable density prediction for the fusion gate.
-
-    Only node types and sparsity *bands* flow in, never runtime data, so
-    one template always plans the same regions.  Predictions err on the
-    sparse side: a wrong "dense" merely routes a region through its runtime
-    guard to the interpreter fallback.
-    """
-    ops_dense = all(dense[op] for op in operands)
-    if isinstance(node, (ELEMWISE_TYPES, la.MatMul, la.Transpose)):
-        return ops_dense
-    if isinstance(node, (la.Sum, la.CastScalar, la.WSLoss, la.WCeMM)):
-        return True  # scalars are always dense
-    if isinstance(node, (la.RowSums, la.ColSums)):
-        return True  # sum kernels return dense arrays on either input
-    if isinstance(node, (la.SProp, la.MMChain)):
-        return True  # both kernels produce dense (then compacted) results
-    return False  # WDivMM and anything else: conservatively sparse

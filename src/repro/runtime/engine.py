@@ -19,6 +19,7 @@ import numpy as np
 from repro.lang import expr as la
 from repro.runtime import kernels
 from repro.runtime.data import MatrixValue, as_value
+from repro.runtime.optable import CONSTANT_TYPES, FUSED_PHYSICAL, OP_TABLE
 from repro.runtime.semiring import Semiring, resolve_semiring
 
 
@@ -135,121 +136,39 @@ class Executor:
     ) -> MatrixValue:
         if node in cache:
             return cache[node]
-        value = self._eval_node(node, bindings, cache, stats)
-        cache[node] = value
-        return value
-
-    def _eval_node(
-        self,
-        node: la.LAExpr,
-        bindings: Dict[str, MatrixValue],
-        cache: Dict[la.LAExpr, MatrixValue],
-        stats: ExecutionStats,
-    ) -> MatrixValue:
-        recurse = lambda child: self._eval(child, bindings, cache, stats)
-        k = self._k
-
         if isinstance(node, la.Var):
             if node.name not in bindings:
                 raise ExecutionError(f"no input bound to variable {node.name!r}")
-            return bindings[node.name]
-        if isinstance(node, la.Literal):
-            return k.literal(node.value)
-        if isinstance(node, la.FilledMatrix):
-            rows = node.fill_shape.rows.size
-            cols = node.fill_shape.cols.size
-            if rows is None or cols is None:
-                raise ExecutionError("FilledMatrix requires concrete dimensions to execute")
-            value = k.fill(node.value, rows, cols)
-            stats.record("fill", value)
-            return value
+            value = bindings[node.name]
+        elif isinstance(node, CONSTANT_TYPES):
+            value = constant_value(node, self._k)
+            if isinstance(node, la.FilledMatrix):
+                stats.record("fill", value)
+        else:
+            spec = OP_TABLE.get(type(node))
+            if spec is None:
+                raise ExecutionError(f"cannot execute node {type(node).__name__}")
+            operands = [
+                self._eval(child, bindings, cache, stats)
+                for child in spec.operands(node)
+            ]
+            value = spec.bind(node, self._k)(*operands)
+            stats.record(spec.stat_name(node), value)
+            if spec.loop == FUSED_PHYSICAL:
+                stats.fused_operators += 1
+        cache[node] = value
+        return value
 
-        if isinstance(node, la.MatMul):
-            value = k.matmul(recurse(node.left), recurse(node.right))
-            stats.record("matmul", value)
-            return value
-        if isinstance(node, la.ElemMul):
-            value = k.elem_mul(recurse(node.left), recurse(node.right))
-            stats.record("elemmul", value)
-            return value
-        if isinstance(node, la.ElemPlus):
-            value = k.elem_add(recurse(node.left), recurse(node.right))
-            stats.record("elemplus", value)
-            return value
-        if isinstance(node, la.ElemMinus):
-            value = k.elem_sub(recurse(node.left), recurse(node.right))
-            stats.record("elemminus", value)
-            return value
-        if isinstance(node, la.ElemDiv):
-            value = k.elem_div(recurse(node.left), recurse(node.right))
-            stats.record("elemdiv", value)
-            return value
-        if isinstance(node, la.Transpose):
-            value = k.transpose(recurse(node.child))
-            stats.record("transpose", value)
-            return value
-        if isinstance(node, la.RowSums):
-            value = k.row_sums(recurse(node.child))
-            stats.record("rowsums", value)
-            return value
-        if isinstance(node, la.ColSums):
-            value = k.col_sums(recurse(node.child))
-            stats.record("colsums", value)
-            return value
-        if isinstance(node, la.Sum):
-            value = k.full_sum(recurse(node.child))
-            stats.record("sum", value)
-            return value
-        if isinstance(node, la.Power):
-            value = k.power(recurse(node.child), node.exponent)
-            stats.record("power", value)
-            return value
-        if isinstance(node, la.Neg):
-            value = k.negate(recurse(node.child))
-            stats.record("neg", value)
-            return value
-        if isinstance(node, la.UnaryFunc):
-            value = k.unary(node.func, recurse(node.child))
-            stats.record(node.func, value)
-            return value
-        if isinstance(node, la.CastScalar):
-            value = MatrixValue.scalar(recurse(node.child).scalar_value())
-            stats.record("cast", value)
-            return value
-        if isinstance(node, la.WSLoss):
-            weight = None
-            if not (isinstance(node.w, la.Literal) and node.w.value == 1.0):
-                weight = recurse(node.w)
-            value = k.wsloss(recurse(node.x), recurse(node.u), recurse(node.v), weight)
-            stats.record("wsloss", value)
-            stats.fused_operators += 1
-            return value
-        if isinstance(node, la.WCeMM):
-            value = k.wcemm(recurse(node.x), recurse(node.u), recurse(node.v))
-            stats.record("wcemm", value)
-            stats.fused_operators += 1
-            return value
-        if isinstance(node, la.WDivMM):
-            value = k.wdivmm(
-                recurse(node.x), recurse(node.u), recurse(node.v), node.multiply_left
-            )
-            stats.record("wdivmm", value)
-            stats.fused_operators += 1
-            return value
-        if isinstance(node, la.SProp):
-            value = k.sprop(recurse(node.child))
-            stats.record("sprop", value)
-            stats.fused_operators += 1
-            return value
-        if isinstance(node, la.MMChain):
-            weight = None
-            if not (isinstance(node.w, la.Literal) and node.w.value == 1.0):
-                weight = recurse(node.w)
-            value = k.mmchain(recurse(node.x), recurse(node.v), weight)
-            stats.record("mmchain", value)
-            stats.fused_operators += 1
-            return value
-        raise ExecutionError(f"cannot execute node {type(node).__name__}")
+
+def constant_value(node: la.LAExpr, kernel_set: kernels.KernelSet) -> MatrixValue:
+    """Materialize a ``Literal`` / ``FilledMatrix`` leaf under a kernel set."""
+    if isinstance(node, la.Literal):
+        return kernel_set.literal(node.value)
+    rows = node.fill_shape.rows.size
+    cols = node.fill_shape.cols.size
+    if rows is None or cols is None:
+        raise ExecutionError("FilledMatrix requires concrete dimensions to execute")
+    return kernel_set.fill(node.value, rows, cols)
 
 
 def execute(

@@ -109,6 +109,11 @@ def transpose(a: MatrixValue) -> MatrixValue:
     return a.transpose()
 
 
+def cast(a: MatrixValue) -> MatrixValue:
+    """``as.scalar``: re-wrap a 1x1 value as a dense scalar."""
+    return MatrixValue.scalar(a.scalar_value())
+
+
 def row_sums(a: MatrixValue) -> MatrixValue:
     if a.is_sparse:
         return MatrixValue(np.asarray(a.data.sum(axis=1)))
@@ -217,9 +222,7 @@ def wdivmm(
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = np.divide(x_coo.data, preds)
         quotient = np.where(np.isfinite(quotient), quotient, 0.0)
-    from scipy import sparse as _sparse
-
-    weighted = _sparse.coo_matrix((quotient, (x_coo.row, x_coo.col)), shape=x_coo.shape).tocsr()
+    weighted = sparse.coo_matrix((quotient, (x_coo.row, x_coo.col)), shape=x_coo.shape).tocsr()
     if multiply_left:
         return MatrixValue(np.asarray((weighted.T @ u_dense).T)).compacted()
     return MatrixValue(np.asarray(weighted @ v_dense.T)).compacted()
@@ -412,6 +415,7 @@ class KernelSet:
         "elem_div",
         "scalar_mul",
         "transpose",
+        "cast",
         "row_sums",
         "col_sums",
         "full_sum",
@@ -437,6 +441,7 @@ class KernelSet:
             self.elem_div = elem_div
             self.scalar_mul = scalar_mul
             self.transpose = transpose
+            self.cast = cast
             self.row_sums = row_sums
             self.col_sums = col_sums
             self.full_sum = full_sum
@@ -465,7 +470,8 @@ class KernelSet:
             else _unsupported(ring, "elem_div")
         )
         self.scalar_mul = _ring_scalar_mul(ring)
-        self.transpose = transpose  # a pure layout move: ring-independent
+        self.transpose = transpose  # pure layout moves: ring-independent
+        self.cast = cast
         self.row_sums = _ring_row_sums(ring)
         self.col_sums = _ring_col_sums(ring)
         self.full_sum = _ring_full_sum(ring)

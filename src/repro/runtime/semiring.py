@@ -1,10 +1,9 @@
 """The runtime ``Semiring`` protocol: rings the engine can execute over.
 
-Originally this lived in ``repro.analysis.semiring`` as audit-only
-infrastructure; the differential rule audit (PR 8) proved 87/100 rewrites
-any-semiring sound, which cleared the way to promote the type here and
-parameterize the *execution* stack by ring.  ``repro.analysis.semiring``
-re-exports everything from this module for backwards compatibility.
+The type started as audit-only infrastructure of :mod:`repro.analysis`;
+the differential rule audit (PR 8) proved 87/100 rewrites any-semiring
+sound, which cleared the way to promote it here and parameterize the
+*execution* stack by ring.  The audit imports it from this module.
 
 A :class:`Semiring` bundles the carrier operations (⊕, ⊗, their identities,
 the ⊕-reduction used by aggregation) with the *capability flags* the rule

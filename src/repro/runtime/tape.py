@@ -1,19 +1,20 @@
-"""Tape-compiled execution: the serving-path fast lane of the runtime.
+"""Tape-compiled execution: what compiled plans and serving shards run.
 
 :class:`repro.runtime.engine.Executor` interprets an LA DAG recursively on
 every run — structural hashing for runtime CSE, per-intermediate bufferpool
-accounting, a dispatch ``isinstance`` ladder per node.  That bookkeeping is
-what the run-time figures report, but a serving tier executing one cached
-plan millions of times pays it on every request.
+accounting, an op-table lookup per node.  That bookkeeping is what the
+run-time figures report and what makes it the reference oracle, but a plan
+executed millions of times should not pay it on every request.
 
 A :class:`TapePlan` compiles a *slot-space* plan (as stored in
 :class:`repro.api.plan.PlanEntry`) once into a flat instruction tape:
 
-* the DAG is linearized bottom-up with **object-identity sharing** (no
-  structural hashing at run time — sharing was already decided at compile
-  time);
-* every step is a closure over its kernel and operand positions, so a run
-  is one tight loop over the tape;
+* :func:`linearize` schedules the DAG bottom-up with **object-identity
+  sharing** (no structural hashing at run time — sharing was already
+  decided at compile time); the fusion planner groups the same schedule
+  into regions;
+* every step is a closure over its op-table kernel and operand positions,
+  so a run is one tight loop over the tape;
 * constants (``Literal``, ``FilledMatrix``) are materialized once at tape
   compile time, not per request;
 * each step records which input **slots** it transitively depends on, which
@@ -44,7 +45,17 @@ statistics matter more than latency.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.lang import expr as la
 from repro.reliability.faults import FaultInjector
@@ -54,27 +65,28 @@ from repro.runtime.engine import (
     ExecutionError,
     ExecutionResult,
     ExecutionStats,
+    constant_value,
     slot_name,
 )
+from repro.runtime.optable import CONSTANT_TYPES, FUSED_KERNEL_TYPES, OP_TABLE
 from repro.runtime.semiring import Semiring, resolve_semiring
 
-#: one compiled instruction: reads operand positions from the value vector,
-#: writes its own position
+#: one compiled instruction: reads operand positions from the value vector
+#: and returns the value the executor writes to the step's own position
 StepFn = Callable[[List[Optional[MatrixValue]]], MatrixValue]
 
 
-class TapeProfilerLike:
+class TapeProfilerLike(Protocol):
     """Structural interface of the per-step profiler hook.
 
-    Kept here (rather than importing :mod:`repro.obs.profile`) so the
+    Declared here (rather than importing :mod:`repro.obs.profile`) so the
     runtime has no dependency on the observability package; the obs
     profiler satisfies it.
     """
 
     def record(
         self, step: int, seconds: float, value: Optional[MatrixValue], reused: bool
-    ) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+    ) -> None: ...
 
 
 class ValuePool:
@@ -157,6 +169,94 @@ class StepReuseCache:
         self._entries.clear()
 
 
+class Scheduled(NamedTuple):
+    """One linearized plan node: a constant or an operator."""
+
+    node: la.LAExpr
+    #: value-vector position the node's value lives at
+    position: int
+    #: positions of the operand values the kernel reads (empty for constants)
+    operands: Tuple[int, ...]
+    #: input-slot indices the node transitively depends on
+    slot_deps: frozenset
+
+
+def linearize(expr: la.LAExpr, n_slots: int) -> Tuple[List[Scheduled], int]:
+    """Linearize a slot-space plan bottom-up; returns ``(schedule, root)``.
+
+    Postorder with object-identity sharing (no structural hashing — sharing
+    was decided at plan-compile time).  Slot variables resolve to positions
+    ``0..n_slots-1``; every other node is scheduled once, entry ``j`` at
+    position ``n_slots + j``, visiting exactly the children the op table
+    says its kernel reads (an unweighted ``WSLoss``/``MMChain`` never
+    schedules its weight).  The tape turns each entry into a step; the
+    region planner groups the same entries into regions.
+    """
+    schedule: List[Scheduled] = []
+    index: Dict[int, int] = {}  # id(node) -> position; nodes stay alive via expr
+    deps: Dict[int, frozenset] = {}
+
+    def visit(node: la.LAExpr) -> int:
+        known = index.get(id(node))
+        if known is not None:
+            return known
+        if isinstance(node, la.Var):
+            position = _slot_index(node.name, n_slots)
+            deps[position] = frozenset((position,))
+        else:
+            operands: Tuple[int, ...] = ()
+            if not isinstance(node, CONSTANT_TYPES):
+                spec = OP_TABLE.get(type(node))
+                if spec is None:
+                    raise ExecutionError(
+                        f"cannot compile node {type(node).__name__} to a tape"
+                    )
+                operands = tuple(visit(child) for child in spec.operands(node))
+            position = n_slots + len(schedule)
+            deps[position] = frozenset().union(*(deps[op] for op in operands))
+            schedule.append(Scheduled(node, position, operands, deps[position]))
+        index[id(node)] = position
+        return position
+
+    return schedule, visit(expr)
+
+
+def kernel_step(
+    node: la.LAExpr, operands: Sequence[int], kernel_set: kernels.KernelSet
+) -> StepFn:
+    """The op table's kernel for ``node`` as a step over operand positions."""
+    fn = OP_TABLE[type(node)].bind(node, kernel_set)
+    # arity-specialized: the per-request loop pays one call, no argument list
+    if len(operands) == 1:
+        (a,) = operands
+        return lambda vals: fn(vals[a])
+    if len(operands) == 2:
+        a, b = operands
+        return lambda vals: fn(vals[a], vals[b])
+    if len(operands) == 3:
+        a, b, c = operands
+        return lambda vals: fn(vals[a], vals[b], vals[c])
+    return lambda vals: fn(*[vals[position] for position in operands])
+
+
+def node_label(node: la.LAExpr) -> str:
+    return OP_TABLE[type(node)].label(node)
+
+
+class TapeStep(NamedTuple):
+    """One instruction of an executable plan."""
+
+    fn: StepFn
+    #: value-vector position the step's result is written to
+    out: int
+    #: sorted input-slot indices the step transitively reads (reuse keying)
+    slot_deps: Tuple[int, ...]
+    #: plan nodes whose work the step performs, root last (empty for a
+    #: synthesized constant); profilers attribute time and cost through this
+    nodes: Tuple[la.LAExpr, ...]
+    label: str
+
+
 class TapePlan:
     """A slot-space LA plan compiled to a flat instruction tape.
 
@@ -164,6 +264,11 @@ class TapePlan:
     ``None`` for real arithmetic).  Step closures capture the ring's kernel
     set at compile time, so the per-request loop pays no ring dispatch; the
     default real tape captures exactly the historical kernels.
+
+    One step per scheduled node (constants included).  Subclasses install a
+    different step list through :meth:`_load` — a
+    :class:`~repro.runtime.codegen.FusedPlan` is a tape whose steps are
+    fusion regions — and inherit the execution loops unchanged.
     """
 
     def __init__(
@@ -173,53 +278,70 @@ class TapePlan:
         ring: Union[str, Semiring, None] = None,
     ) -> None:
         self.ring = resolve_semiring(ring)
-        self._kernels = kernels.for_ring(self.ring)
         self.n_slots = n_slots
-        #: closures executed in order; step ``j`` writes position ``n_slots+j``
-        self._steps: List[StepFn] = []
-        #: per step: sorted tuple of input-slot indices it transitively reads
-        self._slot_deps: List[Tuple[int, ...]] = []
-        #: per step: the plan node it materializes (None for synthesized
-        #: constants); profilers use this to attribute time to plan nodes
-        self._step_nodes: List[Optional[la.LAExpr]] = []
-        self._fused_steps = 0
-        self._root = self._compile(expr)
-        self._pool = ValuePool(self.n_slots + len(self._steps))
+        kernel_set = kernels.for_ring(self.ring)
+        schedule, root = linearize(expr, n_slots)
+        steps: List[TapeStep] = []
+        for entry in schedule:
+            deps = tuple(sorted(entry.slot_deps))
+            if isinstance(entry.node, CONSTANT_TYPES):
+                constant = constant_value(entry.node, kernel_set)
+                fn: StepFn = lambda vals, c=constant: c
+                steps.append(TapeStep(fn, entry.position, deps, (), "Const"))
+            else:
+                fn = kernel_step(entry.node, entry.operands, kernel_set)
+                label = node_label(entry.node)
+                steps.append(TapeStep(fn, entry.position, deps, (entry.node,), label))
+        fused = sum(
+            1 for entry in schedule if isinstance(entry.node, FUSED_KERNEL_TYPES)
+        )
+        self._load(steps, root, n_slots + len(schedule), fused)
+
+    def _load(
+        self,
+        steps: List[TapeStep],
+        root: int,
+        n_positions: int,
+        fused_operators: int,
+        prefill: Sequence[Tuple[int, MatrixValue]] = (),
+    ) -> None:
+        """Install the step list and size the pooled value vector."""
+        #: executed in order; each step writes position ``step.out``
+        self._steps = steps
+        self._root = root
+        self._fused_steps = fused_operators
+        self._pool = ValuePool(n_positions, prefill)
 
     # -- introspection ---------------------------------------------------------
     def __len__(self) -> int:
         return len(self._steps)
 
     @property
-    def operators(self) -> int:
-        return len(self._steps)
-
-    @property
     def fused_operators(self) -> int:
         return self._fused_steps
 
+    @property
+    def tape_steps(self) -> int:
+        """Steps of the plain one-per-node tape of this plan."""
+        return len(self._steps)
+
     def step_node(self, index: int) -> Optional[la.LAExpr]:
-        """The plan node tape step ``index`` materializes (None for constants)."""
-        return self._step_nodes[index]
+        """The plan node step ``index`` materializes (None for constants)."""
+        nodes = self._steps[index].nodes
+        return nodes[-1] if nodes else None
 
     def step_group(self, index: int) -> Tuple[la.LAExpr, ...]:
         """All plan nodes whose work step ``index`` performs (root last).
 
-        One node per step on a plain tape; fused executors override the
-        same interface so profilers can attribute a region's wall time to
-        every node it folded instead of just the first.
+        One node per step on a plain tape, every folded node on a fused
+        region, so profilers can attribute a region's wall time to all of
+        them instead of just the root.
         """
-        node = self._step_nodes[index]
-        return () if node is None else (node,)
+        return self._steps[index].nodes
 
     def step_label(self, index: int) -> str:
-        """Human-readable operator label for tape step ``index``."""
-        node = self._step_nodes[index]
-        if node is None:
-            return "Const"
-        if isinstance(node, la.UnaryFunc):
-            return f"UnaryFunc[{node.func}]"
-        return type(node).__name__
+        """Human-readable operator label for step ``index``."""
+        return self._steps[index].label
 
     # -- execution -------------------------------------------------------------
     def execute(
@@ -227,7 +349,7 @@ class TapePlan:
         values: Sequence[MatrixValue],
         reuse: Optional[StepReuseCache] = None,
         faults: Optional[FaultInjector] = None,
-        profiler: Optional["TapeProfilerLike"] = None,
+        profiler: Optional[TapeProfilerLike] = None,
     ) -> ExecutionResult:
         """Run the tape over a positional slot-value vector.
 
@@ -239,62 +361,32 @@ class TapePlan:
         Fault contract (``tape.step``): with ``faults`` given, the site is
         checked before every step with the step index as its key — it
         models a transient kernel fault mid-plan.  An injected retriable
-        error aborts this run (no partial result escapes; the value vector
-        is local) and the serving retry loop re-executes the pure tape
-        from scratch.  The ``faults is None`` default keeps the production
-        loop free of per-step checks.
+        error aborts this run (no partial result escapes; the scratch
+        vector is cleared on release) and the serving retry loop
+        re-executes the pure tape from scratch.
 
         With ``profiler`` (see :class:`repro.obs.profile.TapeProfiler`),
         every step is individually timed and its output recorded, which
         is what attributes wall-time and intermediate cells to plan
-        nodes.  All three hooks default to ``None`` so the production
-        loop stays a bare dispatch over the tape.
+        nodes.  All three hooks default to ``None``, which keeps the
+        production loop a bare dispatch over the tape.
         """
         if len(values) != self.n_slots:
             raise ExecutionError(
                 f"tape expects {self.n_slots} slot values, got {len(values)}"
             )
         start = time.perf_counter()
-        base = self.n_slots
-        if reuse is None and faults is None and profiler is None:
-            # no-hooks fast path: run on a pooled scratch buffer instead of
-            # rebuilding the value vector per request
-            vals = self._pool.acquire()
-            vals[:base] = values
-            try:
-                for index, step in enumerate(self._steps):
-                    vals[base + index] = step(vals)
-                value = vals[self._root]
-            finally:
-                self._pool.release(vals)
-        else:
-            vals = list(values) + [None] * len(self._steps)
-            for index, step in enumerate(self._steps):
-                if faults is not None:
-                    faults.check("tape.step", str(index))
-                deps = self._slot_deps[index]
-                step_start = time.perf_counter() if profiler is not None else 0.0
-                reused = False
-                if reuse is not None and deps:
-                    operands = tuple(vals[slot] for slot in deps)
-                    cached = reuse.lookup(index, operands)
-                    if cached is not None:
-                        vals[base + index] = cached
-                        reused = True
-                    else:
-                        value = step(vals)
-                        reuse.store(index, operands, value)
-                        vals[base + index] = value
-                else:
-                    vals[base + index] = step(vals)
-                if profiler is not None:
-                    profiler.record(
-                        index,
-                        time.perf_counter() - step_start,
-                        vals[base + index],
-                        reused,
-                    )
+        vals = self._pool.acquire()
+        vals[: self.n_slots] = values
+        try:
+            if reuse is None and faults is None and profiler is None:
+                for fn, out, _, _, _ in self._steps:
+                    vals[out] = fn(vals)
+            else:
+                self._run_hooked(vals, reuse, faults, profiler)
             value = vals[self._root]
+        finally:
+            self._pool.release(vals)
         stats = ExecutionStats(
             elapsed=time.perf_counter() - start,
             operators_executed=len(self._steps),
@@ -304,131 +396,33 @@ class TapePlan:
             raise ExecutionError("tape produced no root value")
         return ExecutionResult(value=value, stats=stats)
 
-    # -- compilation -----------------------------------------------------------
-    def _compile(self, expr: la.LAExpr) -> int:
-        index: Dict[int, int] = {}
-        deps: Dict[int, frozenset] = {}
-        keep_alive: List[la.LAExpr] = []  # pins node ids for the memo's lifetime
-
-        def emit(fn: StepFn, dep_set: frozenset, fused: bool = False) -> int:
-            position = self.n_slots + len(self._steps)
-            self._steps.append(fn)
-            self._slot_deps.append(tuple(sorted(dep_set)))
-            self._step_nodes.append(None)
-            if fused:
-                self._fused_steps += 1
-            return position
-
-        def visit(node: la.LAExpr) -> int:
-            known = index.get(id(node))
-            if known is not None:
-                return known
-            keep_alive.append(node)
-            position, dep_set = self._compile_node(node, visit, deps, emit)
-            index[id(node)] = position
-            deps[position] = dep_set
-            if position >= self.n_slots:
-                # Each node emits at most one step; attribute it for profiling.
-                self._step_nodes[position - self.n_slots] = node
-            return position
-
-        return visit(expr)
-
-    def _compile_node(
+    def _run_hooked(
         self,
-        node: la.LAExpr,
-        visit: Callable[[la.LAExpr], int],
-        deps: Dict[int, frozenset],
-        emit: Callable[..., int],
-    ) -> Tuple[int, frozenset]:
-        k = self._kernels
-        if isinstance(node, la.Var):
-            slot = _slot_index(node.name, self.n_slots)
-            return slot, frozenset((slot,))
-        if isinstance(node, la.Literal):
-            constant = k.literal(node.value)
-            return emit(lambda vals, c=constant: c, frozenset()), frozenset()
-        if isinstance(node, la.FilledMatrix):
-            rows = node.fill_shape.rows.size
-            cols = node.fill_shape.cols.size
-            if rows is None or cols is None:
-                raise ExecutionError("FilledMatrix requires concrete dimensions to execute")
-            constant = k.fill(node.value, rows, cols)
-            return emit(lambda vals, c=constant: c, frozenset()), frozenset()
-
-        # Mirror the interpreter: a Literal(1.0) weight on WSLoss/MMChain
-        # means unweighted — the kernel never reads it, so the weight child
-        # is not visited (no dead constant step, operator counts match).
-        children = list(node.children)
-        unweighted = isinstance(node, (la.WSLoss, la.MMChain)) and (
-            isinstance(node.w, la.Literal) and node.w.value == 1.0
-        )
-        if unweighted:
-            children = children[:-1]  # w is the last child of both node types
-        kids = [visit(child) for child in children]
-        dep_set = frozenset().union(*(deps.get(k, frozenset()) for k in kids))
-
-        if isinstance(node, la.MatMul):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.matmul: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemMul):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_mul: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemPlus):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_add: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemMinus):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_sub: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemDiv):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_div: op(vals[a], vals[b])
-        elif isinstance(node, la.Transpose):
-            fn = lambda vals, a=kids[0], op=k.transpose: op(vals[a])
-        elif isinstance(node, la.RowSums):
-            fn = lambda vals, a=kids[0], op=k.row_sums: op(vals[a])
-        elif isinstance(node, la.ColSums):
-            fn = lambda vals, a=kids[0], op=k.col_sums: op(vals[a])
-        elif isinstance(node, la.Sum):
-            fn = lambda vals, a=kids[0], op=k.full_sum: op(vals[a])
-        elif isinstance(node, la.Power):
-            fn = lambda vals, a=kids[0], e=node.exponent, op=k.power: op(vals[a], e)
-        elif isinstance(node, la.Neg):
-            fn = lambda vals, a=kids[0], op=k.negate: op(vals[a])
-        elif isinstance(node, la.UnaryFunc):
-            fn = lambda vals, a=kids[0], f=node.func, op=k.unary: op(f, vals[a])
-        elif isinstance(node, la.CastScalar):
-            fn = lambda vals, a=kids[0]: MatrixValue.scalar(vals[a].scalar_value())
-        elif isinstance(node, la.WSLoss):
-            # Mirror the interpreter: a Literal(1.0) weight means unweighted.
-            if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-                fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], op=k.wsloss: op(
-                    vals[x], vals[u], vals[v], None
-                )
+        vals: List[Optional[MatrixValue]],
+        reuse: Optional[StepReuseCache],
+        faults: Optional[FaultInjector],
+        profiler: Optional[TapeProfilerLike],
+    ) -> None:
+        for index, (fn, out, deps, _, _) in enumerate(self._steps):
+            if faults is not None:
+                faults.check("tape.step", str(index))
+            step_start = time.perf_counter() if profiler is not None else 0.0
+            reused = False
+            if reuse is not None and deps:
+                operands = tuple(vals[slot] for slot in deps)
+                cached = reuse.lookup(index, operands)
+                if cached is not None:
+                    vals[out] = cached
+                    reused = True
+                else:
+                    vals[out] = value = fn(vals)
+                    reuse.store(index, operands, value)
             else:
-                fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], w=kids[3], op=k.wsloss: op(
-                    vals[x], vals[u], vals[v], vals[w]
+                vals[out] = fn(vals)
+            if profiler is not None:
+                profiler.record(
+                    index, time.perf_counter() - step_start, vals[out], reused
                 )
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.WCeMM):
-            fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], op=k.wcemm: op(
-                vals[x], vals[u], vals[v]
-            )
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.WDivMM):
-            fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], ml=node.multiply_left, op=k.wdivmm: (
-                op(vals[x], vals[u], vals[v], ml)
-            )
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.SProp):
-            fn = lambda vals, a=kids[0], op=k.sprop: op(vals[a])
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.MMChain):
-            if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-                fn = lambda vals, x=kids[0], v=kids[1], op=k.mmchain: op(vals[x], vals[v], None)
-            else:
-                fn = lambda vals, x=kids[0], v=kids[1], w=kids[2], op=k.mmchain: op(
-                    vals[x], vals[v], vals[w]
-                )
-            return emit(fn, dep_set, fused=True), dep_set
-        else:
-            raise ExecutionError(f"cannot compile node {type(node).__name__} to a tape")
-        return emit(fn, dep_set), dep_set
 
 
 def _slot_index(name: str, n_slots: int) -> int:

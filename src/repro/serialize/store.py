@@ -52,18 +52,14 @@ Key properties:
   a hit decodes through the codec's v1-compat path (exact-match guard)
   and is re-saved under the current key, counted in
   ``stats.migrations`` — upgrading a fleet never cold-starts it.
-* **A kernel-source tier.**  Alongside plan payloads the store persists
-  the fused-kernel sources :mod:`repro.runtime.codegen` emits, one
-  ``.kernel.py`` file per (template digest, ring, codegen version,
-  config digest).  Sources are size-free, so a warm store hands every
-  process on a template's size ladder its audited, already-emitted
-  module text.  Each file carries a sha256 checksum header; a corrupt
-  or tampered source reads as a miss (counted), never executes.
+
+Files the store did not write under a name it knows (for example the
+``*.kernel.py`` sources older versions persisted) are ignored by every
+tier: never listed, counted, collected or loaded.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -73,7 +69,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
 from repro.canonical.fingerprint import store_key
-from repro.runtime.codegen.regions import CODEGEN_VERSION
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.serialize.codec import (
     FORMAT_VERSION,
@@ -96,13 +91,6 @@ STORE_FORMAT = "spores-plan-store"
 #: keyed by *template* digest; ``.tpl`` keeps them out of the entry count
 #: and the LRU GC — one small file per distinct workload shape)
 TEMPLATE_SUFFIX = ".tpl"
-
-#: suffix of persisted fused-kernel sources (``.kernel.py`` keeps them out
-#: of the ``.json`` entry count and the LRU GC, like template aliases)
-KERNEL_SUFFIX = ".kernel.py"
-
-#: checksum header prefix on every persisted kernel source
-_KERNEL_HEADER = "# repro-kernel sha256="
 
 #: format versions whose salted keys :meth:`PlanStore.load` probes after a
 #: current-version miss, migrating hits forward (oldest last)
@@ -159,10 +147,6 @@ class StoreStats:
     template_misses: int = 0
     #: legacy-format entries transparently re-saved under the current key
     migrations: int = 0
-    #: kernel-tier probes that returned a checksum-verified source
-    kernel_hits: int = 0
-    #: kernel-tier probes that found nothing usable
-    kernel_misses: int = 0
 
     def snapshot(self) -> "StoreStats":
         return StoreStats(
@@ -175,8 +159,6 @@ class StoreStats:
             self.template_hits,
             self.template_misses,
             self.migrations,
-            self.kernel_hits,
-            self.kernel_misses,
         )
 
 
@@ -282,61 +264,6 @@ class PlanStore:
             self.stats.template_hits += 1
         _TEMPLATE_LOADS["hit"].inc()
         return entry
-
-    def load_kernel(self, template_digest: str, ring: str) -> Optional[str]:
-        """Load a persisted fused-kernel source for a template digest.
-
-        Returns the source text with its checksum header verified and
-        stripped, or ``None``.  Every failure mode — absent file, injected
-        or real read fault, missing header, checksum mismatch — is a miss
-        (corruption counted in ``load_errors``); a tampered source is
-        never handed to the compiler.
-        """
-        path = self._kernel_path(template_digest, ring)
-        try:
-            self.faults.check("store.read", os.path.basename(path))
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except FileNotFoundError:
-            with self._lock:
-                self.stats.kernel_misses += 1
-            return None
-        except OSError as error:
-            with self._lock:
-                self.stats.kernel_misses += 1
-                self.stats.load_errors += 1
-                self._last_error = f"{type(error).__name__}: {error}"
-            _LOADS["error"].inc()
-            logger.warning("kernel read demoted to miss: %s", self._last_error)
-            return None
-        header, newline, source = text.partition("\n")
-        expected = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        if not newline or header != f"{_KERNEL_HEADER}{expected}":
-            with self._lock:
-                self.stats.kernel_misses += 1
-                self.stats.load_errors += 1
-                self._last_error = "kernel source checksum mismatch"
-            _LOADS["error"].inc()
-            logger.warning(
-                "kernel source %s failed checksum, demoted to miss",
-                os.path.basename(path),
-            )
-            return None
-        self._touch(path)
-        with self._lock:
-            self.stats.kernel_hits += 1
-        return source
-
-    def save_kernel(self, template_digest: str, source: str, ring: str) -> bool:
-        """Persist one emitted kernel source (best-effort, atomic).
-
-        The file is the source prefixed with a sha256 checksum header;
-        like plan saves, failures are counted and swallowed — the freshly
-        emitted in-memory source stays authoritative.
-        """
-        checksum = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        payload = f"{_KERNEL_HEADER}{checksum}\n{source}".encode("utf-8")
-        return self._write_atomic(self._kernel_path(template_digest, ring), payload)
 
     def _load_payload(self, path: str):
         """Read and decode one payload file.
@@ -553,9 +480,8 @@ class PlanStore:
     def clear(self) -> int:
         """Delete every plan entry (the manifest stays); returns the count.
 
-        Template aliases and kernel sources are removed alongside (they are
-        derived data), but only the primary entries count toward the return
-        value.
+        Template aliases are removed alongside (they are derived data), but
+        only the primary entries count toward the return value.
         """
         removed = 0
         for name in self._entry_files():
@@ -564,7 +490,7 @@ class PlanStore:
                 removed += 1
             except OSError:
                 pass
-        for name in self._template_files() + self._kernel_files():
+        for name in self._template_files():
             try:
                 os.unlink(os.path.join(self.path, name))
             except OSError:
@@ -592,7 +518,6 @@ class PlanStore:
             "path": self.path,
             "entries": len(self),
             "template_entries": len(self._template_files()),
-            "kernel_entries": len(self._kernel_files()),
             "max_entries": self.max_entries,
             "format_version": FORMAT_VERSION,
             "config_digest": self.config_digest,
@@ -606,8 +531,6 @@ class PlanStore:
             "template_hits": stats.template_hits,
             "template_misses": stats.template_misses,
             "migrations": stats.migrations,
-            "kernel_hits": stats.kernel_hits,
-            "kernel_misses": stats.kernel_misses,
             "manifest_stale": self._read_manifest() != self.manifest,
             "last_error": last_error,
         }
@@ -636,17 +559,6 @@ class PlanStore:
         key = store_key(f"template:{template_digest}", FORMAT_VERSION, self.config_digest)
         return os.path.join(self.path, f"{key}{TEMPLATE_SUFFIX}")
 
-    def _kernel_path(self, template_digest: str, ring: str) -> str:
-        # Salting with the codegen version means an emitter change silently
-        # invalidates every stored source, exactly like a codec format bump
-        # invalidates plan entries.
-        key = store_key(
-            f"kernel:v{CODEGEN_VERSION}:{ring}:{template_digest}",
-            FORMAT_VERSION,
-            self.config_digest,
-        )
-        return os.path.join(self.path, f"{key}{KERNEL_SUFFIX}")
-
     def _entry_files(self) -> List[str]:
         try:
             names = os.listdir(self.path)
@@ -664,13 +576,6 @@ class PlanStore:
         except OSError:
             return []
         return [name for name in names if name.endswith(TEMPLATE_SUFFIX)]
-
-    def _kernel_files(self) -> List[str]:
-        try:
-            names = os.listdir(self.path)
-        except OSError:
-            return []
-        return [name for name in names if name.endswith(KERNEL_SUFFIX)]
 
     def _refresh_manifest(self) -> Dict[str, object]:
         """Load the manifest, repairing or rewriting it as needed.

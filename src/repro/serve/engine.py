@@ -28,10 +28,12 @@ worker pool:
   :meth:`~repro.api.cache.PlanCache.stats_snapshot`) into throughput,
   p50/p95 latency, per-shard hit rates, and compilation counts.
 
-The serving fast path executes compiled instruction tapes
-(:mod:`repro.runtime.tape`) with pinned-parameter step reuse and a bounded
-result cache per shard — numerically identical to the classic interpreter,
-minus its per-intermediate bufferpool accounting.  Set
+The serving fast path executes each plan's one executable
+(:meth:`repro.api.plan.CompiledPlan.executable` — an instruction tape whose
+steps are fusion regions under real arithmetic, see ``docs/codegen.md``)
+with pinned-parameter step reuse, columnwise stacking of same-plan matvecs
+and a bounded result cache per shard — bitwise identical to the reference
+interpreter, minus its per-intermediate bufferpool accounting.  Set
 ``reuse_steps=False`` / ``result_cache_size=0`` to serve strictly
 statelessly.
 
@@ -214,8 +216,6 @@ class ServingEngine:
         heartbeat_timeout: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_reset: float = 1.0,
-        codegen: str = "auto",
-        batch_columns: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("a serving engine needs at least one shard")
@@ -270,8 +270,6 @@ class ServingEngine:
             retry_policy=retry_policy,
             faults=self.faults,
             latency_histogram=self._latency,
-            codegen=codegen,
-            batch_columns=batch_columns,
         )
         #: engine-owned per-shard breakers; they outlive worker restarts so
         #: failure history survives the very crash that tripped them

@@ -9,10 +9,9 @@ A :class:`ShardWorker` owns everything a serving shard needs:
 * a bounded request queue (:class:`queue.Queue`) — back-pressure for free:
   ``submit`` blocks once the shard is ``queue_depth`` requests behind
   instead of ballooning memory.
-* per-fingerprint serving state: the compiled plan, its
-  :class:`~repro.runtime.tape.TapePlan` (the instruction-tape fast path),
-  and a :class:`~repro.runtime.tape.StepReuseCache` for pinned-parameter
-  reuse.
+* per-fingerprint serving state: the compiled plan, its executable (the
+  plan's own :meth:`~repro.api.plan.CompiledPlan.executable`), and a
+  :class:`~repro.runtime.tape.StepReuseCache` for pinned-parameter reuse.
 * a bounded **result cache**: a request whose fingerprint *and* input value
   objects were served before returns the memoized result without touching
   the executor — the serving tier's answer to repeated hot queries.
@@ -27,14 +26,14 @@ with warm step-reuse state.  On a loaded shard this amortizes queue
 wakeups and plan resolution across the whole group; on an idle shard a
 batch is just one request and nothing is delayed.
 
-**Codegen and columnwise stacking.**  Each resolved plan executes behind
-a :func:`repro.runtime.codegen.build_executable` executor — fused
-generated code when the plan and ring support it (sources warmed through
-the session's plan store), the interpreter tape otherwise; both are
-bitwise identical.  When a plan is structurally columnwise in one
-``(m, 1)`` slot, an instance group's k matvec requests are additionally
-*stacked* into one matmat execution and the result columns split back out,
-verified per plan against individual execution (see ``_serve_stacked``).
+**Executables and columnwise stacking.**  Each resolved plan executes on
+the one executable the plan itself owns — a tape whose steps are fusion
+regions under real arithmetic, the plain operator tape otherwise; both are
+bitwise identical to the interpreter.  When a plan is structurally
+columnwise in one ``(m, 1)`` slot, an instance group's k matvec requests are
+additionally *stacked* into one matmat execution and the result columns
+split back out, verified per plan against individual execution (see
+``_serve_stacked``).
 
 **Deadlines.**  A request may carry an absolute deadline; the worker sheds
 expired requests at the head of the loop (typed
@@ -66,7 +65,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +78,7 @@ from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.errors import DeadlineExceededError, ShardCrashError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.reliability.retry import RetryPolicy
-from repro.runtime.codegen import FusedPlan, build_executable, stackable_slot
+from repro.runtime.codegen import stackable_slot
 from repro.runtime.data import MatrixValue
 from repro.runtime.engine import ExecutionResult, ExecutionStats
 from repro.runtime.tape import StepReuseCache, TapePlan
@@ -187,12 +186,12 @@ class _PlanState:
     the executor and reuse cache operate purely in slot space, so every
     renamed/permuted twin of the fingerprint shares them safely.  Binding,
     by contrast, is name-sensitive and always goes through the *request's*
-    signature, never this cached plan's.  ``tape`` is either the
-    interpreter :class:`TapePlan` or a codegen :class:`FusedPlan` — the
-    two share the execute/introspection interface."""
+    signature, never this cached plan's.  ``tape`` is the plan's own
+    executable (``plan.executable()``), held here so the request path does
+    not re-resolve it."""
 
     plan: CompiledPlan
-    tape: Union[TapePlan, FusedPlan]
+    tape: TapePlan
     reuse: Optional[StepReuseCache]
     batch: _BatchState = field(default_factory=lambda: _BatchState(slot=None))
 
@@ -243,8 +242,6 @@ class ShardWorker:
         breaker: Optional[CircuitBreaker] = None,
         faults: FaultInjector = NO_FAULTS,
         latency_histogram: Optional[obs.Histogram] = None,
-        codegen: str = "auto",
-        batch_columns: bool = True,
     ) -> None:
         self.index = index
         self.session = session
@@ -254,10 +251,6 @@ class ShardWorker:
         self.retry_policy = retry_policy
         self.breaker = breaker
         self.faults = faults
-        #: codegen backend request for per-plan executors ("off" = tape only)
-        self.codegen = codegen
-        #: stack same-fingerprint matvec requests into one matmat per batch
-        self.batch_columns = batch_columns
         #: engine-owned always-enabled latency histogram shared by the pool;
         #: the local deque keeps the per-shard view, this keeps the fleet
         #: view (and, living in the engine, survives shard restarts)
@@ -453,28 +446,15 @@ class ShardWorker:
         state = self._plans.get(digest)
         if state is None:
             plan = self.session.compile(request.expr, request.signature)
-            n_slots = len(request.signature.slots)
-            executor = build_executable(
-                plan._entry.slot_plan,
-                n_slots,
-                ring=plan.ring,
-                slot_sparsity={
-                    spec.index: spec.sparsity for spec in request.signature.slots
-                },
-                backend=self.codegen,
-                store=self.session.store,
-                digest=plan._entry.template_digest,
-            )
-            batch_slot = (
-                stackable_slot(plan._entry.slot_plan, n_slots)
-                if self.batch_columns
-                else None
-            )
             state = _PlanState(
                 plan=plan,
-                tape=executor,
+                tape=plan.executable(),
                 reuse=StepReuseCache() if self.reuse_steps else None,
-                batch=_BatchState(slot=batch_slot),
+                batch=_BatchState(
+                    slot=stackable_slot(
+                        plan._entry.slot_plan, len(request.signature.slots)
+                    )
+                ),
             )
             evicted: List[_PlanState] = []
             # The shard lock guards _plans against snapshot() iterating from

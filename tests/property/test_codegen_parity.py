@@ -8,9 +8,7 @@ three ways:
 * every root of all five real-ring paper workloads, end to end;
 * randomized slot-space expressions over dense and sparse inputs
   (hypothesis-driven seeds), including the runtime density-guard path;
-* the fallback matrix: non-real rings and ``backend="off"`` must yield the
-  interpreter, and ``backend="numba"`` without numba must degrade to the
-  python source backend while staying bitwise identical.
+* the fallback: non-real rings must yield the plain tape.
 """
 
 import random
@@ -21,12 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api.session import Session
 from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
-from repro.runtime.codegen import (
-    FusedPlan,
-    build_executable,
-    compile_fused,
-    numba_available,
-)
+from repro.runtime.codegen import FusedPlan, build_executable, compile_fused
 from repro.runtime.data import MatrixValue
 from repro.runtime.tape import TapePlan
 from repro.workloads import get_workload, workload_names
@@ -48,7 +41,7 @@ def _assert_bitwise(got, expected, context: str) -> None:
     )
 
 
-def _parity_for_entry(entry, n_slots, values, context, backend=None):
+def _parity_for_entry(entry, n_slots, values, context):
     """Assert fused output is bitwise identical to the tape's on one binding."""
     tape = TapePlan(entry.slot_plan, n_slots, ring="real")
     slot_sparsity = {spec.index: spec.sparsity for spec in entry.signature.slots}
@@ -57,7 +50,6 @@ def _parity_for_entry(entry, n_slots, values, context, backend=None):
         n_slots,
         ring="real",
         slot_sparsity=slot_sparsity,
-        backend=backend,
     )
     expected = tape.execute(values).value
     if fused is None:
@@ -86,19 +78,6 @@ class TestWorkloadParity:
                 )
         # the suite is vacuous if nothing ever took the fused path
         assert fused_anywhere >= 1
-
-    def test_workload_parity_under_numba_request(self):
-        """backend='numba' (installed or not) must stay bitwise identical."""
-        session = Session()
-        workload = get_workload(workload_names()[0], size="S")
-        inputs = workload.inputs(seed=3)
-        for root_name, plan in workload.session_plans(session).items():
-            entry = plan._entry
-            n_slots = len(plan.signature.slots)
-            values = plan.bind({k: inputs[k] for k in plan.input_names})
-            _parity_for_entry(
-                entry, n_slots, values, f"numba/{root_name}", backend="numba"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +163,7 @@ class TestRandomizedParity:
 
 
 # ---------------------------------------------------------------------------
-# Fallback matrix
+# Fallback
 # ---------------------------------------------------------------------------
 
 
@@ -201,21 +180,3 @@ class TestFallbacks:
             executor = build_executable(expr, n_slots, ring=ring)
             assert isinstance(executor, TapePlan)
             assert not isinstance(executor, FusedPlan)
-
-    def test_backend_off_yields_the_tape(self):
-        expr, n_slots = self._expr()
-        assert compile_fused(expr, n_slots, ring="real", backend="off") is None
-        executor = build_executable(expr, n_slots, ring="real", backend="off")
-        assert isinstance(executor, TapePlan)
-        assert not isinstance(executor, FusedPlan)
-
-    def test_numba_backend_without_numba_uses_python_source(self):
-        expr, n_slots = self._expr()
-        fused = compile_fused(expr, n_slots, ring="real", backend="numba")
-        assert isinstance(fused, FusedPlan)
-        if not numba_available():
-            assert fused.numba_active is False
-        rng = np.random.default_rng(0)
-        values = [MatrixValue(rng.random((13, 9))) for _ in range(n_slots)]
-        expected = TapePlan(expr, n_slots, ring="real").execute(values).value
-        _assert_bitwise(fused.execute(values).value, expected, "numba-fallback")

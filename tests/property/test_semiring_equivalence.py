@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import rules_audit
-from repro.analysis.semiring import AUDIT_SEMIRINGS, SEMIRINGS_BY_NAME
+from repro.runtime.semiring import AUDIT_SEMIRINGS, SEMIRINGS_BY_NAME
 from repro.analysis.selftest import BROKEN_PATTERN, DropSecondFactor
 from repro.rules import relational_rules
 

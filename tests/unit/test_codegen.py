@@ -1,8 +1,8 @@
 """Unit tests for fused code generation (``repro.runtime.codegen``).
 
-Covers the fusion planner, the source emitter, backend selection and the
-module cache, the plan store's kernel-source tier, the columnwise batching
-analysis, the serving tier's stacked execution, and the plan API surfacing.
+Covers the op table, the fusion planner, the source emitter, the module
+cache, the columnwise batching analysis, the serving tier's stacked
+execution, and the plan API surfacing (one executable per plan).
 Bitwise parity across whole workloads lives in
 ``tests/property/test_codegen_parity.py``.
 """
@@ -12,23 +12,28 @@ import pytest
 
 from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
+from repro.runtime import kernels
 from repro.runtime.codegen import (
-    BACKEND_ENV,
     CODEGEN_VERSION,
     FusedPlan,
     build_executable,
     clear_module_cache,
     compile_fused,
     emit_source,
-    numba_available,
     plan_regions,
-    resolve_backend,
     source_digest,
     stackable_slot,
 )
 from repro.runtime.data import MatrixValue
+from repro.runtime.optable import (
+    CONSTANT_TYPES,
+    ELEMWISE_TYPES,
+    FUSED_KERNEL_TYPES,
+    OP_TABLE,
+    ROOT_FOLD_TYPES,
+)
+from repro.runtime.semiring import AUDIT_SEMIRINGS
 from repro.runtime.tape import TapePlan, ValuePool
-from repro.serialize.store import PlanStore
 
 
 def _slots(*shapes):
@@ -62,6 +67,46 @@ def _chain_expr():
 def _dense_inputs(n_slots, rows=24, cols=18, seed=0):
     rng = np.random.default_rng(seed)
     return [MatrixValue(rng.random((rows, cols))) for _ in range(n_slots)]
+
+
+# ---------------------------------------------------------------------------
+# Op table
+# ---------------------------------------------------------------------------
+
+
+class TestOpTable:
+    def test_every_concrete_node_has_a_row_or_is_a_leaf(self):
+        concrete = {
+            kind
+            for kind in vars(la).values()
+            if isinstance(kind, type)
+            and issubclass(kind, la.LAExpr)
+            and kind is not la.LAExpr
+            and not kind.__name__.startswith("_")
+        }
+        assert concrete == set(OP_TABLE) | {la.Var} | set(CONSTANT_TYPES)
+
+    def test_every_row_names_a_kernel_of_every_ring(self):
+        assert len(AUDIT_SEMIRINGS) == 4
+        for ring in AUDIT_SEMIRINGS:
+            kernel_set = kernels.for_ring(ring)
+            for kind, spec in OP_TABLE.items():
+                assert callable(getattr(kernel_set, spec.kernel)), (ring.name, kind)
+
+    def test_derived_type_sets_match_the_planner_tuples_they_replaced(self):
+        elementwise = {
+            la.ElemMul, la.ElemPlus, la.ElemMinus, la.ElemDiv,
+            la.Power, la.Neg, la.UnaryFunc,
+        }
+        assert set(ELEMWISE_TYPES) == elementwise
+        assert set(ROOT_FOLD_TYPES) == elementwise | {
+            la.Sum, la.RowSums, la.ColSums, la.MatMul,
+        }
+        assert set(FUSED_KERNEL_TYPES) == {
+            la.WSLoss, la.WCeMM, la.WDivMM, la.SProp, la.MMChain,
+        }
+        for kind in ELEMWISE_TYPES:
+            assert OP_TABLE[kind].formula is not None
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +149,7 @@ class TestRegions:
         fused = compile_fused(expr, n_slots, ring="real")
         group = fused.step_group(0)
         assert group[-1] is fused.step_node(0)
-        assert len(group) == len(fused._regions[0].schedule)
+        assert len(group) == len(fused._plan.regions[0].schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -183,117 +228,31 @@ class TestValuePool:
 
 
 # ---------------------------------------------------------------------------
-# Backends and module cache
+# Executable selection and module cache
 # ---------------------------------------------------------------------------
 
 
-class TestBackend:
-    def test_resolution_and_env_flag(self, monkeypatch):
-        assert resolve_backend(None) == "python"
-        assert resolve_backend("off") == "off"
-        monkeypatch.setenv(BACKEND_ENV, "off")
-        assert resolve_backend(None) == "off"
-        assert resolve_backend("python") == "python"  # explicit beats env
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    def test_off_and_nonreal_rings_return_none(self):
+class TestExecutable:
+    def test_nonreal_rings_return_none(self):
         expr, n_slots = _chain_expr()
-        assert compile_fused(expr, n_slots, ring="real", backend="off") is None
         assert compile_fused(expr, n_slots, ring="min-plus") is None
         assert compile_fused(expr, n_slots, ring="bool") is None
 
     def test_build_executable_falls_back_to_tape(self):
         expr, n_slots = _chain_expr()
-        assert isinstance(build_executable(expr, n_slots, ring="min-plus"), TapePlan)
-        assert isinstance(
-            build_executable(expr, n_slots, ring="real", backend="off"), TapePlan
-        )
+        assert type(build_executable(expr, n_slots, ring="min-plus")) is TapePlan
         assert isinstance(build_executable(expr, n_slots, ring="real"), FusedPlan)
 
-    def test_numba_request_degrades_silently_without_numba(self):
-        expr, n_slots = _chain_expr()
-        fused = compile_fused(expr, n_slots, ring="real", backend="numba")
-        assert fused is not None
-        assert fused.backend == "numba"
-        if not numba_available():
-            assert fused.numba_active is False
-        values = _dense_inputs(n_slots)
-        tape = TapePlan(expr, n_slots, ring="real")
-        assert np.array_equal(
-            fused.execute(values).value.to_dense(),
-            tape.execute(values).value.to_dense(),
-        )
-
-    def test_module_cache_shares_namespaces(self):
+    def test_module_cache_shares_compiled_modules(self):
         expr, n_slots = _chain_expr()
         clear_module_cache()
         a = compile_fused(expr, n_slots, ring="real")
         b = compile_fused(expr, n_slots, ring="real")
-        assert a._run is b._run
-
-
-# ---------------------------------------------------------------------------
-# Store kernel tier
-# ---------------------------------------------------------------------------
-
-
-class TestKernelTier:
-    def test_round_trip(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        source = "# header\nX = 1\n"
-        assert store.load_kernel("tpl", "real") is None
-        assert store.save_kernel("tpl", source, "real")
-        assert store.load_kernel("tpl", "real") == source
-        stats = store.describe()
-        assert stats["kernel_entries"] == 1
-        assert stats["kernel_hits"] == 1
-        assert stats["kernel_misses"] == 1
-
-    def test_corruption_reads_as_miss(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        store.save_kernel("tpl", "X = 1\n", "real")
-        path = store._kernel_path("tpl", "real")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("tampered\n")
-        assert store.load_kernel("tpl", "real") is None
-        assert store.stats.load_errors == 1
-
-    def test_kernel_files_dodge_entry_accounting_and_survive_gc(self, tmp_path):
-        store = PlanStore(str(tmp_path), max_entries=1)
-        store.save_kernel("tpl", "X = 1\n", "real")
-        assert len(store) == 0  # not a plan entry
-        assert store.gc() == 0
-        assert store.load_kernel("tpl", "real") == "X = 1\n"
-        store.clear()
-        assert store.describe()["kernel_entries"] == 0
-
-    def test_compile_fused_persists_and_reloads(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        expr, n_slots = _chain_expr()
-        first = compile_fused(expr, n_slots, ring="real", store=store, digest="t1")
-        assert store.describe()["kernel_entries"] == 1
+        # one compiled code object behind both plans' region functions
+        assert a._steps[0].fn.__code__ is b._steps[0].fn.__code__
         clear_module_cache()
-        second = compile_fused(expr, n_slots, ring="real", store=store, digest="t1")
-        assert store.stats.kernel_hits == 1
-        assert first.source == second.source
-
-    def test_corrupted_cached_source_regenerates(self, tmp_path):
-        store = PlanStore(str(tmp_path))
-        expr, n_slots = _chain_expr()
-        fused = compile_fused(expr, n_slots, ring="real", store=store, digest="t1")
-        path = store._kernel_path("t1", "real")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("# repro-kernel sha256=bogus\ngarbage(\n")
-        clear_module_cache()
-        again = compile_fused(expr, n_slots, ring="real", store=store, digest="t1")
-        assert again is not None
-        assert again.source == fused.source
-        values = _dense_inputs(n_slots)
-        assert np.array_equal(
-            again.execute(values).value.to_dense(),
-            fused.execute(values).value.to_dense(),
-        )
+        c = compile_fused(expr, n_slots, ring="real")
+        assert c._steps[0].fn.__code__ is not a._steps[0].fn.__code__
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +483,6 @@ class TestPlanSurfacing:
         assert info["regions"] <= info["tape_steps"]
         assert info["fused_regions"] >= 1
         assert any("Fused[" in label for label in info["region_labels"])
-        off = plan.codegen_info(backend="off")
-        assert off["fused"] is False
 
     def test_explain_carries_a_codegen_line(self, plan):
         text = plan.explain()
@@ -535,13 +492,37 @@ class TestPlanSurfacing:
     def test_to_dict_carries_the_codegen_record(self, plan):
         record = plan.to_dict()
         assert record["codegen"]["fused"] is True
-        assert record["codegen"]["backend"] == resolve_backend(None)
+        assert record["codegen"] == plan.codegen_info()
 
-    def test_profile_fused_reports_regions_not_steps(self, plan):
-        tape_report = plan.profile(self._inputs(), runs=1)
-        fused_report = plan.profile(self._inputs(), runs=1, backend="fused")
+    def test_describing_a_plan_builds_nothing(self, plan, monkeypatch):
+        """to_dict/explain read the owned executable instead of compiling."""
+        import repro.runtime.codegen.plan as codegen_plan
+
+        builds = []
+        real_compile, real_init = codegen_plan.compile_fused, TapePlan.__init__
+
+        def counting_compile(*args, **kwargs):
+            builds.append("compile_fused")
+            return real_compile(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            builds.append("TapePlan")
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(codegen_plan, "compile_fused", counting_compile)
+        monkeypatch.setattr(TapePlan, "__init__", counting_init)
+        plan.executable()  # built on first use, at most once
+        assert len(builds) <= 1
+        del builds[:]
+        plan.to_dict()
+        plan.to_dict()
+        plan.explain()
+        assert builds == []
+
+    def test_profile_reports_regions_not_steps(self, plan):
+        report = plan.profile(self._inputs(), runs=1)
         info = plan.codegen_info()
-        assert len(tape_report.steps) == info["tape_steps"]
-        assert len(fused_report.steps) == info["regions"]
-        fused_ops = [step.op for step in fused_report.steps]
-        assert any(op.startswith("Fused[") for op in fused_ops)
+        tape = TapePlan(plan._entry.slot_plan, len(plan.signature.slots))
+        assert len(tape) == info["tape_steps"]
+        assert len(report.steps) == info["regions"] < info["tape_steps"]
+        assert any(step.op.startswith("Fused[") for step in report.steps)

@@ -12,6 +12,12 @@ from repro.optimizer import OptimizerConfig
 from repro.runtime import MatrixValue, execute, execute_slots
 from repro.runtime.tape import StepReuseCache, TapePlan
 from repro.serve import DeadlineExceededError, QueueFullError, ServingEngine
+from repro.workloads import (
+    get_semiring_workload,
+    get_workload,
+    semiring_workload_names,
+    workload_names,
+)
 
 ROWS, COLS = 60, 30
 
@@ -326,6 +332,38 @@ class TestServingEngine:
         assert isinstance(record["per_shard"], list)
         for shard_record in record["per_shard"]:
             assert {"served", "cache_hit_rate", "compilations"} <= set(shard_record)
+
+
+class TestOneExecutable:
+    """``plan.run`` and the shards execute one kind of object, bitwise equal
+    to the reference interpreter, on the 14 paper roots + 4 SSSP/REACH roots."""
+
+    @pytest.mark.parametrize("family", workload_names() + semiring_workload_names())
+    def test_plan_and_shard_share_the_executable_and_match_the_oracle(self, family):
+        if family in semiring_workload_names():
+            workload = get_semiring_workload(family, "S")
+        else:
+            workload = get_workload(family, "S")
+        inputs = workload.inputs(seed=7)
+        pool = ServingEngine(
+            shards=1,
+            config=OptimizerConfig.sampling_greedy(semiring=workload.semiring),
+            cache_size_per_shard=8,
+        )
+        try:
+            for root_name, root in workload.roots.items():
+                plan = pool.plan_for(root)
+                bound = {name: inputs[name] for name in plan.input_names}
+                state = pool.shards[0]._plans[plan.fingerprint]
+                assert type(plan.executable()) is type(state.tape), root_name
+                expected = execute_slots(
+                    plan._entry.slot_plan, plan.bind(bound), ring=plan.ring
+                ).value
+                for got in (plan.run(bound).value, pool.run(root, bound).value):
+                    assert got.is_sparse == expected.is_sparse, root_name
+                    assert np.array_equal(got.to_dense(), expected.to_dense()), root_name
+        finally:
+            pool.close()
 
 
 class TestTapePlan:

@@ -167,6 +167,31 @@ class TestDriftRecompilation:
         assert plan.stats.recompiles == 1
         assert second.scalar() == pytest.approx(first.scalar(), rel=1e-9)
 
+    def test_recompile_rebuilds_the_executable(self):
+        """``_adopt`` drops the owned executable; the next use rebuilds it
+        from the re-optimized entry instead of running the stale one."""
+        from repro.runtime import execute_slots
+
+        session = greedy_session()  # plans hold their session weakly
+        plan = session.compile(make_loss(sparsity=0.001))
+        stale = plan.executable()
+        assert plan.executable() is stale  # owned, not rebuilt per call
+        rng = np.random.default_rng(0)
+        dense = {
+            "X": MatrixValue.random_dense(200, 100, rng),
+            "u": MatrixValue.random_dense(200, 1, rng),
+            "v": MatrixValue.random_dense(100, 1, rng),
+        }
+        plan.run(dense)
+        assert plan.stats.recompiles == 1
+        rebuilt = plan.executable()
+        assert rebuilt is not stale
+        # the last step materializes the root of the *new* entry's slot plan
+        assert rebuilt.step_node(len(rebuilt) - 1) is plan._entry.slot_plan
+        assert stale.step_node(len(stale) - 1) is not plan._entry.slot_plan
+        expected = execute_slots(plan._entry.slot_plan, plan.bind(dense)).value
+        assert np.array_equal(plan.run(dense).value.to_dense(), expected.to_dense())
+
     def test_auto_recompile_can_be_disabled(self):
         session = greedy_session(auto_recompile=False)
         plan = session.compile(make_loss(sparsity=0.001))
@@ -346,7 +371,7 @@ class TestArtifactsAndReports:
         stats = plan.to_dict()["stats"]
         assert stats["executions"] == 2
         assert stats["mean_elapsed"] == pytest.approx(stats["total_elapsed"] / 2)
-        assert stats["total_intermediate_cells"] >= 0.0
+        assert "total_intermediate_cells" not in stats
         observed = stats["observed_sparsity"]
         assert observed, "observed sparsity per slot must be recorded"
         assert all(isinstance(key, str) for key in observed)

@@ -175,3 +175,39 @@ class TestLiveSessionRobustness:
         assert store.load(signature.digest) is None
         assert store.stats.misses == 1
         assert store.stats.load_errors == 0
+
+
+class TestStrayKernelSources:
+    """Older versions persisted emitted sources as ``*.kernel.py`` next to
+    the entries; a directory still holding them must keep working."""
+
+    STRAY = (
+        "9e8f10deb558169ae0274d5a21412d227d620fb2f25dedeb9d1556f56170e66c.kernel.py"
+    )
+
+    def test_store_with_stray_kernel_files_opens_lists_gcs_and_serves(
+        self, tmp_path, compiled_entry
+    ):
+        signature, entry = compiled_entry
+        (tmp_path / self.STRAY).write_text(
+            "# repro-kernel sha256=68f2c6c7\n"
+            "# repro-codegen v1 ring=real regions=1 fused=0\nX = 1\n"
+        )
+        store = PlanStore(tmp_path, config(), max_entries=2)
+        for index in range(4):
+            store.save(fake_digest(index), entry)
+        store.save(signature.digest, entry)
+        assert len(store) == len(entry_files(tmp_path)) == 2  # GC ignored the stray
+        assert (tmp_path / self.STRAY).exists()
+        record = store.describe()
+        assert record["entries"] == 2
+        assert not any("kernel" in key for key in record)
+
+        session = Session(config(), store_path=tmp_path)
+        plan = session.compile(make_loss())
+        assert session.compilations == 0  # served from the store
+        from repro.analysis import plan_lint
+
+        assert self.STRAY not in plan_lint.store_entry_files(str(tmp_path))
+        assert plan.executable() is not None
+        assert store.clear() == 2
