@@ -17,7 +17,7 @@ import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis import concurrency_lint, plan_lint, rules_audit
 from repro.egraph.enode import OP_JOIN
@@ -44,33 +44,18 @@ class DropSecondFactor(Rule):
             for node in egraph.nodes(class_id):
                 if node.op != OP_JOIN or len(node.children) < 2:
                     continue
-                first = node.children[0]
                 matches.append(
-                    Match(
-                        rule_name=self.name,
-                        root=class_id,
-                        key=(class_id, node.sort_key),
-                        apply=self._applier(class_id, first),
-                    )
+                    Match(self, (class_id, node.sort_key), class_id, (class_id, node.children[0]))
                 )
         return matches
 
-    @staticmethod
-    def _applier(class_id: int, first: int) -> Callable[[EGraph], bool]:
-        def apply(egraph: EGraph) -> bool:
-            from repro.egraph.analysis import SchemaMismatchError
-
-            before = egraph.merges_performed
-            try:
-                # The schema analysis vetoes merges across schemas, so this
-                # only lands on elementwise joins — still unsound in every
-                # ring (A ⊙ B = A), which is the point of the fixture.
-                egraph.merge(egraph.find(first), egraph.find(class_id))
-            except SchemaMismatchError:
-                return False
-            return egraph.merges_performed != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, class_id: int, first: int) -> Optional[int]:
+        # The schema analysis vetoes merges across schemas, so this only
+        # lands on elementwise joins — still unsound in every ring
+        # (A ⊙ B = A), which is the point of the fixture.
+        if egraph.data(first).schema_names != egraph.data(class_id).schema_names:
+            return None
+        return egraph.find(first)
 
 
 #: a catalog pattern whose equation is false in every ring

@@ -26,8 +26,10 @@ what changed rather than to the size of the graph:
   constant folding and sparsity, merged on every union exactly as the paper
   describes.  Invariant improvements count as touches so guarded rules
   re-match affected regions.
-* :mod:`repro.egraph.rewrite` — the rewrite-rule protocol: searcher/applier
-  pairs whose ``search(egraph, dirty)`` revisits only changed classes;
+* :mod:`repro.egraph.rewrite` — the rewrite-rule protocol: a pure
+  ``search(egraph, dirty)`` that revisits only changed classes and returns
+  flat ``Match(rule, key, root, args)`` records, and a ``rewrite`` that
+  builds the right-hand side only for the matches the scheduler keeps;
   rules that need a global view (``factor``, ``pull-add-out-of-sum``)
   declare ``incremental = False`` and full-scan their anchor operator.
 * :mod:`repro.egraph.runner` — the saturation loop with the two scheduling
@@ -36,7 +38,8 @@ what changed rather than to the size of the graph:
   iteration searches all rules against one clean snapshot, applies the
   scheduled matches, and restores congruence with a single batched
   ``rebuild`` (instead of one per rule); per-rule cursors into the touch
-  log drive the incremental searches.
+  log drive the incremental searches, and ``RunReport.rule_stats`` reports
+  each rule's found → scheduled → applied funnel.
 """
 
 from repro.egraph.unionfind import UnionFind
@@ -44,7 +47,7 @@ from repro.egraph.enode import ENode, OP_JOIN, OP_ADD, OP_SUM, OP_VAR, OP_LIT, A
 from repro.egraph.analysis import ClassData, RAAnalysis
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Rule, Match
-from repro.egraph.runner import Runner, RunnerConfig, RunReport, StopReason
+from repro.egraph.runner import Runner, RunnerConfig, RunReport, RuleStats, StopReason
 
 __all__ = [
     "UnionFind",
@@ -63,5 +66,6 @@ __all__ = [
     "Runner",
     "RunnerConfig",
     "RunReport",
+    "RuleStats",
     "StopReason",
 ]

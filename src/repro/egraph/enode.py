@@ -49,10 +49,16 @@ class ENode:
     def __post_init__(self) -> None:
         if self.op not in _VALID_OPS:
             raise ValueError(f"unknown e-node operator {self.op!r}")
+        # Every node is looked up in several dicts (hash-cons, class nodes,
+        # op buckets, parents); hash the field tuple once, not per lookup.
+        object.__setattr__(self, "_hash", hash((self.op, self.payload, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def canonicalize(self, find) -> "ENode":
         """Rewrite children through ``find`` and restore canonical ordering."""
-        children = tuple(find(c) for c in self.children)
+        children = tuple(map(find, self.children))
         if self.op in AC_OPS:
             children = tuple(sorted(children))
         if children == self.children:
@@ -81,6 +87,12 @@ class ENode:
         else:
             payload_key = ()
         return (self.op, payload_key, self.children)
+
+    @cached_property
+    def sort_repr(self) -> str:
+        """``repr(self.sort_key)``, cached: searchers splice it into a match's
+        sampling bytes instead of formatting the nested key per match."""
+        return repr(self.sort_key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.op == OP_VAR:

@@ -41,7 +41,7 @@ whole-graph scan per rule per iteration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.egraph.analysis import ClassData, RAAnalysis
 from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
@@ -73,6 +73,11 @@ class EGraph:
     def __init__(self, analysis: Optional[RAAnalysis] = None) -> None:
         self.analysis = analysis or RAAnalysis()
         self._uf = UnionFind()
+        #: ``find(class_id)`` — canonical id of the e-class containing
+        #: ``class_id``.  Bound straight to the union-find: it is the most
+        #: called function of a saturation run, and a forwarding method
+        #: doubles its cost.
+        self.find = self._uf.find
         self._classes: Dict[int, EClass] = {}
         self._hashcons: Dict[ENode, int] = {}
         #: sparsity hints for named input tensors (consulted by the analysis)
@@ -96,10 +101,6 @@ class EGraph:
         self.merges_performed = 0
 
     # -- basic queries ---------------------------------------------------------
-    def find(self, class_id: int) -> int:
-        """Canonical id of the e-class containing ``class_id``."""
-        return self._uf.find(class_id)
-
     def data(self, class_id: int) -> ClassData:
         """Analysis data of an e-class."""
         return self._classes[self.find(class_id)].data
@@ -163,10 +164,15 @@ class EGraph:
         index = self._op_classes.get(op)
         return list(index) if index else []
 
-    def nodes_by_op(self, class_id: int, op: str) -> List[ENode]:
-        """The ``op`` e-nodes of one class (stored forms; canonical when clean)."""
+    def nodes_by_op(self, class_id: int, op: str) -> Collection[ENode]:
+        """The ``op`` e-nodes of one class (stored forms; canonical when clean).
+
+        A live read-only view of the bucket, not a copy: searchers read
+        thousands of buckets per iteration and none can change while they
+        do.  Copy it (``list(...)``) to keep it across an ``add``/``merge``.
+        """
         bucket = self._classes[self.find(class_id)].by_op.get(op)
-        return list(bucket) if bucket else []
+        return bucket.keys() if bucket else ()
 
     # -- dirty tracking --------------------------------------------------------
     def touch_position(self) -> int:
@@ -181,7 +187,7 @@ class EGraph:
         improves — i.e. whenever new matches rooted at it (or at a parent
         that looks one level down into it) may have appeared.
         """
-        return frozenset(self.find(cid) for cid in self._touch_log[position:])
+        return frozenset(map(self.find, self._touch_log[position:]))
 
     def _touch(self, class_id: int) -> None:
         self._touch_log.append(class_id)

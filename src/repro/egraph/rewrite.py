@@ -1,50 +1,79 @@
 """Rewrite-rule protocol for equality saturation.
 
-A rule is a *searcher* that scans the e-graph for places it applies and an
-*applier* that adds the equivalent expression and merges the two classes.
-Because the R_EQ rules need non-syntactic guards (schema conditions, subset
-enumeration over n-ary joins), rules here are plain Python objects rather
-than a pattern language: ``search`` returns a list of :class:`Match`
-closures, and the runner decides which of them to apply (all of them under
-the depth-first strategy, a sample under the sampling strategy).
+A rule is a *searcher* that finds the places it applies and a *rewrite* that
+builds the equivalent expression for one of them.  Because the R_EQ rules
+need non-syntactic guards (schema conditions, subset enumeration over n-ary
+joins), rules are plain Python objects rather than a pattern language.
 
-Searching is *incremental*: ``search`` takes an optional ``dirty`` set of
-canonical e-class ids that changed since the rule's previous search (as
-reported by :meth:`repro.egraph.graph.EGraph.touched_since`).  A rule whose
-patterns span a root node plus its immediate children only needs to revisit
-matches whose root class or child classes are dirty; passing ``dirty=None``
-requests a full search.  Rules that cannot bound their matches to a changed
+Matches are **data, not closures**.  ``search`` returns flat :class:`Match`
+records — the rule, a deterministic key, the root e-class and a small tuple
+of arguments — and does no right-hand-side work at all: on the heavy roots a
+rule finds thousands of matches per iteration and the sampling scheduler
+keeps at most ``sample_limit`` of them.  Only for those winners does the
+runner call :meth:`Match.apply`, which hands the arguments to
+:meth:`Rule.rewrite` (build the replacement, e.g. ``factor``'s multiset
+intersection and schema padding) and merges the result into the root class.
+
+Searching is *pure* — it never adds, merges or touches anything, so every
+rule of an iteration sees the same clean snapshot — and *incremental*:
+``search`` takes an optional ``dirty`` set of canonical e-class ids that
+changed since the rule's previous search (as reported by
+:meth:`repro.egraph.graph.EGraph.touched_since`).  A rule whose patterns
+span a root node plus its immediate children only needs to revisit matches
+whose root class or child classes are dirty; passing ``dirty=None`` requests
+a full search.  Rules that cannot bound their matches to a changed
 neighbourhood set ``incremental = False`` and are always searched in full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, TYPE_CHECKING
+from typing import FrozenSet, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.egraph.graph import EGraph
 
 
-@dataclass
 class Match:
-    """One place a rule applies.
+    """One place a rule applies: ``(rule, key, root, args)``.
 
-    ``apply`` performs the insertion/merge; it must tolerate being run after
-    other matches have already changed the graph (class ids are always passed
-    through ``egraph.find`` before use).  It returns ``True`` if it changed
-    the e-graph (added an e-node or merged classes).
+    ``key`` is unique per search and orders matches deterministically;
+    ``root`` is the e-class the match is rooted at (the class the rewrite's
+    result is merged into, and the class the runner re-enqueues for an
+    incremental rule when sampling drops the match); ``args`` is what
+    :meth:`Rule.rewrite` needs, captured at search time.
+
+    ``sort_bytes`` is the key as the sampler ranks it and always equals
+    ``repr(key).encode()``.  Searchers that emit matches by the thousand
+    pass the text pre-assembled from cached :attr:`ENode.sort_repr` strings
+    instead of having the nested key formatted per match.
     """
 
-    rule_name: str
-    apply: Callable[["EGraph"], bool]
-    #: unique-per-search sort key making match selection deterministic
-    key: tuple = field(default_factory=tuple)
-    #: canonical id of the e-class the match is rooted at; lets the runner
-    #: re-enqueue just this class for an incremental rule when the match is
-    #: dropped by sampling (left ``None``, the runner conservatively replays
-    #: the rule's whole dirty window instead)
-    root: Optional[int] = None
+    __slots__ = ("rule", "key", "root", "args", "sort_bytes")
+
+    def __init__(
+        self, rule: "Rule", key: tuple, root: int, args: tuple, sort_text: Optional[str] = None
+    ) -> None:
+        self.rule = rule
+        self.key = key
+        self.root = root
+        self.args = args
+        self.sort_bytes = (repr(key) if sort_text is None else sort_text).encode()
+
+    def apply(self, egraph: "EGraph") -> bool:
+        """Rewrite and merge into the root class; ``True`` if the graph changed.
+
+        Tolerates running after other matches already changed the graph
+        (rewrites pass class ids through ``egraph.find`` before use).
+        """
+        before = egraph.merges_performed, egraph.num_enodes()
+        replacement = self.rule.rewrite(egraph, *self.args)
+        if replacement is None:
+            return False
+        egraph.merge(replacement, self.root)
+        return (egraph.merges_performed, egraph.num_enodes()) != before
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Match {self.rule.name} {self.key!r}>"
 
 
 class Rule:
@@ -67,34 +96,20 @@ class Rule:
     use_index: bool = True
 
     def search(self, egraph: "EGraph", dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        """Find matches; ``dirty`` restricts the search to changed classes."""
+        """Find matches; ``dirty`` restricts the search to changed classes.
+
+        Must not modify the e-graph: the runner searches every rule against
+        one snapshot and shares one dirty set between rules.
+        """
+        raise NotImplementedError
+
+    def rewrite(self, egraph: "EGraph", *args) -> Optional[int]:
+        """Build the right-hand side for one match's ``args``.
+
+        Returns the class id to merge into the match's root, or ``None`` if
+        the rewrite turns out not to apply.  Runs only for scheduled matches.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Rule {self.name}>"
-
-
-class FunctionRule(Rule):
-    """A rule defined by a plain search function.
-
-    The searcher receives ``(egraph)`` and is treated as non-incremental
-    unless ``incremental=True`` is passed, in which case it must accept
-    ``(egraph, dirty)``.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        searcher: Callable[..., List[Match]],
-        expansive: bool = False,
-        incremental: bool = False,
-    ) -> None:
-        self.name = name
-        self._searcher = searcher
-        self.expansive = expansive
-        self.incremental = incremental
-
-    def search(self, egraph: "EGraph", dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        if self.incremental:
-            return self._searcher(egraph, dirty)
-        return self._searcher(egraph)

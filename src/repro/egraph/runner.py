@@ -17,12 +17,18 @@ compile-time experiments of Sec. 4.3:
 
 Each iteration is **batched**: all rules search the same clean e-graph
 snapshot, then all scheduled matches are applied, then a single ``rebuild``
-restores congruence — instead of the former rebuild-per-rule loop.  Rules
-are searched *incrementally*: the runner keeps a per-rule cursor into the
-e-graph's touch log and hands ``search`` only the classes that changed since
-that rule last looked.  Matches dropped by sampling are not lost: their root
-classes are carried into the rule's next dirty set, so the cursor can keep
-advancing while the dropped matches are found again.
+restores congruence — instead of the former rebuild-per-rule loop.  Searching
+is pure and returns flat :class:`~repro.egraph.rewrite.Match` records; a
+rule's right-hand side is built only for the matches ``_schedule`` keeps.
+Rules are searched *incrementally*: the runner keeps a per-rule cursor into
+the e-graph's touch log and hands ``search`` only the classes that changed
+since that rule last looked (rules at the same cursor share one dirty set).
+Matches dropped by sampling are not lost: their root classes are carried
+into the rule's next dirty set, so the cursor can keep advancing while the
+dropped matches are found again.
+
+Every match knows its rule, so the run also reports the per-rule funnel
+(``RunReport.rule_stats``: searched, found, scheduled, applied, search time).
 
 An optional egg-style **backoff scheduler** (``RunnerConfig.backoff``,
 default off) complements sampling: a rule whose match count in a single
@@ -43,7 +49,7 @@ import heapq
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro import obs
 from repro.egraph.graph import EGraph
@@ -68,6 +74,18 @@ _BANS = obs.registry().counter(
 _SECONDS = obs.registry().histogram(
     "saturation_seconds", "Wall-clock seconds per saturation run"
 )
+
+
+def _count_rule_matches(rule_stats: Dict[str, RuleStats]) -> None:
+    """Mirror the per-rule funnel into ``saturation_rule_matches_total``."""
+    for name, stats in rule_stats.items():
+        for outcome in ("found", "scheduled", "applied"):
+            obs.registry().counter(
+                "saturation_rule_matches_total",
+                "Matches per rule by how far they got (found, scheduled, applied)",
+                rule=name,
+                outcome=outcome,
+            ).inc(getattr(stats, outcome))
 
 
 class StopReason(enum.Enum):
@@ -126,6 +144,21 @@ class IterationStats:
 
 
 @dataclass
+class RuleStats:
+    """One rule's funnel over a saturation run (in-memory only).
+
+    ``found`` and ``applied`` sum to the iterations' ``matches_found`` /
+    ``matches_applied``; ``scheduled`` is how many rewrites were paid for.
+    """
+
+    searches: int = 0
+    found: int = 0
+    scheduled: int = 0
+    applied: int = 0
+    search_seconds: float = 0.0
+
+
+@dataclass
 class RunReport:
     """Result of a saturation run."""
 
@@ -134,6 +167,8 @@ class RunReport:
     total_time: float = 0.0
     #: number of backoff ban events (0 unless ``RunnerConfig.backoff`` is on)
     bans: int = 0
+    #: per-rule telemetry, keyed by rule name in rule-set order
+    rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
 
     @property
     def num_iterations(self) -> int:
@@ -166,11 +201,16 @@ class Runner:
         if report.bans:
             _BANS.inc(report.bans)
         _SECONDS.observe(report.total_time)
+        if obs.registry().enabled:
+            _count_rule_matches(report.rule_stats)
         return report
 
     def _run(self, egraph: EGraph, rules: Sequence[Rule]) -> RunReport:
         config = self.config
-        report = RunReport(stop_reason=StopReason.ITERATION_LIMIT)
+        report = RunReport(
+            stop_reason=StopReason.ITERATION_LIMIT,
+            rule_stats={rule.name: RuleStats() for rule in rules},
+        )
         start = time.perf_counter()
         #: per-rule position in the e-graph touch log as of its last search
         cursors: Dict[int, int] = {}
@@ -194,8 +234,13 @@ class Runner:
 
             # -- search phase: every rule sees the same clean snapshot -------
             searched = []
+            # Searching is pure, so the touch log stands still for the whole
+            # phase: one position, and one dirty set per distinct cursor.
+            position = egraph.touch_position()
+            dirty_since: Dict[int, FrozenSet[int]] = {}
             for rule in rules:
-                if time.perf_counter() - start > config.time_limit:
+                search_start = time.perf_counter()
+                if search_start - start > config.time_limit:
                     # Record the in-flight iteration before bailing: the
                     # e-graph state (and any matches already counted) must
                     # show up in the report, or final_enodes/final_classes
@@ -213,15 +258,19 @@ class Runner:
                     bans_this_iteration = True
                     continue
                 dirty = None
-                position = egraph.touch_position()
                 if config.incremental and rule.incremental:
                     cursor = cursors.get(id(rule))
                     if cursor is not None:
-                        dirty = egraph.touched_since(cursor)
+                        dirty = dirty_since.get(cursor)
+                        if dirty is None:
+                            dirty = dirty_since[cursor] = egraph.touched_since(cursor)
                         carried = pending_roots.get(id(rule))
                         if carried:
-                            dirty = dirty | frozenset(egraph.find(c) for c in carried)
+                            dirty = dirty | frozenset(map(egraph.find, carried))
                 matches = rule.search(egraph, dirty)
+                stats = report.rule_stats[rule.name]
+                stats.searches += 1
+                stats.search_seconds += time.perf_counter() - search_start
                 if config.backoff:
                     offences = ban_counts.get(id(rule), 0)
                     if len(matches) > (config.backoff_match_limit << offences):
@@ -240,11 +289,12 @@ class Runner:
                         bans_this_iteration = True
                         continue
                 matches_found += len(matches)
-                searched.append((rule, matches, position))
+                stats.found += len(matches)
+                searched.append((rule, matches, stats))
 
             # -- apply phase: batched, with one rebuild at the end -----------
             over_limit = False
-            for rule, matches, position in searched:
+            for rule, matches, stats in searched:
                 if time.perf_counter() - start > config.time_limit:
                     egraph.rebuild()
                     # Same as the search-phase exit: the partial iteration's
@@ -256,26 +306,22 @@ class Runner:
                     report.total_time = time.perf_counter() - start
                     return report
                 scheduled = self._schedule(rule, matches, iteration)
-                for match in scheduled:
-                    if match.apply(egraph):
-                        matches_applied += 1
+                applied = sum(match.apply(egraph) for match in scheduled)
+                matches_applied += applied
+                stats.scheduled += len(scheduled)
+                stats.applied += applied
                 # Dropped matches must be re-found: advance the cursor and
                 # carry just their root classes forward, so a persistently
                 # oversampled rule keeps a bounded dirty set instead of
                 # replaying an ever-growing touch-log window.
+                cursors[id(rule)] = position
                 if len(scheduled) == len(matches):
-                    cursors[id(rule)] = position
                     pending_roots.pop(id(rule), None)
                 else:
-                    kept = {id(match) for match in scheduled}
-                    dropped_roots = {
+                    kept = set(map(id, scheduled))
+                    pending_roots[id(rule)] = {
                         match.root for match in matches if id(match) not in kept
                     }
-                    if None not in dropped_roots:
-                        cursors[id(rule)] = position
-                        pending_roots[id(rule)] = dropped_roots
-                    # else: a match without a root — leave the cursor behind
-                    # so the whole window is replayed (conservative fallback)
                 if egraph.num_enodes() > config.node_limit:
                     # The live counter can over-approximate before a rebuild;
                     # rebuild and re-check before concluding.
@@ -314,9 +360,9 @@ class Runner:
         Scheduling is a pure function of the match *keys*, never of the
         enumeration order, so indexed, incremental and full-scan searches
         lead to identical saturation runs.  When sampling has to drop
-        matches, selection uses a seeded CRC priority per match key and
-        keeps the ``sample_limit`` smallest via ``heapq.nsmallest``
-        (O(n log k)) — the former sort-everything-then-sample pass is gone.
+        matches, selection uses a seeded CRC priority over each match's
+        pre-encoded key (``Match.sort_bytes``) and keeps the
+        ``sample_limit`` smallest via ``heapq.nsmallest`` (O(n log k)).
         When nothing is dropped, matches are applied in key order (the list
         is either small — at most ``sample_limit`` — or the depth-first
         strategy is already paying to apply every match).
@@ -327,7 +373,7 @@ class Runner:
         salt = zlib.crc32(f"{self.config.seed}:{iteration}:{rule.name}".encode())
 
         def priority(match: Match):
-            encoded = repr(match.key).encode()
+            encoded = match.sort_bytes
             return (zlib.crc32(encoded, salt), encoded)
 
         return heapq.nsmallest(limit, matches, key=priority)

@@ -30,12 +30,15 @@ class UnionFind:
 
     def find(self, item: int) -> int:
         """Canonical representative of ``item``'s set."""
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
+        parent = self._parent
+        root = parent[item]
+        if root == item:  # already canonical: the common case on a clean e-graph
+            return item
+        while parent[root] != root:
+            root = parent[root]
         # path compression
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a: int, b: int) -> int:

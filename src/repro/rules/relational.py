@@ -42,7 +42,7 @@ rule                            identity
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.graph import EGraph
@@ -102,34 +102,44 @@ def _each_enode(
     ``use_index=False`` reproduces the original full scan (the benchmark
     baseline).
     """
-    result: List[Tuple[int, ENode]] = []
     if not use_index:
-        for class_id in egraph.class_ids():
-            for node in egraph.legacy_nodes(class_id):
-                if node.op == op:
-                    result.append((class_id, node))
-        return result
+        return [
+            (class_id, node)
+            for class_id in egraph.class_ids()
+            for node in egraph.legacy_nodes(class_id)
+            if node.op == op
+        ]
+    nodes_by_op = egraph.nodes_by_op
     if dirty is None:
-        for class_id in egraph.classes_with_op(op):
-            for node in egraph.nodes_by_op(class_id, op):
-                result.append((class_id, node))
-        return result
-    for class_id in egraph.classes_with_op(op):
-        if class_id in dirty:
-            for node in egraph.nodes_by_op(class_id, op):
-                result.append((class_id, node))
-        else:
-            for node in egraph.nodes_by_op(class_id, op):
-                if any(child in dirty for child in node.children):
-                    result.append((class_id, node))
-    return result
+        return [
+            (class_id, node)
+            for class_id in egraph.classes_with_op(op)
+            for node in nodes_by_op(class_id, op)
+        ]
+    return [
+        (class_id, node)
+        for class_id in egraph.classes_with_op(op)
+        for node in nodes_by_op(class_id, op)
+        if class_id in dirty or not dirty.isdisjoint(node.children)
+    ]
 
 
-def _class_nodes(egraph: EGraph, class_id: int, op: str, use_index: bool = True) -> List[ENode]:
-    """The ``op`` e-nodes of one class, via the index or the legacy scan."""
+def _class_nodes(
+    egraph: EGraph, class_id: int, op: str, use_index: bool = True
+) -> Collection[ENode]:
+    """The ``op`` e-nodes of one class, via the index or the legacy scan.
+
+    The indexed form is a live view of the bucket; a rule that keeps it past
+    its ``search`` (in a match's ``args``) must copy it.
+    """
     if use_index:
         return egraph.nodes_by_op(class_id, op)
     return [node for node in egraph.legacy_nodes(class_id) if node.op == op]
+
+
+def _without(children: Tuple[int, ...], position: int) -> Tuple[int, ...]:
+    """``children`` minus the one at ``position``."""
+    return children[:position] + children[position + 1:]
 
 
 def _schema_names(egraph: EGraph, class_id: int) -> FrozenSet[str]:
@@ -167,38 +177,32 @@ class Flatten(Rule):
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
+        find = egraph.find
         for class_id, node in _each_enode(egraph, self.op, dirty, self.use_index):
+            own = find(class_id)
             for position, arg in enumerate(node.children):
-                arg = egraph.find(arg)
-                if arg == egraph.find(class_id):
+                arg = find(arg)
+                if arg == own:
                     continue  # avoid self-flattening loops
                 inner_nodes = _class_nodes(egraph, arg, self.op, self.use_index)
-                others = list(node.children[:position]) + list(node.children[position + 1:])
+                if not inner_nodes:
+                    continue
+                prefix = f"({class_id}, {node.sort_repr}, {position}, "
                 for inner in inner_nodes:
                     matches.append(
                         Match(
-                            rule_name=self.name,
-                            root=class_id,
-                            key=(class_id, node.sort_key, position, inner.sort_key),
-                            apply=self._applier(class_id, others, inner),
+                            self,
+                            (class_id, node.sort_key, position, inner.sort_key),
+                            class_id,
+                            (node, position, inner),
+                            f"{prefix}{inner.sort_repr})",
                         )
                     )
         return matches
 
-    def _applier(self, class_id: int, others: List[int], inner: ENode):
-        op = self.op
-
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            children = others + list(inner.children)
-            if op == OP_JOIN:
-                replacement = mk_join(egraph, children)
-            else:
-                replacement = mk_add(egraph, children)
-            egraph.merge(replacement, class_id)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, node: ENode, position: int, inner: ENode) -> int:
+        children = _without(node.children, position) + inner.children
+        return mk_join(egraph, children) if self.op == OP_JOIN else mk_add(egraph, children)
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +223,33 @@ class Distribute(Rule):
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
+        find = egraph.find
         for join_class, join_node in _each_enode(egraph, OP_JOIN, dirty, self.use_index):
             for position, arg in enumerate(join_node.children):
-                arg = egraph.find(arg)
-                add_nodes = _class_nodes(egraph, arg, OP_ADD, self.use_index)
-                others = list(join_node.children[:position]) + list(join_node.children[position + 1:])
-                for add_node in add_nodes:
+                for add_node in _class_nodes(egraph, find(arg), OP_ADD, self.use_index):
                     matches.append(
                         Match(
-                            rule_name=self.name,
-                            root=join_class,
-                            key=(join_class, join_node.sort_key, position, add_node.sort_key),
-                            apply=self._applier(join_class, others, add_node),
+                            self,
+                            (join_class, join_node.sort_key, position, add_node.sort_key),
+                            join_class,
+                            (join_node, position, add_node),
+                            f"({join_class}, {join_node.sort_repr}, {position}, {add_node.sort_repr})",
                         )
                     )
         return matches
 
-    @staticmethod
-    def _applier(join_class: int, others: List[int], add_node: ENode):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            terms = [mk_join(egraph, others + [addend]) for addend in add_node.children]
-            distributed = mk_add(egraph, terms)
-            egraph.merge(distributed, join_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, join_node: ENode, position: int, add_node: ENode) -> int:
+        others = _without(join_node.children, position)
+        return mk_add(egraph, [mk_join(egraph, others + (addend,)) for addend in add_node.children])
 
 
 # ---------------------------------------------------------------------------
 # Rule 1 backward: factor a common sub-multiset out of a union
 # ---------------------------------------------------------------------------
+
+#: one way to read an addend as a product: the factor multiset, its key set,
+#: its sorted elements (the match-key component) and their cached ``repr``
+FactorView = Tuple[Counter, FrozenSet[int], Tuple[int, ...], str]
 
 
 class Factor(Rule):
@@ -258,6 +258,9 @@ class Factor(Rule):
     Factoring cross-correlates every pair of addends (and every join view of
     each addend), so a changed-neighbourhood test cannot bound its matches;
     the rule opts out of incremental search and always scans its anchor op.
+    It is also the rule that finds the most matches it never applies, so
+    ``search`` only pairs up views; the common sub-multiset, the quotients
+    and their schema padding are computed in ``rewrite``.
 
     Soundness:
         rings: any-semiring
@@ -271,27 +274,29 @@ class Factor(Rule):
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
         #: join views per addend class, shared across every add node searched
-        views_cache: Dict[int, List[Tuple[Counter, FrozenSet[int], Tuple[int, ...]]]] = {}
+        views_cache: Dict[int, List[FactorView]] = {}
         for add_class, add_node in _each_enode(egraph, OP_ADD, None, self.use_index):
             factorizations = self._factor_views(egraph, add_node, self.use_index, views_cache)
+            sort_key = add_node.sort_key
             for i in range(len(add_node.children)):
                 for j in range(i + 1, len(add_node.children)):
-                    for fi, keys_i, elements_i in factorizations[i]:
-                        for fj, keys_j, elements_j in factorizations[j]:
+                    prefix = f"({add_class}, {add_node.sort_repr}, {i}, {j}, "
+                    for fi, keys_i, elements_i, text_i in factorizations[i]:
+                        for fj, keys_j, elements_j, text_j in factorizations[j]:
                             # Every multiplicity is >= 1, so overlapping key
                             # sets are exactly a non-empty intersection.
                             if keys_i.isdisjoint(keys_j):
                                 continue
-                            common = _multiset_intersection(fi, fj)
                             # Key the views by content, not enumeration
                             # position, so scheduling does not depend on the
                             # search backend's iteration order.
                             matches.append(
                                 Match(
-                                    rule_name=self.name,
-                                    root=add_class,
-                                    key=(add_class, add_node.sort_key, i, j, elements_i, elements_j),
-                                    apply=self._applier(add_class, add_node, i, j, fi, fj, common),
+                                    self,
+                                    (add_class, sort_key, i, j, elements_i, elements_j),
+                                    add_class,
+                                    (add_node, i, j, fi, fj),
+                                    f"{prefix}{text_i}, {text_j})",
                                 )
                             )
         return matches
@@ -300,58 +305,50 @@ class Factor(Rule):
     def _factor_views(
         egraph: EGraph,
         add_node: ENode,
-        use_index: bool = True,
-        cache: Optional[Dict[int, List[Tuple[Counter, FrozenSet[int], Tuple[int, ...]]]]] = None,
-    ) -> List[List[Tuple[Counter, FrozenSet[int], Tuple[int, ...]]]]:
+        use_index: bool,
+        cache: Dict[int, List[FactorView]],
+    ) -> List[List[FactorView]]:
         """For each addend, the multisets of join factors it can be seen as.
 
-        Each view is pre-packaged as ``(counter, key set, sorted elements)``
-        so the pairwise loop can disjointness-test and build match keys
-        without recomputing them per pair; the per-class cache is shared
-        across all add nodes of one search.
+        Views are pre-packaged so the pairwise loop can disjointness-test
+        and build match keys without recomputing anything per pair; the
+        per-class cache is shared across all add nodes of one search.
         """
-        views: List[List[Tuple[Counter, FrozenSet[int], Tuple[int, ...]]]] = []
+        find = egraph.find
+        views: List[List[FactorView]] = []
         for child in add_node.children:
-            child = egraph.find(child)
-            child_views = cache.get(child) if cache is not None else None
+            child = find(child)
+            child_views = cache.get(child)
             if child_views is None:
                 counters = [Counter({child: 1})]
                 for node in _class_nodes(egraph, child, OP_JOIN, use_index):
-                    counters.append(Counter(egraph.find(c) for c in node.children))
-                child_views = [
-                    (counter, frozenset(counter), tuple(sorted(counter.elements())))
-                    for counter in counters
-                ]
-                if cache is not None:
-                    cache[child] = child_views
+                    counters.append(Counter(map(find, node.children)))
+                child_views = cache[child] = []
+                for counter in counters:
+                    elements = tuple(sorted(counter.elements()))
+                    child_views.append((counter, frozenset(counter), elements, repr(elements)))
             views.append(child_views)
         return views
 
-    @staticmethod
-    def _applier(add_class: int, add_node: ENode, i: int, j: int, fi: Counter, fj: Counter, common: Counter):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            rest_i = _multiset_difference(fi, common)
-            rest_j = _multiset_difference(fj, common)
-            term_i = mk_join(egraph, list(rest_i.elements())) if rest_i else mk_lit(egraph, 1.0)
-            term_j = mk_join(egraph, list(rest_j.elements())) if rest_j else mk_lit(egraph, 1.0)
-            # The union requires schema-compatible operands: pad the narrower
-            # remainder with all-ones tensors over the attributes only the
-            # other one carries (e.g. P*X + (-1)*P*P*X factors into
-            # P * X * (ones + (-1)*P)).
-            term_i, term_j = _pad_to_common_schema(egraph, term_i, term_j)
-            if egraph.data(term_i).schema_names != egraph.data(term_j).schema_names:
-                return False
-            inner_sum = mk_add(egraph, [term_i, term_j])
-            factored = mk_join(egraph, list(common.elements()) + [inner_sum])
-            other_addends = [
-                c for pos, c in enumerate(add_node.children) if pos not in (i, j)
-            ]
-            replacement = mk_add(egraph, other_addends + [factored])
-            egraph.merge(replacement, add_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(
+        self, egraph: EGraph, add_node: ENode, i: int, j: int, fi: Counter, fj: Counter
+    ) -> Optional[int]:
+        common = fi & fj
+        rest_i = fi - common
+        rest_j = fj - common
+        term_i = mk_join(egraph, list(rest_i.elements())) if rest_i else mk_lit(egraph, 1.0)
+        term_j = mk_join(egraph, list(rest_j.elements())) if rest_j else mk_lit(egraph, 1.0)
+        # The union requires schema-compatible operands: pad the narrower
+        # remainder with all-ones tensors over the attributes only the
+        # other one carries (e.g. P*X + (-1)*P*P*X factors into
+        # P * X * (ones + (-1)*P)).
+        term_i, term_j = _pad_to_common_schema(egraph, term_i, term_j)
+        if egraph.data(term_i).schema_names != egraph.data(term_j).schema_names:
+            return None
+        inner_sum = mk_add(egraph, [term_i, term_j])
+        factored = mk_join(egraph, list(common.elements()) + [inner_sum])
+        other_addends = [c for pos, c in enumerate(add_node.children) if pos not in (i, j)]
+        return mk_add(egraph, other_addends + [factored])
 
 
 def _pad_to_common_schema(egraph: EGraph, term_i: int, term_j: int) -> Tuple[int, int]:
@@ -376,23 +373,6 @@ def _pad_to_common_schema(egraph: EGraph, term_i: int, term_j: int) -> Tuple[int
     return pad(term_i, names_i, schema_j), pad(term_j, names_j, schema_i)
 
 
-def _multiset_intersection(a: Counter, b: Counter) -> Counter:
-    if len(b) < len(a):
-        a, b = b, a
-    result = Counter()
-    for key, count in a.items():
-        other = b.get(key)
-        if other:
-            result[key] = count if count < other else other
-    return result
-
-
-def _multiset_difference(a: Counter, b: Counter) -> Counter:
-    result = Counter(a)
-    result.subtract(b)
-    return +result
-
-
 # ---------------------------------------------------------------------------
 # Rule 1 backward, special case: combine equal addends into a coefficient
 # ---------------------------------------------------------------------------
@@ -414,35 +394,30 @@ class CombineAddends(Rule):
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
+        find = egraph.find
         for add_class, add_node in _each_enode(egraph, OP_ADD, dirty, self.use_index):
-            counts = Counter(egraph.find(c) for c in add_node.children)
+            counts = Counter(map(find, add_node.children))
             if any(count >= 2 for count in counts.values()):
                 matches.append(
                     Match(
-                        rule_name=self.name,
-                        root=add_class,
-                        key=(add_class, add_node.sort_key),
-                        apply=self._applier(add_class, counts),
+                        self,
+                        (add_class, add_node.sort_key),
+                        add_class,
+                        (counts,),
+                        f"({add_class}, {add_node.sort_repr})",
                     )
                 )
         return matches
 
-    @staticmethod
-    def _applier(add_class: int, counts: Counter):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            new_children: List[int] = []
-            for child, count in counts.items():
-                if count == 1:
-                    new_children.append(child)
-                else:
-                    coefficient = mk_lit(egraph, float(count))
-                    new_children.append(mk_join(egraph, [coefficient, child]))
-            replacement = mk_add(egraph, new_children)
-            egraph.merge(replacement, add_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, counts: Counter) -> int:
+        new_children: List[int] = []
+        for child, count in counts.items():
+            if count == 1:
+                new_children.append(child)
+            else:
+                coefficient = mk_lit(egraph, float(count))
+                new_children.append(mk_join(egraph, [coefficient, child]))
+        return mk_add(egraph, new_children)
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +442,17 @@ class PushSumIntoAdd(Rule):
             for add_node in _class_nodes(egraph, child, OP_ADD, self.use_index):
                 matches.append(
                     Match(
-                        rule_name=self.name,
-                        root=sum_class,
-                        key=(sum_class, sum_node.sort_key, add_node.sort_key),
-                        apply=self._applier(sum_class, sum_node.payload, add_node),
+                        self,
+                        (sum_class, sum_node.sort_key, add_node.sort_key),
+                        sum_class,
+                        (sum_node.payload, add_node),
+                        f"({sum_class}, {sum_node.sort_repr}, {add_node.sort_repr})",
                     )
                 )
         return matches
 
-    @staticmethod
-    def _applier(sum_class: int, indices: FrozenSet[Attr], add_node: ENode):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            pushed = [mk_sum(egraph, indices, child) for child in add_node.children]
-            replacement = mk_add(egraph, pushed)
-            egraph.merge(replacement, sum_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, indices: FrozenSet[Attr], add_node: ENode) -> int:
+        return mk_add(egraph, [mk_sum(egraph, indices, child) for child in add_node.children])
 
 
 class PullAddOutOfSum(Rule):
@@ -505,11 +473,12 @@ class PullAddOutOfSum(Rule):
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
         for add_class, add_node in _each_enode(egraph, OP_ADD, None, self.use_index):
-            sum_views: List[List[ENode]] = []
-            for child in add_node.children:
-                child = egraph.find(child)
-                sums = _class_nodes(egraph, child, OP_SUM, self.use_index)
-                sum_views.append(sums)
+            # Copied out of the buckets: the rewrite chooses among the sums
+            # as they were when the match was found.
+            sum_views: List[List[ENode]] = [
+                list(_class_nodes(egraph, egraph.find(child), OP_SUM, self.use_index))
+                for child in add_node.children
+            ]
             if not all(sum_views):
                 continue
             # All addends must agree on the aggregated index names.
@@ -519,44 +488,36 @@ class PullAddOutOfSum(Rule):
             ]
             shared = set.intersection(*index_sets)
             for names in sorted(shared, key=sorted):
+                names_key = tuple(sorted(names))
                 matches.append(
                     Match(
-                        rule_name=self.name,
-                        root=add_class,
-                        key=(add_class, add_node.sort_key, tuple(sorted(names))),
-                        apply=self._applier(add_class, add_node, names, sum_views),
+                        self,
+                        (add_class, add_node.sort_key, names_key),
+                        add_class,
+                        (names, sum_views),
+                        f"({add_class}, {add_node.sort_repr}, {names_key!r})",
                     )
                 )
         return matches
 
-    @staticmethod
-    def _applier(add_class: int, add_node: ENode, names: FrozenSet[str], sum_views: List[List[ENode]]):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            inner_children: List[int] = []
-            indices: Optional[FrozenSet[Attr]] = None
-            for sums in sum_views:
-                # Choose deterministically (smallest structural key) so the
-                # rewrite is independent of the search backend's node order.
-                chosen = min(
-                    (
-                        node
-                        for node in sums
-                        if frozenset(a.name for a in node.payload) == names
-                    ),
-                    key=lambda node: node.sort_key,
-                    default=None,
-                )
-                if chosen is None:
-                    return False
-                indices = chosen.payload if indices is None else indices
-                inner_children.append(egraph.find(chosen.children[0]))
-            inner_add = mk_add(egraph, inner_children)
-            replacement = mk_sum(egraph, indices, inner_add)
-            egraph.merge(replacement, add_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(
+        self, egraph: EGraph, names: FrozenSet[str], sum_views: List[List[ENode]]
+    ) -> Optional[int]:
+        inner_children: List[int] = []
+        indices: Optional[FrozenSet[Attr]] = None
+        for sums in sum_views:
+            # Choose deterministically (smallest structural key) so the
+            # rewrite is independent of the search backend's node order.
+            chosen = min(
+                (node for node in sums if frozenset(a.name for a in node.payload) == names),
+                key=lambda node: node.sort_key,
+                default=None,
+            )
+            if chosen is None:
+                return None
+            indices = chosen.payload if indices is None else indices
+            inner_children.append(egraph.find(chosen.children[0]))
+        return mk_sum(egraph, indices, mk_add(egraph, inner_children))
 
 
 # ---------------------------------------------------------------------------
@@ -607,28 +568,25 @@ class PullFactorOutOfSum(Rule):
                         continue
                     matches.append(
                         Match(
-                            rule_name=self.name,
-                            root=sum_class,
-                            key=(sum_class, sum_node.sort_key, index.name, join_node.sort_key),
-                            apply=self._applier(sum_class, indices, index, inside, outside),
+                            self,
+                            (sum_class, sum_node.sort_key, index.name, join_node.sort_key),
+                            sum_class,
+                            (indices, index, inside, outside),
+                            f"({sum_class}, {sum_node.sort_repr}, {index.name!r}, {join_node.sort_repr})",
                         )
                     )
         return matches
 
-    @staticmethod
-    def _applier(sum_class: int, indices: FrozenSet[Attr], index: Attr, inside: List[int], outside: List[int]):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            inner = mk_sum(egraph, frozenset({index}), mk_join(egraph, inside))
-            replacement = mk_sum(
-                egraph,
-                indices - {index},
-                mk_join(egraph, outside + [inner]),
-            )
-            egraph.merge(replacement, sum_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(
+        self,
+        egraph: EGraph,
+        indices: FrozenSet[Attr],
+        index: Attr,
+        inside: List[int],
+        outside: List[int],
+    ) -> int:
+        inner = mk_sum(egraph, frozenset({index}), mk_join(egraph, inside))
+        return mk_sum(egraph, indices - {index}, mk_join(egraph, outside + [inner]))
 
 
 class PushFactorIntoSum(Rule):
@@ -648,6 +606,7 @@ class PushFactorIntoSum(Rule):
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
+        find = egraph.find
         mention_cache: Dict[int, FrozenSet[str]] = {}
 
         def mentioned(class_id: int) -> FrozenSet[str]:
@@ -659,37 +618,28 @@ class PushFactorIntoSum(Rule):
 
         for join_class, join_node in _each_enode(egraph, OP_JOIN, dirty, self.use_index):
             for position, arg in enumerate(join_node.children):
-                arg = egraph.find(arg)
-                others = list(join_node.children[:position]) + list(join_node.children[position + 1:])
-                for sum_node in _class_nodes(egraph, arg, OP_SUM, self.use_index):
+                sum_nodes = _class_nodes(egraph, find(arg), OP_SUM, self.use_index)
+                if not sum_nodes:
+                    continue
+                others = _without(join_node.children, position)
+                for sum_node in sum_nodes:
                     names = frozenset(a.name for a in sum_node.payload)
-                    blocked = False
-                    for other in others:
-                        if names & mentioned(other):
-                            blocked = True
-                            break
-                    if blocked:
+                    if any(names & mentioned(other) for other in others):
                         continue
                     matches.append(
                         Match(
-                            rule_name=self.name,
-                            root=join_class,
-                            key=(join_class, join_node.sort_key, position, sum_node.sort_key),
-                            apply=self._applier(join_class, others, sum_node),
+                            self,
+                            (join_class, join_node.sort_key, position, sum_node.sort_key),
+                            join_class,
+                            (others, sum_node),
+                            f"({join_class}, {join_node.sort_repr}, {position}, {sum_node.sort_repr})",
                         )
                     )
         return matches
 
-    @staticmethod
-    def _applier(join_class: int, others: List[int], sum_node: ENode):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            inner = mk_join(egraph, others + [egraph.find(sum_node.children[0])])
-            replacement = mk_sum(egraph, sum_node.payload, inner)
-            egraph.merge(replacement, join_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, others: Tuple[int, ...], sum_node: ENode) -> int:
+        inner = mk_join(egraph, others + (egraph.find(sum_node.children[0]),))
+        return mk_sum(egraph, sum_node.payload, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -718,27 +668,18 @@ class MergeNestedSums(Rule):
                     continue  # would shadow; never produced by the translator
                 matches.append(
                     Match(
-                        rule_name=self.name,
-                        root=sum_class,
-                        key=(sum_class, sum_node.sort_key, inner.sort_key),
-                        apply=self._applier(sum_class, sum_node.payload, inner),
+                        self,
+                        (sum_class, sum_node.sort_key, inner.sort_key),
+                        sum_class,
+                        (sum_node.payload, inner),
+                        f"({sum_class}, {sum_node.sort_repr}, {inner.sort_repr})",
                     )
                 )
         return matches
 
-    @staticmethod
-    def _applier(sum_class: int, outer_indices: FrozenSet[Attr], inner: ENode):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            merged = mk_sum(
-                egraph,
-                frozenset(outer_indices) | frozenset(inner.payload),
-                egraph.find(inner.children[0]),
-            )
-            egraph.merge(merged, sum_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, outer_indices: FrozenSet[Attr], inner: ENode) -> int:
+        merged = frozenset(outer_indices) | frozenset(inner.payload)
+        return mk_sum(egraph, merged, egraph.find(inner.children[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -770,28 +711,22 @@ class EliminateUnusedIndex(Rule):
                 continue
             matches.append(
                 Match(
-                    rule_name=self.name,
-                    root=sum_class,
-                    key=(sum_class, sum_node.sort_key),
-                    apply=self._applier(sum_class, sum_node, unused),
+                    self,
+                    (sum_class, sum_node.sort_key),
+                    sum_class,
+                    (sum_node, unused),
+                    f"({sum_class}, {sum_node.sort_repr})",
                 )
             )
         return matches
 
-    @staticmethod
-    def _applier(sum_class: int, sum_node: ENode, unused: List[Attr]):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            factor = 1.0
-            for attr in unused:
-                factor *= attr.size if attr.size is not None else 1
-            remaining = frozenset(sum_node.payload) - frozenset(unused)
-            inner = mk_sum(egraph, remaining, egraph.find(sum_node.children[0]))
-            replacement = mk_join(egraph, [mk_lit(egraph, factor), inner])
-            egraph.merge(replacement, sum_class)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, sum_node: ENode, unused: List[Attr]) -> int:
+        factor = 1.0
+        for attr in unused:
+            factor *= attr.size if attr.size is not None else 1
+        remaining = frozenset(sum_node.payload) - frozenset(unused)
+        inner = mk_sum(egraph, remaining, egraph.find(sum_node.children[0]))
+        return mk_join(egraph, [mk_lit(egraph, factor), inner])
 
 
 # ---------------------------------------------------------------------------
@@ -818,44 +753,39 @@ class DropIdentities(Rule):
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
         for op in (OP_JOIN, OP_ADD):
-            identity = 1.0 if op == OP_JOIN else 0.0
             for class_id, node in _each_enode(egraph, op, dirty, self.use_index):
-                removable = [
-                    c
-                    for c in node.children
-                    if egraph.data(c).constant == identity and not egraph.data(c).schema
-                ]
-                if not removable or len(removable) == len(node.children):
+                kept = len(self._keep(egraph, node))
+                if kept == 0 or kept == len(node.children):
                     continue
                 matches.append(
                     Match(
-                        rule_name=self.name,
-                        root=class_id,
-                        key=(class_id, node.sort_key),
-                        apply=self._applier(class_id, node, identity),
+                        self,
+                        (class_id, node.sort_key),
+                        class_id,
+                        (node,),
+                        f"({class_id}, {node.sort_repr})",
                     )
                 )
         return matches
 
     @staticmethod
-    def _applier(class_id: int, node: ENode, identity: float):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            keep = [
-                c
-                for c in node.children
-                if not (egraph.data(c).constant == identity and not egraph.data(c).schema)
-            ]
-            if not keep:
-                return False
-            if node.op == OP_JOIN:
-                replacement = mk_join(egraph, keep)
-            else:
-                replacement = mk_add(egraph, keep)
-            egraph.merge(replacement, class_id)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
+    def _keep(egraph: EGraph, node: ENode) -> List[int]:
+        """The children of a join/union that are not its scalar identity."""
+        identity = 1.0 if node.op == OP_JOIN else 0.0
+        keep = []
+        for child in node.children:
+            data = egraph.data(child)
+            if data.constant != identity or data.schema:
+                keep.append(child)
+        return keep
 
-        return apply
+    def rewrite(self, egraph: EGraph, node: ENode) -> Optional[int]:
+        # Recomputed against the graph as it is now: earlier rewrites of the
+        # same batch may have folded more children to the identity.
+        keep = self._keep(egraph, node)
+        if not keep:
+            return None
+        return mk_join(egraph, keep) if node.op == OP_JOIN else mk_add(egraph, keep)
 
 
 class AbsorbOnes(Rule):
@@ -881,14 +811,12 @@ class AbsorbOnes(Rule):
         for class_id, node in _each_enode(egraph, OP_JOIN, dirty, self.use_index):
             for position, arg in enumerate(node.children):
                 arg = egraph.find(arg)
-                ones_nodes = [
-                    n
+                if not any(
+                    n.payload[0].startswith(ONES_PREFIX)
                     for n in _class_nodes(egraph, arg, OP_VAR, self.use_index)
-                    if n.payload[0].startswith(ONES_PREFIX)
-                ]
-                if not ones_nodes:
+                ):
                     continue
-                others = list(node.children[:position]) + list(node.children[position + 1:])
+                others = _without(node.children, position)
                 if not others:
                     continue
                 ones_schema = _schema_names(egraph, arg)
@@ -899,23 +827,17 @@ class AbsorbOnes(Rule):
                     continue
                 matches.append(
                     Match(
-                        rule_name=self.name,
-                        root=class_id,
-                        key=(class_id, node.sort_key, position),
-                        apply=self._applier(class_id, others),
+                        self,
+                        (class_id, node.sort_key, position),
+                        class_id,
+                        (others,),
+                        f"({class_id}, {node.sort_repr}, {position})",
                     )
                 )
         return matches
 
-    @staticmethod
-    def _applier(class_id: int, others: List[int]):
-        def apply(egraph: EGraph) -> bool:
-            before = egraph.merges_performed, egraph.num_enodes()
-            replacement = mk_join(egraph, others)
-            egraph.merge(replacement, class_id)
-            return (egraph.merges_performed, egraph.num_enodes()) != before
-
-        return apply
+    def rewrite(self, egraph: EGraph, others: Tuple[int, ...]) -> int:
+        return mk_join(egraph, others)
 
 
 def relational_rules(

@@ -11,7 +11,8 @@ from repro.lang import ColSums, Dim, Matrix, RowSums, Sum, Vector
 from repro.lang import expr as la
 from repro.runtime import MatrixValue, execute
 from repro.runtime.ra_interp import evaluate as ra_evaluate
-from repro.translate import lower
+from repro.translate import LoweringError, lower
+from repro.workloads import SEMIRING_WORKLOADS, WORKLOADS
 
 
 def standard_dims(m: int = 7, n: int = 5, k: int = 3) -> Tuple[Dim, Dim, Dim]:
@@ -45,6 +46,27 @@ def numeric_inputs(seed: int = 0, m: int = 7, n: int = 5, k: int = 3) -> Dict[st
         "v": rng.random((n, 1)),
         "w": rng.random((k, 1)),
     }
+
+
+def benchmark_roots():
+    """``(kind, expression, semiring)`` for the 14 paper roots + 4 SSSP/REACH
+    roots at size S, in the order ``benchmarks/e2e`` compiles them."""
+    for registry in (WORKLOADS, SEMIRING_WORKLOADS):
+        for family, spec in registry.items():
+            workload = spec.build("S")
+            for root, expr in workload.roots.items():
+                yield f"{family}/{root}", expr, workload.semiring
+
+
+def lowerable_bodies(expr: la.LAExpr):
+    """Lower ``expr``, splitting at barrier operators like the optimizer."""
+    try:
+        return [lower(expr).plan.body]
+    except LoweringError:
+        bodies = []
+        for child in expr.children:
+            bodies.extend(lowerable_bodies(child))
+        return bodies
 
 
 def run_la(expr: la.LAExpr, inputs: Dict[str, np.ndarray]) -> np.ndarray:

@@ -19,6 +19,7 @@ from repro.ra.rexpr import RLit, RVar, radd, rjoin, rsum
 from repro.rules import relational_rules
 from repro.translate import lower
 from repro.workloads import get_workload
+from tests.helpers import lowerable_bodies
 
 I = Attr("i", 4)
 J = Attr("j", 3)
@@ -149,24 +150,11 @@ def _match_keys(rule, egraph, dirty=None):
     return sorted(match.key for match in rule.search(egraph, dirty))
 
 
-def _lowerable_bodies(expr):
-    """Lower ``expr``, splitting at barrier operators like the optimizer."""
-    from repro.translate import LoweringError
-
-    try:
-        return [lower(expr).plan.body]
-    except LoweringError:
-        bodies = []
-        for child in expr.children:
-            bodies.extend(_lowerable_bodies(child))
-        return bodies
-
-
 def _workload_egraph(name, iters=4):
     workload = get_workload(name, "S")
     egraph = EGraph()
     for root in workload.roots.values():
-        for body in _lowerable_bodies(root):
+        for body in lowerable_bodies(root):
             egraph.add_term(body)
     Runner(RunnerConfig(iter_limit=iters, time_limit=10.0)).run(egraph, relational_rules())
     return egraph

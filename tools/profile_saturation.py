@@ -1,0 +1,146 @@
+"""Where one root's saturation time goes: phase split and per-rule funnel.
+
+Compiles one workload root the way the optimizer does (barrier split, one
+saturation run per region) and prints
+
+* the **phase split** of the time inside ``Runner._run`` — search, schedule,
+  apply, rebuild — measured by wrapping those four calls for the duration of
+  the profile (the runner itself only times its searches);
+* the **per-rule funnel** from ``RunReport.rule_stats``: how many matches each
+  rule found, how many the scheduler kept (and so paid a rewrite for), how
+  many changed the graph, and what a found match cost to search.
+
+Counts are deterministic; times are the fastest of ``--repeat`` compiles.
+
+Run with::
+
+    PYTHONPATH=src python tools/profile_saturation.py GLM/deviance
+    PYTHONPATH=src python tools/profile_saturation.py SSSP/two_hop --preset dfs_greedy
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, Iterator
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.egraph.graph import EGraph  # noqa: E402
+from repro.egraph.rewrite import Match  # noqa: E402
+from repro.egraph.runner import Runner, RuleStats  # noqa: E402
+from repro.optimizer import OptimizerConfig  # noqa: E402
+from repro.optimizer.pipeline import compile_expression  # noqa: E402
+from repro.workloads import SEMIRING_WORKLOADS, WORKLOADS  # noqa: E402
+
+PRESETS = ("sampling_greedy", "sampling_ilp", "dfs_greedy")
+
+#: phase name -> the call whose wall time it is
+PHASES = {
+    "schedule": (Runner, "_schedule"),
+    "apply": (Match, "apply"),
+    "rebuild": (EGraph, "rebuild"),
+    "total": (Runner, "_run"),
+}
+
+
+@contextmanager
+def phase_timers() -> Iterator[Dict[str, float]]:
+    """Wrap the phase calls with wall-clock accumulators; restore on exit."""
+    seconds = {phase: 0.0 for phase in PHASES}
+    originals = {phase: getattr(owner, name) for phase, (owner, name) in PHASES.items()}
+
+    def timed(phase: str, call):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return call(*args, **kwargs)
+            finally:
+                seconds[phase] += time.perf_counter() - start
+
+        return wrapper
+
+    for phase, (owner, name) in PHASES.items():
+        setattr(owner, name, timed(phase, originals[phase]))
+    try:
+        yield seconds
+    finally:
+        for phase, (owner, name) in PHASES.items():
+            setattr(owner, name, originals[phase])
+
+
+def profile(expr, config: OptimizerConfig, repeat: int):
+    """``(phase seconds, saturation reports)`` of the fastest of ``repeat`` compiles."""
+    best = None
+    for _ in range(repeat + 1):  # the first compile is the warm-up
+        with phase_timers() as seconds:
+            runs = compile_expression(expr, config).report.saturation_reports
+        seconds["search"] = sum(
+            stats.search_seconds for run in runs for stats in run.rule_stats.values()
+        )
+        if best is None or seconds["total"] < best[0]["total"]:
+            best = (seconds, runs)
+    return best
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", help="<WORKLOAD>/<root>, e.g. GLM/deviance or SSSP/two_hop")
+    parser.add_argument("--preset", choices=PRESETS, default="sampling_greedy")
+    parser.add_argument("--repeat", type=int, default=5, help="timed compiles (fastest is shown)")
+    args = parser.parse_args(argv)
+    family, _, root = args.root.partition("/")
+    registry = {**WORKLOADS, **SEMIRING_WORKLOADS}
+    if family not in registry:
+        parser.error(f"unknown workload {family!r}; available: {sorted(registry)}")
+    workload = registry[family].build("S")
+    if root not in workload.roots:
+        parser.error(f"unknown root {root!r}; {family} has: {sorted(workload.roots)}")
+    config = getattr(OptimizerConfig, args.preset)(semiring=workload.semiring)
+    seconds, runs = profile(workload.roots[root], config, args.repeat)
+
+    print(
+        f"{args.root}  preset={args.preset}  ring={workload.semiring}  "
+        f"(fastest of {args.repeat})"
+    )
+    for index, run in enumerate(runs):
+        print(
+            f"  region {index}: {run.stop_reason.value}, {run.num_iterations} iterations, "
+            f"{run.final_enodes} e-nodes, {run.final_classes} classes"
+        )
+
+    total = seconds["total"]
+    seconds["other"] = total - sum(seconds[p] for p in ("search", "schedule", "apply", "rebuild"))
+    print(f"\n{'phase':<10}{'ms':>9}{'share':>8}")
+    for phase in ("search", "schedule", "apply", "rebuild", "other", "total"):
+        share = seconds[phase] / total if total else 0.0
+        print(f"{phase:<10}{seconds[phase] * 1e3:>9.1f}{share:>8.1%}")
+
+    fields = [field.name for field in dataclasses.fields(RuleStats)]
+    funnel: Dict[str, RuleStats] = {}
+    for name in [name for run in runs for name in run.rule_stats] + ["total"]:
+        funnel.setdefault(name, RuleStats())
+    for run in runs:
+        for name, stats in run.rule_stats.items():
+            for target in (funnel[name], funnel["total"]):
+                for field in fields:
+                    setattr(target, field, getattr(target, field) + getattr(stats, field))
+    print(
+        f"\n{'rule':<24}{'searches':>9}{'found':>8}{'scheduled':>10}{'applied':>8}"
+        f"{'search ms':>10}{'us/found':>9}"
+    )
+    for name, stats in funnel.items():
+        per_found = stats.search_seconds * 1e6 / stats.found if stats.found else 0.0
+        print(
+            f"{name:<24}{stats.searches:>9}{stats.found:>8}{stats.scheduled:>10}"
+            f"{stats.applied:>8}{stats.search_seconds * 1e3:>10.2f}{per_found:>9.2f}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
