@@ -635,13 +635,17 @@ class CompiledPlan:
         session = self._session() if self._session is not None else None
         factor = getattr(session, "drift_factor", DEFAULT_DRIFT_FACTOR)
         alpha = getattr(session, "drift_alpha", DEFAULT_DRIFT_ALPHA)
+        # counting non-zeros is the expensive part and needs no lock: a value
+        # memoises its count, so pinned inputs are counted once, ever
+        observations = [
+            (spec, value.sparsity, float(value.cells))
+            for spec, value in zip(self.signature.slots, values)
+            if value.cells > 1
+        ]
         with self._lock:
             self.stats.executions += 1
             self.stats.total_elapsed += result.stats.elapsed
-            for spec, value in zip(self.signature.slots, values):
-                if value.cells <= 1:
-                    continue
-                observed = value.sparsity
+            for spec, observed, cells in observations:
                 self.stats.observed_sparsity[spec.index] = observed
                 hint = spec.sparsity if spec.sparsity is not None else 1.0
                 # Drift detection compares the *smoothed* observation, not
@@ -655,7 +659,6 @@ class CompiledPlan:
                 # Expected nnz for *this* value: the compiled hint times the
                 # actual cell count (shape checks already pinned concrete
                 # dims, and for symbolic dims the hint still applies).
-                cells = float(value.cells)
                 expected_nnz = max(hint * cells, 1.0)
                 smoothed_nnz = max(smoothed * cells, 1.0)
                 if (

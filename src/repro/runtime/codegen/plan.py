@@ -45,13 +45,6 @@ _MODULE_CACHE: "OrderedDict[str, ModuleFactory]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
-def _ediv(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Raw-ndarray twin of ``kernels.elem_div`` (0/0 -> 0 convention)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(left, right)
-        return np.where(np.isfinite(out), out, 0.0)
-
-
 def _boundary(array: np.ndarray) -> MatrixValue:
     """Replay the interpreter's representation decision at a region edge."""
     return MatrixValue(array).compacted()
@@ -68,7 +61,7 @@ class _Runtime:
         self.k = kernel_set
         self.fallback = fallback
         self.boundary = _boundary
-        self.ediv = _ediv
+        self.ediv = kernels.safe_divide  # the formula under kernels.elem_div
         for name, fn in kernels._UNARY_KERNELS.items():
             setattr(self, f"u_{name}", fn)
 

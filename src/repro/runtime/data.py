@@ -2,14 +2,32 @@
 
 SystemML keeps every matrix in either a dense or a sparse block and switches
 representation based on the fraction of non-zeros; :class:`MatrixValue`
-mirrors that behaviour on top of NumPy arrays and SciPy CSR matrices.  All
-engine kernels accept and return :class:`MatrixValue` (scalars are plain
-Python floats).
+mirrors that on top of NumPy arrays and SciPy compressed matrices.  All
+engine kernels accept and return :class:`MatrixValue` (scalars are 1x1).
+
+**Layout contract.**  ``data`` is a 2-D float64 ``ndarray`` or a SciPy matrix
+in CSR *or* CSC layout, held as it arrived (other formats become CSR at
+wrap).  The layout is metadata: :meth:`MatrixValue.transpose` is a view for
+sparse values as it is for dense ones — CSR buffers relabelled as CSC and
+back — and nothing is converted until a caller asks
+:meth:`MatrixValue.to_sparse` for CSR.
+
+**Canonical.**  Sparse ``data`` has sorted indices and no duplicates: kernels
+read ``data``/``indices`` directly, and ``sum(data**2)`` is ``sum(X**2)``
+only without duplicates.  A non-canonical input is summed into a copy at
+wrap; SciPy caches the check on the matrix, so pinned data pays one O(nnz)
+scan ever.
+
+**Immutable.**  The engine never writes to a value and its identity-keyed
+caches rely on callers not doing so either, so ``nnz`` is counted once per
+value.  For a sparse value it is the number of *stored* entries, explicit
+zeros included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -28,8 +46,14 @@ class MatrixValue:
     data: ArrayLike
 
     def __post_init__(self) -> None:
-        if sparse.issparse(self.data):
-            self.data = self.data.tocsr()
+        data = self.data
+        if sparse.issparse(data):
+            if data.format not in ("csr", "csc"):
+                data = data.tocsr()
+            if not data.has_canonical_format:  # SciPy caches the flag on the object
+                data = data.copy()
+                data.sum_duplicates()
+            self.data = data
         else:
             array = np.asarray(self.data, dtype=np.float64)
             if array.ndim == 1:
@@ -93,8 +117,9 @@ class MatrixValue:
     def shape(self) -> Tuple[int, int]:
         return self.data.shape
 
-    @property
+    @cached_property
     def nnz(self) -> int:
+        """Stored entries (sparse) or non-zero cells (dense); counted once."""
         if self.is_sparse:
             return int(self.data.nnz)
         return int(np.count_nonzero(self.data))
@@ -124,12 +149,13 @@ class MatrixValue:
     # -- conversions -----------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
         if self.is_sparse:
-            return np.asarray(self.data.todense())
+            return self.data.toarray()
         return self.data
 
     def to_sparse(self) -> sparse.csr_matrix:
+        """The value as CSR — a conversion unless it already is one."""
         if self.is_sparse:
-            return self.data
+            return self.data.tocsr()
         return sparse.csr_matrix(self.data)
 
     def compacted(self) -> "MatrixValue":
@@ -143,7 +169,11 @@ class MatrixValue:
         return self
 
     def transpose(self) -> "MatrixValue":
-        return MatrixValue(self.data.T)
+        """A view: dense strides flip, CSR relabels as CSC (and back)."""
+        flipped = self.data.T
+        if self.is_sparse:
+            flipped.has_canonical_format = True  # same entries: skip the O(nnz) re-check
+        return MatrixValue(flipped)
 
     def allclose(self, other: "MatrixValue", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
         return np.allclose(self.to_dense(), other.to_dense(), rtol=rtol, atol=atol)

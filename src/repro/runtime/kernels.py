@@ -1,41 +1,83 @@
 """Numeric kernels for the LA execution engine.
 
-Every kernel is sparse-aware: operands may be dense NumPy arrays or SciPy
-CSR matrices and results pick whichever representation is denser-appropriate
-(:meth:`MatrixValue.compacted`).  The fused kernels mirror SystemML's fused
-physical operators:
+**Layout contract.**  An operand is a dense NumPy array or a canonical SciPy
+CSR *or CSC* matrix (:mod:`repro.runtime.data`) and no kernel converts one
+sparse layout into the other: SciPy's products, sums and sparse-sparse merges
+run on either, and the kernels that read ``data``/``indices``/``indptr``
+themselves are written against the *major* axis (rows of a CSR, columns of a
+CSC).  ``t(X)`` costs nothing and whatever consumes it costs O(nnz).
 
-* ``wsloss`` streams over the non-zeros of ``X`` and never materialises
-  ``U %*% t(V)``;
-* ``mmchain`` computes ``t(X) %*% (w * (X %*% v))`` with two passes over
-  ``X`` and no transpose;
-* ``sprop`` computes ``P * (1 - P)`` in one pass.
+**Structure preservation.**  A result with the sparsity pattern of one
+operand — a sparse matrix times a scalar, a broadcast vector or a same-shape
+dense operand, ``power``, the zero-preserving ``unary`` functions,
+``wdivmm``'s quotient — shares that operand's ``indices``/``indptr`` and
+allocates one new ``data`` array: no diagonal product, no COO round trip.
+It may *store* an explicit ``0.0`` (a zero scale) where SciPy's sparse
+product dropped the entry; values are equal, ``nnz`` counts it.
+
+**Fused operators** mirror SystemML's: ``wsloss``, ``wcemm`` and ``wdivmm``
+evaluate ``U %*% V`` only at the stored entries of the sparse operand through
+one SDDMM core, :func:`sampled_dot`; ``mmchain`` is ``t(X) %*% (w * (X %*% v))``
+in two passes over ``X``; ``sprop`` is ``P * (1 - P)``.  Outputs are allocated
+once and scratch per call: shards run kernels concurrently.
+
+**Numeric policy.**  Elementwise results do not depend on the layout; a
+reduction follows the operand's storage order, so CSR and CSC may differ by
+re-association (not at all on the dyadic inputs the parity tests use).
 
 The module-level kernels implement real ``(+, ×)`` arithmetic.  The
 execution engine reaches them through a :class:`KernelSet` — a flat
 namespace of kernel callables bound per :class:`~repro.runtime.semiring.
-Semiring`.  ``for_ring(REAL)`` binds exactly these module functions (the
-historical code path, bitwise identical); any other ring gets dense
-ring-generic kernels built from the ring's ⊕/⊗ ufuncs.  Ring kernels stay
-dense on purpose: a SciPy CSR's implicit entries are real ``0.0``, which is
-*not* the additive identity of every ring (min-plus zero is ``+inf``), so
-sparse compaction is only meaningful under real arithmetic.
+Semiring`.  ``for_ring(REAL)`` binds exactly these module functions; any
+other ring gets dense ring-generic kernels built from the ring's ⊕/⊗ ufuncs.
+Ring kernels stay dense on purpose: a sparse matrix's implicit entries are
+real ``0.0``, which is *not* the additive identity of every ring (min-plus
+zero is ``+inf``), so sparse storage is only meaningful under real arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import operator
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.runtime.data import MatrixValue
 from repro.runtime.semiring import Semiring, resolve_semiring
 
 
-def _broadcast_pair(a: MatrixValue, b: MatrixValue):
-    """Dense views of two element-wise operands with NumPy broadcasting."""
-    return a.to_dense(), b.to_dense()
+#: stored entries per :func:`sampled_dot` block — the two ``block x rank``
+#: gather scratch arrays of a rank-10 factorisation stay cache-resident
+SDDMM_BLOCK = 4096
+
+
+def _stored(value: MatrixValue):
+    """``value``'s SciPy matrix as stored, CSR or CSC (CSR of a dense value)."""
+    return value.data if value.is_sparse else value.to_sparse()
+
+
+def _like(x, data: np.ndarray):
+    """A matrix with ``x``'s sparsity structure — ``indices``/``indptr`` are
+    shared, not copied — around a freshly computed ``data`` array."""
+    out = type(x)((data, x.indices, x.indptr), shape=x.shape, copy=False)
+    out.has_canonical_format = True  # x is canonical and the structure is x's
+    return out
+
+
+def _coordinates(x) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the stored entries of ``x`` in storage order."""
+    counts = np.diff(x.indptr)
+    major = np.repeat(np.arange(counts.size, dtype=x.indices.dtype), counts)
+    return (major, x.indices) if x.format == "csr" else (x.indices, major)
+
+
+def safe_divide(left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] = None):
+    """``left / right`` where a non-finite quotient (``x/0``, ``0/0``) is 0, the
+    SystemML convention; allocates the output (unless given) and a mask."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(left, right, out=out)
+    out[~np.isfinite(out)] = 0.0
+    return out
 
 
 def elem_mul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
@@ -44,55 +86,51 @@ def elem_mul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
         return scalar_mul(a.scalar_value(), b)
     if b.is_scalar:
         return scalar_mul(b.scalar_value(), a)
-    if a.is_sparse and a.shape == b.shape:
-        return MatrixValue(a.data.multiply(b.to_dense() if not b.is_sparse else b.data)).compacted()
-    if b.is_sparse and a.shape == b.shape:
-        return MatrixValue(b.data.multiply(a.to_dense())).compacted()
-    if a.is_sparse and b.shape != a.shape:
-        # broadcast a vector against the sparse operand without densifying it
-        return _sparse_broadcast_mul(a, b)
-    if b.is_sparse and a.shape != b.shape:
-        return _sparse_broadcast_mul(b, a)
-    left, right = _broadcast_pair(a, b)
-    return MatrixValue(left * right).compacted()
+    if a.is_sparse and b.is_sparse and a.shape == b.shape:
+        return MatrixValue(a.data.multiply(b.data)).compacted()
+    if a.is_sparse:
+        return _sparse_mul(a.data, b.to_dense())
+    if b.is_sparse:
+        return _sparse_mul(b.data, a.to_dense())
+    return MatrixValue(a.data * b.data).compacted()
 
 
-def _sparse_broadcast_mul(matrix: MatrixValue, vector: MatrixValue) -> MatrixValue:
-    rows, cols = matrix.shape
-    vec = vector.to_dense()
-    csr = matrix.to_sparse()
-    if vec.shape == (rows, 1):
-        scale = sparse.diags(vec.ravel())
-        return MatrixValue(scale @ csr).compacted()
-    if vec.shape == (1, cols):
-        scale = sparse.diags(vec.ravel())
-        return MatrixValue(csr @ scale).compacted()
-    return MatrixValue(matrix.to_dense() * vec).compacted()
+def _sparse_mul(x, dense: np.ndarray) -> MatrixValue:
+    """``x * dense`` on ``x``'s structure: ``dense`` (same shape, or a row or
+    column vector) is read at the stored coordinates only and scaled in place."""
+    rows, cols = x.shape
+    if dense.shape == x.shape:
+        scale = dense[_coordinates(x)]
+    elif dense.shape == (rows, 1) or dense.shape == (1, cols):
+        # along the major axis: repeat per stored run; along the minor: gather
+        if (dense.shape[1] == 1) == (x.format == "csr"):
+            scale = np.repeat(dense.ravel(), np.diff(x.indptr))
+        else:
+            scale = dense.ravel().take(x.indices)
+    else:
+        return MatrixValue(x.toarray() * dense).compacted()
+    np.multiply(scale, x.data, out=scale)
+    return MatrixValue(_like(x, scale)).compacted()
 
 
 def scalar_mul(value: float, matrix: MatrixValue) -> MatrixValue:
     if matrix.is_sparse:
-        return MatrixValue(matrix.data * value).compacted()
-    return MatrixValue(matrix.to_dense() * value).compacted()
+        return MatrixValue(_like(matrix.data, matrix.data.data * value)).compacted()
+    return MatrixValue(matrix.data * value).compacted()
 
 
-def elem_add(a: MatrixValue, b: MatrixValue, sign: float = 1.0) -> MatrixValue:
-    """Element-wise addition (``sign=-1`` for subtraction) with broadcasting."""
+def elem_add(a: MatrixValue, b: MatrixValue, op: Callable = operator.add) -> MatrixValue:
+    """Element-wise addition (``op=operator.sub``: subtraction) with broadcasting."""
     if a.is_scalar and b.is_scalar:
-        return MatrixValue.scalar(a.scalar_value() + sign * b.scalar_value())
+        return MatrixValue.scalar(op(a.scalar_value(), b.scalar_value()))
     if a.is_sparse and b.is_sparse and a.shape == b.shape:
-        return MatrixValue(a.data + sign * b.data).compacted()
-    left, right = _broadcast_pair(a, b)
-    return MatrixValue(left + sign * right).compacted()
+        return MatrixValue(op(a.data, b.data)).compacted()
+    return MatrixValue(op(a.to_dense(), b.to_dense())).compacted()
 
 
 def elem_div(a: MatrixValue, b: MatrixValue) -> MatrixValue:
     """Element-wise division; 0/0 is defined as 0 (SystemML convention)."""
-    left, right = _broadcast_pair(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = np.divide(left, right)
-        result = np.where(np.isfinite(result), result, 0.0)
-    return MatrixValue(result).compacted()
+    return MatrixValue(safe_divide(a.to_dense(), b.to_dense())).compacted()
 
 
 def matmul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
@@ -101,8 +139,7 @@ def matmul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
         return scalar_mul(a.scalar_value(), b)
     if b.is_scalar:
         return scalar_mul(b.scalar_value(), a)
-    result = a.data @ b.data
-    return MatrixValue(result).compacted()
+    return MatrixValue(a.data @ b.data).compacted()
 
 
 def transpose(a: MatrixValue) -> MatrixValue:
@@ -132,7 +169,7 @@ def full_sum(a: MatrixValue) -> MatrixValue:
 
 def power(a: MatrixValue, exponent: float) -> MatrixValue:
     if a.is_sparse and exponent > 0:
-        return MatrixValue(a.data.power(exponent)).compacted()
+        return MatrixValue(_like(a.data, a.data.data**exponent)).compacted()
     return MatrixValue(np.power(a.to_dense(), exponent)).compacted()
 
 
@@ -156,9 +193,7 @@ def unary(func: str, a: MatrixValue) -> MatrixValue:
     if kernel is None:
         raise ValueError(f"unknown unary function {func!r}")
     if a.is_sparse and func in ("abs", "sign", "sqrt", "round"):
-        result = a.to_sparse().copy()
-        result.data = kernel(result.data)
-        return MatrixValue(result).compacted()
+        return MatrixValue(_like(a.data, kernel(a.data.data))).compacted()
     return MatrixValue(kernel(a.to_dense())).compacted()
 
 
@@ -167,9 +202,26 @@ def unary(func: str, a: MatrixValue) -> MatrixValue:
 # ---------------------------------------------------------------------------
 
 
-def _predictions_at(rows: np.ndarray, cols: np.ndarray, u: np.ndarray, v_rowwise: np.ndarray) -> np.ndarray:
-    """Entries of ``u @ v_rowwise.T`` at the given (row, col) coordinates only."""
-    return np.einsum("ij,ij->i", u[rows, :], v_rowwise[cols, :])
+def sampled_dot(x, u: np.ndarray, v_rowwise: np.ndarray) -> np.ndarray:
+    """Entries of ``u @ v_rowwise.T`` at the stored coordinates of ``x`` only.
+
+    The SDDMM core of the fused operators: one value per stored entry of the
+    CSR/CSC matrix ``x``, in storage order.  Factor rows are gathered
+    :data:`SDDMM_BLOCK` entries at a time into scratch owned by this call,
+    so no ``nnz x rank`` temporary exists.
+    """
+    rows, cols = _coordinates(x)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    v_rowwise = np.ascontiguousarray(v_rowwise, dtype=np.float64)
+    out = np.empty(rows.size)
+    left, right = np.empty((2, min(SDDMM_BLOCK, rows.size), u.shape[1]))
+    for start in range(0, rows.size, SDDMM_BLOCK):
+        chunk = out[start : start + SDDMM_BLOCK]
+        n = chunk.size
+        np.take(u, rows[start : start + n], axis=0, out=left[:n], mode="clip")
+        np.take(v_rowwise, cols[start : start + n], axis=0, out=right[:n], mode="clip")
+        np.einsum("ij,ij->i", left[:n], right[:n], out=chunk)
+    return out
 
 
 def wsloss(x: MatrixValue, u: MatrixValue, v: MatrixValue, w: Optional[MatrixValue]) -> MatrixValue:
@@ -183,27 +235,31 @@ def wsloss(x: MatrixValue, u: MatrixValue, v: MatrixValue, w: Optional[MatrixVal
     u_dense = u.to_dense()
     v_dense = v.to_dense()
     if w is not None:
-        w_coo = w.to_sparse().tocoo()
-        x_csr = x.to_sparse().tocsr()
-        x_at = np.asarray(x_csr[w_coo.row, w_coo.col]).ravel()
-        preds = _predictions_at(w_coo.row, w_coo.col, u_dense, v_dense)
-        residual = x_at - preds
-        return MatrixValue.scalar(float(np.sum(w_coo.data * residual * residual)))
-    x_coo = x.to_sparse().tocoo()
+        w_stored = _stored(w)
+        if w_stored.nnz == 0:  # (an empty fancy index into SciPy is not an array)
+            return MatrixValue.scalar(0.0)
+        x_at = np.asarray(x.data[_coordinates(w_stored)]).ravel()
+        residual = sampled_dot(w_stored, u_dense, v_dense)
+        np.subtract(x_at, residual, out=residual)
+        weighted = w_stored.data * residual
+        weighted *= residual
+        return MatrixValue.scalar(float(np.sum(weighted)))
+    x_stored = _stored(x)
     gram = float(np.sum((u_dense.T @ u_dense) * (v_dense.T @ v_dense)))
-    preds = _predictions_at(x_coo.row, x_coo.col, u_dense, v_dense)
-    cross = float(np.sum(x_coo.data * preds))
-    sum_sq = float(np.sum(x_coo.data * x_coo.data))
-    return MatrixValue.scalar(sum_sq - 2.0 * cross + gram)
+    scratch = sampled_dot(x_stored, u_dense, v_dense)
+    scratch *= x_stored.data
+    cross = float(np.sum(scratch))
+    np.multiply(x_stored.data, x_stored.data, out=scratch)
+    return MatrixValue.scalar(float(np.sum(scratch)) - 2.0 * cross + gram)
 
 
 def wcemm(x: MatrixValue, u: MatrixValue, v: MatrixValue) -> MatrixValue:
     """``sum(X * log(U %*% V))`` computed only at the non-zeros of ``X``."""
-    u_dense = u.to_dense()
-    v_dense = v.to_dense()
-    x_coo = x.to_sparse().tocoo()
-    preds = _predictions_at(x_coo.row, x_coo.col, u_dense, v_dense.T)
-    return MatrixValue.scalar(float(np.sum(x_coo.data * np.log(preds))))
+    x_stored = _stored(x)
+    terms = sampled_dot(x_stored, u.to_dense(), v.to_dense().T)
+    np.log(terms, out=terms)
+    terms *= x_stored.data
+    return MatrixValue.scalar(float(np.sum(terms)))
 
 
 def wdivmm(
@@ -213,16 +269,14 @@ def wdivmm(
 
     Computes ``t(U) %*% (X / (U %*% V))`` (``multiply_left=True``) or
     ``(X / (U %*% V)) %*% t(V)`` (``multiply_left=False``) while evaluating
-    the dense product ``U %*% V`` only at the non-zeros of ``X``.
+    the dense product ``U %*% V`` only at the non-zeros of ``X``; the
+    quotient reuses ``X``'s structure.
     """
     u_dense = u.to_dense()
     v_dense = v.to_dense()
-    x_coo = x.to_sparse().tocoo()
-    preds = _predictions_at(x_coo.row, x_coo.col, u_dense, v_dense.T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.divide(x_coo.data, preds)
-        quotient = np.where(np.isfinite(quotient), quotient, 0.0)
-    weighted = sparse.coo_matrix((quotient, (x_coo.row, x_coo.col)), shape=x_coo.shape).tocsr()
+    x_stored = _stored(x)
+    quotient = sampled_dot(x_stored, u_dense, v_dense.T)
+    weighted = _like(x_stored, safe_divide(x_stored.data, quotient, out=quotient))
     if multiply_left:
         return MatrixValue(np.asarray((weighted.T @ u_dense).T)).compacted()
     return MatrixValue(np.asarray(weighted @ v_dense.T)).compacted()
@@ -254,7 +308,7 @@ class RingKernelError(RuntimeError):
 
 def elem_sub(a: MatrixValue, b: MatrixValue) -> MatrixValue:
     """Element-wise subtraction (real arithmetic)."""
-    return elem_add(a, b, sign=-1.0)
+    return elem_add(a, b, operator.sub)
 
 
 def literal(value: float) -> MatrixValue:
@@ -398,12 +452,12 @@ class KernelSet:
 
     Attributes are plain functions (not methods) so tape closures capture
     them once at compile time with zero dispatch overhead.  The real set
-    binds exactly the module-level kernels — the historical, sparse-aware,
-    bitwise-identical code path.  Non-real sets bind dense ring-generic
-    kernels; operators a ring cannot express (negation without subtraction,
-    transcendental unaries, the real-arithmetic fused operators) raise
-    :class:`RingKernelError` — compile-time ring validation should have
-    rejected such plans long before execution.
+    binds exactly the module-level, layout-aware kernels.  Non-real sets
+    bind dense ring-generic kernels; operators a ring cannot express
+    (negation without subtraction, transcendental unaries, the
+    real-arithmetic fused operators) raise :class:`RingKernelError` —
+    compile-time ring validation should have rejected such plans long
+    before execution.
     """
 
     __slots__ = (

@@ -97,7 +97,7 @@ class OpSpec:
 OP_TABLE: Dict[Type[la.LAExpr], OpSpec] = {
     la.ElemMul: OpSpec("elemmul", "elem_mul", ELEMENTWISE, "({0} * {1})"),
     la.ElemPlus: OpSpec("elemplus", "elem_add", ELEMENTWISE, "({0} + {1})"),
-    # kernels.elem_add(a, b, sign=-1.0) computes ``left + sign * right``
+    # bitwise what kernels.elem_sub's ``left - right`` computes
     la.ElemMinus: OpSpec("elemminus", "elem_sub", ELEMENTWISE, "({0} + -1.0 * {1})"),
     la.ElemDiv: OpSpec("elemdiv", "elem_div", ELEMENTWISE, "rt.ediv({0}, {1})"),
     la.Power: OpSpec("power", "power", ELEMENTWISE, "np.power({0}, {s!r})", static="exponent"),
