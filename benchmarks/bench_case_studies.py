@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.cost import LACostModel
 from repro.lang import Dim, Matrix, RowSums, Sum, Vector
 from repro.lang.builder import log
-from repro.optimizer import OptimizerConfig, SporesOptimizer
+from repro.optimizer import OptimizerConfig, compile_expression
 from repro.runtime import fuse_operators
 from repro.systemml import optimize_opt2
 
@@ -50,7 +50,7 @@ def _case_studies():
 
 def run_case(expr):
     opt2 = fuse_operators(optimize_opt2(expr).optimized)
-    spores = fuse_operators(SporesOptimizer(OptimizerConfig.sampling_greedy()).optimize(expr).optimized)
+    spores = fuse_operators(compile_expression(expr, OptimizerConfig.sampling_greedy()).optimized)
     return {
         "original": COST.total(expr),
         "opt2": COST.total(opt2),

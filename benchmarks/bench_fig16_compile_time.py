@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.optimizer import OptimizerConfig, SporesOptimizer, PhaseTimes
+from repro.optimizer import OptimizerConfig, PhaseTimes, compile_expression
 from repro.systemml import optimize_opt2
 from repro.workloads import get_workload, workload_names
 
@@ -38,14 +38,13 @@ def _configured(name):
     config.runner.time_limit = SATURATION_BUDGET
     config.runner.iter_limit = 10
     config.runner.node_limit = 8_000
-    return SporesOptimizer(config)
+    return config
 
 
-def compile_with(optimizer, workload):
+def compile_with(config, workload):
     phases = PhaseTimes()
     for root in workload.roots.values():
-        report = optimizer.optimize(root)
-        phases += report.phase_times
+        phases += compile_expression(root, config).report.phase_times
     return phases
 
 
@@ -53,8 +52,8 @@ def compile_with(optimizer, workload):
 @pytest.mark.parametrize("workload", workload_names())
 def test_fig16_spores_compile_time(benchmark, workload, config):
     wl = get_workload(workload, "S")
-    optimizer = _configured(config)
-    phases = benchmark.pedantic(lambda: compile_with(optimizer, wl), rounds=1, iterations=1)
+    configured = _configured(config)
+    phases = benchmark.pedantic(lambda: compile_with(configured, wl), rounds=1, iterations=1)
     _results[(workload, config)] = phases
 
 

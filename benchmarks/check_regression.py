@@ -1,12 +1,13 @@
 """Benchmark-regression gate: diff emitted BENCH_*.json against baselines.
 
-Every benchmark harness writes a ``BENCH_<name>.json`` record whose headline
-metric tracks the performance trajectory across PRs (warm/cold speedup,
-e-matching throughput, serving throughput ratio).  The committed copies
-under ``benchmarks/results/`` are the baselines; CI re-runs the benchmarks
-and this script fails the build when a headline regresses by more than the
-threshold (default 30%), so a perf regression blocks a merge instead of
-hiding in an artifact.
+The harnesses that are not end-to-end rows of ``benchmarks/e2e`` — the
+resilience storm and the static-analysis gate — write a
+``BENCH_<name>.json`` record whose headline metric is tracked across PRs.
+The committed copies under ``benchmarks/results/`` are the baselines; CI
+re-runs them and this script fails the build when a headline regresses by
+more than the threshold (default 30%), so a regression blocks a merge
+instead of hiding in an artifact.  (Performance proper is gated by
+``BENCHMARK.json`` through ``benchmarks/e2e/compare.py``.)
 
 Usage::
 
@@ -14,12 +15,9 @@ Usage::
         --baseline benchmarks/results --current /tmp/run/results \\
         [--threshold 0.30]
 
-Headline extraction, per file:
+Every record carries its own top-level
+``{"headline": {"name": ..., "value": ...}}`` object:
 
-* a top-level ``{"headline": {"name": ..., "value": ...}}`` object wins —
-  new benchmarks should emit one;
-* otherwise a per-file extractor from :data:`EXTRACTORS` (geometric means
-  over per-workload ratios for the older records);
 * files present in the baseline but missing from the run **fail** (a bench
   silently not running is itself a regression); records new to the run have
   their headline validated and printed so committing the baseline is a copy
@@ -33,60 +31,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
-def geomean(values: Iterable[float]) -> float:
-    values = [float(v) for v in values]
-    if not values or any(v <= 0 for v in values):
-        raise ValueError(f"geomean needs positive values, got {values}")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def _plan_cache_headline(payload: Dict) -> Tuple[str, float]:
-    """Geometric-mean warm/cold compile speedup across workloads."""
-    speedups = [record["cache"]["speedup"] for record in payload.values()]
-    return "warm_compile_speedup_geomean", geomean(speedups)
-
-
-def _plan_store_headline(payload: Dict) -> Tuple[str, float]:
-    """Cross-process warm-start speedup."""
-    return "cross_process_warm_speedup", float(payload["cross_process"]["speedup"])
-
-
-def _ematch_headline(payload: Dict) -> Tuple[str, float]:
-    """Geometric-mean indexed-vs-scan e-matching speedup.
-
-    The within-run ratio, not raw matches/s: both sides of the ratio run
-    on the same machine in the same process, so the headline is comparable
-    between a dev workstation baseline and a slower CI runner (absolute
-    throughput is not — gating on it would fail every merge on shared
-    runners without any real regression).
-    """
-    ratios = [record["throughput"]["speedup"] for record in payload.values()]
-    return "indexed_vs_scan_speedup_geomean", geomean(ratios)
-
-
-#: filename -> extractor for records predating the ``headline`` convention
-EXTRACTORS: Dict[str, Callable[[Dict], Tuple[str, float]]] = {
-    "BENCH_plan_cache.json": _plan_cache_headline,
-    "BENCH_plan_store.json": _plan_store_headline,
-    "BENCH_ematch.json": _ematch_headline,
-}
-
-
-def headline_of(filename: str, payload: Dict) -> Optional[Tuple[str, float]]:
-    """The (name, value) headline of one BENCH record, or ``None`` if unknown."""
-    headline = payload.get("headline")
-    if isinstance(headline, dict) and "value" in headline:
-        return str(headline.get("name", filename)), float(headline["value"])
-    extractor = EXTRACTORS.get(filename)
-    if extractor is None:
-        return None
-    return extractor(payload)
+def headline_of(filename: str, payload: Dict) -> Tuple[str, float]:
+    """The (name, value) headline of one BENCH record; ``KeyError`` /
+    ``TypeError`` / ``ValueError`` when the record carries none."""
+    headline = payload["headline"]
+    if not isinstance(headline, dict):
+        raise TypeError("headline must be an object")
+    return str(headline.get("name", filename)), float(headline["value"])
 
 
 def bench_files(directory: str, missing_ok: bool = False) -> List[str]:
@@ -120,9 +76,6 @@ def check(baseline_dir: str, current_dir: str, threshold: float) -> int:
         except (KeyError, TypeError, ValueError) as error:
             failures.append(f"{name}: cannot extract baseline headline ({error})")
             continue
-        if base is None:
-            lines.append(f"  skip  {name}: no headline extractor")
-            continue
         if name not in current_names:
             failures.append(f"{name}: emitted by the baseline but missing from this run")
             continue
@@ -130,9 +83,6 @@ def check(baseline_dir: str, current_dir: str, threshold: float) -> int:
             current = headline_of(name, load(current_dir, name))
         except (KeyError, TypeError, ValueError) as error:
             failures.append(f"{name}: cannot extract run headline ({error})")
-            continue
-        if current is None:
-            failures.append(f"{name}: run record lost its headline")
             continue
         metric, base_value = base
         _, current_value = current
@@ -157,16 +107,11 @@ def check(baseline_dir: str, current_dir: str, threshold: float) -> int:
         except (KeyError, TypeError, ValueError) as error:
             failures.append(f"{name}: new record has a malformed headline ({error})")
             continue
-        if fresh is None:
-            lines.append(
-                f"  new   {name}: no headline extractor; not gated until one exists"
-            )
-        else:
-            metric, value = fresh
-            lines.append(
-                f"  new   {name}: new headline {metric}={value:.4g} — commit the "
-                "record to benchmarks/results to gate future runs against it"
-            )
+        metric, value = fresh
+        lines.append(
+            f"  new   {name}: new headline {metric}={value:.4g} — commit the "
+            "record to benchmarks/results to gate future runs against it"
+        )
 
     print(f"bench-gate: {baseline_dir} (baseline) vs {current_dir} (run)")
     for line in lines:

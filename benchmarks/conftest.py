@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 
 from repro.lang import expr as la
-from repro.optimizer import OptimizerConfig, SporesOptimizer
+from repro.optimizer import OptimizerConfig, compile_expression
 from repro.runtime import execute, fuse_operators
 from repro.systemml import optimize_base, optimize_opt2
 from repro.workloads import get_workload
@@ -51,13 +51,13 @@ _plan_cache: Dict[tuple, CompiledWorkload] = {}
 _input_cache: Dict[tuple, dict] = {}
 
 
-def _spores_optimizer(config: str) -> SporesOptimizer:
+def _spores_config(config: str) -> OptimizerConfig:
     if config in ("saturation", "s+ilp"):
-        return SporesOptimizer(OptimizerConfig.sampling_ilp())
+        return OptimizerConfig.sampling_ilp()
     if config == "s+greedy":
-        return SporesOptimizer(OptimizerConfig.sampling_greedy())
+        return OptimizerConfig.sampling_greedy()
     if config == "d+greedy":
-        return SporesOptimizer(OptimizerConfig.dfs_greedy())
+        return OptimizerConfig.dfs_greedy()
     raise ValueError(config)
 
 
@@ -81,8 +81,8 @@ def compile_workload(name: str, size: str, config: str) -> CompiledWorkload:
         elif config in ("opt2", "systemml"):
             plans[root_name] = fuse_operators(optimize_opt2(root).optimized)
         else:
-            optimizer = _spores_optimizer(config)
-            plans[root_name] = fuse_operators(optimizer.optimize(root).optimized)
+            artifact = compile_expression(root, _spores_config(config))
+            plans[root_name] = fuse_operators(artifact.optimized)
     compile_seconds = time.perf_counter() - start
     compiled = CompiledWorkload(name, size, config, plans, compile_seconds, inputs)
     _plan_cache[key] = compiled

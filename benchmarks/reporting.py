@@ -30,9 +30,9 @@ def write_report(name: str, title: str, lines: Iterable[str]) -> str:
 def write_json(name: str, payload: Dict) -> str:
     """Write a machine-readable result record next to the text report.
 
-    Used for the metrics future PRs track across versions (e.g.
-    ``BENCH_ematch.json`` for the e-matching throughput trajectory); keep
-    keys stable so the records stay diffable.
+    Used for the headlines ``check_regression.py`` tracks across versions
+    (e.g. ``BENCH_resilience.json``); keep keys stable so the records stay
+    diffable.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"{name}.json")

@@ -41,11 +41,9 @@ saturation entirely.
 >>> print(plan.optimized)
 >>> result = plan.run(X=x_vals, u=u_vals, v=v_vals)   # doctest: +SKIP
 
-The legacy one-shot surface is kept as a thin shim over the same core:
-
->>> from repro import optimize
->>> report = optimize(Sum((X - u @ v.T) ** 2))
->>> print(report.optimized)
+The pure pipeline underneath is :func:`compile_expression`: one expression
+and one :class:`OptimizerConfig` in, one :class:`PlanArtifact` (optimized
+plan + report) out.
 """
 
 import logging as _logging
@@ -67,10 +65,8 @@ from repro.lang import (
 from repro.optimizer import (
     OptimizerConfig,
     PlanArtifact,
-    SporesOptimizer,
     compile_expression,
     derive,
-    optimize,
 )
 from repro.api import (
     CacheStats,
@@ -104,8 +100,6 @@ __all__ = [
     "ColSums",
     "parse_expr",
     "OptimizerConfig",
-    "SporesOptimizer",
-    "optimize",
     "derive",
     "Session",
     "ServingEngine",

@@ -29,9 +29,9 @@ physical plan*:
   :mod:`repro.api.session` for the exact reuse-vs-respecialize rules and
   :meth:`CompiledPlan.instantiate` for the direct size-rebinding surface.
 
-The legacy one-shot surface (``SporesOptimizer`` / ``optimize`` +
-``repro.runtime.execute``) remains available and is now a thin shim over
-the same pure :func:`repro.optimizer.compile_expression` core.
+Underneath sits the pure :func:`repro.optimizer.compile_expression` core;
+``repro.runtime.execute`` is the reference interpreter the tests compare
+every other execution path against.
 """
 
 from repro.api.cache import CacheStats, PlanCache

@@ -80,9 +80,7 @@ class PlanEntry:
     template**: ``guard`` records the dimension-size ranges and sparsity
     bands inside which the artifact may serve *other* instance digests of
     the same :attr:`template_digest` through cheap size re-pinning
-    (:func:`specialize_entry`).  ``guard=None`` means exact-match only —
-    the conservative pre-template behavior, and what v1 store payloads
-    load as.
+    (:func:`specialize_entry`).  ``guard=None`` means exact-match only.
     """
 
     artifact: PlanArtifact
@@ -411,6 +409,7 @@ class CompiledPlan:
             source = self.source
             stats = self.stats.snapshot()
         report = entry.artifact.report
+        times = report.phase_times
         guard = entry.guard.describe() if entry.guard is not None else "none (exact)"
         smoothed = (
             ", ".join(
@@ -433,9 +432,11 @@ class CompiledPlan:
             f"codegen     : {self._describe_codegen()}",
             f"cost        : {report.original_cost:.4g} -> {report.optimized_cost:.4g}"
             f" ({report.speedup_estimate:.3g}x estimated)",
-            f"compile     : translate {report.phase_times.translate * 1e3:.1f} ms,"
-            f" saturate {report.phase_times.saturate * 1e3:.1f} ms,"
-            f" extract {report.phase_times.extract * 1e3:.1f} ms",
+            "compile     : loaded from a plan store (timings are not persisted)"
+            if times is None
+            else f"compile     : translate {times.translate * 1e3:.1f} ms,"
+            f" saturate {times.saturate * 1e3:.1f} ms,"
+            f" extract {times.extract * 1e3:.1f} ms",
             f"runs        : {stats.executions}"
             f" (mean {stats.mean_elapsed * 1e3:.2f} ms,"
             f" drift events {stats.drift_events}, recompiles {stats.recompiles})",

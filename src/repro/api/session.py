@@ -43,7 +43,7 @@ walk, no saturation — exactly when its
 dimension size inside the guard's per-dim range *and* every input in the
 sparsity band the template was compiled under.  Anything else (sizes
 outside the probed cost-dominance region, a band change, a symbolic dim,
-a plan whose rewrite baked a size into a constant, a v1 store entry) is a
+a plan whose rewrite baked a size into a constant) is a
 guard miss and the expression is **respecialized**: compiled fresh at its
 own sizes, cached as a new template of the same shape.  Both outcomes are
 observable: reuse counts in ``CacheStats.template_hits`` and sets

@@ -160,14 +160,7 @@ class LACostModel:
     bounds in any ring (see the module docstring).
     """
 
-    def __init__(
-        self,
-        memory_weight: float = 1.0,
-        compute_weight: float = 1.0,
-        ring: Semiring = REAL,
-    ) -> None:
-        self.memory_weight = memory_weight
-        self.compute_weight = compute_weight
+    def __init__(self, ring: Semiring = REAL) -> None:
         self.ring = ring
 
     def cost(self, root: la.LAExpr) -> LACostReport:
@@ -179,11 +172,15 @@ class LACostModel:
         for node in dag.postorder(root):
             memory = self._memory(node, sparsity_cache)
             compute = self._compute(node, sparsity_cache)
-            per_node[node] = self.memory_weight * memory + self.compute_weight * compute
+            per_node[node] = memory + compute
             memory_total += memory
             compute_total += compute
-        total = self.memory_weight * memory_total + self.compute_weight * compute_total
-        return LACostReport(total=total, memory=memory_total, compute=compute_total, per_node=per_node)
+        return LACostReport(
+            total=memory_total + compute_total,
+            memory=memory_total,
+            compute=compute_total,
+            per_node=per_node,
+        )
 
     def total(self, root: la.LAExpr) -> float:
         """Scalar total cost (convenience for comparisons)."""

@@ -125,12 +125,13 @@ class EGraph:
         return sorted(canonical, key=lambda node: node.sort_key)
 
     def legacy_nodes(self, class_id: int) -> List[ENode]:
-        """The pre-index node access path, kept as a benchmark baseline.
+        """The pre-index node access path, kept as a test reference.
 
         Before the operator index, stored node forms were lazily stale, so
         every read had to re-canonicalise the whole class and impose an
         order by formatting ``repr`` strings.  The full-scan searcher built
-        on this is what ``bench_ematch_index`` compares the index against.
+        on this is what the search-equivalence tests
+        (``tests/unit/test_ematch_index.py``) compare the index against.
         """
         eclass = self._classes[self.find(class_id)]
         canonical = {node.canonicalize(self.find) for node in eclass.nodes}

@@ -30,14 +30,6 @@ dropped matches are found again.
 Every match knows its rule, so the run also reports the per-rule funnel
 (``RunReport.rule_stats``: searched, found, scheduled, applied, search time).
 
-An optional egg-style **backoff scheduler** (``RunnerConfig.backoff``,
-default off) complements sampling: a rule whose match count in a single
-iteration exceeds ``backoff_match_limit`` is banned — not searched, nothing
-applied — for ``backoff_ban_length`` iterations, with both thresholds
-doubling on repeat offences.  Because a banned rule's touch-log cursor is
-frozen, it re-discovers everything it missed when the ban expires, and a
-quiet iteration is not reported as saturation while bans are pending.
-
 The runner stops when the e-graph stops changing (saturation), or when the
 iteration, e-node or time budget is exhausted.
 """
@@ -67,9 +59,6 @@ _RUNS = {
 }
 _ITERATIONS = obs.registry().counter(
     "saturation_iterations_total", "Saturation iterations across all runs"
-)
-_BANS = obs.registry().counter(
-    "saturation_bans_total", "Backoff-scheduler rule bans across all runs"
 )
 _SECONDS = obs.registry().histogram(
     "saturation_seconds", "Wall-clock seconds per saturation run"
@@ -111,24 +100,10 @@ class RunnerConfig:
     #: are still used for the first iteration and for non-incremental rules);
     #: disable to benchmark against full re-searching every iteration
     incremental: bool = True
-    #: egg-style backoff scheduling (off by default): when a rule's match
-    #: count in one iteration exceeds ``backoff_match_limit`` the rule is
-    #: *banned* — none of its matches are applied and it is not searched —
-    #: for ``backoff_ban_length`` iterations.  Both the limit and the ban
-    #: length double on each repeat offence, so an expansive rule (AC
-    #: regrouping) eventually gets its matches back once the rest of the
-    #: rule set has caught up, instead of flooding every iteration.
-    backoff: bool = False
-    #: match-count threshold that triggers the first ban
-    backoff_match_limit: int = 400
-    #: length (in iterations) of the first ban
-    backoff_ban_length: int = 2
 
     def __post_init__(self) -> None:
         if self.strategy not in ("sampling", "dfs"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.backoff and (self.backoff_match_limit < 1 or self.backoff_ban_length < 1):
-            raise ValueError("backoff_match_limit and backoff_ban_length must be >= 1")
 
 
 @dataclass
@@ -140,7 +115,8 @@ class IterationStats:
     matches_applied: int
     enodes: int
     classes: int
-    elapsed: float
+    #: wall-clock seconds; not persisted (0.0 on a report decoded from a store)
+    elapsed: float = 0.0
 
 
 @dataclass
@@ -165,8 +141,6 @@ class RunReport:
     stop_reason: StopReason
     iterations: List[IterationStats] = field(default_factory=list)
     total_time: float = 0.0
-    #: number of backoff ban events (0 unless ``RunnerConfig.backoff`` is on)
-    bans: int = 0
     #: per-rule telemetry, keyed by rule name in rule-set order
     rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
 
@@ -198,8 +172,6 @@ class Runner:
         report = self._run(egraph, rules)
         _RUNS[report.stop_reason.value].inc()
         _ITERATIONS.inc(report.num_iterations)
-        if report.bans:
-            _BANS.inc(report.bans)
         _SECONDS.observe(report.total_time)
         if obs.registry().enabled:
             _count_rule_matches(report.rule_stats)
@@ -217,17 +189,12 @@ class Runner:
         #: per-rule root classes of matches dropped by sampling, re-searched
         #: next iteration even though the cursor has moved past them
         pending_roots: Dict[int, set] = {}
-        #: backoff state: first iteration a banned rule may search again, and
-        #: how many times each rule has been banned (doubles its thresholds)
-        banned_until: Dict[int, int] = {}
-        ban_counts: Dict[int, int] = {}
 
         egraph.rebuild()
         for iteration in range(config.iter_limit):
             iter_start = time.perf_counter()
             matches_found = 0
             matches_applied = 0
-            bans_this_iteration = False
 
             enodes_before = egraph.num_enodes()
             merges_before = egraph.merges_performed
@@ -251,12 +218,6 @@ class Runner:
                     report.stop_reason = StopReason.TIME_LIMIT
                     report.total_time = time.perf_counter() - start
                     return report
-                if config.backoff and iteration < banned_until.get(id(rule), 0):
-                    # Banned: neither searched nor applied; its touch-log
-                    # cursor stays put, so on release it sees every class
-                    # that changed while it sat out.
-                    bans_this_iteration = True
-                    continue
                 dirty = None
                 if config.incremental and rule.incremental:
                     cursor = cursors.get(id(rule))
@@ -271,23 +232,6 @@ class Runner:
                 stats = report.rule_stats[rule.name]
                 stats.searches += 1
                 stats.search_seconds += time.perf_counter() - search_start
-                if config.backoff:
-                    offences = ban_counts.get(id(rule), 0)
-                    if len(matches) > (config.backoff_match_limit << offences):
-                        # Match count exploded: discard this search wholesale
-                        # and ban the rule, doubling limit and ban length per
-                        # repeat offence (egg's BackoffScheduler).  The
-                        # cursor is not advanced, so nothing is lost — the
-                        # matches are re-found when the ban expires; the
-                        # discarded search does not count into matches_found
-                        # (the stat tracks matches eligible for application).
-                        ban_counts[id(rule)] = offences + 1
-                        banned_until[id(rule)] = (
-                            iteration + 1 + (config.backoff_ban_length << offences)
-                        )
-                        report.bans += 1
-                        bans_this_iteration = True
-                        continue
                 matches_found += len(matches)
                 stats.found += len(matches)
                 searched.append((rule, matches, stats))
@@ -343,9 +287,7 @@ class Runner:
             )
             self._record(report, iteration, matches_found, matches_applied, egraph, iter_start)
 
-            # A quiet iteration only proves saturation if every rule actually
-            # got to search and apply; banned rules still hold back matches.
-            if not changed and not bans_this_iteration:
+            if not changed:
                 report.stop_reason = StopReason.SATURATED
                 break
             if time.perf_counter() - start > config.time_limit:

@@ -5,21 +5,17 @@ from repro.optimizer.pipeline import (
     OptimizationReport,
     PhaseTimes,
     PlanArtifact,
-    SporesOptimizer,
     compile_expression,
-    optimize,
 )
 from repro.optimizer.derivation import DerivationResult, derive
 from repro.optimizer.guards import DimGuard, TemplateGuard, derive_guard, exact_guard
 
 __all__ = [
     "OptimizerConfig",
-    "SporesOptimizer",
     "OptimizationReport",
     "PhaseTimes",
     "PlanArtifact",
     "compile_expression",
-    "optimize",
     "derive",
     "DimGuard",
     "TemplateGuard",

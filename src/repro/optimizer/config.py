@@ -30,9 +30,6 @@ class OptimizerConfig:
     ilp_time_limit: float = 10.0
     #: apply the post-lift LA clean-up pass
     simplify_output: bool = True
-    #: keep the optimized expression only if its estimated cost improves on
-    #: the input's (SystemML behaves the same way: rewrites must not regress)
-    keep_only_improvements: bool = True
     #: compare candidate plans after operator fusion, so a rewrite never
     #: destroys a fusible pattern (wsloss, wcemm, mmchain) that is cheaper
     #: than the rewritten form — the paper integrates fused operators into

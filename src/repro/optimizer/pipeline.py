@@ -3,9 +3,7 @@
 The core is the pure function :func:`compile_expression`: it takes an LA
 expression (a HOP-DAG root in SystemML terms) and returns a serializable
 :class:`PlanArtifact` — the equivalent, hopefully cheaper, expression plus
-its full lineage (report, fused physical plan).  The legacy ``optimize`` /
-:class:`SporesOptimizer` surface is a thin shim returning just the report.
-The phases:
+its full lineage (report, fused physical plan).  The phases:
 
 1. the DAG is split at *optimization barriers* (operators outside the
    sum-product fragment — element-wise division, ``exp``/``log``/…,
@@ -88,7 +86,9 @@ class OptimizationReport:
 
     original: la.LAExpr
     optimized: la.LAExpr
-    phase_times: PhaseTimes = field(default_factory=PhaseTimes)
+    #: ``None`` on a report decoded from a plan store: wall-clock readings
+    #: are not part of the persisted artifact
+    phase_times: Optional[PhaseTimes] = field(default_factory=PhaseTimes)
     saturation_reports: List[RunReport] = field(default_factory=list)
     original_cost: float = 0.0
     optimized_cost: float = 0.0
@@ -117,31 +117,6 @@ class OptimizationReport:
     @property
     def saturated(self) -> bool:
         return all(report.saturated for report in self.saturation_reports)
-
-
-class SporesOptimizer:
-    """Equality-saturation optimizer for LA expressions.
-
-    A thin object-style shim over the pure :func:`compile_expression` core,
-    kept for the legacy one-shot surface: ``optimize`` returns only the
-    :class:`OptimizationReport` and discards the rest of the artifact.
-    """
-
-    def __init__(self, config: Optional[OptimizerConfig] = None) -> None:
-        self.config = config or OptimizerConfig()
-        self.cost_model = LACostModel(ring=self.config.ring())
-
-    def optimize(self, expr: la.LAExpr) -> OptimizationReport:
-        """Optimize an LA expression and report phase timings and costs."""
-        return compile_expression(expr, self.config).report
-
-    def __call__(self, expr: la.LAExpr) -> la.LAExpr:
-        return self.optimize(expr).optimized
-
-
-def optimize(expr: la.LAExpr, config: Optional[OptimizerConfig] = None) -> OptimizationReport:
-    """Optimize ``expr`` with the given configuration (module-level shortcut)."""
-    return compile_expression(expr, config).report
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +190,8 @@ def _optimize_region(
     _check_budget(deadline, report)
     faults.check("optimizer.saturate", str(report.regions - 1))
     try:
-        # Each phase keeps its PhaseTimes accumulation (serialization and the
-        # compile-time figures depend on it) and additionally opens a trace
+        # Each phase keeps its PhaseTimes accumulation (the compile-time
+        # figures depend on it) and additionally opens a trace
         # span — spans carry tree structure and export; PhaseTimes stays the
         # cheap always-on aggregate.
         with _TRACER.span("compile.lower", region=report.regions - 1):
@@ -257,11 +232,12 @@ def _optimize_region(
         return expr
     report.phase_times += phase
 
-    if config.keep_only_improvements:
-        if _plan_cost(lifted, config, cost_model) > _plan_cost(expr, config, cost_model):
-            report.fallback_regions += 1
-            _REGION_FALLBACKS.inc()
-            return expr
+    # Rewrites must not regress (SystemML behaves the same way): keep the
+    # region's original when the extracted plan estimates costlier.
+    if _plan_cost(lifted, config, cost_model) > _plan_cost(expr, config, cost_model):
+        report.fallback_regions += 1
+        _REGION_FALLBACKS.inc()
+        return expr
     return lifted
 
 
@@ -313,9 +289,9 @@ class PlanArtifact:
     def fused(self) -> la.LAExpr:
         """The physical plan, fusing lazily on first access.
 
-        Legacy one-shot callers only read the report, so the fusion pass is
-        deferred until something (the Session, serialization) actually needs
-        the executable plan.  The computation is idempotent, making the
+        Callers that only read the report never pay the fusion pass; it runs
+        when something (the Session, serialization) actually needs the
+        executable plan.  The computation is idempotent, making the
         unsynchronized cache benign under concurrent access.
         """
         if self._fused is None:
@@ -339,6 +315,7 @@ class PlanArtifact:
         """
         report = self.report
         speedup = report.speedup_estimate
+        times = report.phase_times
         return {
             "original": str(self.original),
             "optimized": str(self.optimized),
@@ -351,11 +328,13 @@ class PlanArtifact:
             "speedup_estimate": speedup if math.isfinite(speedup) else None,
             "regions": report.regions,
             "fallback_regions": report.fallback_regions,
-            "phase_times": {
-                "translate": report.phase_times.translate,
-                "saturate": report.phase_times.saturate,
-                "extract": report.phase_times.extract,
-                "total": report.phase_times.total,
+            "phase_times": None
+            if times is None
+            else {
+                "translate": times.translate,
+                "saturate": times.saturate,
+                "extract": times.extract,
+                "total": times.total,
             },
             "saturation": [
                 {
@@ -364,8 +343,7 @@ class PlanArtifact:
                     "iterations": run.num_iterations,
                     "final_enodes": run.final_enodes,
                     "final_classes": run.final_classes,
-                    "bans": run.bans,
-                    "total_time": run.total_time,
+                    "total_time": None if times is None else run.total_time,
                 }
                 for run in report.saturation_reports
             ],
@@ -382,9 +360,7 @@ def compile_expression(
 
     This is the pipeline's single entry point and its only stateful-looking
     seam — a pure function of ``(expr, config)``: the same inputs always
-    produce the same artifact.  The Session API builds its plan cache on
-    it; :class:`SporesOptimizer` and :func:`optimize` are thin one-shot
-    shims that return just the artifact's report.
+    produce the same artifact.  The Session API builds its plan cache on it.
 
     ``budget`` bounds the whole compile's wall clock (seconds): on overrun
     — checked at phase boundaries — the compile raises
@@ -412,7 +388,7 @@ def compile_expression(
     report.optimized = optimized
     report.original_cost = cost_model.total(expr)
     report.optimized_cost = cost_model.total(optimized)
-    if config.keep_only_improvements and report.optimized_cost > report.original_cost:
+    if report.optimized_cost > report.original_cost:
         report.optimized = expr
         report.optimized_cost = report.original_cost
     return PlanArtifact(

@@ -840,9 +840,7 @@ class AbsorbOnes(Rule):
         return mk_join(egraph, others)
 
 
-def relational_rules(
-    include_expansive: bool = True, indexed: bool = True, ring=None
-) -> List[Rule]:
+def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
     """The full R_EQ rule set in a deterministic order.
 
     ``indexed=False`` builds the rules with the legacy full-scan searcher
@@ -868,9 +866,10 @@ def relational_rules(
         PushSumIntoAdd(),
         PullAddOutOfSum(),
         PullFactorOutOfSum(),
+        Distribute(),
+        Factor(),
+        PushFactorIntoSum(),
     ]
-    if include_expansive:
-        rules.extend([Distribute(), Factor(), PushFactorIntoSum()])
     if ring is not None and not ring.is_real:
         from repro.optimizer.ring_gate import gate_relational
 

@@ -20,7 +20,6 @@ back through both tiers.
 
 from repro.serialize.codec import (
     FORMAT_VERSION,
-    READABLE_VERSIONS,
     DeserializationError,
     SerializationError,
     decode_entry,
@@ -36,7 +35,6 @@ from repro.serialize.store import PlanStore, StoreStats
 
 __all__ = [
     "FORMAT_VERSION",
-    "READABLE_VERSIONS",
     "SerializationError",
     "DeserializationError",
     "encode_expression",

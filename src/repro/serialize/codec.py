@@ -16,9 +16,14 @@ loadable counterpart: a complete, versioned encoding of
   round-trip with their identity-carrying names intact, so inputs that
   share an axis still share it after a reload;
 * :class:`~repro.canonical.fingerprint.ExprSignature` slot layouts,
-  :class:`~repro.optimizer.pipeline.OptimizationReport` lineage (phase
-  times, costs, per-iteration saturation reports), and the full cached
-  unit of the Session API, :class:`~repro.api.plan.PlanEntry`.
+  :class:`~repro.optimizer.pipeline.OptimizationReport` lineage (costs,
+  per-iteration saturation counts), and the full cached unit of the
+  Session API, :class:`~repro.api.plan.PlanEntry`.
+
+A payload is a pure function of ``(expr, config)``: wall-clock readings
+(phase times, run and iteration durations) stay on the in-memory report
+and in the ``compile_seconds`` / ``saturation_seconds`` histograms and are
+never written, so two compiles of one expression encode byte-identically.
 
 Every payload carries :data:`FORMAT_VERSION`; :func:`decode_entry` refuses
 any other version (the store additionally salts its keys with the version,
@@ -43,9 +48,9 @@ from zlib import error as zlib_error
 from repro.egraph.runner import IterationStats, RunReport, StopReason
 from repro.lang import expr as la
 from repro.lang.dims import Dim, DimensionError, Shape
-from repro.canonical.fingerprint import ExprSignature, SlotSpec, signature_of
+from repro.canonical.fingerprint import ExprSignature, SlotSpec
 from repro.optimizer.guards import GuardError, TemplateGuard
-from repro.optimizer.pipeline import OptimizationReport, PhaseTimes, PlanArtifact
+from repro.optimizer.pipeline import OptimizationReport, PlanArtifact
 
 #: Version of the plan serialization format.  Bump on any change to the
 #: node-table layout, the payload fields, or the semantics of a stored
@@ -57,12 +62,6 @@ from repro.optimizer.pipeline import OptimizationReport, PhaseTimes, PlanArtifac
 #: :class:`~repro.optimizer.guards.TemplateGuard`, and payload *bytes* may
 #: be gzip-wrapped (see :func:`dumps_entry`).
 FORMAT_VERSION = 2
-
-#: Older format versions this build can still *read*.  v1 payloads decode
-#: with their signature upgraded in place (template digest and dim slots
-#: recomputed from the stored original expression) and a ``None`` guard —
-#: exact-match only, exactly the sharing semantics they were written under.
-READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 #: ``format`` tag carried by serialized plan payloads.
 PLAN_FORMAT = "spores-plan"
@@ -393,8 +392,6 @@ def decode_signature(payload: Any) -> ExprSignature:
 def _encode_run_report(run: RunReport) -> Dict[str, Any]:
     return {
         "stop_reason": run.stop_reason.value,
-        "total_time": _encode_float(run.total_time),
-        "bans": run.bans,
         "iterations": [
             {
                 "iteration": stats.iteration,
@@ -402,7 +399,6 @@ def _encode_run_report(run: RunReport) -> Dict[str, Any]:
                 "matches_applied": stats.matches_applied,
                 "enodes": stats.enodes,
                 "classes": stats.classes,
-                "elapsed": _encode_float(stats.elapsed),
             }
             for stats in run.iterations
         ],
@@ -433,28 +429,17 @@ def _decode_run_report(payload: Any) -> RunReport:
                     ),
                     enodes=_decode_int(stats["enodes"], "enodes"),
                     classes=_decode_int(stats["classes"], "classes"),
-                    elapsed=_decode_float(stats["elapsed"]),
                 )
             )
         except KeyError as error:
             raise DeserializationError(f"iteration {position}: missing {error}") from error
-    return RunReport(
-        stop_reason=stop_reason,
-        iterations=iterations,
-        total_time=_decode_float(payload.get("total_time", 0.0)),
-        bans=_decode_int(payload.get("bans", 0), "bans"),
-    )
+    return RunReport(stop_reason=stop_reason, iterations=iterations)
 
 
 def _encode_report(report: OptimizationReport, table: ExprTableEncoder) -> Dict[str, Any]:
     return {
         "original": table.add(report.original),
         "optimized": table.add(report.optimized),
-        "phase_times": {
-            "translate": _encode_float(report.phase_times.translate),
-            "saturate": _encode_float(report.phase_times.saturate),
-            "extract": _encode_float(report.phase_times.extract),
-        },
         "original_cost": _encode_float(report.original_cost),
         "optimized_cost": _encode_float(report.optimized_cost),
         "fallback_regions": report.fallback_regions,
@@ -468,20 +453,13 @@ def _encode_report(report: OptimizationReport, table: ExprTableEncoder) -> Dict[
 def _decode_report(payload: Any, table: ExprTableDecoder) -> OptimizationReport:
     if not isinstance(payload, dict):
         raise DeserializationError("optimization report must be an object")
-    phase_payload = payload.get("phase_times")
-    if not isinstance(phase_payload, dict):
-        raise DeserializationError("phase_times must be an object")
     runs_payload = payload.get("saturation_reports", [])
     if not isinstance(runs_payload, list):
         raise DeserializationError("saturation_reports must be a list")
     return OptimizationReport(
         original=table.root(payload.get("original")),
         optimized=table.root(payload.get("optimized")),
-        phase_times=PhaseTimes(
-            translate=_decode_float(phase_payload.get("translate", 0.0)),
-            saturate=_decode_float(phase_payload.get("saturate", 0.0)),
-            extract=_decode_float(phase_payload.get("extract", 0.0)),
-        ),
+        phase_times=None,
         saturation_reports=[_decode_run_report(run) for run in runs_payload],
         original_cost=_decode_float(payload.get("original_cost", 0.0)),
         optimized_cost=_decode_float(payload.get("optimized_cost", 0.0)),
@@ -524,20 +502,12 @@ def encode_entry(entry: "PlanEntry") -> Dict[str, Any]:  # noqa: F821
 
 
 def decode_entry(payload: Any) -> "PlanEntry":  # noqa: F821
-    """Inverse of :func:`encode_entry`; strict about version and structure.
-
-    Accepts every version in :data:`READABLE_VERSIONS`.  A v1 payload (no
-    template fields) is **upgraded in place**: the signature's template
-    digest and dim slots are recomputed from the stored original expression
-    (the digest is a pure function of structure, so the recomputation is
-    verified against the stored instance digest) and the guard decodes as
-    ``None`` — exact-match only, the sharing contract v1 was written under.
-    """
+    """Inverse of :func:`encode_entry`; strict about version and structure."""
     # Imported lazily: repro.api imports this package (via the Session's
     # disk tier), so a module-level import would be circular.
     from repro.api.plan import PlanEntry
 
-    version = _check_header(payload)
+    _check_header(payload)
     table = ExprTableDecoder(payload.get("exprs"))
     artifact_payload = payload.get("artifact")
     if not isinstance(artifact_payload, dict):
@@ -552,21 +522,12 @@ def decode_entry(payload: Any) -> "PlanEntry":  # noqa: F821
     )
     signature = decode_signature(payload.get("signature"))
     guard = None
-    if version >= 2:
-        guard_payload = payload.get("guard")
-        if guard_payload is not None:
-            try:
-                guard = TemplateGuard.from_json(guard_payload)
-            except GuardError as error:
-                raise DeserializationError(f"malformed guard: {error}") from error
-    elif not signature.template_digest:
-        upgraded = signature_of(artifact.original)
-        if upgraded.digest != signature.digest:
-            raise DeserializationError(
-                "v1 signature does not match its stored original expression "
-                f"({signature.digest[:12]} vs {upgraded.digest[:12]})"
-            )
-        signature = upgraded
+    guard_payload = payload.get("guard")
+    if guard_payload is not None:
+        try:
+            guard = TemplateGuard.from_json(guard_payload)
+        except GuardError as error:
+            raise DeserializationError(f"malformed guard: {error}") from error
     return PlanEntry(
         artifact=artifact,
         slot_plan=table.root(payload.get("slot_plan")),
@@ -610,16 +571,15 @@ def loads_entry(raw: bytes) -> "PlanEntry":  # noqa: F821
     return decode_entry(payload)
 
 
-def _check_header(payload: Any) -> int:
-    """Validate a payload's format tag and version; returns the version."""
+def _check_header(payload: Any) -> None:
+    """Validate a payload's format tag and version."""
     if not isinstance(payload, dict):
         raise DeserializationError("plan payload must be a JSON object")
     if payload.get("format") != PLAN_FORMAT:
         raise DeserializationError(f"not a {PLAN_FORMAT} payload")
     version = payload.get("format_version")
-    if version not in READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise DeserializationError(
             f"unsupported plan format version {version!r} "
-            f"(this build reads versions {sorted(READABLE_VERSIONS)})"
+            f"(this build reads version {FORMAT_VERSION})"
         )
-    return version

@@ -48,10 +48,6 @@ Key properties:
   compressed and plain entries (and mixed fleets) interoperate.  A
   truncated or bit-rotted gzip stream decodes as a miss like any other
   corruption.
-* **Forward migration.**  A current-key miss probes the v1-salted key;
-  a hit decodes through the codec's v1-compat path (exact-match guard)
-  and is re-saved under the current key, counted in
-  ``stats.migrations`` — upgrading a fleet never cold-starts it.
 
 Files the store did not write under a name it knows (for example the
 ``*.kernel.py`` sources older versions persisted) are ignored by every
@@ -64,7 +60,7 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import obs
@@ -91,10 +87,6 @@ STORE_FORMAT = "spores-plan-store"
 #: keyed by *template* digest; ``.tpl`` keeps them out of the entry count
 #: and the LRU GC — one small file per distinct workload shape)
 TEMPLATE_SUFFIX = ".tpl"
-
-#: format versions whose salted keys :meth:`PlanStore.load` probes after a
-#: current-version miss, migrating hits forward (oldest last)
-LEGACY_VERSIONS = (1,)
 
 logger = logging.getLogger(__name__)
 
@@ -123,9 +115,6 @@ _WRITES = {
 _STORE_EVICTIONS = obs.registry().counter(
     "plan_store_evictions_total", "Plan-store entries deleted by LRU GC"
 )
-_MIGRATIONS = obs.registry().counter(
-    "plan_store_migrations_total", "Legacy entries re-saved under the current key"
-)
 
 
 @dataclass
@@ -145,21 +134,9 @@ class StoreStats:
     template_hits: int = 0
     #: template-tier probes that found nothing
     template_misses: int = 0
-    #: legacy-format entries transparently re-saved under the current key
-    migrations: int = 0
 
     def snapshot(self) -> "StoreStats":
-        return StoreStats(
-            self.hits,
-            self.misses,
-            self.writes,
-            self.load_errors,
-            self.write_errors,
-            self.evictions,
-            self.template_hits,
-            self.template_misses,
-            self.migrations,
-        )
+        return replace(self)
 
 
 #: sentinel distinguishing "file absent" from "file present but undecodable"
@@ -202,17 +179,10 @@ class PlanStore:
 
         Missing files are misses; corrupt, truncated or incompatible files
         are *also* misses (counted separately), so callers can always fall
-        back to compiling.  A current-key miss additionally probes the
-        legacy v1-salted keys: a hit there is decoded through the codec's
-        v1-compat path, counted as a hit plus a ``migration``, and
-        re-saved under the current key so the next process finds it
-        directly.
+        back to compiling.
         """
         entry = self._load_payload(self._entry_path(digest))
         if entry is _MISSING:
-            migrated = self._migrate_legacy(digest)
-            if migrated is not None:
-                return migrated
             with self._lock:
                 self.stats.misses += 1
             _LOADS["miss"].inc()
@@ -295,33 +265,6 @@ class PlanStore:
                 self._last_error,
             )
             return None
-
-    def _migrate_legacy(self, digest: str) -> Optional["PlanEntry"]:
-        """Probe v1-salted keys after a current-key miss; migrate on a hit."""
-        for version in LEGACY_VERSIONS:
-            legacy_key = store_key(digest, version, self.config_digest)
-            entry = self._load_payload(os.path.join(self.path, f"{legacy_key}.json"))
-            if entry is _MISSING or entry is None:
-                continue
-            if entry.signature.digest != digest:
-                continue
-            with self._lock:
-                self.stats.hits += 1
-                self.stats.migrations += 1
-            _LOADS["hit"].inc()
-            _MIGRATIONS.inc()
-            logger.info("migrated legacy store entry for %s", digest[:12])
-            # Re-home the entry under the current format and retire the
-            # legacy file (both best-effort): its key can never be probed
-            # by a same-version store again, and leaving it would double
-            # the directory footprint on unbounded stores.
-            if self.save(digest, entry):
-                try:
-                    os.unlink(os.path.join(self.path, f"{legacy_key}.json"))
-                except OSError:
-                    pass
-            return entry
-        return None
 
     @staticmethod
     def _touch(path: str) -> None:
@@ -522,15 +465,7 @@ class PlanStore:
             "format_version": FORMAT_VERSION,
             "config_digest": self.config_digest,
             "compress": self.compress,
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "writes": stats.writes,
-            "load_errors": stats.load_errors,
-            "write_errors": stats.write_errors,
-            "evictions": stats.evictions,
-            "template_hits": stats.template_hits,
-            "template_misses": stats.template_misses,
-            "migrations": stats.migrations,
+            **asdict(stats),
             "manifest_stale": self._read_manifest() != self.manifest,
             "last_error": last_error,
         }

@@ -33,9 +33,7 @@ The serving fast path executes each plan's one executable
 steps are fusion regions under real arithmetic, see ``docs/codegen.md``)
 with pinned-parameter step reuse, columnwise stacking of same-plan matvecs
 and a bounded result cache per shard — bitwise identical to the reference
-interpreter, minus its per-intermediate bufferpool accounting.  Set
-``reuse_steps=False`` / ``result_cache_size=0`` to serve strictly
-statelessly.
+interpreter, minus its per-intermediate bufferpool accounting.
 
 **Reliability** (:mod:`repro.reliability` threaded end to end):
 
@@ -68,7 +66,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
@@ -86,6 +84,7 @@ from repro.runtime.engine import ExecutionResult
 from repro.serialize.store import PlanStore
 from repro.serve.worker import (
     DeadlineExceededError,
+    ServingCounters,
     ShardRequest,
     ShardWorker,
     _fail,
@@ -104,6 +103,9 @@ _REROUTED = obs.registry().counter(
     "serve_rerouted_total", "Submissions diverted to a sibling shard by an open breaker"
 )
 
+#: entries in the engine's expression-identity -> signature memo
+SIGNATURE_MEMO_SIZE = 1024
+
 
 class QueueFullError(RuntimeError):
     """A deadline-bearing request found its shard queue full for too long.
@@ -118,33 +120,17 @@ class QueueFullError(RuntimeError):
 
 
 @dataclass
-class EngineStats:
-    """An aggregate, JSON-serializable view of a :class:`ServingEngine`."""
+class EngineStats(ServingCounters):
+    """An aggregate, JSON-serializable view of a :class:`ServingEngine`:
+    the shards' :class:`ServingCounters` summed, plus the engine's own."""
 
     shards: int = 0
     submitted: int = 0
-    served: int = 0
-    errors: int = 0
-    #: requests rejected unserved: expired in queue (worker sheds) plus
-    #: deadline-bearing submissions that found their queue full
-    sheds: int = 0
     compilations: int = 0
     #: instance compiles avoided by specializing a cached plan template
     template_hits: int = 0
     unique_fingerprints: int = 0
     unique_templates: int = 0
-    result_cache_hits: int = 0
-    step_reuse_hits: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    #: stacked matmat executions and the requests they answered (columnwise
-    #: numeric batching, see ``ShardWorker._serve_stacked``)
-    stacked_batches: int = 0
-    stacked_requests: int = 0
-    #: requests answered by a degraded (unoptimized baseline) plan
-    degraded: int = 0
-    #: transient failures retried in place by shard workers
-    retries: int = 0
     #: crashed/wedged shards replaced by the supervisor
     restarts: int = 0
     #: submissions routed to a sibling because the home breaker was open
@@ -162,32 +148,7 @@ class EngineStats:
     per_shard: List[Dict[str, object]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "shards": self.shards,
-            "submitted": self.submitted,
-            "served": self.served,
-            "errors": self.errors,
-            "sheds": self.sheds,
-            "compilations": self.compilations,
-            "template_hits": self.template_hits,
-            "unique_fingerprints": self.unique_fingerprints,
-            "unique_templates": self.unique_templates,
-            "result_cache_hits": self.result_cache_hits,
-            "step_reuse_hits": self.step_reuse_hits,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "stacked_batches": self.stacked_batches,
-            "stacked_requests": self.stacked_requests,
-            "degraded": self.degraded,
-            "retries": self.retries,
-            "restarts": self.restarts,
-            "rerouted": self.rerouted,
-            "throughput": self.throughput,
-            "p50_latency": self.p50_latency,
-            "p95_latency": self.p95_latency,
-            "hit_rate": self.hit_rate,
-            "per_shard": self.per_shard,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class ServingEngine:
@@ -199,13 +160,9 @@ class ServingEngine:
         config: Optional[OptimizerConfig] = None,
         store: Optional[PlanStore] = None,
         store_path: Optional[str] = None,
-        store_max_entries: Optional[int] = None,
         cache_size_per_shard: int = 64,
         queue_depth: int = 256,
         max_batch: int = 16,
-        result_cache_size: int = 256,
-        reuse_steps: bool = True,
-        signature_memo_size: int = 1024,
         default_deadline: Optional[float] = None,
         optimizer_budget: Optional[float] = None,
         degrade_on_error: bool = False,
@@ -233,12 +190,7 @@ class ServingEngine:
         self.heartbeat_timeout = heartbeat_timeout
         self._supervision_interval = supervision_interval
         if store is None and store_path is not None:
-            store = PlanStore(
-                store_path,
-                self.config,
-                max_entries=store_max_entries,
-                fault_injector=fault_injector,
-            )
+            store = PlanStore(store_path, self.config, fault_injector=fault_injector)
         #: the one persistent tier every shard writes through (may be None)
         self.store = store
         #: everything a replacement worker/session needs — the supervisor
@@ -252,8 +204,7 @@ class ServingEngine:
             fault_injector=fault_injector,
         )
         #: private always-enabled registry backing the engine's latency
-        #: accounting: one shared reservoir the shard workers observe into
-        #: replaces the per-shard sample-list copies stats() used to merge.
+        #: accounting: one shared reservoir the shard workers observe into.
         #: It is engine-owned (not per-worker) so the reservoir survives
         #: supervisor restarts, and always-enabled so p50/p95 report whether
         #: or not the process opted into the global obs registry.
@@ -265,8 +216,6 @@ class ServingEngine:
         self._worker_kwargs = dict(
             queue_depth=queue_depth,
             max_batch=max_batch,
-            result_cache_size=result_cache_size,
-            reuse_steps=reuse_steps,
             retry_policy=retry_policy,
             faults=self.faults,
             latency_histogram=self._latency,
@@ -308,7 +257,6 @@ class ServingEngine:
         #: expression-identity -> signature memo; holds strong references so
         #: an id can never be recycled while its entry lives
         self._signatures: "OrderedDict[int, Tuple[la.LAExpr, ExprSignature]]" = OrderedDict()
-        self._signature_memo_size = max(0, signature_memo_size)
         for shard in self.shards:
             shard.start()
         self._stop_supervisor = threading.Event()
@@ -336,12 +284,11 @@ class ServingEngine:
                 self._signatures.move_to_end(key)
                 return entry[1]
         signature = signature_of(expr)
-        if self._signature_memo_size:
-            with self._lock:
-                self._signatures[key] = (expr, signature)
-                self._signatures.move_to_end(key)
-                while len(self._signatures) > self._signature_memo_size:
-                    self._signatures.popitem(last=False)
+        with self._lock:
+            self._signatures[key] = (expr, signature)
+            self._signatures.move_to_end(key)
+            while len(self._signatures) > SIGNATURE_MEMO_SIZE:
+                self._signatures.popitem(last=False)
         return signature
 
     def shard_of(self, digest: str) -> int:
@@ -630,7 +577,6 @@ class ServingEngine:
         )
         replacement._results = dead._results
         replacement.counters = dead.counters
-        replacement.latencies = dead.latencies
         self._breakers[index].record_failure()
         with self._lock:
             self._restarts[index] += 1
@@ -714,7 +660,12 @@ class ServingEngine:
     def stats(self) -> EngineStats:
         """Aggregate the shard snapshots into one engine-level record."""
         snapshots = [shard.snapshot() for shard in self.shards]
-        served = sum(int(snap["served"]) for snap in snapshots)
+
+        def total(name: str) -> int:
+            return sum(int(snap[name]) for snap in snapshots)
+
+        counters = {f.name: total(f.name) for f in fields(ServingCounters)}
+        served = counters["served"]
         with self._lock:
             submitted = self._submitted
             queue_sheds = self._queue_sheds
@@ -725,38 +676,28 @@ class ServingEngine:
         throughput = 0.0
         if served and first_submit is not None and last_completion > first_submit:
             throughput = served / (last_completion - first_submit)
-        # Quantiles come straight from the shared latency histogram the
-        # workers observe into — one bounded reservoir instead of a list
-        # copy per shard per stats() call, same nearest-rank estimator.
-        p50 = self._latency.quantile(0.5)
-        p95 = self._latency.quantile(0.95)
         compilations = self.compilations
         # Clamped: a compile whose requests then all failed binding counts
         # in compilations but not in served.
         hit_rate = max(0.0, served - compilations) / served if served else 0.0
+        # Deadline-bearing submissions rejected at a full queue never reach
+        # a shard; they are sheds all the same.
+        counters["sheds"] += queue_sheds
         return EngineStats(
+            **counters,
             shards=len(self.shards),
             submitted=submitted,
-            served=served,
-            errors=sum(int(snap["errors"]) for snap in snapshots),
-            sheds=queue_sheds + sum(int(snap["sheds"]) for snap in snapshots),
             compilations=compilations,
-            template_hits=sum(int(snap["template_hits"]) for snap in snapshots),
-            unique_fingerprints=sum(int(snap["unique_fingerprints"]) for snap in snapshots),
-            unique_templates=sum(int(snap["unique_templates"]) for snap in snapshots),
-            result_cache_hits=sum(int(snap["result_cache_hits"]) for snap in snapshots),
-            step_reuse_hits=sum(int(snap["step_reuse_hits"]) for snap in snapshots),
-            batches=sum(int(snap["batches"]) for snap in snapshots),
-            batched_requests=sum(int(snap["batched_requests"]) for snap in snapshots),
-            stacked_batches=sum(int(snap["stacked_batches"]) for snap in snapshots),
-            stacked_requests=sum(int(snap["stacked_requests"]) for snap in snapshots),
-            degraded=sum(int(snap["degraded"]) for snap in snapshots),
-            retries=sum(int(snap["retries"]) for snap in snapshots),
+            template_hits=total("template_hits"),
+            unique_fingerprints=total("unique_fingerprints"),
+            unique_templates=total("unique_templates"),
             restarts=restarts,
             rerouted=rerouted,
             throughput=throughput,
-            p50_latency=p50,
-            p95_latency=p95,
+            # Quantiles come straight from the shared latency histogram the
+            # workers observe into (nearest-rank over a bounded reservoir).
+            p50_latency=self._latency.quantile(0.5),
+            p95_latency=self._latency.quantile(0.95),
             hit_rate=hit_rate,
             per_shard=snapshots,
         )

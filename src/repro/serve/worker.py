@@ -62,9 +62,9 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -85,6 +85,9 @@ from repro.runtime.tape import StepReuseCache, TapePlan
 
 #: sentinel closing a shard's queue
 _STOP = object()
+
+#: entries in a shard's (fingerprint, input identities) -> result memo
+RESULT_CACHE_SIZE = 256
 
 _TRACER = obs.tracer()
 
@@ -192,16 +195,28 @@ class _PlanState:
 
     plan: CompiledPlan
     tape: TapePlan
-    reuse: Optional[StepReuseCache]
+    reuse: StepReuseCache
     batch: _BatchState = field(default_factory=lambda: _BatchState(slot=None))
 
 
 @dataclass
-class ShardCounters:
-    """Monotonic counters one shard maintains (read under the shard lock)."""
+class ServingCounters:
+    """The serving counters, declared once.
+
+    A shard counts them (:class:`ShardCounters`), its ``snapshot()`` copies
+    them and the engine's ``EngineStats`` sums them across shards — each by
+    :func:`dataclasses.fields`, so a new counter is one line here.
+    """
 
     served: int = 0
     errors: int = 0
+    #: requests rejected unserved because their deadline had already passed
+    #: (the engine adds deadline-bearing submissions that found a full queue)
+    sheds: int = 0
+    #: transient execution failures retried in place (never past a deadline)
+    retries: int = 0
+    #: requests answered by a degraded (unoptimized baseline) plan
+    degraded: int = 0
     batches: int = 0
     #: requests that shared their batch-group with at least one other
     batched_requests: int = 0
@@ -211,13 +226,13 @@ class ShardCounters:
     stacked_requests: int = 0
     result_cache_hits: int = 0
     step_reuse_hits: int = 0
+
+
+@dataclass
+class ShardCounters(ServingCounters):
+    """What one shard maintains (read under the shard lock)."""
+
     step_reuse_misses: int = 0
-    #: requests dropped unserved because their deadline had already passed
-    sheds: int = 0
-    #: transient execution failures retried in place (never past a deadline)
-    retries: int = 0
-    #: requests answered by a degraded (unoptimized baseline) plan
-    degraded: int = 0
     #: perf_counter timestamp of the most recent completion
     last_completion: float = 0.0
     #: fingerprints this shard has ever served (plans may since be evicted)
@@ -235,9 +250,6 @@ class ShardWorker:
         session: Session,
         queue_depth: int = 256,
         max_batch: int = 16,
-        result_cache_size: int = 256,
-        reuse_steps: bool = True,
-        latency_window: int = 4096,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         faults: FaultInjector = NO_FAULTS,
@@ -246,14 +258,11 @@ class ShardWorker:
         self.index = index
         self.session = session
         self.max_batch = max(1, max_batch)
-        self.reuse_steps = reuse_steps
-        self.result_cache_size = result_cache_size
         self.retry_policy = retry_policy
         self.breaker = breaker
         self.faults = faults
-        #: engine-owned always-enabled latency histogram shared by the pool;
-        #: the local deque keeps the per-shard view, this keeps the fleet
-        #: view (and, living in the engine, survives shard restarts)
+        #: engine-owned always-enabled latency histogram shared by the pool
+        #: (living in the engine, it survives shard restarts)
         self.latency_histogram = latency_histogram
         #: pass-through for TapePlan.execute: None keeps its fast path when
         #: injection is off (the default singleton never fires)
@@ -262,7 +271,6 @@ class ShardWorker:
         )
         self.queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_depth)
         self.counters = ShardCounters()
-        self.latencies: "deque[float]" = deque(maxlen=latency_window)
         self._lock = threading.Lock()
         #: requests of the in-flight batch; left in place by a crash so the
         #: supervisor can requeue exactly the unresolved ones
@@ -291,9 +299,21 @@ class ShardWorker:
         self.thread.start()
 
     def stop(self, timeout: Optional[float] = None) -> None:
-        """Ask the worker to finish queued work and exit, then join it."""
-        self.queue.put(_STOP)
-        self.thread.join(timeout)
+        """Ask the worker to finish queued work and exit, then join it.
+
+        Only a live worker drains its queue: behind a crashed one a blocking
+        put on a full queue would never return, so the sentinel is offered
+        only while the thread lives and only until ``timeout`` runs out.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self.thread.is_alive():
+            try:
+                self.queue.put(_STOP, timeout=0.05)
+                break
+            except queue.Full:
+                if deadline is not None and time.monotonic() >= deadline:
+                    return
+        self.thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
 
     # -- the worker loop -------------------------------------------------------
     def _run(self) -> None:
@@ -449,7 +469,7 @@ class ShardWorker:
             state = _PlanState(
                 plan=plan,
                 tape=plan.executable(),
-                reuse=StepReuseCache() if self.reuse_steps else None,
+                reuse=StepReuseCache(),
                 batch=_BatchState(
                     slot=stackable_slot(
                         plan._entry.slot_plan, len(request.signature.slots)
@@ -475,11 +495,10 @@ class ShardWorker:
 
     def _retire(self, state: _PlanState) -> None:
         """Fold a retiring plan's reuse counters into the shard totals."""
-        if state.reuse is not None:
-            with self._lock:
-                self.counters.step_reuse_hits += state.reuse.hits
-                self.counters.step_reuse_misses += state.reuse.misses
-            state.reuse.hits = state.reuse.misses = 0
+        with self._lock:
+            self.counters.step_reuse_hits += state.reuse.hits
+            self.counters.step_reuse_misses += state.reuse.misses
+        state.reuse.hits = state.reuse.misses = 0
 
     def _shed(self, request: ShardRequest, reason: str = "in queue") -> None:
         """Drop an expired request with the typed shed error (counted)."""
@@ -563,7 +582,6 @@ class ShardWorker:
                 if degraded:
                     self.counters.degraded += 1
                 self.counters.last_completion = now
-                self.latencies.append(latency)
             if self.latency_histogram is not None:
                 self.latency_histogram.observe(latency)
             _REQUESTS["ok"].inc()
@@ -703,10 +721,9 @@ class ShardWorker:
         else:
             with _TRACER.span("serve.execute", steps=len(state.tape)):
                 result = state.tape.execute(values, state.reuse, self._tape_faults)
-        if self.result_cache_size > 0:
-            self._results[key] = (values, result)
-            while len(self._results) > self.result_cache_size:
-                self._results.popitem(last=False)
+        self._results[key] = (values, result)
+        while len(self._results) > RESULT_CACHE_SIZE:
+            self._results.popitem(last=False)
         return result
 
     # -- supervision -----------------------------------------------------------
@@ -739,30 +756,17 @@ class ShardWorker:
         cache_stats = self.session.cache.stats_snapshot()
         with self._lock:
             counters = self.counters
-            live_hits = sum(
-                s.reuse.hits for s in self._plans.values() if s.reuse is not None
+            record: Dict[str, object] = {"shard": self.index}
+            record.update(
+                (f.name, getattr(counters, f.name)) for f in fields(ServingCounters)
             )
-            live_misses = sum(
-                s.reuse.misses for s in self._plans.values() if s.reuse is not None
+            # Live plans' reuse counts are folded in on retirement only.
+            record["step_reuse_hits"] += sum(s.reuse.hits for s in self._plans.values())
+            record["step_reuse_misses"] = counters.step_reuse_misses + sum(
+                s.reuse.misses for s in self._plans.values()
             )
-            record = {
-                "shard": self.index,
-                "served": counters.served,
-                "errors": counters.errors,
-                "sheds": counters.sheds,
-                "retries": counters.retries,
-                "degraded": counters.degraded,
-                "batches": counters.batches,
-                "batched_requests": counters.batched_requests,
-                "stacked_batches": counters.stacked_batches,
-                "stacked_requests": counters.stacked_requests,
-                "result_cache_hits": counters.result_cache_hits,
-                "step_reuse_hits": counters.step_reuse_hits + live_hits,
-                "step_reuse_misses": counters.step_reuse_misses + live_misses,
-                "unique_fingerprints": len(counters.seen_fingerprints),
-                "unique_templates": len(counters.seen_templates),
-                "latency_samples": len(self.latencies),
-            }
+            record["unique_fingerprints"] = len(counters.seen_fingerprints)
+            record["unique_templates"] = len(counters.seen_templates)
         if self.breaker is not None:
             record["breaker"] = self.breaker.state
         compilations = self.session.compilations
@@ -782,10 +786,6 @@ class ShardWorker:
             }
         )
         return record
-
-    def latency_samples(self) -> List[float]:
-        with self._lock:
-            return list(self.latencies)
 
     def last_completion(self) -> float:
         with self._lock:

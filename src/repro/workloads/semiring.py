@@ -20,8 +20,9 @@ Both families carry a ``two_hop`` root, ``Sum(A ⊗ A)`` — the cheapest
 two-hop path weight under min-plus, "does any length-2 path exist" under
 bool.  Naively it materialises the n×n ⊗-product (O(n³) work); the
 distributivity-only factoring the optimizer finds
-(``sum(rowSums(t(A)) * rowSums(A))``) needs O(n²) — the headline win of
-``benchmarks/bench_semiring.py``, achieved without any real-only rule.
+(``sum(rowSums(t(A)) * rowSums(A))``) needs O(n²) — achieved without any
+real-only rule (``test_two_hop_plans_avoid_the_cubic_matmul``; the
+SSSP/REACH rows of ``benchmarks/e2e``'s ``exec_warm`` time it).
 
 Every input is generated as a dyadic rational (``k/64``), so ⊗-products and
 the few-term ⊕-folds are exact in float64 and *any* re-association the

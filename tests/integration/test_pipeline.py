@@ -6,7 +6,7 @@ from repro.cost import LACostModel
 from repro.lang import ColSums, Dim, Matrix, RowSums, Sum, Vector
 from repro.lang import expr as la
 from repro.lang.builder import log
-from repro.optimizer import OptimizerConfig, SporesOptimizer, optimize
+from repro.optimizer import OptimizerConfig, compile_expression
 from repro.runtime import fuse_operators
 from tests.helpers import assert_same_result, numeric_inputs, run_la, standard_symbols
 
@@ -20,7 +20,7 @@ def spores(expr, extractor="greedy", **runner_overrides):
     )
     for key, value in runner_overrides.items():
         setattr(config.runner, key, value)
-    return SporesOptimizer(config).optimize(expr)
+    return compile_expression(expr, config).report
 
 
 class TestPipelineBasics:
@@ -84,7 +84,7 @@ class TestPaperCaseStudies:
         # three-term expansion sum(X^2) - 2 sum(X*u*v^T) + sum(u^2) sum(v^2)
         # and avoid the dense m-by-n outer product entirely.
         config = OptimizerConfig.sampling_greedy(fusion_aware=False)
-        report = SporesOptimizer(config).optimize(expr)
+        report = compile_expression(expr, config).report
         assert report.optimized_cost < 0.05 * report.original_cost
         assert report.speedup_estimate > 20
         assert not any(
@@ -160,7 +160,7 @@ class TestPaperCaseStudies:
 class TestModuleLevelHelpers:
     def test_optimize_shortcut(self):
         symbols = standard_symbols()
-        report = optimize(Sum(symbols["X"]), OptimizerConfig.sampling_greedy())
+        report = compile_expression(Sum(symbols["X"]), OptimizerConfig.sampling_greedy()).report
         assert report.optimized is not None
 
     def test_config_presets(self):
@@ -172,6 +172,7 @@ class TestModuleLevelHelpers:
 
     def test_callable_interface(self):
         symbols = standard_symbols()
-        optimizer = SporesOptimizer(OptimizerConfig.sampling_greedy())
-        result = optimizer(Sum(symbols["X"] * symbols["Y"]))
-        assert isinstance(result, la.LAExpr)
+        artifact = compile_expression(
+            Sum(symbols["X"] * symbols["Y"]), OptimizerConfig.sampling_greedy()
+        )
+        assert isinstance(artifact.optimized, la.LAExpr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.optimizer import OptimizerConfig, SporesOptimizer
+from repro.optimizer import OptimizerConfig, compile_expression
 from repro.runtime import execute, fuse_operators
 from repro.workloads import get_workload, workload_names
 
@@ -27,11 +27,10 @@ def session():
 def test_session_matches_legacy_path(name, session):
     workload = get_workload(name, "S")
     inputs = workload.inputs(seed=0)
-    optimizer = SporesOptimizer(CONFIG)
     session_results = workload.run_session(session, seed=0)
     assert set(session_results) == set(workload.roots)
     for root_name, root in workload.roots.items():
-        legacy_plan = fuse_operators(optimizer.optimize(root).optimized)
+        legacy_plan = fuse_operators(compile_expression(root, CONFIG).optimized)
         legacy = execute(legacy_plan, inputs).to_dense()
         np.testing.assert_allclose(
             session_results[root_name].to_dense(), legacy, rtol=1e-5, atol=1e-5,

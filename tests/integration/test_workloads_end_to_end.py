@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from repro.cost import LACostModel
-from repro.optimizer import OptimizerConfig, SporesOptimizer
+from repro.optimizer import OptimizerConfig, compile_expression
 from repro.runtime import execute, fuse_operators
 from repro.systemml import optimize_base, optimize_opt2
 from repro.workloads import get_workload, workload_names
 
 
 COST = LACostModel()
-SPORES = SporesOptimizer(OptimizerConfig.sampling_greedy())
+SPORES = OptimizerConfig.sampling_greedy()
 
 
 def plans_for(root):
     base = optimize_base(root).optimized
     opt2 = fuse_operators(optimize_opt2(root).optimized)
-    spores_plan = fuse_operators(SPORES.optimize(root).optimized)
+    spores_plan = fuse_operators(compile_expression(root, SPORES).optimized)
     return {"base": base, "opt2": opt2, "spores": spores_plan}
 
 

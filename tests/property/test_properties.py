@@ -17,7 +17,7 @@ from repro.canonical import canonicalize, polyterms_isomorphic
 from repro.cost import LACostModel
 from repro.egraph import EGraph, Runner, RunnerConfig, UnionFind
 from repro.extract import GreedyExtractor
-from repro.optimizer import OptimizerConfig, SporesOptimizer
+from repro.optimizer import OptimizerConfig, compile_expression
 from repro.rules import relational_rules
 from repro.translate import lower
 from tests.helpers import (
@@ -69,13 +69,13 @@ class TestOptimizerProperties:
     @given(expr=la_expressions(), seed=st.integers(0, 100))
     def test_optimizer_preserves_semantics(self, expr, seed):
         inputs = numeric_inputs(seed)
-        report = SporesOptimizer(FAST).optimize(expr)
+        report = compile_expression(expr, FAST).report
         assert_same_result(run_la(expr, inputs), run_la(report.optimized, inputs))
 
     @SETTINGS
     @given(expr=la_expressions())
     def test_optimizer_never_increases_estimated_cost(self, expr):
-        report = SporesOptimizer(FAST).optimize(expr)
+        report = compile_expression(expr, FAST).report
         assert COST.total(report.optimized) <= COST.total(expr) * (1 + 1e-9)
 
     @SETTINGS

@@ -357,7 +357,9 @@ class TestBenchGateMissingBaseline:
         gate = _load_check_regression()
         current = tmp_path / "run"
         current.mkdir()
-        (current / "BENCH_plan_store.json").write_text(json.dumps({"wrong": 1}))
+        (current / "BENCH_resilience.json").write_text(
+            json.dumps({"headline": {"name": "x", "value": "fast"}})
+        )
         code = gate.check(str(tmp_path / "missing"), str(current), 0.30)
         assert code == 1
         assert "malformed headline" in capsys.readouterr().out

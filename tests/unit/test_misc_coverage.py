@@ -7,7 +7,7 @@ from repro.egraph.runner import RunnerConfig
 from repro.lang import Dim, Matrix, Sum
 from repro.lang import expr as la
 from repro.lang.printer import pretty
-from repro.optimizer import OptimizerConfig, SporesOptimizer, derive
+from repro.optimizer import OptimizerConfig, compile_expression, derive
 from repro.optimizer.pipeline import PhaseTimes
 from repro.ra.attrs import Attr
 from repro.ra.rexpr import RLit, RVar, radd, rjoin, rsum
@@ -110,7 +110,7 @@ class TestDerivationAndReports:
         symbols = standard_symbols()
         config = OptimizerConfig.sampling_greedy()
         config.runner = RunnerConfig(iter_limit=4, node_limit=2_000, time_limit=2.0)
-        report = SporesOptimizer(config).optimize(Sum(symbols["A"] @ symbols["B"]))
+        report = compile_expression(Sum(symbols["A"] @ symbols["B"]), config).report
         assert report.speedup_estimate >= 1.0
         assert isinstance(report.saturated, bool)
         assert report.regions == 1

@@ -302,8 +302,15 @@ class TestLogging:
         assert any("circuit breaker opened" in r.message for r in caplog.records)
 
 
-def _compile_loss_plan():
+@pytest.fixture(scope="module")
+def loss_session():
+    """One session + compiled loss shared by the profiler tests.
+
+    Profiling does not depend on the extractor, so this uses the suite's
+    usual greedy preset rather than paying the default ILP extraction.
+    """
     from repro.api import Session
+    from repro.optimizer import OptimizerConfig
 
     m, n = Dim("m", 40), Dim("n", 20)
     X = Matrix("X", m, n, sparsity=0.1)
@@ -315,19 +322,18 @@ def _compile_loss_plan():
         "u": MatrixValue.random_dense(40, 1, rng),
         "v": MatrixValue.random_dense(20, 1, rng),
     }
-    return Session().compile(expr), inputs
+    session = Session(OptimizerConfig.sampling_greedy())
+    session.compile(expr)
+    return session, expr, inputs
 
 
 @pytest.fixture(scope="module")
-def loss_plan():
-    """One compiled plan shared by the profiler tests (compiles are slow)."""
-    return _compile_loss_plan()
+def loss_plan(loss_session):
+    session, expr, inputs = loss_session
+    return session.compile(expr), inputs
 
 
 class TestTapeProfiler:
-    def _plan(self):
-        return _compile_loss_plan()
-
     def test_profile_reconciles_with_cost_model(self, loss_plan):
         plan, inputs = loss_plan
         report = plan.profile(inputs, runs=3)
@@ -347,8 +353,9 @@ class TestTapeProfiler:
         # measured nnz is populated from real execution values
         assert any(step.nnz for step in report.steps)
 
-    def test_profile_surfaces_in_explain_and_to_dict(self):
-        plan, inputs = self._plan()
+    def test_profile_surfaces_in_explain_and_to_dict(self, loss_session):
+        session, expr, inputs = loss_session
+        plan = session.compile(expr)  # a cache hit: a fresh, unprofiled view
         assert "profile" not in plan.explain()
         plan.profile(inputs)
         text = plan.explain()

@@ -159,6 +159,11 @@ class TestSessionStoreIntegration:
         assert plan.cache_hit, "a disk hit is a cache hit"
         assert cold.compilations == 0
         assert plan.run(inputs).scalar() == pytest.approx(baseline, rel=1e-9)
+        # timings are not persisted: a loaded plan says so, it prints no 0.0 ms
+        assert "saturate" in first.explain()
+        assert "loaded from a plan store" in plan.explain()
+        assert "saturate" not in plan.explain()
+        assert plan.to_dict()["phase_times"] is None
 
     def test_disk_hit_extends_lookup_after_miss_semantics(self, tmp_path):
         Session(config(), store_path=tmp_path).compile(make_loss())

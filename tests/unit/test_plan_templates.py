@@ -318,8 +318,9 @@ class TestStoreTemplateTier:
         want = greedy_session().compile(make_loss(rows=600)).run(inputs).scalar()
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_v1_entry_migrates_forward(self, tmp_path):
-        """A v1-format payload under a v1-salted key loads and re-homes."""
+    def test_v1_tagged_payload_is_a_counted_load_error_then_a_compile(self, tmp_path):
+        """No v1 reader is left: a stray v1 payload under the current key is
+        rejected by the header check — never an exception, never a hit."""
         expr = make_loss()
         signature = signature_of(expr)
         cfg = config()
@@ -332,28 +333,19 @@ class TestStoreTemplateTier:
             signature=signature,
         )
         payload = json.loads(dumps_entry(entry).decode())
-        # Downgrade the payload to the v1 shape: old version tag, no guard,
-        # no template fields in the signature.
         payload["format_version"] = 1
-        del payload["guard"]
-        del payload["signature"]["template_digest"]
-        del payload["signature"]["dims"]
-        v1_key = store_key(signature.digest, 1, cfg.digest())
-        (tmp_path / f"{v1_key}.json").write_text(json.dumps(payload))
+        key = store_key(signature.digest, FORMAT_VERSION, cfg.digest())
+        (tmp_path / f"{key}.json").write_text(json.dumps(payload))
 
         session = Session(cfg, store_path=tmp_path)
         plan = session.compile(expr)
-        assert plan.cache_hit and not plan.template_hit
-        assert session.compilations == 0
+        assert not plan.cache_hit
+        assert session.compilations == 1
         stats = session.store.stats
-        assert stats.migrations == 1 and stats.hits == 1
-        # migrated forward: the v2-salted key now exists on disk and the
-        # stale v1 file is retired (no double footprint on unbounded stores)
-        v2_key = store_key(signature.digest, FORMAT_VERSION, cfg.digest())
-        assert (tmp_path / f"{v2_key}.json").exists()
-        assert not (tmp_path / f"{v1_key}.json").exists()
-        # and the migrated entry is exact-match only (v1 semantics)
-        assert plan.guard is None
+        assert stats.load_errors == 1 and stats.hits == 0
+        assert "version" in session.store.describe()["last_error"]
+        # the fresh compile overwrote the stray payload with a readable one
+        assert Session(cfg, store_path=tmp_path).compile(expr).cache_hit
 
     def test_gzip_payload_roundtrip(self):
         expr = make_loss()

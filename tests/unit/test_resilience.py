@@ -7,6 +7,7 @@ degraded fallback) or failed with a *typed* error; nothing is lost and
 nothing blocks forever.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -250,6 +251,30 @@ class TestCloseSemantics:
                 time.sleep(0.01)
         finally:
             engine.close(timeout=5)
+        for future in futures:
+            assert future.done()
+            with pytest.raises(EngineClosedError):
+                future.result()
+
+    def test_close_returns_when_the_dead_shards_queue_is_full(self):
+        """Same crash, but the queue behind the dead worker is full: close()
+        must not block handing it a stop sentinel nobody will drain."""
+        faults = FaultInjector([FaultRule("shard.execute", ShardCrashError)])
+        engine = ServingEngine(
+            shards=1, config=config(), fault_injector=faults, supervise=False, queue_depth=2
+        )
+        expr = make_loss(0.05)
+        futures = [engine.submit(expr, make_inputs(0))]
+        deadline = time.monotonic() + 10
+        while engine.shards[0].thread.is_alive():
+            assert time.monotonic() < deadline, "worker never crashed"
+            time.sleep(0.01)
+        futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
+        assert engine.shards[0].queue.full()
+        closer = threading.Thread(target=engine.close, kwargs={"timeout": 1.0}, daemon=True)
+        closer.start()
+        closer.join(2.0)
+        assert not closer.is_alive(), "close() blocked behind a dead shard's full queue"
         for future in futures:
             assert future.done()
             with pytest.raises(EngineClosedError):

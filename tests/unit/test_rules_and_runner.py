@@ -206,74 +206,3 @@ class TestRunner:
             assert report.num_iterations >= 1
             assert report.final_enodes == egraph.num_enodes()
             assert report.final_classes == egraph.num_classes()
-
-
-class TestBackoffScheduling:
-    EXPR = rsum({I, J}, rjoin([radd([X, rjoin([U, V])]), radd([X, rjoin([U, V])])]))
-
-    def test_backoff_off_by_default(self):
-        _, _, report = saturate(self.EXPR)
-        assert report.bans == 0
-
-    def test_backoff_bans_exploding_rules(self):
-        config = RunnerConfig(
-            iter_limit=8, time_limit=10.0, backoff=True,
-            backoff_match_limit=2, backoff_ban_length=1,
-        )
-        _, _, report = saturate(self.EXPR, config)
-        assert report.bans > 0
-
-    def test_banned_iterations_do_not_report_saturation(self):
-        """An iteration where a ban suppressed every change must not stop."""
-        config = RunnerConfig(
-            iter_limit=8, time_limit=10.0, backoff=True,
-            backoff_match_limit=1, backoff_ban_length=1,
-        )
-        _, _, report = saturate(rjoin([U, X]), config)
-        if report.stop_reason is StopReason.SATURATED:
-            # a run may only saturate after the bans have expired and the
-            # banned rules have been re-searched in full
-            assert report.iterations[-1].matches_applied == 0
-
-    def test_backoff_preserves_proofs_given_budget(self):
-        """Banned matches are re-found and applied once bans expire."""
-        lhs = rjoin([U, radd([X, rjoin([RLit(-1.0), X])])])
-        rhs = radd([rjoin([U, X]), rjoin([RLit(-1.0), U, X])])
-        config = RunnerConfig(
-            iter_limit=15, time_limit=10.0, backoff=True,
-            backoff_match_limit=10, backoff_ban_length=1,
-        )
-        egraph = EGraph()
-        left = egraph.add_term(lhs)
-        right = egraph.add_term(rhs)
-        report = Runner(config).run(egraph, relational_rules())
-        assert report.bans > 0
-        assert egraph.equiv(left, right)
-
-    def test_high_threshold_backoff_is_transparent(self):
-        """A threshold nothing reaches must leave the run unchanged."""
-        plain_graph, _, plain = saturate(
-            self.EXPR, RunnerConfig(iter_limit=6, time_limit=10.0)
-        )
-        backoff_graph, _, with_backoff = saturate(
-            self.EXPR,
-            RunnerConfig(
-                iter_limit=6, time_limit=10.0, backoff=True,
-                backoff_match_limit=10**9, backoff_ban_length=1,
-            ),
-        )
-        assert with_backoff.bans == 0
-        assert [
-            (it.matches_found, it.matches_applied, it.enodes)
-            for it in plain.iterations
-        ] == [
-            (it.matches_found, it.matches_applied, it.enodes)
-            for it in with_backoff.iterations
-        ]
-        assert plain_graph.num_enodes() == backoff_graph.num_enodes()
-
-    def test_backoff_config_validation(self):
-        with pytest.raises(ValueError):
-            RunnerConfig(backoff=True, backoff_match_limit=0)
-        with pytest.raises(ValueError):
-            RunnerConfig(backoff=True, backoff_ban_length=0)

@@ -17,11 +17,14 @@ from repro.serialize import (
     decode_entry,
     decode_expression,
     decode_signature,
+    dumps_entry,
     encode_entry,
     encode_expression,
     encode_signature,
 )
+from repro.api import Session
 from repro.api.plan import PlanEntry
+from repro.workloads import WORKLOADS, get_workload
 
 
 def roundtrip(expr: la.LAExpr) -> la.LAExpr:
@@ -244,7 +247,6 @@ class TestEntryCodec:
         assert report.optimized_cost == original.optimized_cost
         assert report.regions == original.regions
         assert report.fallback_regions == original.fallback_regions
-        assert report.phase_times.saturate == original.phase_times.saturate
         assert len(report.saturation_reports) == len(original.saturation_reports)
         for run, run_original in zip(
             report.saturation_reports, original.saturation_reports
@@ -253,11 +255,31 @@ class TestEntryCodec:
             assert run.num_iterations == run_original.num_iterations
             assert run.final_enodes == run_original.final_enodes
             assert run.final_classes == run_original.final_classes
-            assert run.bans == run_original.bans
+
+    def test_artifact_bytes_are_a_pure_function_of_expr_and_config(self):
+        """Two independent compiles of the 14 paper roots encode byte-equal:
+        no wall-clock reading is part of the payload."""
+
+        def encoded():
+            session = Session(OptimizerConfig.sampling_greedy())
+            return {
+                f"{name}/{root}": dumps_entry(session.compile(expr)._entry)
+                for name in WORKLOADS
+                for root, expr in get_workload(name, "S").roots.items()
+            }
+
+        first, second = encoded(), encoded()
+        assert len(first) == 14
+        assert first == second
 
     def test_decoded_artifact_audit_record_matches(self, entry):
-        back = decode_entry(encode_entry(entry))
-        assert back.artifact.to_dict() == entry.artifact.to_dict()
+        """Everything but the (unpersisted) timings survives the round trip,
+        and a loaded plan says so instead of reporting 0.0 ms."""
+        back, fresh = decode_entry(encode_entry(entry)).artifact.to_dict(), entry.artifact.to_dict()
+        assert back.pop("phase_times") is None and fresh.pop("phase_times")["total"] > 0.0
+        for run in back["saturation"] + fresh["saturation"]:
+            del run["total_time"]
+        assert back == fresh
 
     def test_fused_plan_is_prefilled_not_refused(self, entry):
         back = decode_entry(encode_entry(entry))
