@@ -115,8 +115,6 @@ class IterationStats:
     matches_applied: int
     enodes: int
     classes: int
-    #: wall-clock seconds; not persisted (0.0 on a report decoded from a store)
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -140,7 +138,8 @@ class RunReport:
 
     stop_reason: StopReason
     iterations: List[IterationStats] = field(default_factory=list)
-    total_time: float = 0.0
+    #: wall-clock seconds; ``None`` on a report decoded from a plan store
+    total_time: Optional[float] = None
     #: per-rule telemetry, keyed by rule name in rule-set order
     rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
 
@@ -192,7 +191,6 @@ class Runner:
 
         egraph.rebuild()
         for iteration in range(config.iter_limit):
-            iter_start = time.perf_counter()
             matches_found = 0
             matches_applied = 0
 
@@ -212,9 +210,7 @@ class Runner:
                     # e-graph state (and any matches already counted) must
                     # show up in the report, or final_enodes/final_classes
                     # read 0 for a run that did grow the graph.
-                    self._record(
-                        report, iteration, matches_found, matches_applied, egraph, iter_start
-                    )
+                    self._record(report, iteration, matches_found, matches_applied, egraph)
                     report.stop_reason = StopReason.TIME_LIMIT
                     report.total_time = time.perf_counter() - start
                     return report
@@ -243,9 +239,7 @@ class Runner:
                     egraph.rebuild()
                     # Same as the search-phase exit: the partial iteration's
                     # growth is real and must be recorded before returning.
-                    self._record(
-                        report, iteration, matches_found, matches_applied, egraph, iter_start
-                    )
+                    self._record(report, iteration, matches_found, matches_applied, egraph)
                     report.stop_reason = StopReason.TIME_LIMIT
                     report.total_time = time.perf_counter() - start
                     return report
@@ -276,7 +270,7 @@ class Runner:
             egraph.rebuild()
 
             if over_limit or egraph.num_enodes() > config.node_limit:
-                self._record(report, iteration, matches_found, matches_applied, egraph, iter_start)
+                self._record(report, iteration, matches_found, matches_applied, egraph)
                 report.stop_reason = StopReason.NODE_LIMIT
                 report.total_time = time.perf_counter() - start
                 return report
@@ -285,7 +279,7 @@ class Runner:
                 egraph.num_enodes() != enodes_before
                 or egraph.merges_performed != merges_before
             )
-            self._record(report, iteration, matches_found, matches_applied, egraph, iter_start)
+            self._record(report, iteration, matches_found, matches_applied, egraph)
 
             if not changed:
                 report.stop_reason = StopReason.SATURATED
@@ -327,7 +321,6 @@ class Runner:
         found: int,
         applied: int,
         egraph: EGraph,
-        iter_start: float,
     ) -> None:
         report.iterations.append(
             IterationStats(
@@ -336,6 +329,5 @@ class Runner:
                 matches_applied=applied,
                 enodes=egraph.num_enodes(),
                 classes=egraph.num_classes(),
-                elapsed=time.perf_counter() - iter_start,
             )
         )

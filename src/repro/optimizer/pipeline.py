@@ -343,7 +343,7 @@ class PlanArtifact:
                     "iterations": run.num_iterations,
                     "final_enodes": run.final_enodes,
                     "final_classes": run.final_classes,
-                    "total_time": None if times is None else run.total_time,
+                    "total_time": run.total_time,
                 }
                 for run in report.saturation_reports
             ],

@@ -21,7 +21,7 @@ loadable counterpart: a complete, versioned encoding of
   Session API, :class:`~repro.api.plan.PlanEntry`.
 
 A payload is a pure function of ``(expr, config)``: wall-clock readings
-(phase times, run and iteration durations) stay on the in-memory report
+(phase times, saturation run durations) stay on the in-memory report
 and in the ``compile_seconds`` / ``saturation_seconds`` histograms and are
 never written, so two compiles of one expression encode byte-identically.
 
@@ -61,7 +61,11 @@ from repro.optimizer.pipeline import OptimizationReport, PlanArtifact
 #: plus the canonical dim-slot names/sizes, entries carry their
 #: :class:`~repro.optimizer.guards.TemplateGuard`, and payload *bytes* may
 #: be gzip-wrapped (see :func:`dumps_entry`).
-FORMAT_VERSION = 2
+#:
+#: v3 (pure artifacts): no wall-clock in the payload — ``phase_times``, run
+#: ``total_time`` and iteration ``elapsed`` are gone, so an entry's bytes
+#: are a function of ``(expr, config)`` alone.
+FORMAT_VERSION = 3
 
 #: ``format`` tag carried by serialized plan payloads.
 PLAN_FORMAT = "spores-plan"

@@ -744,7 +744,8 @@ class ServingEngine:
         future failed with :class:`EngineClosedError` — close never leaves
         a pending future behind.  ``timeout`` bounds the wait for
         in-flight submitters and each shard join; on expiry close proceeds
-        best-effort (daemon workers never block interpreter exit).
+        best-effort: a worker still busy then exits after its current batch
+        (daemon workers never block interpreter exit).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
@@ -774,6 +775,10 @@ class ServingEngine:
                         request.future,
                         EngineClosedError("ServingEngine closed before serving request"),
                     )
+            # A live worker that outlasted the timeout never got the stop
+            # sentinel (its queue was full) or just lost it to the drain
+            # above; the queue is empty now, so hand it over without waiting.
+            shard.stop(0)
 
     def __enter__(self) -> "ServingEngine":
         return self

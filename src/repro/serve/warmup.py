@@ -140,7 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--compress",
         action="store_true",
-        help="gzip-wrap stored payloads (format v2; loads auto-detect, so "
+        help="gzip-wrap stored payloads (loads auto-detect, so "
         "compressed and plain entries interoperate)",
     )
     parser.add_argument("--json", action="store_true", help="print the summary as JSON")

@@ -303,7 +303,8 @@ class ShardWorker:
 
         Only a live worker drains its queue: behind a crashed one a blocking
         put on a full queue would never return, so the sentinel is offered
-        only while the thread lives and only until ``timeout`` runs out.
+        only while the thread lives and only until ``timeout`` runs out
+        (``close`` offers it again once it has emptied the queue).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while self.thread.is_alive():

@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.api.session import Session
 from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
-from repro.optimizer import OptimizerConfig
 from repro.runtime.codegen import FusedPlan, build_executable, compile_fused
 from repro.runtime.data import MatrixValue
 from repro.runtime.tape import TapePlan
@@ -64,9 +63,7 @@ class TestWorkloadParity:
     """All five paper workloads, every root, bitwise identical."""
 
     def test_all_workloads_all_roots(self):
-        # Fused-vs-tape parity does not depend on the extractor: the greedy
-        # preset (what benchmarks/e2e runs) spares ALS the 10 s ILP budget.
-        session = Session(OptimizerConfig.sampling_greedy())
+        session = Session()
         fused_anywhere = 0
         for name in workload_names():
             workload = get_workload(name, size="S")

@@ -280,6 +280,36 @@ class TestCloseSemantics:
             with pytest.raises(EngineClosedError):
                 future.result()
 
+    def test_close_still_stops_a_busy_worker_whose_queue_was_full(self):
+        """A live worker too slow for the timeout, queue full: close() fails
+        the futures and the worker must still get its stop sentinel."""
+        entered, gate = threading.Event(), threading.Event()
+
+        def slow(message):
+            entered.set()
+            gate.wait(10)
+            return ExecutionError(message)
+
+        faults = FaultInjector([FaultRule("shard.execute", slow, count=1)])
+        engine = ServingEngine(
+            shards=1, config=config(), fault_injector=faults, supervise=False, queue_depth=2
+        )
+        expr = make_loss(0.05)
+        futures = [engine.submit(expr, make_inputs(0))]
+        assert entered.wait(10), "worker never reached the execute site"
+        futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
+        assert engine.shards[0].queue.full()
+        started = time.monotonic()
+        engine.close(timeout=0.3)
+        assert time.monotonic() - started < 2.0
+        for future in futures:
+            with pytest.raises(EngineClosedError):
+                future.result(timeout=0)
+        gate.set()
+        engine.shards[0].thread.join(5.0)
+        assert not engine.shards[0].thread.is_alive(), "worker never saw the stop sentinel"
+        assert engine.shards[0].stopped
+
 
 class TestDegradedMode:
     def test_optimizer_budget_fault_degrades_to_baseline(self):
