@@ -1,16 +1,14 @@
-"""Semiring-generic evaluators for RA plans and LA expressions.
+"""The audit's independent LA evaluator, and input sampling for both oracles.
 
 Two oracles drive the differential rule audit:
 
-* :func:`evaluate_rexpr` generalizes the K-relation reference interpreter
-  (:mod:`repro.runtime.ra_interp`) from (+, ×) to an arbitrary
-  :class:`~repro.runtime.semiring.Semiring`: join combines aligned tensors
-  with ⊗, union with ⊕, and Σ is the ring's ⊕-reduction.  Aggregating an
-  index the child does not mention multiplies by ``from_int(|i|)`` — the
-  counting-literal reading of the paper's ``Σ_i A = A · dim(i)``.
+* relational rules are checked with the K-relation reference interpreter
+  itself, :func:`repro.runtime.ra_interp.evaluate`, run over each semiring;
 * :func:`evaluate_laexpr` evaluates a linear-algebra expression directly
   (matmul as ⊕-over-⊗, element-wise ops as ring ops), which is what checks
-  the SystemML catalog patterns whose surface syntax never lowers to RA.
+  the SystemML catalog patterns whose surface syntax never lowers to RA.  It
+  shares nothing with the runtime's kernels on purpose: it is the reference
+  they are audited against.
 
 Operators outside a ring's fragment — subtraction without additive
 inverses, division without ⊗-inverses, transcendental functions anywhere
@@ -24,10 +22,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.runtime.ra_interp import extent
 from repro.runtime.semiring import Array, Semiring
 from repro.lang import expr as la
-from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar
+from repro.ra.rexpr import RAdd, RExpr, RJoin, RSum, RVar
 from repro.translate.lower import ONES_PREFIX
 
 
@@ -53,91 +51,6 @@ def interpret_literal(ring: Semiring, value: float) -> float:
     raise RingUnsupported(
         f"literal {value!r} has no ℕ-homomorphism reading in ring {ring.name!r}"
     )
-
-
-# ---------------------------------------------------------------------------
-# RA plans (the e-graph term language)
-# ---------------------------------------------------------------------------
-
-#: a tensor plus the attribute name carried by each axis (sorted)
-Labelled = Tuple[Array, Tuple[str, ...]]
-
-
-def evaluate_rexpr(
-    node: RExpr,
-    ring: Semiring,
-    inputs: Mapping[str, Array],
-    attr_sizes: Mapping[str, int],
-) -> Labelled:
-    """Evaluate an RA expression over ``ring`` (axes sorted by attribute)."""
-    if isinstance(node, RLit):
-        return np.asarray(interpret_literal(ring, node.value)), ()
-    if isinstance(node, RVar):
-        names = tuple(attr.name for attr in node.attrs)
-        if node.name.startswith(ONES_PREFIX):
-            shape = tuple(_extent(attr, attr_sizes) for attr in node.attrs)
-            return ring.fill(shape, ring.one), names
-        if node.name not in inputs:
-            raise EvaluationError(f"no input bound to tensor {node.name!r}")
-        array = np.asarray(inputs[node.name], dtype=np.float64)
-        if array.ndim != len(names):
-            raise EvaluationError(
-                f"input {node.name!r} has {array.ndim} axes, plan binds {len(names)}"
-            )
-        return array, names
-    if isinstance(node, RJoin):
-        parts = [evaluate_rexpr(arg, ring, inputs, attr_sizes) for arg in node.args]
-        return _combine(parts, ring.mul)
-    if isinstance(node, RAdd):
-        parts = [evaluate_rexpr(arg, ring, inputs, attr_sizes) for arg in node.args]
-        return _combine(parts, ring.add)
-    if isinstance(node, RSum):
-        value, axes = evaluate_rexpr(node.child, ring, inputs, attr_sizes)
-        agg_names = {attr.name for attr in node.indices}
-        keep = tuple(i for i, name in enumerate(axes) if name not in agg_names)
-        drop = tuple(i for i, name in enumerate(axes) if name in agg_names)
-        result = ring.aggregate(value, axis=drop) if drop else value
-        # Σ_i over an expression that does not mention i is an |i|-fold ⊕.
-        absent = 1
-        for attr in node.indices:
-            if attr.name not in axes:
-                absent *= _extent(attr, attr_sizes)
-        if absent != 1:
-            result = ring.mul(result, np.asarray(ring.from_int(absent)))
-        return np.asarray(result), tuple(axes[i] for i in keep)
-    raise EvaluationError(f"cannot evaluate {type(node).__name__}")
-
-
-def _extent(attr: Attr, attr_sizes: Mapping[str, int]) -> int:
-    if attr.name in attr_sizes:
-        return attr_sizes[attr.name]
-    if attr.size is not None:
-        return attr.size
-    raise EvaluationError(f"unknown extent for attribute {attr.name!r}")
-
-
-def _combine(parts: List[Labelled], op: Callable[[Array, Array], Array]) -> Labelled:
-    all_names = sorted({name for _, names in parts for name in names})
-    aligned = [_align(value, names, all_names) for value, names in parts]
-    result = aligned[0]
-    for other in aligned[1:]:
-        result = op(result, other)
-    return result, tuple(all_names)
-
-
-def _align(value: Array, names: Tuple[str, ...], target: List[str]) -> Array:
-    order = sorted(range(len(names)), key=lambda i: names[i])
-    value = np.transpose(value, order) if names else value
-    sorted_names = [names[i] for i in order]
-    shape = []
-    axis = 0
-    for name in target:
-        if axis < len(sorted_names) and sorted_names[axis] == name:
-            shape.append(value.shape[axis])
-            axis += 1
-        else:
-            shape.append(1)
-    return value.reshape(shape) if target else value
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +202,7 @@ def sample_rexpr_inputs(
         if isinstance(expr, RVar):
             if expr.name.startswith(ONES_PREFIX) or expr.name in inputs:
                 return
-            shape = tuple(_extent(attr, attr_sizes) for attr in expr.attrs)
+            shape = tuple(extent(attr, attr_sizes) for attr in expr.attrs)
             hint = expr.sparsity
             if sparsity is not None and expr.name in sparsity:
                 hint = sparsity[expr.name]

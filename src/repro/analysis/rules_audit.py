@@ -14,21 +14,18 @@ rewrite preserve the value of the plan?*  Two harnesses:
   left- and right-hand sides syntactically, so both sides are evaluated
   directly with the semiring-generic LA evaluator.
 
-Each rule must also *declare* its side conditions — a ``Soundness:`` stanza
-in the rule class docstring, or the ``soundness`` field of a
-:class:`~repro.rules.systemml_catalog.CatalogPattern`.  The audit parses the
-declaration, predicts the sound semirings from the capability table, and
-fails when prediction and measurement disagree (or the declaration is
-missing).  The result is the per-rule ring-dependence matrix persisted as
-``analysis/rule_matrix.json``.
+Each rule must also *declare* its side conditions — the ``soundness``
+attribute of a :class:`~repro.egraph.rewrite.Rule` or the ``soundness``
+field of a :class:`~repro.rules.systemml_catalog.CatalogPattern`, the same
+string the optimizer's ring gate (:mod:`repro.optimizer.ring_gate`) admits
+rules by.  The audit parses the declaration, predicts the sound semirings
+from the capability flags, and fails when prediction and measurement
+disagree (or the declaration is missing).  The result is the per-rule
+ring-dependence matrix persisted as ``analysis/rule_matrix.json``.
 
-Declaration mini-language::
-
-    Soundness:
-        rings: any-semiring            # or: real-only | <ring, ring, ...>
-        needs: commutativity, counting-literals
-
-``needs`` tokens from :data:`KNOWN_NEEDS`; ``subtraction``, ``division`` and
+Declaration form: ``"<rings>[; needs: a, b]"`` with ``rings`` one of
+``any-semiring``, ``real-only`` or ``<ring>, <ring>, ...`` and ``needs``
+tokens from :data:`KNOWN_NEEDS`; ``subtraction``, ``division`` and
 ``idempotence`` restrict the predicted set through the capability flags, the
 rest (``associativity``, ``commutativity``, ``distributivity``,
 ``counting-literals``, ``annihilation``) hold in every audited ring and are
@@ -38,7 +35,6 @@ kept as machine-readable documentation.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -47,12 +43,19 @@ import numpy as np
 from repro.analysis.evaluate import (
     RingUnsupported,
     evaluate_laexpr,
-    evaluate_rexpr,
     sample_la_inputs,
     sample_rexpr_inputs,
 )
 from repro.analysis.report import Finding
-from repro.runtime.semiring import AUDIT_SEMIRINGS, Semiring, capability_table
+from repro.optimizer.ring_gate import SoundnessClaim, parse_soundness
+from repro.runtime import ra_interp
+from repro.runtime.semiring import (
+    AUDIT_SEMIRINGS,
+    UNIVERSAL_NEEDS,
+    RingLiteralError,
+    Semiring,
+    capability_table,
+)
 from repro.egraph.enode import OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Rule
@@ -65,80 +68,7 @@ from repro.rules.systemml_catalog import CatalogPattern, all_patterns, make_env
 PASS_NAME = "rules-audit"
 
 #: tokens a Soundness declaration may list under ``needs:``
-KNOWN_NEEDS = frozenset(
-    {
-        "subtraction",
-        "division",
-        "idempotence",
-        "associativity",
-        "commutativity",
-        "distributivity",
-        "counting-literals",
-        "annihilation",
-    }
-)
-
-_STANZA = re.compile(
-    r"Soundness:\s*\n\s*rings:\s*(?P<rings>[^\n]+)"
-    r"(?:\n\s*needs:\s*(?P<needs>[^\n]+))?",
-)
-
-
-@dataclass(frozen=True)
-class SoundnessClaim:
-    """A parsed ``Soundness:`` declaration."""
-
-    rings: str
-    needs: Tuple[str, ...] = ()
-
-    def predicted(self, semirings: Sequence[Semiring]) -> FrozenSet[str]:
-        names = {ring.name for ring in semirings}
-        clause = self.rings.strip()
-        if clause == "any-semiring":
-            base = set(names)
-        elif clause == "real-only":
-            base = {"real"} & names
-        else:
-            base = {token.strip() for token in clause.split(",")} & names
-        for need in self.needs:
-            if need == "subtraction":
-                base &= {r.name for r in semirings if r.has_subtraction}
-            elif need == "division":
-                base &= {r.name for r in semirings if r.has_division}
-            elif need == "idempotence":
-                base &= {r.name for r in semirings if r.idempotent}
-        return frozenset(base)
-
-
-def parse_soundness(text: Optional[str]) -> Optional[SoundnessClaim]:
-    """Parse a declaration out of a docstring or a ``soundness`` field."""
-    if not text:
-        return None
-    if "Soundness:" in text:
-        match = _STANZA.search(text)
-        if match is None:
-            return None
-        rings = match.group("rings").strip()
-        needs_text = match.group("needs") or ""
-    elif "\n" in text:
-        # A docstring without a stanza is an undeclared rule, not a
-        # compact declaration.
-        return None
-    else:
-        # Compact field form: "<rings>[; needs: a, b]"
-        parts = text.split(";")
-        rings = parts[0].strip()
-        needs_text = ""
-        for part in parts[1:]:
-            part = part.strip()
-            if part.startswith("needs:"):
-                needs_text = part[len("needs:"):]
-    needs = tuple(
-        token.strip() for token in needs_text.split(",") if token.strip()
-    )
-    if not rings:
-        return None
-    return SoundnessClaim(rings=rings, needs=needs)
+KNOWN_NEEDS = UNIVERSAL_NEEDS | {"subtraction", "division", "idempotence"}
 
 
 @dataclass
@@ -331,15 +261,17 @@ def audit_relational_rule(
             for trial in range(trials):
                 rng = np.random.default_rng(seed * 7919 + trial)
                 inputs = sample_rexpr_inputs(candidate, ring, rng, ATTR_SIZES)
+                # a literal without a counting reading is outside the ring's
+                # fragment: unsupported there, not unsound
                 try:
-                    expected, _ = evaluate_rexpr(candidate, ring, inputs, ATTR_SIZES)
-                except RingUnsupported:
+                    expected, _ = ra_interp.evaluate(candidate, inputs, ATTR_SIZES, ring)
+                except RingLiteralError:
                     status[ring.name] = "unsupported"
                     break
                 for term in terms:
                     try:
-                        actual, _ = evaluate_rexpr(term, ring, inputs, ATTR_SIZES)
-                    except RingUnsupported:
+                        actual, _ = ra_interp.evaluate(term, inputs, ATTR_SIZES, ring)
+                    except RingLiteralError:
                         status[ring.name] = "unsupported"
                         break
                     evaluated[ring.name] += 1
@@ -422,7 +354,7 @@ def run_rules_audit(
     audited_rules = list(rules if rules is not None else relational_rules())
     for rule in audited_rules:
         verdict = audit_relational_rule(rule, semirings=semirings, trials=trials, seed=seed)
-        verdict.declared = parse_soundness(type(rule).__doc__)
+        verdict.declared = parse_soundness(rule.soundness)
         verdicts.append(verdict)
         where = f"rules/relational.py::{rule.name}"
         if verdict.candidates_matched == 0:
@@ -441,7 +373,7 @@ def run_rules_audit(
         verdict = audit_catalog_pattern(
             pattern, index_in_method, semirings=semirings, trials=trials, seed=seed
         )
-        verdict.declared = parse_soundness(getattr(pattern, "soundness", ""))
+        verdict.declared = parse_soundness(pattern.soundness)
         verdicts.append(verdict)
         where = f"rules/systemml_catalog.py::{verdict.name}"
         if verdict.detail.startswith("parse failure"):
@@ -467,33 +399,7 @@ def run_rules_audit(
         "classified": classified,
         "total": len(verdicts),
     }
-    if rules is None and patterns is None:
-        # The gating table derives from the *complete* matrix; comparing it
-        # against a caller-restricted subset would flag every absent rule.
-        findings.extend(_gating_findings(matrix))
     return findings, matrix
-
-
-def _gating_findings(matrix: Dict[str, object]) -> List[Finding]:
-    """Check the optimizer's committed ring-gating table against the matrix.
-
-    The optimizer consumes the audit through
-    :data:`repro.optimizer.ring_gate.GATING_TABLE`, a committed derivation
-    of the rule matrix.  This pass re-derives the table from the freshly
-    measured matrix and reports one finding per drifted entry, so the gate
-    cannot silently diverge from the audit that justifies it.
-    """
-    from repro.optimizer.ring_gate import check_gating_derivation
-
-    return [
-        Finding(
-            PASS_NAME,
-            "ring-gate-drift",
-            "optimizer/ring_gate.py::GATING_TABLE",
-            drift,
-        )
-        for drift in check_gating_derivation(matrix)
-    ]
 
 
 def _indexed(patterns: Sequence[CatalogPattern]) -> List[Tuple[int, CatalogPattern]]:
@@ -517,7 +423,7 @@ def _declaration_findings(
                 PASS_NAME,
                 "missing-soundness-declaration",
                 where,
-                "rule has no Soundness stanza / soundness field",
+                "rule declares no soundness",
             )
         )
         return findings

@@ -29,13 +29,10 @@ from repro.rules.systemml_catalog import CatalogPattern
 
 
 class DropSecondFactor(Rule):
-    """Deliberately unsound: ``A * B = A`` (drops a join factor).
-
-    Soundness:
-        rings: any-semiring
-    """
+    """Deliberately unsound: ``A * B = A`` (drops a join factor)."""
 
     name = "selftest-drop-factor"
+    soundness = "any-semiring"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []

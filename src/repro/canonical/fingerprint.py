@@ -284,14 +284,16 @@ def store_key(digest: str, format_version: int, config_digest: str = "") -> str:
 
 
 def _op_token(node: la.LAExpr) -> str:
-    """Operator token including any non-child payload."""
-    if isinstance(node, la.Power):
-        return f"Power:{node.exponent!r}"
-    if isinstance(node, la.UnaryFunc):
-        return f"UnaryFunc:{node.func}"
-    if isinstance(node, la.WDivMM):
-        return f"WDivMM:{int(node.multiply_left)}"
-    return type(node).__name__
+    """Operator token including the static payload (``Power:2.0``,
+    ``UnaryFunc:exp``, ``WDivMM:1``): strings bare, flags as 0/1, numbers by
+    ``repr`` — the spellings every stored digest was computed with."""
+    parts = [type(node).__name__]
+    for value in node.static:
+        if isinstance(value, str):
+            parts.append(value)
+        else:
+            parts.append(str(int(value)) if isinstance(value, bool) else repr(value))
+    return ":".join(parts)
 
 
 #: prefix of slot-space variable names; kept un-parseable as an identifier on

@@ -82,6 +82,12 @@ class Rule:
     #: human-readable rule name (shown in reports and tests)
     name: str = "rule"
 
+    #: the semirings the rewrite is sound over, ``"<rings>[; needs: a, b]"``
+    #: (:mod:`repro.optimizer.ring_gate` reads it, the rule audit verifies
+    #: it).  Data, not docstring prose — ``python -OO`` strips docstrings —
+    #: and a rule that declares nothing never fires off the real ring.
+    soundness: str = ""
+
     #: expansive rules (AC regrouping, distributivity) are the ones the
     #: sampling strategy throttles hardest; marking them lets the runner and
     #: the benchmarks distinguish them.

@@ -34,8 +34,18 @@ node            meaning
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (
+    ClassVar,
+    Dict,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    get_type_hints,
+)
 
 from repro.lang.dims import (
     SCALAR_SHAPE,
@@ -50,21 +60,45 @@ from repro.lang.dims import (
 
 @dataclass(frozen=True)
 class LAExpr:
-    """Base class for all LA expression nodes."""
+    """Base class for all LA expression nodes.
+
+    A concrete node type is declared with :func:`node`: the fields typed
+    ``LAExpr`` are its children, every other field is its *static payload*
+    (``Power.exponent``, ``UnaryFunc.func``...).  ``children``,
+    ``with_children``, ``static`` and the :data:`NODE_TYPES` entry all follow
+    from that one field list.
+    """
+
+    #: names of the child fields, in declaration order
+    child_fields: ClassVar[Tuple[str, ...]] = ()
+    #: ``(name, type)`` of every other field, in declaration order
+    static_fields: ClassVar[Tuple[Tuple[str, type], ...]] = ()
 
     @property
     def shape(self) -> Shape:
         raise NotImplementedError
 
+    # :func:`node` installs the per-class readers of these two
     @property
     def children(self) -> Tuple["LAExpr", ...]:
         return ()
 
+    @property
+    def static(self) -> tuple:
+        """The static payload: the values of the non-child fields."""
+        return ()
+
     def with_children(self, children: Sequence["LAExpr"]) -> "LAExpr":
         """Rebuild this node with new children (same arity and payload)."""
-        if children:
-            raise ValueError(f"{type(self).__name__} takes no children")
-        return self
+        names = self.child_fields
+        if len(children) != len(names):
+            raise ValueError(
+                f"{type(self).__name__} takes {len(names)} children, got {len(children)}"
+            )
+        if not names:
+            return self
+        payload = {name: getattr(self, name) for name, _ in self.static_fields}
+        return type(self)(**dict(zip(names, children)), **payload)
 
     # -- convenience operators -------------------------------------------------
     def __matmul__(self, other: "LAExpr") -> "LAExpr":
@@ -132,6 +166,40 @@ class LAExpr:
         return self.pretty()
 
 
+#: Concrete node classes by operator name — the registry the plan codec
+#: (:mod:`repro.serialize`) resolves node-table entries against.  An unknown
+#: name in a stored plan is a deserialization error, never a silent fallback.
+NODE_TYPES: Dict[str, Type[LAExpr]] = {}
+
+
+def node(cls: Type[LAExpr]) -> Type[LAExpr]:
+    """Declare a concrete node type: freeze it, read its fields, register it.
+
+    The class becomes a frozen dataclass; its ``LAExpr``-typed fields become
+    ``child_fields`` (and what ``children`` returns), the rest
+    ``static_fields``.  An operator that executes also needs its row in
+    :data:`repro.runtime.optable.OP_TABLE` — nothing else.
+    """
+    cls = dataclass(frozen=True)(cls)
+    hints = get_type_hints(cls)
+    names = [spec.name for spec in fields(cls)]
+    cls.child_fields = tuple(name for name in names if hints[name] is LAExpr)
+    cls.static_fields = tuple((name, hints[name]) for name in names if hints[name] is not LAExpr)
+    cls.children = _reader(cls.child_fields)
+    cls.static = _reader(name for name, _ in cls.static_fields)
+    NODE_TYPES[cls.__name__] = cls
+    return cls
+
+
+def _reader(names: Iterable[str]) -> property:
+    """``property(lambda self: (self.<name>, ...))``.  ``children`` is read on
+    the compile hot path, so the attribute reads are generated from the field
+    names (the way ``dataclass`` generates ``__init__``) instead of looping
+    over them per call."""
+    reads = "".join(f"self.{name}, " for name in names)
+    return property(eval(f"lambda self: ({reads})"))
+
+
 def _coerce(value) -> LAExpr:
     if isinstance(value, LAExpr):
         return value
@@ -145,7 +213,7 @@ def _coerce(value) -> LAExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Var(LAExpr):
     """A named input matrix, vector or scalar.
 
@@ -165,13 +233,8 @@ class Var(LAExpr):
     def shape(self) -> Shape:
         return self.var_shape
 
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        if children:
-            raise ValueError("Var takes no children")
-        return self
 
-
-@dataclass(frozen=True)
+@node
 class Literal(LAExpr):
     """A scalar constant."""
 
@@ -182,7 +245,7 @@ class Literal(LAExpr):
         return SCALAR_SHAPE
 
 
-@dataclass(frozen=True)
+@node
 class FilledMatrix(LAExpr):
     """A constant-filled matrix, DML's ``matrix(value, nrow, ncol)``.
 
@@ -212,60 +275,44 @@ class _Binary(LAExpr):
     OP = "?"
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        left, right = children
-        return type(self)(left, right)
-
-    @property
     def shape(self) -> Shape:
         return broadcast_shapes(self.left.shape, self.right.shape, self.OP)
 
 
-@dataclass(frozen=True)
+@node
 class ElemMul(_Binary):
     """Element-wise multiplication ``A * B`` (with scalar/vector broadcast)."""
 
     OP = "*"
 
 
-@dataclass(frozen=True)
+@node
 class ElemPlus(_Binary):
     """Element-wise addition ``A + B``."""
 
     OP = "+"
 
 
-@dataclass(frozen=True)
+@node
 class ElemMinus(_Binary):
     """Element-wise subtraction ``A - B``."""
 
     OP = "-"
 
 
-@dataclass(frozen=True)
+@node
 class ElemDiv(_Binary):
     """Element-wise division ``A / B``."""
 
     OP = "/"
 
 
-@dataclass(frozen=True)
+@node
 class MatMul(LAExpr):
     """Matrix multiplication ``A %*% B``."""
 
     left: LAExpr
     right: LAExpr
-
-    @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.left, self.right)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        left, right = children
-        return MatMul(left, right)
 
     @property
     def shape(self) -> Shape:
@@ -277,83 +324,51 @@ class MatMul(LAExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class Transpose(LAExpr):
     """``t(A)``."""
 
     child: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return Transpose(child)
-
-    @property
     def shape(self) -> Shape:
         return self.child.shape.transposed()
 
 
-@dataclass(frozen=True)
+@node
 class RowSums(LAExpr):
     """``rowSums(A)``: sum along columns, producing an M x 1 column vector."""
 
     child: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return RowSums(child)
-
-    @property
     def shape(self) -> Shape:
         return Shape(self.child.shape.rows, UNIT)
 
 
-@dataclass(frozen=True)
+@node
 class ColSums(LAExpr):
     """``colSums(A)``: sum along rows, producing a 1 x N row vector."""
 
     child: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return ColSums(child)
-
-    @property
     def shape(self) -> Shape:
         return Shape(UNIT, self.child.shape.cols)
 
 
-@dataclass(frozen=True)
+@node
 class Sum(LAExpr):
     """``sum(A)``: aggregate every cell into a scalar."""
 
     child: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return Sum(child)
-
-    @property
     def shape(self) -> Shape:
         return SCALAR_SHAPE
 
 
-@dataclass(frozen=True)
+@node
 class Power(LAExpr):
     """Element-wise power with a constant exponent ``A ^ k``."""
 
@@ -361,31 +376,15 @@ class Power(LAExpr):
     exponent: float
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return Power(child, self.exponent)
-
-    @property
     def shape(self) -> Shape:
         return self.child.shape
 
 
-@dataclass(frozen=True)
+@node
 class Neg(LAExpr):
     """Unary minus ``-A``."""
 
     child: LAExpr
-
-    @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return Neg(child)
 
     @property
     def shape(self) -> Shape:
@@ -396,7 +395,7 @@ class Neg(LAExpr):
 UNARY_FUNCS = ("exp", "log", "sqrt", "abs", "sign", "sigmoid", "round")
 
 
-@dataclass(frozen=True)
+@node
 class UnaryFunc(LAExpr):
     """An element-wise math function such as ``exp`` or ``sigmoid``."""
 
@@ -408,31 +407,15 @@ class UnaryFunc(LAExpr):
             raise ValueError(f"unknown unary function {self.func!r}")
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return UnaryFunc(self.func, child)
-
-    @property
     def shape(self) -> Shape:
         return self.child.shape
 
 
-@dataclass(frozen=True)
+@node
 class CastScalar(LAExpr):
     """``as.scalar(A)``: reinterpret a 1x1 matrix as a scalar."""
 
     child: LAExpr
-
-    @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return CastScalar(child)
 
     @property
     def shape(self) -> Shape:
@@ -444,7 +427,7 @@ class CastScalar(LAExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@node
 class WSLoss(LAExpr):
     """Fused weighted-squared loss: ``sum(W * (X - U %*% t(V))^2)``.
 
@@ -459,19 +442,11 @@ class WSLoss(LAExpr):
     w: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.x, self.u, self.v, self.w)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        x, u, v, w = children
-        return WSLoss(x, u, v, w)
-
-    @property
     def shape(self) -> Shape:
         return SCALAR_SHAPE
 
 
-@dataclass(frozen=True)
+@node
 class WCeMM(LAExpr):
     """Fused weighted cross-entropy: ``sum(X * log(U %*% V))``.
 
@@ -485,19 +460,11 @@ class WCeMM(LAExpr):
     v: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.x, self.u, self.v)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        x, u, v = children
-        return WCeMM(x, u, v)
-
-    @property
     def shape(self) -> Shape:
         return SCALAR_SHAPE
 
 
-@dataclass(frozen=True)
+@node
 class WDivMM(LAExpr):
     """Fused weighted-division matrix multiply (SystemML's ``wdivmm``).
 
@@ -513,40 +480,24 @@ class WDivMM(LAExpr):
     multiply_left: bool
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.x, self.u, self.v)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        x, u, v = children
-        return WDivMM(x, u, v, self.multiply_left)
-
-    @property
     def shape(self) -> Shape:
         if self.multiply_left:
             return Shape(self.u.shape.cols, self.v.shape.cols)
         return Shape(self.u.shape.rows, self.v.shape.rows)
 
 
-@dataclass(frozen=True)
+@node
 class SProp(LAExpr):
     """Fused sample-proportion operator: ``P * (1 - P)``."""
 
     child: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.child,)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        (child,) = children
-        return SProp(child)
-
-    @property
     def shape(self) -> Shape:
         return self.child.shape
 
 
-@dataclass(frozen=True)
+@node
 class MMChain(LAExpr):
     """Fused matrix-multiply chain ``t(X) %*% (w * (X %*% v))``.
 
@@ -560,53 +511,12 @@ class MMChain(LAExpr):
     w: LAExpr
 
     @property
-    def children(self) -> Tuple[LAExpr, ...]:
-        return (self.x, self.v, self.w)
-
-    def with_children(self, children: Sequence[LAExpr]) -> LAExpr:
-        x, v, w = children
-        return MMChain(x, v, w)
-
-    @property
     def shape(self) -> Shape:
         x_shape = self.x.shape
         v_shape = self.v.shape
         if not same_dim(x_shape.rows, v_shape.rows) and not same_dim(x_shape.cols, v_shape.rows):
             raise DimensionError("mmchain: v must be conformable with X")
         return Shape(x_shape.cols, v_shape.cols)
-
-
-#: Concrete node classes by operator name — the registry the plan codec
-#: (:mod:`repro.serialize`) resolves node-table entries against.  A node
-#: type must be listed here (and handled by the codec's payload rules)
-#: before compiled plans containing it can be persisted; an unknown name in
-#: a stored plan is a deserialization error, never a silent fallback.
-NODE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        Var,
-        Literal,
-        FilledMatrix,
-        MatMul,
-        ElemMul,
-        ElemPlus,
-        ElemMinus,
-        ElemDiv,
-        Transpose,
-        RowSums,
-        ColSums,
-        Sum,
-        Power,
-        Neg,
-        UnaryFunc,
-        CastScalar,
-        WSLoss,
-        WCeMM,
-        WDivMM,
-        SProp,
-        MMChain,
-    )
-}
 
 
 def is_constant(expr: LAExpr) -> bool:

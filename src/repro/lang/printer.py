@@ -30,70 +30,69 @@ def _paren(text: str, inner_prec: int, outer_prec: int) -> str:
     return text
 
 
+def _number(value: float) -> str:
+    """A constant as DML text: integral values without the ``.0``.
+
+    ``float.is_integer`` is false for ``inf`` / ``nan`` where ``int(value)``
+    raises, so the non-finite constants the codec round-trips also print.
+    """
+    return str(int(value)) if float(value).is_integer() else repr(value)
+
+
+#: infix operators: node type -> (symbol, precedence); all left-associative
+_INFIX = {
+    e.MatMul: ("%*%", _PREC_MATMUL),
+    e.ElemMul: ("*", _PREC_MUL),
+    e.ElemDiv: ("/", _PREC_MUL),
+    e.ElemPlus: ("+", _PREC_ADD),
+    e.ElemMinus: ("-", _PREC_ADD),
+}
+
+#: function-call syntax: node type -> DML function name
+_CALLS = {
+    e.Transpose: "t",
+    e.RowSums: "rowSums",
+    e.ColSums: "colSums",
+    e.Sum: "sum",
+    e.CastScalar: "as.scalar",
+    e.WSLoss: "wsloss",
+    e.WCeMM: "wcemm",
+    e.WDivMM: "wdivmm",
+    e.SProp: "sprop",
+    e.MMChain: "mmchain",
+}
+
+
+def _dim_text(dim) -> str:
+    return str(dim.size) if dim.size is not None else dim.name
+
+
 def _render(node: e.LAExpr, outer_prec: int) -> str:
     if isinstance(node, e.Var):
         return node.name
     if isinstance(node, e.Literal):
-        value = node.value
-        if value == int(value):
-            return str(int(value))
-        return repr(value)
+        return _number(node.value)
     if isinstance(node, e.FilledMatrix):
-        value = node.value
-        value_text = str(int(value)) if value == int(value) else repr(value)
-        rows = node.fill_shape.rows
-        cols = node.fill_shape.cols
-        rows_text = str(rows.size) if rows.size is not None else rows.name
-        cols_text = str(cols.size) if cols.size is not None else cols.name
-        return f"matrix({value_text}, {rows_text}, {cols_text})"
-    if isinstance(node, e.MatMul):
-        text = f"{_render(node.left, _PREC_MATMUL)} %*% {_render(node.right, _PREC_MATMUL + 1)}"
-        return _paren(text, _PREC_MATMUL, outer_prec)
-    if isinstance(node, e.ElemMul):
-        text = f"{_render(node.left, _PREC_MUL)} * {_render(node.right, _PREC_MUL + 1)}"
-        return _paren(text, _PREC_MUL, outer_prec)
-    if isinstance(node, e.ElemDiv):
-        text = f"{_render(node.left, _PREC_MUL)} / {_render(node.right, _PREC_MUL + 1)}"
-        return _paren(text, _PREC_MUL, outer_prec)
-    if isinstance(node, e.ElemPlus):
-        text = f"{_render(node.left, _PREC_ADD)} + {_render(node.right, _PREC_ADD + 1)}"
-        return _paren(text, _PREC_ADD, outer_prec)
-    if isinstance(node, e.ElemMinus):
-        text = f"{_render(node.left, _PREC_ADD)} - {_render(node.right, _PREC_ADD + 1)}"
-        return _paren(text, _PREC_ADD, outer_prec)
-    if isinstance(node, e.Power):
-        exponent = node.exponent
-        exp_text = str(int(exponent)) if exponent == int(exponent) else repr(exponent)
-        text = f"{_render(node.child, _PREC_POW + 1)} ^ {exp_text}"
+        shape = node.fill_shape
+        return f"matrix({_number(node.value)}, {_dim_text(shape.rows)}, {_dim_text(shape.cols)})"
+    kind = type(node)
+    if kind in _INFIX:
+        symbol, prec = _INFIX[kind]
+        text = f"{_render(node.left, prec)} {symbol} {_render(node.right, prec + 1)}"
+        return _paren(text, prec, outer_prec)
+    if kind is e.Power:
+        text = f"{_render(node.child, _PREC_POW + 1)} ^ {_number(node.exponent)}"
         return _paren(text, _PREC_POW, outer_prec)
-    if isinstance(node, e.Neg):
+    if kind is e.Neg:
         text = f"-{_render(node.child, _PREC_UNARY)}"
         return _paren(text, _PREC_UNARY, outer_prec)
-    if isinstance(node, e.Transpose):
-        return f"t({_render(node.child, 0)})"
-    if isinstance(node, e.RowSums):
-        return f"rowSums({_render(node.child, 0)})"
-    if isinstance(node, e.ColSums):
-        return f"colSums({_render(node.child, 0)})"
-    if isinstance(node, e.Sum):
-        return f"sum({_render(node.child, 0)})"
-    if isinstance(node, e.CastScalar):
-        return f"as.scalar({_render(node.child, 0)})"
-    if isinstance(node, e.UnaryFunc):
-        return f"{node.func}({_render(node.child, 0)})"
-    if isinstance(node, e.WSLoss):
-        args = ", ".join(_render(c, 0) for c in node.children)
-        return f"wsloss({args})"
-    if isinstance(node, e.WCeMM):
-        args = ", ".join(_render(c, 0) for c in node.children)
-        return f"wcemm({args})"
-    if isinstance(node, e.WDivMM):
-        args = ", ".join(_render(c, 0) for c in node.children)
-        side = "left" if node.multiply_left else "right"
-        return f"wdivmm({args}, {side})"
-    if isinstance(node, e.SProp):
-        return f"sprop({_render(node.child, 0)})"
-    if isinstance(node, e.MMChain):
-        args = ", ".join(_render(c, 0) for c in node.children)
-        return f"mmchain({args})"
-    raise TypeError(f"cannot pretty-print {type(node).__name__}")
+    # everything else is a call: a node type without DML spelling (one
+    # declared outside this package) prints under its class name
+    args = [_render(child, 0) for child in node.children]
+    if kind is e.UnaryFunc:
+        return f"{node.func}({args[0]})"
+    if kind is e.WDivMM:
+        args.append("left" if node.multiply_left else "right")
+    elif kind not in _CALLS:
+        args.extend(repr(value) for value in node.static)
+    return f"{_CALLS.get(kind, kind.__name__)}({', '.join(args)})"

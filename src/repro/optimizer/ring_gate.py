@@ -1,265 +1,81 @@
-"""Ring-dependence gating for the rewrite rule set.
+"""Ring-dependence gating: what a non-real semiring may run.
 
-PR 8's differential audit classified all 100 rewrite rules and catalog
-patterns over four semirings and committed the result as
-``analysis/rule_matrix.json``.  This module is the *consumer* of that
-matrix: a committed gating table (one entry per rule key, carrying the
-audited ring classification and capability needs) plus the predicates the
-optimizer uses to exclude rules a target ring cannot justify.
+Both gates read a declaration that lives with the thing it describes:
 
-The table below is **derived from the committed matrix** — it must equal
-``derive_gating_table(json.load(open("analysis/rule_matrix.json")))``
-entry for entry.  ``python -m repro.analysis`` re-derives the table from
-the freshly measured matrix on every run and reports a finding when this
-file has drifted, so the gate cannot silently diverge from the audit.
+* **Rules.**  Every R_EQ rule (``Rule.soundness``) and every catalog pattern
+  (``CatalogPattern.soundness``) declares the semirings it is sound over in
+  the compact form ``"<rings>[; needs: a, b]"`` — ``rings`` is
+  ``any-semiring``, ``real-only`` or a comma-separated list of ring names.
+  :func:`rule_allowed` admits a rule under a ring exactly when the
+  declaration covers it; the differential audit (``python -m
+  repro.analysis``) measures every rule over four semirings, fails on any
+  declaration the measurement contradicts, and commits the result as
+  ``analysis/rule_matrix.json``.  The real ring runs everything; a rule
+  that declares nothing is excluded under every other ring.
+* **Operators.**  :func:`check_ring_compatibility` rejects an expression
+  whose operators need a capability the ring lacks — the ``needs`` column
+  of :data:`repro.runtime.optable.OP_TABLE`, the same column the ring's
+  ``KernelSet`` binds its kernels by.
 
-Gating semantics, per rule key:
-
-* ``real-only`` rules run only under the real ring (the audit shows all 13
-  of them need subtraction — negation/minus patterns);
-* ``any-semiring`` rules run under every ring **whose capability flags
-  satisfy the rule's declared needs**: ``subtraction`` requires
-  ``ring.has_subtraction``, ``division``/``multiplicative-inverse``
-  requires ``ring.has_division``, ``idempotence`` requires
-  ``ring.idempotent``; the remaining needs (associativity, commutativity,
-  distributivity, annihilation, counting-literals) hold in every
-  commutative semiring under the counting-literal interpretation and never
-  restrict;
-* unknown keys — a rule added without re-running the audit — are
-  conservatively excluded under every non-real ring.
+A capability token means one thing everywhere:
+:meth:`repro.runtime.semiring.Semiring.provides`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, FrozenSet, Optional, Sequence, Tuple
 
+from repro.lang import dag
+from repro.lang import expr as la
+from repro.runtime.optable import CONSTANT_TYPES, OP_TABLE
 from repro.runtime.semiring import Semiring
 
-#: rule key -> (audited ring classification, declared capability needs);
-#: derived from analysis/rule_matrix.json — do not edit by hand, re-run
-#: ``python -m repro.analysis --write-matrix`` and regenerate on drift.
-GATING_TABLE: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    'catalog:BinaryMatrixScalarOperation[0]': ('any-semiring', ()),
-    'catalog:BinaryMatrixScalarOperation[1]': ('any-semiring', ()),
-    'catalog:BinaryMatrixScalarOperation[2]': ('any-semiring', ()),
-    'catalog:BinaryToUnaryOperation[0]': ('any-semiring', ()),
-    'catalog:BinaryToUnaryOperation[1]': ('any-semiring', ('counting-literals',)),
-    'catalog:BinaryToUnaryOperation[2]': ('any-semiring', ()),
-    'catalog:BushyBinaryOperation[0]': ('any-semiring', ('associativity',)),
-    'catalog:BushyBinaryOperation[1]': ('any-semiring', ('associativity',)),
-    'catalog:BushyBinaryOperation[2]': ('any-semiring', ('associativity',)),
-    'catalog:ColSumsMVMult[0]': ('any-semiring', ()),
-    'catalog:ColwiseAgg[0]': ('any-semiring', ()),
-    'catalog:ColwiseAgg[1]': ('any-semiring', ()),
-    'catalog:ColwiseAgg[2]': ('any-semiring', ()),
-    'catalog:DistributiveBinaryOperation[0]': ('real-only', ('subtraction',)),
-    'catalog:DistributiveBinaryOperation[1]': ('any-semiring', ('distributivity',)),
-    'catalog:DistributiveBinaryOperation[2]': ('real-only', ('subtraction',)),
-    'catalog:DistributiveBinaryOperation[3]': ('any-semiring', ('distributivity',)),
-    'catalog:DotProductSum[0]': ('any-semiring', ()),
-    'catalog:DotProductSum[1]': ('any-semiring', ()),
-    'catalog:EmptyAgg[0]': ('any-semiring', ()),
-    'catalog:EmptyAgg[1]': ('any-semiring', ()),
-    'catalog:EmptyAgg[2]': ('any-semiring', ('annihilation',)),
-    'catalog:EmptyBinaryOperation[0]': ('any-semiring', ()),
-    'catalog:EmptyBinaryOperation[1]': ('any-semiring', ()),
-    'catalog:EmptyBinaryOperation[2]': ('real-only', ('subtraction',)),
-    'catalog:EmptyMMult[0]': ('any-semiring', ()),
-    'catalog:EmptyReorgOp[0]': ('any-semiring', ()),
-    'catalog:EmptyReorgOp[1]': ('real-only', ('subtraction',)),
-    'catalog:EmptyReorgOp[2]': ('any-semiring', ()),
-    'catalog:EmptyReorgOp[3]': ('any-semiring', ()),
-    'catalog:EmptyReorgOp[4]': ('any-semiring', ('counting-literals',)),
-    'catalog:IdentityRepMatrixMult[0]': ('any-semiring', ()),
-    'catalog:MatrixMultScalarAdd[0]': ('any-semiring', ('commutativity',)),
-    'catalog:MatrixMultScalarAdd[1]': ('real-only', ('subtraction',)),
-    'catalog:RowSumsMVMult[0]': ('any-semiring', ()),
-    'catalog:RowwiseAgg[0]': ('any-semiring', ()),
-    'catalog:RowwiseAgg[1]': ('any-semiring', ()),
-    'catalog:RowwiseAgg[2]': ('any-semiring', ()),
-    'catalog:ScalarMVBinaryOperation[0]': ('any-semiring', ()),
-    'catalog:ScalarMatrixMult[0]': ('any-semiring', ()),
-    'catalog:ScalarMatrixMult[1]': ('any-semiring', ()),
-    'catalog:SumMatrixMult[0]': ('any-semiring', ('commutativity', 'distributivity')),
-    'catalog:SumMatrixMult[1]': ('any-semiring', ('commutativity', 'distributivity')),
-    'catalog:SumMatrixMult[2]': ('any-semiring', ('commutativity', 'distributivity')),
-    'catalog:TransposeAggBinBinaryChains[0]': ('any-semiring', ('commutativity',)),
-    'catalog:TransposeAggBinBinaryChains[1]': ('any-semiring', ('commutativity',)),
-    'catalog:UnaryAggReorgOperation[0]': ('any-semiring', ()),
-    'catalog:UnaryAggReorgOperation[1]': ('real-only', ('subtraction',)),
-    'catalog:UnaryAggReorgOperation[2]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[0]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[1]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[2]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[3]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[4]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[5]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[6]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[7]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregate[8]': ('real-only', ('subtraction',)),
-    'catalog:UnnecessaryAggregates[0]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregates[1]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregates[2]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregates[3]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregates[4]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregates[5]': ('any-semiring', ()),
-    'catalog:UnnecessaryAggregates[6]': ('any-semiring', ('associativity', 'commutativity')),
-    'catalog:UnnecessaryAggregates[7]': ('any-semiring', ('associativity', 'commutativity')),
-    'catalog:UnnecessaryBinaryOperation[0]': ('any-semiring', ()),
-    'catalog:UnnecessaryBinaryOperation[1]': ('any-semiring', ()),
-    'catalog:UnnecessaryBinaryOperation[2]': ('any-semiring', ()),
-    'catalog:UnnecessaryBinaryOperation[3]': ('real-only', ('subtraction',)),
-    'catalog:UnnecessaryBinaryOperation[4]': ('any-semiring', ('annihilation',)),
-    'catalog:UnnecessaryBinaryOperation[5]': ('real-only', ('subtraction',)),
-    'catalog:UnnecessaryMinus[0]': ('real-only', ('subtraction',)),
-    'catalog:UnnecessaryOuterProduct[0]': ('any-semiring', ()),
-    'catalog:UnnecessaryOuterProduct[1]': ('any-semiring', ()),
-    'catalog:UnnecessaryOuterProduct[2]': ('any-semiring', ()),
-    'catalog:UnnecessaryReorgOperation[0]': ('any-semiring', ()),
-    'catalog:UnnecessaryReorgOperation[1]': ('any-semiring', ()),
-    'catalog:pushdownCSETransposeScalarOp[0]': ('any-semiring', ()),
-    'catalog:pushdownSumBinaryMult[0]': ('any-semiring', ('distributivity',)),
-    'catalog:pushdownSumBinaryMult[1]': ('any-semiring', ('distributivity',)),
-    'catalog:pushdownSumOnAdd[0]': ('any-semiring', ('associativity', 'commutativity')),
-    'catalog:pushdownSumOnAdd[1]': ('real-only', ('subtraction',)),
-    'catalog:pushdownUnaryAggTransposeOp[0]': ('any-semiring', ()),
-    'catalog:pushdownUnaryAggTransposeOp[1]': ('any-semiring', ()),
-    'catalog:reorderMinusMatrixMult[0]': ('real-only', ('subtraction',)),
-    'catalog:reorderMinusMatrixMult[1]': ('real-only', ('subtraction',)),
-    'relational:absorb-ones': ('any-semiring', ()),
-    'relational:combine-addends': ('any-semiring', ('counting-literals',)),
-    'relational:distribute': ('any-semiring', ('commutativity', 'distributivity')),
-    'relational:drop-identities': ('any-semiring', ()),
-    'relational:eliminate-unused-index': ('any-semiring', ('counting-literals',)),
-    'relational:factor': ('any-semiring', ('commutativity', 'distributivity')),
-    'relational:flatten-add': ('any-semiring', ('associativity', 'commutativity')),
-    'relational:flatten-join': ('any-semiring', ('associativity', 'commutativity')),
-    'relational:merge-nested-sums': ('any-semiring', ('associativity', 'commutativity')),
-    'relational:pull-add-out-of-sum': ('any-semiring', ('associativity', 'commutativity')),
-    'relational:pull-factor-out-of-sum': ('any-semiring', ('commutativity', 'distributivity')),
-    'relational:push-factor-into-sum': ('any-semiring', ('commutativity', 'distributivity')),
-    'relational:push-sum-into-add': ('any-semiring', ('associativity', 'commutativity')),
-}
 
-#: the audited real-only rule keys (all subtraction/negation patterns)
-REAL_ONLY_RULES = frozenset(
-    key for key, (rings, _needs) in GATING_TABLE.items() if rings != "any-semiring"
-)
+@dataclass(frozen=True)
+class SoundnessClaim:
+    """A parsed soundness declaration."""
 
-#: capability needs that hold in every commutative semiring (under the
-#: counting-literal interpretation) and therefore never gate anything
-_UNIVERSAL_NEEDS = frozenset(
-    {
-        "associativity",
-        "commutativity",
-        "distributivity",
-        "annihilation",
-        "counting-literals",
-        "counting_literals",
-    }
-)
+    rings: str
+    needs: Tuple[str, ...] = ()
+
+    def predicted(self, semirings: Sequence[Semiring]) -> FrozenSet[str]:
+        """Names of the ``semirings`` the declaration claims soundness over."""
+        clause = self.rings.strip()
+        if clause == "real-only":
+            clause = "real"
+        named = {token.strip() for token in clause.split(",")}
+        return frozenset(
+            ring.name
+            for ring in semirings
+            if (clause == "any-semiring" or ring.name in named)
+            and all(ring.provides(need) for need in self.needs)
+        )
 
 
-def derive_gating_table(matrix: Mapping) -> Dict[str, Tuple[str, Tuple[str, ...]]]:
-    """The gating table a committed rule matrix implies.
-
-    This is the single source of the table's shape: the committed
-    :data:`GATING_TABLE` above was generated by this function and the
-    analysis staleness check asserts they still agree.
-    """
-    table: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-    for key, record in matrix["rules"].items():
-        declared = record["declared"]
-        table[key] = (str(declared["rings"]), tuple(sorted(declared["needs"])))
-    return table
-
-
-def check_gating_derivation(matrix: Mapping) -> List[str]:
-    """Differences between :data:`GATING_TABLE` and what ``matrix`` implies.
-
-    Returns human-readable drift descriptions (empty = in sync).  Used by
-    the ``repro.analysis`` rules pass so a stale table is a CI finding.
-    """
-    derived = derive_gating_table(matrix)
-    problems: List[str] = []
-    for key in sorted(set(GATING_TABLE) - set(derived)):
-        problems.append(f"gating table entry {key!r} has no rule in the matrix")
-    for key in sorted(set(derived) - set(GATING_TABLE)):
-        problems.append(f"matrix rule {key!r} missing from the gating table")
-    for key in sorted(set(derived) & set(GATING_TABLE)):
-        if derived[key] != GATING_TABLE[key]:
-            problems.append(
-                f"gating table entry {key!r} is {GATING_TABLE[key]!r} but the "
-                f"matrix implies {derived[key]!r}"
-            )
-    return problems
+def parse_soundness(text: Optional[str]) -> Optional[SoundnessClaim]:
+    """Parse ``"<rings>[; needs: a, b]"``; ``None`` for an empty declaration."""
+    rings, *clauses = (text or "").split(";")
+    if not rings.strip():
+        return None
+    needs: Tuple[str, ...] = ()
+    for clause in clauses:
+        clause = clause.strip()
+        if clause.startswith("needs:"):
+            tokens = clause[len("needs:") :].split(",")
+            needs = tuple(token.strip() for token in tokens if token.strip())
+    return SoundnessClaim(rings=rings.strip(), needs=needs)
 
 
-def _needs_satisfied(needs: Sequence[str], ring: Semiring) -> bool:
-    for need in needs:
-        normalized = need.replace("_", "-")
-        if normalized == "subtraction":
-            if not ring.has_subtraction:
-                return False
-        elif normalized in ("division", "multiplicative-inverse"):
-            if not ring.has_division:
-                return False
-        elif normalized == "idempotence":
-            if not ring.idempotent:
-                return False
-        elif need not in _UNIVERSAL_NEEDS and normalized not in _UNIVERSAL_NEEDS:
-            # An unrecognized capability: refuse rather than guess.
-            return False
-    return True
-
-
-def rule_allowed(key: str, ring: Semiring) -> bool:
-    """May the rule registered under ``key`` fire when compiling for ``ring``?"""
+def rule_allowed(rule: Any, ring: Semiring) -> bool:
+    """May ``rule`` (a relational :class:`~repro.egraph.rewrite.Rule` or a
+    :class:`~repro.rules.systemml_catalog.CatalogPattern`: anything carrying
+    a ``soundness`` declaration) fire when compiling for ``ring``?"""
     if ring.is_real:
         return True
-    entry = GATING_TABLE.get(key)
-    if entry is None:
-        return False  # not audited -> not trusted off the real ring
-    rings, needs = entry
-    if rings != "any-semiring":
-        return False
-    return _needs_satisfied(needs, ring)
-
-
-def relational_key(rule_name: str) -> str:
-    """Audit key of a relational rule (matches ``rules_audit`` naming)."""
-    return f"relational:{rule_name}"
-
-
-def gate_relational(rules: Iterable, ring: Semiring) -> List:
-    """Filter relational rule objects down to those ``ring`` can justify."""
-    if ring.is_real:
-        return list(rules)
-    return [rule for rule in rules if rule_allowed(relational_key(rule.name), ring)]
-
-
-def catalog_keys(patterns: Iterable) -> List[Tuple[str, object]]:
-    """(audit key, pattern) pairs using the audit's per-method positions."""
-    counters: Dict[str, int] = {}
-    keyed: List[Tuple[str, object]] = []
-    for pattern in patterns:
-        position = counters.get(pattern.method, 0)
-        counters[pattern.method] = position + 1
-        keyed.append((f"catalog:{pattern.method}[{position}]", pattern))
-    return keyed
-
-
-def gate_catalog(patterns: Iterable, ring: Semiring) -> List:
-    """Filter catalog patterns down to those ``ring`` can justify.
-
-    ``patterns`` must be the full catalog in audit order
-    (:func:`repro.rules.systemml_catalog.all_patterns`) — per-method
-    positions, and therefore audit keys, depend on the ordering.
-    """
-    keyed = catalog_keys(patterns)
-    if ring.is_real:
-        return [pattern for _key, pattern in keyed]
-    return [pattern for key, pattern in keyed if rule_allowed(key, ring)]
+    claim = parse_soundness(rule.soundness)
+    # undeclared -> not audited -> not trusted off the real ring
+    return claim is not None and ring.name in claim.predicted((ring,))
 
 
 # ---------------------------------------------------------------------------
@@ -271,55 +87,40 @@ class RingCompatibilityError(ValueError):
     """An expression uses an operator the target ring cannot execute."""
 
 
-def check_ring_compatibility(expr, ring: Semiring) -> None:
+def check_ring_compatibility(expr: la.LAExpr, ring: Semiring) -> None:
     """Reject expressions a non-real ``ring`` cannot soundly execute.
 
-    Raises :class:`RingCompatibilityError` at compile time — before any
-    saturation work — when the expression contains a node whose semantics
-    require a capability the ring lacks:
+    Raises at compile time — before any saturation work — when the
+    expression contains
 
-    * ``Neg``/``ElemMinus`` need subtraction;
-    * ``ElemDiv`` needs a multiplicative inverse;
-    * ``UnaryFunc`` (exp, log, …) is real analysis, not semiring algebra;
-    * fused physical operators (``WSLoss``, ``WCeMM``, ``WDivMM``,
-      ``SProp``, ``MMChain``) hard-code real arithmetic;
-    * literals without a counting reading (negative, fractional, or
-      non-finite) have no canonical image in the ring.
+    * an operator whose row ``needs`` a capability the ring lacks:
+      subtraction (``Neg``/``ElemMinus``), division (``ElemDiv``), or real
+      arithmetic itself (``UnaryFunc`` is real analysis, the fused physical
+      operators hard-code it);
+    * a number without a counting reading (negative, fractional or
+      non-finite): a literal has no canonical image in the ring
+      (:class:`~repro.runtime.semiring.RingLiteralError`), and a numeric
+      static payload — ``Power``'s exponent — counts ⊗-folds.
 
     No-op for the real ring.
     """
     if ring.is_real:
         return
-    from repro.lang import dag
-    from repro.lang import expr as la
-
     for node in dag.postorder(expr):
-        if isinstance(node, (la.Neg, la.ElemMinus)) and not ring.has_subtraction:
-            raise RingCompatibilityError(
-                f"{type(node).__name__} requires subtraction, which the "
-                f"{ring.name!r} semiring does not have"
-            )
-        if isinstance(node, la.ElemDiv) and not ring.has_division:
-            raise RingCompatibilityError(
-                f"ElemDiv requires a multiplicative inverse, which the "
-                f"{ring.name!r} semiring does not have"
-            )
-        if isinstance(node, la.UnaryFunc):
-            raise RingCompatibilityError(
-                f"UnaryFunc({node.func!r}) is real-valued analysis and has "
-                f"no interpretation in the {ring.name!r} semiring"
-            )
-        if isinstance(node, (la.WSLoss, la.WCeMM, la.WDivMM, la.SProp, la.MMChain)):
-            raise RingCompatibilityError(
-                f"fused operator {type(node).__name__} hard-codes real "
-                f"arithmetic and cannot run under the {ring.name!r} semiring"
-            )
-        if isinstance(node, (la.Literal, la.FilledMatrix)):
+        if isinstance(node, la.Var):
+            continue
+        if isinstance(node, CONSTANT_TYPES):
             ring.encode_literal(node.value)  # raises RingLiteralError
-        if isinstance(node, la.Power):
-            exponent = float(node.exponent)
-            if not (exponent >= 0 and exponent.is_integer()):
+            continue
+        spec = OP_TABLE[type(node)]
+        if not ring.provides(spec.needs):
+            raise RingCompatibilityError(
+                f"{spec.label(node)} needs {spec.needs} and the {ring.name!r} "
+                "semiring does not provide it"
+            )
+        for (name, kind), value in zip(node.static_fields, node.static):
+            if kind is float and not (value >= 0 and float(value).is_integer()):
                 raise RingCompatibilityError(
-                    f"Power exponent {node.exponent!r} is not a non-negative "
+                    f"{spec.label(node)}: {name} {value!r} is not a non-negative "
                     f"integer; only ⊗-folds exist in the {ring.name!r} semiring"
                 )

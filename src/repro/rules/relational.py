@@ -163,13 +163,10 @@ class Flatten(Rule):
     arguments are e-classes that themselves contain joins, and rules such as
     ``pull-factor-out-of-sum`` or ``factor`` need the flattened view to see
     all the factors at once.
-
-    Soundness:
-        rings: any-semiring
-        needs: associativity, commutativity
     """
 
     name = "flatten"
+    soundness = "any-semiring; needs: associativity, commutativity"
 
     def __init__(self, op: str) -> None:
         self.op = op
@@ -211,14 +208,10 @@ class Flatten(Rule):
 
 
 class Distribute(Rule):
-    """``A * (B + C) = A*B + A*C`` — distribute a join over a union child.
-
-    Soundness:
-        rings: any-semiring
-        needs: distributivity, commutativity
-    """
+    """``A * (B + C) = A*B + A*C`` — distribute a join over a union child."""
 
     name = "distribute"
+    soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
@@ -261,13 +254,10 @@ class Factor(Rule):
     It is also the rule that finds the most matches it never applies, so
     ``search`` only pairs up views; the common sub-multiset, the quotients
     and their schema padding are computed in ``rewrite``.
-
-    Soundness:
-        rings: any-semiring
-        needs: distributivity, commutativity
     """
 
     name = "factor"
+    soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
     incremental = False
 
@@ -384,13 +374,10 @@ class CombineAddends(Rule):
     The coefficient is the count of equal addends read through the ℕ → S
     homomorphism, so in an idempotent semiring it collapses to one and the
     rewrite degenerates to the ring's own ``A ⊕ A = A``.
-
-    Soundness:
-        rings: any-semiring
-        needs: counting-literals
     """
 
     name = "combine-addends"
+    soundness = "any-semiring; needs: counting-literals"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
@@ -426,14 +413,10 @@ class CombineAddends(Rule):
 
 
 class PushSumIntoAdd(Rule):
-    """``Σ_i (A + B) = Σ_i A + Σ_i B``.
-
-    Soundness:
-        rings: any-semiring
-        needs: associativity, commutativity
-    """
+    """``Σ_i (A + B) = Σ_i A + Σ_i B``."""
 
     name = "push-sum-into-add"
+    soundness = "any-semiring; needs: associativity, commutativity"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
@@ -461,13 +444,10 @@ class PullAddOutOfSum(Rule):
     The rule intersects the aggregated index sets across *all* addends, so a
     changed-neighbourhood test cannot bound its matches; it opts out of
     incremental search.
-
-    Soundness:
-        rings: any-semiring
-        needs: associativity, commutativity
     """
 
     name = "pull-add-out-of-sum"
+    soundness = "any-semiring; needs: associativity, commutativity"
     incremental = False
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
@@ -534,13 +514,10 @@ class PullFactorOutOfSum(Rule):
     yields the fully factorised sum-product form (e.g.
     ``Σ_{i,j,k} W(i,j) H(j,k)`` becomes
     ``Σ_j (Σ_i W(i,j)) * (Σ_k H(j,k))``, the colSums/rowSums plan of PNMF).
-
-    Soundness:
-        rings: any-semiring
-        needs: distributivity, commutativity
     """
 
     name = "pull-factor-out-of-sum"
+    soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
@@ -595,13 +572,10 @@ class PushFactorIntoSum(Rule):
     The guard requires the pushed index names to be absent from both the free
     schema and the bound-index over-approximation of every other factor,
     which keeps the rewrite capture-avoiding without a renaming step.
-
-    Soundness:
-        rings: any-semiring
-        needs: distributivity, commutativity
     """
 
     name = "push-factor-into-sum"
+    soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
@@ -648,14 +622,10 @@ class PushFactorIntoSum(Rule):
 
 
 class MergeNestedSums(Rule):
-    """``Σ_i Σ_j A = Σ_{i,j} A``.
-
-    Soundness:
-        rings: any-semiring
-        needs: associativity, commutativity
-    """
+    """``Σ_i Σ_j A = Σ_{i,j} A``."""
 
     name = "merge-nested-sums"
+    soundness = "any-semiring; needs: associativity, commutativity"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
@@ -693,13 +663,10 @@ class EliminateUnusedIndex(Rule):
     ``dim(i)`` is an integer literal read through the ℕ → S homomorphism
     (the |i|-fold ⊕ of one), so in an idempotent semiring the factor
     collapses to one — exactly the ring's own ``Σ_i A = A``.
-
-    Soundness:
-        rings: any-semiring
-        needs: counting-literals
     """
 
     name = "eliminate-unused-index"
+    soundness = "any-semiring; needs: counting-literals"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
@@ -743,12 +710,10 @@ class DropIdentities(Rule):
     touches, so the incremental search still sees newly folded children.
     The literals 1 and 0 denote the ring's own identities, so no arithmetic
     beyond the semiring axioms is assumed.
-
-    Soundness:
-        rings: any-semiring
     """
 
     name = "drop-identities"
+    soundness = "any-semiring"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         matches: List[Match] = []
@@ -797,12 +762,10 @@ class AbsorbOnes(Rule):
     other factors already carry, so it can be dropped — which is what lets
     saturation prove e.g. ``X - Y*X = (1 - Y)*X`` where the literal ``1``
     was padded up to a matrix.
-
-    Soundness:
-        rings: any-semiring
     """
 
     name = "absorb-ones"
+    soundness = "any-semiring"
 
     def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
         from repro.translate.lower import ONES_PREFIX
@@ -848,12 +811,12 @@ def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
     e-matching benchmark baseline and for the search-equivalence tests.
 
     ``ring`` (a :class:`~repro.runtime.semiring.Semiring` or ``None`` for
-    real arithmetic) drops every rule the target semiring cannot justify,
-    per the audited gating table in :mod:`repro.optimizer.ring_gate`.  The
-    audit classified all thirteen R_EQ rules any-semiring sound under the
-    counting-literal interpretation, so today the filter is expected to be
-    a no-op — but it consults the committed table rather than assuming, so
-    a future real-only relational rule is gated the day it is audited.
+    real arithmetic) drops every rule whose own ``soundness`` declaration
+    does not cover the target semiring (:func:`repro.optimizer.ring_gate.
+    rule_allowed`).  All thirteen R_EQ rules declare — and the audit
+    measures — any-semiring soundness under the counting-literal
+    interpretation, so today the filter is a no-op; a rule added without a
+    declaration stays out of every non-real compile.
     """
     rules: List[Rule] = [
         Flatten(OP_JOIN),
@@ -870,10 +833,10 @@ def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
         Factor(),
         PushFactorIntoSum(),
     ]
-    if ring is not None and not ring.is_real:
-        from repro.optimizer.ring_gate import gate_relational
+    if ring is not None:
+        from repro.optimizer.ring_gate import rule_allowed
 
-        rules = gate_relational(rules, ring)
+        rules = [rule for rule in rules if rule_allowed(rule, ring)]
     for rule in rules:
         rule.use_index = indexed
     return rules

@@ -28,7 +28,7 @@ reports honest coverage numbers.
 
 Every pattern also declares its **soundness** envelope — the semirings the
 rewrite is valid over, in the compact form parsed by
-:func:`repro.analysis.rules_audit.parse_soundness` (``"any-semiring"`` or
+:func:`repro.optimizer.ring_gate.parse_soundness` (``"any-semiring"`` or
 ``"real-only; needs: subtraction"``).  The rule auditor cross-checks each
 declaration against a differential evaluation over four semirings and fails
 on mismatches, so these strings are enforced, not documentation.

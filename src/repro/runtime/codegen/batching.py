@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.lang import expr as la
-from repro.runtime.optable import ELEMWISE_TYPES
+from repro.runtime.optable import ELEMENTWISE, loop_of
 from repro.runtime.tape import _slot_index
 
 _CONST = 0
@@ -97,7 +97,7 @@ def _classify(root: la.LAExpr, slot: int, n_slots: int) -> int:
             return _BAD
         # at least one columnwise child from here on; elementwise operators
         # act per-column on broadcast-compatible shapes
-        if isinstance(node, ELEMWISE_TYPES):
+        if loop_of(node) == ELEMENTWISE:
             if len(kinds) == 1:
                 return _COL
             left, right = node.children

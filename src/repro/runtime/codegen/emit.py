@@ -45,7 +45,7 @@ from repro.runtime.codegen.regions import (
     Region,
     RegionPlan,
 )
-from repro.runtime.optable import ELEMWISE_TYPES, OP_TABLE
+from repro.runtime.optable import ELEMENTWISE, OP_TABLE, loop_of
 
 
 def source_digest(source: str) -> str:
@@ -88,7 +88,7 @@ def _emit_fused_region(region: Region) -> List[str]:
 
     root, root_operands = region.schedule[-1]
     chain = list(region.schedule[:-1])
-    root_is_elemwise = isinstance(root, ELEMWISE_TYPES)
+    root_is_elemwise = loop_of(root) == ELEMENTWISE
     if root_is_elemwise:
         chain.append((root, root_operands))
     for k, (node, operands) in enumerate(chain):
@@ -115,9 +115,8 @@ def _boundary_ref(operand: Operand) -> str:
 
 def _formula(node: la.LAExpr, refs: Sequence[str]) -> str:
     """Raw-ndarray expression replicating the node's kernel bitwise."""
-    spec = OP_TABLE[type(node)]
-    static = getattr(node, spec.static) if spec.static else None
-    return spec.formula.format(*refs, s=static)
+    payload = node.static
+    return OP_TABLE[type(node)].formula.format(*refs, s=payload[0] if payload else None)
 
 
 def _root_call(node: la.LAExpr, refs: Sequence[str]) -> str:

@@ -42,10 +42,11 @@ from repro.canonical.fingerprint import sparsity_band
 from repro.lang import expr as la
 from repro.runtime.optable import (
     CONSTANT_TYPES,
-    ELEMWISE_TYPES,
-    FUSED_KERNEL_TYPES,
+    ELEMENTWISE,
+    FOLD_ROOT,
+    FUSED_PHYSICAL,
     OP_TABLE,
-    ROOT_FOLD_TYPES,
+    loop_of,
 )
 from repro.runtime.tape import Scheduled, linearize, node_label
 
@@ -120,7 +121,7 @@ class RegionPlan:
         return sum(
             1
             for region in self.regions
-            if region.fused or isinstance(region.root, FUSED_KERNEL_TYPES)
+            if region.fused or loop_of(region.root) == FUSED_PHYSICAL
         )
 
     def structure_digest(self) -> str:
@@ -196,13 +197,13 @@ def plan_regions(
     # -- fusion decision: which scheduled nodes fold into their consumer
     fuse_into: Dict[int, int] = {}
     for i, entry in enumerate(sched):
-        if not isinstance(entry.node, ELEMWISE_TYPES):
+        if loop_of(entry.node) != ELEMENTWISE:
             continue
         users = consumers.get(entry.position, [])
         if len(users) != 1 or users[0] == -1:
             continue
         consumer = sched[users[0]]
-        if not isinstance(consumer.node, ROOT_FOLD_TYPES):
+        if loop_of(consumer.node) not in (ELEMENTWISE, FOLD_ROOT):
             continue
         # zero-skipping gate: the chain value and everything feeding it must
         # sit in the dense band, otherwise the sparse-aware kernels win
@@ -244,7 +245,7 @@ def plan_regions(
                     refs.append(("tmp", tmp))
                 else:
                     refs.append(("val", op))
-                    if isinstance(entry.node, ELEMWISE_TYPES) and op not in guard:
+                    if loop_of(entry.node) == ELEMENTWISE and op not in guard:
                         guard.append(op)
             region_schedule.append((entry.node, tuple(refs)))
         root_entry = sched[root_idx]

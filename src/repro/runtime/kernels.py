@@ -43,6 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.runtime.data import MatrixValue
+from repro.runtime.optable import OP_TABLE
 from repro.runtime.semiring import Semiring, resolve_semiring
 
 
@@ -366,6 +367,16 @@ def _ring_elemwise(
     return ring_elemwise
 
 
+def _ring_negate(ring: Semiring) -> Callable[[MatrixValue], MatrixValue]:
+    sub = ring.sub
+    assert sub is not None
+
+    def ring_negate(a: MatrixValue) -> MatrixValue:
+        return MatrixValue(np.asarray(sub(np.float64(ring.zero), a.to_dense())))
+
+    return ring_negate
+
+
 def _ring_elem_div(ring: Semiring) -> Callable[[MatrixValue, MatrixValue], MatrixValue]:
     div = ring.div
     assert div is not None
@@ -447,98 +458,68 @@ def _unsupported(ring: Semiring, op: str) -> Callable[..., MatrixValue]:
     return raiser
 
 
+#: Every kernel, named once: ``name -> (real kernel, ring-generic builder)``.
+#: The real kernels are the layout-aware module functions above; a builder
+#: makes the dense ring-generic twin from a ring's ⊕/⊗.  ``None`` marks a
+#: kernel that is real analysis or hard-codes real arithmetic — its operator's
+#: row says ``needs="real"``, so no other ring ever asks for it.
+KERNELS: Dict[str, Tuple[Callable, Optional[Callable[[Semiring], Callable]]]] = {
+    "matmul": (matmul, _ring_matmul),
+    "elem_mul": (elem_mul, lambda ring: _ring_elemwise(ring.mul)),
+    "elem_add": (elem_add, lambda ring: _ring_elemwise(ring.add)),
+    "elem_sub": (elem_sub, lambda ring: _ring_elemwise(ring.sub)),
+    "elem_div": (elem_div, _ring_elem_div),
+    "scalar_mul": (scalar_mul, _ring_scalar_mul),
+    # pure layout moves: ring-independent
+    "transpose": (transpose, lambda ring: transpose),
+    "cast": (cast, lambda ring: cast),
+    "row_sums": (row_sums, _ring_row_sums),
+    "col_sums": (col_sums, _ring_col_sums),
+    "full_sum": (full_sum, _ring_full_sum),
+    "power": (power, _ring_power),
+    "negate": (negate, _ring_negate),
+    "unary": (unary, None),
+    "literal": (literal, _ring_literal),
+    "fill": (fill, _ring_fill),
+    "wsloss": (wsloss, None),
+    "wcemm": (wcemm, None),
+    "wdivmm": (wdivmm, None),
+    "sprop": (sprop, None),
+    "mmchain": (mmchain, None),
+}
+
+
 class KernelSet:
     """Kernel callables bound to one semiring.
 
     Attributes are plain functions (not methods) so tape closures capture
     them once at compile time with zero dispatch overhead.  The real set
-    binds exactly the module-level, layout-aware kernels.  Non-real sets
-    bind dense ring-generic kernels; operators a ring cannot express
-    (negation without subtraction, transcendental unaries, the
-    real-arithmetic fused operators) raise :class:`RingKernelError` —
-    compile-time ring validation should have rejected such plans long
-    before execution.
+    binds exactly the module-level, layout-aware kernels; a non-real set
+    binds the dense ring-generic ones.  Whether a ring can express an
+    operator is its op-table row's ``needs`` — the declaration the
+    compile-time gate (``check_ring_compatibility``) rejects plans by — and
+    a kernel only operators the ring cannot express name raises
+    :class:`RingKernelError`: validation should have rejected such a plan
+    long before execution.
     """
 
-    __slots__ = (
-        "ring",
-        "matmul",
-        "elem_mul",
-        "elem_add",
-        "elem_sub",
-        "elem_div",
-        "scalar_mul",
-        "transpose",
-        "cast",
-        "row_sums",
-        "col_sums",
-        "full_sum",
-        "power",
-        "negate",
-        "unary",
-        "literal",
-        "fill",
-        "wsloss",
-        "wcemm",
-        "wdivmm",
-        "sprop",
-        "mmchain",
-    )
+    __slots__ = ("ring", *KERNELS)
 
     def __init__(self, ring: Semiring) -> None:
         self.ring = ring
-        if ring.is_real:
-            self.matmul = matmul
-            self.elem_mul = elem_mul
-            self.elem_add = elem_add
-            self.elem_sub = elem_sub
-            self.elem_div = elem_div
-            self.scalar_mul = scalar_mul
-            self.transpose = transpose
-            self.cast = cast
-            self.row_sums = row_sums
-            self.col_sums = col_sums
-            self.full_sum = full_sum
-            self.power = power
-            self.negate = negate
-            self.unary = unary
-            self.literal = literal
-            self.fill = fill
-            self.wsloss = wsloss
-            self.wcemm = wcemm
-            self.wdivmm = wdivmm
-            self.sprop = sprop
-            self.mmchain = mmchain
-            return
-        self.matmul = _ring_matmul(ring)
-        self.elem_mul = _ring_elemwise(ring.mul)
-        self.elem_add = _ring_elemwise(ring.add)
-        self.elem_sub = (
-            _ring_elemwise(ring.sub)
-            if ring.has_subtraction and ring.sub is not None
-            else _unsupported(ring, "elem_sub")
-        )
-        self.elem_div = (
-            _ring_elem_div(ring)
-            if ring.has_division and ring.div is not None
-            else _unsupported(ring, "elem_div")
-        )
-        self.scalar_mul = _ring_scalar_mul(ring)
-        self.transpose = transpose  # pure layout moves: ring-independent
-        self.cast = cast
-        self.row_sums = _ring_row_sums(ring)
-        self.col_sums = _ring_col_sums(ring)
-        self.full_sum = _ring_full_sum(ring)
-        self.power = _ring_power(ring)
-        self.negate = _unsupported(ring, "negate")
-        self.unary = _unsupported(ring, "unary")
-        self.literal = _ring_literal(ring)
-        self.fill = _ring_fill(ring)
-        self.wsloss = _unsupported(ring, "wsloss")
-        self.wcemm = _unsupported(ring, "wcemm")
-        self.wdivmm = _unsupported(ring, "wdivmm")
-        self.sprop = _unsupported(ring, "sprop")
-        self.mmchain = _unsupported(ring, "mmchain")
+        rows = list(OP_TABLE.values())
+        # ``scalar_mul``/``literal``/``fill`` serve no row and always bind
+        inexpressible = {spec.kernel for spec in rows} - {
+            spec.kernel for spec in rows if ring.provides(spec.needs)
+        }
+        for name, (real, build) in KERNELS.items():
+            if ring.is_real:
+                kernel = real
+            elif name in inexpressible:
+                kernel = _unsupported(ring, name)
+            else:
+                kernel = build(ring)
+            setattr(self, name, kernel)
 
 
 _KERNEL_SETS: Dict[str, KernelSet] = {}

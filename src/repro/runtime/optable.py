@@ -1,14 +1,26 @@
 """The op table: one declarative row per executable LA operator.
 
-Everything the runtime needs to know about an operator lives in its
-:class:`OpSpec` row — the statistics name, the :class:`~repro.runtime.
-kernels.KernelSet` attribute that computes it, which node attribute rides
-along as a static kernel argument, its loop class, the raw-ndarray twin of
-its kernel formula, and how its result's density follows from its
-operands'.  The interpreter's dispatch, the tape's step closures, the
-region planner's type sets and density prediction, the fused-region
-fallback and the emitted kernel calls are all derived from these rows, so
-making a new LA operator executable is one row here (plus its kernel).
+An LA operator is declared twice and only twice: its node class
+(:func:`repro.lang.expr.node` — children, static payload, shape) and its
+:class:`OpSpec` row here.  The row holds everything else any layer needs to
+know about it:
+
+* **execution** — the statistics name, the :class:`~repro.runtime.kernels.
+  KernelSet` attribute that computes it (the node's static payload rides
+  along as kernel arguments), its loop class, the raw-ndarray twin of its
+  kernel formula, and how its result's density follows from its operands';
+* **ring** — ``needs``: what a semiring must provide for the operator to
+  mean anything (``None``, ``"subtraction"``, ``"division"``, ``"real"``);
+* **cost** — the sparsity rule and the work rule of the analytic cost model.
+
+The interpreter's dispatch, the tape's step closures, the region planner's
+loop classes and density prediction, the emitted kernel calls, the per-ring
+kernel binding, the compile-time ring gate and ``LACostModel`` are all
+lookups of these rows by ``type(node)``; the plan codec and the fingerprint
+read the node class's own field list.  None of them has a default branch:
+an operator without a row is an error where it is first met, not a silent
+``1.0``.  Making a new operator executable is therefore its class, one row
+here, and its kernel.
 
 ``Var``, ``Literal`` and ``FilledMatrix`` have no row: they are leaves the
 executors bind or materialize, not kernels they call.
@@ -32,23 +44,132 @@ FUSED_PHYSICAL = "fused-physical"
 PLAIN = "plain"
 
 
+# ---------------------------------------------------------------------------
+# Cost rules
+# ---------------------------------------------------------------------------
+#
+# A rule maps ``(node, sp)`` to a number, where ``sp(operand)`` is the
+# estimated sparsity — fraction of cells that are not the ring's zero — of
+# an operand (or of the node itself).  Sparsity rules are sound upper
+# bounds over any commutative semiring: they use only that the zero is the
+# ⊕-identity and the ⊗-annihilator (see :mod:`repro.cost.la_cost`).
+
+Sparsity = Callable[[la.LAExpr], float]
+CostRule = Callable[[la.LAExpr, Sparsity], float]
+
+#: Extent assumed for dimensions without a concrete size.
+DEFAULT_EXTENT = 1000.0
+
+
+def extent(size: Optional[int]) -> float:
+    return float(size) if size is not None else DEFAULT_EXTENT
+
+
+def cells(node: la.LAExpr) -> float:
+    shape = node.shape
+    return extent(shape.rows.size) * extent(shape.cols.size)
+
+
+def nnz(node: la.LAExpr, sp: Sparsity) -> float:
+    """Estimated non-zeros of ``node``'s result — as a work rule, one
+    operation per result cell that can be non-zero."""
+    return sp(node) * cells(node)
+
+
+def _sp_dense(node: la.LAExpr, sp: Sparsity) -> float:
+    return 1.0
+
+
+def _sp_first(node: la.LAExpr, sp: Sparsity) -> float:
+    # Zero-preserving in the first operand.  For ``/``: zero/x = zero by
+    # annihilation and x/zero is zero by kernel convention, so the left
+    # factor bounds the result in every ring.
+    return sp(node.children[0])
+
+
+def _sp_both(node: la.LAExpr, sp: Sparsity) -> float:
+    # ⊗-annihilation: the product is zero wherever either factor is.
+    return min(sp(node.left), sp(node.right))
+
+
+def _sp_either(node: la.LAExpr, sp: Sparsity) -> float:
+    # ⊕-identity: the sum is non-zero only where some addend is (union
+    # bound; real cancellation can only sparsify further).
+    return min(1.0, sp(node.left) + sp(node.right))
+
+
+def _sp_matmul(node: la.MatMul, sp: Sparsity) -> float:
+    return min(1.0, extent(node.left.shape.cols.size) * _sp_both(node, sp))
+
+
+def _sp_row_sums(node: la.RowSums, sp: Sparsity) -> float:
+    return min(1.0, extent(node.child.shape.cols.size) * sp(node.child))
+
+
+def _sp_col_sums(node: la.ColSums, sp: Sparsity) -> float:
+    return min(1.0, extent(node.child.shape.rows.size) * sp(node.child))
+
+
+def _sp_power(node: la.Power, sp: Sparsity) -> float:
+    # x⁰ is the multiplicative one everywhere: a dense constant.
+    return 1.0 if node.exponent == 0 else sp(node.child)
+
+
+def _sp_unary(node: la.UnaryFunc, sp: Sparsity) -> float:
+    return sp(node.child) if node.func in ("abs", "sign", "sqrt", "round") else 1.0
+
+
+def _work_input(node: la.LAExpr, sp: Sparsity) -> float:
+    return nnz(node.children[0], sp)
+
+
+def _work_cast(node: la.LAExpr, sp: Sparsity) -> float:
+    return 1.0
+
+
+def _work_matmul(node: la.MatMul, sp: Sparsity) -> float:
+    rows = extent(node.left.shape.rows.size)
+    inner = extent(node.left.shape.cols.size)
+    cols = extent(node.right.shape.cols.size)
+    return rows * inner * cols * _sp_both(node, sp)
+
+
+def _work_mmchain(node: la.MMChain, sp: Sparsity) -> float:
+    rows = extent(node.x.shape.rows.size)
+    cols = extent(node.x.shape.cols.size)
+    return 2.0 * rows * cols * sp(node.x)
+
+
+def _work_sampled(passes: float) -> CostRule:
+    """Streams ``passes`` times over the non-zeros of ``X`` only, one
+    rank-length dot product each (``wdivmm`` adds a sparse-dense product)."""
+
+    def work(node: la.LAExpr, sp: Sparsity) -> float:
+        return passes * nnz(node.x, sp) * extent(node.u.shape.cols.size)
+
+    return work
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One operator's row."""
 
     #: ``ExecutionStats.operator_counts`` key; ``None`` means the static
-    #: argument names the operation (``UnaryFunc``: ``exp``, ``sigmoid``...)
+    #: payload names the operation (``UnaryFunc``: ``exp``, ``sigmoid``...)
     name: Optional[str]
-    #: attribute of :class:`~repro.runtime.kernels.KernelSet` that computes it
+    #: attribute of :class:`~repro.runtime.kernels.KernelSet` that computes
+    #: it; the node's static payload is passed along as kernel arguments
     kernel: str
+    #: estimated fraction of non-ring-zero cells of the result
+    sparsity: CostRule
+    #: estimated floating-point work of producing the result
+    work: CostRule
     loop: str = PLAIN
     #: raw-ndarray twin of the real kernel's formula, in the kernel's operand
-    #: order (``{0}``/``{1}`` operands, ``{s}`` the static argument); only
+    #: order (``{0}``/``{1}`` operands, ``{s}`` the static payload); only
     #: elementwise operators have one
     formula: Optional[str] = None
-    #: node attribute passed to the kernel as a static argument ...
-    static: Optional[str] = None
-    #: ... before the operand values rather than after them
+    #: the kernel takes the static payload before the operand values
     static_first: bool = False
     #: the last child is a weight; ``Literal(1.0)`` there means unweighted:
     #: the child is never evaluated and the kernel receives ``None``
@@ -56,6 +177,10 @@ class OpSpec:
     #: density of the result: ``None`` follows the operands (dense iff all
     #: are), ``True`` always dense, ``False`` conservatively sparse
     dense_result: Optional[bool] = None
+    #: what :meth:`Semiring.provides` must hold for the executing ring:
+    #: ``"subtraction"``, ``"division"``, or ``"real"`` for operators that
+    #: are real analysis or hard-code real arithmetic; ``None`` = any ring
+    needs: Optional[str] = None
 
     def _unweighted(self, node: la.LAExpr) -> bool:
         if not self.optional_weight:
@@ -70,9 +195,9 @@ class OpSpec:
 
     def statics(self, node: la.LAExpr) -> Tuple[tuple, tuple]:
         """Static kernel arguments ``(before, after)`` the operand values."""
-        if self.static is not None:
-            value = (getattr(node, self.static),)
-            return (value, ()) if self.static_first else ((), value)
+        payload = node.static
+        if payload:
+            return (payload, ()) if self.static_first else ((), payload)
         return ((), (None,)) if self._unweighted(node) else ((), ())
 
     def bind(self, node: la.LAExpr, kernel_set: object) -> Callable:
@@ -86,55 +211,109 @@ class OpSpec:
         return op
 
     def stat_name(self, node: la.LAExpr) -> str:
-        return self.name or getattr(node, self.static)
+        return self.name or node.static[0]
 
     def label(self, node: la.LAExpr) -> str:
         """Human-readable operator label (profiles, region labels)."""
         kind = type(node).__name__
-        return kind if self.name else f"{kind}[{getattr(node, self.static)}]"
+        return kind if self.name else f"{kind}[{node.static[0]}]"
 
 
 OP_TABLE: Dict[Type[la.LAExpr], OpSpec] = {
-    la.ElemMul: OpSpec("elemmul", "elem_mul", ELEMENTWISE, "({0} * {1})"),
-    la.ElemPlus: OpSpec("elemplus", "elem_add", ELEMENTWISE, "({0} + {1})"),
+    la.ElemMul: OpSpec("elemmul", "elem_mul", _sp_both, nnz, ELEMENTWISE, "({0} * {1})"),
+    la.ElemPlus: OpSpec("elemplus", "elem_add", _sp_either, nnz, ELEMENTWISE, "({0} + {1})"),
     # bitwise what kernels.elem_sub's ``left - right`` computes
-    la.ElemMinus: OpSpec("elemminus", "elem_sub", ELEMENTWISE, "({0} + -1.0 * {1})"),
-    la.ElemDiv: OpSpec("elemdiv", "elem_div", ELEMENTWISE, "rt.ediv({0}, {1})"),
-    la.Power: OpSpec("power", "power", ELEMENTWISE, "np.power({0}, {s!r})", static="exponent"),
+    la.ElemMinus: OpSpec(
+        "elemminus",
+        "elem_sub",
+        _sp_either,
+        nnz,
+        ELEMENTWISE,
+        "({0} + -1.0 * {1})",
+        needs="subtraction",
+    ),
+    la.ElemDiv: OpSpec(
+        "elemdiv", "elem_div", _sp_first, nnz, ELEMENTWISE, "rt.ediv({0}, {1})", needs="division"
+    ),
+    la.Power: OpSpec("power", "power", _sp_power, _work_input, ELEMENTWISE, "np.power({0}, {s!r})"),
     # kernels.negate is scalar_mul(-1.0, a) = ``matrix * -1.0``
-    la.Neg: OpSpec("neg", "negate", ELEMENTWISE, "({0} * -1.0)"),
+    la.Neg: OpSpec(
+        "neg", "negate", _sp_first, _work_input, ELEMENTWISE, "({0} * -1.0)", needs="subtraction"
+    ),
     la.UnaryFunc: OpSpec(
-        None, "unary", ELEMENTWISE, "rt.u_{s}({0})", static="func", static_first=True
+        None,
+        "unary",
+        _sp_unary,
+        _work_input,
+        ELEMENTWISE,
+        "rt.u_{s}({0})",
+        static_first=True,
+        needs="real",
     ),
-    la.MatMul: OpSpec("matmul", "matmul", FOLD_ROOT),
+    la.MatMul: OpSpec("matmul", "matmul", _sp_matmul, _work_matmul, FOLD_ROOT),
     # sum kernels return dense arrays (or scalars) on either representation
-    la.RowSums: OpSpec("rowsums", "row_sums", FOLD_ROOT, dense_result=True),
-    la.ColSums: OpSpec("colsums", "col_sums", FOLD_ROOT, dense_result=True),
-    la.Sum: OpSpec("sum", "full_sum", FOLD_ROOT, dense_result=True),
-    la.Transpose: OpSpec("transpose", "transpose"),
-    la.CastScalar: OpSpec("cast", "cast", dense_result=True),
+    la.RowSums: OpSpec(
+        "rowsums", "row_sums", _sp_row_sums, _work_input, FOLD_ROOT, dense_result=True
+    ),
+    la.ColSums: OpSpec(
+        "colsums", "col_sums", _sp_col_sums, _work_input, FOLD_ROOT, dense_result=True
+    ),
+    la.Sum: OpSpec("sum", "full_sum", _sp_dense, _work_input, FOLD_ROOT, dense_result=True),
+    la.Transpose: OpSpec("transpose", "transpose", _sp_first, _work_input),
+    la.CastScalar: OpSpec("cast", "cast", _sp_dense, _work_cast, dense_result=True),
     la.WSLoss: OpSpec(
-        "wsloss", "wsloss", FUSED_PHYSICAL, optional_weight=True, dense_result=True
+        "wsloss",
+        "wsloss",
+        _sp_dense,
+        _work_sampled(1.0),
+        FUSED_PHYSICAL,
+        optional_weight=True,
+        dense_result=True,
+        needs="real",
     ),
-    la.WCeMM: OpSpec("wcemm", "wcemm", FUSED_PHYSICAL, dense_result=True),
+    la.WCeMM: OpSpec(
+        "wcemm",
+        "wcemm",
+        _sp_dense,
+        _work_sampled(1.0),
+        FUSED_PHYSICAL,
+        dense_result=True,
+        needs="real",
+    ),
     la.WDivMM: OpSpec(
-        "wdivmm", "wdivmm", FUSED_PHYSICAL, static="multiply_left", dense_result=False
+        "wdivmm",
+        "wdivmm",
+        _sp_dense,
+        _work_sampled(2.0),
+        FUSED_PHYSICAL,
+        dense_result=False,
+        needs="real",
     ),
-    la.SProp: OpSpec("sprop", "sprop", FUSED_PHYSICAL, dense_result=True),
+    la.SProp: OpSpec(
+        "sprop", "sprop", _sp_first, _work_input, FUSED_PHYSICAL, dense_result=True, needs="real"
+    ),
     la.MMChain: OpSpec(
-        "mmchain", "mmchain", FUSED_PHYSICAL, optional_weight=True, dense_result=True
+        "mmchain",
+        "mmchain",
+        _sp_dense,
+        _work_mmchain,
+        FUSED_PHYSICAL,
+        optional_weight=True,
+        dense_result=True,
+        needs="real",
     ),
 }
 
-
-def _types_of(*loops: str) -> Tuple[Type[la.LAExpr], ...]:
-    return tuple(kind for kind, spec in OP_TABLE.items() if spec.loop in loops)
-
-
 #: leaves executors materialize once instead of calling a kernel per run
 CONSTANT_TYPES = (la.Literal, la.FilledMatrix)
-ELEMWISE_TYPES = _types_of(ELEMENTWISE)
-#: node types an elementwise chain may fold into (the region roots)
-ROOT_FOLD_TYPES = _types_of(ELEMENTWISE, FOLD_ROOT)
-#: fused physical operators — single-node regions, counted as fused
-FUSED_KERNEL_TYPES = _types_of(FUSED_PHYSICAL)
+
+
+def loop_of(node: la.LAExpr) -> Optional[str]:
+    """The loop class of ``node``'s row, read when asked (``None``: a leaf).
+
+    An elementwise chain may fold into an ``ELEMENTWISE`` or ``FOLD_ROOT``
+    consumer; ``FUSED_PHYSICAL`` operators are single-node regions counted
+    as fused.
+    """
+    spec = OP_TABLE.get(type(node))
+    return None if spec is None else spec.loop

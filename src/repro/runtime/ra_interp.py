@@ -1,10 +1,12 @@
 """Reference interpreter for RA plans over K-relations.
 
-This is the semantic oracle the correctness tests use: it evaluates an RA
-expression directly over dense NumPy tensors, one axis per attribute, using
-the K-relation semantics of Sec. 2 (join = multiply on matching indices,
-union = add, Σ = sum out an axis).  It is deliberately simple and dense —
-it exists to check that lowering, the rewrite rules, extraction and lifting
+This is the semantic oracle the correctness tests and the rule audit use:
+it evaluates an RA expression directly over dense NumPy tensors, one axis
+per attribute, using the K-relation semantics of Sec. 2 over any
+:class:`~repro.runtime.semiring.Semiring` — join combines matching indices
+with ⊗, union with ⊕, Σ is the ring's ⊕-reduction of an axis (real
+arithmetic: multiply, add, sum).  It is deliberately simple and dense — it
+exists to check that lowering, the rewrite rules, extraction and lifting
 all preserve semantics, not to be fast.
 """
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from repro.ra.attrs import Attr
 from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar
+from repro.runtime.semiring import REAL, BinOp, Semiring
 from repro.translate.lower import ONES_PREFIX
 
 
@@ -31,8 +34,9 @@ def evaluate(
     node: RExpr,
     inputs: Mapping[str, np.ndarray],
     attr_sizes: Mapping[str, int],
+    ring: Semiring = REAL,
 ) -> Labelled:
-    """Evaluate an RA expression.
+    """Evaluate an RA expression over ``ring``.
 
     Parameters
     ----------
@@ -45,6 +49,11 @@ def evaluate(
     attr_sizes:
         Extent of every attribute (needed for all-ones tensors and for
         aggregations over attributes absent from the child).
+    ring:
+        The semiring.  Literals are read through
+        :meth:`Semiring.encode_literal`: face value in real arithmetic, the
+        counting interpretation elsewhere (a literal without one raises
+        :class:`~repro.runtime.semiring.RingLiteralError`).
 
     Returns
     -------
@@ -53,35 +62,40 @@ def evaluate(
         sorted by attribute name.
     """
     if isinstance(node, RLit):
-        return np.array(node.value), ()
+        return np.array(ring.encode_literal(node.value)), ()
     if isinstance(node, RVar):
-        return _leaf(node, inputs, attr_sizes)
+        return _leaf(node, inputs, attr_sizes, ring)
     if isinstance(node, RJoin):
-        parts = [evaluate(arg, inputs, attr_sizes) for arg in node.args]
-        return _combine(parts, np.multiply)
+        parts = [evaluate(arg, inputs, attr_sizes, ring) for arg in node.args]
+        return _combine(parts, ring.mul)
     if isinstance(node, RAdd):
-        parts = [evaluate(arg, inputs, attr_sizes) for arg in node.args]
-        return _combine(parts, np.add)
+        parts = [evaluate(arg, inputs, attr_sizes, ring) for arg in node.args]
+        return _combine(parts, ring.add)
     if isinstance(node, RSum):
-        value, axes = evaluate(node.child, inputs, attr_sizes)
+        value, axes = evaluate(node.child, inputs, attr_sizes, ring)
         agg_names = {attr.name for attr in node.indices}
         keep = tuple(i for i, name in enumerate(axes) if name not in agg_names)
         drop = tuple(i for i, name in enumerate(axes) if name in agg_names)
-        scale = 1.0
+        result = ring.aggregate(value, axis=drop) if drop else value
+        # Σ_i over an expression that does not mention i is an |i|-fold ⊕:
+        # multiply by the count |i| read as a literal of the ring.
+        absent = 1
         for attr in node.indices:
             if attr.name not in axes:
-                # Σ_i over an expression that does not mention i multiplies by |i|.
-                scale *= attr_sizes.get(attr.name, attr.size or 1)
-        result = value.sum(axis=drop) if drop else value
-        return result * scale, tuple(axes[i] for i in keep)
+                absent *= extent(attr, attr_sizes)
+        if absent != 1:
+            result = ring.mul(result, np.float64(ring.encode_literal(absent)))
+        return np.asarray(result), tuple(axes[i] for i in keep)
     raise RAInterpError(f"cannot evaluate {type(node).__name__}")
 
 
-def _leaf(node: RVar, inputs: Mapping[str, np.ndarray], attr_sizes: Mapping[str, int]) -> Labelled:
+def _leaf(
+    node: RVar, inputs: Mapping[str, np.ndarray], attr_sizes: Mapping[str, int], ring: Semiring
+) -> Labelled:
     names = tuple(attr.name for attr in node.attrs)
     if node.name.startswith(ONES_PREFIX):
-        shape = tuple(_extent(attr, attr_sizes) for attr in node.attrs)
-        return np.ones(shape), names
+        shape = tuple(extent(attr, attr_sizes) for attr in node.attrs)
+        return ring.fill(shape, ring.one), names
     if node.name not in inputs:
         raise RAInterpError(f"no input bound to tensor {node.name!r}")
     array = np.asarray(inputs[node.name], dtype=np.float64)
@@ -94,7 +108,7 @@ def _leaf(node: RVar, inputs: Mapping[str, np.ndarray], attr_sizes: Mapping[str,
     return array, names
 
 
-def _extent(attr: Attr, attr_sizes: Mapping[str, int]) -> int:
+def extent(attr: Attr, attr_sizes: Mapping[str, int]) -> int:
     if attr.name in attr_sizes:
         return attr_sizes[attr.name]
     if attr.size is not None:
@@ -102,7 +116,7 @@ def _extent(attr: Attr, attr_sizes: Mapping[str, int]) -> int:
     raise RAInterpError(f"unknown extent for attribute {attr.name!r}")
 
 
-def _combine(parts: List[Labelled], op) -> Labelled:
+def _combine(parts: List[Labelled], op: BinOp) -> Labelled:
     """Align tensors on a shared sorted axis list and combine element-wise."""
     all_names = sorted({name for _, names in parts for name in names})
     aligned = [_align(value, names, all_names) for value, names in parts]

@@ -6,8 +6,9 @@ sound, which cleared the way to promote it here and parameterize the
 *execution* stack by ring.  The audit imports it from this module.
 
 A :class:`Semiring` bundles the carrier operations (⊕, ⊗, their identities,
-the ⊕-reduction used by aggregation) with the *capability flags* the rule
-soundness stanzas are cross-checked against:
+the ⊕-reduction used by aggregation) with the *capability flags* the rules'
+soundness declarations and the operator rows' ``needs`` are read against
+(:meth:`Semiring.provides`):
 
 ``subtraction``
     every element has an additive inverse (rewrites using ``-`` / ``Neg``);
@@ -38,6 +39,13 @@ import numpy as np
 Array = np.ndarray
 BinOp = Callable[[Array, Array], Array]
 Sampler = Callable[[np.random.Generator, Tuple[int, ...]], Array]
+
+
+#: capability tokens every commutative semiring meets (under the
+#: counting-literal interpretation): declared for the record, never gating
+UNIVERSAL_NEEDS = frozenset(
+    {"associativity", "commutativity", "distributivity", "annihilation", "counting-literals"}
+)
 
 
 class RingLiteralError(ValueError):
@@ -79,6 +87,25 @@ class Semiring:
     def is_real(self) -> bool:
         """True for the ring the optimizer was originally built for."""
         return self.name == "real"
+
+    def provides(self, need: Optional[str]) -> bool:
+        """Whether this ring has the capability ``need`` names.
+
+        The one reading of a capability token, shared by the operator rows
+        (``OpSpec.needs``: what the kernel and the compile-time gate check)
+        and the rules' soundness declarations (``needs:`` clauses).  ``None``
+        and the :data:`UNIVERSAL_NEEDS` never restrict; a token nobody
+        defined is not provided — refuse rather than guess.
+        """
+        if need is None or need in UNIVERSAL_NEEDS:
+            return True
+        if need == "subtraction":
+            return self.has_subtraction and self.sub is not None
+        if need == "division":
+            return self.has_division and self.div is not None
+        if need == "idempotence":
+            return self.idempotent
+        return need == "real" and self.is_real
 
     def from_int(self, count: int) -> float:
         """ℕ → S: the ``count``-fold ⊕ of the multiplicative one.

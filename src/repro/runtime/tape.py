@@ -68,7 +68,7 @@ from repro.runtime.engine import (
     constant_value,
     slot_name,
 )
-from repro.runtime.optable import CONSTANT_TYPES, FUSED_KERNEL_TYPES, OP_TABLE
+from repro.runtime.optable import CONSTANT_TYPES, FUSED_PHYSICAL, OP_TABLE, loop_of
 from repro.runtime.semiring import Semiring, resolve_semiring
 
 #: one compiled instruction: reads operand positions from the value vector
@@ -292,9 +292,7 @@ class TapePlan:
                 fn = kernel_step(entry.node, entry.operands, kernel_set)
                 label = node_label(entry.node)
                 steps.append(TapeStep(fn, entry.position, deps, (entry.node,), label))
-        fused = sum(
-            1 for entry in schedule if isinstance(entry.node, FUSED_KERNEL_TYPES)
-        )
+        fused = sum(1 for entry in schedule if loop_of(entry.node) == FUSED_PHYSICAL)
         self._load(steps, root, n_slots + len(schedule), fused)
 
     def _load(

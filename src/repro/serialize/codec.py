@@ -190,16 +190,13 @@ class ExprTableEncoder:
                 "rows": self._dim_ref(node.fill_shape.rows),
                 "cols": self._dim_ref(node.fill_shape.cols),
             }
+        # an operator: child references plus its static payload by field name
         entry: dict = {
             "op": op,
             "children": [self._node_index[id(child)] for child in node.children],
         }
-        if isinstance(node, la.Power):
-            entry["exponent"] = _encode_float(node.exponent)
-        elif isinstance(node, la.UnaryFunc):
-            entry["func"] = node.func
-        elif isinstance(node, la.WDivMM):
-            entry["multiply_left"] = node.multiply_left
+        for (name, kind), value in zip(node.static_fields, node.static):
+            entry[name] = _encode_float(value) if kind is float else value
         return entry
 
 
@@ -274,17 +271,13 @@ class ExprTableDecoder:
             cls = la.NODE_TYPES.get(op) if isinstance(op, str) else None
             if cls is None:
                 raise DeserializationError(f"node {position}: unknown operator {op!r}")
-            children = self._children(position, entry)
-            if cls is la.Power:
-                (child,) = children
-                return la.Power(child, _decode_float(entry["exponent"]))
-            if cls is la.UnaryFunc:
-                (child,) = children
-                return la.UnaryFunc(str(entry["func"]), child)
-            if cls is la.WDivMM:
-                x, u, v = children
-                return la.WDivMM(x, u, v, bool(entry["multiply_left"]))
-            return cls(*children)
+            # strict zip: a wrong child count is a corruption error
+            operands = zip(cls.child_fields, self._children(position, entry), strict=True)
+            payload = {
+                name: _decode_float(entry[name]) if kind is float else kind(entry[name])
+                for name, kind in cls.static_fields
+            }
+            return cls(**dict(operands), **payload)
         except DeserializationError:
             raise
         except (KeyError, TypeError, ValueError, DimensionError) as error:

@@ -8,10 +8,13 @@ and the bench-gate's missing-baseline tolerance are covered here too.
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.analysis import concurrency_lint, plan_lint, rules_audit
+from repro.optimizer import ring_gate
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.report import AnalysisReport, Baseline, BaselineError, Finding
 from repro.analysis.selftest import (
@@ -23,6 +26,8 @@ from repro.analysis.selftest import (
 from repro.ra.attrs import Attr
 from repro.ra.rexpr import RSum, RVar
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 
 # ---------------------------------------------------------------------------
 # Soundness declarations
@@ -30,35 +35,51 @@ from repro.ra.rexpr import RSum, RVar
 
 
 class TestParseSoundness:
-    def test_stanza_with_needs(self):
-        claim = rules_audit.parse_soundness(
-            "A rule.\n\n    Soundness:\n        rings: any-semiring\n"
-            "        needs: associativity, commutativity\n"
-        )
-        assert claim is not None
-        assert claim.rings == "any-semiring"
-        assert claim.needs == ("associativity", "commutativity")
-
     def test_compact_field(self):
-        claim = rules_audit.parse_soundness("real-only; needs: subtraction")
+        claim = ring_gate.parse_soundness("real-only; needs: subtraction")
         assert claim is not None
         assert claim.rings == "real-only"
         assert claim.needs == ("subtraction",)
+        claim = ring_gate.parse_soundness("any-semiring; needs: associativity, commutativity")
+        assert claim == ring_gate.SoundnessClaim(
+            "any-semiring", ("associativity", "commutativity")
+        )
 
-    def test_docstring_without_stanza_is_undeclared(self):
-        assert rules_audit.parse_soundness("Just prose.\n\nMore prose.") is None
-        assert rules_audit.parse_soundness("") is None
-        assert rules_audit.parse_soundness(None) is None
+    def test_empty_declaration_is_undeclared(self):
+        assert ring_gate.parse_soundness("") is None
+        assert ring_gate.parse_soundness(None) is None
+
+    def test_rules_declare_in_an_attribute_that_survives_dash_OO(self):
+        """``python -OO`` strips docstrings; a gate reading them would
+        silently exclude every rule off the real ring."""
+        script = (
+            "from repro.rules import relational_rules\n"
+            "from repro.runtime.semiring import MIN_PLUS\n"
+            "assert relational_rules.__doc__ is None\n"
+            "print(len(relational_rules(ring=MIN_PLUS)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-OO", "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "13"
 
     def test_predicted_filters_by_capability(self):
         from repro.runtime.semiring import AUDIT_SEMIRINGS
 
-        any_ring = rules_audit.SoundnessClaim(rings="any-semiring")
+        any_ring = ring_gate.SoundnessClaim(rings="any-semiring")
         assert len(any_ring.predicted(AUDIT_SEMIRINGS)) == 4
-        sub = rules_audit.SoundnessClaim(rings="any-semiring", needs=("subtraction",))
+        sub = ring_gate.SoundnessClaim(rings="any-semiring", needs=("subtraction",))
         assert sub.predicted(AUDIT_SEMIRINGS) == frozenset({"real"})
-        idem = rules_audit.SoundnessClaim(rings="any-semiring", needs=("idempotence",))
+        idem = ring_gate.SoundnessClaim(rings="any-semiring", needs=("idempotence",))
         assert "real" not in idem.predicted(AUDIT_SEMIRINGS)
+        named = ring_gate.SoundnessClaim(rings="min-plus, bool", needs=("division",))
+        assert named.predicted(AUDIT_SEMIRINGS) == frozenset({"min-plus"})
+        # a capability nobody defined is refused, not guessed
+        typo = ring_gate.SoundnessClaim(rings="any-semiring", needs=("telepathy",))
+        assert typo.predicted(AUDIT_SEMIRINGS) == frozenset()
 
 
 class TestRulesAudit:
@@ -332,8 +353,7 @@ class TestSelftestAndCli:
 
 
 def _load_check_regression():
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    path = os.path.join(root, "benchmarks", "check_regression.py")
+    path = os.path.join(REPO_ROOT, "benchmarks", "check_regression.py")
     spec = importlib.util.spec_from_file_location("check_regression", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

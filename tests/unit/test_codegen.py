@@ -7,12 +7,19 @@ Bitwise parity across whole workloads lives in
 ``tests/property/test_codegen_parity.py``.
 """
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
+from repro.canonical.fingerprint import fingerprint
+from repro.cost import LACostModel
 from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
-from repro.runtime import kernels
+from repro.optimizer.ring_gate import RingCompatibilityError, check_ring_compatibility
+from repro.runtime import execute_slots, kernels
 from repro.runtime.codegen import (
     CODEGEN_VERSION,
     FusedPlan,
@@ -27,12 +34,15 @@ from repro.runtime.codegen import (
 from repro.runtime.data import MatrixValue
 from repro.runtime.optable import (
     CONSTANT_TYPES,
-    ELEMWISE_TYPES,
-    FUSED_KERNEL_TYPES,
+    ELEMENTWISE,
+    FOLD_ROOT,
+    FUSED_PHYSICAL,
     OP_TABLE,
-    ROOT_FOLD_TYPES,
+    OpSpec,
+    nnz,
 )
-from repro.runtime.semiring import AUDIT_SEMIRINGS
+from repro.runtime.semiring import AUDIT_SEMIRINGS, MIN_PLUS, REAL
+from repro.serialize import decode_expression, encode_expression
 from repro.runtime.tape import TapePlan, ValuePool
 
 
@@ -74,17 +84,39 @@ def _dense_inputs(n_slots, rows=24, cols=18, seed=0):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def scale_operator():
+    """A throwaway operator ``Scale(factor, child) = factor * child``: its
+    class and its row (over the existing ``scalar_mul`` kernel — the one
+    elementwise kernel that takes a static argument), registered for one
+    test and nothing else touched."""
+
+    @la.node
+    class Scale(la.LAExpr):
+        factor: float
+        child: la.LAExpr
+
+        @property
+        def shape(self):
+            return self.child.shape
+
+    OP_TABLE[Scale] = OpSpec(
+        "scale",
+        "scalar_mul",
+        lambda node, sp: sp(node.child),
+        nnz,
+        ELEMENTWISE,
+        "({0} * {s!r})",
+        static_first=True,
+        needs="real",
+    )
+    yield Scale
+    del OP_TABLE[Scale], la.NODE_TYPES["Scale"]
+
+
 class TestOpTable:
     def test_every_concrete_node_has_a_row_or_is_a_leaf(self):
-        concrete = {
-            kind
-            for kind in vars(la).values()
-            if isinstance(kind, type)
-            and issubclass(kind, la.LAExpr)
-            and kind is not la.LAExpr
-            and not kind.__name__.startswith("_")
-        }
-        assert concrete == set(OP_TABLE) | {la.Var} | set(CONSTANT_TYPES)
+        assert set(la.NODE_TYPES.values()) == set(OP_TABLE) | {la.Var} | set(CONSTANT_TYPES)
 
     def test_every_row_names_a_kernel_of_every_ring(self):
         assert len(AUDIT_SEMIRINGS) == 4
@@ -94,19 +126,107 @@ class TestOpTable:
                 assert callable(getattr(kernel_set, spec.kernel)), (ring.name, kind)
 
     def test_derived_type_sets_match_the_planner_tuples_they_replaced(self):
+        def of(*loops):
+            return {kind for kind, spec in OP_TABLE.items() if spec.loop in loops}
+
         elementwise = {
             la.ElemMul, la.ElemPlus, la.ElemMinus, la.ElemDiv,
             la.Power, la.Neg, la.UnaryFunc,
         }
-        assert set(ELEMWISE_TYPES) == elementwise
-        assert set(ROOT_FOLD_TYPES) == elementwise | {
+        assert of(ELEMENTWISE) == elementwise
+        assert of(ELEMENTWISE, FOLD_ROOT) == elementwise | {
             la.Sum, la.RowSums, la.ColSums, la.MatMul,
         }
-        assert set(FUSED_KERNEL_TYPES) == {
+        assert of(FUSED_PHYSICAL) == {
             la.WSLoss, la.WCeMM, la.WDivMM, la.SProp, la.MMChain,
         }
-        for kind in ELEMWISE_TYPES:
+        for kind in elementwise:
             assert OP_TABLE[kind].formula is not None
+
+    def test_needs_bind_the_kernels_and_gate_the_plans_alike(self):
+        """One ``needs`` column, two readers: a ring's KernelSet raises for
+        exactly the operators the compile-time gate rejects under it."""
+        m, n = _dims(4, 3)
+        (A,) = _slots((m, n))
+        w = la.Literal(1.0)
+        samples = {
+            la.ElemMul: la.ElemMul(A, A), la.ElemPlus: la.ElemPlus(A, A),
+            la.ElemMinus: la.ElemMinus(A, A), la.ElemDiv: la.ElemDiv(A, A),
+            la.Power: la.Power(A, 2.0), la.Neg: la.Neg(A),
+            la.UnaryFunc: la.UnaryFunc("exp", A), la.MatMul: la.MatMul(A, la.Transpose(A)),
+            la.RowSums: la.RowSums(A), la.ColSums: la.ColSums(A), la.Sum: la.Sum(A),
+            la.Transpose: la.Transpose(A), la.CastScalar: la.CastScalar(la.Sum(A)),
+            la.WSLoss: la.WSLoss(A, A, A, w), la.WCeMM: la.WCeMM(A, A, A),
+            la.WDivMM: la.WDivMM(A, A, A, True), la.SProp: la.SProp(A),
+            la.MMChain: la.MMChain(A, A, w),
+        }
+        assert set(samples) == set(OP_TABLE)
+        # (ℝ, +, ×) without division: the one capability mix no audit ring has
+        signed = dataclasses.replace(REAL, name="signed", has_division=False, div=None)
+        for ring in (*AUDIT_SEMIRINGS, signed):
+            kernel_set = kernels.KernelSet(ring)
+            for kind, expr in samples.items():
+                unbound = getattr(kernel_set, OP_TABLE[kind].kernel).__name__ == "raiser"
+                try:
+                    check_ring_compatibility(expr, ring)
+                    rejected = False
+                except RingCompatibilityError:
+                    rejected = True
+                assert rejected == unbound == (not ring.provides(OP_TABLE[kind].needs)), (
+                    ring.name, kind.__name__,
+                )
+        # the gate admits Neg / ElemMinus on a ring with subtraction — and they run
+        value = MatrixValue(np.array([[1.5, -2.0]]))
+        assert np.array_equal(kernels.KernelSet(signed).negate(value).data, [[-1.5, 2.0]])
+        assert np.array_equal(kernels.KernelSet(signed).elem_sub(value, value).data, [[0.0, 0.0]])
+
+    def test_an_operator_is_one_declaration(self, scale_operator):
+        """A node class plus one row — no other module patched — and the
+        operator serializes, fingerprints, costs, executes on every tier
+        (folded into a fused region) and is gated by ring."""
+        Scale = scale_operator
+        m, n = _dims(6, 5)
+        A, B, C = _slots((m, n), (m, n), (m, n))
+        expr = la.Sum(la.ElemPlus(Scale(2.5, la.ElemMul(A, B)), C))
+
+        # codec: the static field rides the node table by its field name
+        payload = json.loads(json.dumps(encode_expression(expr), allow_nan=False))
+        assert {"op": "Scale", "children": [2], "factor": 2.5} in payload["exprs"]["nodes"]
+        assert decode_expression(payload) == expr
+        # fingerprint: the static field is part of the operator token
+        assert fingerprint(expr) == fingerprint(decode_expression(payload))
+        assert fingerprint(expr) != fingerprint(
+            la.Sum(la.ElemPlus(Scale(3.5, la.ElemMul(A, B)), C))
+        )
+        assert str(expr) == "sum(Scale(@0 * @1, 2.5) + @2)"
+        # cost: the row's own rules, no default branch to fall into
+        cost = LACostModel().total(expr)
+        assert math.isfinite(cost) and cost > LACostModel().total(la.ElemMul(A, B))
+
+        # execution: interpreter, tape and fused tier agree to the bit
+        inputs = _dense_inputs(3, 6, 5)
+        a, b, c = (value.data for value in inputs)
+        expected = float((a * b * 2.5 + c).sum())
+        fused = compile_fused(expr, 3)
+        results = [
+            execute_slots(expr, inputs),
+            TapePlan(expr, 3).execute(inputs),
+            fused.execute(inputs),
+        ]
+        assert [result.scalar() for result in results] == [expected] * 3
+        # ... and the planner read the row: the whole chain is one region
+        (region,) = plan_regions(expr, 3).regions
+        assert region.fused and Scale in {type(node) for node, _ in region.schedule}
+        assert "* 2.5)" in fused.source
+
+        # ring gate: rejected off the real ring per the row's ``needs``
+        check_ring_compatibility(expr, REAL)
+        with pytest.raises(RingCompatibilityError, match="Scale"):
+            check_ring_compatibility(expr, MIN_PLUS)
+
+        # row completeness is the constructor: no cost rules, no row
+        with pytest.raises(TypeError, match="sparsity"):
+            OpSpec("scale", "scalar_mul", loop=ELEMENTWISE, formula="({0} * {s!r})")
 
 
 # ---------------------------------------------------------------------------

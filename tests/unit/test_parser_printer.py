@@ -99,6 +99,15 @@ class TestPrinterRoundTrip:
         second = parse_expr(printed, env)
         assert first == second
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_constants_print(self, env, text):
+        # ``value == int(value)`` raised OverflowError / ValueError here
+        X, value = env["X"], float(text)
+        assert str(la.Literal(value)) == text
+        assert str(la.FilledMatrix(value, X.shape)) == f"matrix({text}, 7, 5)"
+        assert str(la.Power(X, value)) == f"X ^ {text}"
+        assert str(la.Literal(-3.0)) == "-3" and str(la.Literal(0.25)) == "0.25"
+
     def test_printer_parenthesises_correctly(self, env):
         expr = parse_expr("(X + Y) * X", env)
         assert str(expr) == "(X + Y) * X"

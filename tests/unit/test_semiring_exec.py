@@ -10,11 +10,13 @@ Three claims are under test:
    by the optimizer cannot perturb a single bit and ``==`` is the right
    assertion, not ``allclose``.
 
-2. **Real-only rules never fire off the real ring.**  The committed gating
-   table (derived from ``analysis/rule_matrix.json``) excludes exactly the
-   audit's 13 real-only rules under every non-real ring, and a non-real
-   session can never produce a plan containing subtraction, negation, real
-   unary functions, or real-hard-coded fused operators.
+2. **Real-only rules never fire off the real ring.**  The gate reads each
+   rule's own ``soundness`` declaration; what it admits under every ring is
+   exactly what the audit measured sound (``analysis/rule_matrix.json``) —
+   13 real-only rules excluded off the real ring, an undeclared rule
+   excluded too — and a non-real session can never produce a plan
+   containing subtraction, negation, real unary functions, or
+   real-hard-coded fused operators.
 
 3. **Ring plumbing.**  The ring rides the OptimizerConfig digest (plans
    never leak across rings through a cache), literals are checked under
@@ -28,23 +30,22 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis import rules_audit
 from repro.api import Session
 from repro.lang import Dim, Matrix, Sum
 from repro.lang import expr as la
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.pipeline import compile_expression
+from repro.egraph.rewrite import Rule
 from repro.optimizer.ring_gate import (
-    GATING_TABLE,
-    REAL_ONLY_RULES,
     RingCompatibilityError,
-    catalog_keys,
-    check_gating_derivation,
     check_ring_compatibility,
-    gate_catalog,
+    parse_soundness,
     rule_allowed,
 )
 from repro.rules import relational_rules
-from repro.rules.systemml_catalog import all_patterns
+from repro.rules.relational import Factor
+from repro.rules.systemml_catalog import CatalogPattern, all_patterns
 from repro.runtime.semiring import (
     AUDIT_SEMIRINGS,
     BOOL_OR_AND,
@@ -147,56 +148,58 @@ class TestWorkloadParity:
                     )
 
 
-class TestRealOnlyRuleExclusion:
-    def test_gating_table_matches_committed_matrix(self):
-        path = os.path.join(REPO_ROOT, "analysis", "rule_matrix.json")
-        with open(path) as handle:
-            matrix = json.load(handle)
-        assert check_gating_derivation(matrix) == [], (
-            "optimizer/ring_gate.py GATING_TABLE drifted from "
-            "analysis/rule_matrix.json — regenerate the table"
-        )
+def _keyed_rules():
+    """Every rule and pattern under its audit key (``relational:<name>``,
+    ``catalog:<Method>[position within the method]``)."""
+    keyed = {f"relational:{rule.name}": rule for rule in relational_rules()}
+    for position, pattern in rules_audit._indexed(all_patterns()):
+        keyed[f"catalog:{pattern.method}[{position}]"] = pattern
+    return keyed
 
-    def test_thirteen_real_only_rules_all_need_subtraction(self):
-        assert len(REAL_ONLY_RULES) == 13
-        for key in REAL_ONLY_RULES:
-            rings, needs = GATING_TABLE[key]
-            assert rings == "real-only"
-            assert "subtraction" in needs
+
+def _committed_matrix():
+    with open(os.path.join(REPO_ROOT, "analysis", "rule_matrix.json")) as handle:
+        return json.load(handle)["rules"]
+
+
+class TestRealOnlyRuleExclusion:
+    def test_real_only_declarations_are_the_thirteen_the_matrix_measured(self):
+        keyed, matrix = _keyed_rules(), _committed_matrix()
+        assert keyed.keys() == matrix.keys() and len(keyed) == 100
+        real_only = {
+            key for key, rule in keyed.items()
+            if parse_soundness(rule.soundness).rings == "real-only"
+        }
+        assert len(real_only) == 13
+        assert real_only == {
+            key for key, record in matrix.items() if record["sound_over"] == ["real"]
+        }
+        for key in real_only:
+            assert key.startswith("catalog:")
+            assert "subtraction" in parse_soundness(keyed[key].soundness).needs
 
     @pytest.mark.parametrize("ring", [MIN_PLUS, MAX_TIMES, BOOL_OR_AND])
     def test_real_only_rules_disallowed_under_every_non_real_ring(self, ring):
-        for key in REAL_ONLY_RULES:
-            assert not rule_allowed(key, ring), f"{key} leaked into {ring.name}"
-        # ...and everything the gate *does* admit satisfies its needs.
-        for key, (rings, needs) in GATING_TABLE.items():
-            if rule_allowed(key, ring):
-                assert rings == "any-semiring"
+        # the gate admits, from the declarations alone, exactly what the
+        # audit measured sound under the ring
+        matrix = _committed_matrix()
+        for key, rule in _keyed_rules().items():
+            assert rule_allowed(rule, REAL)
+            assert rule_allowed(rule, ring) == (ring.name in matrix[key]["sound_over"]), key
 
-    def test_unknown_rules_are_conservatively_excluded(self):
-        assert rule_allowed("relational:not-in-the-audit", REAL)
-        assert not rule_allowed("relational:not-in-the-audit", MIN_PLUS)
+    def test_undeclared_rules_are_conservatively_excluded(self):
+        for undeclared in (Rule(), CatalogPattern(method="Bare", lhs="t(t(X))", rhs="X")):
+            assert rule_allowed(undeclared, REAL)
+            assert not rule_allowed(undeclared, MIN_PLUS)
 
-    def test_gate_catalog_excludes_exactly_the_real_only_patterns(self):
-        patterns = all_patterns()
-        keyed = dict(catalog_keys(patterns))
-        gated = gate_catalog(patterns, BOOL_OR_AND)
-        kept_ids = {id(pattern) for pattern in gated}
-        excluded = {
-            key for key, pattern in keyed.items() if id(pattern) not in kept_ids
-        }
-        assert excluded == {key for key in REAL_ONLY_RULES if key.startswith("catalog:")}
-
-    def test_relational_rules_are_ring_filtered(self):
+    def test_relational_rules_are_ring_filtered(self, monkeypatch):
         base = {rule.name for rule in relational_rules()}
-        gated = {rule.name for rule in relational_rules(ring=MIN_PLUS)}
-        assert gated <= base
-        real_only_relational = {
-            key.split(":", 1)[1]
-            for key in REAL_ONLY_RULES
-            if key.startswith("relational:")
-        }
-        assert gated == base - real_only_relational
+        # all thirteen declare any-semiring soundness: nothing to drop today
+        assert {rule.name for rule in relational_rules(ring=MIN_PLUS)} == base
+        # a rule that stops declaring is out of every non-real compile
+        monkeypatch.setattr(Factor, "soundness", "")
+        assert {rule.name for rule in relational_rules(ring=MIN_PLUS)} == base - {"factor"}
+        assert {rule.name for rule in relational_rules(ring=REAL)} == base
 
     def test_non_real_sessions_never_emit_forbidden_operators(self):
         n = Dim("n", 24)

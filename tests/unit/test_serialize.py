@@ -1,6 +1,9 @@
 """Tests for the versioned plan codec (repro.serialize.codec)."""
 
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from repro.lang import expr as la
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.pipeline import compile_expression
 from repro.runtime import MatrixValue, execute
+from repro.runtime.codegen import plan_regions
 from repro.serialize import (
     FORMAT_VERSION,
     DeserializationError,
@@ -21,10 +25,35 @@ from repro.serialize import (
     encode_entry,
     encode_expression,
     encode_signature,
+    loads_entry,
 )
 from repro.api import Session
 from repro.api.plan import PlanEntry
-from repro.workloads import WORKLOADS, get_workload
+from tests.helpers import benchmark_roots
+
+
+PLAN_DIGESTS = Path(__file__).resolve().parent.parent / "data" / "plan_digests.json"
+
+
+def plan_digests() -> dict:
+    """Per benchmark root (greedy preset): both signature digests, the
+    sha256 of the stored payload and the region plan's structure digest."""
+    digests = {}
+    for kind, expr, semiring in benchmark_roots():
+        plan = Session(OptimizerConfig.sampling_greedy(semiring=semiring)).compile(expr)
+        entry, signature = plan._entry, plan.signature
+        regions = plan_regions(
+            entry.slot_plan,
+            len(signature.slots),
+            {spec.index: spec.sparsity for spec in signature.slots},
+        )
+        digests[kind] = {
+            "digest": signature.digest,
+            "template_digest": signature.template_digest,
+            "entry_sha256": hashlib.sha256(dumps_entry(entry)).hexdigest(),
+            "structure_digest": regions.structure_digest(),
+        }
+    return digests
 
 
 def roundtrip(expr: la.LAExpr) -> la.LAExpr:
@@ -257,20 +286,35 @@ class TestEntryCodec:
             assert run.final_classes == run_original.final_classes
 
     def test_artifact_bytes_are_a_pure_function_of_expr_and_config(self):
-        """Two independent compiles of the 14 paper roots encode byte-equal:
-        no wall-clock reading is part of the payload."""
-
-        def encoded():
-            session = Session(OptimizerConfig.sampling_greedy())
-            return {
-                f"{name}/{root}": dumps_entry(session.compile(expr)._entry)
-                for name in WORKLOADS
-                for root, expr in get_workload(name, "S").roots.items()
-            }
-
-        first, second = encoded(), encoded()
-        assert len(first) == 14
+        """Two independent compiles of the 18 benchmark roots encode
+        byte-equal — no wall-clock reading is part of the payload — and
+        equal to the committed pins: every digest a cache or a store keys
+        on, the payload bytes, and the fused tier's region structure."""
+        first, second = plan_digests(), plan_digests()
+        assert len(first) == 18
         assert first == second
+        pinned = json.loads(PLAN_DIGESTS.read_text())
+        assert first.keys() == pinned.keys()
+        for kind, expected in pinned.items():
+            assert first[kind] == expected, (
+                f"{kind}: a stored plan of the parent commit no longer matches what this "
+                "commit compiles — bump FORMAT_VERSION / CODEGEN_VERSION and regenerate "
+                "(python -m tests.unit.test_serialize --regenerate), or fix the change"
+            )
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_constant_plans_explain_and_round_trip(self, text):
+        """The codec tags non-finite floats by design; the plan they round-trip
+        in must also be explainable and loggable (the printer used to raise)."""
+        X = Matrix("X", Dim("m", 6), Dim("n", 4))
+        plan = Session(OptimizerConfig.sampling_greedy()).compile(X * la.Literal(float(text)))
+        entry = plan._entry
+        assert f"declared    : X * {text}" in plan.explain()
+        assert plan.to_dict()["optimized"] == entry.artifact.to_dict()["optimized"] == f"{text} * X"
+        back = loads_entry(dumps_entry(entry))
+        # NaN is not equal to itself: compare through the printer and the bytes
+        assert str(back.slot_plan) == f"{text} * @0"
+        assert dumps_entry(back) == dumps_entry(entry)
 
     def test_decoded_artifact_audit_record_matches(self, entry):
         """Everything but the (unpersisted) timings survives the round trip,
@@ -299,3 +343,10 @@ class TestEntryCodec:
         payload["format_version"] = FORMAT_VERSION + 7
         with pytest.raises(DeserializationError, match="version"):
             decode_entry(payload)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python -m tests.unit.test_serialize --regenerate")
+    PLAN_DIGESTS.write_text(json.dumps(plan_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {PLAN_DIGESTS}")
