@@ -31,7 +31,9 @@ def _saturated_gradient_graph():
     lowered = lower(workload.roots["gradient_u"])
     egraph = EGraph()
     root = egraph.add_term(lowered.plan.body)
-    Runner(RunnerConfig(iter_limit=10, node_limit=6_000, time_limit=5.0)).run(egraph, relational_rules())
+    # plateau=0: the ablation counts candidates in the saturated graph
+    config = RunnerConfig(iter_limit=10, node_limit=6_000, time_limit=5.0, plateau=0)
+    Runner(config).run(egraph, relational_rules())
     return egraph, root
 
 

@@ -437,6 +437,8 @@ class CompiledPlan:
             else f"compile     : translate {times.translate * 1e3:.1f} ms,"
             f" saturate {times.saturate * 1e3:.1f} ms,"
             f" extract {times.extract * 1e3:.1f} ms",
+            "saturation  : "
+            + ("; ".join(run.describe() for run in report.saturation_reports) or "-"),
             f"runs        : {stats.executions}"
             f" (mean {stats.mean_elapsed * 1e3:.2f} ms,"
             f" drift events {stats.drift_events}, recompiles {stats.recompiles})",

@@ -39,7 +39,9 @@ what changed rather than to the size of the graph:
   scheduled matches, and restores congruence with a single batched
   ``rebuild`` (instead of one per rule); per-rule cursors into the touch
   log drive the incremental searches, and ``RunReport.rule_stats`` reports
-  each rule's found → scheduled → applied funnel.
+  each rule's found → scheduled → applied funnel.  A run ends at a fixpoint,
+  at a budget, or once the cheapest extractable plan of ``EGraph.roots`` has
+  stopped improving (``RunnerConfig.plateau`` → ``StopReason.PLATEAU``).
 """
 
 from repro.egraph.unionfind import UnionFind

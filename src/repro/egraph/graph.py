@@ -99,6 +99,10 @@ class EGraph:
         self._touch_log: List[int] = []
         #: number of merges performed since construction (for convergence checks)
         self.merges_performed = 0
+        #: class ids of the terms inserted through ``add_term`` — what an
+        #: extractor will be asked for.  Ids as returned at insertion: read
+        #: them through ``find``.
+        self.roots: List[int] = []
 
     # -- basic queries ---------------------------------------------------------
     def data(self, class_id: int) -> ClassData:
@@ -164,6 +168,17 @@ class EGraph:
         """Canonical ids of the classes containing at least one ``op`` node."""
         index = self._op_classes.get(op)
         return list(index) if index else []
+
+    def stored_nodes(self, class_id: int) -> Collection[ENode]:
+        """All e-nodes of one class, unordered (stored forms; canonical when
+        clean).  A live view like :meth:`nodes_by_op`; :meth:`nodes` is the
+        sorted copy for callers whose result depends on the order."""
+        return self._classes[self.find(class_id)].nodes.keys()
+
+    def parent_classes(self, class_id: int) -> Collection[int]:
+        """Ids (read them through ``find``) of the classes holding an e-node
+        with ``class_id`` as a child.  A live view."""
+        return self._classes[self.find(class_id)].parents.values()
 
     def nodes_by_op(self, class_id: int, op: str) -> Collection[ENode]:
         """The ``op`` e-nodes of one class (stored forms; canonical when clean).
@@ -381,7 +396,13 @@ class EGraph:
 
     # -- conversion from/to RA expressions --------------------------------------
     def add_term(self, expr: RExpr) -> int:
-        """Insert an RA expression tree bottom-up and return its class id."""
+        """Insert an RA expression tree bottom-up and return its class id,
+        which is also recorded in :attr:`roots`."""
+        root = self._add_term(expr)
+        self.roots.append(root)
+        return root
+
+    def _add_term(self, expr: RExpr) -> int:
         if isinstance(expr, RVar):
             if expr.sparsity is not None:
                 current = self.var_sparsity.get(expr.name, 1.0)
@@ -390,13 +411,13 @@ class EGraph:
         if isinstance(expr, RLit):
             return self.add(ENode(OP_LIT, float(expr.value), ()))
         if isinstance(expr, RJoin):
-            children = tuple(self.add_term(arg) for arg in expr.args)
+            children = tuple(self._add_term(arg) for arg in expr.args)
             return self.add(ENode(OP_JOIN, None, children))
         if isinstance(expr, RAdd):
-            children = tuple(self.add_term(arg) for arg in expr.args)
+            children = tuple(self._add_term(arg) for arg in expr.args)
             return self.add(ENode(OP_ADD, None, children))
         if isinstance(expr, RSum):
-            child = self.add_term(expr.child)
+            child = self._add_term(expr.child)
             return self.add(ENode(OP_SUM, expr.indices, (child,)))
         raise TypeError(f"cannot add {type(expr).__name__} to the e-graph")
 

@@ -30,8 +30,14 @@ dropped matches are found again.
 Every match knows its rule, so the run also reports the per-rule funnel
 (``RunReport.rule_stats``: searched, found, scheduled, applied, search time).
 
-The runner stops when the e-graph stops changing (saturation), or when the
-iteration, e-node or time budget is exhausted.
+The runner stops when the e-graph stops changing (saturation), when the
+iteration, e-node or time budget is exhausted, or — the **anytime stop** —
+when the plan an extractor would return has stopped getting cheaper: after
+every rebuild it reads the greedy best cost of ``egraph.roots`` and ends the
+run with ``StopReason.PLATEAU`` once that cost has not strictly decreased for
+``RunnerConfig.plateau`` iterations in a row.  The paper's own termination is
+a wall-clock timeout under sampling (Sec. 3.1; GLM and SVM never reach a
+fixpoint, Sec. 4.3); this is the same contract with a better signal.
 """
 
 from __future__ import annotations
@@ -47,15 +53,27 @@ from repro import obs
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Match, Rule
 
+
+class StopReason(enum.Enum):
+    """Why a saturation run ended."""
+
+    SATURATED = "saturated"
+    ITERATION_LIMIT = "iteration_limit"
+    NODE_LIMIT = "node_limit"
+    TIME_LIMIT = "time_limit"
+    #: the cheapest extractable plan stopped improving (``RunnerConfig.plateau``)
+    PLATEAU = "plateau"
+
+
 # Saturation metrics: no-ops until `repro.obs.enable()`; labelled by stop
 # reason so time-limit aborts are visible next to clean saturations.
 _RUNS = {
     reason: obs.registry().counter(
         "saturation_runs_total",
         "Saturation runs by stop reason",
-        stop_reason=reason,
+        stop_reason=reason.value,
     )
-    for reason in ("saturated", "iteration_limit", "node_limit", "time_limit")
+    for reason in StopReason
 }
 _ITERATIONS = obs.registry().counter(
     "saturation_iterations_total", "Saturation iterations across all runs"
@@ -77,15 +95,6 @@ def _count_rule_matches(rule_stats: Dict[str, RuleStats]) -> None:
             ).inc(getattr(stats, outcome))
 
 
-class StopReason(enum.Enum):
-    """Why a saturation run ended."""
-
-    SATURATED = "saturated"
-    ITERATION_LIMIT = "iteration_limit"
-    NODE_LIMIT = "node_limit"
-    TIME_LIMIT = "time_limit"
-
-
 @dataclass
 class RunnerConfig:
     """Saturation budget and scheduling strategy."""
@@ -100,10 +109,18 @@ class RunnerConfig:
     #: are still used for the first iteration and for non-incremental rules);
     #: disable to benchmark against full re-searching every iteration
     incremental: bool = True
+    #: anytime stop: end the run (``StopReason.PLATEAU``) once the greedy
+    #: best cost of ``egraph.roots`` has not strictly decreased for this many
+    #: consecutive iterations; ``0`` never stops early (callers that want a
+    #: fixpoint or a proof, not a cheaper plan).  3 is the smallest value
+    #: that keeps every benchmark plan (2) plus one iteration of margin.
+    plateau: int = 3
 
     def __post_init__(self) -> None:
         if self.strategy not in ("sampling", "dfs"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.plateau < 0:
+            raise ValueError(f"plateau must be >= 0, got {self.plateau}")
 
 
 @dataclass
@@ -115,6 +132,9 @@ class IterationStats:
     matches_applied: int
     enodes: int
     classes: int
+    #: cheapest extractable cost of the e-graph's roots as of the last
+    #: completed iteration's probe; ``None`` when the plateau probe is off
+    best_cost: Optional[float] = None
 
 
 @dataclass
@@ -142,10 +162,18 @@ class RunReport:
     total_time: Optional[float] = None
     #: per-rule telemetry, keyed by rule name in rule-set order
     rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
+    #: iterations since ``best_cost`` last strictly decreased (0 with the
+    #: plateau probe off)
+    stale_iterations: int = 0
 
     @property
     def num_iterations(self) -> int:
         return len(self.iterations)
+
+    @property
+    def best_cost(self) -> Optional[float]:
+        """Cheapest extractable root cost the run saw (``None``: probe off)."""
+        return self.iterations[-1].best_cost if self.iterations else None
 
     @property
     def saturated(self) -> bool:
@@ -159,6 +187,16 @@ class RunReport:
     def final_classes(self) -> int:
         return self.iterations[-1].classes if self.iterations else 0
 
+    def describe(self) -> str:
+        """One line answering "why did saturation stop here"."""
+        line = (
+            f"{self.stop_reason.value} after {self.num_iterations} iterations,"
+            f" {self.final_enodes} e-nodes"
+        )
+        if self.best_cost is None:
+            return line
+        return f"{line}, best cost {self.best_cost:.6g} ({self.stale_iterations} stale)"
+
 
 class Runner:
     """Drives equality saturation of an e-graph with a rule set."""
@@ -169,7 +207,7 @@ class Runner:
     def run(self, egraph: EGraph, rules: Sequence[Rule]) -> RunReport:
         """Saturate ``egraph`` with ``rules`` under the configured budget."""
         report = self._run(egraph, rules)
-        _RUNS[report.stop_reason.value].inc()
+        _RUNS[report.stop_reason].inc()
         _ITERATIONS.inc(report.num_iterations)
         _SECONDS.observe(report.total_time)
         if obs.registry().enabled:
@@ -190,6 +228,15 @@ class Runner:
         pending_roots: Dict[int, set] = {}
 
         egraph.rebuild()
+        # Anytime stop: off without a patience, and without a recorded root
+        # there is no plan whose cost could plateau.
+        probe = None
+        if config.plateau > 0 and egraph.roots:
+            # Imported here: ``repro.extract`` is built on this package.
+            from repro.extract.greedy import BestCostTable
+
+            probe = BestCostTable(egraph)
+        best_cost = probe.root_cost() if probe else None
         for iteration in range(config.iter_limit):
             matches_found = 0
             matches_applied = 0
@@ -210,7 +257,9 @@ class Runner:
                     # e-graph state (and any matches already counted) must
                     # show up in the report, or final_enodes/final_classes
                     # read 0 for a run that did grow the graph.
-                    self._record(report, iteration, matches_found, matches_applied, egraph)
+                    self._record(
+                        report, iteration, matches_found, matches_applied, egraph, best_cost
+                    )
                     report.stop_reason = StopReason.TIME_LIMIT
                     report.total_time = time.perf_counter() - start
                     return report
@@ -239,7 +288,9 @@ class Runner:
                     egraph.rebuild()
                     # Same as the search-phase exit: the partial iteration's
                     # growth is real and must be recorded before returning.
-                    self._record(report, iteration, matches_found, matches_applied, egraph)
+                    self._record(
+                        report, iteration, matches_found, matches_applied, egraph, best_cost
+                    )
                     report.stop_reason = StopReason.TIME_LIMIT
                     report.total_time = time.perf_counter() - start
                     return report
@@ -270,7 +321,7 @@ class Runner:
             egraph.rebuild()
 
             if over_limit or egraph.num_enodes() > config.node_limit:
-                self._record(report, iteration, matches_found, matches_applied, egraph)
+                self._record(report, iteration, matches_found, matches_applied, egraph, best_cost)
                 report.stop_reason = StopReason.NODE_LIMIT
                 report.total_time = time.perf_counter() - start
                 return report
@@ -279,13 +330,24 @@ class Runner:
                 egraph.num_enodes() != enodes_before
                 or egraph.merges_performed != merges_before
             )
-            self._record(report, iteration, matches_found, matches_applied, egraph)
+            if probe:
+                # An unchanged graph extracts what it did: no need to look.
+                cost = probe.root_cost() if changed else best_cost
+                if cost < best_cost:
+                    best_cost = cost
+                    report.stale_iterations = 0
+                else:
+                    report.stale_iterations += 1
+            self._record(report, iteration, matches_found, matches_applied, egraph, best_cost)
 
             if not changed:
                 report.stop_reason = StopReason.SATURATED
                 break
             if time.perf_counter() - start > config.time_limit:
                 report.stop_reason = StopReason.TIME_LIMIT
+                break
+            if probe and report.stale_iterations >= config.plateau:
+                report.stop_reason = StopReason.PLATEAU
                 break
         report.total_time = time.perf_counter() - start
         return report
@@ -321,6 +383,7 @@ class Runner:
         found: int,
         applied: int,
         egraph: EGraph,
+        best_cost: Optional[float],
     ) -> None:
         report.iterations.append(
             IterationStats(
@@ -329,5 +392,7 @@ class Runner:
                 matches_applied=applied,
                 enodes=egraph.num_enodes(),
                 classes=egraph.num_classes(),
+                best_cost=best_cost,
             )
         )
+

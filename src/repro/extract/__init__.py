@@ -11,6 +11,10 @@ compile-time study of Sec. 4.3:
   :func:`scipy.optimize.milp` (the paper used Gurobi), charging each shared
   operator exactly once.  Falls back to the greedy extractor if the solver
   is unavailable, times out, or returns an unusable solution.
+
+:class:`~repro.extract.greedy.BestCostTable` is the greedy fixpoint's cost
+table kept current *while* a graph saturates; the runner's anytime stop
+(``RunnerConfig.plateau``) reads it once per iteration.
 """
 
 from repro.extract.greedy import GreedyExtractor, ExtractionResult, ExtractionError

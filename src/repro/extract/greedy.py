@@ -17,6 +17,7 @@ Fig. 10 breaks, which is what the ILP extractor fixes.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -107,3 +108,56 @@ class GreedyExtractor:
         )
         cache[class_id] = expr
         return expr
+
+
+class BestCostTable:
+    """The greedy fixpoint's class costs, kept current while a graph saturates.
+
+    This is the probe behind ``RunnerConfig.plateau``: cost only, no plan and
+    no chosen node, so ties need no order and nodes are read unsorted.  Class
+    costs only fall during saturation — a new e-node adds a choice, a merge
+    keeps the tighter sparsity and the union of the choices — so the table of
+    the previous call is a valid upper bound and :meth:`root_cost` relaxes
+    only the classes touched since then, and the parents of any that improved.
+    The first call sees every class as touched and is the full fixpoint.
+    """
+
+    def __init__(self, egraph: EGraph) -> None:
+        self.egraph = egraph
+        #: canonical class id -> cost; ids merged away since go stale, unread
+        self.costs: Dict[int, float] = {}
+        #: touch-log position of the last call
+        self._position = 0
+        # the pipeline's extractor defaults: ``RACostModel`` + ``admissible_node``
+        defaults = GreedyExtractor()
+        self._cost_fn, self._admissible = defaults.cost_fn, defaults.node_filter
+
+    def root_cost(self) -> float:
+        """What :meth:`GreedyExtractor.extract` would charge for ``egraph.roots``."""
+        egraph, costs = self.egraph, self.costs
+        find, inf = egraph.find, math.inf
+        cost_fn, admissible = self._cost_fn, self._admissible
+        # Ascending ids are children-first for freshly inserted terms.
+        queue = deque(sorted(egraph.touched_since(self._position)))
+        self._position = egraph.touch_position()
+        queued = set(queue)
+        while queue:
+            class_id = queue.popleft()
+            queued.discard(class_id)
+            best = before = costs.get(class_id, inf)
+            for node in egraph.stored_nodes(class_id):
+                if not admissible(egraph, class_id, node):
+                    continue
+                total = cost_fn(egraph, class_id, node)
+                for child in node.children:
+                    total += costs.get(find(child), inf)
+                if total < best:
+                    best = total
+            if best < before:
+                costs[class_id] = best
+                for parent in egraph.parent_classes(class_id):
+                    parent = find(parent)
+                    if parent not in queued:
+                        queued.add(parent)
+                        queue.append(parent)
+        return sum(costs.get(find(root), inf) for root in egraph.roots)

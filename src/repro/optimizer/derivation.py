@@ -19,6 +19,7 @@ SPORES subsumes the rewrite), and the catalog marks them accordingly.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -48,8 +49,14 @@ def derive(
     config: Optional[RunnerConfig] = None,
     extra_iterations: int = 8,
 ) -> DerivationResult:
-    """Check whether saturation proves ``lhs`` and ``rhs`` equal."""
-    config = config or RunnerConfig(iter_limit=14, node_limit=30_000, time_limit=20.0)
+    """Check whether saturation proves ``lhs`` and ``rhs`` equal.
+
+    The goal is a proof, not a cheaper plan, so neither run may stop on a
+    cost plateau: ``plateau`` is pinned to 0 whatever ``config`` says.
+    """
+    config = dataclasses.replace(
+        config or RunnerConfig(iter_limit=14, node_limit=30_000, time_limit=20.0), plateau=0
+    )
     start = time.perf_counter()
     try:
         lhs_lowered = lower(lhs)
@@ -69,13 +76,8 @@ def derive(
 
     if not egraph.equiv(lhs_root, rhs_root):
         # Give the graph a little more budget now that both sides are present.
-        extra_config = RunnerConfig(
-            iter_limit=extra_iterations,
-            node_limit=config.node_limit,
-            time_limit=config.time_limit,
-            strategy=config.strategy,
-            sample_limit=config.sample_limit,
-            seed=config.seed + 1,
+        extra_config = dataclasses.replace(
+            config, iter_limit=extra_iterations, seed=config.seed + 1
         )
         extra_report = Runner(extra_config).run(egraph, rules)
         iterations += extra_report.num_iterations

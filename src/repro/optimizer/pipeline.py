@@ -209,6 +209,8 @@ def _optimize_region(
             saturate_span.set_attribute("iterations", run_report.num_iterations)
             saturate_span.set_attribute("stop_reason", run_report.stop_reason.value)
             saturate_span.set_attribute("enodes", run_report.final_enodes)
+            saturate_span.set_attribute("best_cost", run_report.best_cost)
+            saturate_span.set_attribute("stale_iterations", run_report.stale_iterations)
         report.saturation_reports.append(run_report)
         _check_budget(deadline, report)
 
@@ -343,6 +345,8 @@ class PlanArtifact:
                     "iterations": run.num_iterations,
                     "final_enodes": run.final_enodes,
                     "final_classes": run.final_classes,
+                    "best_cost": run.best_cost,
+                    "stale_iterations": run.stale_iterations,
                     "total_time": run.total_time,
                 }
                 for run in report.saturation_reports

@@ -65,7 +65,11 @@ from repro.optimizer.pipeline import OptimizationReport, PlanArtifact
 #: v3 (pure artifacts): no wall-clock in the payload — ``phase_times``, run
 #: ``total_time`` and iteration ``elapsed`` are gone, so an entry's bytes
 #: are a function of ``(expr, config)`` alone.
-FORMAT_VERSION = 3
+#:
+#: v4 (anytime saturation): runs may stop with ``"plateau"``, which a v3
+#: reader cannot decode, and carry ``stale_iterations`` plus each iteration's
+#: ``best_cost`` (``null`` when the probe was off).
+FORMAT_VERSION = 4
 
 #: ``format`` tag carried by serialized plan payloads.
 PLAN_FORMAT = "spores-plan"
@@ -389,6 +393,7 @@ def decode_signature(payload: Any) -> ExprSignature:
 def _encode_run_report(run: RunReport) -> Dict[str, Any]:
     return {
         "stop_reason": run.stop_reason.value,
+        "stale_iterations": run.stale_iterations,
         "iterations": [
             {
                 "iteration": stats.iteration,
@@ -396,6 +401,9 @@ def _encode_run_report(run: RunReport) -> Dict[str, Any]:
                 "matches_applied": stats.matches_applied,
                 "enodes": stats.enodes,
                 "classes": stats.classes,
+                "best_cost": None
+                if stats.best_cost is None
+                else _encode_float(stats.best_cost),
             }
             for stats in run.iterations
         ],
@@ -407,8 +415,9 @@ def _decode_run_report(payload: Any) -> RunReport:
         raise DeserializationError("saturation report must be an object")
     try:
         stop_reason = StopReason(payload["stop_reason"])
+        stale_iterations = _decode_int(payload["stale_iterations"], "stale_iterations")
     except (KeyError, ValueError) as error:
-        raise DeserializationError(f"malformed stop reason: {error}") from error
+        raise DeserializationError(f"malformed saturation report: {error}") from error
     iterations_payload = payload.get("iterations", [])
     if not isinstance(iterations_payload, list):
         raise DeserializationError("saturation iterations must be a list")
@@ -426,11 +435,16 @@ def _decode_run_report(payload: Any) -> RunReport:
                     ),
                     enodes=_decode_int(stats["enodes"], "enodes"),
                     classes=_decode_int(stats["classes"], "classes"),
+                    best_cost=None
+                    if stats["best_cost"] is None
+                    else _decode_float(stats["best_cost"]),
                 )
             )
         except KeyError as error:
             raise DeserializationError(f"iteration {position}: missing {error}") from error
-    return RunReport(stop_reason=stop_reason, iterations=iterations)
+    return RunReport(
+        stop_reason=stop_reason, iterations=iterations, stale_iterations=stale_iterations
+    )
 
 
 def _encode_report(report: OptimizationReport, table: ExprTableEncoder) -> Dict[str, Any]:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Dict, Tuple
+import time
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from repro.lang import ColSums, Dim, Matrix, RowSums, Sum, Vector
 from repro.lang import expr as la
+from repro.optimizer import OptimizerConfig
+from repro.optimizer.pipeline import compile_expression
 from repro.runtime import MatrixValue, execute
 from repro.runtime.ra_interp import evaluate as ra_evaluate
 from repro.translate import LoweringError, lower
@@ -142,3 +146,55 @@ def random_la_expression(rng: random.Random, depth: int = 3) -> la.LAExpr:
     if root_kind == 2:
         return ColSums(matrix)
     return matrix
+
+
+# ---------------------------------------------------------------------------
+# Plans lost to the anytime stop (tier-1 sample + bench_saturation_convergence)
+# ---------------------------------------------------------------------------
+
+
+def with_runner(config: OptimizerConfig, **fields) -> OptimizerConfig:
+    """A copy of ``config`` whose ``RunnerConfig`` has ``fields`` replaced."""
+    return dataclasses.replace(config, runner=dataclasses.replace(config.runner, **fields))
+
+
+def without_plateau(config: OptimizerConfig) -> OptimizerConfig:
+    """``config`` with the anytime stop off: saturate to the limit or a fixpoint."""
+    return with_runner(config, plateau=0)
+
+
+def early_stop_outcomes(seeds: Iterable[int]) -> Dict[str, float]:
+    """Compile one seeded random expression (depth 2-4) per seed under
+    ``sampling_greedy`` with and without the anytime stop and count how the
+    stopped plan compares with the ``plateau=0`` one.
+
+    RA cost (what saturation and the probe see) and LA cost (what is compared
+    here) disagree now and then, so ``plateau=0`` is not an upper bound: the
+    stopped run can also come out *cheaper*.
+    """
+    default = OptimizerConfig.sampling_greedy()
+    full = without_plateau(default)
+    outcomes = dict.fromkeys(
+        ("expressions", "costlier", "cheaper", "equal_cost_other_text", "identical",
+         "above_input", "seconds_default", "seconds_plateau_0"), 0
+    )  # fmt: skip
+    for seed in seeds:
+        rng = random.Random(seed)
+        expr = random_la_expression(rng, depth=rng.randint(2, 4))
+        start = time.perf_counter()
+        stopped = compile_expression(expr, default).report
+        middle = time.perf_counter()
+        reference = compile_expression(expr, full).report
+        outcomes["seconds_default"] += middle - start
+        outcomes["seconds_plateau_0"] += time.perf_counter() - middle
+        outcomes["expressions"] += 1
+        outcomes["above_input"] += stopped.optimized_cost > stopped.original_cost
+        if stopped.optimized_cost > reference.optimized_cost:
+            outcomes["costlier"] += 1
+        elif stopped.optimized_cost < reference.optimized_cost:
+            outcomes["cheaper"] += 1
+        elif str(stopped.optimized) != str(reference.optimized):
+            outcomes["equal_cost_other_text"] += 1
+        else:
+            outcomes["identical"] += 1
+    return outcomes

@@ -114,3 +114,12 @@ def test_trace_exports_round_trip_across_compile_and_serve():
     assert phases
     for phase in phases:
         assert phase.parent_id in compiles
+
+    # "why did saturation stop here" is answerable from the span alone, and
+    # the new stop reason is a counter label like the other four
+    saturations = [s for s in spans if s.name == "compile.saturate"]
+    plateaus = [s for s in saturations if s.attributes["stop_reason"] == "plateau"]
+    assert plateaus and all(s.attributes["stale_iterations"] == 3 for s in plateaus)
+    assert all(s.attributes["best_cost"] > 0 for s in saturations if s.attributes["enodes"] > 8)
+    counted = obs.registry().counter("saturation_runs_total", stop_reason="plateau").value
+    assert counted == len(plateaus)

@@ -25,9 +25,10 @@ def seeded_egraph(family: str, root: str) -> EGraph:
 
 
 def saturated_egraph(family: str, root: str, iterations: int) -> EGraph:
-    """The root's e-graph after ``iterations`` runner iterations, rebuilt."""
+    """The root's e-graph after exactly ``iterations`` runner iterations
+    (``plateau=0``: a graph of that age is wanted, not a plan), rebuilt."""
     egraph = seeded_egraph(family, root)
-    Runner(RunnerConfig(iter_limit=iterations)).run(egraph, relational_rules())
+    Runner(RunnerConfig(iter_limit=iterations, plateau=0)).run(egraph, relational_rules())
     assert egraph.is_clean
     return egraph
 

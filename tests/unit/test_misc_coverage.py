@@ -1,5 +1,7 @@
 """Additional coverage: RA interpreter, derivation records, reports, printing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,31 @@ class TestDerivationAndReports:
             extra_iterations=1,
         )
         assert not result.derived
+
+    def test_derive_never_stops_on_a_plateau_and_forwards_the_whole_config(self, monkeypatch):
+        """A proof is wanted, not a cheaper plan: both runs get ``plateau=0``,
+        and the second run differs from the first in budget and seed only
+        (it used to be rebuilt field by field and dropped ``incremental``)."""
+        from repro.optimizer import derivation
+
+        seen = []
+
+        class Recording(derivation.Runner):
+            def __init__(self, config):
+                seen.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(derivation, "Runner", Recording)
+        symbols = standard_symbols()
+        config = RunnerConfig(
+            iter_limit=2, node_limit=500, time_limit=2.0, incremental=False, plateau=3, seed=5
+        )
+        derive(Sum(symbols["X"]), Sum(symbols["Y"]), config=config, extra_iterations=1)
+        first, second = seen
+        assert config.plateau == 3  # the caller's object is not edited
+        assert first == dataclasses.replace(config, plateau=0)
+        assert second == dataclasses.replace(first, iter_limit=1, seed=6)
+        assert not second.incremental
 
     def test_derive_handles_barrier_expressions_gracefully(self):
         symbols = standard_symbols()

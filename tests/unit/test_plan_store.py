@@ -160,9 +160,12 @@ class TestSessionStoreIntegration:
         assert cold.compilations == 0
         assert plan.run(inputs).scalar() == pytest.approx(baseline, rel=1e-9)
         # timings are not persisted: a loaded plan says so, it prints no 0.0 ms
-        assert "saturate" in first.explain()
+        assert "translate" in first.explain()
         assert "loaded from a plan store" in plan.explain()
-        assert "saturate" not in plan.explain()
+        assert "translate" not in plan.explain()
+        # ... but why saturation stopped is part of the stored report
+        (stop_line,) = [line for line in first.explain().splitlines() if "saturation  :" in line]
+        assert "best cost" in stop_line and stop_line in plan.explain()
         assert plan.to_dict()["phase_times"] is None
 
     def test_disk_hit_extends_lookup_after_miss_semantics(self, tmp_path):

@@ -63,7 +63,7 @@ def test_optimizer_options():
     ]
     assert field_names(RunnerConfig) == [
         "iter_limit", "node_limit", "time_limit", "strategy", "sample_limit", "seed",
-        "incremental",
+        "incremental", "plateau",
     ]
     assert defaulted(LACostModel) == ["ring"]
     assert defaulted(relational_rules) == ["indexed", "ring"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.canonical.fingerprint import fingerprint, signature_of, slot_expression
+from repro.egraph import StopReason
 from repro.lang import Dim, Matrix, Scalar, Shape, Sum, Vector
 from repro.lang import expr as la
 from repro.optimizer import OptimizerConfig
@@ -29,6 +30,7 @@ from repro.serialize import (
 )
 from repro.api import Session
 from repro.api.plan import PlanEntry
+from repro.workloads import get_workload
 from tests.helpers import benchmark_roots
 
 
@@ -284,6 +286,23 @@ class TestEntryCodec:
             assert run.num_iterations == run_original.num_iterations
             assert run.final_enodes == run_original.final_enodes
             assert run.final_classes == run_original.final_classes
+            assert run.stale_iterations == run_original.stale_iterations
+            assert [it.best_cost for it in run.iterations] == [
+                it.best_cost for it in run_original.iterations
+            ]
+            assert run.describe() == run_original.describe()
+
+    def test_plateau_stop_round_trips(self):
+        """v4: a v3 reader has no ``"plateau"`` to decode the stop into."""
+        expr = get_workload("GLM", "S").roots["deviance"]
+        entry = Session(OptimizerConfig.sampling_greedy()).compile(expr)._entry
+        (run,) = entry.artifact.report.saturation_reports
+        assert run.stop_reason is StopReason.PLATEAU
+        (encoded,) = encode_entry(entry)["artifact"]["report"]["saturation_reports"]
+        assert encoded["stop_reason"] == "plateau" and encoded["stale_iterations"] == 3
+        assert [it["best_cost"] for it in encoded["iterations"]] == [run.best_cost] * 3
+        (back,) = loads_entry(dumps_entry(entry)).artifact.report.saturation_reports
+        assert back.stop_reason is StopReason.PLATEAU and back.describe() == run.describe()
 
     def test_artifact_bytes_are_a_pure_function_of_expr_and_config(self):
         """Two independent compiles of the 18 benchmark roots encode

@@ -282,6 +282,9 @@ class TestArtifactsAndReports:
         assert record["stats"]["executions"] == 1
         assert [slot["name"] for slot in record["slots"]] == ["X", "u", "v"]
         assert record["saturation"], "lineage must include saturation reports"
+        for run in record["saturation"]:
+            assert run["best_cost"] > 0 and run["stale_iterations"] >= 0
+            assert f"{run['stop_reason']} after {run['iterations']} iterations" in plan.explain()
 
     def test_artifact_lineage_fields(self):
         artifact = compile_expression(make_loss(), OptimizerConfig.sampling_greedy())

@@ -4,8 +4,11 @@ Compiles one workload root the way the optimizer does (barrier split, one
 saturation run per region) and prints
 
 * the **phase split** of the time inside ``Runner._run`` — search, schedule,
-  apply, rebuild — measured by wrapping those four calls for the duration of
-  the profile (the runner itself only times its searches);
+  apply, rebuild, and the plateau probe (``RunnerConfig.plateau``) — measured
+  by wrapping those calls for the duration of the profile (the runner itself
+  only times its searches);
+* per region, the stop reason and the **best root cost after every
+  iteration** — why the anytime stop fired where it did;
 * the **per-rule funnel** from ``RunReport.rule_stats``: how many matches each
   rule found, how many the scheduler kept (and so paid a rewrite for), how
   many changed the graph, and what a found match cost to search.
@@ -16,6 +19,7 @@ Run with::
 
     PYTHONPATH=src python tools/profile_saturation.py GLM/deviance
     PYTHONPATH=src python tools/profile_saturation.py SSSP/two_hop --preset dfs_greedy
+    PYTHONPATH=src python tools/profile_saturation.py GLM/deviance --plateau 0  # to the limit
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.egraph.graph import EGraph  # noqa: E402
 from repro.egraph.rewrite import Match  # noqa: E402
 from repro.egraph.runner import Runner, RuleStats  # noqa: E402
+from repro.extract.greedy import BestCostTable  # noqa: E402
 from repro.optimizer import OptimizerConfig  # noqa: E402
 from repro.optimizer.pipeline import compile_expression  # noqa: E402
 from repro.workloads import SEMIRING_WORKLOADS, WORKLOADS  # noqa: E402
@@ -44,6 +49,7 @@ PHASES = {
     "schedule": (Runner, "_schedule"),
     "apply": (Match, "apply"),
     "rebuild": (EGraph, "rebuild"),
+    "probe": (BestCostTable, "root_cost"),
     "total": (Runner, "_run"),
 }
 
@@ -92,6 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("root", help="<WORKLOAD>/<root>, e.g. GLM/deviance or SSSP/two_hop")
     parser.add_argument("--preset", choices=PRESETS, default="sampling_greedy")
     parser.add_argument("--repeat", type=int, default=5, help="timed compiles (fastest is shown)")
+    parser.add_argument("--plateau", type=int, help="RunnerConfig.plateau (0: no anytime stop)")
     args = parser.parse_args(argv)
     family, _, root = args.root.partition("/")
     registry = {**WORKLOADS, **SEMIRING_WORKLOADS}
@@ -101,22 +108,25 @@ def main(argv=None) -> int:
     if root not in workload.roots:
         parser.error(f"unknown root {root!r}; {family} has: {sorted(workload.roots)}")
     config = getattr(OptimizerConfig, args.preset)(semiring=workload.semiring)
+    if args.plateau is not None:
+        config.runner.plateau = args.plateau
     seconds, runs = profile(workload.roots[root], config, args.repeat)
 
     print(
         f"{args.root}  preset={args.preset}  ring={workload.semiring}  "
-        f"(fastest of {args.repeat})"
+        f"plateau={config.runner.plateau}  (fastest of {args.repeat})"
     )
     for index, run in enumerate(runs):
-        print(
-            f"  region {index}: {run.stop_reason.value}, {run.num_iterations} iterations, "
-            f"{run.final_enodes} e-nodes, {run.final_classes} classes"
-        )
+        print(f"  region {index}: {run.describe()}, {run.final_classes} classes")
+        if run.best_cost is not None:
+            costs = " ".join(f"{stats.best_cost:.6g}" for stats in run.iterations)
+            print(f"    best root cost per iteration: {costs}")
 
     total = seconds["total"]
-    seconds["other"] = total - sum(seconds[p] for p in ("search", "schedule", "apply", "rebuild"))
+    phases = ("search", "schedule", "apply", "rebuild", "probe")
+    seconds["other"] = total - sum(seconds[p] for p in phases)
     print(f"\n{'phase':<10}{'ms':>9}{'share':>8}")
-    for phase in ("search", "schedule", "apply", "rebuild", "other", "total"):
+    for phase in (*phases, "other", "total"):
         share = seconds[phase] / total if total else 0.0
         print(f"{phase:<10}{seconds[phase] * 1e3:>9.1f}{share:>8.1%}")
 
