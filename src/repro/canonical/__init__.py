@@ -28,7 +28,6 @@ from repro.canonical.fingerprint import (
     slot_expression,
     slot_var_name,
     sparsity_band,
-    template_fingerprint,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "ExprSignature",
     "SlotSpec",
     "fingerprint",
-    "template_fingerprint",
     "rebind_dim_sizes",
     "signature_of",
     "slot_dim_name",

@@ -264,11 +264,6 @@ def fingerprint(expr: la.LAExpr) -> str:
     return signature_of(expr).digest
 
 
-def template_fingerprint(expr: la.LAExpr) -> str:
-    """The size-free template digest of ``expr`` (shortcut)."""
-    return signature_of(expr).template_digest
-
-
 def store_key(digest: str, format_version: int, config_digest: str = "") -> str:
     """Salt a canonical fingerprint into a persistent plan-store key.
 

@@ -26,9 +26,11 @@ what changed rather than to the size of the graph:
   constant folding and sparsity, merged on every union exactly as the paper
   describes.  Invariant improvements count as touches so guarded rules
   re-match affected regions.
-* :mod:`repro.egraph.rewrite` — the rewrite-rule protocol: a pure
-  ``search(egraph, dirty)`` that revisits only changed classes and returns
-  flat ``Match(rule, key, root, args)`` records, and a ``rewrite`` that
+* :mod:`repro.egraph.rewrite` — the rewrite-rule protocol: a rule is a
+  ``Query`` (anchor operator, child positions, inner operator — a value), a
+  ``bind`` guard and a ``rewrite``; the one query evaluator is the pure
+  ``Rule.search(egraph, dirty)``, which revisits only changed classes and
+  returns flat ``Match(rule, key, root, args)`` records, and ``rewrite``
   builds the right-hand side only for the matches the scheduler keeps;
   rules that need a global view (``factor``, ``pull-add-out-of-sum``)
   declare ``incremental = False`` and full-scan their anchor operator.
@@ -48,7 +50,7 @@ from repro.egraph.unionfind import UnionFind
 from repro.egraph.enode import ENode, OP_JOIN, OP_ADD, OP_SUM, OP_VAR, OP_LIT, AC_OPS
 from repro.egraph.analysis import ClassData, RAAnalysis
 from repro.egraph.graph import EGraph
-from repro.egraph.rewrite import Rule, Match
+from repro.egraph.rewrite import Match, Query, Rule
 from repro.egraph.runner import Runner, RunnerConfig, RunReport, RuleStats, StopReason
 
 __all__ = [
@@ -64,6 +66,7 @@ __all__ = [
     "RAAnalysis",
     "EGraph",
     "Rule",
+    "Query",
     "Match",
     "Runner",
     "RunnerConfig",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Optional, TYPE_CHECKING
 
 from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
@@ -56,9 +57,14 @@ class ClassData:
     def arity(self) -> int:
         return len(self.schema)
 
-    @property
+    @cached_property
     def schema_names(self) -> FrozenSet[str]:
         return frozenset(attr.name for attr in self.schema)
+
+    @cached_property
+    def mentioned_names(self) -> FrozenSet[str]:
+        """Every index name a member mentions, free or bound."""
+        return self.schema_names | self.bound
 
 
 #: Default sparsity assumed for inputs without a hint (fully dense).
@@ -143,18 +149,3 @@ class RAAnalysis:
 
 def _has_sizes(schema: FrozenSet[Attr]) -> bool:
     return all(attr.size is not None for attr in schema)
-
-
-def join_sparsity(sparsities) -> float:
-    """Fig. 12: sparsity of a join is the minimum of its arguments'."""
-    return min(sparsities)
-
-
-def add_sparsity(sparsities) -> float:
-    """Fig. 12: sparsity of a union saturates at 1."""
-    return min(1.0, sum(sparsities))
-
-
-def sum_sparsity(sparsity: float, agg_size: int) -> float:
-    """Fig. 12: aggregation scales sparsity by the aggregated extent."""
-    return min(1.0, agg_size * sparsity)

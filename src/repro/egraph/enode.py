@@ -65,10 +65,6 @@ class ENode:
             return self
         return ENode(self.op, self.payload, children)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     @cached_property
     def sort_key(self) -> Tuple:
         """Cheap structural ordering key: (op, payload key, children).

@@ -35,20 +35,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import lil_matrix
 
 from repro.cost.model import RACostModel, admissible_node
 from repro.egraph.enode import ENode
 from repro.egraph.graph import EGraph
 from repro.extract.greedy import CostFn, ExtractionError, ExtractionResult, GreedyExtractor
 from repro.ra.rexpr import RExpr
-
-try:  # pragma: no cover - exercised indirectly
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import lil_matrix
-
-    _HAVE_SCIPY_MILP = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY_MILP = False
 
 
 @dataclass
@@ -79,8 +72,6 @@ class ILPExtractor:
     def extract(self, egraph: EGraph, root: int) -> ExtractionResult:
         """Extract the cheapest expression equivalent to ``root``."""
         root = egraph.find(root)
-        if not _HAVE_SCIPY_MILP:
-            return self._fallback(egraph, root, "scipy.optimize.milp unavailable")
 
         class_ids = egraph.class_ids()
         class_index = {cid: i for i, cid in enumerate(class_ids)}
@@ -156,6 +147,10 @@ class ILPExtractor:
         bounds_lower = np.zeros(num_vars)
         bounds_upper = np.ones(num_vars)
         bounds_upper[level_offset:] = big_m
+
+        # Imported where it is called: ``scipy.optimize`` is a third of the
+        # package's import time and memory, and only the ILP preset gets here.
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
         try:
             result = milp(

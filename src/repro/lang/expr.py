@@ -179,8 +179,23 @@ def node(cls: Type[LAExpr]) -> Type[LAExpr]:
     ``child_fields`` (and what ``children`` returns), the rest
     ``static_fields``.  An operator that executes also needs its row in
     :data:`repro.runtime.optable.OP_TABLE` — nothing else.
+
+    Nodes key dicts all over the compile path and the generated ``__hash__``
+    re-walks the subtree on every probe, so the hash is kept in the
+    instance's ``__dict__`` after its first use (a node is never pickled:
+    string hashes differ between processes).
     """
     cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def cached_hash(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = field_hash(self)
+            return value
+
+    cls.__hash__ = cached_hash
     hints = get_type_hints(cls)
     names = [spec.name for spec in fields(cls)]
     cls.child_fields = tuple(name for name in names if hints[name] is LAExpr)

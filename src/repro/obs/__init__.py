@@ -2,8 +2,8 @@
 
 Three pillars:
 
-* **Metrics** (:mod:`repro.obs.metrics`): a registry of counters, gauges,
-  and bounded-reservoir histograms with Prometheus-style text exposition.
+* **Metrics** (:mod:`repro.obs.metrics`): a registry of counters and
+  bounded-reservoir histograms with Prometheus-style text exposition.
   The optimizer, plan cache, plan store, serving, and reliability layers
   all write through the process-global registry returned by
   :func:`registry`.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 
 from repro.obs.log import ROOT_LOGGER, configure_logging, disable_logging
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, parse_exposition
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, parse_exposition
 from repro.obs.trace import Span, SpanContext, Tracer, span_tree, spans_from_json
 
 _lock = threading.Lock()
@@ -94,7 +94,6 @@ def reset() -> None:
 __all__ = [
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "parse_exposition",
     "Tracer",

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and bounded-reservoir histograms.
+"""The metrics registry: counters and bounded-reservoir histograms.
 
 One :class:`MetricsRegistry` is a namespace of named instruments.  The
 package keeps a process-global registry (``repro.obs.registry()``) that the
@@ -26,7 +26,7 @@ Design points:
   instrument instead of a list copy per ``stats()`` call.
 * **Exposition** renders the whole registry in the Prometheus text format
   (``# TYPE`` comments, ``name{label="v"} value`` samples); histograms
-  expose ``_count``/``_sum`` plus quantile gauges.
+  expose ``_count``/``_sum`` plus quantile samples.
 
 Everything is thread-safe: instruments take a small per-instrument lock,
 the registry takes its own for instrument creation and iteration.
@@ -106,46 +106,9 @@ class Counter(_Instrument):
         if not self._registry.enabled:
             return
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def samples(self) -> List[Tuple[str, LabelKey, float]]:
-        return [(self.name, self.labels, self.value)]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down (queue depths, cache sizes)."""
-
-    kind = "gauge"
-
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str, labels: LabelKey) -> None:
-        super().__init__(registry, name, help, labels)
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -321,9 +284,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
-
     def histogram(
         self, name: str, help: str = "", reservoir: int = 4096, **labels: str
     ) -> Histogram:
@@ -412,7 +372,6 @@ def parse_exposition(text: str) -> Dict[str, float]:
 __all__ = [
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "parse_exposition",
 ]

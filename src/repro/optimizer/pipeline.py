@@ -235,12 +235,25 @@ def _optimize_region(
     report.phase_times += phase
 
     # Rewrites must not regress (SystemML behaves the same way): keep the
-    # region's original when the extracted plan estimates costlier.
-    if _plan_cost(lifted, config, cost_model) > _plan_cost(expr, config, cost_model):
+    # region's original when the extracted plan estimates costlier — or, with
+    # symbolic dims, would need an extent the original runs without.
+    if _fills_unsized(lifted) or (
+        _plan_cost(lifted, config, cost_model) > _plan_cost(expr, config, cost_model)
+    ):
         report.fallback_regions += 1
         _REGION_FALLBACKS.inc()
         return expr
     return lifted
+
+
+def _fills_unsized(expr: la.LAExpr) -> bool:
+    """Whether a plan holds a ``matrix(v, r, c)`` the runtime could not
+    materialise: lifting turns an aggregate over a broadcast into a sum of
+    ones over the dim, which only a declared size makes executable."""
+    return any(
+        isinstance(node, la.FilledMatrix) and node.fill_shape.ncells() is None
+        for node in dag.postorder(expr)
+    )
 
 
 def _plan_cost(expr: la.LAExpr, config: OptimizerConfig, cost_model: LACostModel) -> float:

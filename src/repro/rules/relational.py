@@ -10,18 +10,16 @@ factored out, which index is eliminated first), the generalisation is what
 makes the rule *expansive* in the paper's sense — these rules are marked
 ``expansive=True`` and are the ones the sampling scheduler throttles.
 
-Searching is driven by the e-graph's **operator index**: a rule anchored on
-``sum`` nodes enumerates ``egraph.classes_with_op("sum")`` and reads the
-per-class operator buckets instead of scanning every class and
-re-canonicalising its nodes.  When the runner provides a ``dirty`` set of
-changed classes, :func:`_each_enode` further restricts the enumeration to
-matches whose root class or child classes changed — the rules here pattern-
-match on a root e-node plus its immediate children (guards only consult
-analysis data, whose improvements also count as touches), so that
-neighbourhood test is exact.  ``factor`` and ``pull-add-out-of-sum``
-cross-correlate *all* addends of a union and keep ``incremental = False``.
-Constructing rules with ``relational_rules(indexed=False)`` restores the
-full-scan searcher, which the e-matching benchmark uses as its baseline.
+Every rule states three things: its ``query`` (a value — the anchor
+operator, optionally each child position, optionally an ``inner`` e-node in
+that child's class), its ``bind`` (the guard, returning the ``args`` for
+``rewrite`` or ``None``) and its ``rewrite``.  How a query is evaluated —
+operator index or the ``relational_rules(indexed=False)`` scan reference,
+the ``dirty`` neighbourhood test, match keys — is
+:meth:`repro.egraph.rewrite.Rule.search`, in one place.  ``factor`` and
+``pull-add-out-of-sum`` cross-correlate *all* addends of a union: their
+queries are anchor-only, their ``bind`` returns several matches per anchor
+and they keep ``incremental = False``.
 
 ==============================  ===========================================
 rule                            identity
@@ -42,12 +40,13 @@ rule                            identity
 from __future__ import annotations
 
 from collections import Counter
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.graph import EGraph
-from repro.egraph.rewrite import Match, Rule
+from repro.egraph.rewrite import Query, Rule, SearchContext
 from repro.ra.attrs import Attr
+from repro.translate.lower import ONES_PREFIX
 
 
 # ---------------------------------------------------------------------------
@@ -88,66 +87,9 @@ def mk_sum(egraph: EGraph, indices: Iterable[Attr], child: int) -> int:
     return egraph.add(ENode(OP_SUM, index_set, (child,)))
 
 
-def _each_enode(
-    egraph: EGraph,
-    op: str,
-    dirty: Optional[FrozenSet[int]] = None,
-    use_index: bool = True,
-) -> List[Tuple[int, ENode]]:
-    """All (class_id, node) pairs for nodes with the given operator.
-
-    With ``use_index`` the enumeration reads the persistent operator index;
-    a non-``None`` ``dirty`` set restricts it to nodes whose own class or
-    whose immediate child classes changed since the caller last searched.
-    ``use_index=False`` reproduces the original full scan (the benchmark
-    baseline).
-    """
-    if not use_index:
-        return [
-            (class_id, node)
-            for class_id in egraph.class_ids()
-            for node in egraph.legacy_nodes(class_id)
-            if node.op == op
-        ]
-    nodes_by_op = egraph.nodes_by_op
-    if dirty is None:
-        return [
-            (class_id, node)
-            for class_id in egraph.classes_with_op(op)
-            for node in nodes_by_op(class_id, op)
-        ]
-    return [
-        (class_id, node)
-        for class_id in egraph.classes_with_op(op)
-        for node in nodes_by_op(class_id, op)
-        if class_id in dirty or not dirty.isdisjoint(node.children)
-    ]
-
-
-def _class_nodes(
-    egraph: EGraph, class_id: int, op: str, use_index: bool = True
-) -> Collection[ENode]:
-    """The ``op`` e-nodes of one class, via the index or the legacy scan.
-
-    The indexed form is a live view of the bucket; a rule that keeps it past
-    its ``search`` (in a match's ``args``) must copy it.
-    """
-    if use_index:
-        return egraph.nodes_by_op(class_id, op)
-    return [node for node in egraph.legacy_nodes(class_id) if node.op == op]
-
-
 def _without(children: Tuple[int, ...], position: int) -> Tuple[int, ...]:
     """``children`` minus the one at ``position``."""
     return children[:position] + children[position + 1:]
-
-
-def _schema_names(egraph: EGraph, class_id: int) -> FrozenSet[str]:
-    return egraph.data(class_id).schema_names
-
-
-def _bound_names(egraph: EGraph, class_id: int) -> FrozenSet[str]:
-    return egraph.data(class_id).bound
 
 
 # ---------------------------------------------------------------------------
@@ -171,31 +113,12 @@ class Flatten(Rule):
     def __init__(self, op: str) -> None:
         self.op = op
         self.name = f"flatten-{'join' if op == OP_JOIN else 'add'}"
+        self.query = Query(anchor=(op,), inner=op)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        find = egraph.find
-        for class_id, node in _each_enode(egraph, self.op, dirty, self.use_index):
-            own = find(class_id)
-            for position, arg in enumerate(node.children):
-                arg = find(arg)
-                if arg == own:
-                    continue  # avoid self-flattening loops
-                inner_nodes = _class_nodes(egraph, arg, self.op, self.use_index)
-                if not inner_nodes:
-                    continue
-                prefix = f"({class_id}, {node.sort_repr}, {position}, "
-                for inner in inner_nodes:
-                    matches.append(
-                        Match(
-                            self,
-                            (class_id, node.sort_key, position, inner.sort_key),
-                            class_id,
-                            (node, position, inner),
-                            f"{prefix}{inner.sort_repr})",
-                        )
-                    )
-        return matches
+    def bind(self, ctx, root, node, position, child, inner):
+        if child == root:
+            return None  # avoid self-flattening loops
+        return node, position, inner
 
     def rewrite(self, egraph: EGraph, node: ENode, position: int, inner: ENode) -> int:
         children = _without(node.children, position) + inner.children
@@ -213,23 +136,10 @@ class Distribute(Rule):
     name = "distribute"
     soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
+    query = Query(anchor=(OP_JOIN,), inner=OP_ADD)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        find = egraph.find
-        for join_class, join_node in _each_enode(egraph, OP_JOIN, dirty, self.use_index):
-            for position, arg in enumerate(join_node.children):
-                for add_node in _class_nodes(egraph, find(arg), OP_ADD, self.use_index):
-                    matches.append(
-                        Match(
-                            self,
-                            (join_class, join_node.sort_key, position, add_node.sort_key),
-                            join_class,
-                            (join_node, position, add_node),
-                            f"({join_class}, {join_node.sort_repr}, {position}, {add_node.sort_repr})",
-                        )
-                    )
-        return matches
+    def bind(self, ctx, root, join_node, position, child, add_node):
+        return join_node, position, add_node
 
     def rewrite(self, egraph: EGraph, join_node: ENode, position: int, add_node: ENode) -> int:
         others = _without(join_node.children, position)
@@ -252,7 +162,7 @@ class Factor(Rule):
     each addend), so a changed-neighbourhood test cannot bound its matches;
     the rule opts out of incremental search and always scans its anchor op.
     It is also the rule that finds the most matches it never applies, so
-    ``search`` only pairs up views; the common sub-multiset, the quotients
+    ``bind`` only pairs up views; the common sub-multiset, the quotients
     and their schema padding are computed in ``rewrite``.
     """
 
@@ -260,60 +170,46 @@ class Factor(Rule):
     soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
     incremental = False
+    query = Query(anchor=(OP_ADD,), many=True)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        #: join views per addend class, shared across every add node searched
-        views_cache: Dict[int, List[FactorView]] = {}
-        for add_class, add_node in _each_enode(egraph, OP_ADD, None, self.use_index):
-            factorizations = self._factor_views(egraph, add_node, self.use_index, views_cache)
-            sort_key = add_node.sort_key
-            for i in range(len(add_node.children)):
-                for j in range(i + 1, len(add_node.children)):
-                    prefix = f"({add_class}, {add_node.sort_repr}, {i}, {j}, "
-                    for fi, keys_i, elements_i, text_i in factorizations[i]:
-                        for fj, keys_j, elements_j, text_j in factorizations[j]:
-                            # Every multiplicity is >= 1, so overlapping key
-                            # sets are exactly a non-empty intersection.
-                            if keys_i.isdisjoint(keys_j):
-                                continue
-                            # Key the views by content, not enumeration
-                            # position, so scheduling does not depend on the
-                            # search backend's iteration order.
-                            matches.append(
-                                Match(
-                                    self,
-                                    (add_class, sort_key, i, j, elements_i, elements_j),
-                                    add_class,
-                                    (add_node, i, j, fi, fj),
-                                    f"{prefix}{text_i}, {text_j})",
-                                )
-                            )
-        return matches
+    def bind(self, ctx, root, add_node) -> Iterator[tuple]:
+        views = self._factor_views(ctx, add_node)
+        for i in range(len(views)):
+            for j in range(i + 1, len(views)):
+                positions = f"{i}, {j}, "
+                for fi, keys_i, elements_i, text_i in views[i]:
+                    for fj, keys_j, elements_j, text_j in views[j]:
+                        # Every multiplicity is >= 1, so overlapping key
+                        # sets are exactly a non-empty intersection.
+                        if keys_i.isdisjoint(keys_j):
+                            continue
+                        # Key the views by content, not enumeration
+                        # position, so scheduling does not depend on the
+                        # search backend's iteration order.
+                        yield (
+                            (i, j, elements_i, elements_j),
+                            f"{positions}{text_i}, {text_j}",
+                            (add_node, i, j, fi, fj),
+                        )
 
     @staticmethod
-    def _factor_views(
-        egraph: EGraph,
-        add_node: ENode,
-        use_index: bool,
-        cache: Dict[int, List[FactorView]],
-    ) -> List[List[FactorView]]:
+    def _factor_views(ctx: SearchContext, add_node: ENode) -> List[List[FactorView]]:
         """For each addend, the multisets of join factors it can be seen as.
 
         Views are pre-packaged so the pairwise loop can disjointness-test
         and build match keys without recomputing anything per pair; the
-        per-class cache is shared across all add nodes of one search.
+        per-class ``ctx.memo`` is shared across all add nodes of one search.
         """
-        find = egraph.find
+        find, memo = ctx.find, ctx.memo
         views: List[List[FactorView]] = []
         for child in add_node.children:
             child = find(child)
-            child_views = cache.get(child)
+            child_views = memo.get(child)
             if child_views is None:
                 counters = [Counter({child: 1})]
-                for node in _class_nodes(egraph, child, OP_JOIN, use_index):
+                for node in ctx.nodes(child, OP_JOIN):
                     counters.append(Counter(map(find, node.children)))
-                child_views = cache[child] = []
+                child_views = memo[child] = []
                 for counter in counters:
                     elements = tuple(sorted(counter.elements()))
                     child_views.append((counter, frozenset(counter), elements, repr(elements)))
@@ -343,8 +239,6 @@ class Factor(Rule):
 
 def _pad_to_common_schema(egraph: EGraph, term_i: int, term_j: int) -> Tuple[int, int]:
     """Pad two quotient terms with all-ones tensors up to a shared schema."""
-    from repro.translate.lower import ONES_PREFIX
-
     schema_i = egraph.data(term_i).schema
     schema_j = egraph.data(term_j).schema
     names_i = {attr.name for attr in schema_i}
@@ -378,23 +272,13 @@ class CombineAddends(Rule):
 
     name = "combine-addends"
     soundness = "any-semiring; needs: counting-literals"
+    query = Query(anchor=(OP_ADD,))
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        find = egraph.find
-        for add_class, add_node in _each_enode(egraph, OP_ADD, dirty, self.use_index):
-            counts = Counter(map(find, add_node.children))
-            if any(count >= 2 for count in counts.values()):
-                matches.append(
-                    Match(
-                        self,
-                        (add_class, add_node.sort_key),
-                        add_class,
-                        (counts,),
-                        f"({add_class}, {add_node.sort_repr})",
-                    )
-                )
-        return matches
+    def bind(self, ctx, root, add_node):
+        counts = Counter(map(ctx.find, add_node.children))
+        if any(count >= 2 for count in counts.values()):
+            return (counts,)
+        return None
 
     def rewrite(self, egraph: EGraph, counts: Counter) -> int:
         new_children: List[int] = []
@@ -417,22 +301,10 @@ class PushSumIntoAdd(Rule):
 
     name = "push-sum-into-add"
     soundness = "any-semiring; needs: associativity, commutativity"
+    query = Query(anchor=(OP_SUM,), inner=OP_ADD)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        for sum_class, sum_node in _each_enode(egraph, OP_SUM, dirty, self.use_index):
-            child = egraph.find(sum_node.children[0])
-            for add_node in _class_nodes(egraph, child, OP_ADD, self.use_index):
-                matches.append(
-                    Match(
-                        self,
-                        (sum_class, sum_node.sort_key, add_node.sort_key),
-                        sum_class,
-                        (sum_node.payload, add_node),
-                        f"({sum_class}, {sum_node.sort_repr}, {add_node.sort_repr})",
-                    )
-                )
-        return matches
+    def bind(self, ctx, root, sum_node, position, child, add_node):
+        return sum_node.payload, add_node
 
     def rewrite(self, egraph: EGraph, indices: FrozenSet[Attr], add_node: ENode) -> int:
         return mk_add(egraph, [mk_sum(egraph, indices, child) for child in add_node.children])
@@ -449,36 +321,23 @@ class PullAddOutOfSum(Rule):
     name = "pull-add-out-of-sum"
     soundness = "any-semiring; needs: associativity, commutativity"
     incremental = False
+    query = Query(anchor=(OP_ADD,), many=True)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        for add_class, add_node in _each_enode(egraph, OP_ADD, None, self.use_index):
-            # Copied out of the buckets: the rewrite chooses among the sums
-            # as they were when the match was found.
-            sum_views: List[List[ENode]] = [
-                list(_class_nodes(egraph, egraph.find(child), OP_SUM, self.use_index))
-                for child in add_node.children
-            ]
-            if not all(sum_views):
-                continue
-            # All addends must agree on the aggregated index names.
-            index_sets = [
-                {frozenset(a.name for a in node.payload) for node in sums}
-                for sums in sum_views
-            ]
-            shared = set.intersection(*index_sets)
-            for names in sorted(shared, key=sorted):
-                names_key = tuple(sorted(names))
-                matches.append(
-                    Match(
-                        self,
-                        (add_class, add_node.sort_key, names_key),
-                        add_class,
-                        (names, sum_views),
-                        f"({add_class}, {add_node.sort_repr}, {names_key!r})",
-                    )
-                )
-        return matches
+    def bind(self, ctx, root, add_node) -> Iterator[tuple]:
+        # Copied out of the buckets: the rewrite chooses among the sums
+        # as they were when the match was found.
+        sum_views: List[List[ENode]] = [
+            list(ctx.nodes(ctx.find(child), OP_SUM)) for child in add_node.children
+        ]
+        if not all(sum_views):
+            return
+        # All addends must agree on the aggregated index names.
+        index_sets = [
+            {frozenset(a.name for a in node.payload) for node in sums} for sums in sum_views
+        ]
+        for names in sorted(set.intersection(*index_sets), key=sorted):
+            names_key = tuple(sorted(names))
+            yield (names_key,), repr(names_key), (names, sum_views)
 
     def rewrite(
         self, egraph: EGraph, names: FrozenSet[str], sum_views: List[List[ENode]]
@@ -519,40 +378,21 @@ class PullFactorOutOfSum(Rule):
     name = "pull-factor-out-of-sum"
     soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
+    query = Query(anchor=(OP_SUM,), inner=OP_JOIN, many=True)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        schema_cache: Dict[int, FrozenSet[str]] = {}
-
-        def schema(class_id: int) -> FrozenSet[str]:
-            names = schema_cache.get(class_id)
+    def bind(self, ctx, root, sum_node, position, child, join_node) -> Iterator[tuple]:
+        indices: FrozenSet[Attr] = sum_node.payload
+        memo, schemas = ctx.memo, []  # class -> schema names, for the whole search
+        for c in join_node.children:
+            names = memo.get(c)
             if names is None:
-                names = schema_cache[class_id] = egraph.data(class_id).schema_names
-            return names
-
-        for sum_class, sum_node in _each_enode(egraph, OP_SUM, dirty, self.use_index):
-            indices: FrozenSet[Attr] = sum_node.payload
-            child = egraph.find(sum_node.children[0])
-            for join_node in _class_nodes(egraph, child, OP_JOIN, self.use_index):
-                for index in sorted(indices, key=lambda a: a.name):
-                    inside = [
-                        c for c in join_node.children if index.name in schema(c)
-                    ]
-                    outside = [
-                        c for c in join_node.children if index.name not in schema(c)
-                    ]
-                    if not inside or not outside:
-                        continue
-                    matches.append(
-                        Match(
-                            self,
-                            (sum_class, sum_node.sort_key, index.name, join_node.sort_key),
-                            sum_class,
-                            (indices, index, inside, outside),
-                            f"({sum_class}, {sum_node.sort_repr}, {index.name!r}, {join_node.sort_repr})",
-                        )
-                    )
-        return matches
+                names = memo[c] = ctx.data(c).schema_names
+            schemas.append((c, names))
+        for index in sorted(indices, key=lambda a: a.name):
+            inside = [c for c, names in schemas if index.name in names]
+            outside = [c for c, names in schemas if index.name not in names]
+            if inside and outside:
+                yield (index.name,), repr(index.name), (indices, index, inside, outside)
 
     def rewrite(
         self,
@@ -577,39 +417,14 @@ class PushFactorIntoSum(Rule):
     name = "push-factor-into-sum"
     soundness = "any-semiring; needs: distributivity, commutativity"
     expansive = True
+    query = Query(anchor=(OP_JOIN,), inner=OP_SUM)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        find = egraph.find
-        mention_cache: Dict[int, FrozenSet[str]] = {}
-
-        def mentioned(class_id: int) -> FrozenSet[str]:
-            names = mention_cache.get(class_id)
-            if names is None:
-                data = egraph.data(class_id)
-                names = mention_cache[class_id] = data.schema_names | data.bound
-            return names
-
-        for join_class, join_node in _each_enode(egraph, OP_JOIN, dirty, self.use_index):
-            for position, arg in enumerate(join_node.children):
-                sum_nodes = _class_nodes(egraph, find(arg), OP_SUM, self.use_index)
-                if not sum_nodes:
-                    continue
-                others = _without(join_node.children, position)
-                for sum_node in sum_nodes:
-                    names = frozenset(a.name for a in sum_node.payload)
-                    if any(names & mentioned(other) for other in others):
-                        continue
-                    matches.append(
-                        Match(
-                            self,
-                            (join_class, join_node.sort_key, position, sum_node.sort_key),
-                            join_class,
-                            (others, sum_node),
-                            f"({join_class}, {join_node.sort_repr}, {position}, {sum_node.sort_repr})",
-                        )
-                    )
-        return matches
+    def bind(self, ctx, root, join_node, position, child, sum_node):
+        others = _without(join_node.children, position)
+        names = frozenset(a.name for a in sum_node.payload)
+        if any(names & ctx.data(other).mentioned_names for other in others):
+            return None
+        return others, sum_node
 
     def rewrite(self, egraph: EGraph, others: Tuple[int, ...], sum_node: ENode) -> int:
         inner = mk_join(egraph, others + (egraph.find(sum_node.children[0]),))
@@ -626,26 +441,14 @@ class MergeNestedSums(Rule):
 
     name = "merge-nested-sums"
     soundness = "any-semiring; needs: associativity, commutativity"
+    query = Query(anchor=(OP_SUM,), inner=OP_SUM)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        for sum_class, sum_node in _each_enode(egraph, OP_SUM, dirty, self.use_index):
-            child = egraph.find(sum_node.children[0])
-            for inner in _class_nodes(egraph, child, OP_SUM, self.use_index):
-                outer_names = {a.name for a in sum_node.payload}
-                inner_names = {a.name for a in inner.payload}
-                if outer_names & inner_names:
-                    continue  # would shadow; never produced by the translator
-                matches.append(
-                    Match(
-                        self,
-                        (sum_class, sum_node.sort_key, inner.sort_key),
-                        sum_class,
-                        (sum_node.payload, inner),
-                        f"({sum_class}, {sum_node.sort_repr}, {inner.sort_repr})",
-                    )
-                )
-        return matches
+    def bind(self, ctx, root, sum_node, position, child, inner):
+        outer_names = {a.name for a in sum_node.payload}
+        inner_names = {a.name for a in inner.payload}
+        if outer_names & inner_names:
+            return None  # would shadow; never produced by the translator
+        return sum_node.payload, inner
 
     def rewrite(self, egraph: EGraph, outer_indices: FrozenSet[Attr], inner: ENode) -> int:
         merged = frozenset(outer_indices) | frozenset(inner.payload)
@@ -667,30 +470,21 @@ class EliminateUnusedIndex(Rule):
 
     name = "eliminate-unused-index"
     soundness = "any-semiring; needs: counting-literals"
+    query = Query(anchor=(OP_SUM,))
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        for sum_class, sum_node in _each_enode(egraph, OP_SUM, dirty, self.use_index):
-            child = egraph.find(sum_node.children[0])
-            child_schema = _schema_names(egraph, child)
-            unused = [a for a in sum_node.payload if a.name not in child_schema]
-            if not unused:
-                continue
-            matches.append(
-                Match(
-                    self,
-                    (sum_class, sum_node.sort_key),
-                    sum_class,
-                    (sum_node, unused),
-                    f"({sum_class}, {sum_node.sort_repr})",
-                )
-            )
-        return matches
+    def bind(self, ctx, root, sum_node):
+        child_schema = ctx.data(sum_node.children[0]).schema_names
+        unused = [a for a in sum_node.payload if a.name not in child_schema]
+        # |i| copies of A: without a declared extent there is no literal to
+        # multiply by, so a symbolic unused index stays under its Σ.
+        if not unused or any(attr.size is None for attr in unused):
+            return None
+        return sum_node, unused
 
     def rewrite(self, egraph: EGraph, sum_node: ENode, unused: List[Attr]) -> int:
         factor = 1.0
         for attr in unused:
-            factor *= attr.size if attr.size is not None else 1
+            factor *= attr.size
         remaining = frozenset(sum_node.payload) - frozenset(unused)
         inner = mk_sum(egraph, remaining, egraph.find(sum_node.children[0]))
         return mk_join(egraph, [mk_lit(egraph, factor), inner])
@@ -714,24 +508,13 @@ class DropIdentities(Rule):
 
     name = "drop-identities"
     soundness = "any-semiring"
+    query = Query(anchor=(OP_JOIN, OP_ADD))
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        matches: List[Match] = []
-        for op in (OP_JOIN, OP_ADD):
-            for class_id, node in _each_enode(egraph, op, dirty, self.use_index):
-                kept = len(self._keep(egraph, node))
-                if kept == 0 or kept == len(node.children):
-                    continue
-                matches.append(
-                    Match(
-                        self,
-                        (class_id, node.sort_key),
-                        class_id,
-                        (node,),
-                        f"({class_id}, {node.sort_repr})",
-                    )
-                )
-        return matches
+    def bind(self, ctx, root, node):
+        kept = len(self._keep(ctx.egraph, node))
+        if kept == 0 or kept == len(node.children):
+            return None
+        return (node,)
 
     @staticmethod
     def _keep(egraph: EGraph, node: ENode) -> List[int]:
@@ -766,38 +549,20 @@ class AbsorbOnes(Rule):
 
     name = "absorb-ones"
     soundness = "any-semiring"
+    query = Query(anchor=(OP_JOIN,), child=True)
 
-    def search(self, egraph: EGraph, dirty: Optional[FrozenSet[int]] = None) -> List[Match]:
-        from repro.translate.lower import ONES_PREFIX
-
-        matches: List[Match] = []
-        for class_id, node in _each_enode(egraph, OP_JOIN, dirty, self.use_index):
-            for position, arg in enumerate(node.children):
-                arg = egraph.find(arg)
-                if not any(
-                    n.payload[0].startswith(ONES_PREFIX)
-                    for n in _class_nodes(egraph, arg, OP_VAR, self.use_index)
-                ):
-                    continue
-                others = _without(node.children, position)
-                if not others:
-                    continue
-                ones_schema = _schema_names(egraph, arg)
-                others_schema: FrozenSet[str] = frozenset()
-                for other in others:
-                    others_schema = others_schema | _schema_names(egraph, other)
-                if not ones_schema <= others_schema:
-                    continue
-                matches.append(
-                    Match(
-                        self,
-                        (class_id, node.sort_key, position),
-                        class_id,
-                        (others,),
-                        f"({class_id}, {node.sort_repr}, {position})",
-                    )
-                )
-        return matches
+    def bind(self, ctx, root, node, position, child):
+        if not any(n.payload[0].startswith(ONES_PREFIX) for n in ctx.nodes(child, OP_VAR)):
+            return None
+        others = _without(node.children, position)
+        if not others:
+            return None
+        others_schema: FrozenSet[str] = frozenset()
+        for other in others:
+            others_schema = others_schema | ctx.data(other).schema_names
+        if not ctx.data(child).schema_names <= others_schema:
+            return None
+        return (others,)
 
     def rewrite(self, egraph: EGraph, others: Tuple[int, ...]) -> int:
         return mk_join(egraph, others)
@@ -806,9 +571,9 @@ class AbsorbOnes(Rule):
 def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
     """The full R_EQ rule set in a deterministic order.
 
-    ``indexed=False`` builds the rules with the legacy full-scan searcher
-    (every class visited, nodes re-filtered per rule); it exists for the
-    e-matching benchmark baseline and for the search-equivalence tests.
+    ``indexed=False`` has the rules' queries evaluated by the full scan
+    (every class visited, nodes re-canonicalised and re-filtered per rule);
+    it exists as the reference of the search-equivalence tests.
 
     ``ring`` (a :class:`~repro.runtime.semiring.Semiring` or ``None`` for
     real arithmetic) drops every rule whose own ``soundness`` declaration
@@ -838,5 +603,5 @@ def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
 
         rules = [rule for rule in rules if rule_allowed(rule, ring)]
     for rule in rules:
-        rule.use_index = indexed
+        rule.indexed = indexed
     return rules

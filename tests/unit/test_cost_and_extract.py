@@ -1,5 +1,8 @@
 """Unit tests for the cost models and the greedy / ILP extractors."""
 
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,6 +166,29 @@ class TestExtractors:
         greedy = GreedyExtractor().extract(egraph, root)
         ilp = ILPExtractor().extract(egraph, root)
         assert ilp.cost == pytest.approx(greedy.cost)
+
+    def test_the_solver_is_imported_by_the_solve_not_by_the_package(self):
+        """Every benchmark workload runs the greedy preset; ``scipy.optimize``
+        is a third of ``import repro`` and loads with the first ILP solve."""
+        script = (
+            "import sys, repro\n"
+            "assert 'scipy.optimize' not in sys.modules, 'loaded by import repro'\n"
+            "from repro.egraph import EGraph\n"
+            "from repro.extract import ILPExtractor\n"
+            "from repro.ra.rexpr import RVar\n"
+            "from repro.ra.attrs import Attr\n"
+            "egraph = EGraph()\n"
+            "root = egraph.add_term(RVar('x', (Attr('i', 3),)))\n"
+            "ILPExtractor().extract(egraph, root)\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_extraction_error_for_unextractable_root(self):
         egraph = EGraph()

@@ -56,33 +56,20 @@ class TestCounters:
         registry = MetricsRegistry(namespace="t")
         registry.counter("x_total")
         with pytest.raises(TypeError):
-            registry.gauge("x_total")
+            registry.histogram("x_total")
 
     def test_disabled_registry_is_a_noop(self):
         registry = MetricsRegistry(namespace="t", enabled=False)
         counter = registry.counter("x_total")
-        gauge = registry.gauge("depth")
         hist = registry.histogram("lat_seconds")
         counter.inc()
-        gauge.set(7)
         hist.observe(1.0)
         assert counter.value == 0
-        assert gauge.value == 0
         assert hist.count == 0
         # flipping the switch turns the same objects live
         registry.enabled = True
         counter.inc()
         assert counter.value == 1
-
-
-class TestGauges:
-    def test_gauge_moves_both_ways(self):
-        registry = MetricsRegistry(namespace="t")
-        gauge = registry.gauge("queue_depth")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
 
 
 class TestHistograms:
@@ -130,14 +117,12 @@ class TestExposition:
         registry = MetricsRegistry(namespace="repro")
         registry.counter("compile_total", "Compiles").inc(3)
         registry.counter("req_total", "Requests", result="ok").inc(7)
-        registry.gauge("cache_entries", "Entries").set(12)
         hist = registry.histogram("lat_seconds", "Latency")
         hist.observe(0.25)
         text = registry.exposition()
         parsed = parse_exposition(text)
         assert parsed["repro_compile_total"] == 3
         assert parsed['repro_req_total{result="ok"}'] == 7
-        assert parsed["repro_cache_entries"] == 12
         assert parsed["repro_lat_seconds_count"] == 1
         assert parsed["repro_lat_seconds_sum"] == 0.25
         assert parsed['repro_lat_seconds{quantile="0.5"}'] == 0.25
@@ -151,9 +136,9 @@ class TestExposition:
 
     def test_special_values_render(self):
         registry = MetricsRegistry(namespace="t")
-        registry.gauge("g").set(math.inf)
+        registry.counter("c_total").inc(math.inf)
         parsed = parse_exposition(registry.exposition())
-        assert parsed["t_g"] == math.inf
+        assert parsed["t_c_total"] == math.inf
 
     def test_registry_snapshot_is_json_serializable(self):
         registry = MetricsRegistry(namespace="t")

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.egraph import EGraph, Runner, RunnerConfig, StopReason
+from repro.analysis.selftest import DropSecondFactor
+from repro.egraph import ENode, EGraph, Rule, Runner, RunnerConfig, StopReason
+from repro.egraph import OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.extract import GreedyExtractor
 from repro.ra.attrs import Attr
 from repro.ra.rexpr import RLit, RVar, radd, rjoin, rsum
-from repro.rules import relational_rules
+from repro.rules import EliminateUnusedIndex, relational_rules
 from repro.runtime.ra_interp import evaluate as ra_evaluate
 
 
@@ -112,6 +114,48 @@ class TestRuleProofs:
         extracted = GreedyExtractor().extract(egraph, root).expr
         value, _ = numeric_value(extracted)
         assert np.allclose(value, reference)
+
+
+class TestRulesAreQueries:
+    def test_every_relational_rule_is_a_query_and_a_bind(self):
+        operators = {OP_VAR, OP_LIT, OP_JOIN, OP_ADD, OP_SUM}
+        for rule in relational_rules():
+            assert type(rule).search is Rule.search, rule.name
+            query = rule.query
+            assert set(query.anchor) <= operators and query.anchor, rule.name
+            assert query.inner is None or (query.inner in operators and query.child), rule.name
+            assert query.many or rule.incremental, rule.name  # global views bind many
+
+    def test_a_rule_may_still_override_search(self):
+        """``Runner`` only knows ``search``: a rule with no query runs, one with
+        neither says so."""
+        egraph = EGraph()
+        root = egraph.add_term(rjoin([X, X]))
+        report = Runner(RunnerConfig(iter_limit=2)).run(egraph, [DropSecondFactor()])
+        assert report.rule_stats["selftest-drop-factor"].applied == 1
+        assert egraph.equiv(root, egraph.add_term(X))
+        with pytest.raises(NotImplementedError, match="neither a query nor a search"):
+            Rule().search(egraph)
+
+
+class TestEliminateUnusedIndex:
+    """``Σ_i A = |i| * A`` needs ``|i|``: an unsized unused index is no match."""
+
+    @pytest.mark.parametrize("size, factor", [(None, None), (6, 6.0)])
+    def test_matches_only_a_sized_unused_index(self, size, factor):
+        egraph = EGraph()
+        a_class = egraph.add_term(V)
+        root = egraph.add_term(rsum({Attr("i", size)}, V))
+        (sum_node,) = egraph.nodes_by_op(root, OP_SUM)
+        matches = EliminateUnusedIndex().search(egraph)
+        if size is None:
+            assert matches == []
+            return
+        assert [match.key for match in matches] == [(root, sum_node.sort_key)]
+        assert matches[0].apply(egraph)
+        egraph.rebuild()
+        scaled = egraph.add(ENode(OP_JOIN, None, (egraph.add(ENode(OP_LIT, factor, ())), a_class)))
+        assert egraph.equiv(root, scaled)
 
 
 class TestRuleSoundness:

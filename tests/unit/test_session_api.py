@@ -88,6 +88,23 @@ class TestCompileAndRun:
         assert result.scalar() == pytest.approx(16.0)
 
 
+    @pytest.mark.parametrize("addend", ["c", "u", 3])
+    def test_symbolic_dims_never_compile_to_a_plan_that_cannot_run(self, addend):
+        """``sum(X + c)`` lifts to ``sum(X) + c * |m| * |n|`` with the extents
+        as sums of ones-matrices — not materialisable while ``m``, ``n`` are
+        symbolic, so the region keeps its original."""
+        m, n = Dim("m"), Dim("n")
+        operands = {"c": Scalar("c"), "u": Vector("u", m)}
+        declared = Sum(Matrix("X", m, n) + operands.get(addend, addend))
+        rng = np.random.default_rng(3)
+        values = {"X": rng.random((7, 5)), "c": 2.5, "u": rng.random((7, 1))}
+        inputs = {name: values[name] for name in ("X", addend) if name in values}
+        plan = greedy_session().compile(declared)
+        assert plan.report.fallback_regions == 1
+        expected = execute(declared, inputs).scalar()
+        assert plan.run(inputs).scalar() == pytest.approx(expected, rel=1e-12)
+
+
 class TestBindingValidation:
     def test_missing_input_rejected(self):
         plan = greedy_session().compile(make_loss())

@@ -11,7 +11,9 @@ saturation run per region) and prints
   iteration** — why the anytime stop fired where it did;
 * the **per-rule funnel** from ``RunReport.rule_stats``: how many matches each
   rule found, how many the scheduler kept (and so paid a rewrite for), how
-  many changed the graph, and what a found match cost to search.
+  many changed the graph, and what a found match cost to search — beside the
+  rule's ``query`` (``anchor[/inner]``, then ``full`` when the rule is not
+  incremental).
 
 Counts are deterministic; times are the fastest of ``--repeat`` compiles.
 
@@ -40,6 +42,7 @@ from repro.egraph.runner import Runner, RuleStats  # noqa: E402
 from repro.extract.greedy import BestCostTable  # noqa: E402
 from repro.optimizer import OptimizerConfig  # noqa: E402
 from repro.optimizer.pipeline import compile_expression  # noqa: E402
+from repro.rules import relational_rules  # noqa: E402
 from repro.workloads import SEMIRING_WORKLOADS, WORKLOADS  # noqa: E402
 
 PRESETS = ("sampling_greedy", "sampling_ilp", "dfs_greedy")
@@ -139,16 +142,22 @@ def main(argv=None) -> int:
             for target in (funnel[name], funnel["total"]):
                 for field in fields:
                     setattr(target, field, getattr(target, field) + getattr(stats, field))
+    queries = {
+        rule.name: f"{rule.query}{'' if rule.incremental else ' full'}"
+        for rule in relational_rules(ring=config.ring())
+    }
     print(
-        f"\n{'rule':<24}{'searches':>9}{'found':>8}{'scheduled':>10}{'applied':>8}"
+        f"\n{'rule':<24}{'query':<9}{'searches':>9}{'found':>8}{'scheduled':>10}{'applied':>8}"
         f"{'search ms':>10}{'us/found':>9}"
     )
     for name, stats in funnel.items():
         per_found = stats.search_seconds * 1e6 / stats.found if stats.found else 0.0
         print(
-            f"{name:<24}{stats.searches:>9}{stats.found:>8}{stats.scheduled:>10}"
-            f"{stats.applied:>8}{stats.search_seconds * 1e3:>10.2f}{per_found:>9.2f}"
+            f"{name:<24}{queries.get(name, ''):<9}{stats.searches:>9}{stats.found:>8}"
+            f"{stats.scheduled:>10}{stats.applied:>8}{stats.search_seconds * 1e3:>10.2f}"
+            f"{per_found:>9.2f}"
         )
+    print("query: anchor[/inner] (_ any child); full = not incremental, every anchor every iteration")
     return 0
 
 
