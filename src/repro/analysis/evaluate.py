@@ -25,7 +25,7 @@ import numpy as np
 from repro.runtime.ra_interp import extent
 from repro.runtime.semiring import Array, Semiring
 from repro.lang import expr as la
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RSum, RVar
+from repro.ra.rexpr import RExpr, RVar
 from repro.translate.lower import ONES_PREFIX
 
 
@@ -207,11 +207,9 @@ def sample_rexpr_inputs(
             if sparsity is not None and expr.name in sparsity:
                 hint = sparsity[expr.name]
             inputs[expr.name] = ring.sample_sparse(rng, shape, hint)
-        elif isinstance(expr, (RJoin, RAdd)):
-            for arg in expr.args:
-                visit(arg)
-        elif isinstance(expr, RSum):
-            visit(expr.child)
+        else:
+            for child in expr.children:
+                visit(child)
 
     visit(node)
     return inputs

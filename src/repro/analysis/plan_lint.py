@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.report import Finding
 from repro.lang import expr as la
 from repro.lang.dims import DimensionError
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RSum, RVar, free_attrs
+from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RSum, RVar, free_attrs
 from repro.runtime.engine import slot_name
 from repro.runtime.tape import TapePlan
 
@@ -167,6 +167,8 @@ def lint_rexpr(node: RExpr, where: str) -> List[Finding]:
         if isinstance(expr, (RJoin, RAdd)):
             for arg in expr.args:
                 visit(arg, bound)
+        if isinstance(expr, RFused):
+            visit(expr.definition, bound)
 
     visit(node, frozenset())
     return findings

@@ -56,13 +56,16 @@ from repro.runtime.semiring import (
     Semiring,
     capability_table,
 )
-from repro.egraph.enode import OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
+from repro.egraph.enode import OP_FUSED, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Rule
+from repro.lang import Matrix, Vector
+from repro.lang.dims import Dim
 from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar
+from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar, unfused
 from repro.rules.relational import relational_rules
 from repro.rules.systemml_catalog import CatalogPattern, all_patterns, make_env
+from repro.translate.lower import lower
 
 
 PASS_NAME = "rules-audit"
@@ -147,9 +150,13 @@ def candidate_pool() -> List[Tuple[str, RExpr]]:
     """Hand-picked RA expressions guaranteeing every R_EQ rule a match.
 
     Raw constructors (not the folding smart constructors) keep joins and
-    unions nested so the flatten rules have something to do.
+    unions nested so the flatten rules have something to do.  The last
+    candidate is lowered from ``t(A) %*% (A %*% u)``: its ``mmchain`` fusion
+    is what ``fuse`` places.
     """
     ones_i = RVar("__ones__i", (_I,))
+    a = Matrix("A", Dim("i", _I.size), Dim("j", _J.size))
+    chain = lower(a.T @ (a @ Vector("u", Dim("j", _J.size)))).plan.body
     return [
         ("nested-join", RJoin((_A, RJoin((_B, _W))))),
         ("nested-add", RAdd((_A, RAdd((_C, _A))))),
@@ -169,6 +176,7 @@ def candidate_pool() -> List[Tuple[str, RExpr]]:
         ("ones-join", RJoin((ones_i, RJoin((_A, _U))))),
         ("sparse-factor", RAdd((RJoin((_P, _XS)), RJoin((_P, RJoin((_P, _XS))))))),
         ("deep-mixed", RSum(frozenset({_J}), RJoin((_A, RAdd((_U, _U)))))),
+        ("fusible-chain", chain),
     ]
 
 
@@ -207,6 +215,8 @@ def enumerate_terms(
                 for combo in itertools.product(*child_terms):
                     if node.op == OP_SUM:
                         out.append(RSum(node.payload, combo[0]))
+                    elif node.op == OP_FUSED:
+                        out.append(RFused(node.payload, tuple(combo)))
                     elif node.op == OP_JOIN:
                         out.append(RJoin(tuple(combo)))
                     else:
@@ -261,17 +271,18 @@ def audit_relational_rule(
             for trial in range(trials):
                 rng = np.random.default_rng(seed * 7919 + trial)
                 inputs = sample_rexpr_inputs(candidate, ring, rng, ATTR_SIZES)
-                # a literal without a counting reading is outside the ring's
-                # fragment: unsupported there, not unsound
+                # a literal without a counting reading, or a fused kernel off
+                # the real ring, is outside the ring's fragment: unsupported
+                # there, not unsound
                 try:
-                    expected, _ = ra_interp.evaluate(candidate, inputs, ATTR_SIZES, ring)
+                    expected, _ = ra_interp.evaluate(unfused(candidate), inputs, ATTR_SIZES, ring)
                 except RingLiteralError:
                     status[ring.name] = "unsupported"
                     break
                 for term in terms:
                     try:
                         actual, _ = ra_interp.evaluate(term, inputs, ATTR_SIZES, ring)
-                    except RingLiteralError:
+                    except (RingLiteralError, ra_interp.RingOperatorError):
                         status[ring.name] = "unsupported"
                         break
                     evaluated[ring.name] += 1

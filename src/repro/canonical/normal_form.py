@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar
+from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar
 from repro.translate.lower import ONES_PREFIX
 
 
@@ -148,6 +148,8 @@ def _expand(expr: RExpr, fresh: _FreshNames) -> Polyterm:
     if isinstance(expr, RSum):
         inner = _expand(expr.child, fresh)
         return _aggregate(inner, expr.indices, fresh)
+    if isinstance(expr, RFused):
+        return _expand(expr.definition, fresh)
     raise TypeError(f"cannot canonicalize {type(expr).__name__}")
 
 

@@ -8,7 +8,11 @@ estimate of nnz as the cost for each operation."
 The nnz estimate of an e-class is its sparsity invariant (Fig. 12, tracked
 by :class:`repro.egraph.analysis.RAAnalysis`) times the product of its free
 attribute extents.  Inputs (``var``/``lit`` leaves) cost nothing — they are
-already materialised.
+already materialised.  A ``fused`` e-node is charged what
+:class:`~repro.cost.la_cost.LACostModel` charges its LA operator: its output
+plus the ``work`` rule of its ``OP_TABLE`` row, over its operands'
+sparsities.  For ``wsloss`` that is the sparse-driven iteration space (one
+rank-length dot product per non-zero of ``X``) the fused kernel runs.
 
 The module also hosts the *schema pruning* predicate of Sec. 3.2: the
 extractor only considers e-classes whose schema can be mapped back to linear
@@ -22,8 +26,9 @@ from __future__ import annotations
 
 
 from repro.egraph.analysis import ClassData
-from repro.egraph.enode import ENode, OP_JOIN, OP_LIT, OP_VAR
+from repro.egraph.enode import ENode, OP_FUSED, OP_JOIN, OP_LIT, OP_VAR
 from repro.egraph.graph import EGraph
+from repro.runtime.optable import OP_TABLE
 
 #: Largest schema the extractor will consider (three attributes are allowed
 #: only for join nodes feeding an aggregation).
@@ -55,7 +60,22 @@ class RACostModel:
         if node.op in (OP_VAR, OP_LIT):
             return 0.0
         data = egraph.data(class_id)
+        if node.op == OP_FUSED:
+            return self.output_nnz(data) + self.fused_work(egraph, node)
         return self.output_nnz(data)
+
+    @staticmethod
+    def fused_work(egraph: EGraph, node: ENode) -> float:
+        """The ``work`` rule of a fused node's operator, operands read as
+        the sparsities of the classes that carry them."""
+        fusion = node.payload
+        op = fusion.op
+        sparsity = {
+            child: egraph.data(node.children[operand[0]]).sparsity
+            for child, operand in zip(op.children, fusion.operands)
+            if operand is not None
+        }
+        return OP_TABLE[type(op)].work(op, lambda operand: sparsity.get(operand, 1.0))
 
     def output_nnz(self, data: ClassData) -> float:
         """Estimated non-zero count of a class's result."""

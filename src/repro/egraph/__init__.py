@@ -47,7 +47,7 @@ what changed rather than to the size of the graph:
 """
 
 from repro.egraph.unionfind import UnionFind
-from repro.egraph.enode import ENode, OP_JOIN, OP_ADD, OP_SUM, OP_VAR, OP_LIT, AC_OPS
+from repro.egraph.enode import ENode, OP_JOIN, OP_ADD, OP_SUM, OP_VAR, OP_LIT, OP_FUSED, AC_OPS
 from repro.egraph.analysis import ClassData, RAAnalysis
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Match, Query, Rule
@@ -59,6 +59,7 @@ __all__ = [
     "OP_JOIN",
     "OP_ADD",
     "OP_SUM",
+    "OP_FUSED",
     "OP_VAR",
     "OP_LIT",
     "AC_OPS",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Optional, TYPE_CHECKING
 
-from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
+from repro.egraph.enode import ENode, OP_ADD, OP_FUSED, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.ra.attrs import Attr
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -119,6 +119,11 @@ class RAAnalysis:
             sparsity = min(1.0, agg_size * data.sparsity)
             bound = bound | frozenset(a.name for a in indices)
             return ClassData(schema, constant, sparsity, bound)
+        if node.op == OP_FUSED:
+            # Only ever merged into its definition's class, whose (tighter)
+            # estimate the merge keeps: dense is the sound bound here.
+            fusion = node.payload
+            return ClassData(fusion.schema, None, 1.0, bound | fusion.bound)
         raise ValueError(f"unknown operator {node.op!r}")
 
     def merge(self, left: ClassData, right: ClassData) -> ClassData:

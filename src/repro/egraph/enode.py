@@ -1,7 +1,7 @@
 """E-nodes: hash-consed operators whose children are e-class ids.
 
-The operator alphabet matches the RA IR (plus nothing else — LA never enters
-the e-graph; translation happens before and after saturation, Sec. 3.5):
+The operator alphabet matches the RA IR (translation happens before and after
+saturation, Sec. 3.5):
 
 =========  ====================================  ==========================
 op         payload                               children
@@ -11,7 +11,13 @@ op         payload                               children
 ``*``      ``None``                              n e-class ids (n >= 2)
 ``+``      ``None``                              n e-class ids (n >= 2)
 ``sum``    ``frozenset[Attr]``                   one e-class id
+``fused``  :class:`~repro.ra.rexpr.Fusion`       one e-class id per operand
 =========  ====================================  ==========================
+
+A ``fused`` e-node is a fused LA operator (``wsloss``, ``mmchain``,
+``sprop``) over its operands' classes, in the class of its definition; it is
+the one place an LA operator enters the graph, as the payload's opaque
+``op``.
 
 ``*`` and ``+`` are associative and commutative (rules 6/7 of R_EQ), so
 their children are stored as a sorted tuple; two joins of the same e-classes
@@ -31,11 +37,12 @@ OP_LIT = "lit"
 OP_JOIN = "*"
 OP_ADD = "+"
 OP_SUM = "sum"
+OP_FUSED = "fused"
 
 #: Operators whose children are unordered (associative & commutative).
 AC_OPS = frozenset({OP_JOIN, OP_ADD})
 
-_VALID_OPS = frozenset({OP_VAR, OP_LIT, OP_JOIN, OP_ADD, OP_SUM})
+_VALID_OPS = frozenset({OP_VAR, OP_LIT, OP_JOIN, OP_ADD, OP_SUM, OP_FUSED})
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,8 @@ class ENode:
             payload_key = (self.payload,)
         elif self.op == OP_SUM:
             payload_key = tuple(sorted(_attr_key(a) for a in self.payload))
+        elif self.op == OP_FUSED:
+            payload_key = self.payload.key
         else:
             payload_key = ()
         return (self.op, payload_key, self.children)
@@ -99,6 +108,8 @@ class ENode:
         if self.op == OP_SUM:
             names = ",".join(sorted(a.name for a in self.payload))
             return f"sum_{{{names}}}({self.children[0]})"
+        if self.op == OP_FUSED:
+            return f"fused:{self.payload.name}({','.join(map(str, self.children))})"
         return f"{self.op}({','.join(map(str, self.children))})"
 
 

@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.egraph.analysis import ClassData, RAAnalysis
-from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
+from repro.egraph.enode import ENode, OP_ADD, OP_FUSED, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.unionfind import UnionFind
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar, radd, rjoin, rsum
+from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar, radd, rjoin, rsum
 
 
 @dataclass
@@ -103,6 +103,13 @@ class EGraph:
         #: extractor will be asked for.  Ids as returned at insertion: read
         #: them through ``find``.
         self.roots: List[int] = []
+        #: fused e-node -> class of its definition, for every
+        #: :class:`~repro.ra.rexpr.RFused` ``add_term`` met.  Kept aside, not
+        #: added: whether a fused operator may enter the graph depends on the
+        #: ring, and the ``fuse`` rule (:mod:`repro.rules.relational`) that
+        #: adds them is gated by it.  Ids as at insertion: read them through
+        #: ``find``.
+        self.fusions: Dict[ENode, int] = {}
 
     # -- basic queries ---------------------------------------------------------
     def data(self, class_id: int) -> ClassData:
@@ -419,6 +426,11 @@ class EGraph:
         if isinstance(expr, RSum):
             child = self._add_term(expr.child)
             return self.add(ENode(OP_SUM, expr.indices, (child,)))
+        if isinstance(expr, RFused):
+            definition = self._add_term(expr.definition)
+            children = tuple(self._add_term(arg) for arg in expr.args)
+            self.fusions.setdefault(ENode(OP_FUSED, expr.fusion, children), definition)
+            return definition
         raise TypeError(f"cannot add {type(expr).__name__} to the e-graph")
 
     def extract_any(self, class_id: int) -> RExpr:
@@ -445,6 +457,8 @@ class EGraph:
             return radd(child_terms)
         if node.op == OP_SUM:
             return rsum(node.payload, child_terms[0])
+        if node.op == OP_FUSED:
+            return RFused(node.payload, tuple(child_terms))
         raise ValueError(f"unknown operator {node.op!r}")
 
     # -- diagnostics -------------------------------------------------------------

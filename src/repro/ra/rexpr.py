@@ -9,6 +9,9 @@ The node set mirrors Table 1 of the paper:
   multiplicities on matching attribute values).
 * :class:`RAdd` — n-ary union ``+`` (addition of multiplicities).
 * :class:`RSum` — group-by aggregation ``Σ_U`` over a set of attributes.
+* :class:`RFused` — a fused LA operator over its operands, equal to its
+  definition (Sec. 3.3); every other layer reads it through
+  :attr:`RFused.definition`.
 
 All nodes are frozen and hashable so they can live in sets, dictionaries and
 the e-graph hashcons.  Joins and unions keep their arguments in a canonical
@@ -19,7 +22,18 @@ of R_EQ) which makes structural equality insensitive to argument order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.ra.attrs import Attr
 
@@ -127,6 +141,90 @@ class RSum(RExpr):
         return rsum(self.indices, child)
 
 
+#: name prefix of the placeholder leaves of a :class:`Fusion` template
+PLACEHOLDER = "#"
+
+
+@dataclass(frozen=True)
+class Fusion:
+    """What a fused node computes: the payload of :class:`RFused` and of the
+    ``fused`` e-node.
+
+    ``op`` is the LA fused operator (``WSLoss``, ``MMChain``, ``SProp``) over
+    placeholder inputs; this layer never looks inside it.  ``template`` is
+    its definition in RA over one placeholder leaf ``RVar("#n", attrs)`` per
+    child ``n`` of the node.  ``operands[k]`` is ``(n, row, col)``: child
+    ``n`` carries the LA operator's ``k``-th child with its rows and columns
+    along attributes ``row`` and ``col`` (``None`` for a literal child, which
+    stays inside ``op``); ``out`` names the result's row and column
+    attributes the same way.
+    """
+
+    op: Hashable
+    template: "RExpr"
+    operands: Tuple[Optional[Tuple[int, Optional[str], Optional[str]]], ...]
+    out: Tuple[Optional[str], Optional[str]]
+
+    @property
+    def name(self) -> str:
+        return type(self.op).__name__.lower()
+
+    @cached_property
+    def schema(self) -> FrozenSet[Attr]:
+        return free_attrs(self.template)
+
+    @cached_property
+    def bound(self) -> FrozenSet[str]:
+        """Index names the definition binds around its operands."""
+        return frozenset(a.name for a in all_indices(self.template)) - {
+            a.name for a in self.schema
+        }
+
+    @cached_property
+    def key(self) -> Tuple[str, ...]:
+        """Deterministic ordering key (no hashes, no object ids)."""
+        return (self.name, pretty(self.template), repr(self.operands), repr(self.out))
+
+    def renamed(self, mapping: Dict[str, Attr]) -> "Fusion":
+        def rename(name: Optional[str]) -> Optional[str]:
+            return mapping[name].name if name in mapping else name
+
+        operands = tuple(
+            None if operand is None else (operand[0], rename(operand[1]), rename(operand[2]))
+            for operand in self.operands
+        )
+        return Fusion(
+            self.op,
+            rename_attrs(self.template, mapping),
+            operands,
+            (rename(self.out[0]), rename(self.out[1])),
+        )
+
+
+@dataclass(frozen=True)
+class RFused(RExpr):
+    """A fused operator applied to its operands: the value of its definition."""
+
+    fusion: Fusion
+    args: Tuple[RExpr, ...]
+
+    @property
+    def children(self) -> Tuple[RExpr, ...]:
+        return self.args
+
+    def with_children(self, children: Sequence[RExpr]) -> RExpr:
+        return RFused(self.fusion, tuple(children))
+
+    @cached_property
+    def definition(self) -> RExpr:
+        """The template with the operands substituted for its placeholders."""
+        args = self.args
+        return substitute(
+            self.fusion.template,
+            lambda var: args[int(var.name[1:])] if var.name.startswith(PLACEHOLDER) else var,
+        )
+
+
 @dataclass(frozen=True)
 class RPlanOutput:
     """A complete RPlan: an RA body plus the unbind (output orientation).
@@ -161,7 +259,10 @@ def _sort_key(node: RExpr) -> tuple:
         return (3, tuple(_sort_key(a) for a in node.args))
     if isinstance(node, RAdd):
         return (4, tuple(_sort_key(a) for a in node.args))
-    return (5, repr(node))
+    if isinstance(node, RFused):
+        # as its definition: seeding or extracting the fused form reorders nothing
+        return _sort_key(node.definition)
+    raise TypeError(f"unknown RA node {type(node).__name__}")
 
 
 def rjoin(args: Iterable[RExpr]) -> RExpr:
@@ -250,6 +351,8 @@ def free_attrs(node: RExpr) -> FrozenSet[Attr]:
         return result
     if isinstance(node, RSum):
         return free_attrs(node.child) - node.indices
+    if isinstance(node, RFused):
+        return node.fusion.schema
     raise TypeError(f"unknown RA node {type(node).__name__}")
 
 
@@ -266,6 +369,11 @@ def all_indices(node: RExpr) -> FrozenSet[Attr]:
         return result
     if isinstance(node, RSum):
         return all_indices(node.child) | node.indices
+    if isinstance(node, RFused):
+        result = all_indices(node.fusion.template)
+        for arg in node.args:
+            result |= all_indices(arg)
+        return result
     raise TypeError(f"unknown RA node {type(node).__name__}")
 
 
@@ -289,7 +397,38 @@ def rename_attrs(node: RExpr, mapping: Dict[str, Attr]) -> RExpr:
     if isinstance(node, RSum):
         new_indices = frozenset(mapping.get(a.name, a) for a in node.indices)
         return RSum(new_indices, rename_attrs(node.child, mapping))
+    if isinstance(node, RFused):
+        return RFused(
+            node.fusion.renamed(mapping), tuple(rename_attrs(a, mapping) for a in node.args)
+        )
     raise TypeError(f"unknown RA node {type(node).__name__}")
+
+
+def substitute(node: RExpr, leaf: Callable[[RVar], RExpr]) -> RExpr:
+    """Replace every :class:`RVar` leaf by ``leaf(var)``, rebuilding through
+    the smart constructors (a substituted join flattens into its parent)."""
+    if isinstance(node, RVar):
+        return leaf(node)
+    if isinstance(node, RLit):
+        return node
+    if isinstance(node, RJoin):
+        return rjoin(substitute(a, leaf) for a in node.args)
+    if isinstance(node, RAdd):
+        return radd(substitute(a, leaf) for a in node.args)
+    if isinstance(node, RSum):
+        return rsum(node.indices, substitute(node.child, leaf))
+    if isinstance(node, RFused):
+        return RFused(node.fusion, tuple(substitute(a, leaf) for a in node.args))
+    raise TypeError(f"unknown RA node {type(node).__name__}")
+
+
+def unfused(node: RExpr) -> RExpr:
+    """``node`` with every fused node replaced by its definition."""
+    if isinstance(node, RFused):
+        return unfused(node.definition)
+    if not node.children:
+        return node
+    return node.with_children([unfused(child) for child in node.children])
 
 
 def pretty(node: RExpr) -> str:
@@ -308,6 +447,8 @@ def pretty(node: RExpr) -> str:
     if isinstance(node, RSum):
         names = ",".join(sorted(a.name for a in node.indices))
         return f"Σ_{{{names}}}[{pretty(node.child)}]"
+    if isinstance(node, RFused):
+        return f"{node.fusion.name}({', '.join(pretty(a) for a in node.args)})"
     raise TypeError(f"unknown RA node {type(node).__name__}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import FrozenSet, Optional
 
 from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar, all_indices, free_attrs
+from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar, all_indices, free_attrs
 
 
 class SchemaError(ValueError):
@@ -38,6 +38,8 @@ def validate(node: RExpr) -> FrozenSet[Attr]:
 
 
 def _validate(node: RExpr) -> FrozenSet[Attr]:
+    if isinstance(node, RFused):
+        return _validate(node.definition)
     if isinstance(node, (RVar, RLit)):
         return free_attrs(node)
     if isinstance(node, RJoin):
@@ -67,7 +69,9 @@ def _validate(node: RExpr) -> FrozenSet[Attr]:
 
 
 def _check_no_shadowing(node: RExpr, bound_above: FrozenSet[str]) -> None:
-    if isinstance(node, RSum):
+    if isinstance(node, RFused):
+        _check_no_shadowing(node.definition, bound_above)
+    elif isinstance(node, RSum):
         names = {a.name for a in node.indices}
         clash = names & bound_above
         if clash:

@@ -34,7 +34,12 @@ rule                            identity
 ``merge-nested-sums``           Σ_i Σ_j A = Σ_{i,j} A             (rule 4)
 ``eliminate-unused-index``      Σ_i A = A * dim(i), i ∉ Attr(A)   (rule 5)
 ``drop-identities``             A * 1 = A,  A + 0 = A       (housekeeping)
+``fuse``                        definition = fused operator    (Sec. 3.3)
 ==============================  ===========================================
+
+``fuse`` is not an R_EQ identity: it places the fused e-nodes the lowering
+proposed (``EGraph.fusions``) in the classes of their definitions, and is
+the only rule that is not sound over every semiring.
 """
 
 from __future__ import annotations
@@ -42,9 +47,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.egraph.enode import ENode, OP_ADD, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
+from repro.egraph.enode import ENode, OP_ADD, OP_FUSED, OP_JOIN, OP_LIT, OP_SUM, OP_VAR
 from repro.egraph.graph import EGraph
-from repro.egraph.rewrite import Query, Rule, SearchContext
+from repro.egraph.rewrite import Match, Query, Rule, SearchContext
 from repro.ra.attrs import Attr
 from repro.translate.lower import ONES_PREFIX
 
@@ -568,6 +573,40 @@ class AbsorbOnes(Rule):
         return mk_join(egraph, others)
 
 
+# ---------------------------------------------------------------------------
+# Sec. 3.3: fused operators live in the class of their definition
+# ---------------------------------------------------------------------------
+
+
+class Fuse(Rule):
+    """``definition = fused operator``, for the fusions the lowering proposed.
+
+    The lowering finds the nodes ``runtime.fusion`` would fuse and the
+    e-graph keeps each one's fused e-node aside (``EGraph.fusions``); this
+    rule adds it to its definition's class, so the cost of the fused kernel
+    is what extraction and the anytime probe see for that class.  Real ring
+    only: the fused kernels hard-code real arithmetic (their ``OP_TABLE``
+    rows need ``"real"``) and ``ra_interp`` refuses a fused node elsewhere.
+    """
+
+    name = "fuse"
+    soundness = "real-only"
+    incremental = False
+
+    def search(self, egraph: EGraph, dirty=None) -> List[Match]:
+        find = egraph.find
+        matches = []
+        for node, class_id in egraph.fusions.items():
+            root, node = find(class_id), node.canonicalize(find)
+            if node not in egraph.nodes_by_op(root, OP_FUSED):
+                key_text = f"({root}, {node.sort_repr})"
+                matches.append(Match(self, (root, node.sort_key), root, (node,), key_text))
+        return matches
+
+    def rewrite(self, egraph: EGraph, node: ENode) -> int:
+        return egraph.add(node)
+
+
 def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
     """The full R_EQ rule set in a deterministic order.
 
@@ -580,8 +619,9 @@ def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
     does not cover the target semiring (:func:`repro.optimizer.ring_gate.
     rule_allowed`).  All thirteen R_EQ rules declare — and the audit
     measures — any-semiring soundness under the counting-literal
-    interpretation, so today the filter is a no-op; a rule added without a
-    declaration stays out of every non-real compile.
+    interpretation; ``fuse`` is real-only, so no other ring ever sees a fused
+    e-node.  A rule added without a declaration stays out of every non-real
+    compile.
     """
     rules: List[Rule] = [
         Flatten(OP_JOIN),
@@ -597,6 +637,7 @@ def relational_rules(indexed: bool = True, ring=None) -> List[Rule]:
         Distribute(),
         Factor(),
         PushFactorIntoSum(),
+        Fuse(),
     ]
     if ring is not None:
         from repro.optimizer.ring_gate import rule_allowed

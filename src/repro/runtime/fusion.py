@@ -25,7 +25,7 @@ plan SPORES produces no longer shares it and fuses cleanly.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.lang import dag
 from repro.lang import expr as la
@@ -33,19 +33,31 @@ from repro.lang import expr as la
 
 def fuse_operators(root: la.LAExpr, respect_sharing: bool = True) -> la.LAExpr:
     """Replace fusible patterns with fused operator nodes, bottom-up."""
+    fuse = fusion_matcher(root, respect_sharing)
+    return dag.transform_bottom_up(root, lambda node: fuse(node) or node)
+
+
+def fusion_matcher(
+    root: la.LAExpr, respect_sharing: bool = True
+) -> Callable[[la.LAExpr], Optional[la.LAExpr]]:
+    """The fused operator a node of ``root`` becomes, or ``None``.
+
+    Sharing is judged on ``root``'s DAG: the test :func:`fuse_operators`
+    applies, and the one the lowering seeds the e-graph's fused nodes with.
+    """
     consumers = dag.consumer_counts(root)
 
     def is_shared(node: la.LAExpr) -> bool:
         return respect_sharing and consumers.get(node, 0) > 1
 
-    def fuse_node(node: la.LAExpr) -> la.LAExpr:
+    def fuse(node: la.LAExpr) -> Optional[la.LAExpr]:
         for matcher in (_match_wsloss, _match_wcemm, _match_wdivmm, _match_sprop, _match_mmchain):
             fused = matcher(node, is_shared)
             if fused is not None:
                 return fused
-        return node
+        return None
 
-    return dag.transform_bottom_up(root, fuse_node)
+    return fuse
 
 
 def _is_one(node: la.LAExpr) -> bool:

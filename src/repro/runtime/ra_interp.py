@@ -8,6 +8,11 @@ with ⊗, union with ⊕, Σ is the ring's ⊕-reduction of an axis (real
 arithmetic: multiply, add, sum).  It is deliberately simple and dense — it
 exists to check that lowering, the rewrite rules, extraction and lifting
 all preserve semantics, not to be fast.
+
+A fused node is evaluated by its definition, and only where its kernel
+could run: the fused operators hard-code real arithmetic (the ``needs``
+column of their ``OP_TABLE`` rows), so in any other ring the node has no
+value and evaluating it raises :class:`RingOperatorError`.
 """
 
 from __future__ import annotations
@@ -17,13 +22,18 @@ from typing import List, Mapping, Tuple
 import numpy as np
 
 from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar
+from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar
+from repro.runtime.optable import OP_TABLE
 from repro.runtime.semiring import REAL, BinOp, Semiring
 from repro.translate.lower import ONES_PREFIX
 
 
 class RAInterpError(RuntimeError):
     """Raised when an RA plan cannot be evaluated."""
+
+
+class RingOperatorError(RAInterpError):
+    """A fused node met a ring its kernel cannot compute in."""
 
 
 #: a tensor together with the attribute name carried by each axis
@@ -86,6 +96,13 @@ def evaluate(
         if absent != 1:
             result = ring.mul(result, np.float64(ring.encode_literal(absent)))
         return np.asarray(result), tuple(axes[i] for i in keep)
+    if isinstance(node, RFused):
+        needs = OP_TABLE[type(node.fusion.op)].needs
+        if not ring.provides(needs):
+            raise RingOperatorError(
+                f"{node.fusion.name} needs {needs} and the {ring.name!r} semiring lacks it"
+            )
+        return evaluate(node.definition, inputs, attr_sizes, ring)
     raise RAInterpError(f"cannot evaluate {type(node).__name__}")
 
 

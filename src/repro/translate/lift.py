@@ -17,6 +17,10 @@ back into LA operators (the reverse direction of R_LR):
   that keeps intermediate results small, and every intermediate must fit in
   two axes (this mirrors the restriction the extractor already imposes).
 
+* a fused node becomes its operator's definition over the lifted operands
+  (:func:`~repro.translate.lower.expand_fused`), which
+  :func:`~repro.runtime.fusion.fuse_operators` fuses again.
+
 The lift is *structure preserving*: it never undoes decisions the extractor
 made (which sub-aggregations are factored out, which additions are kept
 apart); it only chooses how to realise one aggregated join as LA operators.
@@ -31,6 +35,7 @@ from repro.lang.dims import Dim, Shape, UNIT
 from repro.ra.rexpr import (
     RAdd,
     RExpr,
+    RFused,
     RJoin,
     RLit,
     RPlanOutput,
@@ -40,7 +45,7 @@ from repro.ra.rexpr import (
     rjoin,
     rsum,
 )
-from repro.translate.lower import ONES_PREFIX
+from repro.translate.lower import ONES_PREFIX, expand_fused
 
 
 class LiftError(ValueError):
@@ -108,7 +113,22 @@ class Lifter:
             return self._lift_join(list(node.args), row, col)
         if isinstance(node, RSum):
             return self._lift_sum(node, row, col)
+        if isinstance(node, RFused):
+            return self._lift_fused(node, row, col)
         raise LiftError(f"cannot lift {type(node).__name__}")
+
+    def _lift_fused(self, node: RFused, row: Optional[str], col: Optional[str]) -> la.LAExpr:
+        fusion = node.fusion
+        children = [
+            child if operand is None else self._lift(node.args[operand[0]], *operand[1:])
+            for child, operand in zip(fusion.op.children, fusion.operands)
+        ]
+        definition = expand_fused(fusion.op.with_children(children))
+        if (row, col) == fusion.out:
+            return definition
+        if (col, row) == fusion.out:
+            return la.Transpose(definition)
+        raise LiftError(f"orientation mismatch lifting {fusion.name}")
 
     # -- leaves -----------------------------------------------------------------------
     def _lift_var(self, node: RVar, row: Optional[str], col: Optional[str]) -> la.LAExpr:

@@ -20,19 +20,33 @@ Only the sum-product fragment of the language is lowered: element-wise
 division, arbitrary unary functions and fractional powers are *optimization
 barriers* (Sec. 3.3); the optimizer splits the DAG at those operators before
 lowering each region, so they never reach this module.
+
+Fused operators
+---------------
+Where :func:`repro.runtime.fusion.fusion_matcher` would fuse a node of the
+region (same patterns, same sharing test), the node lowers to an
+:class:`~repro.ra.rexpr.RFused`: its definition, plus the fused operator
+over the lowered operands.  The e-graph keeps the fused e-node as a
+candidate for the class of the definition, and the real ring's ``fuse``
+rule places it there, so extraction weighs the fused cost against every
+rewrite of the definition.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
 from repro.ra.attrs import Attr
 from repro.ra.rexpr import (
+    PLACEHOLDER,
+    Fusion,
     RAdd,
     RExpr,
+    RFused,
     RJoin,
     RLit,
     RPlanOutput,
@@ -44,6 +58,7 @@ from repro.ra.rexpr import (
     rename_attrs,
     rjoin,
     rsum,
+    substitute,
 )
 
 #: Prefix of the synthetic all-ones tensors used to pad broadcast additions
@@ -80,7 +95,10 @@ class LoweringResult:
 
 def lower(expr: la.LAExpr) -> LoweringResult:
     """Lower an LA expression to a relational plan (R_LR)."""
-    lowering = _Lowering()
+    # Imported here: ``repro.runtime`` reads this module's ONES_PREFIX.
+    from repro.runtime.fusion import fusion_matcher
+
+    lowering = _Lowering(fusion_matcher(expr))
     shape = expr.shape
     row_attr = None if shape.rows.is_unit else lowering.attrs.fresh(shape.rows)
     col_attr = None if shape.cols.is_unit else lowering.attrs.fresh(shape.cols)
@@ -122,6 +140,8 @@ def alpha_normalize(node: RExpr, visible: frozenset = None) -> RExpr:
             ) if len(node.args) > 1 else frozenset()
             normalized.append(alpha_normalize(arg, visible | sibling_names))
         return rjoin(normalized) if isinstance(node, RJoin) else radd(normalized)
+    if isinstance(node, RFused):
+        return _alpha_normalize_fused(node, visible)
     if isinstance(node, RSum):
         child = node.child
         used = {attr.name for attr in all_indices(child)} | set(visible)
@@ -144,15 +164,58 @@ def alpha_normalize(node: RExpr, visible: frozenset = None) -> RExpr:
     raise TypeError(f"cannot alpha-normalize {type(node).__name__}")
 
 
+def _alpha_normalize_fused(node: RFused, visible: frozenset) -> RExpr:
+    """Normalize a fused node's template as a term whose operands are leaves,
+    then carry each renamed placeholder attribute into its operand.
+
+    The template's binders avoid every name bound inside an operand, so the
+    (capture-naive) renaming of the operands' free attributes is safe.
+    """
+    fusion = node.fusion
+    inner: frozenset = frozenset()
+    for arg in node.args:
+        inner |= {a.name for a in all_indices(arg)} - {a.name for a in free_attrs(arg)}
+    template = alpha_normalize(fusion.template, visible | inner)
+    renamed = _placeholder_attrs(template)
+    mapping: Dict[str, Attr] = {}
+    for n, attrs in _placeholder_attrs(fusion.template).items():
+        for old, new in zip(attrs, renamed[n]):
+            if mapping.setdefault(old.name, new) != new:
+                raise LoweringError(f"{fusion.name}: an operand index is bound two ways")
+    mapping = {name: attr for name, attr in mapping.items() if attr.name != name}
+    scope = frozenset(visible) | {a.name for a in all_indices(template)}
+    return RFused(
+        dataclasses.replace(fusion.renamed(mapping), template=template),
+        tuple(alpha_normalize(rename_attrs(arg, mapping), scope) for arg in node.args),
+    )
+
+
+def _placeholder_attrs(template: RExpr) -> Dict[int, Tuple[Attr, ...]]:
+    """Placeholder index -> the attributes it is bound to."""
+    found: Dict[int, Tuple[Attr, ...]] = {}
+    for sub in template.walk():
+        if isinstance(sub, RVar) and sub.name.startswith(PLACEHOLDER):
+            if found.setdefault(int(sub.name[1:]), sub.attrs) != sub.attrs:
+                raise LoweringError(f"placeholder {sub.name} is bound two ways")
+    return found
+
+
 class _Lowering:
-    def __init__(self) -> None:
+    def __init__(self, fuse: Callable[[la.LAExpr], Optional[la.LAExpr]]) -> None:
         self.attrs = AttrAllocator()
         self.symbols: Dict[str, la.Var] = {}
         self.ones_dims: Dict[str, Dim] = {}
+        #: the fused operator a region node would become, or ``None``; unset
+        #: (``None``) while a fused node's own definition is lowered
+        self.fuse: Optional[Callable[[la.LAExpr], Optional[la.LAExpr]]] = fuse
 
     # -- entry point -----------------------------------------------------------
     def lower(self, node: la.LAExpr, row: Optional[Attr], col: Optional[Attr]) -> RExpr:
         """Lower ``node`` so that its free attributes are among ``{row, col}``."""
+        if self.fuse is not None:
+            fused = self.fuse(node)
+            if fused is not None and expand_fused(fused) is not fused:
+                return self._lower_fused(fused, row, col)
         if isinstance(node, la.Var):
             return self._lower_var(node, row, col)
         if isinstance(node, la.Literal):
@@ -206,6 +269,51 @@ class _Lowering:
             f"{type(node).__name__} is outside the sum-product fragment; "
             "the optimizer should have treated it as a barrier"
         )
+
+    # -- fused operators -----------------------------------------------------------
+    def _lower_fused(self, fused: la.LAExpr, row: Optional[Attr], col: Optional[Attr]) -> RExpr:
+        """The fused node over its lowered operands, equal to its definition.
+
+        The definition is lowered once, over placeholder inputs; each
+        distinct ``(operand, attributes)`` occurrence becomes one child of
+        the node (``mmchain`` reads ``X`` along two index pairs, so it has two
+        ``X`` children).  Literal operands stay inside the operator.
+        """
+        prototype = fused.with_children(
+            [
+                child if isinstance(child, la.Literal) else la.Var(f"{PLACEHOLDER}{k}", child.shape)
+                for k, child in enumerate(fused.children)
+            ]
+        )
+        saved, self.fuse = self.fuse, None
+        raw = self.lower(expand_fused(prototype), row, col)
+        self.fuse = saved
+        #: (operand k, its attributes) -> child n, in first-occurrence order
+        children: Dict[Tuple[int, Tuple[Attr, ...]], int] = {}
+        for sub in raw.walk():
+            if isinstance(sub, RVar) and sub.name.startswith(PLACEHOLDER):
+                self.symbols.pop(sub.name, None)
+                children.setdefault((int(sub.name[1:]), sub.attrs), len(children))
+
+        def renumber(var: RVar) -> RExpr:
+            if not var.name.startswith(PLACEHOLDER):
+                return var
+            return RVar(f"{PLACEHOLDER}{children[int(var.name[1:]), var.attrs]}", var.attrs)
+
+        args: List[RExpr] = []
+        operands: List[Optional[Tuple[int, Optional[str], Optional[str]]]] = [None] * len(
+            fused.children
+        )
+        for (k, attrs), n in children.items():
+            shape = fused.children[k].shape
+            arg_row = None if shape.rows.is_unit else attrs[0]
+            arg_col = None if shape.cols.is_unit else attrs[-1]
+            args.append(self.lower(fused.children[k], arg_row, arg_col))
+            if operands[k] is None:
+                operands[k] = (n, _name(arg_row), _name(arg_col))
+        template = substitute(raw, renumber)
+        fusion = Fusion(prototype, template, tuple(operands), (_name(row), _name(col)))
+        return RFused(fusion, tuple(args))
 
     # -- leaves ------------------------------------------------------------------
     def _lower_var(self, node: la.Var, row: Optional[Attr], col: Optional[Attr]) -> RExpr:
@@ -322,9 +430,15 @@ class _Lowering:
         return rjoin([lowered] * int(exponent))
 
 
+def _name(attr: Optional[Attr]) -> Optional[str]:
+    return None if attr is None else attr.name
+
+
 # ---------------------------------------------------------------------------
-# Fused-operator expansion (Sec. 3.3: fused operators are modelled by a rule
-# equating them with their definition, so both forms live in the same graph).
+# Fused-operator expansion (Sec. 3.3: a fused operator equals its definition.
+# Lowering seeds each fusible node with its fused form over the lowered
+# operands, the ``fuse`` rule puts that node in the definition's e-class, and
+# lifting writes the definition back for ``fuse_operators`` to re-fuse.)
 # ---------------------------------------------------------------------------
 
 

@@ -9,13 +9,14 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from repro.lang import ColSums, Dim, Matrix, RowSums, Sum, Vector
+from repro.lang import ColSums, Dim, Matrix, RowSums, Sum, Vector, dag
 from repro.lang import expr as la
 from repro.optimizer import OptimizerConfig
 from repro.optimizer.pipeline import compile_expression
 from repro.runtime import MatrixValue, execute
 from repro.runtime.ra_interp import evaluate as ra_evaluate
 from repro.translate import LoweringError, lower
+from repro.translate.lower import is_barrier
 from repro.workloads import SEMIRING_WORKLOADS, WORKLOADS
 
 
@@ -60,6 +61,26 @@ def benchmark_roots():
             workload = spec.build("S")
             for root, expr in workload.roots.items():
                 yield f"{family}/{root}", expr, workload.semiring
+
+
+def sum_product_regions(expr: la.LAExpr):
+    """The regions ``compile_expression`` saturates, in its order: the DAG is
+    split at barriers, each distinct region is visited once, leaves are not
+    saturated."""
+    seen, regions = set(), []
+
+    def visit(node: la.LAExpr) -> None:
+        if node in seen:
+            return
+        seen.add(node)
+        if any(is_barrier(sub) for sub in dag.postorder(node)):
+            for child in node.children:
+                visit(child)
+        elif node.children:
+            regions.append(node)
+
+    visit(expr)
+    return regions
 
 
 def lowerable_bodies(expr: la.LAExpr):

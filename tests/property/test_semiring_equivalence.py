@@ -81,7 +81,7 @@ class TestSemiringAxioms:
         assert ring.from_int(1) == ring.one
 
 
-#: audit one rule per example instead of all 13 — hypothesis varies both the
+#: audit one rule per example instead of all 14 — hypothesis varies both the
 #: rule and the seed, so the full matrix gets re-derived across examples
 RELATIONAL_RULES = list(relational_rules())
 
@@ -100,7 +100,8 @@ class TestRelationalRulesRingSound:
         assert findings == [], [finding.to_dict() for finding in findings]
         verdict = matrix["rules"][f"relational:{rule.name}"]
         assert verdict["candidates_matched"] > 0
-        assert set(verdict["sound_over"]) == ALL_RINGS
+        # every R_EQ identity; ``fuse`` places a real-arithmetic kernel
+        assert set(verdict["sound_over"]) == ({"real"} if rule.name == "fuse" else ALL_RINGS)
         assert verdict["unsound_in"] == []
 
 

@@ -210,7 +210,7 @@ class TestOnTheBenchmarkRoots:
         assert {
             kind: stops[kind]
             for kind in ("ALS/loss", "SVM/objective", "MLR/weighted_rows", "GLM/deviance")
-        } == {"ALS/loss": 10, "SVM/objective": 5, "MLR/weighted_rows": 5, "GLM/deviance": 3}
+        } == {"ALS/loss": 4, "SVM/objective": 3, "MLR/weighted_rows": 5, "GLM/deviance": 3}
 
     @pytest.mark.parametrize("preset", ["sampling_greedy", "dfs_greedy"])
     @pytest.mark.parametrize(

@@ -202,7 +202,9 @@ class TestPlanCache:
         with ThreadPoolExecutor(max_workers=8) as pool:
             plans = list(pool.map(session.compile, shapes))
 
-        assert session.compilations == 4
+        # Each shape is resolved exactly once: compiled, or specialised from a
+        # template another shape compiled first (which one wins is timing).
+        assert session.compilations + session.stats.template_hits == 4
         assert len(session.cache) == 4
         by_key = {}
         for plan in plans:

@@ -163,20 +163,23 @@ def _committed_matrix():
 
 
 class TestRealOnlyRuleExclusion:
-    def test_real_only_declarations_are_the_thirteen_the_matrix_measured(self):
+    def test_real_only_declarations_are_the_fourteen_the_matrix_measured(self):
         keyed, matrix = _keyed_rules(), _committed_matrix()
-        assert keyed.keys() == matrix.keys() and len(keyed) == 100
+        assert keyed.keys() == matrix.keys() and len(keyed) == 101
         real_only = {
             key for key, rule in keyed.items()
             if parse_soundness(rule.soundness).rings == "real-only"
         }
-        assert len(real_only) == 13
+        assert len(real_only) == 14
         assert real_only == {
             key for key, record in matrix.items() if record["sound_over"] == ["real"]
         }
-        for key in real_only:
-            assert key.startswith("catalog:")
-            assert "subtraction" in parse_soundness(keyed[key].soundness).needs
+        # thirteen catalog patterns that subtract, and the fused kernels
+        assert real_only - {"relational:fuse"} == {
+            key for key in real_only
+            if key.startswith("catalog:")
+            and "subtraction" in parse_soundness(keyed[key].soundness).needs
+        }
 
     @pytest.mark.parametrize("ring", [MIN_PLUS, MAX_TIMES, BOOL_OR_AND])
     def test_real_only_rules_disallowed_under_every_non_real_ring(self, ring):
@@ -194,11 +197,13 @@ class TestRealOnlyRuleExclusion:
 
     def test_relational_rules_are_ring_filtered(self, monkeypatch):
         base = {rule.name for rule in relational_rules()}
-        # all thirteen declare any-semiring soundness: nothing to drop today
-        assert {rule.name for rule in relational_rules(ring=MIN_PLUS)} == base
+        # the thirteen R_EQ rules declare any-semiring soundness; fuse is real-only
+        assert {rule.name for rule in relational_rules(ring=MIN_PLUS)} == base - {"fuse"}
         # a rule that stops declaring is out of every non-real compile
         monkeypatch.setattr(Factor, "soundness", "")
-        assert {rule.name for rule in relational_rules(ring=MIN_PLUS)} == base - {"factor"}
+        assert {rule.name for rule in relational_rules(ring=MIN_PLUS)} == base - {
+            "factor", "fuse"
+        }
         assert {rule.name for rule in relational_rules(ring=REAL)} == base
 
     def test_non_real_sessions_never_emit_forbidden_operators(self):

@@ -201,11 +201,11 @@ class TestServingEngine:
         engine = ServingEngine(shards=1, config=config())
         try:
             inputs = make_inputs(seed=0)
-            # The first request compiles (hundreds of ms), so a 10 ms budget
+            # The first request compiles (milliseconds), so a 0.1 ms budget
             # lets the second one *enqueue* but guarantees it has expired by
             # the time the worker reaches it — the worker-side shed path.
             ok = engine.submit(make_loss(0.05), inputs)
-            doomed = engine.submit(make_loss(0.05), inputs, deadline=0.01)
+            doomed = engine.submit(make_loss(0.05), inputs, deadline=1e-4)
             assert np.isfinite(ok.result(timeout=60).scalar())
             with pytest.raises(DeadlineExceededError):
                 doomed.result(timeout=60)
@@ -224,7 +224,7 @@ class TestServingEngine:
         try:
             inputs = make_inputs(seed=1)
             futures = [
-                engine.submit(make_loss(0.05), inputs, deadline=0.05)
+                engine.submit(make_loss(0.05), inputs, deadline=1e-3)
                 for _ in range(12)
             ]
             outcomes = {"served": 0, "queue_full": 0, "deadline": 0}
@@ -236,7 +236,7 @@ class TestServingEngine:
                     outcomes["queue_full"] += 1
                 except DeadlineExceededError:
                     outcomes["deadline"] += 1
-            # the first compile takes far longer than the 50 ms budgets, so
+            # the first compile takes far longer than the 1 ms budgets, so
             # most of the burst must have been shed one way or the other
             assert outcomes["queue_full"] + outcomes["deadline"] >= 1, outcomes
             assert engine.stats().sheds == outcomes["queue_full"] + outcomes["deadline"]
@@ -280,7 +280,7 @@ class TestServingEngine:
             # their own shape (a different sparsity *band*, so a different
             # template — no sharing) must never compile.
             doomed = [
-                engine.submit(make_loss(0.9), inputs, deadline=0.01)
+                engine.submit(make_loss(0.9), inputs, deadline=1e-4)
                 for _ in range(4)
             ]
             slow.result(timeout=60)
