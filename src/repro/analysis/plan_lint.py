@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.report import Finding
 from repro.lang import expr as la
 from repro.lang.dims import DimensionError
-from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RSum, RVar, free_attrs
+from repro.ra.rexpr import RAdd, RExpr, RJoin, RSum, RVar, free_attrs, unfused
 from repro.runtime.engine import slot_name
 from repro.runtime.tape import TapePlan
 
@@ -127,7 +127,8 @@ def _deepest_shape_failure(
 
 
 def lint_rexpr(node: RExpr, where: str) -> List[Finding]:
-    """Sum-index and sparsity-hint checks over one RA expression."""
+    """Sum-index and sparsity-hint checks over one RA expression (a fused
+    node is checked as its definition)."""
     findings: List[Finding] = []
     reported: Set[str] = set()
 
@@ -167,10 +168,8 @@ def lint_rexpr(node: RExpr, where: str) -> List[Finding]:
         if isinstance(expr, (RJoin, RAdd)):
             for arg in expr.args:
                 visit(arg, bound)
-        if isinstance(expr, RFused):
-            visit(expr.definition, bound)
 
-    visit(node, frozenset())
+    visit(unfused(node), frozenset())
     return findings
 
 

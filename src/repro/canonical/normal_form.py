@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar
+from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar, unfused
 from repro.translate.lower import ONES_PREFIX
 
 
@@ -123,9 +123,10 @@ def canonicalize(expr: RExpr) -> Polyterm:
     The transformation mirrors the proof of Lemma 2.1: distribute joins over
     unions, push aggregations down to each term (renaming bound indices
     apart so scopes never collide), fold constants, and merge isomorphic
-    terms by adding their coefficients.
+    terms by adding their coefficients.  A fused node is read as its
+    definition.
     """
-    poly = _expand(expr, _FreshNames())
+    poly = _expand(unfused(expr), _FreshNames())
     return _combine(poly)
 
 
@@ -148,8 +149,6 @@ def _expand(expr: RExpr, fresh: _FreshNames) -> Polyterm:
     if isinstance(expr, RSum):
         inner = _expand(expr.child, fresh)
         return _aggregate(inner, expr.indices, fresh)
-    if isinstance(expr, RFused):
-        return _expand(expr.definition, fresh)
     raise TypeError(f"cannot canonicalize {type(expr).__name__}")
 
 

@@ -62,6 +62,19 @@ class OptimizerConfig:
 
         return resolve_semiring(self.semiring)
 
+    def rules(self):
+        """The R_EQ rules a compile under this configuration saturates with.
+
+        ``relational_rules(indexed_matching, ring())``, minus ``fuse`` when
+        ``fusion_aware`` is off: the graph then holds the algebra only.
+        """
+        from repro.rules import relational_rules
+
+        rules = relational_rules(indexed=self.indexed_matching, ring=self.ring())
+        if self.fusion_aware:
+            return rules
+        return [rule for rule in rules if rule.name != "fuse"]
+
     def digest(self) -> str:
         """Stable digest over every plan-affecting field.
 

@@ -40,8 +40,6 @@ from repro.optimizer.ring_gate import check_ring_compatibility
 from repro.ra.rexpr import RPlanOutput
 from repro.reliability.errors import OptimizerBudgetExceeded
 from repro.reliability.faults import NO_FAULTS, FaultInjector
-from repro.rules import relational_rules
-from repro.rules.relational import Fuse
 from repro.runtime.fusion import fuse_operators
 from repro.translate import LiftError, LoweringError, lift, lower, simplify
 from repro.translate.lower import is_barrier
@@ -204,10 +202,7 @@ def _optimize_region(
         with _TRACER.span("compile.saturate", region=report.regions - 1) as saturate_span:
             start = time.perf_counter()
             root = egraph.add_term(lowering.plan.body)
-            rules = relational_rules(indexed=config.indexed_matching, ring=config.ring())
-            if not config.fusion_aware:  # the graph holds the algebra only
-                rules = [rule for rule in rules if not isinstance(rule, Fuse)]
-            run_report = Runner(config.runner).run(egraph, rules)
+            run_report = Runner(config.runner).run(egraph, config.rules())
             phase.saturate += time.perf_counter() - start
             saturate_span.set_attribute("iterations", run_report.num_iterations)
             saturate_span.set_attribute("stop_reason", run_report.stop_reason.value)

@@ -423,12 +423,17 @@ def substitute(node: RExpr, leaf: Callable[[RVar], RExpr]) -> RExpr:
 
 
 def unfused(node: RExpr) -> RExpr:
-    """``node`` with every fused node replaced by its definition."""
+    """``node`` with every fused node replaced by its definition.
+
+    Only the ancestors of a fused node are rebuilt; a subtree without one is
+    returned as is, raw nesting included.
+    """
     if isinstance(node, RFused):
         return unfused(node.definition)
-    if not node.children:
+    children = [unfused(child) for child in node.children]
+    if all(new is old for new, old in zip(children, node.children)):
         return node
-    return node.with_children([unfused(child) for child in node.children])
+    return node.with_children(children)
 
 
 def pretty(node: RExpr) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import FrozenSet, Optional
 
 from repro.ra.attrs import Attr
-from repro.ra.rexpr import RAdd, RExpr, RFused, RJoin, RLit, RSum, RVar, all_indices, free_attrs
+from repro.ra.rexpr import RAdd, RExpr, RJoin, RLit, RSum, RVar, all_indices, free_attrs, unfused
 
 
 class SchemaError(ValueError):
@@ -32,14 +32,15 @@ def validate(node: RExpr) -> FrozenSet[Attr]:
       same expression (no shadowing — the translator guarantees globally
       unique bound names, and rewrites preserve this invariant because their
       guards are capture-avoiding).
+
+    A fused node is checked as its definition.
     """
+    node = unfused(node)
     _check_no_shadowing(node, frozenset())
     return _validate(node)
 
 
 def _validate(node: RExpr) -> FrozenSet[Attr]:
-    if isinstance(node, RFused):
-        return _validate(node.definition)
     if isinstance(node, (RVar, RLit)):
         return free_attrs(node)
     if isinstance(node, RJoin):
@@ -69,9 +70,7 @@ def _validate(node: RExpr) -> FrozenSet[Attr]:
 
 
 def _check_no_shadowing(node: RExpr, bound_above: FrozenSet[str]) -> None:
-    if isinstance(node, RFused):
-        _check_no_shadowing(node.definition, bound_above)
-    elif isinstance(node, RSum):
+    if isinstance(node, RSum):
         names = {a.name for a in node.indices}
         clash = names & bound_above
         if clash:

@@ -197,14 +197,18 @@ class TestPlanCache:
 
     def test_concurrent_compile_of_distinct_shapes(self):
         session = greedy_session()
-        shapes = [reconstruction_loss(rows=50 + 10 * i) for i in range(4)] * 2
+        # One sparsity band each (dense, e-1, e-2, e-3), so no shape can be
+        # specialised from a template another shape compiled first.
+        shapes = [
+            reconstruction_loss(rows=50 + 10 * i, sparsity=s)
+            for i, s in enumerate((0.9, 0.3, 0.03, 0.003))
+        ] * 2
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             plans = list(pool.map(session.compile, shapes))
 
-        # Each shape is resolved exactly once: compiled, or specialised from a
-        # template another shape compiled first (which one wins is timing).
-        assert session.compilations + session.stats.template_hits == 4
+        assert session.compilations == 4
+        assert session.stats.template_hits == 0
         assert len(session.cache) == 4
         by_key = {}
         for plan in plans:
