@@ -9,8 +9,10 @@ abstracted away, dimension sizes and sparsity hints are part of the key, so
 "same shape of computation at the same data regime" is exactly one entry.
 
 The cache is a plain LRU over an :class:`~collections.OrderedDict` guarded
-by a re-entrant lock; hit/miss/eviction counts are exposed for monitoring
-(and asserted on by the plan-cache tests and benchmark).
+by a re-entrant lock.  It counts only what it alone decides — its own LRU
+evictions; whether a request was a hit, a template hit or a miss is known
+only once the :class:`~repro.api.session.Session` has resolved it, so the
+session counts those, once, in the :class:`CacheStats` it reports.
 """
 
 from __future__ import annotations
@@ -18,44 +20,20 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generic, Iterable, List, Optional, Tuple, TypeVar
-
-from repro import obs
+from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
-
-# Global mirrors of the per-cache counters (no-ops until obs is enabled).
-# CacheStats stays the per-instance, test-asserted record; these aggregate
-# across every cache in the process for exposition.  Counters are
-# monotonic, so the reclassification the local stats perform (a miss
-# converted into a hit once a concurrent compile or a slower tier served
-# the request) shows up here as: ``misses_total`` counts *initial* probe
-# misses, ``hits_total`` counts requests ultimately served from cached
-# state — the two deliberately overlap on reclassified requests.
-_HITS = obs.registry().counter(
-    "plan_cache_hits_total", "Plan-cache requests ultimately served from cached state"
-)
-_MISSES = obs.registry().counter(
-    "plan_cache_misses_total", "Plan-cache initial probe misses"
-)
-_EVICTIONS = obs.registry().counter(
-    "plan_cache_evictions_total", "Plan-cache LRU evictions"
-)
-_TEMPLATE_HITS = obs.registry().counter(
-    "plan_cache_template_hits_total",
-    "Instance misses served by specializing a cached plan template",
-)
 
 
 @dataclass
 class CacheStats:
-    """Counters describing how a :class:`PlanCache` has been used."""
+    """How a :class:`~repro.api.session.Session`'s plan cache has been used."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     #: plans recompiled because observed input statistics drifted away from
-    #: the hints the cost model optimized under (maintained by the Session)
+    #: the hints the cost model optimized under
     recompiles: int = 0
     #: instance misses served by specializing a cached plan template of the
     #: same size-free digest (each also counts as a hit: the request was
@@ -72,35 +50,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.lookups
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            self.hits, self.misses, self.evictions, self.recompiles, self.template_hits
-        )
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return CacheStats(
-            self.hits + other.hits,
-            self.misses + other.misses,
-            self.evictions + other.evictions,
-            self.recompiles + other.recompiles,
-            self.template_hits + other.template_hits,
-        )
-
-    @classmethod
-    def aggregate(cls, parts: "Iterable[CacheStats]") -> "CacheStats":
-        """Sum counters across cache segments (e.g. one per serving shard).
-
-        Callers should pass :meth:`PlanCache.stats_snapshot` results, not
-        live ``stats`` objects, so each segment's contribution is internally
-        consistent; the sum is then a lock-free fleet-level view.
-        """
-        total = cls()
-        for part in parts:
-            total = total + part
-        return total
-
 
 class PlanCache(Generic[T]):
     """A bounded, thread-safe LRU mapping fingerprints to cached plans.
@@ -109,18 +58,19 @@ class PlanCache(Generic[T]):
     map is still instance-digest → entry, but every insert may also
     register its entry under a size-free *template* digest.  An instance
     miss can then scan :meth:`template_candidates` for a guarded template
-    of the same shape and adopt a cheap specialization via
-    :meth:`adopt_template_hit` — the caller (the Session) owns the guard
-    check; the cache only maintains the index.  The template index holds
-    no entries of its own: it tracks exactly the instance keys currently
-    cached, so eviction and invalidation keep both levels consistent.
+    of the same shape and insert a cheap specialization — the caller (the
+    Session) owns the guard check; the cache only maintains the index.  The
+    template index holds no entries of its own: it tracks exactly the
+    instance keys currently cached, so eviction and :meth:`clear` keep both
+    levels consistent.
     """
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.stats = CacheStats()
+        #: entries dropped by the LRU bound
+        self.evictions = 0
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, T]" = OrderedDict()
         #: template digest -> instance keys currently cached (insert order)
@@ -129,16 +79,11 @@ class PlanCache(Generic[T]):
         self._template_of: Dict[str, str] = {}
 
     def lookup(self, key: str) -> Optional[T]:
-        """Return the cached value and count a hit/miss; refreshes recency."""
+        """Return the cached value, refreshing its recency, or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                _MISSES.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            _HITS.inc()
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
     def insert(
@@ -154,26 +99,19 @@ class PlanCache(Generic[T]):
         same size-free shape can find it.
         """
         with self._lock:
-            return self._insert_locked(key, value, template_key)
-
-    def _insert_locked(
-        self, key: str, value: T, template_key: Optional[str] = None
-    ) -> Tuple[T, bool]:
-        """Insert-or-share plus LRU eviction; the caller holds ``_lock``."""
-        existing = self._entries.get(key)
-        if existing is not None:
-            self._entries.move_to_end(key)
-            return existing, False
-        self._entries[key] = value
-        if template_key:
-            self._templates.setdefault(template_key, OrderedDict())[key] = None
-            self._template_of[key] = template_key
-        while len(self._entries) > self.capacity:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._unregister_template_locked(evicted_key)
-            self.stats.evictions += 1
-            _EVICTIONS.inc()
-        return value, True
+            existing = self._entries.get(key)
+            if existing is not None:
+                self._entries.move_to_end(key)
+                return existing, False
+            self._entries[key] = value
+            if template_key:
+                self._templates.setdefault(template_key, OrderedDict())[key] = None
+                self._template_of[key] = template_key
+            while len(self._entries) > self.capacity:
+                evicted_key, _ = self._entries.popitem(last=False)
+                self._unregister_template_locked(evicted_key)
+                self.evictions += 1
+            return value, True
 
     def _unregister_template_locked(self, key: str) -> None:
         """Drop one instance key from the template index (lock held)."""
@@ -202,79 +140,6 @@ class PlanCache(Generic[T]):
                 for key in reversed(members)
                 if key in self._entries
             ]
-
-    def adopt_template_hit(
-        self, key: str, value: T, template_key: Optional[str] = None
-    ) -> Tuple[T, bool]:
-        """Insert a specialization derived from a cached plan template.
-
-        The request missed the instance tier but was served by specializing
-        a cached template — cached state, not a compile — so the counted
-        miss is reclassified as a hit and ``template_hits`` records the
-        two-level save.  Race semantics match :meth:`insert`.
-        """
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.misses = max(0, self.stats.misses - 1)
-            self.stats.template_hits += 1
-            _HITS.inc()
-            _TEMPLATE_HITS.inc()
-            return self._insert_locked(key, value, template_key)
-
-    def lookup_after_miss(self, key: str) -> Optional[T]:
-        """Re-probe after a counted miss, reclassifying it on a find.
-
-        Used by the per-fingerprint compile path: if a concurrent compile of
-        the same fingerprint won the race while this request waited, the
-        request was ultimately served from the cache — the earlier miss is
-        converted into a hit.  Returns ``None`` (and leaves the counters
-        alone) when the entry genuinely has to be compiled.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                self.stats.misses = max(0, self.stats.misses - 1)
-                _HITS.inc()
-            return entry
-
-    def adopt_after_miss(
-        self, key: str, value: T, template_key: Optional[str] = None
-    ) -> Tuple[T, bool]:
-        """Insert an entry recovered from a slower tier after a counted miss.
-
-        The disk-tier counterpart of :meth:`lookup_after_miss`: the request
-        missed the in-memory cache but was ultimately served from cached
-        state (the persistent plan store), not a compile, so the earlier
-        miss is reclassified as a hit and the entry is promoted into memory.
-        Returns ``(entry, inserted)`` with the same race semantics as
-        :meth:`insert` — if another thread promoted or compiled the key
-        first, its entry wins and is shared.
-        """
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.misses = max(0, self.stats.misses - 1)
-            _HITS.inc()
-            return self._insert_locked(key, value, template_key)
-
-    def stats_snapshot(self) -> CacheStats:
-        """A mutually consistent copy of the counters, taken under the lock.
-
-        Reading the live :attr:`stats` fields one at a time can observe a
-        torn update (a hit counted but a concurrent miss not yet); monitoring
-        surfaces should always go through this snapshot.
-        """
-        with self._lock:
-            return self.stats.snapshot()
-
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it was present."""
-        with self._lock:
-            present = self._entries.pop(key, None) is not None
-            if present:
-                self._unregister_template_locked(key)
-            return present
 
     def clear(self) -> None:
         with self._lock:

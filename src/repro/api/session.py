@@ -46,8 +46,14 @@ outside the probed cost-dominance region, a band change, a symbolic dim,
 a plan whose rewrite baked a size into a constant) is a
 guard miss and the expression is **respecialized**: compiled fresh at its
 own sizes, cached as a new template of the same shape.  Both outcomes are
-observable: reuse counts in ``CacheStats.template_hits`` and sets
+observable: reuse counts in ``session.stats.template_hits`` and sets
 ``plan.template_hit``; respecialization counts in ``compilations``.
+
+**Counters.**  The session is the one writer of its request counters:
+``hits``, ``misses``, ``template_hits``, ``recompiles``, ``compilations``
+and ``degraded_compilations`` are its own attributes, updated under
+``_state_lock``; each compile request is counted once, after its outcome
+is final.  The plan cache counts only its own evictions.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ import os
 import threading
 from typing import Dict, Mapping, Optional, Union
 
-from repro import obs
 from repro.api.cache import CacheStats, PlanCache
 from repro.api.plan import (
     DEFAULT_DRIFT_ALPHA,
@@ -79,17 +84,6 @@ from repro.runtime.engine import ExecutionResult
 from repro.serialize.store import PlanStore
 
 logger = logging.getLogger(__name__)
-
-# Session-level observability (no-ops until `repro.obs.enable()`).
-_SESSION_COMPILATIONS = obs.registry().counter(
-    "session_compilations_total", "Full pipeline runs across all sessions"
-)
-_SESSION_DEGRADED = obs.registry().counter(
-    "session_degraded_total", "Compiles degraded to the unoptimized baseline plan"
-)
-_SESSION_DRIFT_RECOMPILES = obs.registry().counter(
-    "session_drift_recompiles_total", "Plans recompiled after sparsity drift"
-)
 
 
 class Session:
@@ -156,6 +150,16 @@ class Session:
         #: compiles that fell back to the unoptimized baseline plan because
         #: the optimizer overran its budget or crashed
         self.degraded_compilations = 0
+        #: compile requests, each counted once when resolved: a hit was
+        #: served from cached state (memory, a cached template, the store,
+        #: or a concurrent compile of its shape it waited for), a miss ran
+        #: the pipeline
+        self.hits = 0
+        self.misses = 0
+        #: the hits served by specializing a plan template
+        self.template_hits = 0
+        #: plans re-pointed at a recompile after their inputs' sparsity drifted
+        self.recompiles = 0
         self._state_lock = threading.Lock()
         #: per-fingerprint [lock, waiter-count] entries; an entry lives while
         #: any thread is inside the compile critical section for its key, so
@@ -182,11 +186,7 @@ class Session:
         """
         if signature is None:
             signature = signature_of(expr)
-        entry = self.cache.lookup(signature.digest)
-        hit = entry is not None
-        template_hit = False
-        if entry is None:
-            entry, hit, template_hit = self._compile_entry(expr, signature)
+        entry, hit, template_hit = self._resolve(expr, signature)
         return CompiledPlan(
             entry,
             signature,
@@ -210,18 +210,19 @@ class Session:
     # -- monitoring ------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
-        """Cache counters (hits, misses, evictions, drift recompiles)."""
-        return self.cache.stats
+        """A consistent copy of the cache counters, taken under the lock."""
+        with self._state_lock:
+            return CacheStats(
+                hits=self.hits,
+                misses=self.misses,
+                evictions=self.cache.evictions,
+                recompiles=self.recompiles,
+                template_hits=self.template_hits,
+            )
 
     def describe(self) -> Dict[str, object]:
-        """A JSON-serializable snapshot of the session's state.
-
-        The cache counters come from one snapshot taken under the cache
-        lock, so hits/misses/hit_rate are mutually consistent even while
-        other threads are compiling (reading the live fields one at a time
-        could observe a hit counted whose miss conversion hadn't landed).
-        """
-        stats = self.cache.stats_snapshot()
+        """A JSON-serializable snapshot of the session's state."""
+        stats = self.stats
         record: Dict[str, object] = {
             "cached_plans": len(self.cache),
             "capacity": self.cache.capacity,
@@ -238,6 +239,25 @@ class Session:
         return record
 
     # -- compilation internals -------------------------------------------------
+    def _resolve(self, expr: la.LAExpr, signature: ExprSignature) -> "tuple[PlanEntry, bool, bool]":
+        """Probe the cache, resolve a miss, and count the final outcome once.
+
+        Returns ``(entry, hit, template_hit)``.  A request is a hit when it
+        was served from cached state at any tier, a miss only when it ran
+        the pipeline.
+        """
+        entry = self.cache.lookup(signature.digest)
+        hit, template_hit = True, False
+        if entry is None:
+            entry, hit, template_hit = self._compile_entry(expr, signature)
+        with self._state_lock:
+            if hit:
+                self.hits += 1
+                self.template_hits += template_hit
+            else:
+                self.misses += 1
+        return entry, hit, template_hit
+
     def _compile_entry(
         self, expr: la.LAExpr, signature: ExprSignature
     ) -> "tuple[PlanEntry, bool, bool]":
@@ -265,7 +285,7 @@ class Session:
             registration[1] += 1
         try:
             with registration[0]:
-                entry = self.cache.lookup_after_miss(key)
+                entry = self.cache.lookup(key)
                 if entry is not None:
                     return entry, True, False
                 entry = self._specialize_from_template(signature)
@@ -301,7 +321,6 @@ class Session:
                         key[:12],
                         error,
                     )
-                    _SESSION_DEGRADED.inc()
                     artifact = baseline_artifact(expr, self.config)
                     guard = None
                     degraded = True
@@ -319,7 +338,6 @@ class Session:
                     self.compilations += 1
                     if degraded:
                         self.degraded_compilations += 1
-                _SESSION_COMPILATIONS.inc()
                 if inserted and not degraded and self.store is not None:
                     self._save_to_store(key, entry)
                 return entry, False, False
@@ -337,8 +355,7 @@ class Session:
         Scans the cache's template index (newest specialization first) for
         an entry whose guard admits the requested sizes and sparsity bands;
         on a hit the entry is re-pinned to the instance and promoted into
-        the instance tier, with the counted miss reclassified as a
-        (template) hit.  Returns ``None`` when no cached template admits
+        the instance tier.  Returns ``None`` when no cached template admits
         the instance — the caller falls through to the store and, last, to
         a fresh specialization by compiling.
         """
@@ -346,7 +363,7 @@ class Session:
             guard = candidate.guard
             if guard is not None and guard.admits(signature):
                 specialized = specialize_entry(candidate, signature)
-                adopted, _ = self.cache.adopt_template_hit(
+                adopted, _ = self.cache.insert(
                     signature.digest, specialized, signature.template_digest
                 )
                 return adopted
@@ -377,13 +394,12 @@ class Session:
     def _load_from_store(self, key: str) -> Optional[PlanEntry]:
         """Probe the persistent tier after a memory miss.
 
-        A disk hit extends :meth:`PlanCache.lookup_after_miss` semantics to
-        the store: the request was served from cached state rather than a
-        compile, so the entry is promoted into memory and the counted miss
-        is reclassified as a hit.  Corrupt or incompatible entries load as
-        ``None`` (the store counts them), and an IO failure escaping the
-        store is demoted to a miss here — the caller falls through to
-        compiling, so a damaged store never takes a request down.
+        A disk hit is served from cached state rather than a compile, so it
+        counts as a hit and the entry is promoted into memory.  Corrupt or
+        incompatible entries load as ``None`` (the store counts them), and
+        an IO failure escaping the store is demoted to a miss here — the
+        caller falls through to compiling, so a damaged store never takes a
+        request down.
         """
         if self.store is None:
             return None
@@ -393,9 +409,7 @@ class Session:
             return None
         if entry is None:
             return None
-        entry, _ = self.cache.adopt_after_miss(
-            key, entry, template_key=entry.template_digest
-        )
+        entry, _ = self.cache.insert(key, entry, template_key=entry.template_digest)
         return entry
 
     def _load_template_from_store(
@@ -421,9 +435,7 @@ class Session:
         if guard is None or not guard.admits(signature):
             return None
         specialized = specialize_entry(pivot, signature)
-        adopted, _ = self.cache.adopt_template_hit(
-            signature.digest, specialized, signature.template_digest
-        )
+        adopted, _ = self.cache.insert(signature.digest, specialized, signature.template_digest)
         return adopted
 
     def _recompile_plan(self, plan: CompiledPlan, observed: Dict[int, float]) -> None:
@@ -448,9 +460,7 @@ class Session:
         new_signature = signature_of(new_expr)
         if new_signature.digest == plan.fingerprint:
             return  # quantization landed on the hints already in force
-        entry = self.cache.lookup(new_signature.digest)
-        if entry is None:
-            entry, _, _ = self._compile_entry(new_expr, new_signature)
+        entry, _, _ = self._resolve(new_expr, new_signature)
         plan._adopt(entry, new_signature, new_expr)
         logger.info(
             "drift recompile: plan %s -> %s (drifted slots: %s)",
@@ -458,9 +468,8 @@ class Session:
             new_signature.digest[:12],
             sorted(observed),
         )
-        _SESSION_DRIFT_RECOMPILES.inc()
         with self._state_lock:
-            self.cache.stats.recompiles += 1
+            self.recompiles += 1
 
 
 def _quantize_sparsity(value: float) -> float:

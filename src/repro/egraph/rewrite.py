@@ -17,7 +17,7 @@ Matches are **data, not closures**.  ``search`` returns flat :class:`Match`
 records — the rule, a deterministic key, the root e-class and a small tuple
 of arguments — and does no right-hand-side work at all: on the heavy roots a
 rule finds thousands of matches per iteration and the sampling scheduler
-keeps at most ``sample_limit`` of them.  Only for those winners does the
+keeps at most ``runner.SAMPLE_LIMIT`` of them.  Only for those winners does the
 runner call :meth:`Match.apply`, which hands the arguments to
 :meth:`Rule.rewrite` (build the replacement, e.g. ``factor``'s multiset
 intersection and schema padding) and merges the result into the root class.

@@ -7,10 +7,10 @@ compile-time experiments of Sec. 4.3:
   iteration.  Complete but explodes on expansive rules (associativity /
   commutativity regrouping), which is why the paper's GLM and SVM runs time
   out under this strategy.
-* **sampling** (``"sampling"``): each rule applies at most ``sample_limit``
+* **sampling** (``"sampling"``): each rule applies at most ``SAMPLE_LIMIT``
   matches per iteration.  The draw is a seeded pseudo-random selection —
   every match gets a CRC-derived priority from ``(seed, iteration, rule)``
-  and its own key, and the ``sample_limit`` smallest priorities win via a
+  and its own key, and the ``SAMPLE_LIMIT`` smallest priorities win via a
   ``heapq.nsmallest`` pass (O(n log k), no full sort).  Because priorities
   depend only on the match keys, the draw is identical however the match
   list was produced (indexed or scan search, any enumeration order).
@@ -62,6 +62,9 @@ from repro.egraph.rewrite import Match, Rule
 #: (1.6e-5), which alone would have kept saturation going two more iterations.
 MIN_PROGRESS = 1e-4
 
+#: matches per rule per iteration the sampling strategy applies
+SAMPLE_LIMIT = 25
+
 
 class StopReason(enum.Enum):
     """Why a saturation run ended."""
@@ -112,7 +115,6 @@ class RunnerConfig:
     node_limit: int = 10_000
     time_limit: float = 5.0
     strategy: str = "sampling"
-    sample_limit: int = 25
     seed: int = 0
     #: search only classes touched since each rule's last search (full scans
     #: are still used for the first iteration and for non-incremental rules);
@@ -373,13 +375,12 @@ class Runner:
         lead to identical saturation runs.  When sampling has to drop
         matches, selection uses a seeded CRC priority over each match's
         pre-encoded key (``Match.sort_bytes``) and keeps the
-        ``sample_limit`` smallest via ``heapq.nsmallest`` (O(n log k)).
+        ``SAMPLE_LIMIT`` smallest via ``heapq.nsmallest`` (O(n log k)).
         When nothing is dropped, matches are applied in key order (the list
-        is either small — at most ``sample_limit`` — or the depth-first
+        is either small — at most ``SAMPLE_LIMIT`` — or the depth-first
         strategy is already paying to apply every match).
         """
-        limit = self.config.sample_limit
-        if self.config.strategy == "dfs" or len(matches) <= limit:
+        if self.config.strategy == "dfs" or len(matches) <= SAMPLE_LIMIT:
             return sorted(matches, key=lambda match: match.key)
         salt = zlib.crc32(f"{self.config.seed}:{iteration}:{rule.name}".encode())
 
@@ -387,7 +388,7 @@ class Runner:
             encoded = match.sort_bytes
             return (zlib.crc32(encoded, salt), encoded)
 
-        return heapq.nsmallest(limit, matches, key=priority)
+        return heapq.nsmallest(SAMPLE_LIMIT, matches, key=priority)
 
     @staticmethod
     def _record(

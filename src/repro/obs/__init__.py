@@ -4,9 +4,12 @@ Three pillars:
 
 * **Metrics** (:mod:`repro.obs.metrics`): a registry of counters and
   bounded-reservoir histograms with Prometheus-style text exposition.
-  The optimizer, plan cache, plan store, serving, and reliability layers
-  all write through the process-global registry returned by
-  :func:`registry`.
+  The process-global registry returned by :func:`registry` holds only the
+  instruments no per-instance record keeps: compile counts and durations,
+  saturation runs and rule funnels, breaker transitions and injected
+  faults.  Cache, store, session and serving counters live in their
+  owners' stats records; ``ServingEngine.metrics_text()`` renders those
+  under Prometheus names whether or not the global registry is enabled.
 * **Trace spans** (:mod:`repro.obs.trace`): structured spans with
   context propagated across shard worker threads, covering the compile
   phases (lower → saturate → extract → lift) and the serve path

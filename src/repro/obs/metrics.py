@@ -1,14 +1,16 @@
 """The metrics registry: counters and bounded-reservoir histograms.
 
 One :class:`MetricsRegistry` is a namespace of named instruments.  The
-package keeps a process-global registry (``repro.obs.registry()``) that the
-optimizer, cache, store, serving and reliability layers write their
-counters through; it is **disabled by default** — a disabled registry's
-instruments short-circuit on a single attribute check, so the
-instrumentation compiled into the hot paths costs one branch until someone
-opts in with :func:`repro.obs.enable`.  Components that *replace* their
-hand-rolled bookkeeping with instruments (the serving engine's latency
-accounting) construct their own always-enabled registry instead.
+package keeps a process-global registry (``repro.obs.registry()``) for the
+counters that have no per-instance record — compile and saturation
+instruments, breaker transitions, injected faults; it is **disabled by
+default** — a disabled registry's instruments short-circuit on a single
+attribute check, so the instrumentation compiled into the hot paths costs
+one branch until someone opts in with :func:`repro.obs.enable`.  A counter
+that has an owner (a session, store or shard record) is counted there
+only.  Always-enabled registries serve the rest: the serving engine keeps
+its latency histogram in one, and ``metrics_text()`` renders the engine's
+records through a throwaway one at call time.
 
 Design points:
 

@@ -60,10 +60,9 @@ import json
 import logging
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro import obs
 from repro.canonical.fingerprint import store_key
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.serialize.codec import (
@@ -90,32 +89,6 @@ TEMPLATE_SUFFIX = ".tpl"
 
 logger = logging.getLogger(__name__)
 
-# Global mirrors of the per-store counters (no-ops until obs is enabled);
-# StoreStats stays the per-instance, test-asserted record.
-_LOADS = {
-    result: obs.registry().counter(
-        "plan_store_loads_total", "Plan-store load probes by result", result=result
-    )
-    for result in ("hit", "miss", "error")
-}
-_TEMPLATE_LOADS = {
-    result: obs.registry().counter(
-        "plan_store_template_loads_total",
-        "Plan-store template-tier probes by result",
-        result=result,
-    )
-    for result in ("hit", "miss")
-}
-_WRITES = {
-    result: obs.registry().counter(
-        "plan_store_writes_total", "Plan-store entry writes by result", result=result
-    )
-    for result in ("ok", "error")
-}
-_STORE_EVICTIONS = obs.registry().counter(
-    "plan_store_evictions_total", "Plan-store entries deleted by LRU GC"
-)
-
 
 @dataclass
 class StoreStats:
@@ -134,9 +107,6 @@ class StoreStats:
     template_hits: int = 0
     #: template-tier probes that found nothing
     template_misses: int = 0
-
-    def snapshot(self) -> "StoreStats":
-        return replace(self)
 
 
 #: sentinel distinguishing "file absent" from "file present but undecodable"
@@ -185,7 +155,6 @@ class PlanStore:
         if entry is _MISSING:
             with self._lock:
                 self.stats.misses += 1
-            _LOADS["miss"].inc()
             return None
         if entry is None:
             return None
@@ -196,13 +165,11 @@ class PlanStore:
                     f"digest mismatch: stored {entry.signature.digest[:12]}, "
                     f"requested {digest[:12]}"
                 )
-            _LOADS["error"].inc()
             logger.warning("store load demoted to miss: %s", self._last_error)
             return None
         self._touch(self._entry_path(digest))
         with self._lock:
             self.stats.hits += 1
-        _LOADS["hit"].inc()
         return entry
 
     def load_template(self, template_digest: str) -> Optional["PlanEntry"]:
@@ -220,19 +187,16 @@ class PlanStore:
             if entry is _MISSING:
                 with self._lock:
                     self.stats.template_misses += 1
-            _TEMPLATE_LOADS["miss"].inc()
             return None
         if entry.signature.template_digest != template_digest:
             with self._lock:
                 self.stats.load_errors += 1
                 self._last_error = "template digest mismatch on alias load"
-            _LOADS["error"].inc()
             logger.warning("store template load demoted to miss: %s", self._last_error)
             return None
         self._touch(path)
         with self._lock:
             self.stats.template_hits += 1
-        _TEMPLATE_LOADS["hit"].inc()
         return entry
 
     def _load_payload(self, path: str):
@@ -258,7 +222,6 @@ class PlanStore:
             with self._lock:
                 self.stats.load_errors += 1
                 self._last_error = f"{type(error).__name__}: {error}"
-            _LOADS["error"].inc()
             logger.warning(
                 "store read of %s demoted to miss: %s",
                 os.path.basename(path),
@@ -292,7 +255,6 @@ class PlanStore:
             with self._lock:
                 self.stats.write_errors += 1
                 self._last_error = f"{type(error).__name__}: {error}"
-            _WRITES["error"].inc()
             logger.warning("store encode of %s failed: %s", digest[:12], self._last_error)
             return False
         # Heals a store directory that was deleted underneath a live
@@ -304,7 +266,6 @@ class PlanStore:
                 with self._lock:
                     self.stats.write_errors += 1
                     self._last_error = f"{type(error).__name__}: {error}"
-                _WRITES["error"].inc()
                 logger.warning("store directory recreate failed: %s", self._last_error)
                 return False
             self.manifest = self._refresh_manifest()
@@ -316,7 +277,6 @@ class PlanStore:
             self._write_atomic(self._template_path(entry.template_digest), raw, count=False)
         with self._lock:
             self.stats.writes += 1
-        _WRITES["ok"].inc()
         if self.max_entries is not None:
             self.gc()
         return True
@@ -352,7 +312,6 @@ class PlanStore:
                 with self._lock:
                     self.stats.write_errors += 1
                     self._last_error = f"{type(error).__name__}: {error}"
-                _WRITES["error"].inc()
                 logger.warning(
                     "store write of %s failed, persist skipped: %s",
                     os.path.basename(path),
@@ -403,8 +362,6 @@ class PlanStore:
                 continue
         with self._lock:
             self.stats.evictions += removed
-        if removed:
-            _STORE_EVICTIONS.inc(removed)
         return removed
 
     def __contains__(self, digest: str) -> bool:
@@ -455,7 +412,7 @@ class PlanStore:
         matches the one this writer last wrote).
         """
         with self._lock:
-            stats = self.stats.snapshot()
+            stats = asdict(self.stats)
             last_error = self._last_error
         return {
             "path": self.path,
@@ -465,7 +422,7 @@ class PlanStore:
             "format_version": FORMAT_VERSION,
             "config_digest": self.config_digest,
             "compress": self.compress,
-            **asdict(stats),
+            **stats,
             "manifest_stale": self._read_manifest() != self.manifest,
             "last_error": last_error,
         }

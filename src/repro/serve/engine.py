@@ -24,9 +24,10 @@ worker pool:
   full queue behind); :meth:`run` and :meth:`run_many` are the synchronous
   conveniences on top.
 * **Engine-level statistics.**  :meth:`stats` aggregates per-shard
-  counters (built from each segment's consistent
-  :meth:`~repro.api.cache.PlanCache.stats_snapshot`) into throughput,
-  p50/p95 latency, per-shard hit rates, and compilation counts.
+  counters (each shard's :class:`~repro.serve.worker.ShardCounters` and
+  its session's :attr:`~repro.api.Session.stats`) into throughput,
+  p50/p95 latency, per-shard hit rates, and compilation counts;
+  :meth:`metrics_text` renders the same records as Prometheus text.
 
 The serving fast path executes each plan's one executable
 (:meth:`repro.api.plan.CompiledPlan.executable` — an instruction tape whose
@@ -81,7 +82,7 @@ from repro.reliability.errors import EngineClosedError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.reliability.retry import RetryPolicy
 from repro.runtime.engine import ExecutionResult
-from repro.serialize.store import PlanStore
+from repro.serialize.store import PlanStore, StoreStats
 from repro.serve.worker import (
     DeadlineExceededError,
     ServingCounters,
@@ -96,15 +97,30 @@ logger = logging.getLogger(__name__)
 
 _TRACER = obs.tracer()
 
-_RESTARTS = obs.registry().counter(
-    "serve_restarts_total", "Crashed or wedged shard workers replaced by the supervisor"
-)
-_REROUTED = obs.registry().counter(
-    "serve_rerouted_total", "Submissions diverted to a sibling shard by an open breaker"
-)
-
 #: entries in the engine's expression-identity -> signature memo
 SIGNATURE_MEMO_SIZE = 1024
+
+#: help text of each series :meth:`ServingEngine.metrics_text` renders from the
+#: engine's own records
+_RECORD_HELP = {
+    "serve_requests_total": "Shard requests by final disposition",
+    "serve_retries_total": "Transient shard execution failures retried in place",
+    "serve_degraded_total": "Requests answered by a degraded baseline plan",
+    "serve_batches_total": "Micro-batches drained by shard workers",
+    "serve_restarts_total": "Crashed or wedged shard workers replaced by the supervisor",
+    "serve_rerouted_total": "Submissions diverted to a sibling shard by an open breaker",
+    "plan_cache_hits_total": "Plan requests served from cached state",
+    "plan_cache_misses_total": "Plan requests that ran the optimizer pipeline",
+    "plan_cache_evictions_total": "Plan-cache LRU evictions",
+    "plan_cache_template_hits_total": "Plan requests served by specializing a cached template",
+    "session_compilations_total": "Full pipeline runs across the shard sessions",
+    "session_degraded_total": "Compiles degraded to the unoptimized baseline plan",
+    "session_drift_recompiles_total": "Plans recompiled after sparsity drift",
+    "plan_store_loads_total": "Plan-store load probes by result",
+    "plan_store_template_loads_total": "Plan-store template-tier probes by result",
+    "plan_store_writes_total": "Plan-store entry writes by result",
+    "plan_store_evictions_total": "Plan-store entries deleted by LRU GC",
+}
 
 
 class QueueFullError(RuntimeError):
@@ -391,7 +407,6 @@ class ServingEngine:
                     index = candidate
                     with self._lock:
                         self._rerouted += 1
-                    _REROUTED.inc()
                     logger.info(
                         "breaker open on shard %d; rerouting request to sibling %d",
                         home,
@@ -582,7 +597,6 @@ class ServingEngine:
             self._restarts[index] += 1
             restart_count = self._restarts[index]
             self._retired_compilations += dead.session.compilations
-        _RESTARTS.inc()
         logger.warning(
             "shard %d worker %s; restarting (restart #%d for this shard)",
             index,
@@ -705,21 +719,61 @@ class ServingEngine:
     def metrics_text(self) -> str:
         """Prometheus-style text exposition for this engine's process.
 
-        Concatenates the engine-owned registry (the always-enabled serving
-        latency histogram) with the process-global obs registry, so a
-        scrape sees serving latency unconditionally and the full
-        cross-layer counter set once the process called
-        :func:`repro.obs.enable`.  Instrument names never collide: the
-        private registry holds exactly one family.
+        The engine's own records — the serving counters of :meth:`stats`,
+        the shard sessions' cache and compile counters and the shared
+        store's counters — are rendered at call time through a throwaway
+        always-enabled registry, so a scrape sees them whether or not the
+        process called :func:`repro.obs.enable`.  The serving latency
+        histogram and the process-global registry (the compile, saturation,
+        breaker and fault instruments, which no per-instance record keeps)
+        follow.
         """
-        return self._metrics.exposition() + obs.registry().exposition()
+        stats = self.stats()
+        cache = self._cache_totals()
+        store = self.store.stats if self.store is not None else StoreStats()
+        degraded = sum(shard.session.degraded_compilations for shard in self.shards)
+        series = {
+            ("serve_requests_total", "ok"): stats.served,
+            ("serve_requests_total", "error"): stats.errors,
+            ("serve_requests_total", "shed"): stats.sheds,
+            ("serve_retries_total", None): stats.retries,
+            ("serve_degraded_total", None): stats.degraded,
+            ("serve_batches_total", None): stats.batches,
+            ("serve_restarts_total", None): stats.restarts,
+            ("serve_rerouted_total", None): stats.rerouted,
+            ("plan_cache_hits_total", None): cache.hits,
+            ("plan_cache_misses_total", None): cache.misses,
+            ("plan_cache_evictions_total", None): cache.evictions,
+            ("plan_cache_template_hits_total", None): cache.template_hits,
+            ("session_compilations_total", None): stats.compilations,
+            ("session_degraded_total", None): degraded,
+            ("session_drift_recompiles_total", None): cache.recompiles,
+            ("plan_store_loads_total", "hit"): store.hits,
+            ("plan_store_loads_total", "miss"): store.misses,
+            ("plan_store_loads_total", "error"): store.load_errors,
+            ("plan_store_template_loads_total", "hit"): store.template_hits,
+            ("plan_store_template_loads_total", "miss"): store.template_misses,
+            ("plan_store_writes_total", "ok"): store.writes,
+            ("plan_store_writes_total", "error"): store.write_errors,
+            ("plan_store_evictions_total", None): store.evictions,
+        }
+        records = obs.MetricsRegistry(namespace="repro", enabled=True)
+        for (name, result), value in series.items():
+            labels = {} if result is None else {"result": result}
+            records.counter(name, _RECORD_HELP[name], **labels).inc(value)
+        return self._metrics.exposition() + records.exposition() + obs.registry().exposition()
+
+    def _cache_totals(self) -> CacheStats:
+        """The shard sessions' cache counters, summed field by field."""
+        parts = [shard.session.stats for shard in self.shards]
+        return CacheStats(
+            **{f.name: sum(getattr(part, f.name) for part in parts) for f in fields(CacheStats)}
+        )
 
     def describe(self) -> Dict[str, object]:
         """A JSON-serializable snapshot: engine stats plus the shared store."""
         record = self.stats().to_dict()
-        cache_total = CacheStats.aggregate(
-            shard.session.cache.stats_snapshot() for shard in self.shards
-        )
+        cache_total = self._cache_totals()
         record["cache"] = {
             "hits": cache_total.hits,
             "misses": cache_total.misses,

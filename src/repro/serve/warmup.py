@@ -68,9 +68,10 @@ def warm_store(
     """Compile every root of the selected workloads through ``store``.
 
     Returns a JSON-serializable summary: per-workload root counts, how many
-    roots actually compiled versus loaded warm, wall-clock seconds, and the
-    final store description.  The session writes through the store, so the
-    summary's ``compiled`` count equals the number of new entries.
+    roots actually compiled versus loaded warm, wall-clock seconds, the
+    warm-up session's counters and the final store description.  The
+    session writes through the store, so the summary's ``compiled`` count
+    equals the number of new entries.
 
     ``optimizer_budget`` bounds each root's saturation wall-clock: a root
     that overruns warms nothing (degraded baseline plans are deliberately
@@ -93,6 +94,7 @@ def warm_store(
             "already_warm": len(plans) - compiled,
             "seconds": time.perf_counter() - root_started,
         }
+    record = session.describe()
     summary: Dict[str, object] = {
         "workloads": workloads,
         "roots": sum(int(w["roots"]) for w in workloads.values()),
@@ -100,7 +102,8 @@ def warm_store(
         "already_warm": sum(int(w["already_warm"]) for w in workloads.values()),
         "degraded": session.degraded_compilations,
         "seconds": time.perf_counter() - started,
-        "store": store.describe(),
+        "store": record.pop("store"),
+        "session": record,
     }
     return summary
 
@@ -161,8 +164,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # warm-up would GC earlier-warmed plans after every save whenever the
     # selection exceeds the bound, silently undoing the warm-up itself.
     # Metrics are enabled for the run so the JSON summary can carry the
-    # cross-layer counters (compiles, store writes, cache traffic) a deploy
-    # pipeline wants to archive next to the per-workload timings.
+    # compile and saturation instruments next to the session's and the
+    # store's own counters, for a deploy pipeline to archive.
     obs.enable(metrics=True, tracing=False)
     store = PlanStore(args.store, config, compress=args.compress)
     summary = warm_store(store, selection, config, optimizer_budget=args.optimizer_budget)

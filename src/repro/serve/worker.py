@@ -91,25 +91,6 @@ RESULT_CACHE_SIZE = 256
 
 _TRACER = obs.tracer()
 
-# Fleet-wide serving counters (no-ops until obs is enabled); the per-shard
-# ShardCounters stay the test-asserted record, these aggregate across shards
-# and survive shard restarts for the exposition.
-_REQUESTS = {
-    result: obs.registry().counter(
-        "serve_requests_total", "Shard requests by final disposition", result=result
-    )
-    for result in ("ok", "error", "shed")
-}
-_RETRIES = obs.registry().counter(
-    "serve_retries_total", "Transient shard execution failures retried in place"
-)
-_DEGRADED = obs.registry().counter(
-    "serve_degraded_total", "Requests answered by a degraded baseline plan"
-)
-_BATCHES = obs.registry().counter(
-    "serve_batches_total", "Micro-batches drained by shard workers"
-)
-
 
 def _mark_running(future: "Future[object]") -> bool:
     """Transition a request future to running, tolerating crash requeues.
@@ -414,7 +395,6 @@ class ShardWorker:
             self.counters.batched_requests += sum(
                 size for size in group_sizes if size > 1
             )
-        _BATCHES.inc()
         # The batch span is a root: its member requests carry their own
         # submit-side parent contexts, so per-request spans parent to the
         # submitter, not to the batch that happened to drain them.
@@ -446,7 +426,6 @@ class ShardWorker:
                     except Exception as error:  # compile failure poisons the instance only
                         with self._lock:
                             self.counters.errors += len(members)
-                        _REQUESTS["error"].inc(len(members))
                         if self.breaker is not None:
                             self.breaker.record_failure()
                         for request in members:
@@ -507,7 +486,6 @@ class ShardWorker:
             return
         with self._lock:
             self.counters.sheds += 1
-        _REQUESTS["shed"].inc()
         _fail(
             request.future,
             DeadlineExceededError(
@@ -562,14 +540,12 @@ class ShardWorker:
                             return
                         with self._lock:
                             self.counters.retries += 1
-                        _RETRIES.inc()
                         if wait > 0.0:
                             time.sleep(wait)
                         attempt += 1
                         continue
                     with self._lock:
                         self.counters.errors += 1
-                    _REQUESTS["error"].inc()
                     if self.breaker is not None:
                         self.breaker.record_failure()
                     span.set_attribute("result", "error")
@@ -577,17 +553,13 @@ class ShardWorker:
                     return
             now = time.perf_counter()
             latency = now - request.enqueued
-            degraded = state.plan.degraded
             with self._lock:
                 self.counters.served += 1
-                if degraded:
+                if state.plan.degraded:
                     self.counters.degraded += 1
                 self.counters.last_completion = now
             if self.latency_histogram is not None:
                 self.latency_histogram.observe(latency)
-            _REQUESTS["ok"].inc()
-            if degraded:
-                _DEGRADED.inc()
             if attempt:
                 span.set_attribute("retries", attempt)
             span.set_attribute("result", "ok")
@@ -754,7 +726,7 @@ class ShardWorker:
     # -- monitoring ------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """A JSON-serializable, internally consistent view of this shard."""
-        cache_stats = self.session.cache.stats_snapshot()
+        cache_stats = self.session.stats
         with self._lock:
             counters = self.counters
             record: Dict[str, object] = {"shard": self.index}

@@ -1,5 +1,7 @@
 """End-to-end: warm-up CLI machinery → fresh pool serves with zero compiles."""
 
+import json
+
 import numpy as np
 
 from repro.lang import dag
@@ -56,7 +58,10 @@ def test_warmup_cli_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     # All three roots warm before the bound applies: the trim is a single
     # post-warm GC, never an eviction race against the warm-up itself.
-    assert '"compiled": 3' in out
-    assert '"evicted": 1' in out
+    summary = json.loads(out)
+    assert summary["compiled"] == 3
+    assert summary["evicted"] == 1
+    # the session's own record rides along: three misses, each compiled
+    assert summary["session"]["compilations"] == summary["session"]["misses"] == 3
     config = OptimizerConfig.sampling_greedy()
     assert len(PlanStore(store_dir, config)) == 2

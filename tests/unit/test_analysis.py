@@ -239,6 +239,20 @@ class TestConcurrencyLint:
         findings = concurrency_lint.lint_source("def broken(:", "m.py", hot_path=False)
         assert [f.code for f in findings] == ["unparsable-module"]
 
+    def test_session_counters_are_guarded_by_the_state_lock(self):
+        """The Session counts under its lock: a lock-free counter write is flagged."""
+        import inspect
+
+        from repro.api import session
+
+        counters = ("compilations", "hits", "misses", "recompiles", "template_hits")
+        writes = "".join(f"        self.{name} += 1\n" for name in counters)
+        source = inspect.getsource(session).replace(
+            "class Session:\n", "class Session:\n    def racy(self):\n" + writes, 1
+        )
+        findings = concurrency_lint.lint_source(source, "session.py", hot_path=False)
+        assert sorted(f.where.rsplit("::", 1)[1] for f in findings) == list(counters)
+
     def test_package_scan_is_clean_at_head(self):
         findings, counts = concurrency_lint.run_concurrency_lint()
         assert counts["modules"] > 50

@@ -119,12 +119,13 @@ class TestServeSpans:
             assert engine._breakers[home].state == "open"
             engine.run(expr, inputs)
             assert engine.stats().rerouted >= 1
+            parsed = obs.parse_exposition(engine.metrics_text())
         finally:
             engine.close()
         requests = assert_request_parents_enqueue()
         rerouted = [s for s in requests if s.attributes["shard"] != home]
         assert rerouted, "the rerouted request must still carry its parent"
-        assert obs.registry().counter("serve_rerouted_total").value >= 1
+        assert parsed["repro_serve_rerouted_total"] >= 1
 
     def test_parentage_survives_supervisor_restart(self):
         """A crash-requeued request keeps its original trace context."""
@@ -141,13 +142,14 @@ class TestServeSpans:
             expr, inputs = make_loss(), make_inputs(1)
             engine.run(expr, inputs)
             assert engine.stats().restarts == 1
+            parsed = obs.parse_exposition(engine.metrics_text())
         finally:
             engine.close()
         requests = assert_request_parents_enqueue()
         # the crashed attempt and the requeued attempt belong to the same
         # trace: one enqueue, served on the replacement worker
         assert len({s.trace_id for s in requests}) == 1
-        assert obs.registry().counter("serve_restarts_total").value == 1
+        assert parsed["repro_serve_restarts_total"] == 1
 
     def test_execute_span_nests_under_request_span(self):
         engine = ServingEngine(shards=1, config=config(), supervise=False)
@@ -250,10 +252,87 @@ class TestMetricsText:
             engine.run(make_loss(), make_inputs(0))
         finally:
             engine.close()
-        assert obs.registry().counter("serve_retries_total").value == 1
-        assert (
-            obs.registry().counter("serve_requests_total", result="ok").value == 1
+        stats = engine.stats()
+        assert stats.retries == 1
+        assert stats.served == 1
+
+    def test_every_record_series_reads_its_record_with_obs_disabled(self, tmp_path):
+        """metrics_text() renders the stats records, not a disabled mirror.
+
+        One request retried, one shed and one corrupt store entry: each
+        serve, plan-cache, session and plan-store series must equal the
+        record it is rendered from, though the global registry is off.
+        """
+        from repro.api import Session
+        from repro.reliability import ExecutionError, RetryPolicy
+        from repro.serialize import PlanStore
+        from repro.serve import QueueFullError
+
+        obs.disable()
+        store = PlanStore(tmp_path, config())
+        Session(config(), store=store).compile(make_loss())
+        (entry,) = [path for path in tmp_path.glob("*.json") if path.name != "manifest.json"]
+        entry.write_text(entry.read_text()[:64])
+        faults = FaultInjector(
+            [FaultRule("shard.execute", ExecutionError, start=0, count=1)]
         )
+        engine = ServingEngine(
+            shards=2,
+            config=config(),
+            store=PlanStore(tmp_path, config()),
+            fault_injector=faults,
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0005),
+            supervise=False,
+        )
+        try:
+            expr = make_loss()
+            engine.run(expr, make_inputs(0))  # corrupt entry, alias hit, one retry
+            engine.run(expr, make_inputs(1))
+            with pytest.raises(QueueFullError):
+                engine.submit(expr, make_inputs(2), deadline=1e-9).result(timeout=60)
+            parsed = obs.parse_exposition(engine.metrics_text())
+            stats, record = engine.stats(), engine.describe()
+        finally:
+            engine.close()
+        cache, disk = record["cache"], record["store"]
+        sessions = [shard.session for shard in engine.shards]
+        expected = {
+            'repro_serve_requests_total{result="ok"}': stats.served,
+            'repro_serve_requests_total{result="error"}': stats.errors,
+            'repro_serve_requests_total{result="shed"}': stats.sheds,
+            "repro_serve_retries_total": stats.retries,
+            "repro_serve_degraded_total": stats.degraded,
+            "repro_serve_batches_total": stats.batches,
+            "repro_serve_restarts_total": stats.restarts,
+            "repro_serve_rerouted_total": stats.rerouted,
+            "repro_plan_cache_hits_total": cache["hits"],
+            "repro_plan_cache_misses_total": cache["misses"],
+            "repro_plan_cache_evictions_total": cache["evictions"],
+            "repro_plan_cache_template_hits_total": cache["template_hits"],
+            "repro_session_compilations_total": stats.compilations,
+            "repro_session_degraded_total": sum(s.degraded_compilations for s in sessions),
+            "repro_session_drift_recompiles_total": sum(s.stats.recompiles for s in sessions),
+            'repro_plan_store_loads_total{result="hit"}': disk["hits"],
+            'repro_plan_store_loads_total{result="miss"}': disk["misses"],
+            'repro_plan_store_loads_total{result="error"}': disk["load_errors"],
+            'repro_plan_store_template_loads_total{result="hit"}': disk["template_hits"],
+            'repro_plan_store_template_loads_total{result="miss"}': disk["template_misses"],
+            'repro_plan_store_writes_total{result="ok"}': disk["writes"],
+            'repro_plan_store_writes_total{result="error"}': disk["write_errors"],
+            "repro_plan_store_evictions_total": disk["evictions"],
+        }
+        rendered = {
+            name
+            for name in parsed
+            if name.startswith(("repro_serve_", "repro_plan_", "repro_session_"))
+            and not name.startswith("repro_serve_latency_seconds")
+        }
+        assert rendered == set(expected)
+        assert {name: parsed[name] for name in expected} == expected
+        # the mix reached the counters it was built for
+        assert (stats.served, stats.retries, stats.sheds) == (2, 1, 1)
+        # the corrupt entry is a load error; its intact template alias served
+        assert disk["load_errors"] == disk["template_hits"] == cache["template_hits"] == 1
 
     def test_restart_and_breaker_events_are_logged(self, caplog):
         faults = FaultInjector(

@@ -1,6 +1,7 @@
 """Tests for canonical fingerprinting and the Session plan cache."""
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -167,17 +168,39 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
 
-    def test_lookup_after_miss_reclassifies_the_race(self):
-        """A race loser's counted miss becomes a hit once the entry lands."""
-        cache = PlanCache(capacity=4)
-        assert cache.lookup("k") is None
-        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-        cache.insert("k", object())
-        assert cache.lookup_after_miss("k") is not None
-        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
-        # a genuine miss leaves the counters alone
-        assert cache.lookup_after_miss("other") is None
-        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+    def test_waiter_behind_a_concurrent_compile_counts_one_hit(self, monkeypatch):
+        """A request that waited for a concurrent compile of its shape is a hit.
+
+        Nothing is counted while the two requests are in flight; once both
+        resolve, the compiler counts its miss and the waiter one hit.
+        """
+        from repro.api import session as session_module
+
+        compile_expression = session_module.compile_expression
+        started, release = threading.Event(), threading.Event()
+
+        def held_compile(*args, **kwargs):
+            started.set()
+            assert release.wait(timeout=60)
+            return compile_expression(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "compile_expression", held_compile)
+        session = greedy_session()
+        key = signature_of(reconstruction_loss()).digest
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            compiling = pool.submit(session.compile, reconstruction_loss())
+            assert started.wait(timeout=60)
+            waiting = pool.submit(session.compile, reconstruction_loss("A", "b", "c"))
+            deadline = time.monotonic() + 60
+            while session._inflight[key][1] < 2:  # the waiter queued on the shape
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            assert (session.stats.hits, session.stats.misses) == (0, 0)
+            release.set()
+            compiled, waited = compiling.result(timeout=60), waiting.result(timeout=60)
+        assert not compiled.cache_hit and waited.cache_hit
+        assert session.compilations == 1
+        assert (session.stats.hits, session.stats.misses) == (1, 1)
 
     def test_concurrent_compile_of_one_shape_compiles_once(self):
         """Concurrent misses of the same fingerprint must share one pipeline run."""

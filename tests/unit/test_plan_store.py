@@ -168,12 +168,12 @@ class TestSessionStoreIntegration:
         assert "best cost" in stop_line and stop_line in plan.explain()
         assert plan.to_dict()["phase_times"] is None
 
-    def test_disk_hit_extends_lookup_after_miss_semantics(self, tmp_path):
+    def test_disk_hit_counts_as_a_hit(self, tmp_path):
         Session(config(), store_path=tmp_path).compile(make_loss())
         session = Session(config(), store_path=tmp_path)
         session.compile(make_loss())
         record = session.describe()
-        # the memory miss was reclassified: served from cached state
+        # missed memory, served from the store: cached state, not a compile
         assert record["hits"] == 1 and record["misses"] == 0
         assert record["hit_rate"] == 1.0
         assert record["store"]["hits"] == 1

@@ -62,8 +62,8 @@ def test_optimizer_options():
         "indexed_matching", "semiring",
     ]
     assert field_names(RunnerConfig) == [
-        "iter_limit", "node_limit", "time_limit", "strategy", "sample_limit", "seed",
-        "incremental", "plateau",
+        "iter_limit", "node_limit", "time_limit", "strategy", "seed", "incremental",
+        "plateau",
     ]
     assert defaulted(LACostModel) == ["ring"]
     assert defaulted(relational_rules) == ["indexed", "ring"]

@@ -201,9 +201,10 @@ class TestRunner:
         _, _, report = saturate(expr, config)
         assert report.stop_reason in (StopReason.NODE_LIMIT, StopReason.SATURATED)
 
-    def test_dfs_strategy_explores_at_least_as_much_as_sampling(self):
+    def test_dfs_strategy_explores_at_least_as_much_as_sampling(self, monkeypatch):
+        monkeypatch.setattr("repro.egraph.runner.SAMPLE_LIMIT", 5)
         expr = rsum({I, J}, rjoin([radd([X, rjoin([U, V])]), radd([X, rjoin([U, V])])]))
-        _, _, sampled = saturate(expr, RunnerConfig(iter_limit=4, strategy="sampling", sample_limit=5))
+        _, _, sampled = saturate(expr, RunnerConfig(iter_limit=4, strategy="sampling"))
         _, _, dfs = saturate(expr, RunnerConfig(iter_limit=4, strategy="dfs"))
         assert dfs.final_enodes >= sampled.final_enodes
 
