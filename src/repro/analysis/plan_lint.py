@@ -313,29 +313,18 @@ def lint_entry(entry, where: str) -> List[Finding]:
                 )
             )
 
-    # Guard geometry: a non-exact template guard must describe the same
-    # slots/dims the signature has, with non-empty ranges.
+    # A non-exact template guard must pin one pivot per dim slot of the
+    # signature, or it can never admit an instance.
     guard = entry.guard
-    if guard is not None and not guard.exact:
-        if len(guard.bands) != n_slots:
-            findings.append(
-                _finding(
-                    "guard-arity",
-                    where,
-                    f"guard has {len(guard.bands)} sparsity bands for "
-                    f"{n_slots} slots",
-                )
+    n_dims = len(entry.signature.dim_sizes)
+    if guard is not None and not guard.exact and len(guard.dims) != n_dims:
+        findings.append(
+            _finding(
+                "guard-arity",
+                where,
+                f"guard has {len(guard.dims)} dims for the signature's {n_dims} dim slots",
             )
-        for dim in guard.dims:
-            if dim.lo > dim.hi or not dim.lo <= dim.pivot <= dim.hi:
-                findings.append(
-                    _finding(
-                        "guard-empty-range",
-                        f"{where}::{dim.name}",
-                        f"dim guard [{dim.lo}, {dim.hi}] (pivot {dim.pivot}) "
-                        "admits no sizes or excludes its own pivot",
-                    )
-                )
+        )
 
     # The keep_only_improvements bar: a committed artifact must never cost
     # more than the expression it replaced.

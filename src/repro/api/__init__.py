@@ -22,10 +22,10 @@ physical plan*:
 * **Plan templates** — every compiled plan doubles as a size-polymorphic
   template: one compilation of a GLM at 10k×100 serves the whole size
   ladder (50k×100, 200k×100, ...) through cheap size re-pinning, as long
-  as each instance stays inside the plan's
-  :class:`~repro.optimizer.guards.TemplateGuard` (per-dim size ranges
-  derived from cost dominance, plus the compile-time sparsity bands).  A
-  guard miss silently falls back to a fresh specialization; see
+  as the plan's :class:`~repro.optimizer.guards.TemplateGuard` admits each
+  instance (the plan still costs no more than the original at the
+  requested sizes; the template digest already fixes the sparsity bands).
+  A guard miss silently falls back to a fresh specialization; see
   :mod:`repro.api.session` for the exact reuse-vs-respecialize rules and
   :meth:`CompiledPlan.instantiate` for the direct size-rebinding surface.
 
@@ -46,7 +46,7 @@ from repro.api.plan import (
     specialize_entry,
 )
 from repro.api.session import Session
-from repro.optimizer.guards import DimGuard, TemplateGuard
+from repro.optimizer.guards import TemplateGuard
 from repro.serialize.store import PlanStore, StoreStats
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "PlanStore",
     "StoreStats",
     "TemplateGuard",
-    "DimGuard",
     "specialize_entry",
     "DEFAULT_DRIFT_FACTOR",
     "DEFAULT_DRIFT_ALPHA",

@@ -77,9 +77,10 @@ class PlanEntry:
     the same key; immutable so sharing across threads is safe.
 
     Since the plan-template refactor an entry doubles as a **guarded
-    template**: ``guard`` records the dimension-size ranges and sparsity
-    bands inside which the artifact may serve *other* instance digests of
-    the same :attr:`template_digest` through cheap size re-pinning
+    template**: ``guard`` records the compile-time size of every dimension
+    slot, and the artifact may serve *other* instance digests of the same
+    :attr:`template_digest` through cheap size re-pinning wherever its plan
+    still costs no more than the original at the requested sizes
     (:func:`specialize_entry`).  ``guard=None`` means exact-match only.
     """
 
@@ -106,19 +107,22 @@ class PlanEntry:
         return self.signature.template_digest
 
 
-def specialize_entry(entry: PlanEntry, signature: ExprSignature) -> PlanEntry:
-    """Re-pin a template entry to a new instance's concrete sizes.
+def specialize_entry(entry: PlanEntry, signature: ExprSignature) -> Optional[PlanEntry]:
+    """Re-pin a template entry to a new instance's sizes, if its guard admits them.
 
-    The slot-space physical plan is rebuilt with every canonical dimension
-    slot bound to the instance's size — one linear DAG walk, no saturation
-    — and the entry adopts the instance's signature (its sizes, sparsity
-    hints and input names).  The artifact and guard are shared with the
-    pivot: specializations compose, so a specialized entry is itself a
-    valid template candidate for further sizes.
-
-    Callers are responsible for checking ``entry.guard.admits(signature)``
-    first; this function only performs the mechanical re-pinning.
+    Returns ``None`` unless ``entry.guard`` admits the instance
+    (:meth:`~repro.optimizer.guards.TemplateGuard.admits`: one cost
+    comparison at the instance's sizes).  Callers match the template
+    digest first.  On admission the slot-space physical plan is rebuilt
+    with every canonical dimension slot bound to the instance's size — one
+    linear DAG walk, no saturation — and the entry adopts the instance's
+    signature (its sizes, sparsity hints and input names).  The artifact
+    and guard are shared with the pivot: specializations compose, so a
+    specialized entry is itself a valid template candidate for further
+    sizes.
     """
+    if entry.guard is None or not entry.guard.admits(signature, entry.artifact):
+        return None
     sizes = {
         slot_dim_name(index): size
         for index, size in enumerate(signature.dim_sizes)
@@ -567,9 +571,9 @@ class CompiledPlan:
 
         ``bindings`` maps this plan's dimension names (as declared in its
         source expression — e.g. ``{"m": 50_000}``) to new concrete sizes;
-        unnamed dims keep their compiled sizes.  When the resized instance
-        falls inside the template's guard, the returned plan shares this
-        plan's artifact with only its sizes re-pinned — no saturation.
+        unnamed dims keep their compiled sizes.  When the template's guard
+        admits the resized instance, the returned plan shares this plan's
+        artifact with only its sizes re-pinned — no saturation.
 
         Guard semantics: a plan owned by a :class:`~repro.api.Session` is
         instantiated through the session's normal compile path, so a guard
@@ -594,17 +598,17 @@ class CompiledPlan:
             return session.compile(resized, signature)
         with self._lock:
             entry = self._entry
-        if (
-            entry.guard is None
-            or signature.template_digest != entry.template_digest
-            or not entry.guard.admits(signature)
-        ):
+        specialized = (
+            specialize_entry(entry, signature)
+            if signature.template_digest == entry.template_digest
+            else None
+        )
+        if specialized is None:
             guard = entry.guard.describe() if entry.guard is not None else "exact"
             raise TemplateGuardError(
                 f"instance {dict(bindings)} is outside this template's guard "
                 f"({guard}) and the plan has no session to respecialize through"
             )
-        specialized = specialize_entry(entry, signature)
         return CompiledPlan(
             specialized,
             signature,

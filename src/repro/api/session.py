@@ -39,15 +39,17 @@ sparsity hints) and the size-free *template* digest (structure + sparsity
 bands).  An instance miss first scans cached templates of the same shape;
 a template is **reused** — re-pinned to the requested sizes in one DAG
 walk, no saturation — exactly when its
-:class:`~repro.optimizer.guards.TemplateGuard` admits the instance: every
-dimension size inside the guard's per-dim range *and* every input in the
-sparsity band the template was compiled under.  Anything else (sizes
-outside the probed cost-dominance region, a band change, a symbolic dim,
-a plan whose rewrite baked a size into a constant) is a
+:class:`~repro.optimizer.guards.TemplateGuard` admits the instance: the
+template's plan still costs no more than the original expression at the
+requested sizes (one cost comparison, made at lookup).  Anything else (a
+plan the requested sizes make costlier, a moved tiny pinned dim, a
+symbolic dim, a plan whose rewrite baked a size into a constant) is a
 guard miss and the expression is **respecialized**: compiled fresh at its
-own sizes, cached as a new template of the same shape.  Both outcomes are
-observable: reuse counts in ``session.stats.template_hits`` and sets
-``plan.template_hit``; respecialization counts in ``compilations``.
+own sizes, cached as a new template of the same shape.  A sparsity band
+change never reaches a guard: it is a different template digest.  Both
+outcomes are observable: reuse counts in ``session.stats.template_hits``
+and sets ``plan.template_hit``; respecialization counts in
+``compilations``.
 
 **Counters.**  The session is the one writer of its request counters:
 ``hits``, ``misses``, ``template_hits``, ``recompiles``, ``compilations``
@@ -61,7 +63,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.api.cache import CacheStats, PlanCache
 from repro.api.plan import (
@@ -77,7 +79,7 @@ from repro.lang import dag
 from repro.lang import expr as la
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.guards import derive_guard
-from repro.optimizer.pipeline import baseline_artifact, compile_expression
+from repro.optimizer.pipeline import PlanArtifact, baseline_artifact, compile_expression
 from repro.reliability.errors import ReliabilityError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.runtime.engine import ExecutionResult
@@ -353,20 +355,24 @@ class Session:
         """Serve an instance miss from a cached template of the same shape.
 
         Scans the cache's template index (newest specialization first) for
-        an entry whose guard admits the requested sizes and sparsity bands;
-        on a hit the entry is re-pinned to the instance and promoted into
-        the instance tier.  Returns ``None`` when no cached template admits
-        the instance — the caller falls through to the store and, last, to
-        a fresh specialization by compiling.
+        an entry whose guard admits the requested sizes; on a hit the entry
+        is re-pinned to the instance and promoted into the instance tier.
+        Specializations share their pivot's artifact and guard, so each
+        distinct artifact is checked once per scan.  Returns ``None`` when
+        no cached template admits the instance — the caller falls through to
+        the store and, last, to a fresh specialization by compiling.
         """
+        refused: List[PlanArtifact] = []
         for candidate in self.cache.template_candidates(signature.template_digest):
-            guard = candidate.guard
-            if guard is not None and guard.admits(signature):
-                specialized = specialize_entry(candidate, signature)
+            if any(candidate.artifact is artifact for artifact in refused):
+                continue
+            specialized = specialize_entry(candidate, signature)
+            if specialized is not None:
                 adopted, _ = self.cache.insert(
                     signature.digest, specialized, signature.template_digest
                 )
                 return adopted
+            refused.append(candidate.artifact)
         return None
 
     def _should_degrade(self, error: BaseException) -> bool:
@@ -418,10 +424,10 @@ class Session:
         """Probe the store's template tier and specialize on a guard hit.
 
         The cross-process half of plan templates: a warm store that holds
-        *any* admitted ladder point of this shape serves this instance in a
-        cold process — the loaded pivot's guard is checked exactly like a
-        cached template's, then the pivot is re-pinned to the requested
-        sizes and promoted into memory as a template hit.
+        *any* ladder point of this shape serves this instance in a cold
+        process — the loaded pivot is guard-checked and re-pinned exactly
+        like a cached template (:func:`specialize_entry`), then promoted
+        into memory as a template hit.
         """
         if self.store is None or not signature.template_digest:
             return None
@@ -429,12 +435,9 @@ class Session:
             pivot = self.store.load_template(signature.template_digest)
         except OSError:  # demoted to a template miss, same as _load_from_store
             return None
-        if pivot is None:
+        specialized = specialize_entry(pivot, signature) if pivot is not None else None
+        if specialized is None:
             return None
-        guard = pivot.guard
-        if guard is None or not guard.admits(signature):
-            return None
-        specialized = specialize_entry(pivot, signature)
         adopted, _ = self.cache.insert(signature.digest, specialized, signature.template_digest)
         return adopted
 

@@ -132,8 +132,8 @@ class ExprSignature:
     unit a guarded plan template serves.  ``slots`` describes the inputs in
     slot order; ``var_order`` repeats their names for convenient rebinding;
     ``dim_names``/``dim_sizes`` list the expression's symbolic dimensions in
-    canonical (first-occurrence) slot order, which is what guards range
-    over and what instance specialization re-pins.
+    canonical (first-occurrence) slot order, which is what guards record
+    and what instance specialization re-pins.
     """
 
     digest: str
@@ -154,11 +154,6 @@ class ExprSignature:
     @property
     def slot_of(self) -> Dict[str, int]:
         return {spec.name: spec.index for spec in self.slots}
-
-    @property
-    def bands(self) -> Tuple[str, ...]:
-        """Per-slot sparsity bands (the regime half of the template key)."""
-        return tuple(sparsity_band(spec.sparsity) for spec in self.slots)
 
 
 def signature_of(expr: la.LAExpr) -> ExprSignature:

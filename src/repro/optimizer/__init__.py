@@ -8,7 +8,7 @@ from repro.optimizer.pipeline import (
     compile_expression,
 )
 from repro.optimizer.derivation import DerivationResult, derive
-from repro.optimizer.guards import DimGuard, TemplateGuard, derive_guard, exact_guard
+from repro.optimizer.guards import TemplateGuard, derive_guard
 
 __all__ = [
     "OptimizerConfig",
@@ -17,9 +17,7 @@ __all__ = [
     "PlanArtifact",
     "compile_expression",
     "derive",
-    "DimGuard",
     "TemplateGuard",
     "derive_guard",
-    "exact_guard",
     "DerivationResult",
 ]

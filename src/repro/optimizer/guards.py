@@ -8,20 +8,20 @@ equivalent plans — the extractor picked the winner under the cost model at
 the compile-time sizes, and a different point of the size ladder could in
 principle prefer a different plan.
 
-A :class:`TemplateGuard` records the region where reusing the compiled
-plan is known to be a good idea:
+So the honest question a template lookup asks is a point question: does the
+compiled plan still cost no more than the original expression *at the sizes
+requested*?  That is the paper's own acceptance bar for a rewrite
+(``keep_only_improvements``), and :func:`dominates` answers it with two cost
+walks.  :func:`derive_guard` asks it once, at the compile-time pivot; every
+template lookup asks it again at the instance's sizes
+(:func:`repro.api.plan.specialize_entry`).  No admitted region is computed
+ahead of time, and sparsity bands need no check here: the template digest
+already carries them.
 
-* a per-dimension-slot **size range** ``[lo, hi]`` inside which the
-  compiled plan's estimated cost still dominates the original
-  expression's (probed geometrically around the compile-time pivot, per
-  dim plus the all-low/all-high corners);
-* the per-input **sparsity bands** the plan was compiled under (the bands
-  already salt the template digest; the guard re-checks them so a guard
-  is self-contained and auditable);
-* an ``exact`` fallback that admits nothing — used whenever cross-size
-  reuse cannot be shown valid.
-
-The guard is conservative in two distinct ways:
+A :class:`TemplateGuard` therefore records only each dimension slot's
+compile-time ``(name, pivot)`` and an ``exact`` flag that admits nothing
+beyond the compile-time instance — the fallback whenever cross-size reuse
+cannot be shown valid:
 
 * **Semantics.**  One rewrite family can bake a dimension size into the
   plan as a *value*: ``Σ_i A = |i| * A`` when ``i`` does not occur in
@@ -29,23 +29,23 @@ The guard is conservative in two distinct ways:
   :func:`derive_guard` scans the physical plan for any constant equal to a
   product of compile-time dim sizes and falls back to ``exact`` when it
   finds one (a user constant colliding with such a product is also caught
-  — false positives only cost sharing, never correctness).  Dims with
-  tiny pivots (< 4) are pinned to their exact size for the same reason: a
+  — false positives only cost sharing, never correctness).  Symbolic dims,
+  and dim names the signature cannot re-pin, are exact for the same reason;
+  dims with tiny pivots (< 4) stay pinned to their exact size, because a
   degenerate axis eliminated at size 1 leaves no trace to re-pin.
-* **Plan quality.**  Inside the admitted region the template's cost
-  merely *dominates the original's* — the paper's own acceptance bar for
-  a rewrite (``keep_only_improvements``) — which is not the same as being
-  the plan a fresh saturation would pick.  A guard miss therefore falls
-  back to a fresh specialization; a guard hit trades at most a sliver of
-  plan quality for skipping saturation entirely.
+* **Plan quality.**  An admitted plan merely *dominates the original* at
+  the requested sizes, which is not the same as being the plan a fresh
+  saturation would pick.  A refused lookup therefore falls back to a fresh
+  specialization; an admitted one trades at most a sliver of plan quality
+  for skipping saturation entirely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.canonical.fingerprint import ExprSignature, rebind_dim_sizes, sparsity_band
+from repro.canonical.fingerprint import ExprSignature, rebind_dim_sizes
 from repro.cost.la_cost import LACostModel
 from repro.lang import dag
 from repro.lang import expr as la
@@ -53,15 +53,9 @@ from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.pipeline import PlanArtifact
 from repro.runtime.fusion import fuse_operators
 
-#: widest factor the dominance probe explores around the pivot, per dim
-MAX_RANGE_FACTOR = 16
-
 #: dims with a pivot below this are pinned to their exact size (degenerate
 #: axes leave no re-pinnable trace when a rewrite eliminates them)
 MIN_SCALABLE_SIZE = 4
-
-#: sizes the guard treats as "unbounded" when no rewrite happened at all
-MAX_DIM_SIZE = 2**31
 
 #: multiplicative slack for the cost-dominance comparison (absorbs float
 #: noise in the analytic model, never a real regression)
@@ -73,95 +67,84 @@ class GuardError(ValueError):
 
 
 @dataclass(frozen=True)
-class DimGuard:
-    """Admitted size range of one canonical dimension slot."""
-
-    #: compile-time dimension name (diagnostics only; slots are positional)
-    name: str
-    #: the size the template was actually compiled at
-    pivot: int
-    lo: int
-    hi: int
-
-    def admits(self, size: int) -> bool:
-        return self.lo <= size <= self.hi
-
-    def describe(self) -> str:
-        return f"{self.name}: [{self.lo}, {self.hi}] (pivot {self.pivot})"
-
-    def to_json(self) -> list:
-        return [self.name, self.pivot, self.lo, self.hi]
-
-    @staticmethod
-    def from_json(payload: Any) -> "DimGuard":
-        if not isinstance(payload, (list, tuple)) or len(payload) != 4:
-            raise GuardError(f"malformed dim guard payload: {payload!r}")
-        name, pivot, lo, hi = payload
-        try:
-            return DimGuard(str(name), int(pivot), int(lo), int(hi))
-        except (TypeError, ValueError) as error:
-            raise GuardError(f"malformed dim guard payload: {error}") from error
-
-
-@dataclass(frozen=True)
 class TemplateGuard:
-    """The region of (sizes, sparsity bands) a plan template may serve."""
+    """Which sizes a plan template may serve: any it still dominates at, or none.
 
-    dims: Tuple[DimGuard, ...] = ()
-    #: per input slot: the sparsity band the plan was compiled under
-    bands: Tuple[str, ...] = ()
+    The default, ``TemplateGuard()``, is the exact fallback.
+    """
+
+    #: per canonical dim slot: the compile-time dimension name and size
+    dims: Tuple[Tuple[str, int], ...] = ()
     #: admit nothing beyond the exact compile-time instance
     exact: bool = True
 
-    def admits(self, signature: ExprSignature) -> bool:
-        """Whether an instance signature falls inside the guarded region.
+    def admits(self, signature: ExprSignature, artifact: PlanArtifact) -> bool:
+        """Whether ``artifact`` may serve ``signature``'s sizes.
 
         Exact guards admit nothing here — the exact instance is already
-        served by the instance-digest cache tier, so reaching the guard
-        scan at all means the sizes differ.
+        served by the instance-digest cache tier, so reaching the guard at
+        all means the sizes differ.  Otherwise every dim slot must be sized,
+        pinned slots must keep their pivot, and the plan must still dominate
+        the original expression at the requested sizes.
         """
-        if self.exact:
+        if self.exact or len(signature.dim_sizes) != len(self.dims):
             return False
-        if len(signature.dim_sizes) != len(self.dims):
-            return False
-        if signature.bands != self.bands:
-            return False
-        return all(
-            size is not None and guard.admits(size)
-            for guard, size in zip(self.dims, signature.dim_sizes)
-        )
+        sizes: Dict[str, int] = {}
+        for (name, pivot), size in zip(self.dims, signature.dim_sizes):
+            if size is None or (pivot < MIN_SCALABLE_SIZE and size != pivot):
+                return False
+            sizes[name] = size
+        return dominates(artifact, sizes)
 
     def describe(self) -> str:
         if self.exact:
             return "exact-match only"
-        dims = "; ".join(guard.describe() for guard in self.dims) or "no dims"
-        return f"{dims} | bands {list(self.bands)}"
+        pivots = ", ".join(
+            f"{name}={pivot}" + (" pinned" if pivot < MIN_SCALABLE_SIZE else "")
+            for name, pivot in self.dims
+        )
+        return f"cost-checked at each requested size (pivot {pivots or 'no dims'})"
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "exact": self.exact,
-            "dims": [guard.to_json() for guard in self.dims],
-            "bands": list(self.bands),
-        }
+        return {"exact": self.exact, "dims": [[name, pivot] for name, pivot in self.dims]}
 
     @staticmethod
     def from_json(payload: Any) -> "TemplateGuard":
         if not isinstance(payload, dict):
             raise GuardError(f"guard payload must be an object, got {payload!r}")
         dims_payload = payload.get("dims", [])
-        bands_payload = payload.get("bands", [])
-        if not isinstance(dims_payload, list) or not isinstance(bands_payload, list):
-            raise GuardError("guard payload needs 'dims' and 'bands' lists")
-        return TemplateGuard(
-            dims=tuple(DimGuard.from_json(dim) for dim in dims_payload),
-            bands=tuple(str(band) for band in bands_payload),
-            exact=bool(payload.get("exact", True)),
-        )
+        if not isinstance(dims_payload, list):
+            raise GuardError("guard payload needs a 'dims' list")
+        try:
+            dims = tuple((str(name), int(pivot)) for name, pivot in dims_payload)
+        except (TypeError, ValueError) as error:
+            raise GuardError(f"malformed dim guard payload: {error}") from error
+        return TemplateGuard(dims=dims, exact=bool(payload.get("exact", True)))
 
 
-def exact_guard(signature: ExprSignature) -> TemplateGuard:
-    """The conservative fallback: serve this exact instance only."""
-    return TemplateGuard(dims=(), bands=signature.bands, exact=True)
+def dominates(
+    artifact: PlanArtifact,
+    sizes: Optional[Mapping[str, int]] = None,
+    cost_model: Optional[LACostModel] = None,
+) -> bool:
+    """Whether the artifact's plan costs no more than its original at ``sizes``.
+
+    ``sizes`` maps compile-time dimension names to the sizes to cost at
+    (``None``: the compile-time sizes).  Both sides are costed the way they
+    execute: fused when the artifact fuses (the real ring only), plain
+    otherwise.  A plan the optimizer left unchanged costs exactly its
+    original at every size, so it is admitted without the two walks.
+    """
+    if artifact.optimized == artifact.original:
+        return True
+    cost_model = cost_model or LACostModel()
+    original, candidate = artifact.original, artifact.optimized
+    if artifact.fusion_aware:
+        original, candidate = fuse_operators(original), artifact.fused
+    if sizes is not None:
+        original = rebind_dim_sizes(original, sizes)
+        candidate = rebind_dim_sizes(candidate, sizes)
+    return cost_model.total(candidate) <= cost_model.total(original) * COST_SLACK
 
 
 def derive_guard(
@@ -172,36 +155,18 @@ def derive_guard(
 ) -> TemplateGuard:
     """Derive the cross-size guard of a freshly compiled plan.
 
-    The admitted region is grown geometrically around the compile-time
-    pivot sizes: each dim's range doubles outward while the optimized
-    plan's estimated cost keeps dominating the original expression's at
-    the probe point (others held at pivot), then the all-low and all-high
-    corners are verified; if a corner fails, the probe factor shrinks and
-    the scan reruns.  Falls back to :func:`exact_guard` when any dim is
-    symbolic, when dominance fails at the pivot itself, or when the
-    physical plan embeds a size-derived constant (see the module
-    docstring).
+    Records every dim slot's pivot and checks dominance once, at the pivot.
+    Falls back to the exact ``TemplateGuard()`` when any dim is symbolic,
+    when the physical plan embeds a size-derived constant or a dim the
+    signature cannot re-pin (see the module docstring), or when dominance
+    fails at the pivot itself.  ``config`` is accepted for call
+    compatibility; the fusion choice the costs follow is the artifact's own.
     """
-    config = config or OptimizerConfig()
     sizes = signature.dim_sizes
     if not sizes or any(size is None for size in sizes):
-        return exact_guard(signature)
-
-    # No rewrite happened: the plan *is* the original expression (operator
-    # fusion included — fusion is structural), so it is valid and dominant
-    # at every size.  Note Dim equality ignores sizes, so this structural
-    # comparison is exactly "same plan shape".
-    if artifact.optimized == artifact.original:
-        dims = tuple(
-            DimGuard(name, pivot, 1, MAX_DIM_SIZE)
-            if pivot >= MIN_SCALABLE_SIZE
-            else DimGuard(name, pivot, pivot, pivot)
-            for name, pivot in zip(signature.dim_names, sizes)
-        )
-        return TemplateGuard(dims=dims, bands=signature.bands, exact=False)
-
+        return TemplateGuard()
     if _size_entangled_constants(artifact.fused, sizes):
-        return exact_guard(signature)
+        return TemplateGuard()
 
     # Every sized dim of the physical plan must be one the signature can
     # re-pin.  A lift can introduce fresh dim names (renamed-apart bound
@@ -217,66 +182,11 @@ def derive_guard(
             continue
         for dim in (shape.rows, shape.cols):
             if not dim.is_unit and dim.name not in known:
-                return exact_guard(signature)
+                return TemplateGuard()
 
-    cost_model = cost_model or LACostModel()
-    original = (
-        fuse_operators(artifact.original) if config.fusion_aware else artifact.original
-    )
-    candidate = artifact.fused if config.fusion_aware else artifact.optimized
-    names = signature.dim_names
-    pivot_assignment = dict(zip(names, sizes))
-
-    def dominated(assignment: Dict[str, int]) -> bool:
-        original_cost = cost_model.total(rebind_dim_sizes(original, assignment))
-        candidate_cost = cost_model.total(rebind_dim_sizes(candidate, assignment))
-        return candidate_cost <= original_cost * COST_SLACK
-
-    if not dominated(pivot_assignment):
-        return exact_guard(signature)
-
-    for cap in (MAX_RANGE_FACTOR, 4, 2):
-        ranges = [
-            _probe_dim(name, pivot, pivot_assignment, dominated, cap)
-            for name, pivot in zip(names, sizes)
-        ]
-        low_corner = {name: lo for name, (lo, _) in zip(names, ranges)}
-        high_corner = {name: hi for name, (_, hi) in zip(names, ranges)}
-        if dominated(low_corner) and dominated(high_corner):
-            dims = tuple(
-                DimGuard(name, pivot, lo, hi)
-                for name, pivot, (lo, hi) in zip(names, sizes, ranges)
-            )
-            return TemplateGuard(dims=dims, bands=signature.bands, exact=False)
-    return exact_guard(signature)
-
-
-def _probe_dim(
-    name: str,
-    pivot: int,
-    pivot_assignment: Dict[str, int],
-    dominated,
-    cap: int,
-) -> Tuple[int, int]:
-    """Geometric outward scan of one dim's admitted range (others at pivot)."""
-    if pivot < MIN_SCALABLE_SIZE:
-        return pivot, pivot
-    lo = hi = pivot
-    factor = 2
-    while factor <= cap:
-        probe = max(1, pivot // factor)
-        if not dominated({**pivot_assignment, name: probe}):
-            break
-        lo = probe
-        factor *= 2
-    factor = 2
-    while factor <= cap:
-        probe = pivot * factor
-        if not dominated({**pivot_assignment, name: probe}):
-            break
-        hi = probe
-        factor *= 2
-    return lo, hi
+    if not dominates(artifact, cost_model=cost_model):
+        return TemplateGuard()
+    return TemplateGuard(dims=tuple(zip(signature.dim_names, sizes)), exact=False)
 
 
 def _size_entangled_constants(
@@ -312,10 +222,8 @@ def _size_entangled_constants(
 
 
 __all__ = [
-    "DimGuard",
     "TemplateGuard",
     "GuardError",
     "derive_guard",
-    "exact_guard",
-    "MAX_RANGE_FACTOR",
+    "dominates",
 ]

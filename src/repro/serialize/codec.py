@@ -69,7 +69,10 @@ from repro.optimizer.pipeline import OptimizationReport, PlanArtifact
 #: v4 (anytime saturation): runs may stop with ``"plateau"``, which a v3
 #: reader cannot decode, and carry ``stale_iterations`` plus each iteration's
 #: ``best_cost`` (``null`` when the probe was off).
-FORMAT_VERSION = 4
+#:
+#: v5 (point guards): a guard is ``{"exact", "dims": [[name, pivot], ...]}``
+#: — no per-dim ``[lo, hi]`` box, no sparsity bands.
+FORMAT_VERSION = 5
 
 #: ``format`` tag carried by serialized plan payloads.
 PLAN_FORMAT = "spores-plan"

@@ -46,8 +46,8 @@ class WorkloadSize:
         Scaling only the rows and keeping the sparsity is the serving-tier
         shape of a size ladder — the same model family trained on more
         examples — and is exactly the regime a compiled plan template
-        serves: same structure, same sparsity band, a dimension size moved
-        within its guard range.
+        serves: same structure, same sparsity band, only a dimension size
+        moved.
         """
         rows = max(1, int(round(self.rows * rows_factor)))
         return WorkloadSize(
@@ -142,9 +142,8 @@ class WorkloadSpec:
         (columns, rank and sparsity unchanged), so every point shares one
         canonical plan-template digest — the workload a serving tier sees
         when one model family runs at many data sizes.  The default ladder
-        spans rows ×1 … ×\\ ``factor**(count-1)``, comfortably inside the
-        guard ranges the cost-dominance probe derives for the evaluation
-        workloads.
+        spans rows ×1 … ×\\ ``factor**(count-1)``; a template serves a rung
+        wherever its plan still costs no more than the original there.
         """
         if count < 1:
             raise ValueError("a size ladder needs at least one point")

@@ -151,6 +151,17 @@ class TestPlanLint:
         codes = {f.code for f in plan_lint.lint_entry(corrupt, "t")}
         assert "cost-regression" in codes
 
+    def test_guard_arity_detected(self):
+        import dataclasses
+
+        from repro.optimizer.guards import TemplateGuard
+
+        entry, _ = self._entry()
+        assert not entry.guard.exact
+        short = TemplateGuard(dims=entry.guard.dims[:-1], exact=False)
+        codes = {f.code for f in plan_lint.lint_entry(dataclasses.replace(entry, guard=short), "t")}
+        assert codes == {"guard-arity"}
+
     def test_shadowed_and_unbound_sum_indices(self):
         i, j, k = Attr("i", 2), Attr("j", 3), Attr("k", 4)
         a = RVar("A", (i, j))

@@ -1,31 +1,35 @@
-"""Tests for shape-polymorphic plan templates (guards, specialization, v2)."""
+"""Tests for shape-polymorphic plan templates (guards, specialization, codec)."""
 
-import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.api import Session, TemplateGuardError
+from repro.api import CompiledPlan, PlanEntry, Session, TemplateGuardError, specialize_entry
 from repro.canonical.fingerprint import (
+    rebind_dim_sizes,
     signature_of,
     slot_dim_name,
     slot_expression,
     sparsity_band,
     store_key,
 )
+from repro.cost.la_cost import LACostModel
 from repro.lang import Dim, Matrix, Sum, Vector, dag
 from repro.lang import expr as la
 from repro.optimizer import (
-    DimGuard,
+    OptimizationReport,
     OptimizerConfig,
+    PlanArtifact,
     TemplateGuard,
     compile_expression,
     derive_guard,
-    exact_guard,
 )
-from repro.runtime import MatrixValue
+from repro.optimizer import guards
+from repro.optimizer.guards import dominates
+from repro.runtime import MatrixValue, execute
+from repro.runtime.optable import FUSED_PHYSICAL, loop_of
 from repro.serialize import FORMAT_VERSION, PlanStore, dumps_entry, loads_entry
 
 
@@ -107,48 +111,91 @@ class TestTemplateDigest:
         }
 
 
+def chain_factors(m_size):
+    """``A: m x 10``, ``B: 10 x 100``, ``C: 100 x 10`` — ``(A B) C`` is the
+    cheaper order up to ``m = 5``, ``A (B C)`` beyond it."""
+    m, n, k, p = Dim("m", m_size), Dim("n", 10), Dim("k", 100), Dim("p", 10)
+    return Matrix("A", m, n), Matrix("B", n, k), Matrix("C", k, p)
+
+
+def costlier_beyond_pivot_entry() -> PlanEntry:
+    """A hand-built template whose plan ``(A B) C`` dominates its original
+    ``A (B C)`` at the pivot ``m = 4`` and loses to it from ``m = 6`` on."""
+    A, B, C = chain_factors(4)
+    original, plan = A @ (B @ C), (A @ B) @ C
+    artifact = PlanArtifact(
+        original=original,
+        optimized=plan,
+        report=OptimizationReport(original=original, optimized=plan),
+    )
+    signature = signature_of(original)
+    guard = derive_guard(signature, artifact)
+    assert not guard.exact
+    return PlanEntry(
+        artifact=artifact,
+        slot_plan=slot_expression(artifact.fused, signature),
+        signature=signature,
+        guard=guard,
+    )
+
+
 class TestGuardMatrix:
-    """The guard hit / miss / fallback decision table."""
+    """The point check's hit / miss / fallback decision table."""
 
-    def narrow_guard(self, signature) -> TemplateGuard:
-        return TemplateGuard(
-            dims=tuple(
-                DimGuard(name, size, size // 2, size * 2)
-                for name, size in zip(signature.dim_names, signature.dim_sizes)
-            ),
-            bands=signature.bands,
-            exact=False,
-        )
+    def test_far_size_is_a_template_hit(self):
+        """No box caps reuse: 64x the pivot is served while the plan dominates."""
 
-    def test_admits_inside_ranges(self):
-        guard = self.narrow_guard(signature_of(make_loss(rows=100, cols=60)))
-        assert guard.admits(signature_of(make_loss(rows=150, cols=60)))
-        assert guard.admits(signature_of(make_loss(rows=50, cols=120)))
+        def sum_of_product(rows):
+            m, n, k = Dim("m", rows), Dim("n", 60), Dim("k", 40)
+            return Sum(Matrix("A", m, n, sparsity=0.01) @ Matrix("B", n, k))
 
-    def test_rejects_outside_ranges(self):
-        guard = self.narrow_guard(signature_of(make_loss(rows=100, cols=60)))
-        assert not guard.admits(signature_of(make_loss(rows=201, cols=60)))
-        assert not guard.admits(signature_of(make_loss(rows=100, cols=10)))
+        session = greedy_session()
+        pivot = session.compile(sum_of_product(120))
+        assert pivot.optimized != pivot.artifact.original  # a rewritten plan
+        request = sum_of_product(120 * 64)
+        plan = session.compile(request)
+        assert plan.cache_hit and plan.template_hit
+        assert session.compilations == 1
+        assert "guard       : cost-checked at each requested size (pivot m=120" in plan.explain()
+        rng = np.random.default_rng(3)
+        inputs = {
+            "A": MatrixValue.random_sparse(120 * 64, 60, 0.01, rng),
+            "B": MatrixValue.random_dense(60, 40, rng),
+        }
+        want = execute(request, inputs).scalar()
+        assert plan.run(inputs).scalar() == pytest.approx(want, rel=1e-9)
 
-    def test_rejects_band_change_and_symbolic_dims(self):
-        guard = self.narrow_guard(signature_of(make_loss(rows=100, cols=60)))
-        assert not guard.admits(signature_of(make_loss(rows=100, cols=60, sparsity=0.9)))
-        m, n = Dim("m"), Dim("n")  # symbolic
-        X = Matrix("X", m, n, sparsity=0.01)
-        u, v = Vector("u", m), Vector("v", n)
-        assert not guard.admits(signature_of(Sum((X - u @ v.T) ** 2)))
+    def test_dominance_is_checked_at_the_requested_size(self):
+        entry = costlier_beyond_pivot_entry()
+        sizes = dict(zip(entry.signature.dim_names, entry.signature.dim_sizes))
+        assert dominates(entry.artifact, sizes)
+        assert dominates(entry.artifact, {**sizes, "m": 5})
+        assert not dominates(entry.artifact, {**sizes, "m": 400})
+        A, B, C = chain_factors(5)
+        assert specialize_entry(entry, signature_of(A @ (B @ C))) is not None
+        A, B, C = chain_factors(400)
+        assert specialize_entry(entry, signature_of(A @ (B @ C))) is None
 
-    def test_exact_guard_admits_nothing(self):
-        signature = signature_of(make_loss())
-        assert not exact_guard(signature).admits(signature)
+    def test_tiny_pivots_stay_pinned(self):
+        expr = make_loss(rows=120, cols=3)
+        artifact = compile_expression(expr, config())
+        guard = derive_guard(signature_of(expr), artifact, config())
+        assert not guard.exact
+        assert guard.describe() == "cost-checked at each requested size (pivot m=120, n=3 pinned)"
+        assert guard.admits(signature_of(make_loss(rows=480, cols=3)), artifact)
+        assert not guard.admits(signature_of(make_loss(rows=120, cols=6)), artifact)
 
     def test_symbolic_dims_derive_exact(self):
         m, n = Dim("m"), Dim("n")
         X = Matrix("X", m, n, sparsity=0.01)
         u, v = Vector("u", m), Vector("v", n)
-        expr = Sum((X - u @ v.T) ** 2)
-        artifact = compile_expression(expr, config())
-        assert derive_guard(signature_of(expr), artifact, config()).exact
+        symbolic = Sum((X - u @ v.T) ** 2)
+        artifact = compile_expression(symbolic, config())
+        assert derive_guard(signature_of(symbolic), artifact, config()).exact
+        # a sized template refuses a symbolic instance of its shape
+        sized = compile_expression(make_loss(), config())
+        guard = derive_guard(signature_of(make_loss()), sized, config())
+        assert not guard.admits(signature_of(symbolic), sized)
 
     def test_size_entangled_constant_derives_exact(self):
         """A plan whose constant equals a dim-size product must stay exact."""
@@ -159,13 +206,46 @@ class TestGuardMatrix:
         assert _size_entangled_constants(la.Literal(100.0) * Sum(X), (100, 50))
         assert _size_entangled_constants(la.Literal(5000.0) * Sum(X), (100, 50))
         assert not _size_entangled_constants(la.Literal(2.0) * Sum(X), (100, 50))
+        expr = la.Literal(5000.0) * Sum(X)
+        artifact = compile_expression(expr, config())
+        assert derive_guard(signature_of(expr), artifact, config()).exact
+
+    def test_exact_guard_admits_nothing(self):
+        signature = signature_of(make_loss())
+        artifact = compile_expression(make_loss(), config())
+        assert not TemplateGuard().admits(signature_of(make_loss(rows=240)), artifact)
 
     def test_guard_json_roundtrip(self):
         signature = signature_of(make_loss())
         artifact = compile_expression(make_loss(), config())
         guard = derive_guard(signature, artifact, config())
+        assert not guard.exact
         back = TemplateGuard.from_json(json.loads(json.dumps(guard.to_json())))
         assert back == guard
+
+    def test_guard_costs_unfused_plans_off_the_real_ring(self, monkeypatch):
+        """Off the real ring the artifact does not fuse, so neither side of
+        the comparison may be costed with a real-only fused operator."""
+        cfg = OptimizerConfig.sampling_greedy(semiring="min-plus")
+        n = Dim("n", 64)
+        A, B, v = Matrix("A", n, n), Matrix("B", n, n), Vector("v", n)
+        expr = A.T @ (A @ v) + Sum(B @ B) * v
+        artifact = compile_expression(expr, cfg)
+        assert not artifact.fusion_aware
+        costed = []
+        total = LACostModel.total
+
+        def spy(model, root):
+            costed.append(root)
+            return total(model, root)
+
+        monkeypatch.setattr(LACostModel, "total", spy)
+        guard = derive_guard(signature_of(expr), artifact, cfg)
+        guard.admits(signature_of(rebind_dim_sizes(expr, {"n": 256})), artifact)
+        assert costed
+        assert not any(
+            loop_of(node) == FUSED_PHYSICAL for root in costed for node in dag.postorder(root)
+        )
 
 
 class TestSessionTemplateTier:
@@ -177,32 +257,36 @@ class TestSessionTemplateTier:
         assert session.compilations == 1
         assert session.stats.template_hits == 1
 
-    def test_out_of_range_size_respecializes(self):
+    def test_costlier_plan_at_the_requested_size_respecializes(self):
         """Guard miss -> fresh compile, cached as a new template."""
+        entry = costlier_beyond_pivot_entry()
         session = greedy_session()
-        pivot = session.compile(make_loss(rows=120))
-        # Narrow the cached entry's guard by hand so a nearby size misses.
-        entry = pivot._entry
-        narrow = dataclasses.replace(
-            entry,
-            guard=TemplateGuard(
-                dims=tuple(
-                    DimGuard(name, size, size, size)
-                    for name, size in zip(
-                        entry.signature.dim_names, entry.signature.dim_sizes
-                    )
-                ),
-                bands=entry.signature.bands,
-                exact=False,
-            ),
-        )
-        session.cache.clear()
-        session.cache.insert(
-            entry.signature.digest, narrow, template_key=entry.template_digest
-        )
-        plan = session.compile(make_loss(rows=240))
+        session.cache.insert(entry.signature.digest, entry, template_key=entry.template_digest)
+        A, B, C = chain_factors(400)
+        plan = session.compile(A @ (B @ C))
         assert not plan.cache_hit and not plan.template_hit
-        assert session.compilations == 2
+        assert session.compilations == 1
+        # a detached plan has nowhere to respecialize
+        detached = CompiledPlan(entry, entry.signature, entry.artifact.original)
+        with pytest.raises(TemplateGuardError, match="outside this template's guard"):
+            detached.instantiate({"m": 400})
+        assert detached.instantiate({"m": 5}).template_hit
+
+    def test_each_artifact_is_checked_once_per_scan(self, monkeypatch):
+        """Specializations share their pivot's artifact: a size it refuses
+        costs one dominance check, not one per cached specialization."""
+        session = greedy_session()
+        for rows in (120, 240, 360, 480):  # the pivot and three specializations
+            session.compile(make_loss(rows=rows))
+        assert session.compilations == 1 and session.stats.template_hits == 3
+        request = signature_of(make_loss(rows=960))
+        candidates = session.cache.template_candidates(request.template_digest)
+        assert len(candidates) == 4
+        assert all(entry.artifact is candidates[0].artifact for entry in candidates)
+        calls = []
+        monkeypatch.setattr(guards, "dominates", lambda *args: calls.append(args) or False)
+        assert session._specialize_from_template(request) is None
+        assert len(calls) == 1
 
     def test_band_change_respecializes(self):
         session = greedy_session()
@@ -346,6 +430,40 @@ class TestStoreTemplateTier:
         assert "version" in session.store.describe()["last_error"]
         # the fresh compile overwrote the stray payload with a readable one
         assert Session(cfg, store_path=tmp_path).compile(expr).cache_hit
+
+    def test_v4_box_guard_payload_is_a_counted_load_error_then_a_compile(self, tmp_path):
+        """A v4 entry carries the old ``[lo, hi]`` box and sparsity bands;
+        the v5 reader refuses it by version, as a counted miss."""
+        expr = make_loss()
+        signature = signature_of(expr)
+        cfg = config()
+        artifact = compile_expression(expr, cfg)
+        entry = PlanEntry(
+            artifact=artifact,
+            slot_plan=slot_expression(artifact.fused, signature),
+            signature=signature,
+            guard=derive_guard(signature, artifact, cfg),
+        )
+        payload = json.loads(dumps_entry(entry).decode())
+        payload["format_version"] = 4
+        payload["guard"] = {
+            "exact": False,
+            "dims": [
+                [name, size, size // 16, size * 16]
+                for name, size in zip(signature.dim_names, signature.dim_sizes)
+            ],
+            "bands": [sparsity_band(spec.sparsity) for spec in signature.slots],
+        }
+        key = store_key(signature.digest, FORMAT_VERSION, cfg.digest())
+        (tmp_path / f"{key}.json").write_text(json.dumps(payload))
+
+        session = Session(cfg, store_path=tmp_path)
+        plan = session.compile(expr)
+        assert not plan.cache_hit
+        assert session.compilations == 1
+        stats = session.store.stats
+        assert stats.load_errors == 1 and stats.hits == 0
+        assert "version 4" in session.store.describe()["last_error"]
 
     def test_gzip_payload_roundtrip(self):
         expr = make_loss()
