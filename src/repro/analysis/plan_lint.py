@@ -1,6 +1,6 @@
 """Structural linter for LA plans, RA plans, tapes and plan stores.
 
-Five checks, all on artifacts the optimizer has already committed to:
+Seven checks, all on artifacts the optimizer has already committed to:
 
 * **shape consistency** — every node of an LA expression must have a
   computable shape; a dimension clash anywhere (a doctored entry, a codec
@@ -13,11 +13,14 @@ Five checks, all on artifacts the optimizer has already committed to:
   different matrices);
 * **sum-index hygiene** (RA) — an aggregation index bound twice on one
   path is shadowing (almost certainly a lowering bug); an index absent from
-  the child's schema aggregates nothing and should have been folded into a
-  counting literal by ``eliminate-unused-index``;
+  the child's schema aggregates nothing and should have been rewritten to
+  ``A * Σ_i 1_i`` by ``eliminate-unused-index``;
 * **tape hygiene** — steps after the root are dead weight, and two steps
   materializing structurally equal non-leaf nodes mean compile-time CSE
   failed (the tape shares by object identity only);
+* **template guards** — a non-exact guard holds one pivot per dim slot of
+  the signature, and its plan carries no dim outside those slots (re-pinning
+  could not resize it);
 * **cost monotonicity** — ``keep_only_improvements`` promises
   ``optimized_cost <= original_cost`` for every committed artifact; a
   violation means a plan regression was cached and will be served.
@@ -33,6 +36,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import Finding
+from repro.canonical.fingerprint import slot_dim_name
 from repro.lang import expr as la
 from repro.lang.dims import DimensionError
 from repro.ra.rexpr import RAdd, RExpr, RJoin, RSum, RVar, free_attrs, unfused
@@ -161,7 +165,7 @@ def lint_rexpr(node: RExpr, where: str) -> List[Finding]:
                     "unbound-sum-index",
                     name,
                     f"Σ_{name} aggregates nothing — the child never mentions "
-                    f"{name!r}; fold it into a counting literal",
+                    f"{name!r}; rewrite it to a sum of ones",
                 )
             visit(expr.child, bound | frozenset(names))
             return
@@ -326,6 +330,22 @@ def lint_entry(entry, where: str) -> List[Finding]:
             )
         )
 
+    # A non-exact template is resized by re-pinning the signature's dim
+    # slots: a plan dim outside them would keep its compile-time size at
+    # every other size.  The lift resolves every index to a dim of the
+    # expression, so only a doctored or foreign entry carries one.
+    if guard is not None and not guard.exact:
+        foreign = sorted(_plan_dims(entry.slot_plan) - {slot_dim_name(i) for i in range(n_dims)})
+        if foreign:
+            findings.append(
+                _finding(
+                    "guard-foreign-dim",
+                    where,
+                    f"plan dims {foreign} are not dim slots of the signature; "
+                    "re-pinning the template cannot resize them",
+                )
+            )
+
     # The keep_only_improvements bar: a committed artifact must never cost
     # more than the expression it replaced.
     report = entry.artifact.report
@@ -357,6 +377,20 @@ def lint_entry(entry, where: str) -> List[Finding]:
         findings.extend(lint_tape(tape, where))
         findings.extend(lint_codegen(entry, where))
     return findings
+
+
+def _plan_dims(plan: la.LAExpr) -> Set[str]:
+    """Names of the non-unit dims a plan's leaves carry."""
+    names: Set[str] = set()
+    for node in plan.walk():
+        if isinstance(node, la.Var):
+            shape = node.var_shape
+        elif isinstance(node, la.FilledMatrix):
+            shape = node.fill_shape
+        else:
+            continue
+        names.update(dim.name for dim in (shape.rows, shape.cols) if not dim.is_unit)
+    return names
 
 
 def store_entry_files(path: str) -> List[str]:

@@ -5,7 +5,8 @@ from one that cannot.  ``python -m repro.analysis --selftest`` runs each
 pass against a seeded defect — a rewrite rule that drops a join factor, a
 catalog pattern claiming ``X + Y = X * Y``, a class mutating guarded state
 lock-free, wall-clock and unseeded-RNG calls on a hot path, a plan entry
-whose optimized cost exceeds its original, a doctored tape, an RA plan with
+whose optimized cost exceeds its original, a doctored tape, a scalable
+template whose plan holds a dim its signature cannot re-pin, an RA plan with
 shadowed and unbound Σ-indices, a corrupt store file — and succeeds only if
 every fixture is flagged with the expected finding code.  CI runs it next
 to ``--check``, so a pass silently going blind fails the build.
@@ -181,6 +182,24 @@ def run_selftest() -> List[FixtureResult]:
     )
     findings = plan_lint.lint_tape(tape, "selftest/tape")
     results.append(_check("doctored-tape", "dead-tape-step", findings))
+
+    # plan-lint: a scalable template whose plan holds an extent over a dim
+    # the signature has no slot for (what a lift minting a dim would leave).
+    entry, _ = _compiled_entry()
+    from repro.lang import Dim, Shape
+    from repro.lang import expr as la
+    from repro.lang.dims import UNIT
+    from repro.optimizer.guards import TemplateGuard
+
+    signature = entry.signature
+    extent = la.Sum(la.FilledMatrix(1.0, Shape(Dim("sf_m.1", 8), UNIT)))
+    foreign = dataclasses.replace(
+        entry,
+        slot_plan=la.ElemMul(extent, entry.slot_plan),
+        guard=TemplateGuard(tuple(zip(signature.dim_names, signature.dim_sizes)), exact=False),
+    )
+    findings = plan_lint.lint_entry(foreign, "selftest/guard")
+    results.append(_check("guard-foreign-dim", "guard-foreign-dim", findings))
 
     # plan-lint: shadowed and unbound Σ-indices.
     i, j, k = Attr("i", 2), Attr("j", 3), Attr("k", 4)

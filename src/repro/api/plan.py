@@ -57,15 +57,14 @@ class TemplateGuardError(ValueError):
 
 
 #: observed nnz may exceed (or undershoot) the compiled hint by this factor
-#: before a plan is considered stale; sessions can override per instance
+#: before a plan is considered stale
 DEFAULT_DRIFT_FACTOR = 8.0
 
 #: weight of the newest observation in the per-slot sparsity EWMA that
-#: gates drift detection; sessions can override per instance.  The EWMA is
-#: seeded at the compiled hint, so one moderate outlier cannot trigger a
-#: recompile (the smoothed value moves only ``alpha`` of the way), while a
-#: sustained regime change converges on the observed level within a few
-#: executions and trips the drift factor.
+#: gates drift detection.  The EWMA is seeded at the compiled hint, so one
+#: moderate outlier cannot trigger a recompile (the smoothed value moves
+#: only this weight of the way), while a sustained regime change converges
+#: on the observed level within a few executions and trips the drift factor.
 DEFAULT_DRIFT_ALPHA = 0.4
 
 
@@ -627,21 +626,10 @@ class CompiledPlan:
     ) -> List[MatrixValue]:
         return bind_signature(self.signature, inputs, named)
 
-    @staticmethod
-    def _check_shape(
-        spec: SlotSpec,
-        name: str,
-        value: MatrixValue,
-        dim_sizes: Dict[str, Tuple[int, str]],
-    ) -> None:
-        _check_shape(spec, name, value, dim_sizes)
-
     # -- statistics and drift --------------------------------------------------
     def _record(self, values: List[MatrixValue], result: ExecutionResult) -> None:
         drifted: Dict[int, float] = {}
         session = self._session() if self._session is not None else None
-        factor = getattr(session, "drift_factor", DEFAULT_DRIFT_FACTOR)
-        alpha = getattr(session, "drift_alpha", DEFAULT_DRIFT_ALPHA)
         # counting non-zeros is the expensive part and needs no lock: a value
         # memoises its count, so pinned inputs are counted once, ever
         observations = [
@@ -657,11 +645,11 @@ class CompiledPlan:
                 hint = spec.sparsity if spec.sparsity is not None else 1.0
                 # Drift detection compares the *smoothed* observation, not
                 # the last one: the per-slot EWMA is seeded at the compiled
-                # hint, so a lone outlier moves it only `alpha` of the way
+                # hint, so a lone outlier moves it only the EWMA weight of the way
                 # while a sustained regime change converges and trips the
                 # factor within a few runs.
                 previous = self.stats.smoothed_sparsity.get(spec.index, hint)
-                smoothed = alpha * observed + (1.0 - alpha) * previous
+                smoothed = DEFAULT_DRIFT_ALPHA * observed + (1.0 - DEFAULT_DRIFT_ALPHA) * previous
                 self.stats.smoothed_sparsity[spec.index] = smoothed
                 # Expected nnz for *this* value: the compiled hint times the
                 # actual cell count (shape checks already pinned concrete
@@ -669,8 +657,8 @@ class CompiledPlan:
                 expected_nnz = max(hint * cells, 1.0)
                 smoothed_nnz = max(smoothed * cells, 1.0)
                 if (
-                    smoothed_nnz > expected_nnz * factor
-                    or expected_nnz > smoothed_nnz * factor
+                    smoothed_nnz > expected_nnz * DEFAULT_DRIFT_FACTOR
+                    or expected_nnz > smoothed_nnz * DEFAULT_DRIFT_FACTOR
                 ):
                     drifted[spec.index] = observed
             if drifted:

@@ -21,10 +21,11 @@ in-flight locks guarantee that concurrent misses of the *same* shape
 compile exactly once while different shapes compile in parallel.
 
 Plans report the observed sparsity of every input back to the session; when
-observation drifts beyond ``drift_factor`` of the hint the cost model
-optimized under, the session recompiles the expression with the observed
-statistics (quantized so near-identical observations share a fingerprint)
-and atomically re-points the plan at the fresher artifact.
+observation drifts beyond :data:`~repro.api.plan.DEFAULT_DRIFT_FACTOR` of
+the hint the cost model optimized under, the session recompiles the
+expression with the observed statistics (quantized so near-identical
+observations share a fingerprint) and atomically re-points the plan at the
+fresher artifact.
 
 A session may also be given a **persistent plan store**
 (``Session(store_path=...)``, a :class:`repro.serialize.PlanStore`
@@ -41,11 +42,11 @@ a template is **reused** — re-pinned to the requested sizes in one DAG
 walk, no saturation — exactly when its
 :class:`~repro.optimizer.guards.TemplateGuard` admits the instance: the
 template's plan still costs no more than the original expression at the
-requested sizes (one cost comparison, made at lookup).  Anything else (a
-plan the requested sizes make costlier, a moved tiny pinned dim, a
-symbolic dim, a plan whose rewrite baked a size into a constant) is a
-guard miss and the expression is **respecialized**: compiled fresh at its
-own sizes, cached as a new template of the same shape.  A sparsity band
+requested sizes (one cost comparison, made at lookup).  Plans carry
+extents, not sizes, so that comparison is the whole check; anything else
+(a plan the requested sizes make costlier, a symbolic dim) is a guard miss
+and the expression is **respecialized**: compiled fresh at its own sizes,
+cached as a new template of the same shape.  A sparsity band
 change never reaches a guard: it is a different template digest.  Both
 outcomes are observable: reuse counts in ``session.stats.template_hits``
 and sets ``plan.template_hit``; respecialization counts in
@@ -66,14 +67,7 @@ import threading
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.api.cache import CacheStats, PlanCache
-from repro.api.plan import (
-    DEFAULT_DRIFT_ALPHA,
-    DEFAULT_DRIFT_FACTOR,
-    CompiledPlan,
-    InputValue,
-    PlanEntry,
-    specialize_entry,
-)
+from repro.api.plan import CompiledPlan, InputValue, PlanEntry, specialize_entry
 from repro.canonical.fingerprint import ExprSignature, signature_of, slot_expression
 from repro.lang import dag
 from repro.lang import expr as la
@@ -95,8 +89,6 @@ class Session:
         self,
         config: Optional[OptimizerConfig] = None,
         cache_size: int = 64,
-        drift_factor: float = DEFAULT_DRIFT_FACTOR,
-        drift_alpha: float = DEFAULT_DRIFT_ALPHA,
         auto_recompile: bool = True,
         store_path: Optional[Union[str, "os.PathLike"]] = None,
         store: Optional[PlanStore] = None,
@@ -104,10 +96,6 @@ class Session:
         fault_injector: Optional[FaultInjector] = None,
         degrade_on_error: bool = False,
     ) -> None:
-        if drift_factor <= 1.0:
-            raise ValueError("drift_factor must be > 1")
-        if not 0.0 < drift_alpha <= 1.0:
-            raise ValueError("drift_alpha must be in (0, 1]")
         if store is not None and store_path is not None:
             raise ValueError("pass store_path or a PlanStore, not both")
         if optimizer_budget is not None and optimizer_budget <= 0:
@@ -123,10 +111,6 @@ class Session:
                 "(or pass store_path and let the session build it)"
             )
         self.cache: PlanCache[PlanEntry] = PlanCache(cache_size)
-        self.drift_factor = drift_factor
-        #: EWMA weight of the newest sparsity observation (1.0 = the legacy
-        #: last-observation triggering)
-        self.drift_alpha = drift_alpha
         self.auto_recompile = auto_recompile
         #: fault-injection schedule threaded through the session's own
         #: ``optimizer.saturate`` site and into a store the session builds

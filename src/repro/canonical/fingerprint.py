@@ -365,16 +365,14 @@ def slot_expression(expr: la.LAExpr, signature: Optional[ExprSignature] = None) 
     signature = signature or signature_of(expr)
     slot_of = signature.slot_of
 
-    # Deterministic dim canonicalization, *seeded from the signature*: a
-    # dim named in the signature always maps to its signature slot
-    # (``@d<i>`` in ``dim_names`` order), so the slot plan's numbering
-    # matches ``ExprSignature.dim_sizes`` even when ``expr`` is an
+    # Dim canonicalization *from the signature*: a dim always maps to its
+    # signature slot (``@d<i>`` in ``dim_names`` order), so the slot plan's
+    # numbering matches ``ExprSignature.dim_sizes`` even when ``expr`` is an
     # optimized plan whose rewrites reordered the leaves (e.g. a matmul
     # chain lifted as ``t(C) t(B) t(A)``) — the invariant template
-    # specialization's size re-pinning depends on.  Dims the signature
-    # does not know (fresh names a lift can introduce for renamed-apart
-    # bound indices) get numbers past the signature's, keeping the walk's
-    # first-occurrence determinism.
+    # specialization's size re-pinning depends on.  The lift only ever
+    # resolves an index to a dim of the lowered expression, so a plan has
+    # no dim its source's signature lacks.
     dim_map: Dict[str, Dim] = {
         name: Dim(slot_dim_name(index), size)
         for index, (name, size) in enumerate(
@@ -386,16 +384,8 @@ def slot_expression(expr: la.LAExpr, signature: Optional[ExprSignature] = None) 
         if dim.is_unit:
             return dim
         if dim.name not in dim_map:
-            dim_map[dim.name] = Dim(slot_dim_name(len(dim_map)), dim.size)
+            raise ValueError(f"dim {dim.name!r} is not one of the signature's")
         return dim_map[dim.name]
-
-    for node in dag.postorder(expr):
-        if isinstance(node, la.Var):
-            canonical_dim(node.var_shape.rows)
-            canonical_dim(node.var_shape.cols)
-        elif isinstance(node, la.FilledMatrix):
-            canonical_dim(node.fill_shape.rows)
-            canonical_dim(node.fill_shape.cols)
 
     def rebuild(node: la.LAExpr) -> la.LAExpr:
         if isinstance(node, la.Var):

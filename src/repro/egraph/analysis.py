@@ -111,11 +111,9 @@ class RAAnalysis:
             agg_size = 1
             for attr in indices:
                 agg_size *= attr.size if attr.size is not None else 1
-            constant = None
-            if data.constant is not None and not schema:
-                # Rule 5: aggregating a constant multiplies it by the size of
-                # the aggregated dimensions.
-                constant = data.constant * agg_size
+            # Σ_i c is |i| copies of c: only c = 0 folds without baking an
+            # extent into the class (rule 5 keeps the rest as Σ_i 1_i terms).
+            constant = 0.0 if data.constant == 0.0 else None
             sparsity = min(1.0, agg_size * data.sparsity)
             bound = bound | frozenset(a.name for a in indices)
             return ClassData(schema, constant, sparsity, bound)

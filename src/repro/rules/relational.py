@@ -32,7 +32,7 @@ rule                            identity
 ``pull-factor-out-of-sum``      Σ_i (A * B) = A * Σ_i B, i ∉ A    (rule 3 ←)
 ``push-factor-into-sum``        A * Σ_i B = Σ_i (A * B), i ∉ A    (rule 3 →)
 ``merge-nested-sums``           Σ_i Σ_j A = Σ_{i,j} A             (rule 4)
-``eliminate-unused-index``      Σ_i A = A * dim(i), i ∉ Attr(A)   (rule 5)
+``eliminate-unused-index``      Σ_i A = A * Σ_i 1_i, i ∉ Attr(A)  (rule 5)
 ``drop-identities``             A * 1 = A,  A + 0 = A       (housekeeping)
 ``fuse``                        definition = fused operator    (Sec. 3.3)
 ==============================  ===========================================
@@ -51,7 +51,7 @@ from repro.egraph.enode import ENode, OP_ADD, OP_FUSED, OP_JOIN, OP_LIT, OP_SUM,
 from repro.egraph.graph import EGraph
 from repro.egraph.rewrite import Match, Query, Rule, SearchContext
 from repro.ra.attrs import Attr
-from repro.translate.lower import ONES_PREFIX
+from repro.translate.lower import ONES_PREFIX, dim_of_attr
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,11 @@ def mk_sum(egraph: EGraph, indices: Iterable[Attr], child: int) -> int:
         return egraph.find(child)
     child = egraph.find(child)
     return egraph.add(ENode(OP_SUM, index_set, (child,)))
+
+
+def mk_ones(egraph: EGraph, attr: Attr) -> int:
+    """The lowering's all-ones tensor over ``attr`` (named after its dim)."""
+    return egraph.add(ENode(OP_VAR, (f"{ONES_PREFIX}{dim_of_attr(attr.name)}", (attr,)), ()))
 
 
 def _without(children: Tuple[int, ...], position: int) -> Tuple[int, ...]:
@@ -253,10 +258,7 @@ def _pad_to_common_schema(egraph: EGraph, term_i: int, term_j: int) -> Tuple[int
         missing = [attr for attr in other_schema if attr.name not in own_names]
         if not missing:
             return term
-        factors = [
-            egraph.add(ENode(OP_VAR, (f"{ONES_PREFIX}{attr.name.split('.')[0]}", (attr,)), ()))
-            for attr in sorted(missing, key=lambda a: a.name)
-        ]
+        factors = [mk_ones(egraph, attr) for attr in sorted(missing, key=lambda a: a.name)]
         return mk_join(egraph, factors + [term])
 
     return pad(term_i, names_i, schema_j), pad(term_j, names_j, schema_i)
@@ -466,33 +468,30 @@ class MergeNestedSums(Rule):
 
 
 class EliminateUnusedIndex(Rule):
-    """``Σ_i A = A * dim(i)`` when i ∉ Attr(A).
+    """``Σ_i A = A * Σ_i 1_i`` when i ∉ Attr(A).
 
-    ``dim(i)`` is an integer literal read through the ℕ → S homomorphism
-    (the |i|-fold ⊕ of one), so in an idempotent semiring the factor
-    collapses to one — exactly the ring's own ``Σ_i A = A``.
+    The extent |i| stays a term — the aggregate of the lowering's ones
+    tensor over ``i`` — never a literal, so the plan carries no size and
+    re-pinning the dim resizes it.  Distributivity alone proves it
+    (``⊕_i (A ⊗ 1) = A ⊗ ⊕_i 1``), in every semiring.
     """
 
     name = "eliminate-unused-index"
-    soundness = "any-semiring; needs: counting-literals"
+    soundness = "any-semiring; needs: distributivity"
     query = Query(anchor=(OP_SUM,))
 
     def bind(self, ctx, root, sum_node):
         child_schema = ctx.data(sum_node.children[0]).schema_names
         unused = [a for a in sum_node.payload if a.name not in child_schema]
-        # |i| copies of A: without a declared extent there is no literal to
-        # multiply by, so a symbolic unused index stays under its Σ.
-        if not unused or any(attr.size is None for attr in unused):
+        if not unused:
             return None
         return sum_node, unused
 
     def rewrite(self, egraph: EGraph, sum_node: ENode, unused: List[Attr]) -> int:
-        factor = 1.0
-        for attr in unused:
-            factor *= attr.size
         remaining = frozenset(sum_node.payload) - frozenset(unused)
         inner = mk_sum(egraph, remaining, egraph.find(sum_node.children[0]))
-        return mk_join(egraph, [mk_lit(egraph, factor), inner])
+        extents = [mk_sum(egraph, (attr,), mk_ones(egraph, attr)) for attr in unused]
+        return mk_join(egraph, [inner] + extents)
 
 
 # ---------------------------------------------------------------------------

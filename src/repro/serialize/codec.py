@@ -72,7 +72,11 @@ from repro.optimizer.pipeline import OptimizationReport, PlanArtifact
 #:
 #: v5 (point guards): a guard is ``{"exact", "dims": [[name, pivot], ...]}``
 #: — no per-dim ``[lo, hi]`` box, no sparsity bands.
-FORMAT_VERSION = 5
+#:
+#: v6 (size-free plans): no dim is pinned below size 4 any more, and a v5
+#: plan may hold an extent baked in as a literal that only that pinning
+#: kept from being served at other sizes.
+FORMAT_VERSION = 6
 
 #: ``format`` tag carried by serialized plan payloads.
 PLAN_FORMAT = "spores-plan"

@@ -45,7 +45,7 @@ from repro.ra.rexpr import (
     rjoin,
     rsum,
 )
-from repro.translate.lower import ONES_PREFIX, expand_fused
+from repro.translate.lower import ONES_PREFIX, dim_of_attr, expand_fused
 
 
 class LiftError(ValueError):
@@ -57,45 +57,35 @@ class Lifter:
 
     def __init__(self, symbols: Dict[str, la.Var], ones_dims: Optional[Dict[str, Dim]] = None):
         self.symbols = symbols
-        self.ones_dims = ones_dims or {}
-        self.attr_dims: Dict[str, Dim] = {}
+        #: the lowered expression's dims by name: every attribute was
+        #: allocated from one of them
+        self.dims: Dict[str, Dim] = {}
+        for var in symbols.values():
+            for dim in (var.var_shape.rows, var.var_shape.cols):
+                if not dim.is_unit:
+                    self.dims.setdefault(dim.name, dim)
+        for dim in (ones_dims or {}).values():
+            self.dims.setdefault(dim.name, dim)
 
     # -- public API --------------------------------------------------------------
     def lift_plan(self, plan: RPlanOutput) -> la.LAExpr:
         """Lift a complete plan (body plus output orientation)."""
-        self._collect_attr_dims(plan.body)
         row = plan.row_attr.name if plan.row_attr is not None else None
         col = plan.col_attr.name if plan.col_attr is not None else None
-        return self.lift(plan.body, row, col)
-
-    def lift(self, node: RExpr, row: Optional[str], col: Optional[str]) -> la.LAExpr:
-        """Lift ``node`` so its rows/cols correspond to attributes ``row``/``col``."""
-        if not self.attr_dims:
-            self._collect_attr_dims(node)
-        return self._lift(node, row, col)
+        return self._lift(plan.body, row, col)
 
     # -- attribute bookkeeping -----------------------------------------------------
-    def _collect_attr_dims(self, node: RExpr) -> None:
-        for sub in node.walk():
-            if not isinstance(sub, RVar):
-                continue
-            if sub.name.startswith(ONES_PREFIX):
-                dim = self.ones_dims.get(sub.name)
-                if dim is not None and sub.attrs:
-                    self.attr_dims.setdefault(sub.attrs[0].name, dim)
-                continue
-            var = self.symbols.get(sub.name)
-            if var is None:
-                continue
-            axis_dims = [d for d in (var.var_shape.rows, var.var_shape.cols) if not d.is_unit]
-            for attr, dim in zip(sub.attrs, axis_dims):
-                self.attr_dims.setdefault(attr.name, dim)
+    def _dim_of(self, attr_name: str) -> Dim:
+        """The dim of the lowered expression an attribute ranges over.
 
-    def _dim_of(self, attr_name: str, size_hint: Optional[int] = None) -> Dim:
-        dim = self.attr_dims.get(attr_name)
-        if dim is not None:
-            return dim
-        return Dim(attr_name, size_hint)
+        Alpha normalisation keeps the dim an attribute was allocated from
+        (:func:`~repro.translate.lower.dim_of_attr`), so the lift never
+        mints a dim; a plan whose attribute names none cannot be lifted.
+        """
+        dim = self.dims.get(dim_of_attr(attr_name))
+        if dim is None:
+            raise LiftError(f"attribute {attr_name!r} ranges over no dim of the expression")
+        return dim
 
     # -- dispatch -------------------------------------------------------------------
     def _lift(self, node: RExpr, row: Optional[str], col: Optional[str]) -> la.LAExpr:
@@ -159,7 +149,7 @@ class Lifter:
         if not node.attrs:
             return la.Literal(1.0)
         (attr,) = node.attrs
-        dim = self._dim_of(attr.name, attr.size)
+        dim = self._dim_of(attr.name)
         if row == attr.name:
             return la.FilledMatrix(1.0, Shape(dim, UNIT))
         if col == attr.name:

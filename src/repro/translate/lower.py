@@ -70,6 +70,11 @@ class LoweringError(ValueError):
     """Raised when an expression outside the sum-product fragment is lowered."""
 
 
+def dim_of_attr(attr_name: str) -> str:
+    """The name of the dim an attribute was allocated from (``dim`` or ``dim.k``)."""
+    return attr_name.split(".")[0]
+
+
 @dataclass
 class AttrAllocator:
     """Deterministic attribute-name allocation keyed by dimension identity."""
@@ -148,7 +153,7 @@ def alpha_normalize(node: RExpr, visible: frozenset = None) -> RExpr:
         mapping = {}
         new_indices = []
         for attr in sorted(node.indices, key=lambda a: a.name):
-            base = attr.name.split(".")[0]
+            base = dim_of_attr(attr.name)
             candidate = base
             suffix = 0
             chosen_names = {a.name for a in new_indices}

@@ -162,6 +162,22 @@ class TestPlanLint:
         codes = {f.code for f in plan_lint.lint_entry(dataclasses.replace(entry, guard=short), "t")}
         assert codes == {"guard-arity"}
 
+    def test_guard_foreign_dim_detected(self):
+        """A scalable template's plan may only carry its signature's dim slots."""
+        import dataclasses
+
+        from repro.lang import Dim, Shape
+        from repro.lang import expr as la
+        from repro.lang.dims import UNIT
+        from repro.optimizer.guards import TemplateGuard
+
+        entry, _ = self._entry()
+        extent = la.Sum(la.FilledMatrix(1.0, Shape(Dim("m.1", 8), UNIT)))
+        foreign = dataclasses.replace(entry, slot_plan=la.ElemMul(extent, entry.slot_plan))
+        assert {f.code for f in plan_lint.lint_entry(foreign, "t")} == {"guard-foreign-dim"}
+        exact = dataclasses.replace(foreign, guard=TemplateGuard())
+        assert plan_lint.lint_entry(exact, "t") == []
+
     def test_shadowed_and_unbound_sum_indices(self):
         i, j, k = Attr("i", 2), Attr("j", 3), Attr("k", 4)
         a = RVar("A", (i, j))
@@ -328,7 +344,7 @@ class TestSelftestAndCli:
 
     def test_cli_selftest_exits_zero(self, capsys):
         assert analysis_main(["--selftest"]) == 0
-        assert "11/11 fixtures flagged" in capsys.readouterr().out
+        assert "12/12 fixtures flagged" in capsys.readouterr().out
 
     def test_cli_check_concurrency_pass(self, capsys, tmp_path):
         code = analysis_main(

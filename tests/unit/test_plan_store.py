@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import PlanStore, Session
+from repro.api import plan as plan_module
 from repro.api.plan import PlanEntry
 from repro.canonical.fingerprint import signature_of, slot_expression, store_key
 from repro.lang import Dim, Matrix, Sum, Vector
@@ -249,10 +250,9 @@ class TestSessionStoreIntegration:
         record = twin.to_dict()
         assert "A" in record["optimized"] or "A" in record["fused"]
 
-    def test_drift_recompile_writes_through(self, tmp_path):
-        session = Session(
-            config(), store_path=tmp_path, drift_factor=2.0, auto_recompile=True
-        )
+    def test_drift_recompile_writes_through(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(plan_module, "DEFAULT_DRIFT_FACTOR", 2.0)
+        session = Session(config(), store_path=tmp_path, auto_recompile=True)
         plan = session.compile(make_loss())
         assert session.describe()["store"]["writes"] == 1
         dense = make_inputs()

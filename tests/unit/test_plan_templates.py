@@ -16,8 +16,9 @@ from repro.canonical.fingerprint import (
     store_key,
 )
 from repro.cost.la_cost import LACostModel
-from repro.lang import Dim, Matrix, Sum, Vector, dag
+from repro.lang import Dim, Matrix, Shape, Sum, Vector, dag
 from repro.lang import expr as la
+from repro.lang.dims import UNIT
 from repro.optimizer import (
     OptimizationReport,
     OptimizerConfig,
@@ -176,14 +177,24 @@ class TestGuardMatrix:
         A, B, C = chain_factors(400)
         assert specialize_entry(entry, signature_of(A @ (B @ C))) is None
 
-    def test_tiny_pivots_stay_pinned(self):
+    def test_tiny_pivot_is_cost_checked_like_any_other(self):
+        """A dim of size 3 is not pinned: its plan serves ``cols=6`` exactly
+        when it still dominates there, and then answers as a fresh compile."""
         expr = make_loss(rows=120, cols=3)
         artifact = compile_expression(expr, config())
         guard = derive_guard(signature_of(expr), artifact, config())
         assert not guard.exact
-        assert guard.describe() == "cost-checked at each requested size (pivot m=120, n=3 pinned)"
+        assert guard.describe() == "cost-checked at each requested size (pivot m=120, n=3)"
         assert guard.admits(signature_of(make_loss(rows=480, cols=3)), artifact)
-        assert not guard.admits(signature_of(make_loss(rows=120, cols=6)), artifact)
+        wider = signature_of(make_loss(rows=120, cols=6))
+        assert guard.admits(wider, artifact) == dominates(artifact, {"m": 120, "n": 6})
+        session = greedy_session()
+        session.compile(expr)
+        plan = session.compile(make_loss(rows=120, cols=6))
+        assert plan.template_hit and session.compilations == 1
+        inputs = make_inputs(rows=120, cols=6)
+        want = greedy_session().compile(make_loss(rows=120, cols=6)).run(inputs).scalar()
+        assert plan.run(inputs).scalar() == pytest.approx(want, rel=1e-12)
 
     def test_symbolic_dims_derive_exact(self):
         m, n = Dim("m"), Dim("n")
@@ -197,18 +208,24 @@ class TestGuardMatrix:
         guard = derive_guard(signature_of(make_loss()), sized, config())
         assert not guard.admits(signature_of(symbolic), sized)
 
-    def test_size_entangled_constant_derives_exact(self):
-        """A plan whose constant equals a dim-size product must stay exact."""
-        from repro.optimizer.guards import _size_entangled_constants
+    def test_constant_equal_to_a_size_product_is_scalable(self):
+        """A user constant equal to m·n is just a constant: plans bake no
+        extent, so ``5000 * sum(X)`` at 100 x 50 serves m = 200."""
 
-        m, n = Dim("m", 100), Dim("n", 50)
-        X = Matrix("X", m, n, sparsity=0.01)
-        assert _size_entangled_constants(la.Literal(100.0) * Sum(X), (100, 50))
-        assert _size_entangled_constants(la.Literal(5000.0) * Sum(X), (100, 50))
-        assert not _size_entangled_constants(la.Literal(2.0) * Sum(X), (100, 50))
-        expr = la.Literal(5000.0) * Sum(X)
+        def scaled_sum(rows):
+            X = Matrix("X", Dim("m", rows), Dim("n", 50), sparsity=0.01)
+            return la.Literal(5000.0) * Sum(X)
+
+        expr = scaled_sum(100)
         artifact = compile_expression(expr, config())
-        assert derive_guard(signature_of(expr), artifact, config()).exact
+        assert not derive_guard(signature_of(expr), artifact, config()).exact
+        session = greedy_session()
+        session.compile(expr)
+        plan = session.compile(scaled_sum(200))
+        assert plan.template_hit and session.compilations == 1
+        inputs = {"X": MatrixValue.random_sparse(200, 50, 0.01, np.random.default_rng(2))}
+        want = execute(scaled_sum(200), inputs).scalar()
+        assert plan.run(inputs).scalar() == pytest.approx(want, rel=1e-12)
 
     def test_exact_guard_admits_nothing(self):
         signature = signature_of(make_loss())
@@ -246,6 +263,37 @@ class TestGuardMatrix:
         assert not any(
             loop_of(node) == FUSED_PHYSICAL for root in costed for node in dag.postorder(root)
         )
+
+
+def extent_exprs(k_size):
+    """Three roots whose plans carry the extents of ``m`` and ``k``."""
+    m, k = Dim("m", 40), Dim("k", k_size)
+    X = Matrix("X", m, k, sparsity=0.1)
+    return {
+        "sum_plus": Sum(X + 2.0),
+        "colsums_plus": la.ColSums(X + 1.0),
+        "matvec_ones": Sum(X @ la.FilledMatrix(1.0, Shape(k, UNIT))),
+    }
+
+
+class TestSizeFreePlans:
+    """Plans carry extents, not sizes: a pivot of size 1, 2 or 3 serves every
+    other size through the template tier, with the resized plan's answer."""
+
+    @pytest.mark.parametrize("root", ["sum_plus", "colsums_plus", "matvec_ones"])
+    @pytest.mark.parametrize("pivot", [1, 2, 3])
+    def test_tiny_pivot_serves_the_ladder(self, root, pivot):
+        session = greedy_session()
+        session.compile(extent_exprs(pivot)[root])
+        for k in range(1, 8):
+            expr = extent_exprs(k)[root]
+            plan = session.compile(expr)
+            assert plan.template_hit == (k != pivot)
+            inputs = {"X": MatrixValue.random_sparse(40, k, 0.1, np.random.default_rng(k))}
+            np.testing.assert_allclose(
+                plan.run(inputs).to_dense(), execute(expr, inputs).to_dense(), rtol=1e-12
+            )
+        assert session.compilations == 1
 
 
 class TestSessionTemplateTier:

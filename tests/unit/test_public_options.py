@@ -49,9 +49,8 @@ def test_shard_worker_options():
 
 def test_session_and_store_options():
     assert defaulted(Session) == [
-        "config", "cache_size", "drift_factor", "drift_alpha", "auto_recompile",
-        "store_path", "store", "optimizer_budget", "fault_injector",
-        "degrade_on_error",
+        "config", "cache_size", "auto_recompile", "store_path", "store",
+        "optimizer_budget", "fault_injector", "degrade_on_error",
     ]
     assert defaulted(PlanStore) == ["config", "max_entries", "compress", "fault_injector"]
 

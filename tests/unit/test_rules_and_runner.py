@@ -11,6 +11,7 @@ from repro.ra.attrs import Attr
 from repro.ra.rexpr import RLit, RVar, radd, rjoin, rsum
 from repro.rules import EliminateUnusedIndex, relational_rules
 from repro.runtime.ra_interp import evaluate as ra_evaluate
+from repro.translate import ONES_PREFIX
 
 
 I = Attr("i", 4)
@@ -142,23 +143,34 @@ class TestRulesAreQueries:
 
 
 class TestEliminateUnusedIndex:
-    """``Σ_i A = |i| * A`` needs ``|i|``: an unsized unused index is no match."""
+    """``Σ_i A = A * Σ_i 1_i``: the extent stays a term, sized or not."""
 
-    @pytest.mark.parametrize("size, factor", [(None, None), (6, 6.0)])
-    def test_matches_only_a_sized_unused_index(self, size, factor):
+    @pytest.mark.parametrize("size", [None, 6])
+    def test_unused_index_becomes_a_sum_of_ones(self, size):
         egraph = EGraph()
         a_class = egraph.add_term(V)
-        root = egraph.add_term(rsum({Attr("i", size)}, V))
+        index = Attr("i", size)
+        root = egraph.add_term(rsum({index}, V))
         (sum_node,) = egraph.nodes_by_op(root, OP_SUM)
         matches = EliminateUnusedIndex().search(egraph)
-        if size is None:
-            assert matches == []
-            return
         assert [match.key for match in matches] == [(root, sum_node.sort_key)]
         assert matches[0].apply(egraph)
         egraph.rebuild()
-        scaled = egraph.add(ENode(OP_JOIN, None, (egraph.add(ENode(OP_LIT, factor, ())), a_class)))
-        assert egraph.equiv(root, scaled)
+        extent = egraph.add_term(rsum({index}, RVar(f"{ONES_PREFIX}i", (index,))))
+        assert egraph.equiv(root, egraph.add(ENode(OP_JOIN, None, (a_class, extent))))
+        assert egraph.classes_with_op(OP_LIT) == []
+
+
+class TestSumConstantFold:
+    """The analysis folds ``Σ_i c`` only for ``c = 0``: no extent is baked in."""
+
+    @pytest.mark.parametrize("value, constant", [(2.0, None), (0.0, 0.0)])
+    def test_sum_of_a_constant(self, value, constant):
+        egraph = EGraph()
+        literal = egraph.add_term(RLit(value))
+        root = egraph.add(ENode(OP_SUM, frozenset({Attr("i", 6)}), (literal,)))
+        egraph.rebuild()
+        assert egraph.data(root).constant == constant
 
 
 class TestRuleSoundness:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.api import PlanBindingError, Session
+from repro.api import plan as plan_module
 from repro.lang import Dim, Matrix, Scalar, Sum, Vector
 from repro.optimizer import OptimizerConfig, compile_expression
 from repro.optimizer.pipeline import OptimizationReport
@@ -253,8 +254,9 @@ class TestDriftRecompilation:
             plan.run(drifted)
         assert plan.stats.drift_events >= 1
 
-    def test_drift_alpha_one_restores_last_observation_triggering(self):
-        session = greedy_session(auto_recompile=False, drift_alpha=1.0)
+    def test_drift_alpha_one_restores_last_observation_triggering(self, monkeypatch):
+        monkeypatch.setattr(plan_module, "DEFAULT_DRIFT_ALPHA", 1.0)
+        session = greedy_session(auto_recompile=False)
         plan = session.compile(make_loss(sparsity=0.01))
         rng = np.random.default_rng(0)
         outlier = dict(
@@ -270,10 +272,6 @@ class TestDriftRecompilation:
         stats = plan.to_dict()["stats"]
         assert stats["smoothed_sparsity"], "smoothed sparsity must be recorded"
         assert "smoothed" in plan.explain()
-
-    def test_invalid_drift_alpha_rejected(self):
-        with pytest.raises(ValueError, match="drift_alpha"):
-            greedy_session(drift_alpha=0.0)
 
     def test_symbolic_dims_use_sparsity_hint_for_drift(self):
         """Unsized dims must not fall back to a dense-input assumption."""
