@@ -57,15 +57,16 @@ class Lifter:
 
     def __init__(self, symbols: Dict[str, la.Var], ones_dims: Optional[Dict[str, Dim]] = None):
         self.symbols = symbols
-        #: the lowered expression's dims by name: every attribute was
-        #: allocated from one of them
+        #: the lowered expression's dims by name, sized where any leaf is:
+        #: every attribute was allocated from one of them, and the lowering
+        #: refuses a name that carries two sizes
         self.dims: Dict[str, Dim] = {}
-        for var in symbols.values():
-            for dim in (var.var_shape.rows, var.var_shape.cols):
-                if not dim.is_unit:
-                    self.dims.setdefault(dim.name, dim)
-        for dim in (ones_dims or {}).values():
-            self.dims.setdefault(dim.name, dim)
+        shapes = [var.var_shape for var in symbols.values()]
+        leaf_dims = [dim for shape in shapes for dim in (shape.rows, shape.cols)]
+        for dim in leaf_dims + list((ones_dims or {}).values()):
+            known = self.dims.get(dim.name)
+            if not dim.is_unit and (known is None or known.size is None):
+                self.dims[dim.name] = dim
 
     # -- public API --------------------------------------------------------------
     def lift_plan(self, plan: RPlanOutput) -> la.LAExpr:
@@ -79,8 +80,9 @@ class Lifter:
         """The dim of the lowered expression an attribute ranges over.
 
         Alpha normalisation keeps the dim an attribute was allocated from
-        (:func:`~repro.translate.lower.dim_of_attr`), so the lift never
-        mints a dim; a plan whose attribute names none cannot be lifted.
+        (:func:`~repro.translate.lower.dim_of_attr`; the lowering refuses a
+        dim name containing ``.``), so the lift never mints a dim; a plan
+        whose attribute names none cannot be lifted.
         """
         dim = self.dims.get(dim_of_attr(attr_name))
         if dim is None:

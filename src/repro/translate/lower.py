@@ -210,6 +210,8 @@ class _Lowering:
         self.attrs = AttrAllocator()
         self.symbols: Dict[str, la.Var] = {}
         self.ones_dims: Dict[str, Dim] = {}
+        #: every dim a leaf ranges over, by name
+        self.dims: Dict[str, Dim] = {}
         #: the fused operator a region node would become, or ``None``; unset
         #: (``None``) while a fused node's own definition is lowered
         self.fuse: Optional[Callable[[la.LAExpr], Optional[la.LAExpr]]] = fuse
@@ -321,6 +323,21 @@ class _Lowering:
         return RFused(fusion, tuple(args))
 
     # -- leaves ------------------------------------------------------------------
+    def _note_dim(self, dim: Dim) -> None:
+        """Record a leaf's dim, refusing one its attribute names would not name.
+
+        The lift reads an attribute's dim back from its name
+        (:func:`dim_of_attr`), so a dim name may not contain ``.`` and one
+        name may not carry two sizes.
+        """
+        if "." in dim.name:
+            raise LoweringError(f"dim name {dim.name!r} contains '.', reserved for attribute names")
+        known = self.dims.get(dim.name)
+        if known is None or known.size is None:
+            self.dims[dim.name] = dim
+        elif dim.size is not None and dim.size != known.size:
+            raise LoweringError(f"dim {dim.name!r} has two sizes, {known.size} and {dim.size}")
+
     def _lower_var(self, node: la.Var, row: Optional[Attr], col: Optional[Attr]) -> RExpr:
         self.symbols.setdefault(node.name, node)
         attrs: List[Attr] = []
@@ -328,10 +345,12 @@ class _Lowering:
         if not shape.rows.is_unit:
             if row is None:
                 raise LoweringError(f"variable {node.name!r} has rows but no row attribute")
+            self._note_dim(shape.rows)
             attrs.append(row.with_size(shape.rows.size))
         if not shape.cols.is_unit:
             if col is None:
                 raise LoweringError(f"variable {node.name!r} has columns but no column attribute")
+            self._note_dim(shape.cols)
             attrs.append(col.with_size(shape.cols.size))
         return RVar(node.name, tuple(attrs), node.sparsity)
 
@@ -344,6 +363,7 @@ class _Lowering:
         return rjoin(factors)
 
     def _ones(self, attr: Attr, dim: Dim) -> RVar:
+        self._note_dim(dim)
         name = f"{ONES_PREFIX}{dim.name}"
         self.ones_dims[name] = dim
         return RVar(name, (attr.with_size(dim.size),), 1.0)

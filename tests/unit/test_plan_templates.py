@@ -186,8 +186,7 @@ class TestGuardMatrix:
         assert not guard.exact
         assert guard.describe() == "cost-checked at each requested size (pivot m=120, n=3)"
         assert guard.admits(signature_of(make_loss(rows=480, cols=3)), artifact)
-        wider = signature_of(make_loss(rows=120, cols=6))
-        assert guard.admits(wider, artifact) == dominates(artifact, {"m": 120, "n": 6})
+        assert guard.admits(signature_of(make_loss(rows=120, cols=6)), artifact)
         session = greedy_session()
         session.compile(expr)
         plan = session.compile(make_loss(rows=120, cols=6))

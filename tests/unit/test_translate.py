@@ -1,9 +1,13 @@
 """Unit tests for lowering (R_LR), lifting, and LA simplification."""
 
+import numpy as np
 import pytest
 
-from repro.lang import ColSums, RowSums, Scalar, Sum
+from repro.api import Session
+from repro.lang import ColSums, Dim, Matrix, RowSums, Scalar, Sum
 from repro.lang import expr as la
+from repro.optimizer import OptimizerConfig
+from repro.runtime import MatrixValue, execute
 from repro.ra.rexpr import RJoin, RSum, RVar, free_attrs
 from repro.ra import schema
 from repro.translate import LoweringError, Lifter, lift, lower, simplify
@@ -70,6 +74,23 @@ class TestLowering:
         assert is_barrier(symbols["X"] ** 0.5)
         with pytest.raises(LoweringError):
             lower(symbols["X"] ** 0.5)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(Dim("a", 5), Dim("a.b", 7)), (Dim("p", 5), Dim("a.b", 7)), (Dim("a", 5), Dim("a", 7))],
+        ids=["dotted-name-with-prefix-dim", "dotted-name", "one-name-two-sizes"],
+    )
+    def test_dims_attribute_names_cannot_identify_are_refused(self, dims):
+        """The lift reads an attribute's dim back from its name, so a dim whose
+        attributes would name another dim sends the region to the fallback:
+        the compiled plan still answers ``sum(X) + 2·5·7``."""
+        X = Matrix("X", *dims)
+        expr = Sum(X + 2.0)
+        with pytest.raises(LoweringError):
+            lower(expr)
+        inputs = {"X": MatrixValue.random_dense(5, 7, np.random.default_rng(0))}
+        plan = Session(OptimizerConfig.sampling_greedy()).compile(expr)
+        assert plan.run(inputs).scalar() == pytest.approx(execute(expr, inputs).scalar(), rel=1e-12)
 
     def test_division_and_unary_functions_are_barriers(self, symbols):
         assert is_barrier(symbols["X"] / symbols["Y"])
