@@ -256,10 +256,10 @@ def test_fault_storm_survival(benchmark):
                     config=config,
                     store=PlanStore(store_dir, config, fault_injector=faults),
                     fault_injector=faults,
-                    # bounds the post-crash tail: a replacement shard whose
-                    # store load also faults recompiles under this budget,
-                    # degrading to the baseline plan instead of paying an
-                    # unbounded saturation mid-storm
+                    # bounds the cold workload's compiles, and the recompile
+                    # behind a faulted store load: over budget they degrade
+                    # to the baseline plan instead of paying an unbounded
+                    # saturation mid-storm
                     optimizer_budget=0.01,
                     retry_policy=RetryPolicy(
                         max_attempts=4, base_delay=0.001, max_delay=0.02

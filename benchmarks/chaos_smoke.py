@@ -13,7 +13,8 @@ one job covers injected faults and on-disk corruption alike.
 Scenarios:
 
 1. **crash-recovery** — seeded shard crashes mid-burst: the supervisor
-   restarts, requeues, and every request is answered correctly.
+   restarts, requeues, and every request is answered correctly; the
+   replacements run on the engine's one session, so nothing recompiles.
 2. **retry** — transient execution + kernel faults are retried in place;
    no restarts, no errors.
 3. **degraded-fallback** — optimizer faults degrade to the baseline plan;
@@ -106,6 +107,8 @@ def crash_recovery_smoke() -> None:
         stats = engine.stats()
         check("crash-recovery", stats.restarts == 4, f"restarts={stats.restarts}")
         check("crash-recovery", stats.errors == 0, f"errors={stats.errors}")
+        check("crash-recovery", engine.compilations == 1,
+              f"compilations={engine.compilations}")
         check("crash-recovery", engine.health()["ready"], "engine not ready")
     finally:
         engine.close()

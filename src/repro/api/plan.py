@@ -105,6 +105,32 @@ class PlanEntry:
         """Size-free digest this entry can serve (via its guard)."""
         return self.signature.template_digest
 
+    def executable(self, ring: Union[str, Semiring, None] = None) -> TapePlan:
+        """The one executor of this entry, built on first use.
+
+        :func:`~repro.runtime.codegen.build_executable` over the slot plan:
+        a :class:`~repro.runtime.codegen.FusedPlan` under real arithmetic,
+        the plain :class:`~repro.runtime.tape.TapePlan` otherwise.  Every
+        :class:`CompiledPlan` view of the entry and every serving shard runs
+        this object.  The memo is not a dataclass field, so neither equality
+        nor the codec sees it; ``dict.setdefault`` makes concurrent first
+        uses agree on one object.  A ring other than the memo's gets a fresh,
+        unmemoized build.
+        """
+        ring = resolve_semiring(ring)
+        built = self.__dict__.get("_executable")
+        if built is not None and built.ring is ring:
+            return built
+        fresh = build_executable(
+            self.slot_plan,
+            len(self.signature.slots),
+            ring=ring,
+            slot_sparsity={spec.index: spec.sparsity for spec in self.signature.slots},
+        )
+        if built is not None:
+            return fresh
+        return self.__dict__.setdefault("_executable", fresh)
+
 
 def specialize_entry(entry: PlanEntry, signature: ExprSignature) -> Optional[PlanEntry]:
     """Re-pin a template entry to a new instance's sizes, if its guard admits them.
@@ -204,9 +230,6 @@ class CompiledPlan:
         self.ring = resolve_semiring(ring)
         self.stats = PlanStats()
         self._lock = threading.Lock()
-        #: the executable of the backing entry, built on first use and
-        #: dropped when a drift recompile swaps the entry
-        self._executable: Optional[TapePlan] = None
         #: last :class:`repro.obs.profile.ProfileReport` from :meth:`profile`
         self._profile = None
 
@@ -355,30 +378,13 @@ class CompiledPlan:
         return record
 
     def executable(self) -> TapePlan:
-        """The one executor of this plan's backing entry (built on first use).
+        """The backing entry's one executor (:meth:`PlanEntry.executable`).
 
-        :func:`~repro.runtime.codegen.build_executable` over the slot plan:
-        a :class:`~repro.runtime.codegen.FusedPlan` under real arithmetic,
-        the plain :class:`~repro.runtime.tape.TapePlan` otherwise.  ``run``,
-        ``profile``, ``codegen_info`` and the serving shards all execute or
-        describe this object; a drift recompile (``_adopt``) drops it so the
-        next use rebuilds from the new entry.
+        ``run``, ``profile``, ``codegen_info`` and the serving shards all
+        execute or describe this object; after a drift recompile swaps the
+        entry, it is the new entry's.
         """
-        executable = self._executable
-        if executable is None:
-            with self._lock:
-                entry = self._entry
-                signature = self.signature
-            executable = build_executable(
-                entry.slot_plan,
-                len(signature.slots),
-                ring=self.ring,
-                slot_sparsity={spec.index: spec.sparsity for spec in signature.slots},
-            )
-            with self._lock:
-                if self._entry is entry:  # not swapped by a concurrent _adopt
-                    self._executable = executable
-        return executable
+        return self._entry.executable(self.ring)
 
     def codegen_info(self) -> Dict[str, object]:
         """What this plan executes behind: its executable's region structure.
@@ -672,7 +678,6 @@ class CompiledPlan:
         """Switch this plan to a re-optimized artifact (drift recompilation)."""
         with self._lock:
             self._entry = entry
-            self._executable = None  # rebuilt from the new entry on next use
             self.signature = signature
             self.source = source
             self.stats.recompiles += 1

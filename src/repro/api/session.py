@@ -165,7 +165,7 @@ class Session:
         the cached artifact was compiled from a renamed twin.
 
         Callers that already fingerprinted ``expr`` (the serving engine
-        hashes it to pick a shard before the shard's session ever sees it)
+        hashes it to pick a shard before the session ever sees it)
         pass the :class:`ExprSignature` along to skip the re-walk; it must
         be the signature *of this expression*, not of a twin — names ride
         on the signature, so a borrowed one would mis-bind the plan.

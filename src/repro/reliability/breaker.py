@@ -3,15 +3,17 @@
 A :class:`CircuitBreaker` protects the rest of the pool from a shard that
 keeps failing: after ``failure_threshold`` *consecutive* failures the
 breaker **opens** and the engine routes that shard's traffic to sibling
-shards (correctness is unaffected — any session can compile and serve any
-shape; only the template co-location optimization is temporarily lost).
+shards (correctness is unaffected — every shard serves from the engine's
+one session; only the template co-location optimization is temporarily
+lost).
 After ``reset_timeout`` seconds the breaker goes **half-open** and admits
 up to ``half_open_probes`` probe requests: one success closes it, one
 failure re-opens it for another full timeout.
 
 The breaker is deliberately time-based on recovery, not count-based: a
-crashed-and-restarted worker needs wall-clock time to re-hydrate its
-session segment from the plan store before probes are worth sending.
+shard that keeps failing is usually sick for a while (a bad input source,
+a wedged dependency), so probes are worth sending only after some
+wall-clock time.
 """
 
 from __future__ import annotations

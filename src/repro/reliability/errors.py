@@ -74,8 +74,8 @@ class ShardCrashError(ReliabilityError):
     """A shard worker crashed (or was declared wedged) with work in flight.
 
     Raised *through* a worker thread to simulate — or report — its death;
-    the engine's supervisor restarts the shard, re-hydrates its session
-    from the plan store, and requeues the unresolved requests.
+    the engine's supervisor restarts the shard on the engine's one session
+    (every plan stays cached) and requeues the unresolved requests.
     """
 
     retriable = True

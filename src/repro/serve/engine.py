@@ -9,28 +9,29 @@ worker pool:
   by expression identity so a service declaring its workloads once never
   re-walks them) and routed by its *size-free* template digest:
   ``hash(template) % shards``.  One workload shape — the whole size ladder
-  of a GLM, say — lands on one shard, which compiles the shape once and
-  serves every admitted size from that single guarded template; plan-cache
-  segments partition cleanly and shards never contend on each other's
-  locks.
-* **One persistent store.**  All shard sessions write through a single
-  :class:`repro.serialize.PlanStore`, so the engine inherits the
-  cross-process warm-start story: a fresh pool pointed at a store that a
-  warm-up run (``python -m repro.serve.warmup``) filled starts with zero
-  compilations.
+  of a GLM, say — lands on one shard, where its requests batch together
+  and share step-reuse state.
+* **One session.**  Every shard resolves plans through the engine's one
+  :class:`repro.api.Session` — one plan cache bounded by ``cache_size``,
+  one compile per shape whichever shard asks, one set of counters — and
+  the workers that replace crashed shards get the same session.  It writes
+  through a single :class:`repro.serialize.PlanStore`, so the engine
+  inherits the cross-process warm-start story: a fresh pool pointed at a
+  store that a warm-up run (``python -m repro.serve.warmup``) filled starts
+  with zero compilations.
 * **Async-friendly submission.**  :meth:`submit` enqueues onto the target
   shard's bounded queue and returns a :class:`concurrent.futures.Future`
   immediately (back-pressure blocks the producer only once the shard is a
   full queue behind); :meth:`run` and :meth:`run_many` are the synchronous
   conveniences on top.
-* **Engine-level statistics.**  :meth:`stats` aggregates per-shard
-  counters (each shard's :class:`~repro.serve.worker.ShardCounters` and
-  its session's :attr:`~repro.api.Session.stats`) into throughput,
-  p50/p95 latency, per-shard hit rates, and compilation counts;
-  :meth:`metrics_text` renders the same records as Prometheus text.
+* **Engine-level statistics.**  :meth:`stats` sums the shards'
+  :class:`~repro.serve.worker.ShardCounters` into throughput, p50/p95
+  latency and per-shard hit rates, and takes compilation and template-hit
+  counts from the session's own records; :meth:`metrics_text` renders the
+  same records as Prometheus text.
 
-The serving fast path executes each plan's one executable
-(:meth:`repro.api.plan.CompiledPlan.executable` — an instruction tape whose
+The serving fast path executes each plan entry's one executable
+(:meth:`repro.api.plan.PlanEntry.executable` — an instruction tape whose
 steps are fusion regions under real arithmetic, see ``docs/codegen.md``)
 with pinned-parameter step reuse, columnwise stacking of same-plan matvecs
 and a bounded result cache per shard — bitwise identical to the reference
@@ -40,11 +41,11 @@ interpreter, minus its per-intermediate bufferpool accounting.
 
 * **Shard supervision.**  A monitor thread watches every worker's thread
   liveness and heartbeat; a crashed (or, with ``heartbeat_timeout``,
-  wedged) shard is replaced by a fresh worker whose session re-hydrates
-  its cache segment from the shared plan store, inherits the dead shard's
-  result cache, and requeues every still-unresolved request — requests are
-  idempotent by future state plus the result cache, so a crash costs
-  latency, never answers.
+  wedged) shard is replaced by a fresh worker on the same session (every
+  plan stays cached), which inherits the dead shard's result cache and
+  requeues every still-unresolved request — requests are idempotent by
+  future state plus the result cache, so a crash costs latency, never
+  answers and never a compile.
 * **Per-shard circuit breakers.**  Consecutive failures trip a shard's
   breaker; while it is open, new traffic routes to sibling shards (counted
   as ``rerouted``) and timed half-open probes decide when the home shard
@@ -71,7 +72,6 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.api.cache import CacheStats
 from repro.api.plan import CompiledPlan, InputValue
 from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature, signature_of
@@ -113,7 +113,7 @@ _RECORD_HELP = {
     "plan_cache_misses_total": "Plan requests that ran the optimizer pipeline",
     "plan_cache_evictions_total": "Plan-cache LRU evictions",
     "plan_cache_template_hits_total": "Plan requests served by specializing a cached template",
-    "session_compilations_total": "Full pipeline runs across the shard sessions",
+    "session_compilations_total": "Full pipeline runs of the engine's session",
     "session_degraded_total": "Compiles degraded to the unoptimized baseline plan",
     "session_drift_recompiles_total": "Plans recompiled after sparsity drift",
     "plan_store_loads_total": "Plan-store load probes by result",
@@ -158,8 +158,8 @@ class EngineStats(ServingCounters):
     p50_latency: float = 0.0
     p95_latency: float = 0.0
     #: fraction of served requests that skipped compilation entirely — the
-    #: serving-level hit rate (the per-shard snapshots carry the session
-    #: cache's own hit/miss counters for cache internals)
+    #: serving-level hit rate (each per-shard snapshot carries that shard's
+    #: own ``session.compile`` hits and compilations)
     hit_rate: float = 0.0
     per_shard: List[Dict[str, object]] = field(default_factory=list)
 
@@ -168,7 +168,7 @@ class EngineStats(ServingCounters):
 
 
 class ServingEngine:
-    """Serves LA workloads from a pool of fingerprint-sharded Session workers."""
+    """Serves LA workloads from a pool of template-routed shards on one Session."""
 
     def __init__(
         self,
@@ -176,7 +176,7 @@ class ServingEngine:
         config: Optional[OptimizerConfig] = None,
         store: Optional[PlanStore] = None,
         store_path: Optional[str] = None,
-        cache_size_per_shard: int = 64,
+        cache_size: int = 256,
         queue_depth: int = 256,
         max_batch: int = 16,
         default_deadline: Optional[float] = None,
@@ -192,8 +192,6 @@ class ServingEngine:
     ) -> None:
         if shards < 1:
             raise ValueError("a serving engine needs at least one shard")
-        if store is not None and store_path is not None:
-            raise ValueError("pass store_path or a PlanStore, not both")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive (or None)")
         self.config = config or OptimizerConfig()
@@ -205,20 +203,20 @@ class ServingEngine:
         self.retry_policy = retry_policy
         self.heartbeat_timeout = heartbeat_timeout
         self._supervision_interval = supervision_interval
-        if store is None and store_path is not None:
-            store = PlanStore(store_path, self.config, fault_injector=fault_injector)
-        #: the one persistent tier every shard writes through (may be None)
-        self.store = store
-        #: everything a replacement worker/session needs — the supervisor
-        #: rebuilds crashed shards from exactly these knobs
-        self._session_kwargs = dict(
-            cache_size=cache_size_per_shard,
+        #: the one session every shard — and every replacement — resolves
+        #: plans through
+        self.session = Session(
+            self.config,
+            cache_size=cache_size,
             auto_recompile=False,  # deterministic under concurrent load
+            store_path=store_path,
             store=store,
             optimizer_budget=optimizer_budget,
             degrade_on_error=degrade_on_error,
             fault_injector=fault_injector,
         )
+        #: the one persistent tier the session writes through (may be None)
+        self.store = self.session.store
         #: private always-enabled registry backing the engine's latency
         #: accounting: one shared reservoir the shard workers observe into.
         #: It is engine-owned (not per-worker) so the reservoir survives
@@ -247,7 +245,7 @@ class ServingEngine:
         self.shards: List[ShardWorker] = [
             ShardWorker(
                 index=index,
-                session=Session(self.config, **self._session_kwargs),
+                session=self.session,
                 breaker=self._breakers[index],
                 **self._worker_kwargs,
             )
@@ -262,9 +260,6 @@ class ServingEngine:
         self._lock = threading.Lock()
         self._restarts = [0] * shards
         self._rerouted = 0
-        #: compilations done by sessions retired in shard restarts, folded
-        #: into :attr:`compilations` so the total stays monotonic
-        self._retired_compilations = 0
         #: submitters currently between the closed-check and their queue put;
         #: close() waits for this to reach zero before stopping the shards,
         #: so a request can never land on a queue after its worker exited
@@ -392,14 +387,12 @@ class ServingEngine:
     ) -> "Future[object]":
         signature = self.signature_for(expr)
         # Route by the size-free *template* digest: every point of a size
-        # ladder lands on one shard, whose session then serves the whole
-        # ladder from a single compiled template (plus per-instance tapes).
+        # ladder lands on one shard, where its requests batch together.
         home = index = self.shard_of(signature.template_digest)
         # Breaker-aware routing: an open home breaker diverts traffic to
-        # the first sibling whose breaker admits it (the sibling compiles
-        # the shape itself — availability beats segment purity while the
-        # home shard recovers).  If every breaker is open, the home shard
-        # gets the request anyway: queueing beats dropping.
+        # the first sibling whose breaker admits it (the sibling finds the
+        # plan in the shared session).  If every breaker is open, the home
+        # shard gets the request anyway: queueing beats dropping.
         if not self._breakers[index].allow():
             for offset in range(1, len(self.shards)):
                 candidate = (index + offset) % len(self.shards)
@@ -577,16 +570,14 @@ class ServingEngine:
     def _restart_shard(self, index: int, dead: ShardWorker) -> None:
         """Replace a crashed/wedged worker and requeue its unresolved work.
 
-        The replacement's session re-hydrates the cache segment from the
-        shared plan store (every plan the dead shard persisted is one store
-        probe away), inherits the dead worker's result cache — which is
+        The replacement runs on the engine's one session, so every plan is
+        still cached; it inherits the dead worker's result cache — which is
         what makes crash-requeue idempotent for already-answered inputs —
         and its monotonic counters, so engine totals never regress.
         """
-        session = Session(self.config, **self._session_kwargs)
         replacement = ShardWorker(
             index=index,
-            session=session,
+            session=self.session,
             breaker=self._breakers[index],
             **self._worker_kwargs,
         )
@@ -596,7 +587,6 @@ class ServingEngine:
         with self._lock:
             self._restarts[index] += 1
             restart_count = self._restarts[index]
-            self._retired_compilations += dead.session.compilations
         logger.warning(
             "shard %d worker %s; restarting (restart #%d for this shard)",
             index,
@@ -614,10 +604,8 @@ class ServingEngine:
     # -- monitoring ------------------------------------------------------------
     @property
     def compilations(self) -> int:
-        """Pipeline runs across all shards (0 on a store-warmed fresh pool)."""
-        with self._lock:
-            retired = self._retired_compilations
-        return retired + sum(shard.session.compilations for shard in self.shards)
+        """Pipeline runs of the engine's session (0 on a store-warmed fresh pool)."""
+        return self.session.compilations
 
     def health(self) -> Dict[str, object]:
         """Machine-readable liveness/readiness — what a balancer would poll.
@@ -702,7 +690,7 @@ class ServingEngine:
             shards=len(self.shards),
             submitted=submitted,
             compilations=compilations,
-            template_hits=total("template_hits"),
+            template_hits=self.session.stats.template_hits,
             unique_fingerprints=total("unique_fingerprints"),
             unique_templates=total("unique_templates"),
             restarts=restarts,
@@ -720,18 +708,17 @@ class ServingEngine:
         """Prometheus-style text exposition for this engine's process.
 
         The engine's own records — the serving counters of :meth:`stats`,
-        the shard sessions' cache and compile counters and the shared
-        store's counters — are rendered at call time through a throwaway
-        always-enabled registry, so a scrape sees them whether or not the
-        process called :func:`repro.obs.enable`.  The serving latency
+        the session's cache and compile counters and the store's counters —
+        are rendered at call time through a throwaway always-enabled
+        registry, so a scrape sees them whether or not the process called
+        :func:`repro.obs.enable`.  The serving latency
         histogram and the process-global registry (the compile, saturation,
         breaker and fault instruments, which no per-instance record keeps)
         follow.
         """
         stats = self.stats()
-        cache = self._cache_totals()
+        cache = self.session.stats
         store = self.store.stats if self.store is not None else StoreStats()
-        degraded = sum(shard.session.degraded_compilations for shard in self.shards)
         series = {
             ("serve_requests_total", "ok"): stats.served,
             ("serve_requests_total", "error"): stats.errors,
@@ -746,7 +733,7 @@ class ServingEngine:
             ("plan_cache_evictions_total", None): cache.evictions,
             ("plan_cache_template_hits_total", None): cache.template_hits,
             ("session_compilations_total", None): stats.compilations,
-            ("session_degraded_total", None): degraded,
+            ("session_degraded_total", None): self.session.degraded_compilations,
             ("session_drift_recompiles_total", None): cache.recompiles,
             ("plan_store_loads_total", "hit"): store.hits,
             ("plan_store_loads_total", "miss"): store.misses,
@@ -763,25 +750,12 @@ class ServingEngine:
             records.counter(name, _RECORD_HELP[name], **labels).inc(value)
         return self._metrics.exposition() + records.exposition() + obs.registry().exposition()
 
-    def _cache_totals(self) -> CacheStats:
-        """The shard sessions' cache counters, summed field by field."""
-        parts = [shard.session.stats for shard in self.shards]
-        return CacheStats(
-            **{f.name: sum(getattr(part, f.name) for part in parts) for f in fields(CacheStats)}
-        )
-
     def describe(self) -> Dict[str, object]:
-        """A JSON-serializable snapshot: engine stats plus the shared store."""
+        """A JSON-serializable snapshot: engine stats, the session, the store."""
         record = self.stats().to_dict()
-        cache_total = self._cache_totals()
-        record["cache"] = {
-            "hits": cache_total.hits,
-            "misses": cache_total.misses,
-            "evictions": cache_total.evictions,
-            "template_hits": cache_total.template_hits,
-            "hit_rate": cache_total.hit_rate,
-        }
-        record["store"] = self.store.describe() if self.store is not None else None
+        cache = self.session.describe()
+        record["store"] = cache.pop("store")
+        record["cache"] = cache
         return record
 
     # -- lifecycle -------------------------------------------------------------

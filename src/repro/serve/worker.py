@@ -1,35 +1,35 @@
-"""The shard worker: one thread, one cache segment, one request queue.
+"""The shard worker: one thread, one request queue, the engine's one session.
 
-A :class:`ShardWorker` owns everything a serving shard needs:
+Every shard resolves its plans through the engine's one
+:class:`repro.api.Session` (``session.compile(expr, signature)``; a cache
+hit is a dictionary probe), so a plan compiled, loaded or specialized by
+any shard — or by the shard a crashed one was replaced with — is there for
+all of them.  A :class:`ShardWorker` keeps only what threads must not share:
 
-* a :class:`repro.api.Session` — the shard's plan-cache *segment*.  The
-  engine routes every request for a given canonical fingerprint to exactly
-  one shard, so segments never duplicate a plan and never contend on a
-  lock: aggregate cache capacity scales linearly with the shard count.
 * a bounded request queue (:class:`queue.Queue`) — back-pressure for free:
   ``submit`` blocks once the shard is ``queue_depth`` requests behind
   instead of ballooning memory.
-* per-fingerprint serving state: the compiled plan, its executable (the
-  plan's own :meth:`~repro.api.plan.CompiledPlan.executable`), and a
-  :class:`~repro.runtime.tape.StepReuseCache` for pinned-parameter reuse.
+* per-executable serving state: a
+  :class:`~repro.runtime.tape.StepReuseCache` for pinned-parameter reuse and
+  the columnwise-stacking verdict, in a :class:`weakref.WeakKeyDictionary`
+  keyed by the plan entry's executable, so an entry the session evicts
+  takes its state with it.
 * a bounded **result cache**: a request whose fingerprint *and* input value
   objects were served before returns the memoized result without touching
   the executor — the serving tier's answer to repeated hot queries.
 
 **Micro-batching.**  The worker drains up to ``max_batch`` queued requests
-per wake-up and groups them by *template* digest (instance sub-groups
-inside): a size ladder of one workload forms a single group whose first
-member resolves — or compiles — the shared template, every other size
-specializes off it through the session's template tier, and each exact
-instance then serves its requests back-to-back on its own re-pinned tape
-with warm step-reuse state.  On a loaded shard this amortizes queue
-wakeups and plan resolution across the whole group; on an idle shard a
-batch is just one request and nothing is delayed.
+per wake-up and groups them by instance digest, in arrival order: each
+group resolves its plan once and serves its requests back-to-back with warm
+step-reuse state.  Other sizes of one template specialize off the cached
+template through the session's template tier whatever order they arrive
+in.  On an idle shard a batch is just one request and nothing is delayed.
 
 **Executables and columnwise stacking.**  Each resolved plan executes on
-the one executable the plan itself owns — a tape whose steps are fusion
-regions under real arithmetic, the plain operator tape otherwise; both are
-bitwise identical to the interpreter.  When a plan is structurally
+its entry's one executable (:meth:`~repro.api.plan.PlanEntry.executable`) —
+a tape whose steps are fusion regions under real arithmetic, the plain
+operator tape otherwise; both are bitwise identical to the interpreter.
+When a plan is structurally
 columnwise in one ``(m, 1)`` slot, an instance group's k matvec requests are
 additionally *stacked* into one matmat execution and the result columns
 split back out, verified per plan against individual execution (see
@@ -49,8 +49,8 @@ only an exhausted or non-retriable error resolves the future
 exceptionally.  The one exception that *does* kill the worker thread is
 :class:`~repro.reliability.ShardCrashError` — deliberately: it models the
 worker process dying, and the engine's supervisor answers it by
-restarting the shard, re-hydrating a fresh session from the plan store,
-and requeueing every unresolved request (idempotent: the replacement
+restarting the shard on the same session and requeueing every unresolved
+request (idempotent: the replacement
 inherits the result cache, so work that already completed is never
 re-executed).  Each served/failed request is also reported to the shard's
 :class:`~repro.reliability.CircuitBreaker` so the engine can route around
@@ -65,7 +65,8 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -148,36 +149,23 @@ class ShardRequest:
 
 
 @dataclass
-class _BatchState:
-    """Columnwise-stacking state of one plan (see ``_serve_stacked``).
+class _LocalState:
+    """One shard's state for one executable: what threads must not share.
 
+    Everything here is name-free — slot space only — so every renamed or
+    permuted twin of a shape shares it; binding always goes through the
+    *request's* signature.  ``reuse`` memoizes pinned-parameter steps.
     ``slot`` is the structurally-stackable column slot (``None`` disables
     stacking outright); ``status`` walks ``untested`` (verify every member
     of the first stacked batch) -> ``on`` (verify one rotating member per
-    batch) -> ``off`` (any mismatch permanently disables stacking)."""
+    batch) -> ``off`` (any mismatch permanently disables stacking).  See
+    ``_serve_stacked``."""
 
     slot: Optional[int]
+    reuse: StepReuseCache = field(default_factory=StepReuseCache)
     status: str = "untested"
     batches: int = 0
     mismatches: int = 0
-
-
-@dataclass
-class _PlanState:
-    """Per-fingerprint serving state owned by exactly one shard.
-
-    Everything here is **name-free** or belongs to whoever compiled first:
-    the executor and reuse cache operate purely in slot space, so every
-    renamed/permuted twin of the fingerprint shares them safely.  Binding,
-    by contrast, is name-sensitive and always goes through the *request's*
-    signature, never this cached plan's.  ``tape`` is the plan's own
-    executable (``plan.executable()``), held here so the request path does
-    not re-resolve it."""
-
-    plan: CompiledPlan
-    tape: TapePlan
-    reuse: StepReuseCache
-    batch: _BatchState = field(default_factory=lambda: _BatchState(slot=None))
 
 
 @dataclass
@@ -214,6 +202,10 @@ class ShardCounters(ServingCounters):
     """What one shard maintains (read under the shard lock)."""
 
     step_reuse_misses: int = 0
+    #: this shard's ``session.compile`` results: served from cached state,
+    #: or a run of the optimizer pipeline
+    cache_hits: int = 0
+    compilations: int = 0
     #: perf_counter timestamp of the most recent completion
     last_completion: float = 0.0
     #: fingerprints this shard has ever served (plans may since be evicted)
@@ -237,6 +229,7 @@ class ShardWorker:
         latency_histogram: Optional[obs.Histogram] = None,
     ) -> None:
         self.index = index
+        #: the engine's one session, shared by every shard and every restart
         self.session = session
         self.max_batch = max(1, max_batch)
         self.retry_policy = retry_policy
@@ -260,9 +253,9 @@ class ShardWorker:
         self._heartbeat = time.perf_counter()
         #: True only after a *clean* loop exit; a crashed worker never sets it
         self.stopped = False
-        #: fingerprint -> serving state; bounded in step with the session's
-        #: cache segment so the two tiers age together
-        self._plans: "OrderedDict[str, _PlanState]" = OrderedDict()
+        #: executable -> this shard's state for it; weak, so an entry the
+        #: session evicts takes the state with it (only this thread touches it)
+        self._local: "WeakKeyDictionary[TapePlan, _LocalState]" = WeakKeyDictionary()
         #: (fingerprint, value ids) -> (value objects, result); identity of
         #: the stored objects is re-checked on every hit, so id recycling
         #: after garbage collection can never alias two requests
@@ -377,23 +370,16 @@ class ShardWorker:
             with self._lock:
                 self._active = []
             return
-        # Primary grouping is by *template* digest: a size ladder of one
-        # workload forms a single batch-group whose first member resolves
-        # (or compiles) the template and whose other sizes specialize off
-        # it through the session's template tier — warm by construction.
-        # Within the group, requests of one exact instance share a resolve.
-        groups: "OrderedDict[str, OrderedDict[str, List[ShardRequest]]]" = OrderedDict()
+        # Requests of one exact instance share a resolve, in arrival order;
+        # other sizes of a template specialize off it in the session
+        # whatever order they arrive in.
+        groups: Dict[str, List[ShardRequest]] = {}
         for request in batch:
-            group = groups.setdefault(request.signature.template_digest, OrderedDict())
-            group.setdefault(request.signature.digest, []).append(request)
-        group_sizes = [
-            sum(len(requests) for requests in group.values())
-            for group in groups.values()
-        ]
+            groups.setdefault(request.signature.digest, []).append(request)
         with self._lock:
             self.counters.batches += 1
             self.counters.batched_requests += sum(
-                size for size in group_sizes if size > 1
+                len(members) for members in groups.values() if len(members) > 1
             )
         # The batch span is a root: its member requests carry their own
         # submit-side parent contexts, so per-request spans parent to the
@@ -402,83 +388,79 @@ class ShardWorker:
             "serve.batch", parent=None, shard=self.index,
             size=len(batch), groups=len(groups),
         ):
-            for group in groups.values():
-                for members in group.values():
-                    # Re-check expiry at the group head: an earlier group's
-                    # compile may have outlived these members' budgets, and a
-                    # group of dead requests must not pay its own resolve.
-                    now = time.perf_counter()
-                    live = []
+            for members in groups.values():
+                # Re-check expiry at the group head: an earlier group's
+                # compile may have outlived these members' budgets, and a
+                # group of dead requests must not pay its own resolve.
+                now = time.perf_counter()
+                live = []
+                for request in members:
+                    if request.deadline is not None and now > request.deadline:
+                        self._shed(request)
+                    else:
+                        live.append(request)
+                members = live
+                if not members:
+                    continue
+                try:
+                    plan = self._compile(members[0])
+                    tape = plan.executable()
+                    local = self._local.get(tape)
+                    if local is None:
+                        local = _LocalState(
+                            slot=stackable_slot(plan._entry.slot_plan, tape.n_slots)
+                        )
+                        self._local[tape] = local
+                except ShardCrashError:
+                    # A crash is a crash wherever it lands: let it kill the
+                    # worker thread; the supervisor requeues from _active.
+                    raise
+                except Exception as error:  # compile failure poisons the instance only
+                    with self._lock:
+                        self.counters.errors += len(members)
+                    if self.breaker is not None:
+                        self.breaker.record_failure()
                     for request in members:
-                        if request.deadline is not None and now > request.deadline:
-                            self._shed(request)
-                        else:
-                            live.append(request)
-                    members = live
-                    if not members:
-                        continue
-                    try:
-                        state = self._resolve(members[0])
-                    except ShardCrashError:
-                        # A crash is a crash wherever it lands: let it kill the
-                        # worker thread; the supervisor requeues from _active.
-                        raise
-                    except Exception as error:  # compile failure poisons the instance only
-                        with self._lock:
-                            self.counters.errors += len(members)
-                        if self.breaker is not None:
-                            self.breaker.record_failure()
-                        for request in members:
-                            if _mark_running(request.future):
-                                _fail(request.future, error)
-                        continue
-                    try:
-                        self._serve_stacked(state, members)
-                        for request in members:
-                            self._serve_one(state, request)
-                    finally:
-                        self._prestacked.clear()
+                        if _mark_running(request.future):
+                            _fail(request.future, error)
+                    continue
+                try:
+                    self._serve_stacked(tape, local, members)
+                    for request in members:
+                        self._serve_one(plan, tape, local, request)
+                finally:
+                    self._prestacked.clear()
         with self._lock:
             self._active = []
 
-    def _resolve(self, request: ShardRequest) -> _PlanState:
-        digest = request.signature.digest
-        state = self._plans.get(digest)
-        if state is None:
-            plan = self.session.compile(request.expr, request.signature)
-            state = _PlanState(
-                plan=plan,
-                tape=plan.executable(),
-                reuse=StepReuseCache(),
-                batch=_BatchState(
-                    slot=stackable_slot(
-                        plan._entry.slot_plan, len(request.signature.slots)
-                    )
-                ),
-            )
-            evicted: List[_PlanState] = []
-            # The shard lock guards _plans against snapshot() iterating from
-            # a monitoring thread; only this worker thread ever writes.
-            with self._lock:
-                self._plans[digest] = state
-                while len(self._plans) > self.session.cache.capacity:
-                    evicted.append(self._plans.popitem(last=False)[1])
-            for old in evicted:
-                self._retire(old)
-        else:
-            with self._lock:
-                self._plans.move_to_end(digest)
+    def _compile(self, request: ShardRequest) -> CompiledPlan:
+        """The session's plan under this request's names, counted per shard."""
+        plan = self.session.compile(request.expr, request.signature)
         with self._lock:
-            self.counters.seen_fingerprints.add(digest)
+            if plan.cache_hit:
+                self.counters.cache_hits += 1
+            else:
+                self.counters.compilations += 1
+            self.counters.seen_fingerprints.add(request.signature.digest)
             self.counters.seen_templates.add(request.signature.template_digest)
-        return state
+        return plan
 
-    def _retire(self, state: _PlanState) -> None:
-        """Fold a retiring plan's reuse counters into the shard totals."""
-        with self._lock:
-            self.counters.step_reuse_hits += state.reuse.hits
-            self.counters.step_reuse_misses += state.reuse.misses
-        state.reuse.hits = state.reuse.misses = 0
+    def _run_tape(
+        self,
+        tape: TapePlan,
+        local: _LocalState,
+        values: Sequence[MatrixValue],
+        faults: Optional[FaultInjector] = None,
+    ) -> ExecutionResult:
+        """Execute on this shard's reuse state, counting its hits and misses."""
+        reuse = local.reuse
+        try:
+            return tape.execute(values, reuse, faults)
+        finally:
+            with self._lock:
+                self.counters.step_reuse_hits += reuse.hits
+                self.counters.step_reuse_misses += reuse.misses
+            reuse.hits = reuse.misses = 0
 
     def _shed(self, request: ShardRequest, reason: str = "in queue") -> None:
         """Drop an expired request with the typed shed error (counted)."""
@@ -494,7 +476,13 @@ class ShardWorker:
             ),
         )
 
-    def _serve_one(self, state: _PlanState, request: ShardRequest) -> None:
+    def _serve_one(
+        self,
+        plan: CompiledPlan,
+        tape: TapePlan,
+        local: _LocalState,
+        request: ShardRequest,
+    ) -> None:
         if request.deadline is not None and time.perf_counter() > request.deadline:
             # The budget expired while earlier groups of this batch ran.
             self._shed(request)
@@ -510,10 +498,12 @@ class ShardWorker:
             attempt = 0
             while True:
                 try:
-                    if request.compile_only:
-                        result: object = self._plan_view(state, request)
-                    else:
-                        result = self._execute(state, request)
+                    if not request.compile_only:
+                        result: object = self._execute(tape, local, request)
+                    elif plan.signature is request.signature:
+                        result = plan
+                    else:  # a renamed twin's plan must speak its own names
+                        result = self._compile(request)
                     break
                 except ShardCrashError:
                     # Models the worker process dying mid-request: leave the
@@ -555,7 +545,7 @@ class ShardWorker:
             latency = now - request.enqueued
             with self._lock:
                 self.counters.served += 1
-                if state.plan.degraded:
+                if plan.degraded:
                     self.counters.degraded += 1
                 self.counters.last_completion = now
             if self.latency_histogram is not None:
@@ -567,19 +557,9 @@ class ShardWorker:
                 self.breaker.record_success()
             _resolve(request.future, result)
 
-    def _plan_view(self, state: _PlanState, request: ShardRequest) -> CompiledPlan:
-        """A plan bound to *this request's* names (twins must not share views)."""
-        if state.plan.signature is request.signature:
-            return state.plan
-        return CompiledPlan(
-            state.plan._entry,
-            request.signature,
-            request.expr,
-            session=self.session,
-            cache_hit=True,
-        )
-
-    def _serve_stacked(self, state: _PlanState, members: List[ShardRequest]) -> None:
+    def _serve_stacked(
+        self, tape: TapePlan, local: _LocalState, members: List[ShardRequest]
+    ) -> None:
         """Serve one instance group as a single column-stacked execution.
 
         Columnwise numeric batching: when the plan is structurally
@@ -596,10 +576,9 @@ class ShardWorker:
         Every bail-out path simply leaves ``_prestacked`` empty and the
         per-request loop serves individually.
         """
-        batch = state.batch
         if (
-            batch.slot is None
-            or batch.status == "off"
+            local.slot is None
+            or local.status == "off"
             or len(members) < 2
             or self._tape_faults is not None
             or any(request.compile_only for request in members)
@@ -612,7 +591,7 @@ class ShardWorker:
             ]
         except Exception:
             return  # binding errors surface per-request with full context
-        slot = batch.slot
+        slot = local.slot
         first = bound[0]
         rows = first[slot].shape[0]
         for values in bound:
@@ -628,10 +607,10 @@ class ShardWorker:
         )
         stacked_values = list(first)
         stacked_values[slot] = stacked_column
-        stacked = state.tape.execute(stacked_values, state.reuse, None)
+        stacked = self._run_tape(tape, local, stacked_values)
         dense_out = stacked.value.to_dense()
         if dense_out.ndim != 2 or dense_out.shape[1] != len(members):
-            batch.status = "off"
+            local.status = "off"
             return
         results = [
             MatrixValue(np.ascontiguousarray(dense_out[:, j : j + 1])).compacted()
@@ -639,21 +618,21 @@ class ShardWorker:
         ]
         verify = (
             range(len(members))
-            if batch.status == "untested"
-            else (batch.batches % len(members),)
+            if local.status == "untested"
+            else (local.batches % len(members),)
         )
         for j in verify:
-            individual = state.tape.execute(bound[j], state.reuse, None)
+            individual = self._run_tape(tape, local, bound[j])
             if (
                 individual.value.is_sparse != results[j].is_sparse
                 or individual.value.shape != results[j].shape
                 or not np.array_equal(individual.value.to_dense(), results[j].to_dense())
             ):
-                batch.mismatches += 1
-                batch.status = "off"
+                local.mismatches += 1
+                local.status = "off"
                 return
-        batch.status = "on"
-        batch.batches += 1
+        local.status = "on"
+        local.batches += 1
         with self._lock:
             self.counters.stacked_batches += 1
             self.counters.stacked_requests += len(members)
@@ -668,7 +647,9 @@ class ShardWorker:
                 ),
             )
 
-    def _execute(self, state: _PlanState, request: ShardRequest) -> ExecutionResult:
+    def _execute(
+        self, tape: TapePlan, local: _LocalState, request: ShardRequest
+    ) -> ExecutionResult:
         # Bind through the request's own signature: a renamed or
         # role-permuted twin of the cached shape carries the same digest
         # but its own name -> slot order.
@@ -692,8 +673,8 @@ class ShardWorker:
         if prestacked is not None:
             result = prestacked
         else:
-            with _TRACER.span("serve.execute", steps=len(state.tape)):
-                result = state.tape.execute(values, state.reuse, self._tape_faults)
+            with _TRACER.span("serve.execute", steps=len(tape)):
+                result = self._run_tape(tape, local, values, self._tape_faults)
         self._results[key] = (values, result)
         while len(self._results) > RESULT_CACHE_SIZE:
             self._results.popitem(last=False)
@@ -725,39 +706,28 @@ class ShardWorker:
 
     # -- monitoring ------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-serializable, internally consistent view of this shard."""
-        cache_stats = self.session.stats
+        """A JSON-serializable, internally consistent view of this shard.
+
+        Plan counts are this shard's own ``session.compile`` results; what
+        the shared session holds (cached plans, template hits) is the
+        engine's to report."""
         with self._lock:
             counters = self.counters
             record: Dict[str, object] = {"shard": self.index}
             record.update(
                 (f.name, getattr(counters, f.name)) for f in fields(ServingCounters)
             )
-            # Live plans' reuse counts are folded in on retirement only.
-            record["step_reuse_hits"] += sum(s.reuse.hits for s in self._plans.values())
-            record["step_reuse_misses"] = counters.step_reuse_misses + sum(
-                s.reuse.misses for s in self._plans.values()
+            lookups = counters.cache_hits + counters.compilations
+            record.update(
+                step_reuse_misses=counters.step_reuse_misses,
+                unique_fingerprints=len(counters.seen_fingerprints),
+                unique_templates=len(counters.seen_templates),
+                compilations=counters.compilations,
+                cache_hits=counters.cache_hits,
+                cache_hit_rate=counters.cache_hits / lookups if lookups else 0.0,
             )
-            record["unique_fingerprints"] = len(counters.seen_fingerprints)
-            record["unique_templates"] = len(counters.seen_templates)
         if self.breaker is not None:
             record["breaker"] = self.breaker.state
-        compilations = self.session.compilations
-        served = int(record["served"])
-        record.update(
-            {
-                "compilations": compilations,
-                # Fraction of this shard's requests served without compiling,
-                # clamped: a compile whose requests then all failed binding
-                # counts in compilations but not in served.
-                "plan_hit_rate": max(0.0, served - compilations) / served if served else 0.0,
-                "cache_hits": cache_stats.hits,
-                "cache_misses": cache_stats.misses,
-                "cache_hit_rate": cache_stats.hit_rate,
-                "template_hits": cache_stats.template_hits,
-                "cached_plans": len(self.session.cache),
-            }
-        )
         return record
 
     def last_completion(self) -> float:

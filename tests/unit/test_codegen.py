@@ -508,10 +508,12 @@ class TestServingStacked:
         engine = ServingEngine(shards=1)
         engine.run(expr, {"A": pinned, "q": vectors[0]})
         worker = engine.shards[0]
-        state = next(iter(worker._plans.values()))
+        plan = engine.plan_for(expr)
+        tape = plan.executable()
+        local = worker._local[tape]
         requests = [
             ShardRequest(
-                signature=state.plan.signature,
+                signature=plan.signature,
                 expr=expr,
                 inputs={"A": pinned, "q": vector},
                 future=Future(),
@@ -519,22 +521,20 @@ class TestServingStacked:
             )
             for vector in vectors
         ]
-        return engine, worker, state, requests, pinned, vectors
+        return engine, worker, tape, local, requests, pinned, vectors
 
     def test_stacked_execution_matches_individual(self):
-        engine, worker, state, requests, pinned, vectors = self._engine_and_state()
+        engine, worker, tape, local, requests, pinned, vectors = self._engine_and_state()
         try:
-            assert state.batch.slot == 1
-            worker._serve_stacked(state, requests)
-            assert state.batch.status == "on"
+            assert local.slot == 1
+            worker._serve_stacked(tape, local, requests)
+            assert local.status == "on"
             assert len(worker._prestacked) == len(requests)
             assert worker.counters.stacked_batches == 1
             assert worker.counters.stacked_requests == len(requests)
             for request, vector in zip(requests, vectors):
                 got = worker._prestacked[id(request)].value
-                individual = state.tape.execute(
-                    [pinned, vector], state.reuse, None
-                ).value
+                individual = tape.execute([pinned, vector], local.reuse, None).value
                 assert got.is_sparse == individual.is_sparse
                 assert np.array_equal(got.to_dense(), individual.to_dense())
         finally:
@@ -542,13 +542,13 @@ class TestServingStacked:
             engine.close()
 
     def test_differing_pinned_inputs_disable_the_stack(self):
-        engine, worker, state, requests, pinned, vectors = self._engine_and_state()
+        engine, worker, tape, local, requests, pinned, vectors = self._engine_and_state()
         try:
             other = MatrixValue(pinned.to_dense().copy())
             requests[2].inputs = {"A": other, "q": vectors[2]}
-            worker._serve_stacked(state, requests)
+            worker._serve_stacked(tape, local, requests)
             assert worker._prestacked == {}
-            assert state.batch.status == "untested"  # no verdict, just skipped
+            assert local.status == "untested"  # no verdict, just skipped
         finally:
             engine.close()
 

@@ -492,10 +492,12 @@ class TestSparseFormatsThroughThePlan:
                     for vector in vectors
                 ]
                 worker = engine.shards[0]
-                state = next(iter(worker._plans.values()))
+                plan = engine.plan_for(expr)
+                tape = plan.executable()
+                local = worker._local[tape]
                 requests = [
                     ShardRequest(
-                        signature=state.plan.signature,
+                        signature=plan.signature,
                         expr=expr,
                         inputs={"A": pinned, "q": mv(vector)},
                         future=Future(),
@@ -503,8 +505,8 @@ class TestSparseFormatsThroughThePlan:
                     )
                     for vector in vectors
                 ]
-                worker._serve_stacked(state, requests)
-                assert state.batch.status == "on"
+                worker._serve_stacked(tape, local, requests)
+                assert local.status == "on"
                 assert worker.counters.stacked_requests == len(requests)
                 stacked = [worker._prestacked[id(r)].value.to_dense() for r in requests]
                 worker._prestacked.clear()

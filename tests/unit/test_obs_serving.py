@@ -295,7 +295,6 @@ class TestMetricsText:
         finally:
             engine.close()
         cache, disk = record["cache"], record["store"]
-        sessions = [shard.session for shard in engine.shards]
         expected = {
             'repro_serve_requests_total{result="ok"}': stats.served,
             'repro_serve_requests_total{result="error"}': stats.errors,
@@ -310,8 +309,8 @@ class TestMetricsText:
             "repro_plan_cache_evictions_total": cache["evictions"],
             "repro_plan_cache_template_hits_total": cache["template_hits"],
             "repro_session_compilations_total": stats.compilations,
-            "repro_session_degraded_total": sum(s.degraded_compilations for s in sessions),
-            "repro_session_drift_recompiles_total": sum(s.stats.recompiles for s in sessions),
+            "repro_session_degraded_total": cache["degraded_compilations"],
+            "repro_session_drift_recompiles_total": cache["recompiles"],
             'repro_plan_store_loads_total{result="hit"}': disk["hits"],
             'repro_plan_store_loads_total{result="miss"}': disk["misses"],
             'repro_plan_store_loads_total{result="error"}': disk["load_errors"],

@@ -1,5 +1,6 @@
 """Tests for canonical fingerprinting and the Session plan cache."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -132,6 +133,37 @@ class TestPlanCache:
         assert plan.fingerprint == twin.fingerprint
         assert twin.input_names == ("A", "b", "c")
 
+    def test_views_and_runs_share_one_executable(self, monkeypatch):
+        """An executable belongs to the cache entry, not to a plan view: two
+        views of one shape, and two one-shot runs, build it once."""
+        import numpy as np
+
+        from repro.api import plan as plan_module
+        from repro.runtime import MatrixValue
+
+        builds = []
+        real_build = plan_module.build_executable
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "build_executable", counting_build)
+        session = greedy_session()
+        a = session.compile(reconstruction_loss("X", "u", "v"))
+        b = session.compile(reconstruction_loss("A", "b", "c"))
+        assert a.executable() is b.executable()
+        rng = np.random.default_rng(0)
+        inputs = {
+            "X": MatrixValue.random_sparse(100, 50, 0.01, rng),
+            "u": MatrixValue.random_dense(100, 1, rng),
+            "v": MatrixValue.random_dense(50, 1, rng),
+        }
+        expr = reconstruction_loss()
+        first = session.run(expr, inputs).scalar()
+        assert session.run(expr, inputs).scalar() == first
+        assert len(builds) == 1
+
     def test_lru_eviction(self):
         # Distinct sparsity *bands* so the shapes are different templates:
         # this test exercises the instance tier alone (a size-only change
@@ -203,19 +235,29 @@ class TestPlanCache:
         assert (session.stats.hits, session.stats.misses) == (1, 1)
 
     def test_concurrent_compile_of_one_shape_compiles_once(self):
-        """Concurrent misses of the same fingerprint must share one pipeline run."""
+        """Concurrent misses of the same fingerprint must share one pipeline
+        run, and concurrent first uses of its entry one executable."""
         session = greedy_session()
         barrier = threading.Barrier(8)
 
         def compile_once(_):
             barrier.wait()
-            return session.compile(reconstruction_loss())
+            plan = session.compile(reconstruction_loss())
+            return plan, plan.executable()
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            plans = list(pool.map(compile_once, range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(compile_once, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
 
         assert session.compilations == 1
-        assert len({id(plan._entry) for plan in plans}) == 1
+        assert (session.stats.hits, session.stats.misses) == (7, 1)
+        assert len({id(plan._entry) for plan, _ in results}) == 1
+        assert len({id(executable) for _, executable in results}) == 1
+        assert results[0][0].executable() is results[0][1]
         assert len(session.cache) == 1
 
     def test_concurrent_compile_of_distinct_shapes(self):

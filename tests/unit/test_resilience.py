@@ -113,6 +113,30 @@ class TestCrashRecovery:
         finally:
             engine.close()
 
+    def test_restarts_keep_the_one_session_and_compile_once(self):
+        """The chaos smoke's crash schedule without a store: every replacement
+        runs on the engine's one session, so the shape compiles once."""
+        faults = FaultInjector(
+            [FaultRule("shard.execute", ShardCrashError, start=2, every=5, count=4)],
+            seed=11,
+        )
+        engine = ServingEngine(
+            shards=2, config=config(), fault_injector=faults, supervision_interval=0.01
+        )
+        try:
+            expr = make_loss(0.05)
+            input_sets = [make_inputs(seed) for seed in range(24)]
+            futures = [engine.submit(expr, inputs) for inputs in input_sets]
+            for inputs, future in zip(input_sets, futures):
+                assert future.result(timeout=60).scalar() == pytest.approx(
+                    expected(expr, inputs), rel=1e-12
+                )
+            assert engine.stats().restarts == 4
+            assert engine.compilations == 1
+            assert all(shard.session is engine.session for shard in engine.shards)
+        finally:
+            engine.close()
+
 
 class TestRetries:
     def test_transient_execution_fault_is_retried_in_place(self):
@@ -218,6 +242,43 @@ class TestCircuitBreaker:
             assert health["ready"]  # the sibling keeps the engine ready
             states = [record["breaker"]["state"] for record in health["shards"]]
             assert states.count("open") == 1
+        finally:
+            engine.close()
+
+    def test_rerouted_request_finds_its_plan_cached(self, tmp_path):
+        """The sibling an open breaker routes to serves from the shared
+        session: no compile, no store probe."""
+        store = PlanStore(tmp_path, config())
+        engine = ServingEngine(
+            shards=2,
+            config=config(),
+            store=store,
+            breaker_threshold=1,
+            breaker_reset=60.0,  # stays open for the whole test
+            supervision_interval=0.01,
+        )
+
+        def probes():
+            stats = store.stats
+            return (stats.hits, stats.misses, stats.load_errors,
+                    stats.template_hits, stats.template_misses)
+
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(1)
+            engine.run(expr, make_inputs(0))
+            home = engine.shard_of(engine.signature_for(expr).template_digest)
+            engine._breakers[home].record_failure()
+            assert engine._breakers[home].state == "open"
+            compilations, before = engine.compilations, probes()
+            result = engine.run(expr, inputs)
+            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
+            stats = engine.stats()
+            assert stats.rerouted == 1
+            assert engine.compilations == compilations
+            assert probes() == before
+            sibling = stats.per_shard[1 - home]
+            assert (sibling["served"], sibling["compilations"]) == (1, 0)
+            assert sibling["cache_hit_rate"] == 1.0
         finally:
             engine.close()
 
