@@ -106,7 +106,7 @@ class PlanEntry:
         return self.signature.template_digest
 
     def executable(self, ring: Union[str, Semiring, None] = None) -> TapePlan:
-        """The one executor of this entry, built on first use.
+        """The one executor of this entry on ``ring``, built on first use.
 
         :func:`~repro.runtime.codegen.build_executable` over the slot plan:
         a :class:`~repro.runtime.codegen.FusedPlan` under real arithmetic,
@@ -114,22 +114,20 @@ class PlanEntry:
         :class:`CompiledPlan` view of the entry and every serving shard runs
         this object.  The memo is not a dataclass field, so neither equality
         nor the codec sees it; ``dict.setdefault`` makes concurrent first
-        uses agree on one object.  A ring other than the memo's gets a fresh,
-        unmemoized build.
+        uses agree on one object.
         """
         ring = resolve_semiring(ring)
-        built = self.__dict__.get("_executable")
-        if built is not None and built.ring is ring:
-            return built
-        fresh = build_executable(
-            self.slot_plan,
-            len(self.signature.slots),
-            ring=ring,
-            slot_sparsity={spec.index: spec.sparsity for spec in self.signature.slots},
-        )
-        if built is not None:
-            return fresh
-        return self.__dict__.setdefault("_executable", fresh)
+        memo = self.__dict__.setdefault("_executables", {})
+        built = memo.get(ring.name)
+        if built is None:
+            built = build_executable(
+                self.slot_plan,
+                len(self.signature.slots),
+                ring=ring,
+                slot_sparsity={spec.index: spec.sparsity for spec in self.signature.slots},
+            )
+            built = memo.setdefault(ring.name, built)
+        return built
 
 
 def specialize_entry(entry: PlanEntry, signature: ExprSignature) -> Optional[PlanEntry]:

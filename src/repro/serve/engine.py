@@ -215,8 +215,6 @@ class ServingEngine:
             degrade_on_error=degrade_on_error,
             fault_injector=fault_injector,
         )
-        #: the one persistent tier the session writes through (may be None)
-        self.store = self.session.store
         #: private always-enabled registry backing the engine's latency
         #: accounting: one shared reservoir the shard workers observe into.
         #: It is engine-owned (not per-worker) so the reservoir survives
@@ -718,7 +716,7 @@ class ServingEngine:
         """
         stats = self.stats()
         cache = self.session.stats
-        store = self.store.stats if self.store is not None else StoreStats()
+        store = self.session.store.stats if self.session.store is not None else StoreStats()
         series = {
             ("serve_requests_total", "ok"): stats.served,
             ("serve_requests_total", "error"): stats.errors,
