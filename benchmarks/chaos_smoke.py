@@ -24,9 +24,13 @@ Scenarios:
    skipped persists; both are counted, neither surfaces to callers.
 5. **close-semantics** — with supervision off and a crashed shard, close()
    fails stranded futures with the typed ``EngineClosedError``.
-6. **replay** — the same seed replays the same storm, fault for fault
+6. **concurrent-run-close** — no faults, so ``run()`` serves idle shards on
+   the calling thread: two threads loop on it while close() runs; every
+   call returns the right answer or raises ``EngineClosedError``, and both
+   threads finish within a wall-clock bound.
+7. **replay** — the same seed replays the same storm, fault for fault
    (what makes every scenario above debuggable).
-7. **store-corruption** — truncated on-disk entries degrade to compiles
+8. **store-corruption** — truncated on-disk entries degrade to compiles
    (delegated to ``store_corruption_smoke``).
 """
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -224,6 +229,48 @@ def close_semantics_smoke() -> None:
     print("close semantics OK: stranded futures failed with EngineClosedError")
 
 
+def concurrent_run_close_smoke() -> None:
+    engine = ServingEngine(shards=2, config=config())
+    expr = loss()
+    input_sets = [inputs_for(300 + seed) for seed in range(4)]
+    expected = [execute(expr, values).scalar() for values in input_sets]
+    engine.warm([expr])
+    outcomes: list = [[], []]
+
+    def client(index: int) -> None:
+        step = 0
+        while True:
+            which = step % len(input_sets)
+            try:
+                got = engine.run(expr, input_sets[which]).scalar()
+            except EngineClosedError:
+                outcomes[index].append("closed")
+                return
+            want = expected[which]
+            ok = abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            outcomes[index].append("ok" if ok else "wrong")
+            step += 1
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+    started = time.monotonic()
+    for thread in threads:
+        thread.start()
+    while not all(len(out) >= 20 for out in outcomes):
+        check("concurrent-run-close", time.monotonic() - started < 30, "clients stalled")
+        time.sleep(0.005)
+    engine.close(timeout=5)
+    for thread in threads:
+        thread.join(max(0.0, started + 40 - time.monotonic()))
+        check("concurrent-run-close", not thread.is_alive(), "a run() outlived close()")
+    for out in outcomes:
+        check("concurrent-run-close", "wrong" not in out, "a run() returned a wrong value")
+        check("concurrent-run-close", out[-1] == "closed", "a client never saw close")
+    for shard in engine.shards:
+        check("concurrent-run-close", not shard.take_unresolved(), "a request left pending")
+    served = sum(out.count("ok") for out in outcomes)
+    print(f"concurrent run/close OK: {served} answers, both clients saw EngineClosedError")
+
+
 def replay_smoke() -> None:
     def storm() -> list:
         faults = FaultInjector(
@@ -268,6 +315,7 @@ def main() -> int:
     degraded_fallback_smoke()
     store_fault_smoke()
     close_semantics_smoke()
+    concurrent_run_close_smoke()
     replay_smoke()
     corruption_smoke()
     print("chaos smoke: all scenarios passed")

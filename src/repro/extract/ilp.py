@@ -24,8 +24,9 @@ Two practical additions beyond the paper's figure:
   "prunes away a large number of invalid candidates and helps the solver".
 
 The solver is HiGHS through :func:`scipy.optimize.milp`; the paper used
-Gurobi.  If the solve fails or exceeds the time limit, extraction falls back
-to the greedy algorithm so the optimizer always returns a plan.
+Gurobi.  A solve that hits the time limit keeps the solver's incumbent
+(``solver_status="time_limit"``); only a solve that returns no solution
+falls back to the greedy algorithm, so the optimizer always returns a plan.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from repro.egraph.enode import ENode
 from repro.egraph.graph import EGraph
 from repro.extract.greedy import CostFn, ExtractionError, ExtractionResult, GreedyExtractor
 from repro.ra.rexpr import RExpr
+
+#: ``ILPStats.solver_status`` names of the ``milp`` status codes
+_STATUS = {0: "optimal", 1: "time_limit"}
 
 
 @dataclass
@@ -163,7 +167,9 @@ class ILPExtractor:
         except Exception as error:  # pragma: no cover - solver-side failures
             return self._fallback(egraph, root, f"solver error: {error}")
 
-        if not result.success or result.x is None:
+        # A time-limited solve (status 1) may still carry a feasible
+        # incumbent; only a solve without any ``x`` falls back to greedy.
+        if result.x is None:
             return self._fallback(egraph, root, f"solver status {result.status}")
 
         selection = result.x[:num_ops] > 0.5
@@ -174,7 +180,7 @@ class ILPExtractor:
         self.last_stats = ILPStats(
             num_variables=num_vars,
             num_constraints=len(rows),
-            solver_status="optimal" if result.success else str(result.status),
+            solver_status=_STATUS.get(result.status, str(result.status)),
             objective=float(result.fun) if result.fun is not None else None,
             used_fallback=False,
         )

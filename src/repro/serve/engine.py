@@ -22,8 +22,13 @@ worker pool:
 * **Async-friendly submission.**  :meth:`submit` enqueues onto the target
   shard's bounded queue and returns a :class:`concurrent.futures.Future`
   immediately (back-pressure blocks the producer only once the shard is a
-  full queue behind); :meth:`run` and :meth:`run_many` are the synchronous
-  conveniences on top.
+  full queue behind); :meth:`run_many` is the synchronous convenience on
+  top.
+* **Caller runs.**  :meth:`run` and :meth:`plan_for` route and admit like
+  ``submit``, but when the target shard is idle — empty queue, its
+  ``_serving`` lock free — the calling thread serves the request through
+  the shard's own ``_serve_batch`` instead of waiting on a thread hand-off;
+  a busy shard (or any enabled fault injection) gets it queued.
 * **Engine-level statistics.**  :meth:`stats` sums the shards'
   :class:`~repro.serve.worker.ShardCounters` into throughput, p50/p95
   latency and per-shard hit rates, and takes compilation and template-hit
@@ -317,7 +322,8 @@ class ServingEngine:
         """Enqueue one request; returns a future resolving to its result.
 
         Routing work (fingerprint + shard pick) happens on the caller's
-        thread; binding, compilation and execution happen on the shard.
+        thread; binding, compilation and execution happen on the shard's
+        worker thread (unlike :meth:`run`, which may serve inline).
         ``deadline`` (seconds from now; falls back to the engine's
         ``default_deadline``) turns back-pressure into load shedding: a
         full queue rejects the request with :class:`QueueFullError` once
@@ -339,10 +345,23 @@ class ServingEngine:
         expr: la.LAExpr,
         inputs: Optional[Mapping[str, InputValue]] = None,
         /,
+        deadline: Optional[float] = None,
         **named: InputValue,
     ) -> ExecutionResult:
-        """Synchronous convenience: ``submit(...).result()``."""
-        return self.submit(expr, inputs, **named).result()
+        """Serve one request and wait for it: ``submit(...).result()``.
+
+        Routed, admitted and shed exactly as :meth:`submit`, but when the
+        target shard is idle (empty queue, nobody serving) the *calling*
+        thread serves the request through the shard's own batch path — same
+        result cache, reuse state and counters — instead of handing it to
+        the worker and waiting for the wake-up.  A busy shard, or an engine
+        with fault injection on, gets the request queued as by ``submit``.
+        """
+        merged = self._merge_inputs(inputs, named)
+        future = self._enqueue(
+            expr, merged, compile_only=False, deadline=deadline, caller_runs=True
+        )
+        return future.result()
 
     def run_many(
         self,
@@ -371,7 +390,7 @@ class ServingEngine:
 
     def plan_for(self, expr: la.LAExpr) -> CompiledPlan:
         """The compiled plan serving ``expr`` (compiling it if needed)."""
-        future = self._enqueue(expr, None, compile_only=True)
+        future = self._enqueue(expr, None, compile_only=True, caller_runs=True)
         plan = future.result()
         assert isinstance(plan, CompiledPlan)
         return plan
@@ -382,6 +401,7 @@ class ServingEngine:
         inputs: Optional[Mapping[str, InputValue]],
         compile_only: bool,
         deadline: Optional[float] = None,
+        caller_runs: bool = False,
     ) -> "Future[object]":
         signature = self.signature_for(expr)
         # Route by the size-free *template* digest: every point of a size
@@ -437,19 +457,34 @@ class ServingEngine:
                 self._submitted += 1
                 if self._first_submit is None:
                     self._first_submit = request.enqueued
+            # Caller runs: an idle shard is served on this thread, under the
+            # shard's _serving lock.  Injected faults always queue: a
+            # ShardCrashError must kill a worker, not the caller.
+            inline = (
+                caller_runs
+                and not self.faults.enabled
+                and shard.queue.empty()
+                and shard._serving.acquire(blocking=False)
+            )
+            if not inline:
+                try:
+                    # Outside the lock: a full queue blocks on worker
+                    # progress, and workers keep draining until close() —
+                    # which waits for us — sends the stop sentinel.
+                    if request.deadline is None:
+                        self._put_blocking(shard, request)
+                    else:
+                        self._put_or_shed(shard, request)
+                finally:
+                    self._end_submit()
+        if inline:
+            # Still inside the _pending_submits window, so close() waits.
             try:
-                # Outside the lock: a full queue blocks on worker progress,
-                # and workers keep draining until close() — which waits for
-                # us — sends the stop sentinel.
-                if request.deadline is None:
-                    self._put_blocking(shard, request)
-                else:
-                    self._put_or_shed(shard, request)
+                shard._serve_batch([request])
             finally:
-                with self._lock:
-                    self._pending_submits -= 1
-                    if self._pending_submits == 0:
-                        self._no_pending.notify_all()
+                shard._serving.release()
+                self._end_submit()
+            return future
         # A supervisor restart racing with our put may have swapped the
         # shard out from under us, stranding the request on a queue no
         # thread drains; detect the swap and move it to the live worker.
@@ -457,6 +492,13 @@ class ServingEngine:
         if current is not shard:
             self._rescue_stranded(shard, current)
         return future
+
+    def _end_submit(self) -> None:
+        """Leave the _pending_submits window that close() waits on."""
+        with self._lock:
+            self._pending_submits -= 1
+            if self._pending_submits == 0:
+                self._no_pending.notify_all()
 
     def _put_blocking(self, shard: ShardWorker, request: ShardRequest) -> None:
         """Back-pressure enqueue that still cannot outlive the engine.

@@ -4,7 +4,11 @@ Every shard resolves its plans through the engine's one
 :class:`repro.api.Session` (``session.compile(expr, signature)``; a cache
 hit is a dictionary probe), so a plan compiled, loaded or specialized by
 any shard — or by the shard a crashed one was replaced with — is there for
-all of them.  A :class:`ShardWorker` keeps only what threads must not share:
+all of them.  A :class:`ShardWorker` keeps only what threads must not share;
+past its thread-safe queue, that state is touched only by the holder of the
+shard's ``_serving`` lock — the worker loop around each batch, or a
+:meth:`~repro.serve.ServingEngine.run` caller that found the shard idle and
+serves its one request through the same ``_serve_batch`` on its own thread:
 
 * a bounded request queue (:class:`queue.Queue`) — back-pressure for free:
   ``submit`` blocks once the shard is ``queue_depth`` requests behind
@@ -246,6 +250,9 @@ class ShardWorker:
         self.queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_depth)
         self.counters = ShardCounters()
         self._lock = threading.Lock()
+        #: held around every _serve_batch: by the worker loop, or by a
+        #: ServingEngine.run caller serving an idle shard on its own thread
+        self._serving = threading.Lock()
         #: requests of the in-flight batch; left in place by a crash so the
         #: supervisor can requeue exactly the unresolved ones
         self._active: List[ShardRequest] = []
@@ -254,7 +261,8 @@ class ShardWorker:
         #: True only after a *clean* loop exit; a crashed worker never sets it
         self.stopped = False
         #: executable -> this shard's state for it; weak, so an entry the
-        #: session evicts takes the state with it (only this thread touches it)
+        #: session evicts takes the state with it (only the holder of
+        #: _serving touches it)
         self._local: "WeakKeyDictionary[TapePlan, _LocalState]" = WeakKeyDictionary()
         #: (fingerprint, value ids) -> (value objects, result); identity of
         #: the stored objects is re-checked on every hit, so id recycling
@@ -262,7 +270,7 @@ class ShardWorker:
         self._results: "OrderedDict[Tuple[str, Tuple[int, ...]], Tuple[Tuple[MatrixValue, ...], ExecutionResult]]" = OrderedDict()
         #: id(request) -> result precomputed by a stacked execution; filled
         #: by _serve_stacked, consumed by _execute, cleared per instance
-        #: group (only this worker thread touches it)
+        #: group (only the holder of _serving touches it)
         self._prestacked: Dict[int, ExecutionResult] = {}
         self.thread = threading.Thread(
             target=self._run, name=f"spores-serve-shard-{index}", daemon=True
@@ -324,12 +332,14 @@ class ShardWorker:
                 batch.extend(extras)
                 stopping = saw_stop
             if batch:
-                self._serve_batch(batch)
+                with self._serving:
+                    self._serve_batch(batch)
         # Serve whatever raced in around the sentinel — the engine
         # guarantees no submissions once close() begins, so this converges.
         tail, _ = self._drain(None)
         if tail:
-            self._serve_batch(tail)
+            with self._serving:
+                self._serve_batch(tail)
         with self._lock:
             self.stopped = True
 

@@ -167,6 +167,26 @@ class TestExtractors:
         ilp = ILPExtractor().extract(egraph, root)
         assert ilp.cost == pytest.approx(greedy.cost)
 
+    def test_ilp_keeps_a_time_limited_incumbent(self, monkeypatch):
+        """HiGHS stopped by its time limit (status 1) still returns a feasible
+        ``x``: that incumbent is the plan, not a reason to fall back."""
+        import scipy.optimize
+
+        solve = scipy.optimize.milp
+
+        def time_limited(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            result.status, result.success = 1, False
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "milp", time_limited)
+        egraph, root = build_cse_graph()
+        extractor = ILPExtractor(RACostModel())
+        ilp = extractor.extract(egraph, root)
+        assert extractor.last_stats.solver_status == "time_limit"
+        assert not extractor.last_stats.used_fallback
+        assert ilp.cost == pytest.approx(extractor.last_stats.objective)
+
     def test_the_solver_is_imported_by_the_solve_not_by_the_package(self):
         """Every benchmark workload runs the greedy preset; ``scipy.optimize``
         is a third of ``import repro`` and loads with the first ILP solve."""

@@ -1,6 +1,8 @@
 """Tests for the sharded serving engine and the tape fast path."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.api.plan import PlanBindingError
 from repro.canonical.fingerprint import signature_of, slot_expression
 from repro.lang import Dim, Matrix, Sum, Vector
 from repro.optimizer import OptimizerConfig
+from repro.reliability import EngineClosedError, ExecutionError, FaultInjector, FaultRule
 from repro.runtime import MatrixValue, execute, execute_slots
 from repro.runtime.tape import StepReuseCache, TapePlan
 from repro.serve import DeadlineExceededError, QueueFullError, ServingEngine
@@ -332,6 +335,253 @@ class TestServingEngine:
         assert isinstance(record["per_shard"], list)
         for shard_record in record["per_shard"]:
             assert {"served", "cache_hit_rate", "compilations"} <= set(shard_record)
+
+
+def record_serving_threads(shard, monkeypatch):
+    """Wrap ``shard._serve_batch``: returns the list of (thread, batch inputs)
+    it appends to, one entry per call, whichever thread makes it."""
+    calls = []
+    serve_batch = shard._serve_batch
+
+    def recording(batch):
+        calls.append((threading.current_thread(), [request.inputs for request in batch]))
+        serve_batch(batch)
+
+    monkeypatch.setattr(shard, "_serve_batch", recording)
+    return calls
+
+
+class Gate:
+    """A stand-in ``_serving`` lock whose blocking acquire announces itself."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.waiting = threading.Event()
+
+    def acquire(self, blocking=True):
+        if blocking:
+            self.waiting.set()
+        return self.lock.acquire(blocking)
+
+    def release(self):
+        self.lock.release()
+
+    def __enter__(self):
+        self.acquire()
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestCallerRuns:
+    """``run`` and ``plan_for`` serve an idle shard on the calling thread,
+    through the shard's own ``_serve_batch``; anything else queues."""
+
+    def test_idle_shard_is_served_on_the_calling_thread(self, monkeypatch):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        try:
+            calls = record_serving_threads(engine.shards[0], monkeypatch)
+            expr, inputs = make_loss(0.05), make_inputs(seed=10)
+            assert engine.plan_for(expr).fingerprint
+            result = engine.run(expr, inputs)
+            assert result.scalar() == pytest.approx(execute(expr, inputs).scalar(), rel=1e-12)
+            me = threading.current_thread()
+            assert [thread for thread, _ in calls] == [me, me]
+            assert calls[1][1][0] is inputs
+            stats = engine.stats()
+            assert (stats.served, stats.batches, stats.errors) == (2, 2, 0)
+        finally:
+            engine.close()
+
+    def test_busy_shard_serves_run_on_the_worker_in_arrival_order(self, monkeypatch):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        shard = engine.shards[0]
+        expr = make_loss(0.05)
+        engine.warm([expr])
+        calls = record_serving_threads(shard, monkeypatch)
+        first, second, third = (make_inputs(seed) for seed in (11, 12, 13))
+        results = {}
+
+        def run_in_thread(name, inputs):
+            thread = threading.Thread(
+                target=lambda: results.__setitem__(name, engine.run(expr, inputs))
+            )
+            thread.start()
+            return thread
+
+        gate = Gate()
+        gate.lock.acquire()
+        shard._serving = gate
+        try:
+            try:
+                queued = engine.submit(expr, first)
+                # the worker drained `first` and now waits on _serving
+                assert gate.waiting.wait(30)
+                # (1) the shard holds _serving: run() queues behind it
+                busy = run_in_thread("busy", second)
+                wait_until(lambda: shard.queue.qsize() == 1)
+                # (2) queued work and a free-looking lock: run() still queues
+                shard._serving = threading.Lock()
+                backlog = run_in_thread("backlog", third)
+                wait_until(lambda: shard.queue.qsize() == 2)
+            finally:
+                shard._serving = gate
+                gate.lock.release()
+            queued.result(timeout=30)
+            busy.join(30)
+            backlog.join(30)
+            assert set(results) == {"busy", "backlog"}
+            assert all(thread is shard.thread for thread, _ in calls)
+            served = [inputs for _, batch in calls for inputs in batch]
+            assert list(map(id, served)) == list(map(id, (first, second, third)))
+            for name, inputs in (("busy", second), ("backlog", third)):
+                want = execute(expr, inputs).scalar()
+                assert results[name].scalar() == pytest.approx(want, rel=1e-12)
+        finally:
+            engine.close()
+
+    def test_fault_injection_always_queues(self, monkeypatch):
+        faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
+        engine = ServingEngine(
+            shards=1, config=config(), fault_injector=faults, supervise=False
+        )
+        try:
+            calls = record_serving_threads(engine.shards[0], monkeypatch)
+            expr = make_loss(0.05)
+            engine.plan_for(expr)
+            for seed in range(3):
+                engine.run(expr, make_inputs(seed))
+            assert len(calls) == 4
+            assert all(thread is engine.shards[0].thread for thread, _ in calls)
+        finally:
+            engine.close()
+
+    def test_run_after_submit_hits_the_shards_result_cache(self, monkeypatch):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        shard = engine.shards[0]
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=14)
+            queued = engine.submit(expr, inputs).result(timeout=30)
+            calls = record_serving_threads(shard, monkeypatch)
+            inline = engine.run(expr, dict(inputs))  # same value objects
+            assert [thread for thread, _ in calls] == [threading.current_thread()]
+            assert inline is queued
+            assert engine.stats().result_cache_hits == 1
+            assert len(shard._local) == 1  # one reuse state, whichever thread ran
+        finally:
+            engine.close()
+
+    def test_run_deadline_is_a_parameter_and_sheds(self):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=15)
+            want = execute(expr, inputs).scalar()
+            assert engine.run(expr, inputs, deadline=60.0).scalar() == pytest.approx(
+                want, rel=1e-12
+            )
+            with pytest.raises((DeadlineExceededError, QueueFullError)):
+                engine.run(expr, inputs, deadline=1e-9)
+            stats = engine.stats()
+            assert (stats.sheds, stats.served, stats.errors) == (1, 1, 0)
+        finally:
+            engine.close()
+
+    def test_serve_batch_has_one_holder_at_a_time_under_stress(self, monkeypatch):
+        """Six threads mixing run() and submit() on one shard, with a short
+        switch interval: _serve_batch never runs twice at once, and every
+        answer (result-cache hits included) is right."""
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        shard = engine.shards[0]
+        expr = make_loss(0.05)
+        input_sets = [make_inputs(seed) for seed in range(3)]
+        expected = [execute(expr, inputs).scalar() for inputs in input_sets]
+        engine.warm([expr])
+        guard = threading.Lock()
+        inside = [0, 0]  # [now, most at once]
+        serve_batch = shard._serve_batch
+
+        def counting(batch):
+            with guard:
+                inside[0] += 1
+                inside[1] = max(inside)
+            try:
+                serve_batch(batch)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(shard, "_serve_batch", counting)
+        wrong = []
+
+        def client(index):
+            for step in range(30):
+                which = (index + step) % len(input_sets)
+                inputs = input_sets[which]
+                if step % 3 == 0:  # fresh value objects: a result-cache miss
+                    inputs = {k: MatrixValue(v.data.copy()) for k, v in inputs.items()}
+                if (index + step) % 2:
+                    result = engine.submit(expr, inputs).result(timeout=30)
+                else:
+                    result = engine.run(expr, inputs)
+                if result.scalar() != pytest.approx(expected[which], rel=1e-12):
+                    wrong.append((index, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not wrong
+        assert inside[1] == 1
+        assert engine.stats().served == 1 + 6 * 30  # the warm() request too
+
+    def test_close_racing_run_loops_leaves_nothing_pending(self):
+        engine = ServingEngine(shards=2, config=config())
+        expr = make_loss(0.05)
+        input_sets = [make_inputs(seed) for seed in range(4)]
+        expected = [execute(expr, inputs).scalar() for inputs in input_sets]
+        engine.warm([expr])
+        outcomes = [[], []]
+
+        def client(index):
+            step = 0
+            while True:
+                which = step % len(input_sets)
+                try:
+                    value = engine.run(expr, input_sets[which]).scalar()
+                except EngineClosedError:
+                    outcomes[index].append("closed")
+                    return
+                ok = value == pytest.approx(expected[which], rel=1e-12)
+                outcomes[index].append("ok" if ok else "wrong")
+                step += 1
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        wait_until(lambda: all(len(out) >= 5 for out in outcomes))
+        engine.close(timeout=5)
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive(), "a run() call outlived close()"
+        for out in outcomes:
+            assert out[-1] == "closed" and "wrong" not in out
+        for shard in engine.shards:
+            assert shard.queue.empty() and not shard.take_unresolved()
 
 
 class TestOneExecutable:
