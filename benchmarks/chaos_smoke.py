@@ -32,6 +32,11 @@ Scenarios:
    (what makes every scenario above debuggable).
 8. **store-corruption** — truncated on-disk entries degrade to compiles
    (delegated to ``store_corruption_smoke``).
+9. **repeat-at-the-door** — no faults, so an exact repeat is answered from
+   the engine's result cache before any queue: two threads loop on
+   ``submit()`` / ``run()`` of pinned repeats and fresh inputs while close()
+   runs; every call returns the right answer or raises
+   ``EngineClosedError``, and no future is left pending.
 """
 
 from __future__ import annotations
@@ -309,6 +314,64 @@ def corruption_smoke() -> None:
     store_corruption_smoke.main()
 
 
+def repeat_at_the_door_smoke() -> None:
+    engine = ServingEngine(shards=2, config=config())
+    expr = loss()
+    pinned = [inputs_for(400 + seed) for seed in range(3)]
+    expected = [execute(expr, values).scalar() for values in pinned]
+    for values in pinned:
+        engine.run(expr, values)  # answered once: every later call is a repeat
+    outcomes: list = [[], []]
+    futures: list = []
+
+    def client(index: int) -> None:
+        step = 0
+        while True:
+            which = step % len(pinned)
+            values = pinned[which]
+            if step % 4 == 3:  # fresh objects, equal values: a miss
+                values = {name: MatrixValue(value.data.copy()) for name, value in values.items()}
+            try:
+                if (index + step) % 2:
+                    future = engine.submit(expr, values)
+                    futures.append(future)
+                    got = future.result(timeout=30).scalar()
+                else:
+                    got = engine.run(expr, values).scalar()
+            except EngineClosedError:
+                outcomes[index].append("closed")
+                return
+            want = expected[which]
+            ok = abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            outcomes[index].append("ok" if ok else "wrong")
+            step += 1
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+    started = time.monotonic()
+    for thread in threads:
+        thread.start()
+    while not all(len(out) >= 40 for out in outcomes):
+        check("repeat-at-the-door", time.monotonic() - started < 30, "clients stalled")
+        time.sleep(0.005)
+    engine.close(timeout=5)
+    for thread in threads:
+        thread.join(max(0.0, started + 40 - time.monotonic()))
+        check("repeat-at-the-door", not thread.is_alive(), "a call outlived close()")
+    for out in outcomes:
+        check("repeat-at-the-door", "wrong" not in out, "a call returned a wrong value")
+        check("repeat-at-the-door", out[-1] == "closed", "a client never saw close")
+    check("repeat-at-the-door", all(f.done() for f in futures), "a future left pending")
+    for shard in engine.shards:
+        check("repeat-at-the-door", not shard.take_unresolved(), "a request left pending")
+    stats = engine.stats()
+    check("repeat-at-the-door", stats.result_cache_hits > 0, "no repeat hit the cache")
+    served = sum(out.count("ok") for out in outcomes)
+    print(
+        f"repeat at the door OK: {served} answers, {stats.result_cache_hits} result-cache "
+        "hits, both clients saw EngineClosedError"
+    )
+
+
 def main() -> int:
     crash_recovery_smoke()
     retry_smoke()
@@ -318,6 +381,7 @@ def main() -> int:
     concurrent_run_close_smoke()
     replay_smoke()
     corruption_smoke()
+    repeat_at_the_door_smoke()
     print("chaos smoke: all scenarios passed")
     return 0
 

@@ -24,6 +24,9 @@ worker pool:
   immediately (back-pressure blocks the producer only once the shard is a
   full queue behind); :meth:`run_many` is the synchronous convenience on
   top.
+* **Answers at the door.**  An exact repeat (same fingerprint, same input
+  objects) resolves from the engine's one result cache before any queue;
+  shards consult it too, so batch-mates, reroutes and requeues hit it.
 * **Caller runs.**  :meth:`run` and :meth:`plan_for` route and admit like
   ``submit``, but when the target shard is idle — empty queue, its
   ``_serving`` lock free — the calling thread serves the request through
@@ -38,8 +41,8 @@ worker pool:
 The serving fast path executes each plan entry's one executable
 (:meth:`repro.api.plan.PlanEntry.executable` — an instruction tape whose
 steps are fusion regions under real arithmetic, see ``docs/codegen.md``)
-with pinned-parameter step reuse, columnwise stacking of same-plan matvecs
-and a bounded result cache per shard — bitwise identical to the reference
+with pinned-parameter step reuse and columnwise stacking of same-plan
+matvecs behind the engine's result cache — bitwise identical to the reference
 interpreter, minus its per-intermediate bufferpool accounting.
 
 **Reliability** (:mod:`repro.reliability` threaded end to end):
@@ -47,9 +50,9 @@ interpreter, minus its per-intermediate bufferpool accounting.
 * **Shard supervision.**  A monitor thread watches every worker's thread
   liveness and heartbeat; a crashed (or, with ``heartbeat_timeout``,
   wedged) shard is replaced by a fresh worker on the same session (every
-  plan stays cached), which inherits the dead shard's result cache and
-  requeues every still-unresolved request — requests are idempotent by
-  future state plus the result cache, so a crash costs latency, never
+  plan stays cached) on the same result cache, and requeues every
+  still-unresolved request — requests are idempotent by future state plus
+  the result cache, so a crash costs latency, never
   answers and never a compile.
 * **Per-shard circuit breakers.**  Consecutive failures trip a shard's
   breaker; while it is open, new traffic routes to sibling shards (counted
@@ -77,7 +80,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
-from repro.api.plan import CompiledPlan, InputValue
+from repro.api.plan import CompiledPlan, InputValue, bind_signature
 from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature, signature_of
 from repro.lang import expr as la
@@ -90,6 +93,7 @@ from repro.runtime.engine import ExecutionResult
 from repro.serialize.store import PlanStore, StoreStats
 from repro.serve.worker import (
     DeadlineExceededError,
+    ResultCache,
     ServingCounters,
     ShardRequest,
     ShardWorker,
@@ -230,7 +234,9 @@ class ServingEngine:
             "serve_latency_seconds",
             "Submit-to-completion latency over a bounded recent window",
         )
+        self.results = ResultCache()
         self._worker_kwargs = dict(
+            results=self.results,
             queue_depth=queue_depth,
             max_batch=max_batch,
             retry_policy=retry_policy,
@@ -321,9 +327,11 @@ class ServingEngine:
     ) -> "Future[ExecutionResult]":
         """Enqueue one request; returns a future resolving to its result.
 
-        Routing work (fingerprint + shard pick) happens on the caller's
-        thread; binding, compilation and execution happen on the shard's
-        worker thread (unlike :meth:`run`, which may serve inline).
+        Routing (fingerprint, shard pick, binding) and the result-cache
+        lookup happen on the caller's thread: an exact repeat — every input
+        the very object an earlier request bound — resolves before ``submit``
+        returns.  A miss compiles and executes on the shard's worker thread
+        (unlike :meth:`run`, which may serve inline).
         ``deadline`` (seconds from now; falls back to the engine's
         ``default_deadline``) turns back-pressure into load shedding: a
         full queue rejects the request with :class:`QueueFullError` once
@@ -350,12 +358,12 @@ class ServingEngine:
     ) -> ExecutionResult:
         """Serve one request and wait for it: ``submit(...).result()``.
 
-        Routed, admitted and shed exactly as :meth:`submit`, but when the
-        target shard is idle (empty queue, nobody serving) the *calling*
-        thread serves the request through the shard's own batch path — same
-        result cache, reuse state and counters — instead of handing it to
-        the worker and waiting for the wake-up.  A busy shard, or an engine
-        with fault injection on, gets the request queued as by ``submit``.
+        Routed, admitted and shed as :meth:`submit`, whose door answers exact
+        repeats too.  When the target shard is idle (empty queue, nobody
+        serving) the *calling* thread serves the request through the shard's
+        own batch path — same reuse state and counters — instead of handing
+        it to the worker and waiting for the wake-up.  A busy shard, or an
+        engine with fault injection on, gets the request queued as by ``submit``.
         """
         merged = self._merge_inputs(inputs, named)
         future = self._enqueue(
@@ -439,6 +447,10 @@ class ServingEngine:
         with _TRACER.span(
             "serve.enqueue", digest=signature.digest[:12], shard=index
         ):
+            try:
+                values = None if compile_only else tuple(bind_signature(signature, inputs))
+            except Exception:  # unbound: the shard binds again and fails the future
+                values = None
             enqueued = time.perf_counter()
             request = ShardRequest(
                 signature=signature,
@@ -449,6 +461,7 @@ class ServingEngine:
                 compile_only=compile_only,
                 deadline=None if budget is None else enqueued + budget,
                 trace_context=_TRACER.capture(),
+                values=values,
             )
             with self._lock:
                 if self._closed:
@@ -457,16 +470,20 @@ class ServingEngine:
                 self._submitted += 1
                 if self._first_submit is None:
                     self._first_submit = request.enqueued
-            # Caller runs: an idle shard is served on this thread, under the
-            # shard's _serving lock.  Injected faults always queue: a
-            # ShardCrashError must kill a worker, not the caller.
+            # The door answers a live exact repeat before admission; caller runs
+            # serves an idle shard here, under its _serving lock.  Faults skip
+            # both: repeats must reach injection sites, crashes kill workers.
+            live = request.deadline is None or time.perf_counter() <= request.deadline
+            door = live and values is not None and not self.faults.enabled
+            hit = self.results.get(signature.digest, values) if door else None
             inline = (
-                caller_runs
+                hit is None
+                and caller_runs
                 and not self.faults.enabled
                 and shard.queue.empty()
                 and shard._serving.acquire(blocking=False)
             )
-            if not inline:
+            if hit is None and not inline:
                 try:
                     # Outside the lock: a full queue blocks on worker
                     # progress, and workers keep draining until close() —
@@ -477,6 +494,16 @@ class ServingEngine:
                         self._put_or_shed(shard, request)
                 finally:
                     self._end_submit()
+        if hit is not None:
+            self._end_submit()  # a hit puts nothing on a queue for close() to wait on
+            # Opened after serve.enqueue closed, parented to it, as on a shard.
+            with _TRACER.span(
+                "serve.request", parent=request.trace_context, shard=index,
+                digest=signature.digest[:12], cache="result",
+            ):
+                future.set_result(hit)
+                shard.count_served(request, cache_hit=True)
+            return future
         if inline:
             # Still inside the _pending_submits window, so close() waits.
             try:
@@ -610,10 +637,10 @@ class ServingEngine:
     def _restart_shard(self, index: int, dead: ShardWorker) -> None:
         """Replace a crashed/wedged worker and requeue its unresolved work.
 
-        The replacement runs on the engine's one session, so every plan is
-        still cached; it inherits the dead worker's result cache — which is
-        what makes crash-requeue idempotent for already-answered inputs —
-        and its monotonic counters, so engine totals never regress.
+        The replacement runs on the engine's one session and result cache,
+        so every plan is still cached and a requeued request that was
+        already answered is a cache hit; it inherits the dead worker's
+        monotonic counters, so engine totals never regress.
         """
         replacement = ShardWorker(
             index=index,
@@ -621,7 +648,6 @@ class ServingEngine:
             breaker=self._breakers[index],
             **self._worker_kwargs,
         )
-        replacement._results = dead._results
         replacement.counters = dead.counters
         self._breakers[index].record_failure()
         with self._lock:

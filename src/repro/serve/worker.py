@@ -4,9 +4,11 @@ Every shard resolves its plans through the engine's one
 :class:`repro.api.Session` (``session.compile(expr, signature)``; a cache
 hit is a dictionary probe), so a plan compiled, loaded or specialized by
 any shard — or by the shard a crashed one was replaced with — is there for
-all of them.  A :class:`ShardWorker` keeps only what threads must not share;
-past its thread-safe queue, that state is touched only by the holder of the
-shard's ``_serving`` lock — the worker loop around each batch, or a
+all of them; answers to exact repeats live in the engine's one
+:class:`ResultCache`, which a shard consults again when it executes.  A
+:class:`ShardWorker` keeps only what threads must not share; past its
+thread-safe queue, that state is touched only by the holder of the shard's
+``_serving`` lock — the worker loop around each batch, or a
 :meth:`~repro.serve.ServingEngine.run` caller that found the shard idle and
 serves its one request through the same ``_serve_batch`` on its own thread:
 
@@ -18,9 +20,6 @@ serves its one request through the same ``_serve_batch`` on its own thread:
   the columnwise-stacking verdict, in a :class:`weakref.WeakKeyDictionary`
   keyed by the plan entry's executable, so an entry the session evicts
   takes its state with it.
-* a bounded **result cache**: a request whose fingerprint *and* input value
-  objects were served before returns the memoized result without touching
-  the executor — the serving tier's answer to repeated hot queries.
 
 **Micro-batching.**  The worker drains up to ``max_batch`` queued requests
 per wake-up and groups them by instance digest, in arrival order: each
@@ -54,11 +53,10 @@ exceptionally.  The one exception that *does* kill the worker thread is
 :class:`~repro.reliability.ShardCrashError` — deliberately: it models the
 worker process dying, and the engine's supervisor answers it by
 restarting the shard on the same session and requeueing every unresolved
-request (idempotent: the replacement
-inherits the result cache, so work that already completed is never
-re-executed).  Each served/failed request is also reported to the shard's
-:class:`~repro.reliability.CircuitBreaker` so the engine can route around
-a persistently sick shard.
+request (idempotent: a requeued request meets the engine's result cache
+again, so completed work is never re-executed).  Each served/failed request
+is also reported to the shard's :class:`~repro.reliability.CircuitBreaker`
+so the engine can route around a persistently sick shard.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ from repro.runtime.tape import StepReuseCache, TapePlan
 #: sentinel closing a shard's queue
 _STOP = object()
 
-#: entries in a shard's (fingerprint, input identities) -> result memo
+#: entries in the engine's (fingerprint, input identities) -> result memo
 RESULT_CACHE_SIZE = 256
 
 _TRACER = obs.tracer()
@@ -132,6 +130,31 @@ def _fail(future: "Future[object]", error: BaseException) -> None:
         pass
 
 
+class ResultCache:
+    """The engine's one bounded LRU memo of answers to exact repeats, keyed
+    by fingerprint and the ``id`` of every bound input.  An entry holds its
+    input objects, so their ids cannot be recycled while it lives: an id
+    match is an identity match, and an equal copy misses."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple[str, Tuple[int, ...]], Tuple[Tuple[MatrixValue, ...], ExecutionResult]]" = OrderedDict()
+
+    def get(self, digest: str, values: Sequence[MatrixValue]) -> Optional[ExecutionResult]:
+        key = (digest, tuple(map(id, values)))
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key][1]
+        return None
+
+    def put(self, digest: str, values: Sequence[MatrixValue], result: ExecutionResult) -> None:
+        with self._lock:
+            self._entries[(digest, tuple(map(id, values)))] = (tuple(values), result)
+            while len(self._entries) > RESULT_CACHE_SIZE:
+                self._entries.popitem(last=False)
+
+
 @dataclass
 class ShardRequest:
     """One unit of work routed to a shard."""
@@ -150,6 +173,8 @@ class ShardRequest:
     #: it, so parentage survives micro-batching, sibling rerouting, and
     #: supervisor requeues — the context rides on the request object
     trace_context: Optional[obs.SpanContext] = None
+    #: inputs in slot order, bound at the door (None: compile-only, or unbound)
+    values: Optional[Tuple[MatrixValue, ...]] = None
 
 
 @dataclass
@@ -169,7 +194,6 @@ class _LocalState:
     reuse: StepReuseCache = field(default_factory=StepReuseCache)
     status: str = "untested"
     batches: int = 0
-    mismatches: int = 0
 
 
 @dataclass
@@ -225,6 +249,7 @@ class ShardWorker:
         self,
         index: int,
         session: Session,
+        results: ResultCache,
         queue_depth: int = 256,
         max_batch: int = 16,
         retry_policy: Optional[RetryPolicy] = None,
@@ -235,6 +260,7 @@ class ShardWorker:
         self.index = index
         #: the engine's one session, shared by every shard and every restart
         self.session = session
+        self.results = results  # the engine's one result cache
         self.max_batch = max(1, max_batch)
         self.retry_policy = retry_policy
         self.breaker = breaker
@@ -264,10 +290,6 @@ class ShardWorker:
         #: session evicts takes the state with it (only the holder of
         #: _serving touches it)
         self._local: "WeakKeyDictionary[TapePlan, _LocalState]" = WeakKeyDictionary()
-        #: (fingerprint, value ids) -> (value objects, result); identity of
-        #: the stored objects is re-checked on every hit, so id recycling
-        #: after garbage collection can never alias two requests
-        self._results: "OrderedDict[Tuple[str, Tuple[int, ...]], Tuple[Tuple[MatrixValue, ...], ExecutionResult]]" = OrderedDict()
         #: id(request) -> result precomputed by a stacked execution; filled
         #: by _serve_stacked, consumed by _execute, cleared per instance
         #: group (only the holder of _serving touches it)
@@ -551,21 +573,26 @@ class ShardWorker:
                     span.set_attribute("result", "error")
                     _fail(request.future, error)
                     return
-            now = time.perf_counter()
-            latency = now - request.enqueued
-            with self._lock:
-                self.counters.served += 1
-                if plan.degraded:
-                    self.counters.degraded += 1
-                self.counters.last_completion = now
-            if self.latency_histogram is not None:
-                self.latency_histogram.observe(latency)
+            self.count_served(request, degraded=plan.degraded)
             if attempt:
                 span.set_attribute("retries", attempt)
             span.set_attribute("result", "ok")
             if self.breaker is not None:
                 self.breaker.record_success()
             _resolve(request.future, result)
+
+    def count_served(
+        self, request: ShardRequest, degraded: bool = False, cache_hit: bool = False
+    ) -> None:
+        """Count a request this shard served, or a door hit routed to it."""
+        now = time.perf_counter()
+        with self._lock:
+            self.counters.served += 1
+            self.counters.degraded += degraded
+            self.counters.result_cache_hits += cache_hit
+            self.counters.last_completion = now
+        if self.latency_histogram is not None:
+            self.latency_histogram.observe(now - request.enqueued)
 
     def _serve_stacked(
         self, tape: TapePlan, local: _LocalState, members: List[ShardRequest]
@@ -591,16 +618,10 @@ class ShardWorker:
             or local.status == "off"
             or len(members) < 2
             or self._tape_faults is not None
-            or any(request.compile_only for request in members)
+            or any(request.values is None for request in members)  # compile-only or unbound
         ):
             return
-        try:
-            bound = [
-                tuple(bind_signature(request.signature, request.inputs))
-                for request in members
-            ]
-        except Exception:
-            return  # binding errors surface per-request with full context
+        bound = [request.values for request in members]
         slot = local.slot
         first = bound[0]
         rows = first[slot].shape[0]
@@ -638,7 +659,6 @@ class ShardWorker:
                 or individual.value.shape != results[j].shape
                 or not np.array_equal(individual.value.to_dense(), results[j].to_dense())
             ):
-                local.mismatches += 1
                 local.status = "off"
                 return
         local.status = "on"
@@ -660,21 +680,16 @@ class ShardWorker:
     def _execute(
         self, tape: TapePlan, local: _LocalState, request: ShardRequest
     ) -> ExecutionResult:
-        # Bind through the request's own signature: a renamed or
-        # role-permuted twin of the cached shape carries the same digest
-        # but its own name -> slot order.
-        values = tuple(bind_signature(request.signature, request.inputs))
+        # Bound at the door through the request's own signature; a failed bind raises here.
+        values = request.values
+        if values is None:
+            values = tuple(bind_signature(request.signature, request.inputs))
         digest = request.signature.digest
-        key = (digest, tuple(map(id, values)))
-        cached = self._results.get(key)
+        cached = self.results.get(digest, values)
         if cached is not None:
-            stored_values, stored_result = cached
-            if all(a is b for a, b in zip(stored_values, values)):
-                self._results.move_to_end(key)
-                with self._lock:
-                    self.counters.result_cache_hits += 1
-                return stored_result
-            del self._results[key]  # ids were recycled; drop the stale entry
+            with self._lock:
+                self.counters.result_cache_hits += 1
+            return cached
         # Injection site ``shard.execute``: fires *before* the tape runs and
         # before anything is cached, so a retriable fault re-executes from a
         # clean slate and a ShardCrashError leaves no partial state behind.
@@ -685,9 +700,7 @@ class ShardWorker:
         else:
             with _TRACER.span("serve.execute", steps=len(tape)):
                 result = self._run_tape(tape, local, values, self._tape_faults)
-        self._results[key] = (values, result)
-        while len(self._results) > RESULT_CACHE_SIZE:
-            self._results.popitem(last=False)
+        self.results.put(digest, values, result)
         return result
 
     # -- supervision -----------------------------------------------------------

@@ -495,6 +495,7 @@ class TestServingStacked:
         import time
         from concurrent.futures import Future
 
+        from repro.api.plan import bind_signature
         from repro.serve.engine import ServingEngine
         from repro.serve.worker import ShardRequest
 
@@ -518,6 +519,7 @@ class TestServingStacked:
                 inputs={"A": pinned, "q": vector},
                 future=Future(),
                 enqueued=time.perf_counter(),
+                values=tuple(bind_signature(plan.signature, {"A": pinned, "q": vector})),
             )
             for vector in vectors
         ]
@@ -546,6 +548,7 @@ class TestServingStacked:
         try:
             other = MatrixValue(pinned.to_dense().copy())
             requests[2].inputs = {"A": other, "q": vectors[2]}
+            requests[2].values = (other, vectors[2])
             worker._serve_stacked(tape, local, requests)
             assert worker._prestacked == {}
             assert local.status == "untested"  # no verdict, just skipped

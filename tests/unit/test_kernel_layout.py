@@ -18,6 +18,7 @@ import pytest
 from scipy import sparse
 
 from repro.api import Session
+from repro.api.plan import bind_signature
 from repro.lang import expr as la
 from repro.lang.dims import UNIT, Dim, Shape
 from repro.runtime import MatrixValue, kernels
@@ -495,16 +496,17 @@ class TestSparseFormatsThroughThePlan:
                 plan = engine.plan_for(expr)
                 tape = plan.executable()
                 local = worker._local[tape]
-                requests = [
-                    ShardRequest(
+                requests = []
+                for vector in vectors:
+                    inputs = {"A": pinned, "q": mv(vector)}
+                    requests.append(ShardRequest(
                         signature=plan.signature,
                         expr=expr,
-                        inputs={"A": pinned, "q": mv(vector)},
+                        inputs=inputs,
                         future=Future(),
                         enqueued=time.perf_counter(),
-                    )
-                    for vector in vectors
-                ]
+                        values=tuple(bind_signature(plan.signature, inputs)),
+                    ))
                 worker._serve_stacked(tape, local, requests)
                 assert local.status == "on"
                 assert worker.counters.stacked_requests == len(requests)

@@ -163,6 +163,30 @@ class TestServeSpans:
         for span in executes:
             assert span.parent_id in requests
 
+    def test_door_hit_request_span_follows_its_enqueue_span(self):
+        """A repeat answered at the door opens its serve.request span after
+        serve.enqueue closed, parented to it, so a caller's span joins both."""
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        try:
+            expr, inputs = make_loss(), make_inputs(2)
+            engine.run(expr, inputs)
+            obs.tracer().clear()
+            with obs.tracer().span("client.request", parent=None) as carrier:
+                assert engine.submit(expr, inputs).done()
+        finally:
+            engine.close()
+        (request,) = assert_request_parents_enqueue()
+        (enqueue,) = spans_by_name("serve.enqueue")
+        assert enqueue.parent_id == carrier.context().span_id
+        assert request.attributes["cache"] == "result"
+        names = [s.name for s in obs.tracer().finished()]
+        assert names.index("serve.enqueue") < names.index("serve.request")
+        # start_time is wall clock and duration a perf_counter delta: allow
+        # for the two clocks' resolution, not for an overlap
+        assert request.start_time >= enqueue.start_time + enqueue.duration - 1e-4
+        assert not spans_by_name("serve.execute")
+        assert not spans_by_name("serve.batch")
+
 
 class TestLatencyHistogram:
     def test_engine_quantiles_come_from_the_shared_histogram(self):

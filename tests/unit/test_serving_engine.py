@@ -471,7 +471,7 @@ class TestCallerRuns:
             queued = engine.submit(expr, inputs).result(timeout=30)
             calls = record_serving_threads(shard, monkeypatch)
             inline = engine.run(expr, dict(inputs))  # same value objects
-            assert [thread for thread, _ in calls] == [threading.current_thread()]
+            assert calls == []  # answered at the door: no serving call
             assert inline is queued
             assert engine.stats().result_cache_hits == 1
             assert len(shard._local) == 1  # one reuse state, whichever thread ran
@@ -582,6 +582,115 @@ class TestCallerRuns:
             assert out[-1] == "closed" and "wrong" not in out
         for shard in engine.shards:
             assert shard.queue.empty() and not shard.take_unresolved()
+
+
+def home_shard(engine, expr):
+    return engine.shards[engine.shard_of(engine.signature_for(expr).template_digest)]
+
+
+class TestResultCacheAtTheDoor:
+    """One engine-owned result cache, consulted on the caller's thread
+    before anything is queued; the shards consult the same cache."""
+
+    def test_a_repeat_resolves_before_submit_returns(self):
+        engine = ServingEngine(shards=2, config=config(), supervise=False)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=20)
+            first = engine.submit(expr, inputs).result(timeout=30)
+            home = home_shard(engine, expr)
+            observed = engine._latency.count
+            with home._serving:  # the home shard can serve nothing now
+                future = engine.submit(expr, dict(inputs))  # same value objects
+                assert future.done()
+                assert future.result() is first
+                assert home.queue.empty()
+            assert engine._latency.count == observed + 1
+            stats = engine.stats()
+            assert (stats.submitted, stats.served, stats.result_cache_hits) == (2, 2, 1)
+            assert (stats.batches, stats.errors) == (1, 0)
+            assert home.snapshot()["result_cache_hits"] == 1
+        finally:
+            engine.close()
+
+    def test_a_rerouted_repeat_hits_what_its_home_shard_stored(self, monkeypatch):
+        engine = ServingEngine(
+            shards=2, config=config(), breaker_threshold=1, breaker_reset=60.0,
+            supervise=False,
+        )
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=21)
+            home = home_shard(engine, expr)
+            first = engine.run(expr, inputs)
+            assert home.snapshot()["served"] == 1
+            engine._breakers[home.index].record_failure()
+            assert engine._breakers[home.index].state == "open"
+            sibling = engine.shards[1 - home.index]
+            calls = record_serving_threads(sibling, monkeypatch)
+            assert engine.run(expr, inputs) is first
+            assert calls == []
+            stats = engine.stats()
+            assert (stats.rerouted, stats.result_cache_hits, stats.served) == (1, 1, 2)
+            assert sibling.snapshot()["result_cache_hits"] == 1
+        finally:
+            engine.close()
+
+    def test_an_equal_copy_of_any_one_input_misses(self):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=22)
+            first = engine.run(expr, inputs)
+            for name, value in inputs.items():
+                copied = dict(inputs)
+                copied[name] = MatrixValue(value.data.copy())
+                result = engine.run(expr, copied)
+                assert result is not first, name
+                assert result.scalar() == pytest.approx(first.scalar(), rel=1e-12)
+            assert engine.stats().result_cache_hits == 0
+            assert engine.run(expr, inputs) is first
+            assert engine.stats().result_cache_hits == 1
+        finally:
+            engine.close()
+
+    def test_fault_injection_sends_a_repeat_to_the_shard(self, monkeypatch):
+        faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
+        engine = ServingEngine(
+            shards=1, config=config(), fault_injector=faults, supervise=False
+        )
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=23)
+            first = engine.run(expr, inputs)
+            calls = record_serving_threads(engine.shards[0], monkeypatch)
+            assert engine.submit(expr, inputs).result(timeout=30) is first
+            assert len(calls) == 1 and calls[0][0] is engine.shards[0].thread
+            stats = engine.stats()
+            # the shard's execute-time lookup counted the hit, once
+            assert (stats.result_cache_hits, stats.served) == (1, 2)
+        finally:
+            engine.close()
+
+    def test_a_bind_error_is_a_miss_the_shard_fails_and_counts_once(self):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=25)
+            engine.run(expr, inputs)
+            with pytest.raises(PlanBindingError):
+                engine.submit(expr, {"X": inputs["X"]}).result(timeout=30)  # u, v missing
+            stats = engine.stats()
+            assert (stats.errors, stats.served, stats.result_cache_hits) == (1, 1, 0)
+        finally:
+            engine.close()
+
+    def test_a_repeat_whose_deadline_passed_is_shed_not_answered(self):
+        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=24)
+            engine.run(expr, inputs)
+            with pytest.raises((DeadlineExceededError, QueueFullError)):
+                engine.run(expr, inputs, deadline=1e-9)
+            stats = engine.stats()
+            assert (stats.sheds, stats.result_cache_hits) == (1, 0)
+        finally:
+            engine.close()
 
 
 class TestOneExecutable:
