@@ -415,24 +415,6 @@ class ServingEngine:
         # Route by the size-free *template* digest: every point of a size
         # ladder lands on one shard, where its requests batch together.
         home = index = self.shard_of(signature.template_digest)
-        # Breaker-aware routing: an open home breaker diverts traffic to
-        # the first sibling whose breaker admits it (the sibling finds the
-        # plan in the shared session).  If every breaker is open, the home
-        # shard gets the request anyway: queueing beats dropping.
-        if not self._breakers[index].allow():
-            for offset in range(1, len(self.shards)):
-                candidate = (index + offset) % len(self.shards)
-                if self._breakers[candidate].allow():
-                    index = candidate
-                    with self._lock:
-                        self._rerouted += 1
-                    logger.info(
-                        "breaker open on shard %d; rerouting request to sibling %d",
-                        home,
-                        candidate,
-                    )
-                    break
-        shard = self.shards[index]
         future: "Future[object]" = Future()
         # The engine-wide default budget is a *serving* latency contract;
         # compile-only work (deploy-time warm(), plan_for()) is expected to
@@ -445,8 +427,8 @@ class ServingEngine:
         # request so the worker-side serve.request span parents to it across
         # the thread handoff — and across reroutes and supervisor requeues.
         with _TRACER.span(
-            "serve.enqueue", digest=signature.digest[:12], shard=index
-        ):
+            "serve.enqueue", digest=signature.digest[:12], shard=home
+        ) as enqueue_span:
             try:
                 values = None if compile_only else tuple(bind_signature(signature, inputs))
             except Exception:  # unbound: the shard binds again and fails the future
@@ -470,12 +452,30 @@ class ServingEngine:
                 self._submitted += 1
                 if self._first_submit is None:
                     self._first_submit = request.enqueued
-            # The door answers a live exact repeat before admission; caller runs
-            # serves an idle shard here, under its _serving lock.  Faults skip
-            # both: repeats must reach injection sites, crashes kill workers.
+            # The door answers a live exact repeat before admission and before
+            # routing, so it takes no half-open probe slot that only a shard's
+            # outcome returns.  Faults skip it: repeats must reach injection sites.
             live = request.deadline is None or time.perf_counter() <= request.deadline
             door = live and values is not None and not self.faults.enabled
             hit = self.results.get(signature.digest, values) if door else None
+            # Breaker-aware routing: an open home breaker diverts traffic to
+            # the first sibling whose breaker admits it (the sibling finds the
+            # plan in the shared session).  If every breaker is open, the home
+            # shard gets the request anyway: queueing beats dropping.
+            if hit is None and not self._breakers[index].allow():
+                for offset in range(1, len(self.shards)):
+                    candidate = (index + offset) % len(self.shards)
+                    if self._breakers[candidate].allow():
+                        index = candidate
+                        with self._lock:
+                            self._rerouted += 1
+                        logger.info("breaker open on shard %d; rerouting request to sibling %d",
+                                    home, candidate)
+                        enqueue_span.set_attribute("shard", index)
+                        break
+            shard = self.shards[index]
+            # Caller runs serves an idle shard here, under its _serving lock
+            # (not under faults: crashes must kill workers).
             inline = (
                 hit is None
                 and caller_runs

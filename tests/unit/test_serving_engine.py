@@ -613,9 +613,12 @@ class TestResultCacheAtTheDoor:
             engine.close()
 
     def test_a_rerouted_repeat_hits_what_its_home_shard_stored(self, monkeypatch):
+        # Faults turn the door off, so the repeat is routed and the sibling's
+        # execute-time lookup must find the entry the home shard stored.
+        faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
         engine = ServingEngine(
             shards=2, config=config(), breaker_threshold=1, breaker_reset=60.0,
-            supervise=False,
+            fault_injector=faults, supervise=False,
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=21)
@@ -627,10 +630,33 @@ class TestResultCacheAtTheDoor:
             sibling = engine.shards[1 - home.index]
             calls = record_serving_threads(sibling, monkeypatch)
             assert engine.run(expr, inputs) is first
-            assert calls == []
+            assert len(calls) == 1 and calls[0][0] is sibling.thread
             stats = engine.stats()
             assert (stats.rerouted, stats.result_cache_hits, stats.served) == (1, 1, 2)
             assert sibling.snapshot()["result_cache_hits"] == 1
+        finally:
+            engine.close()
+
+    def test_a_door_hit_takes_no_half_open_probe_slot(self):
+        engine = ServingEngine(
+            shards=2, config=config(), breaker_threshold=1, breaker_reset=0.05,
+            supervise=False,
+        )
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=26)
+            home = home_shard(engine, expr)
+            breaker = engine._breakers[home.index]
+            first = engine.run(expr, inputs)
+            breaker.record_failure()
+            time.sleep(0.1)
+            assert breaker.state == "half_open"
+            assert engine.submit(expr, inputs).result(timeout=0) is first
+            # the probe slot is still free: fresh inputs reach the home shard
+            engine.run(expr, make_inputs(seed=27))
+            assert breaker.state == "closed"
+            stats = engine.stats()
+            assert (stats.rerouted, stats.result_cache_hits, stats.served) == (0, 1, 3)
+            assert home.snapshot()["served"] == 3
         finally:
             engine.close()
 
