@@ -17,13 +17,23 @@ input; when the observed non-zero count drifts far from the hint the cost
 model optimized under, the owning Session recompiles the plan against the
 observed statistics (the plan object keeps working, now backed by the
 re-optimized artifact).
+
+A plan also learns which of its inputs are *pinned*: the same object run
+after run, like a solver's data ``X`` while its parameters move.  When some
+but not all slots repeat, the owning Session compiles a variant with those
+slots pinned — the cost model charges what only they determine once, so
+extraction may pick a Gram form ``(t(X) %*% X) %*% s`` — and the plan
+adopts it once the pinned objects have repeated as often as the variant
+needs to repay its hoisted build.  A pinned object that changes sends the
+plan back to its unpinned entry before the run that brought it.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 import threading
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -46,6 +56,8 @@ from repro.runtime.semiring import Semiring, resolve_semiring
 from repro.runtime.tape import TapePlan
 
 InputValue = Union[MatrixValue, np.ndarray, float, int]
+
+logger = logging.getLogger(__name__)
 
 
 class PlanBindingError(ValueError):
@@ -125,6 +137,7 @@ class PlanEntry:
                 len(self.signature.slots),
                 ring=ring,
                 slot_sparsity={spec.index: spec.sparsity for spec in self.signature.slots},
+                pinned=frozenset(spec.index for spec in self.signature.slots if spec.pinned),
             )
             built = memo.setdefault(ring.name, built)
         return built
@@ -167,6 +180,9 @@ class PlanStats:
     total_elapsed: float = 0.0
     drift_events: int = 0
     recompiles: int = 0
+    #: adoptions of a pinned variant, and returns to the unpinned entry
+    pin_adoptions: int = 0
+    pin_reverts: int = 0
     #: last observed sparsity per slot index
     observed_sparsity: Dict[int, float] = field(default_factory=dict)
     #: per-slot EWMA of the observed sparsity, seeded at the compiled hint;
@@ -194,6 +210,8 @@ class PlanStats:
             total_elapsed=self.total_elapsed,
             drift_events=self.drift_events,
             recompiles=self.recompiles,
+            pin_adoptions=self.pin_adoptions,
+            pin_reverts=self.pin_reverts,
             observed_sparsity=dict(self.observed_sparsity),
             smoothed_sparsity=dict(self.smoothed_sparsity),
         )
@@ -215,7 +233,9 @@ class CompiledPlan:
         self._entry = entry
         self.signature = signature
         self.source = source
-        self._session = weakref.ref(session) if session is not None else None
+        #: the owning Session, held strongly: drift and pinned recompiles go
+        #: through it, and a solver loop often keeps its plans, not its session
+        self._session = session
         #: whether this plan came out of the cache (saturation was skipped)
         self.cache_hit = cache_hit
         #: whether the backing artifact was specialized from a plan template
@@ -230,6 +250,16 @@ class CompiledPlan:
         self._lock = threading.Lock()
         #: last :class:`repro.obs.profile.ProfileReport` from :meth:`profile`
         self._profile = None
+        #: pinned-input learning (see :meth:`run`): the previous run's
+        #: values, each slot's count of consecutive repeats, the resolved
+        #: pinned variants with their break-even repeat counts, and — while
+        #: a variant is adopted — its pinned slots and the unpinned entry
+        self._learns = len(signature.slots) > 1 and not source.shape.is_scalar
+        self._seen: Optional[List[MatrixValue]] = None
+        self._repeats: List[int] = [0] * len(signature.slots)
+        self._variants: Dict[Tuple[int, ...], Tuple[PlanEntry, float]] = {}
+        self._pinned: Tuple[int, ...] = ()
+        self._unpinned: Optional[PlanEntry] = None
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -363,6 +393,8 @@ class CompiledPlan:
             "mean_elapsed": stats.mean_elapsed,
             "drift_events": stats.drift_events,
             "recompiles": stats.recompiles,
+            "pin_adoptions": stats.pin_adoptions,
+            "pin_reverts": stats.pin_reverts,
             "observed_sparsity": {
                 str(slot): value for slot, value in sorted(stats.observed_sparsity.items())
             },
@@ -432,7 +464,11 @@ class CompiledPlan:
             f"guard       : {guard}",
             f"cache hit   : {self.cache_hit}"
             + (" (degraded: baseline plan, optimizer budget fallback)" if entry.degraded else ""),
-            "inputs      : " + ", ".join(spec.describe() for spec in signature.slots),
+            "inputs      : "
+            + ", ".join(
+                replace(spec, pinned=backing.pinned).describe()
+                for spec, backing in zip(signature.slots, entry.signature.slots)
+            ),
             f"declared    : {source}",
             f"optimized   : {self._in_request_names(entry.artifact.optimized, entry, signature, source)}",
             f"physical    : {self._in_request_names(entry.artifact.fused, entry, signature, source)}",
@@ -448,7 +484,8 @@ class CompiledPlan:
             + ("; ".join(run.describe() for run in report.saturation_reports) or "-"),
             f"runs        : {stats.executions}"
             f" (mean {stats.mean_elapsed * 1e3:.2f} ms,"
-            f" drift events {stats.drift_events}, recompiles {stats.recompiles})",
+            f" drift events {stats.drift_events}, recompiles {stats.recompiles},"
+            f" pinned variant adopted {stats.pin_adoptions}x, reverted {stats.pin_reverts}x)",
             f"sparsity    : smoothed {smoothed}",
         ]
         with self._lock:
@@ -539,9 +576,24 @@ class CompiledPlan:
         and nothing else: unknown names are rejected rather than ignored so
         typos fail loudly.  The mapping parameter is positional-only, so a
         plan input literally named ``inputs`` still binds by keyword.
+
+        **What a plan learns.**  Under a Session with ``auto_recompile``,
+        a plan with two or more inputs and a non-scalar output counts, per
+        slot, the consecutive runs that bound the very same object.  When
+        a non-empty strict subset of the slots repeats, the Session
+        compiles the variant with those slots pinned (once per subset,
+        cached like any plan) and prices it: the variant saves
+        ``total(unpinned) - total(pinned)`` per run and pays its hoisted
+        cost once per pinned value, so it pays after ``N* = hoisted /
+        saving`` repeats.  The plan **adopts** the variant on the run where
+        the pinned objects' repeat count reaches ``N*`` — its executable
+        then computes each pinned-only step once per pinned value — and
+        **reverts** to the unpinned entry, before executing, on the first
+        run that binds a new object to a pinned slot.  Scalar outputs
+        never learn: their pinned forms (``wᵀGw − 2wᵀXᵀy + yᵀy``) cancel.
         """
         values = self._bind(inputs, named)
-        result = self.executable().execute(values)
+        result = self._learn(values).execute(values)
         self._record(values, result)
         return result
 
@@ -594,9 +646,9 @@ class CompiledPlan:
             )
         resized = rebind_dim_sizes(self.source, dict(bindings))
         signature = signature_of(resized)
-        if signature.digest == self.fingerprint:
+        if signature.digest == self.signature.digest:
             return self
-        session = self._session() if self._session is not None else None
+        session = self._session
         if session is not None:
             return session.compile(resized, signature)
         with self._lock:
@@ -630,10 +682,49 @@ class CompiledPlan:
     ) -> List[MatrixValue]:
         return bind_signature(self.signature, inputs, named)
 
+    # -- pinned inputs -----------------------------------------------------------
+    def _learn(self, values: List[MatrixValue]) -> TapePlan:
+        """Count repeated input objects; adopt or leave a pinned variant.
+
+        Returns the executable this run executes on.
+        """
+        session = self._session
+        if not self._learns or session is None or not session.auto_recompile:
+            return self.executable()
+        with self._lock:
+            seen, self._seen = self._seen, values
+            repeats = self._repeats
+            for slot, value in enumerate(values):
+                repeats[slot] = repeats[slot] + 1 if seen is not None and value is seen[slot] else 0
+            if self._pinned and not all(repeats[slot] for slot in self._pinned):
+                self._entry, self._unpinned, self._pinned = self._unpinned, None, ()
+                self.stats.pin_reverts += 1
+            pinned = tuple(slot for slot, count in enumerate(repeats) if count)
+            base = self._entry
+            if self._pinned or not pinned or len(pinned) == len(values):
+                return base.executable(self.ring)
+            count = min(repeats[slot] for slot in pinned)
+            variant = self._variants.get(pinned)
+        if variant is None:
+            try:
+                variant = session._pinned_variant(self, base, pinned)
+            except Exception as error:  # a variant is an optimization, never a failure
+                logger.warning("pinned variant of %s failed: %s", base.signature.digest[:12], error)
+                variant = (base, math.inf)
+            with self._lock:
+                self._variants[pinned] = variant
+        entry, breakeven = variant
+        if count >= breakeven:
+            with self._lock:
+                if self._entry is base:
+                    self._entry, self._unpinned, self._pinned = entry, base, pinned
+                    self.stats.pin_adoptions += 1
+        return self.executable()
+
     # -- statistics and drift --------------------------------------------------
     def _record(self, values: List[MatrixValue], result: ExecutionResult) -> None:
         drifted: Dict[int, float] = {}
-        session = self._session() if self._session is not None else None
+        session = self._session
         # counting non-zeros is the expensive part and needs no lock: a value
         # memoises its count, so pinned inputs are counted once, ever
         observations = [
@@ -683,6 +774,9 @@ class CompiledPlan:
             # fresh artifact carries new hints, so smoothing restarts from
             # them on the next execution.
             self.stats.smoothed_sparsity.clear()
+            # pinned variants were compiled under the old hints: relearn
+            self._variants = {}
+            self._pinned, self._unpinned = (), None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,7 +25,9 @@ observation drifts beyond :data:`~repro.api.plan.DEFAULT_DRIFT_FACTOR` of
 the hint the cost model optimized under, the session recompiles the
 expression with the observed statistics (quantized so near-identical
 observations share a fingerprint) and atomically re-points the plan at the
-fresher artifact.
+fresher artifact.  The same path compiles a plan's *pinned* variant when
+some of its inputs keep arriving as the same objects
+(:meth:`CompiledPlan.run` says when it is adopted and when it reverts).
 
 A session may also be given a **persistent plan store**
 (``Session(store_path=...)``, a :class:`repro.serialize.PlanStore`
@@ -64,7 +66,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.api.cache import CacheStats, PlanCache
 from repro.api.plan import CompiledPlan, InputValue, PlanEntry, specialize_entry
@@ -73,7 +75,12 @@ from repro.lang import dag
 from repro.lang import expr as la
 from repro.optimizer.config import OptimizerConfig
 from repro.optimizer.guards import derive_guard
-from repro.optimizer.pipeline import PlanArtifact, baseline_artifact, compile_expression
+from repro.optimizer.pipeline import (
+    PlanArtifact,
+    baseline_artifact,
+    breakeven_runs,
+    compile_expression,
+)
 from repro.reliability.errors import ReliabilityError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.runtime.engine import ExecutionResult
@@ -83,7 +90,20 @@ logger = logging.getLogger(__name__)
 
 
 class Session:
-    """Compiles LA expressions into reusable plans, caching by fingerprint."""
+    """Compiles LA expressions into reusable plans, caching by fingerprint.
+
+    ``auto_recompile`` (default ``True``) lets plans re-point themselves at
+    variants compiled from what their runs observe.  A plan whose input
+    sparsity drifts off its hints is recompiled with the observed hints.  A
+    plan with two or more inputs and a non-scalar output counts the runs
+    that bind the very same object to each slot; when a strict subset of
+    its slots repeats, the session compiles the variant with those inputs
+    pinned and prices its hoisted build against its per-run saving
+    (``N*``).  The plan adopts the variant once the pinned objects have
+    repeated ``N*`` times and reverts to its unpinned entry, before
+    executing, when a pinned slot receives a new object.  ``False`` (the
+    serving engine's setting) keeps every plan as compiled.
+    """
 
     def __init__(
         self,
@@ -111,6 +131,10 @@ class Session:
                 "(or pass store_path and let the session build it)"
             )
         self.cache: PlanCache[PlanEntry] = PlanCache(cache_size)
+        #: re-point plans at variants compiled from what they observe: the
+        #: drifted sparsity of an input, and inputs that stay pinned (the
+        #: same object run after run — a plan adopts its pinned variant once
+        #: the repeats repay the hoisted build and reverts when one changes)
         self.auto_recompile = auto_recompile
         #: fault-injection schedule threaded through the session's own
         #: ``optimizer.saturate`` site and into a store the session builds
@@ -324,7 +348,9 @@ class Session:
                     self.compilations += 1
                     if degraded:
                         self.degraded_compilations += 1
-                if inserted and not degraded and self.store is not None:
+                # a pinned variant is learned at run time: it stays in memory
+                pinned = any(spec.pinned for spec in signature.slots)
+                if inserted and not degraded and not pinned and self.store is not None:
                     self._save_to_store(key, entry)
                 return entry, False, False
         finally:
@@ -425,6 +451,34 @@ class Session:
         adopted, _ = self.cache.insert(signature.digest, specialized, signature.template_digest)
         return adopted
 
+    def _variant(
+        self, plan: CompiledPlan, slots: Iterable[int], var: Callable[[la.Var, int], la.Var]
+    ) -> "tuple[PlanEntry, ExprSignature, la.LAExpr]":
+        """Compile (or find) ``plan``'s source with the inputs of ``slots``
+        rebuilt by ``var(input, slot)``; returns ``(entry, signature, expr)``."""
+        slot_of = plan.signature.slot_of
+        wanted = set(slots)
+        mapping: Dict[la.LAExpr, la.LAExpr] = {}
+        for node in dag.postorder(plan.source):
+            if isinstance(node, la.Var) and slot_of.get(node.name) in wanted:
+                mapping[node] = var(node, slot_of[node.name])
+        new_expr = dag.substitute(plan.source, mapping)
+        new_signature = signature_of(new_expr)
+        if new_signature.digest == plan.signature.digest:
+            return plan._entry, plan.signature, plan.source
+        entry, _, _ = self._resolve(new_expr, new_signature)
+        return entry, new_signature, new_expr
+
+    def _pinned_variant(
+        self, plan: CompiledPlan, base: PlanEntry, slots: "tuple[int, ...]"
+    ) -> "tuple[PlanEntry, float]":
+        """``plan``'s variant with ``slots`` pinned, and the repeat count at
+        which it repays its hoisted build against ``base`` (ski rental)."""
+        entry, _, _ = self._variant(
+            plan, slots, lambda node, slot: la.Var(node.name, node.var_shape, node.sparsity, True)
+        )
+        return entry, breakeven_runs(entry.artifact, base.artifact, self.config.ring())
+
     def _recompile_plan(self, plan: CompiledPlan, observed: Dict[int, float]) -> None:
         """Re-optimize a plan whose observed input nnz drifted off its hints.
 
@@ -433,21 +487,15 @@ class Session:
         so a stream of near-identical observations maps to one fingerprint),
         compiles it through the normal cached path, and re-points the plan.
         """
-        slot_of = plan.signature.slot_of
-        mapping: Dict[la.LAExpr, la.LAExpr] = {}
-        for node in dag.postorder(plan.source):
-            if isinstance(node, la.Var):
-                slot = slot_of.get(node.name)
-                if slot in observed:
-                    hint = _quantize_sparsity(observed[slot])
-                    mapping[node] = la.Var(node.name, node.var_shape, hint)
-        if not mapping:
-            return
-        new_expr = dag.substitute(plan.source, mapping)
-        new_signature = signature_of(new_expr)
-        if new_signature.digest == plan.fingerprint:
+        entry, new_signature, new_expr = self._variant(
+            plan,
+            observed,
+            lambda node, slot: la.Var(
+                node.name, node.var_shape, _quantize_sparsity(observed[slot])
+            ),
+        )
+        if new_signature is plan.signature:
             return  # quantization landed on the hints already in force
-        entry, _, _ = self._resolve(new_expr, new_signature)
         plan._adopt(entry, new_signature, new_expr)
         logger.info(
             "drift recompile: plan %s -> %s (drifted slots: %s)",

@@ -99,6 +99,8 @@ class SlotSpec:
     #: agree on its runtime size
     row_dim: Optional[str] = None
     col_dim: Optional[str] = None
+    #: the input is pinned (same object across runs); in the digest only when set
+    pinned: bool = False
 
     @property
     def cells(self) -> Optional[int]:
@@ -118,7 +120,8 @@ class SlotSpec:
         rows = "?" if self.rows is None else str(self.rows)
         cols = "?" if self.cols is None else str(self.cols)
         hint = "dense" if self.sparsity is None else f"sparsity={self.sparsity:g}"
-        return f"slot {self.index} ({self.name!r}: {rows}x{cols}, {hint})"
+        pinned = ", pinned" if self.pinned else ""
+        return f"slot {self.index} ({self.name!r}: {rows}x{cols}, {hint}{pinned})"
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,7 @@ def signature_of(expr: la.LAExpr) -> ExprSignature:
                         sparsity=node.sparsity,
                         row_dim=None if node.shape.rows.is_unit else node.shape.rows.name,
                         col_dim=None if node.shape.cols.is_unit else node.shape.cols.name,
+                        pinned=node.pinned,
                     )
                 )
             slot = var_slots[node.name]
@@ -220,9 +224,10 @@ def signature_of(expr: la.LAExpr) -> ExprSignature:
             rows_i, rows_t = dim_tokens(shape.rows)
             cols_i, cols_t = dim_tokens(shape.cols)
             sparsity = "-" if node.sparsity is None else repr(node.sparsity)
+            pinned = ",pinned" if node.pinned else ""
             result = (
-                digest_of(f"V{slot}[{rows_i},{cols_i},{sparsity}]"),
-                digest_of(f"V{slot}[{rows_t},{cols_t},{sparsity_band(node.sparsity)}]"),
+                digest_of(f"V{slot}[{rows_i},{cols_i},{sparsity}{pinned}]"),
+                digest_of(f"V{slot}[{rows_t},{cols_t},{sparsity_band(node.sparsity)}{pinned}]"),
             )
         elif isinstance(node, la.Literal):
             token = digest_of(f"L{node.value!r}")
@@ -338,7 +343,7 @@ def rebind_dim_sizes(
         keep_alive.append(node)
         if isinstance(node, la.Var):
             shape = Shape(new_dim(node.var_shape.rows), new_dim(node.var_shape.cols))
-            result: la.LAExpr = la.Var(node.name, shape, node.sparsity)
+            result: la.LAExpr = la.Var(node.name, shape, node.sparsity, node.pinned)
         elif isinstance(node, la.FilledMatrix):
             shape = Shape(new_dim(node.fill_shape.rows), new_dim(node.fill_shape.cols))
             result = la.FilledMatrix(node.value, shape)
@@ -393,7 +398,7 @@ def slot_expression(expr: la.LAExpr, signature: Optional[ExprSignature] = None) 
             name = node.name
             if name in slot_of:
                 name = slot_var_name(slot_of[name])
-            return la.Var(name, shape, node.sparsity)
+            return la.Var(name, shape, node.sparsity, node.pinned)
         if isinstance(node, la.FilledMatrix):
             shape = Shape(canonical_dim(node.fill_shape.rows), canonical_dim(node.fill_shape.cols))
             return la.FilledMatrix(node.value, shape)

@@ -12,7 +12,10 @@ It is used by
 
 Costs are charged per *distinct* DAG node (a shared common subexpression is
 charged once), and each node is charged its output allocation (estimated
-nnz) plus an estimate of the floating-point work needed to produce it.
+nnz) plus an estimate of the floating-point work needed to produce it.  A
+node whose inputs are all *pinned* variables (``Var.pinned``; constants
+allowed) is computed once per pinned value, not per run: it is charged to
+:attr:`LACostReport.hoisted` instead of the per-run ``total``.
 
 **Semiring validity.**  "Sparsity" here means the fraction of cells that
 are not the executing ring's additive identity (``0.0`` in real arithmetic,
@@ -36,7 +39,7 @@ from typing import Dict, Optional
 
 from repro.lang import dag
 from repro.lang import expr as la
-from repro.runtime.optable import CONSTANT_TYPES, OP_TABLE, cells
+from repro.runtime.optable import CONSTANT_TYPES, OP_TABLE, cells, extent
 from repro.runtime.semiring import REAL, Semiring
 
 
@@ -84,6 +87,9 @@ class LACostReport:
     memory: float
     compute: float
     per_node: Dict[la.LAExpr, float] = field(default_factory=dict)
+    #: cost of the nodes only pinned inputs determine, paid once per pinned
+    #: value and left out of ``total``, ``memory`` and ``compute``
+    hoisted: float = 0.0
 
     @property
     def intermediates(self) -> int:
@@ -106,8 +112,11 @@ class LACostModel:
         """Cost the whole DAG, charging shared subexpressions once."""
         cache: Dict[la.LAExpr, float] = {}
         per_node: Dict[la.LAExpr, float] = {}
+        #: True: only pinned inputs determine the node; None: no input at all
+        pinned: Dict[la.LAExpr, Optional[bool]] = {}
         memory_total = 0.0
         compute_total = 0.0
+        hoisted = 0.0
 
         def sparsity(node: la.LAExpr) -> float:
             return estimate_sparsity(node, cache, self.ring)
@@ -117,8 +126,15 @@ class LACostModel:
             memory = compute = 0.0
             if node.children:
                 memory = estimate_nnz(node, cache, self.ring)
-                compute = OP_TABLE[type(node)].work(node, sparsity)
+                compute = self._work(node, sparsity)
+                below = {pinned[child] for child in node.children}
+                pinned[node] = False if False in below else (True if True in below else None)
+            else:
+                pinned[node] = node.pinned if isinstance(node, la.Var) else None
             per_node[node] = memory + compute
+            if pinned[node]:
+                hoisted += memory + compute
+                continue
             memory_total += memory
             compute_total += compute
         return LACostReport(
@@ -126,7 +142,28 @@ class LACostModel:
             memory=memory_total,
             compute=compute_total,
             per_node=per_node,
+            hoisted=hoisted,
         )
+
+    def _work(self, node: la.LAExpr, sparsity) -> float:
+        """The op table's work rule, tightened for a real sparse product.
+
+        The table charges a matmul ``rows * inner * cols * min(s_l, s_r)``,
+        which bounds every ring's kernel (the ring kernels are dense).  SciPy's
+        real sparse-sparse product visits the pairs of non-zeros that meet:
+        ``s_l * s_r`` of the cells in expectation.  The two agree whenever
+        either operand is dense.
+        """
+        if self.ring.is_real and isinstance(node, la.MatMul):
+            left, right = sparsity(node.left), sparsity(node.right)
+            return (
+                extent(node.left.shape.rows.size)
+                * extent(node.left.shape.cols.size)
+                * extent(node.right.shape.cols.size)
+                * left
+                * right
+            )
+        return OP_TABLE[type(node)].work(node, sparsity)
 
     def total(self, root: la.LAExpr) -> float:
         """Scalar total cost (convenience for comparisons)."""

@@ -8,7 +8,10 @@ estimate of nnz as the cost for each operation."
 The nnz estimate of an e-class is its sparsity invariant (Fig. 12, tracked
 by :class:`repro.egraph.analysis.RAAnalysis`) times the product of its free
 attribute extents.  Inputs (``var``/``lit`` leaves) cost nothing — they are
-already materialised.  A ``fused`` e-node is charged what
+already materialised.  A node whose children are all *pinned* classes
+(:class:`~repro.egraph.analysis.ClassData`) is computed once per pinned
+input rather than per run, so it enters the per-run objective at
+:data:`HOISTED_WEIGHT` of its cost.  A ``fused`` e-node is charged what
 :class:`~repro.cost.la_cost.LACostModel` charges its LA operator: its output
 plus the ``work`` rule of its ``OP_TABLE`` row, over its operands'
 sparsities.  For ``wsloss`` that is the sparse-driven iteration space (one
@@ -37,6 +40,12 @@ MAX_LIFTABLE_ARITY = 3
 #: Extent assumed for attributes without a concrete size (symbolic plans).
 DEFAULT_EXTENT = 1000.0
 
+#: Per-run weight of a node over pinned classes only: it is paid once, not
+#: per run, yet the weight keeps the cheaper of two hoisted builds preferred.
+#: Whether the hoisted build pays for itself is decided outside extraction,
+#: from the repeat count (:func:`repro.optimizer.pipeline.breakeven_runs`).
+HOISTED_WEIGHT = 1e-6
+
 
 def admissible_node(egraph: EGraph, class_id: int, node: ENode) -> bool:
     """Whether the extractor may select ``node`` from ``class_id``."""
@@ -60,9 +69,12 @@ class RACostModel:
         if node.op in (OP_VAR, OP_LIT):
             return 0.0
         data = egraph.data(class_id)
+        cost = self.output_nnz(data)
         if node.op == OP_FUSED:
-            return self.output_nnz(data) + self.fused_work(egraph, node)
-        return self.output_nnz(data)
+            cost += self.fused_work(egraph, node)
+        if egraph.pinned_vars and all(egraph.data(child).pinned for child in node.children):
+            return cost * HOISTED_WEIGHT
+        return cost
 
     @staticmethod
     def fused_work(egraph: EGraph, node: ENode) -> float:

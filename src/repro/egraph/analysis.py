@@ -24,6 +24,12 @@ capture-avoiding guard of the ``A * Σ_i B = Σ_i (A * B)`` rewrite (rule 3):
 an index may only be pushed across a factor that mentions it neither free
 nor bound, which keeps every expression in the graph well-scoped without a
 renaming mechanism.
+
+It also tracks **pinned** — whether some member of the class reads only
+inputs named in :attr:`EGraph.pinned_vars` (and literals): the value is
+fixed for as long as those inputs are the same objects, so the cost model
+charges a node over pinned classes once rather than per run.  With no
+pinned input the flag is ``False`` everywhere and nothing else changes.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ class ClassData:
     constant: Optional[float]
     sparsity: float
     bound: FrozenSet[str] = frozenset()
+    pinned: bool = False
 
     @property
     def arity(self) -> int:
@@ -79,15 +86,18 @@ class RAAnalysis:
         if node.op == OP_VAR:
             name, attrs = node.payload
             sparsity = egraph.var_sparsity.get(name, DEFAULT_SPARSITY)
-            return ClassData(frozenset(attrs), None, sparsity, frozenset())
+            pinned = name in egraph.pinned_vars
+            return ClassData(frozenset(attrs), None, sparsity, frozenset(), pinned)
         if node.op == OP_LIT:
             value = float(node.payload)
-            return ClassData(frozenset(), value, 0.0 if value == 0.0 else 1.0, frozenset())
+            pinned = bool(egraph.pinned_vars)
+            return ClassData(frozenset(), value, 0.0 if value == 0.0 else 1.0, frozenset(), pinned)
 
         child_data = [egraph.data(c) for c in node.children]
         bound: FrozenSet[str] = frozenset()
         for data in child_data:
             bound = bound | data.bound
+        pinned = bool(egraph.pinned_vars) and all(data.pinned for data in child_data)
         if node.op == OP_JOIN:
             schema: FrozenSet[Attr] = frozenset()
             for data in child_data:
@@ -96,14 +106,14 @@ class RAAnalysis:
             if all(d.constant is not None for d in child_data) and not schema:
                 constant = math.prod(d.constant for d in child_data)
             sparsity = min(d.sparsity for d in child_data)
-            return ClassData(schema, constant, sparsity, bound)
+            return ClassData(schema, constant, sparsity, bound, pinned)
         if node.op == OP_ADD:
             schema = child_data[0].schema
             constant = None
             if all(d.constant is not None for d in child_data) and not schema:
                 constant = sum(d.constant for d in child_data)
             sparsity = min(1.0, sum(d.sparsity for d in child_data))
-            return ClassData(schema, constant, sparsity, bound)
+            return ClassData(schema, constant, sparsity, bound, pinned)
         if node.op == OP_SUM:
             indices: FrozenSet[Attr] = node.payload
             (data,) = child_data
@@ -116,12 +126,12 @@ class RAAnalysis:
             constant = 0.0 if data.constant == 0.0 else None
             sparsity = min(1.0, agg_size * data.sparsity)
             bound = bound | frozenset(a.name for a in indices)
-            return ClassData(schema, constant, sparsity, bound)
+            return ClassData(schema, constant, sparsity, bound, pinned)
         if node.op == OP_FUSED:
             # Only ever merged into its definition's class, whose (tighter)
             # estimate the merge keeps: dense is the sound bound here.
             fusion = node.payload
-            return ClassData(fusion.schema, None, 1.0, bound | fusion.bound)
+            return ClassData(fusion.schema, None, 1.0, bound | fusion.bound, pinned)
         raise ValueError(f"unknown operator {node.op!r}")
 
     def merge(self, left: ClassData, right: ClassData) -> ClassData:
@@ -140,6 +150,7 @@ class RAAnalysis:
             constant,
             min(left.sparsity, right.sparsity),
             left.bound | right.bound,
+            left.pinned or right.pinned,
         )
 
     def modify(self, egraph: "EGraph", class_id: int) -> None:

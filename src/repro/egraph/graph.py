@@ -82,6 +82,9 @@ class EGraph:
         self._hashcons: Dict[ENode, int] = {}
         #: sparsity hints for named input tensors (consulted by the analysis)
         self.var_sparsity: Dict[str, float] = {}
+        #: names of the pinned input tensors (the ``pinned`` analysis);
+        #: set before the first ``add_term``, empty for an unpinned compile
+        self.pinned_vars: FrozenSet[str] = frozenset()
         self._pending: List[int] = []
         self._analysis_pending: List[int] = []
         #: congruent parent classes discovered while merging parent dicts;

@@ -233,12 +233,16 @@ class Var(LAExpr):
     """A named input matrix, vector or scalar.
 
     ``sparsity`` is an optional hint in ``[0, 1]`` (fraction of non-zero
-    cells, SystemML's convention) used by the cost model.
+    cells, SystemML's convention) used by the cost model.  ``pinned`` marks
+    an input whose value stays the same object across runs (a solver's data
+    ``X``): the cost model charges work that only pinned inputs determine
+    once instead of per run.
     """
 
     name: str
     var_shape: Shape
     sparsity: Optional[float] = field(default=None, compare=False)
+    pinned: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.sparsity is not None and not (0.0 <= self.sparsity <= 1.0):

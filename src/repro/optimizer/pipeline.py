@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro import obs
@@ -41,6 +41,7 @@ from repro.ra.rexpr import RPlanOutput
 from repro.reliability.errors import OptimizerBudgetExceeded
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.runtime.fusion import fuse_operators
+from repro.runtime.semiring import resolve_semiring
 from repro.translate import LiftError, LoweringError, lift, lower, simplify
 from repro.translate.lower import is_barrier
 
@@ -199,10 +200,17 @@ def _optimize_region(
             phase.translate += time.perf_counter() - start
 
         egraph = EGraph()
+        egraph.pinned_vars = _pinned_names(lowering)
+        runner = config.runner
+        if egraph.pinned_vars:
+            # A pinned plan is amortised over the runs that adopt it, and the
+            # hoisted form (distribute, swap sums, factor out the Gram class)
+            # is several rewrites deep: saturate to the fixpoint.
+            runner = replace(runner, plateau=0)
         with _TRACER.span("compile.saturate", region=report.regions - 1) as saturate_span:
             start = time.perf_counter()
             root = egraph.add_term(lowering.plan.body)
-            run_report = Runner(config.runner).run(egraph, config.rules())
+            run_report = Runner(runner).run(egraph, config.rules())
             phase.saturate += time.perf_counter() - start
             saturate_span.set_attribute("iterations", run_report.num_iterations)
             saturate_span.set_attribute("stop_reason", run_report.stop_reason.value)
@@ -242,6 +250,31 @@ def _optimize_region(
         _REGION_FALLBACKS.inc()
         return expr
     return lifted
+
+
+def _pinned_names(lowering) -> frozenset:
+    """RA names of a region's pinned inputs, plus its ones vectors (constants)
+    when there is any pinned input at all."""
+    pinned = frozenset(name for name, var in lowering.symbols.items() if var.pinned)
+    return pinned | frozenset(lowering.ones_dims) if pinned else pinned
+
+
+def breakeven_runs(pinned: "PlanArtifact", unpinned: "PlanArtifact", ring=None) -> float:
+    """Repeats of the pinned inputs after which the pinned plan pays (ski rental).
+
+    ``pinned`` was compiled with some inputs marked ``Var.pinned``; its
+    :class:`~repro.cost.la_cost.LACostModel` report splits into the per-run
+    ``total`` and the ``hoisted`` cost paid once per pinned value.  Each run
+    saves ``total(unpinned) - total(pinned)``, so the hoisted build pays for
+    itself after ``N* = hoisted / saving`` runs on the same pinned values;
+    ``inf`` when the pinned plan saves nothing per run.
+    """
+    model = LACostModel(ring=resolve_semiring(ring))
+    report = model.cost(pinned.fused)
+    saving = model.total(unpinned.fused) - report.total
+    if saving <= 0:
+        return math.inf
+    return float(math.ceil(report.hoisted / saving))
 
 
 def _fills_unsized(expr: la.LAExpr) -> bool:

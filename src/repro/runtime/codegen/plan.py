@@ -99,9 +99,11 @@ class FusedPlan(TapePlan):
         factory: ModuleFactory,
         source: str,
         ring: Semiring,
+        pinned: frozenset = frozenset(),
     ) -> None:
         self.ring = ring
         self.n_slots = region_plan.n_slots
+        self.pinned = pinned
         #: the emitted module text the fused regions were compiled from
         self.source = source
         #: how many region executions took the interpreter fallback
@@ -182,18 +184,20 @@ def compile_fused(
     n_slots: int,
     ring: Union[str, Semiring, None] = None,
     slot_sparsity: Optional[Mapping[int, Optional[float]]] = None,
+    pinned: frozenset = frozenset(),
 ) -> Optional[FusedPlan]:
     """Compile a slot-space plan to a :class:`FusedPlan`.
 
-    ``None`` means "run the plain tape": the ring is not real.
+    ``None`` means "run the plain tape": the ring is not real.  ``pinned``
+    slots make the plan hoist the regions only they determine.
     """
     resolved_ring = resolve_semiring(ring)
     if not resolved_ring.is_real:
         return None
-    region_plan = plan_regions(expr, n_slots, slot_sparsity)
+    region_plan = plan_regions(expr, n_slots, slot_sparsity, pinned)
     source = emit_source(region_plan, resolved_ring.name)
     factory = _cached_factory(source)
-    return FusedPlan(region_plan, factory, source, resolved_ring)
+    return FusedPlan(region_plan, factory, source, resolved_ring, pinned)
 
 
 def build_executable(
@@ -201,9 +205,12 @@ def build_executable(
     n_slots: int,
     ring: Union[str, Semiring, None] = None,
     slot_sparsity: Optional[Mapping[int, Optional[float]]] = None,
+    pinned: frozenset = frozenset(),
 ) -> TapePlan:
     """The executor of a slot plan: fused when the ring allows, tape otherwise."""
-    fused = compile_fused(expr, n_slots, ring=ring, slot_sparsity=slot_sparsity)
+    fused = compile_fused(
+        expr, n_slots, ring=ring, slot_sparsity=slot_sparsity, pinned=pinned
+    )
     if fused is not None:
         return fused
-    return TapePlan(expr, n_slots, ring=ring)
+    return TapePlan(expr, n_slots, ring=ring, pinned=pinned)

@@ -139,6 +139,10 @@ class RegionPlan:
         return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
 
 
+def _hoisted(entry: Scheduled, pinned: frozenset) -> bool:
+    return bool(entry.slot_deps) and pinned.issuperset(entry.slot_deps)
+
+
 def _node_token(node: la.LAExpr) -> str:
     """Canonical per-node token for digests (payload included)."""
     if isinstance(node, CONSTANT_TYPES):
@@ -152,11 +156,15 @@ def plan_regions(
     expr: la.LAExpr,
     n_slots: int,
     slot_sparsity: Optional[Mapping[int, Optional[float]]] = None,
+    pinned: frozenset = frozenset(),
 ) -> RegionPlan:
     """Plan fusion regions for a slot-space expression.
 
     ``slot_sparsity`` maps slot index to the plan's sparsity hint (missing
-    or ``None`` means dense).  Raises :class:`~repro.runtime.engine.
+    or ``None`` means dense).  A node only ``pinned`` slots determine never
+    folds into a consumer that reads another slot: it stays the root of a
+    region of its own, which the executable computes once per pinned value
+    (:attr:`~repro.runtime.tape.TapePlan.hoisted`).  Raises :class:`~repro.runtime.engine.
     ExecutionError` for nodes without an op-table row, as the tape does.
     """
     hints: Mapping[int, Optional[float]] = slot_sparsity or {}
@@ -210,6 +218,8 @@ def plan_regions(
         if not dense[entry.position]:
             continue
         if not all(dense[op] for op in entry.operands):
+            continue
+        if _hoisted(entry, pinned) and not _hoisted(consumer, pinned):
             continue
         fuse_into[i] = users[0]
 

@@ -19,16 +19,23 @@ wrap; SciPy caches the check on the matrix, so pinned data pays one O(nnz)
 scan ever.
 
 **Immutable.**  The engine never writes to a value and its identity-keyed
-caches rely on callers not doing so either, so ``nnz`` is counted once per
-value.  For a sparse value it is the number of *stored* entries, explicit
+caches rely on callers not doing so either, so ``nnz`` and the stored-entry
+``coordinates`` the SDDMM kernels gather at are computed once per value.
+For a sparse value ``nnz`` is the number of *stored* entries, explicit
 zeros included.
+
+**Hoisted.**  An executable marks the values it keeps across runs (the
+result of a step only pinned inputs determine).  A hoisted CSC value keeps
+a CSR copy, :attr:`MatrixValue.row_major`, made on first use: a
+matrix-vector product reads rows faster than columns, and only a value
+that is read run after run repays the copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import ClassVar, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +51,8 @@ class MatrixValue:
     """A dense or sparse two-dimensional value."""
 
     data: ArrayLike
+    #: set by the executable that keeps this value across runs
+    hoisted: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         data = self.data
@@ -123,6 +132,21 @@ class MatrixValue:
         if self.is_sparse:
             return int(self.data.nnz)
         return int(np.count_nonzero(self.data))
+
+    @cached_property
+    def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of the stored entries in storage order; computed once.
+
+        A dense value's entries are those of its CSR conversion."""
+        stored = self.data if self.is_sparse else self.to_sparse()
+        counts = np.diff(stored.indptr)
+        major = np.repeat(np.arange(counts.size, dtype=stored.indices.dtype), counts)
+        return (major, stored.indices) if stored.format == "csr" else (stored.indices, major)
+
+    @cached_property
+    def row_major(self) -> sparse.csr_matrix:
+        """The sparse value as CSR, converted once (the value itself if CSR)."""
+        return self.data.tocsr()
 
     @property
     def cells(self) -> int:

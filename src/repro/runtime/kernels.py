@@ -23,7 +23,19 @@ once and scratch per call: shards run kernels concurrently.
 
 **Numeric policy.**  Elementwise results do not depend on the layout; a
 reduction follows the operand's storage order, so CSR and CSC may differ by
-re-association (not at all on the dyadic inputs the parity tests use).
+re-association (not at all on the dyadic inputs the parity tests use).  The
+one exception is deliberate: ``matmul`` of a hoisted CSC value by a dense
+column reads the value's CSR copy, whose row sums run in the same ascending
+column order, so the result is bitwise the CSC one.  A plan's *pinned*
+variant (:meth:`repro.api.plan.CompiledPlan.run`) is bitwise identical across
+the tape, the fused tier and the interpreter; against the unpinned plan it
+is **ulp-bounded**, not bitwise, because ``(t(X) %*% X) %*% v`` re-associates
+``t(X) %*% (X %*% v)``: each is within ``γ_(m+n)·|t(X)| |X| |v|`` of the
+exact product, with ``γ_k = k·ε / (1 − k·ε)`` (Higham, *Accuracy and
+Stability of Numerical Algorithms*, Thm. 3.5 and Lemma 3.3), so the two
+differ componentwise by at most ``2·γ_(m+n+2)·|t(X)| |X| |v| + 2·ε·|c|``
+once a term ``c`` is added.  ``tests/unit/test_pinned_plans.py`` checks that
+bound and records the SVM gradient's error near convergence.
 
 The module-level kernels implement real ``(+, ×)`` arithmetic.  The
 execution engine reaches them through a :class:`KernelSet` — a flat
@@ -65,13 +77,6 @@ def _like(x, data: np.ndarray):
     return out
 
 
-def _coordinates(x) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` of the stored entries of ``x`` in storage order."""
-    counts = np.diff(x.indptr)
-    major = np.repeat(np.arange(counts.size, dtype=x.indices.dtype), counts)
-    return (major, x.indices) if x.format == "csr" else (x.indices, major)
-
-
 def safe_divide(left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] = None):
     """``left / right`` where a non-finite quotient (``x/0``, ``0/0``) is 0, the
     SystemML convention; allocates the output (unless given) and a mask."""
@@ -90,18 +95,20 @@ def elem_mul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
     if a.is_sparse and b.is_sparse and a.shape == b.shape:
         return MatrixValue(a.data.multiply(b.data)).compacted()
     if a.is_sparse:
-        return _sparse_mul(a.data, b.to_dense())
+        return _sparse_mul(a, b.to_dense())
     if b.is_sparse:
-        return _sparse_mul(b.data, a.to_dense())
+        return _sparse_mul(b, a.to_dense())
     return MatrixValue(a.data * b.data).compacted()
 
 
-def _sparse_mul(x, dense: np.ndarray) -> MatrixValue:
-    """``x * dense`` on ``x``'s structure: ``dense`` (same shape, or a row or
-    column vector) is read at the stored coordinates only and scaled in place."""
+def _sparse_mul(value: MatrixValue, dense: np.ndarray) -> MatrixValue:
+    """``value * dense`` on ``value``'s structure: ``dense`` (same shape, or a
+    row or column vector) is read at the stored coordinates only and scaled in
+    place."""
+    x = value.data
     rows, cols = x.shape
     if dense.shape == x.shape:
-        scale = dense[_coordinates(x)]
+        scale = dense[value.coordinates]
     elif dense.shape == (rows, 1) or dense.shape == (1, cols):
         # along the major axis: repeat per stored run; along the minor: gather
         if (dense.shape[1] == 1) == (x.format == "csr"):
@@ -140,6 +147,11 @@ def matmul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
         return scalar_mul(a.scalar_value(), b)
     if b.is_scalar:
         return scalar_mul(b.scalar_value(), a)
+    if a.hoisted and a.is_sparse and a.data.format == "csc" and b.shape[1] == 1 and not b.is_sparse:
+        # Column-major storage scatters a matrix-vector product; the CSR copy
+        # sums each row in the same (ascending column) order, so the result
+        # is bitwise the CSC one.  With several columns CSC is faster again.
+        return MatrixValue(a.row_major @ b.data).compacted()
     return MatrixValue(a.data @ b.data).compacted()
 
 
@@ -203,15 +215,21 @@ def unary(func: str, a: MatrixValue) -> MatrixValue:
 # ---------------------------------------------------------------------------
 
 
-def sampled_dot(x, u: np.ndarray, v_rowwise: np.ndarray) -> np.ndarray:
+def sampled_dot(
+    x,
+    u: np.ndarray,
+    v_rowwise: np.ndarray,
+    coordinates: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
     """Entries of ``u @ v_rowwise.T`` at the stored coordinates of ``x`` only.
 
     The SDDMM core of the fused operators: one value per stored entry of the
-    CSR/CSC matrix ``x``, in storage order.  Factor rows are gathered
+    CSR/CSC matrix ``x``, in storage order (``coordinates``, when the caller
+    has them cached on the value).  Factor rows are gathered
     :data:`SDDMM_BLOCK` entries at a time into scratch owned by this call,
     so no ``nnz x rank`` temporary exists.
     """
-    rows, cols = _coordinates(x)
+    rows, cols = coordinates if coordinates is not None else MatrixValue(x).coordinates
     u = np.ascontiguousarray(u, dtype=np.float64)
     v_rowwise = np.ascontiguousarray(v_rowwise, dtype=np.float64)
     out = np.empty(rows.size)
@@ -239,15 +257,15 @@ def wsloss(x: MatrixValue, u: MatrixValue, v: MatrixValue, w: Optional[MatrixVal
         w_stored = _stored(w)
         if w_stored.nnz == 0:  # (an empty fancy index into SciPy is not an array)
             return MatrixValue.scalar(0.0)
-        x_at = np.asarray(x.data[_coordinates(w_stored)]).ravel()
-        residual = sampled_dot(w_stored, u_dense, v_dense)
+        x_at = np.asarray(x.data[w.coordinates]).ravel()
+        residual = sampled_dot(w_stored, u_dense, v_dense, w.coordinates)
         np.subtract(x_at, residual, out=residual)
         weighted = w_stored.data * residual
         weighted *= residual
         return MatrixValue.scalar(float(np.sum(weighted)))
     x_stored = _stored(x)
     gram = float(np.sum((u_dense.T @ u_dense) * (v_dense.T @ v_dense)))
-    scratch = sampled_dot(x_stored, u_dense, v_dense)
+    scratch = sampled_dot(x_stored, u_dense, v_dense, x.coordinates)
     scratch *= x_stored.data
     cross = float(np.sum(scratch))
     np.multiply(x_stored.data, x_stored.data, out=scratch)
@@ -257,7 +275,7 @@ def wsloss(x: MatrixValue, u: MatrixValue, v: MatrixValue, w: Optional[MatrixVal
 def wcemm(x: MatrixValue, u: MatrixValue, v: MatrixValue) -> MatrixValue:
     """``sum(X * log(U %*% V))`` computed only at the non-zeros of ``X``."""
     x_stored = _stored(x)
-    terms = sampled_dot(x_stored, u.to_dense(), v.to_dense().T)
+    terms = sampled_dot(x_stored, u.to_dense(), v.to_dense().T, x.coordinates)
     np.log(terms, out=terms)
     terms *= x_stored.data
     return MatrixValue.scalar(float(np.sum(terms)))
@@ -276,7 +294,7 @@ def wdivmm(
     u_dense = u.to_dense()
     v_dense = v.to_dense()
     x_stored = _stored(x)
-    quotient = sampled_dot(x_stored, u_dense, v_dense.T)
+    quotient = sampled_dot(x_stored, u_dense, v_dense.T, x.coordinates)
     weighted = _like(x_stored, safe_divide(x_stored.data, quotient, out=quotient))
     if multiply_left:
         return MatrixValue(np.asarray((weighted.T @ u_dense).T)).compacted()

@@ -32,6 +32,16 @@ Steps fed by varying inputs simply miss and recompute.  Callers that mutate
 input arrays in place must not share value objects across requests (the
 same contract NumPy views have always had).
 
+A plan compiled for *pinned* slots (``TapePlan(..., pinned=slots)``; the
+:class:`~repro.api.plan.CompiledPlan` learns them from repeated input
+objects) owns one such cache restricted to the steps only pinned slots
+determine, :attr:`TapePlan.hoisted`: a Gram matrix ``t(X) %*% X`` or a
+transposed ``t(X)`` is computed once per tuple of pinned objects and read
+on every later run, with no second memo.  What it stores is marked
+``hoisted``, so a CSC value keeps a CSR copy for matrix-vector products
+(:attr:`~repro.runtime.data.MatrixValue.row_major`).  An unpinned plan has
+no such cache and runs the bare loop.
+
 The tape produces numerically identical results to the interpreter — it
 calls the same :mod:`repro.runtime.kernels` in the same operand order — and
 the unit suite asserts parity on every workload.  What it does *not*
@@ -140,15 +150,26 @@ class StepReuseCache:
     Holds at most one entry per tape step: ``(operand values, result)``.
     ``operand values`` are the exact slot objects the result was computed
     from; a hit requires every current operand to be the *same object*.
-    The cache is not thread-safe — each serving shard owns one per plan.
+
+    ``steps`` restricts the memo to those step indices (the pinned-only
+    steps an executable hoists); every other step runs as if there were no
+    cache.  A restricted cache marks what it stores ``hoisted``.  The
+    unrestricted cache is not thread-safe — each serving shard owns one per
+    plan; the restricted one lives on its executable, and a race between
+    two runs costs at most one extra build of a hoisted value.
     """
 
-    __slots__ = ("_entries", "hits", "misses")
+    __slots__ = ("_entries", "hits", "misses", "steps")
 
-    def __init__(self) -> None:
+    def __init__(self, steps: Optional[frozenset] = None) -> None:
         self._entries: Dict[int, Tuple[Tuple[MatrixValue, ...], MatrixValue]] = {}
         self.hits = 0
         self.misses = 0
+        #: the step indices memoized (``None``: all of them)
+        self.steps = steps
+
+    def covers(self, step: int) -> bool:
+        return self.steps is None or step in self.steps
 
     def lookup(self, step: int, operands: Tuple[MatrixValue, ...]) -> Optional[MatrixValue]:
         entry = self._entries.get(step)
@@ -163,6 +184,8 @@ class StepReuseCache:
         return None
 
     def store(self, step: int, operands: Tuple[MatrixValue, ...], value: MatrixValue) -> None:
+        if self.steps is not None:
+            value.hoisted = True
         self._entries[step] = (operands, value)
 
     def clear(self) -> None:
@@ -276,9 +299,11 @@ class TapePlan:
         expr: la.LAExpr,
         n_slots: int,
         ring: Union[str, Semiring, None] = None,
+        pinned: frozenset = frozenset(),
     ) -> None:
         self.ring = resolve_semiring(ring)
         self.n_slots = n_slots
+        self.pinned = pinned
         kernel_set = kernels.for_ring(self.ring)
         schedule, root = linearize(expr, n_slots)
         steps: List[TapeStep] = []
@@ -309,6 +334,14 @@ class TapePlan:
         self._root = root
         self._fused_steps = fused_operators
         self._pool = ValuePool(n_positions, prefill)
+        hoisted = frozenset(
+            index
+            for index, step in enumerate(steps)
+            if step.slot_deps and self.pinned.issuperset(step.slot_deps)
+        )
+        #: the memo of the steps only pinned slots determine, computed once
+        #: per tuple of pinned objects; ``None`` when there are none
+        self.hoisted = StepReuseCache(hoisted) if hoisted else None
 
     # -- introspection ---------------------------------------------------------
     def __len__(self) -> int:
@@ -354,7 +387,8 @@ class TapePlan:
         ``values[i]`` binds slot ``i`` (already coerced to
         :class:`MatrixValue` — plans validate and coerce during binding).
         With ``reuse``, steps whose exact input objects were seen before
-        return the remembered result instead of recomputing.
+        return the remembered result instead of recomputing; without it, the
+        steps only pinned slots determine go through :attr:`hoisted`.
 
         Fault contract (``tape.step``): with ``faults`` given, the site is
         checked before every step with the step index as its key — it
@@ -377,6 +411,8 @@ class TapePlan:
         vals = self._pool.acquire()
         vals[: self.n_slots] = values
         try:
+            if reuse is None:
+                reuse = self.hoisted
             if reuse is None and faults is None and profiler is None:
                 for fn, out, _, _, _ in self._steps:
                     vals[out] = fn(vals)
@@ -406,7 +442,7 @@ class TapePlan:
                 faults.check("tape.step", str(index))
             step_start = time.perf_counter() if profiler is not None else 0.0
             reused = False
-            if reuse is not None and deps:
+            if reuse is not None and deps and reuse.covers(index):
                 operands = tuple(vals[slot] for slot in deps)
                 cached = reuse.lookup(index, operands)
                 if cached is not None:

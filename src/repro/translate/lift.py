@@ -57,6 +57,7 @@ class Lifter:
 
     def __init__(self, symbols: Dict[str, la.Var], ones_dims: Optional[Dict[str, Dim]] = None):
         self.symbols = symbols
+        self._any_pinned = any(var.pinned for var in symbols.values())
         #: the lowered expression's dims by name, sized where any leaf is:
         #: every attribute was allocated from one of them, and the lowering
         #: refuses a name that carries two sizes
@@ -239,6 +240,9 @@ class Lifter:
         agg_names = {a.name for a in node.indices}
         child_names = {a.name for a in free_attrs(child)}
 
+        matvec = self._lift_pinned_matvec(node, row, col)
+        if matvec is not None:
+            return matvec
         if len(child_names) <= 2:
             return self._lift_small_sum(node, row, col, agg_names, child_names)
 
@@ -248,6 +252,55 @@ class Lifter:
             f"cannot lift aggregation over a {type(child).__name__} with "
             f"{len(child_names)} free attributes"
         )
+
+    def _lift_pinned_matvec(
+        self, node: RSum, row: Optional[str], col: Optional[str]
+    ) -> Optional[la.LAExpr]:
+        """``Σ_k A(i,k) v(k)`` with a pinned-only ``A`` as ``A %*% v``.
+
+        A matrix-vector product otherwise lifts as ``rowSums(A * t(v))``,
+        which reads ``A`` once either way.  A pinned ``A`` is built once and
+        read every run, and the matmul reads it without a broadcast
+        temporary.  Plans without pinned inputs never take this path.
+        """
+        if not self._any_pinned or not isinstance(node.child, RJoin) or len(node.indices) != 1:
+            return None
+        if (row is None) == (col is None):
+            return None
+        (index,) = (attr.name for attr in node.indices)
+        out = row if row is not None else col
+        matrix: List[RExpr] = []
+        vector: List[RExpr] = []
+        for factor in _flatten_join(list(node.child.args)):
+            names = {attr.name for attr in free_attrs(factor)}
+            if names == {out, index}:
+                matrix.append(factor)
+            elif names <= {index}:
+                vector.append(factor)
+            else:
+                return None
+        if not matrix or not any(free_attrs(factor) for factor in vector):
+            return None
+        if not all(self._pinned_only(factor) for factor in matrix):
+            return None
+        if row is not None:
+            return la.MatMul(
+                self._lift_join(matrix, row, index), self._lift_join(vector, index, None)
+            )
+        return la.MatMul(
+            self._lift_join(vector, None, index), self._lift_join(matrix, index, col)
+        )
+
+    def _pinned_only(self, node: RExpr) -> bool:
+        """Whether every input ``node`` reads is pinned (ones count as constants)."""
+        pinned = False
+        for sub in node.walk():
+            if isinstance(sub, RVar) and not sub.name.startswith(ONES_PREFIX):
+                var = self.symbols.get(sub.name)
+                if var is None or not var.pinned:
+                    return False
+                pinned = True
+        return pinned
 
     def _lift_small_sum(
         self,

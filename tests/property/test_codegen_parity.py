@@ -14,6 +14,7 @@ three ways:
 import random
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.session import Session
@@ -21,6 +22,7 @@ from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
 from repro.runtime.codegen import FusedPlan, build_executable, compile_fused
 from repro.runtime.data import MatrixValue
+from repro.runtime.engine import Executor
 from repro.runtime.tape import TapePlan
 from repro.workloads import get_workload, workload_names
 
@@ -41,21 +43,33 @@ def _assert_bitwise(got, expected, context: str) -> None:
     )
 
 
-def _parity_for_entry(entry, n_slots, values, context):
-    """Assert fused output is bitwise identical to the tape's on one binding."""
-    tape = TapePlan(entry.slot_plan, n_slots, ring="real")
+def _parity_for_entry(entry, n_slots, values, context, pinned=frozenset()):
+    """Assert fused output is bitwise identical to the tape's on one binding.
+
+    With ``pinned`` slots both executables hoist what only those determine;
+    each then runs twice (the build, then the hoisted values) and every run
+    must match the interpreter bitwise as well.
+    """
+    tape = TapePlan(entry.slot_plan, n_slots, ring="real", pinned=pinned)
     slot_sparsity = {spec.index: spec.sparsity for spec in entry.signature.slots}
     fused = compile_fused(
         entry.slot_plan,
         n_slots,
         ring="real",
         slot_sparsity=slot_sparsity,
+        pinned=pinned,
     )
     expected = tape.execute(values).value
+    if pinned:
+        oracle = Executor("real").execute_slots(entry.slot_plan, values).value
+        _assert_bitwise(expected, oracle, f"{context} (tape vs interpreter)")
+        _assert_bitwise(tape.execute(values).value, oracle, f"{context} (hoisted tape)")
     if fused is None:
         return False
     got = fused.execute(values).value
     _assert_bitwise(got, expected, context)
+    if pinned:
+        _assert_bitwise(fused.execute(values).value, expected, f"{context} (hoisted fused)")
     return fused.fused_regions > 0
 
 
@@ -78,6 +92,37 @@ class TestWorkloadParity:
                 )
         # the suite is vacuous if nothing ever took the fused path
         assert fused_anywhere >= 1
+
+
+class TestPinnedVariantParity:
+    """A learned pinned variant (the Gram forms, a hoisted ``t(X)``) is bitwise
+    identical across the tape, the fused tier and the interpreter."""
+
+    @pytest.mark.parametrize(
+        "family, root",
+        [("SVM", "hessian_vector"), ("SVM", "gradient"), ("GLM", "gradient"), ("MLR", "gradient")],
+    )
+    def test_pinned_variant(self, family, root):
+        workload = get_workload(family, size="S")
+        inputs = workload.inputs(seed=11)
+        plan = Session().compile(workload.roots[root])
+        names = plan.input_names
+        rng = np.random.default_rng(3)
+        for _ in range(40):  # X stays the same object, everything else moves
+            plan.run({
+                name: inputs[name] if name == "X" else MatrixValue(rng.uniform(0, 1, inputs[name].shape))
+                for name in names
+            })
+        entry = plan._entry
+        pinned = frozenset(spec.index for spec in entry.signature.slots if spec.pinned)
+        assert pinned == {names.index("X")}, "the plan never adopted its pinned variant"
+        values = plan.bind({name: inputs[name] for name in names})
+        _parity_for_entry(entry, len(names), values, f"{family}/{root} pinned", pinned)
+        _assert_bitwise(
+            plan.run({name: inputs[name] for name in names}).value,
+            Executor("real").execute_slots(entry.slot_plan, values).value,
+            f"{family}/{root} pinned plan.run",
+        )
 
 
 # ---------------------------------------------------------------------------
