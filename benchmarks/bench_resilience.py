@@ -265,7 +265,6 @@ def test_fault_storm_survival(benchmark):
                         max_attempts=4, base_delay=0.001, max_delay=0.02
                     ),
                     supervision_interval=0.005,
-                    breaker_reset=0.2,
                 )
                 try:
                     storm, seconds = _serve_pass(engine, streams, all_roots)
@@ -379,7 +378,7 @@ def test_resilience_report(benchmark):
             f"storm kept {record['throughput_ratio']:.0%} of clean throughput under "
             f"{record['faults']['fired']} injected faults ({fired});",
             f"recovery: {storm['restarts']} shard restarts, {storm['retries']} "
-            f"in-place retries, {storm['rerouted']} breaker reroutes, "
+            f"in-place retries, "
             f"{storm['degraded']} requests answered by the degraded baseline;",
             f"correctness: {record['matched_optimized']} responses bitwise-matched "
             f"the optimized reference, {record['matched_degraded']} the degraded "
@@ -408,7 +407,6 @@ def test_resilience_report(benchmark):
         "recovery": {
             "restarts": storm["restarts"],
             "retries": storm["retries"],
-            "rerouted": storm["rerouted"],
             "degraded": storm["degraded"],
             "clean_p95_latency": clean["p95_latency"],
             "storm_p95_latency": storm["p95_latency"],

@@ -6,8 +6,7 @@ Three pillars:
   bounded-reservoir histograms with Prometheus-style text exposition.
   The process-global registry returned by :func:`registry` holds only the
   instruments no per-instance record keeps: compile counts and durations,
-  saturation runs and rule funnels, breaker transitions and injected
-  faults.  Cache, store, session and serving counters live in their
+  saturation runs and rule funnels, and injected faults.  Cache, store, session and serving counters live in their
   owners' stats records; ``ServingEngine.metrics_text()`` renders those
   under Prometheus names whether or not the global registry is enabled.
 * **Trace spans** (:mod:`repro.obs.trace`): structured spans with

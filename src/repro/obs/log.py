@@ -8,9 +8,8 @@ one call attaches a stream handler with a structured single-line format
 carrying the logger name, level, and message.
 
 Events routed through this logger include supervisor shard restarts,
-circuit-breaker transitions, degraded-mode compile fallbacks, injected
-faults, store read/write demotions, and request sheds — the previously
-silent reliability surface of PR 6.
+degraded-mode compile fallbacks, injected faults, store read/write
+demotions, and request sheds.
 """
 
 from __future__ import annotations

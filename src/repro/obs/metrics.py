@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` is a namespace of named instruments.  The
 package keeps a process-global registry (``repro.obs.registry()``) for the
 counters that have no per-instance record — compile and saturation
-instruments, breaker transitions, injected faults; it is **disabled by
+instruments, injected faults; it is **disabled by
 default** — a disabled registry's instruments short-circuit on a single
 attribute check, so the instrumentation compiled into the hot paths costs
 one branch until someone opts in with :func:`repro.obs.enable`.  A counter

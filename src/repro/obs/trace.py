@@ -9,11 +9,11 @@ parent automatically within one thread.
 
 Crossing threads is explicit by design: the serving engine runs a request
 on whichever shard worker thread picks it up (and possibly a *different*
-thread after a supervisor restart or sibling reroute), so the enqueue path
+thread after a supervisor restart), so the enqueue path
 calls :meth:`Tracer.capture` and stores the :class:`SpanContext` on the
 request object; the worker passes it as ``parent=`` when it opens the
-serve span.  That keeps parentage intact through micro-batching,
-rerouting, and restarts without any thread-local inheritance magic.
+serve span.  That keeps parentage intact through micro-batching and
+restarts without any thread-local inheritance magic.
 
 Finished spans accumulate in a bounded ring (oldest dropped) and export
 two ways:

@@ -1,11 +1,12 @@
-"""The reliability layer: error taxonomy, retries, breakers, fault injection.
+"""The reliability layer: error taxonomy, retries, fault injection.
 
 SPORES' soundness property (every optimized plan is semantically equal to
 its input) makes aggressive fault tolerance cheap: any failure between
 "request arrived" and "result computed" has a *correct* fallback — retry
-the pure computation, route it to a sibling shard, or execute the
-unoptimized baseline plan.  This package supplies the four mechanisms the
-serving stack builds that story from:
+the pure computation, or execute the unoptimized baseline plan.  Sending it
+to a sibling shard is no fallback: every shard serves from one session and
+one result cache, so a sibling fails the same way.  This package supplies
+the three mechanisms the serving stack builds that story from:
 
 * :mod:`repro.reliability.errors` — the typed taxonomy; every class
   carries a ``retriable`` flag, the single bit retry and supervision key
@@ -13,9 +14,6 @@ serving stack builds that story from:
 * :class:`RetryPolicy` — bounded exponential backoff with deterministic
   jitter and per-error-class budgets; deadline-aware, so a retried
   request never outlives its latency budget.
-* :class:`CircuitBreaker` — per-shard consecutive-failure breaker with
-  timed half-open recovery probes; an open breaker routes traffic to
-  sibling shards.
 * :class:`FaultInjector` — a seeded, deterministic fault-schedule engine
   with named injection sites (``store.read``, ``store.write``,
   ``shard.execute``, ``optimizer.saturate``, ``tape.step``) threaded
@@ -24,7 +22,6 @@ serving stack builds that story from:
   failure sequences.
 """
 
-from repro.reliability.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.reliability.errors import (
     DeadlineExceededError,
     EngineClosedError,
@@ -49,10 +46,6 @@ __all__ = [
     "is_retriable",
     "RetryPolicy",
     "NO_RETRY",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
     "FaultInjector",
     "FaultRule",
     "NO_FAULTS",

@@ -21,7 +21,7 @@ error                  retriable  meaning
 =====================  =========  ==========================================
 PlanStoreError         yes        store tier IO fault (read or write);
                                   demoted to cache-miss / skip-persist
-ShardCrashError        yes        a shard worker died or wedged mid-request;
+ShardCrashError        yes        a shard worker died mid-request;
                                   the supervisor restarts and requeues
 ExecutionError         yes        a transient executor fault (an injected
                                   ``tape.step`` fault, a kernel hiccup);
@@ -71,7 +71,7 @@ class PlanStoreError(ReliabilityError, OSError):
 
 
 class ShardCrashError(ReliabilityError):
-    """A shard worker crashed (or was declared wedged) with work in flight.
+    """A shard worker crashed with work in flight.
 
     Raised *through* a worker thread to simulate — or report — its death;
     the engine's supervisor restarts the shard on the engine's one session

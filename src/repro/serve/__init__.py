@@ -20,10 +20,9 @@ deployable service shape:
 
 Reliability (see :mod:`repro.reliability`): the engine supervises its
 shards (crash detection, restart on the same session, idempotent
-requeue), routes around shards whose circuit breaker is open, retries
-transient execution faults under the request deadline, degrades to
-baseline plans when the optimizer overruns its budget, and reports it
-all through :meth:`ServingEngine.health`.
+requeue), retries transient execution faults under the request deadline,
+degrades to baseline plans when the optimizer overruns its budget, and
+reports it all through :meth:`ServingEngine.health`.
 """
 
 from repro.reliability.errors import EngineClosedError

@@ -26,7 +26,7 @@ worker pool:
   top.
 * **Answers at the door.**  An exact repeat (same fingerprint, same input
   objects) resolves from the engine's one result cache before any queue;
-  shards consult it too, so batch-mates, reroutes and requeues hit it.
+  shards consult it too, so batch-mates and requeues hit it.
 * **Caller runs.**  :meth:`run` and :meth:`plan_for` route and admit like
   ``submit``, but when the target shard is idle — empty queue, its
   ``_serving`` lock free — the calling thread serves the request through
@@ -48,24 +48,21 @@ interpreter, minus its per-intermediate bufferpool accounting.
 **Reliability** (:mod:`repro.reliability` threaded end to end):
 
 * **Shard supervision.**  A monitor thread watches every worker's thread
-  liveness and heartbeat; a crashed (or, with ``heartbeat_timeout``,
-  wedged) shard is replaced by a fresh worker on the same session (every
-  plan stays cached) on the same result cache, and requeues every
-  still-unresolved request — requests are idempotent by future state plus
-  the result cache, so a crash costs latency, never
-  answers and never a compile.
-* **Per-shard circuit breakers.**  Consecutive failures trip a shard's
-  breaker; while it is open, new traffic routes to sibling shards (counted
-  as ``rerouted``) and timed half-open probes decide when the home shard
-  earns its traffic back.
+  liveness; a crashed shard is replaced by a fresh worker on the same
+  session (every plan stays cached) on the same result cache, and requeues
+  every still-unresolved request — requests are idempotent by future state
+  plus the result cache, so a crash costs latency, never answers and never
+  a compile.  Every request goes to its home shard: a shard keeps no plan
+  and no answer of its own, so a failure one shard sees, its sibling would
+  see identically.
 * **Graceful degradation.**  With an ``optimizer_budget``, a compile that
   overruns (or an injected optimizer fault) falls back to the unoptimized
   baseline plan — semantically identical under SPORES' equality-saturation
   contract, marked ``degraded`` in every stats surface.  Store read/write
   failures demote to cache misses / skipped persists.
 * **Health.**  :meth:`health` reports liveness, readiness, per-shard
-  breaker state, restart counts, heartbeat ages and the degraded-request
-  rate — the machine-readable shape a load balancer or test harness polls.
+  thread state, restart counts and the degraded-request rate — the
+  machine-readable shape a load balancer or test harness polls.
 """
 
 from __future__ import annotations
@@ -85,7 +82,6 @@ from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature, signature_of
 from repro.lang import expr as la
 from repro.optimizer.config import OptimizerConfig
-from repro.reliability.breaker import OPEN, CircuitBreaker
 from repro.reliability.errors import EngineClosedError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.reliability.retry import RetryPolicy
@@ -116,8 +112,7 @@ _RECORD_HELP = {
     "serve_retries_total": "Transient shard execution failures retried in place",
     "serve_degraded_total": "Requests answered by a degraded baseline plan",
     "serve_batches_total": "Micro-batches drained by shard workers",
-    "serve_restarts_total": "Crashed or wedged shard workers replaced by the supervisor",
-    "serve_rerouted_total": "Submissions diverted to a sibling shard by an open breaker",
+    "serve_restarts_total": "Crashed shard workers replaced by the supervisor",
     "plan_cache_hits_total": "Plan requests served from cached state",
     "plan_cache_misses_total": "Plan requests that ran the optimizer pipeline",
     "plan_cache_evictions_total": "Plan-cache LRU evictions",
@@ -156,10 +151,8 @@ class EngineStats(ServingCounters):
     template_hits: int = 0
     unique_fingerprints: int = 0
     unique_templates: int = 0
-    #: crashed/wedged shards replaced by the supervisor
+    #: crashed shards replaced by the supervisor
     restarts: int = 0
-    #: submissions routed to a sibling because the home breaker was open
-    rerouted: int = 0
     #: requests completed per second between the first submit and the most
     #: recent completion (0.0 before anything completed)
     throughput: float = 0.0
@@ -195,12 +188,17 @@ class ServingEngine:
         retry_policy: Optional[RetryPolicy] = None,
         supervise: bool = True,
         supervision_interval: float = 0.05,
-        heartbeat_timeout: Optional[float] = None,
-        breaker_threshold: int = 5,
-        breaker_reset: float = 1.0,
     ) -> None:
+        # Checked before anything starts: queue.Queue(0) is unbounded (no
+        # back-pressure, no QueueFullError) and Event.wait(0) spins.
         if shards < 1:
             raise ValueError("a serving engine needs at least one shard")
+        if queue_depth < 1:
+            raise ValueError("queue_depth must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if supervision_interval <= 0:
+            raise ValueError("supervision_interval must be positive")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive (or None)")
         self.config = config or OptimizerConfig()
@@ -210,7 +208,6 @@ class ServingEngine:
         self.default_deadline = default_deadline
         self.faults = fault_injector or NO_FAULTS
         self.retry_policy = retry_policy
-        self.heartbeat_timeout = heartbeat_timeout
         self._supervision_interval = supervision_interval
         #: the one session every shard — and every replacement — resolves
         #: plans through
@@ -243,21 +240,8 @@ class ServingEngine:
             faults=self.faults,
             latency_histogram=self._latency,
         )
-        #: engine-owned per-shard breakers; they outlive worker restarts so
-        #: failure history survives the very crash that tripped them
-        self._breakers: List[CircuitBreaker] = [
-            CircuitBreaker(
-                failure_threshold=breaker_threshold, reset_timeout=breaker_reset
-            )
-            for _ in range(shards)
-        ]
         self.shards: List[ShardWorker] = [
-            ShardWorker(
-                index=index,
-                session=self.session,
-                breaker=self._breakers[index],
-                **self._worker_kwargs,
-            )
+            ShardWorker(index=index, session=self.session, **self._worker_kwargs)
             for index in range(shards)
         ]
         self._submitted = 0
@@ -268,7 +252,6 @@ class ServingEngine:
         self._closed = False
         self._lock = threading.Lock()
         self._restarts = [0] * shards
-        self._rerouted = 0
         #: submitters currently between the closed-check and their queue put;
         #: close() waits for this to reach zero before stopping the shards,
         #: so a request can never land on a queue after its worker exited
@@ -414,7 +397,7 @@ class ServingEngine:
         signature = self.signature_for(expr)
         # Route by the size-free *template* digest: every point of a size
         # ladder lands on one shard, where its requests batch together.
-        home = index = self.shard_of(signature.template_digest)
+        index = self.shard_of(signature.template_digest)
         future: "Future[object]" = Future()
         # The engine-wide default budget is a *serving* latency contract;
         # compile-only work (deploy-time warm(), plan_for()) is expected to
@@ -425,10 +408,8 @@ class ServingEngine:
         # The enqueue span covers routing plus the queue put (so its
         # duration surfaces back-pressure waits); its context rides on the
         # request so the worker-side serve.request span parents to it across
-        # the thread handoff — and across reroutes and supervisor requeues.
-        with _TRACER.span(
-            "serve.enqueue", digest=signature.digest[:12], shard=home
-        ) as enqueue_span:
+        # the thread handoff — and across supervisor requeues.
+        with _TRACER.span("serve.enqueue", digest=signature.digest[:12], shard=index):
             try:
                 values = None if compile_only else tuple(bind_signature(signature, inputs))
             except Exception:  # unbound: the shard binds again and fails the future
@@ -452,27 +433,11 @@ class ServingEngine:
                 self._submitted += 1
                 if self._first_submit is None:
                     self._first_submit = request.enqueued
-            # The door answers a live exact repeat before admission and before
-            # routing, so it takes no half-open probe slot that only a shard's
-            # outcome returns.  Faults skip it: repeats must reach injection sites.
+            # The door answers a live exact repeat before admission.  Faults
+            # skip it: repeats must reach injection sites.
             live = request.deadline is None or time.perf_counter() <= request.deadline
             door = live and values is not None and not self.faults.enabled
             hit = self.results.get(signature.digest, values) if door else None
-            # Breaker-aware routing: an open home breaker diverts traffic to
-            # the first sibling whose breaker admits it (the sibling finds the
-            # plan in the shared session).  If every breaker is open, the home
-            # shard gets the request anyway: queueing beats dropping.
-            if hit is None and not self._breakers[index].allow():
-                for offset in range(1, len(self.shards)):
-                    candidate = (index + offset) % len(self.shards)
-                    if self._breakers[candidate].allow():
-                        index = candidate
-                        with self._lock:
-                            self._rerouted += 1
-                        logger.info("breaker open on shard %d; rerouting request to sibling %d",
-                                    home, candidate)
-                        enqueue_span.set_attribute("shard", index)
-                        break
             shard = self.shards[index]
             # Caller runs serves an idle shard here, under its _serving lock
             # (not under faults: crashes must kill workers).
@@ -618,45 +583,25 @@ class ServingEngine:
                 if self._closed:
                     return
             worker = self.shards[index]
-            alive = worker.thread.is_alive()
-            if not alive and not worker.stopped:
-                self._restart_shard(index, worker)
-            elif (
-                alive
-                and self.heartbeat_timeout is not None
-                and worker.heartbeat_age() > self.heartbeat_timeout
-            ):
-                # Wedged: the thread is alive but has not proved liveness
-                # within the timeout.  Python cannot kill it, so it is
-                # abandoned — the replacement takes the route and the
-                # queue; if the zombie ever finishes its request, the
-                # first resolution of each future wins (the setters
-                # tolerate already-resolved futures).
+            if not worker.thread.is_alive() and not worker.stopped:
                 self._restart_shard(index, worker)
 
     def _restart_shard(self, index: int, dead: ShardWorker) -> None:
-        """Replace a crashed/wedged worker and requeue its unresolved work.
+        """Replace a crashed worker and requeue its unresolved work.
 
         The replacement runs on the engine's one session and result cache,
         so every plan is still cached and a requeued request that was
         already answered is a cache hit; it inherits the dead worker's
         monotonic counters, so engine totals never regress.
         """
-        replacement = ShardWorker(
-            index=index,
-            session=self.session,
-            breaker=self._breakers[index],
-            **self._worker_kwargs,
-        )
+        replacement = ShardWorker(index=index, session=self.session, **self._worker_kwargs)
         replacement.counters = dead.counters
-        self._breakers[index].record_failure()
         with self._lock:
             self._restarts[index] += 1
             restart_count = self._restarts[index]
         logger.warning(
-            "shard %d worker %s; restarting (restart #%d for this shard)",
+            "shard %d worker crashed; restarting (restart #%d for this shard)",
             index,
-            "crashed" if not dead.thread.is_alive() else "wedged",
             restart_count,
         )
         self.shards[index] = replacement
@@ -677,26 +622,20 @@ class ServingEngine:
         """Machine-readable liveness/readiness — what a balancer would poll.
 
         ``live``: the engine is open and at least one shard thread runs.
-        ``ready``: live *and* at least one breaker admits traffic.  Per
-        shard: thread liveness, heartbeat age, queue depth, restart count
-        and the breaker snapshot.  ``degraded_rate`` is the fraction of
+        ``ready``: open *and* every shard thread runs — none is waiting for
+        a restart.  Per shard: thread liveness, queue depth, restart count
+        and served/degraded counts.  ``degraded_rate`` is the fraction of
         served requests answered by a baseline (unoptimized) plan.
         """
         with self._lock:
             closed = self._closed
             restarts = list(self._restarts)
-            rerouted = self._rerouted
-        now = time.perf_counter()
         shard_records: List[Dict[str, object]] = []
         served = degraded = 0
-        any_alive = False
-        any_admitting = False
+        alive_shards = 0
         for index, worker in enumerate(self.shards):
             alive = worker.thread.is_alive()
-            any_alive = any_alive or alive
-            breaker = self._breakers[index]
-            if breaker.state != OPEN:
-                any_admitting = True
+            alive_shards += alive
             with worker._lock:
                 shard_served = worker.counters.served
                 shard_degraded = worker.counters.degraded
@@ -707,21 +646,17 @@ class ServingEngine:
                     "shard": index,
                     "alive": alive,
                     "stopped": worker.stopped,
-                    "heartbeat_age": worker.heartbeat_age(now),
                     "queue_depth": worker.queue.qsize(),
                     "restarts": restarts[index],
                     "served": shard_served,
                     "degraded": shard_degraded,
-                    "breaker": breaker.snapshot(),
                 }
             )
-        live = not closed and any_alive
         return {
-            "live": live,
-            "ready": live and any_admitting,
+            "live": not closed and alive_shards > 0,
+            "ready": not closed and alive_shards == len(self.shards),
             "shards": shard_records,
             "restarts": sum(restarts),
-            "rerouted": rerouted,
             "degraded_rate": degraded / served if served else 0.0,
         }
 
@@ -739,7 +674,6 @@ class ServingEngine:
             queue_sheds = self._queue_sheds
             first_submit = self._first_submit
             restarts = sum(self._restarts)
-            rerouted = self._rerouted
         last_completion = max((shard.last_completion() for shard in self.shards), default=0.0)
         throughput = 0.0
         if served and first_submit is not None and last_completion > first_submit:
@@ -760,7 +694,6 @@ class ServingEngine:
             unique_fingerprints=total("unique_fingerprints"),
             unique_templates=total("unique_templates"),
             restarts=restarts,
-            rerouted=rerouted,
             throughput=throughput,
             # Quantiles come straight from the shared latency histogram the
             # workers observe into (nearest-rank over a bounded reservoir).
@@ -778,8 +711,8 @@ class ServingEngine:
         are rendered at call time through a throwaway always-enabled
         registry, so a scrape sees them whether or not the process called
         :func:`repro.obs.enable`.  The serving latency
-        histogram and the process-global registry (the compile, saturation,
-        breaker and fault instruments, which no per-instance record keeps)
+        histogram and the process-global registry (the compile, saturation
+        and fault instruments, which no per-instance record keeps)
         follow.
         """
         stats = self.stats()
@@ -793,7 +726,6 @@ class ServingEngine:
             ("serve_degraded_total", None): stats.degraded,
             ("serve_batches_total", None): stats.batches,
             ("serve_restarts_total", None): stats.restarts,
-            ("serve_rerouted_total", None): stats.rerouted,
             ("plan_cache_hits_total", None): cache.hits,
             ("plan_cache_misses_total", None): cache.misses,
             ("plan_cache_evictions_total", None): cache.evictions,

@@ -54,9 +54,8 @@ exceptionally.  The one exception that *does* kill the worker thread is
 worker process dying, and the engine's supervisor answers it by
 restarting the shard on the same session and requeueing every unresolved
 request (idempotent: a requeued request meets the engine's result cache
-again, so completed work is never re-executed).  Each served/failed request
-is also reported to the shard's :class:`~repro.reliability.CircuitBreaker`
-so the engine can route around a persistently sick shard.
+again, so completed work is never re-executed).  A worker keeps no failure
+history: a request that fails here would fail identically on any sibling.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ from repro.api.plan import CompiledPlan, InputValue, bind_signature
 from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature
 from repro.lang import expr as la
-from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.errors import DeadlineExceededError, ShardCrashError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.reliability.retry import RetryPolicy
@@ -170,8 +168,8 @@ class ShardRequest:
     #: absolute perf_counter time after which the request is shed unserved
     deadline: Optional[float] = None
     #: trace context captured at submit time; the serve-path span parents to
-    #: it, so parentage survives micro-batching, sibling rerouting, and
-    #: supervisor requeues — the context rides on the request object
+    #: it, so parentage survives micro-batching and supervisor requeues —
+    #: the context rides on the request object
     trace_context: Optional[obs.SpanContext] = None
     #: inputs in slot order, bound at the door (None: compile-only, or unbound)
     values: Optional[Tuple[MatrixValue, ...]] = None
@@ -253,7 +251,6 @@ class ShardWorker:
         queue_depth: int = 256,
         max_batch: int = 16,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         faults: FaultInjector = NO_FAULTS,
         latency_histogram: Optional[obs.Histogram] = None,
     ) -> None:
@@ -261,9 +258,8 @@ class ShardWorker:
         #: the engine's one session, shared by every shard and every restart
         self.session = session
         self.results = results  # the engine's one result cache
-        self.max_batch = max(1, max_batch)
+        self.max_batch = max_batch
         self.retry_policy = retry_policy
-        self.breaker = breaker
         self.faults = faults
         #: engine-owned always-enabled latency histogram shared by the pool
         #: (living in the engine, it survives shard restarts)
@@ -282,8 +278,6 @@ class ShardWorker:
         #: requests of the in-flight batch; left in place by a crash so the
         #: supervisor can requeue exactly the unresolved ones
         self._active: List[ShardRequest] = []
-        #: perf_counter timestamp the worker loop last proved liveness
-        self._heartbeat = time.perf_counter()
         #: True only after a *clean* loop exit; a crashed worker never sets it
         self.stopped = False
         #: executable -> this shard's state for it; weak, so an entry the
@@ -334,17 +328,7 @@ class ShardWorker:
     def _loop(self) -> None:
         stopping = False
         while not stopping:
-            # A bounded get keeps the heartbeat fresh on an idle shard: the
-            # supervisor distinguishes "no work" from "wedged mid-request"
-            # purely by this timestamp's age.
-            try:
-                item = self.queue.get(timeout=0.05)
-            except queue.Empty:
-                with self._lock:
-                    self._heartbeat = time.perf_counter()
-                continue
-            with self._lock:
-                self._heartbeat = time.perf_counter()
+            item = self.queue.get()
             batch: List[ShardRequest] = []
             if item is _STOP:
                 stopping = True
@@ -450,8 +434,6 @@ class ShardWorker:
                 except Exception as error:  # compile failure poisons the instance only
                     with self._lock:
                         self.counters.errors += len(members)
-                    if self.breaker is not None:
-                        self.breaker.record_failure()
                     for request in members:
                         if _mark_running(request.future):
                             _fail(request.future, error)
@@ -556,8 +538,6 @@ class ShardWorker:
                             # now rather than promise an answer we cannot give
                             # in time.  Counted with the other sheds.
                             self._shed(request, reason="retrying")
-                            if self.breaker is not None:
-                                self.breaker.record_failure()
                             span.set_attribute("result", "shed")
                             return
                         with self._lock:
@@ -568,8 +548,6 @@ class ShardWorker:
                         continue
                     with self._lock:
                         self.counters.errors += 1
-                    if self.breaker is not None:
-                        self.breaker.record_failure()
                     span.set_attribute("result", "error")
                     _fail(request.future, error)
                     return
@@ -577,8 +555,6 @@ class ShardWorker:
             if attempt:
                 span.set_attribute("retries", attempt)
             span.set_attribute("result", "ok")
-            if self.breaker is not None:
-                self.breaker.record_success()
             _resolve(request.future, result)
 
     def count_served(
@@ -704,13 +680,6 @@ class ShardWorker:
         return result
 
     # -- supervision -----------------------------------------------------------
-    def heartbeat_age(self, now: Optional[float] = None) -> float:
-        """Seconds since the worker loop last proved liveness."""
-        if now is None:
-            now = time.perf_counter()
-        with self._lock:
-            return max(0.0, now - self._heartbeat)
-
     def take_unresolved(self) -> List[ShardRequest]:
         """Collect every request this (dead) worker still owes an answer.
 
@@ -749,8 +718,6 @@ class ShardWorker:
                 cache_hits=counters.cache_hits,
                 cache_hit_rate=counters.cache_hits / lookups if lookups else 0.0,
             )
-        if self.breaker is not None:
-            record["breaker"] = self.breaker.state
         return record
 
     def last_completion(self) -> float:

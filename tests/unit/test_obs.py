@@ -279,12 +279,16 @@ class TestLogging:
         assert len(logging.getLogger("repro").handlers) == before
 
     def test_reliability_events_route_through_repro_logger(self, caplog):
-        from repro.reliability.breaker import CircuitBreaker
+        from repro.reliability import FaultInjector, FaultRule, ShardCrashError
 
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=0.01)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            breaker.record_failure()
-        assert any("circuit breaker opened" in r.message for r in caplog.records)
+        faults = FaultInjector([FaultRule("shard.execute", ShardCrashError, count=1)])
+        with caplog.at_level(logging.INFO, logger="repro"):
+            with pytest.raises(ShardCrashError):
+                faults.check("shard.execute")
+        assert any(
+            r.name.startswith("repro.") and "injected fault at shard.execute" in r.message
+            for r in caplog.records
+        )
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,8 @@ The serving-side contract of :mod:`repro.obs`: the ``serve.request`` span
 parents to its submit-side ``serve.enqueue`` span because the captured
 context rides on the :class:`~repro.serve.worker.ShardRequest` — so
 parentage must survive everything that can happen to a request between
-submit and answer: micro-batching with strangers, a breaker-forced
-sibling reroute, and a supervisor restart that requeues it onto a
-replacement worker.  Latency quantiles come from the engine-owned
+submit and answer: micro-batching with strangers and a supervisor
+restart that requeues it onto a replacement worker.  Latency quantiles come from the engine-owned
 histogram (no per-shard sample copies), and ``metrics_text()`` parses as
 Prometheus text exposition.
 """
@@ -100,32 +99,6 @@ class TestServeSpans:
         enqueue_threads = {s.thread for s in spans_by_name("serve.enqueue")}
         request_threads = {s.thread for s in requests}
         assert request_threads.isdisjoint(enqueue_threads)
-
-    def test_parentage_survives_sibling_reroute(self):
-        """A breaker-forced reroute changes the shard, not the parent."""
-        engine = ServingEngine(
-            shards=2,
-            config=config(),
-            breaker_threshold=2,
-            breaker_reset=60.0,
-            supervise=False,
-        )
-        try:
-            expr, inputs = make_loss(), make_inputs(1)
-            home = engine.shard_of(engine.signature_for(expr).template_digest)
-            for _ in range(2):
-                with pytest.raises(PlanBindingError):
-                    engine.run(expr, {})
-            assert engine._breakers[home].state == "open"
-            engine.run(expr, inputs)
-            assert engine.stats().rerouted >= 1
-            parsed = obs.parse_exposition(engine.metrics_text())
-        finally:
-            engine.close()
-        requests = assert_request_parents_enqueue()
-        rerouted = [s for s in requests if s.attributes["shard"] != home]
-        assert rerouted, "the rerouted request must still carry its parent"
-        assert parsed["repro_serve_rerouted_total"] >= 1
 
     def test_parentage_survives_supervisor_restart(self):
         """A crash-requeued request keeps its original trace context."""
@@ -327,7 +300,6 @@ class TestMetricsText:
             "repro_serve_degraded_total": stats.degraded,
             "repro_serve_batches_total": stats.batches,
             "repro_serve_restarts_total": stats.restarts,
-            "repro_serve_rerouted_total": stats.rerouted,
             "repro_plan_cache_hits_total": cache["hits"],
             "repro_plan_cache_misses_total": cache["misses"],
             "repro_plan_cache_evictions_total": cache["evictions"],
@@ -357,7 +329,28 @@ class TestMetricsText:
         # the corrupt entry is a load error; its intact template alias served
         assert disk["load_errors"] == disk["template_hits"] == cache["template_hits"] == 1
 
-    def test_restart_and_breaker_events_are_logged(self, caplog):
+    def test_client_errors_are_counted_and_mark_no_shard(self):
+        """Missing inputs are the client's error: counted as errors, while
+        the engine stays ready and exports no per-shard sickness."""
+        engine = ServingEngine(shards=2, config=config(), supervise=False)
+        try:
+            expr = make_loss()
+            for _ in range(3):
+                with pytest.raises(PlanBindingError):
+                    engine.run(expr, {})
+            engine.run(expr, make_inputs(0))
+            parsed = obs.parse_exposition(engine.metrics_text())
+            health = engine.health()
+        finally:
+            engine.close()
+        assert parsed['repro_serve_requests_total{result="error"}'] == 3
+        assert parsed['repro_serve_requests_total{result="ok"}'] == 1
+        assert health["ready"]
+        assert not [
+            name for name in parsed if "breaker" in name or "rerout" in name
+        ]
+
+    def test_restart_events_are_logged(self, caplog):
         faults = FaultInjector(
             [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
         )

@@ -35,15 +35,13 @@ def test_serving_engine_options():
         "shards", "config", "store", "store_path", "cache_size",
         "queue_depth", "max_batch", "default_deadline", "optimizer_budget",
         "degrade_on_error", "fault_injector", "retry_policy", "supervise",
-        "supervision_interval", "heartbeat_timeout", "breaker_threshold",
-        "breaker_reset",
+        "supervision_interval",
     ]
 
 
 def test_shard_worker_options():
     assert defaulted(ShardWorker) == [
-        "queue_depth", "max_batch", "retry_policy", "breaker", "faults",
-        "latency_histogram",
+        "queue_depth", "max_batch", "retry_policy", "faults", "latency_histogram",
     ]
 
 
@@ -71,8 +69,7 @@ def test_optimizer_options():
 def test_engine_stats_keys():
     assert sorted(EngineStats().to_dict()) == [
         "batched_requests", "batches", "compilations", "degraded", "errors",
-        "hit_rate", "p50_latency", "p95_latency", "per_shard", "rerouted",
-        "restarts", "result_cache_hits", "retries", "served", "shards", "sheds",
+        "hit_rate", "p50_latency", "p95_latency", "per_shard", "restarts", "result_cache_hits", "retries", "served", "shards", "sheds",
         "stacked_batches", "stacked_requests", "step_reuse_hits", "submitted",
         "template_hits", "throughput", "unique_fingerprints", "unique_templates",
     ]

@@ -1,14 +1,10 @@
-"""Unit tests for the reliability package: taxonomy, retries, faults, breakers."""
+"""Unit tests for the reliability package: taxonomy, retries, faults."""
 
 import pytest
 
 from repro.reliability import (
-    CLOSED,
-    HALF_OPEN,
     NO_FAULTS,
     NO_RETRY,
-    OPEN,
-    CircuitBreaker,
     DeadlineExceededError,
     EngineClosedError,
     ExecutionError,
@@ -175,71 +171,3 @@ class TestFaultInjector:
         faults.enabled = False
         faults.check("tape.step")
         assert faults.fired == []
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=1.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()  # resets the consecutive count
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow()
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now = 5.0
-        assert breaker.state == HALF_OPEN
-        assert breaker.allow()  # the one probe slot
-        assert not breaker.allow()  # no second probe
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens_and_restarts_the_timer(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
-        breaker.record_failure()
-        clock.now = 5.0
-        assert breaker.allow()
-        breaker.record_failure()  # the probe proved the shard is still sick
-        assert breaker.trips == 2
-        assert not breaker.allow()
-        clock.now = 9.0  # timer restarted at t=5, not expired yet
-        assert not breaker.allow()
-        clock.now = 10.0
-        assert breaker.allow()
-
-    def test_snapshot_is_json_shaped(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        snap = breaker.snapshot()
-        assert snap == {
-            "state": CLOSED,
-            "consecutive_failures": 1,
-            "trips": 0,
-            "successes": 0,
-            "failures": 1,
-        }
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout=0.0)

@@ -87,6 +87,35 @@ class TestCrashRecovery:
         finally:
             engine.close()
 
+    def test_a_crashed_shard_is_not_ready_until_restarted(self):
+        """``ready`` is "every shard thread alive": a dead worker waiting
+        for the supervisor clears it, its replacement restores it."""
+        faults = FaultInjector(
+            [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
+        )
+        engine = ServingEngine(
+            shards=2, config=config(), fault_injector=faults, supervise=False
+        )
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(1)
+            home = engine.shard_of(engine.signature_for(expr).template_digest)
+            future = engine.submit(expr, inputs)
+            engine.shards[home].thread.join(30)
+            health = engine.health()
+            assert health["live"] and not health["ready"]
+            assert [record["alive"] for record in health["shards"]] == [
+                index != home for index in range(2)
+            ]
+            engine._check_shards()  # one supervisor pass, on this thread
+            assert future.result(timeout=30).scalar() == pytest.approx(
+                expected(expr, inputs), rel=1e-12
+            )
+            health = engine.health()
+            assert health["live"] and health["ready"]
+            assert health["restarts"] == 1
+        finally:
+            engine.close()
+
     def test_repeated_crashes_drain_no_requests(self):
         """Several crashes across a request burst: all answered, none lost."""
         faults = FaultInjector(
@@ -216,69 +245,30 @@ class TestRetries:
             engine.close()
 
 
-class TestCircuitBreaker:
-    def test_open_breaker_routes_to_sibling_shards(self):
-        engine = ServingEngine(
-            shards=2,
-            config=config(),
-            breaker_threshold=2,
-            breaker_reset=60.0,  # stays open for the whole test
-            supervision_interval=0.01,
-        )
+class TestOneClientsErrors:
+    def test_a_clients_errors_stay_with_that_client(self):
+        """Five missing-input requests for one root are that client's own
+        error: the next valid request for another root with the same home
+        shard is served by that home shard."""
+        workload = get_workload("GLM", "S")
+        failing, valid = workload.roots["hessian_vector"], workload.roots["deviance"]
+        engine = ServingEngine(shards=2, config=config(), supervision_interval=0.01)
         try:
-            expr, inputs = make_loss(0.05), make_inputs(1)
-            home = engine.shard_of(engine.signature_for(expr).template_digest)
-            # Two binding failures against the home shard trip its breaker.
-            for _ in range(2):
+            home = engine.shard_of(engine.signature_for(valid).template_digest)
+            assert engine.shard_of(engine.signature_for(failing).template_digest) == home
+            for _ in range(5):
                 with pytest.raises(PlanBindingError):
-                    engine.run(expr, {})
-            assert engine._breakers[home].state == "open"
-            # The next good request reroutes to the sibling and still lands.
-            result = engine.run(expr, inputs)
-            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
+                    engine.run(failing, {})
+            inputs = workload.inputs(seed=0)
+            leaves = {v.name: inputs[v.name] for v in dag.variables(valid)}
+            result = engine.run(valid, leaves)
+            assert result.scalar() == pytest.approx(expected(valid, leaves), rel=1e-9)
             stats = engine.stats()
-            assert stats.rerouted >= 1
-            health = engine.health()
-            assert health["ready"]  # the sibling keeps the engine ready
-            states = [record["breaker"]["state"] for record in health["shards"]]
-            assert states.count("open") == 1
-        finally:
-            engine.close()
-
-    def test_rerouted_request_finds_its_plan_cached(self, tmp_path):
-        """The sibling an open breaker routes to serves from the shared
-        session: no compile, no store probe."""
-        store = PlanStore(tmp_path, config())
-        engine = ServingEngine(
-            shards=2,
-            config=config(),
-            store=store,
-            breaker_threshold=1,
-            breaker_reset=60.0,  # stays open for the whole test
-            supervision_interval=0.01,
-        )
-
-        def probes():
-            stats = store.stats
-            return (stats.hits, stats.misses, stats.load_errors,
-                    stats.template_hits, stats.template_misses)
-
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(1)
-            engine.run(expr, make_inputs(0))
-            home = engine.shard_of(engine.signature_for(expr).template_digest)
-            engine._breakers[home].record_failure()
-            assert engine._breakers[home].state == "open"
-            compilations, before = engine.compilations, probes()
-            result = engine.run(expr, inputs)
-            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
-            stats = engine.stats()
-            assert stats.rerouted == 1
-            assert engine.compilations == compilations
-            assert probes() == before
-            sibling = stats.per_shard[1 - home]
-            assert (sibling["served"], sibling["compilations"]) == (1, 0)
-            assert sibling["cache_hit_rate"] == 1.0
+            assert [shard["served"] for shard in stats.per_shard] == [
+                int(index == home) for index in range(2)
+            ]
+            assert stats.per_shard[home]["errors"] == 5
+            assert engine.health()["ready"]
         finally:
             engine.close()
 

@@ -1,5 +1,6 @@
 """Tests for the sharded serving engine and the tape fast path."""
 
+import queue
 import sys
 import threading
 import time
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.api.plan import PlanBindingError
 from repro.canonical.fingerprint import signature_of, slot_expression
 from repro.lang import Dim, Matrix, Sum, Vector
@@ -15,6 +17,7 @@ from repro.reliability import EngineClosedError, ExecutionError, FaultInjector, 
 from repro.runtime import MatrixValue, execute, execute_slots
 from repro.runtime.tape import StepReuseCache, TapePlan
 from repro.serve import DeadlineExceededError, QueueFullError, ServingEngine
+from repro.serve.worker import ResultCache, ShardWorker
 from repro.workloads import (
     get_semiring_workload,
     get_workload,
@@ -192,6 +195,45 @@ class TestServingEngine:
             assert len(results) == 32
         finally:
             engine.close()
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"queue_depth": 0},
+            {"queue_depth": -1},
+            {"max_batch": 0},
+            {"max_batch": -1},
+            {"supervision_interval": 0.0},
+            {"supervision_interval": -0.5},
+        ],
+    )
+    def test_out_of_range_options_fail_before_any_thread_starts(self, option):
+        # queue.Queue(0) is unbounded and Event.wait(0) spins the supervisor:
+        # none of these values means anything, so none constructs.
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError):
+            ServingEngine(shards=2, config=config(), **option)
+        assert set(threading.enumerate()) <= before
+
+    def test_an_idle_worker_blocks_on_its_queue(self):
+        # Crash detection is thread liveness, so an idle shard has nothing to
+        # refresh: it waits in one blocking get, not a polling loop.
+        worker = ShardWorker(index=0, session=Session(config()), results=ResultCache())
+        calls = []
+
+        class CountingQueue(queue.Queue):
+            def get(self, block=True, timeout=None):
+                calls.append((block, timeout))
+                return super().get(block, timeout)
+
+        worker.queue = CountingQueue(maxsize=4)
+        worker.start()
+        try:
+            time.sleep(0.3)
+            assert calls == [(True, None)]
+        finally:
+            worker.stop(timeout=30)
+        assert worker.stopped and not worker.thread.is_alive()
 
     def test_closed_engine_rejects_submissions(self):
         engine = ServingEngine(shards=1, config=config())
@@ -612,51 +654,37 @@ class TestResultCacheAtTheDoor:
         finally:
             engine.close()
 
-    def test_a_rerouted_repeat_hits_what_its_home_shard_stored(self, monkeypatch):
-        # Faults turn the door off, so the repeat is routed and the sibling's
-        # execute-time lookup must find the entry the home shard stored.
+    def test_a_batch_mate_repeat_hits_what_its_twin_stored(self, monkeypatch):
+        # Faults turn the door off, so both twins queue behind the busy home
+        # shard, drain as one batch, and the second's execute-time lookup
+        # finds the answer the first stored.
         faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
         engine = ServingEngine(
-            shards=2, config=config(), breaker_threshold=1, breaker_reset=60.0,
-            fault_injector=faults, supervise=False,
+            shards=2, config=config(), fault_injector=faults, supervise=False
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=21)
             home = home_shard(engine, expr)
-            first = engine.run(expr, inputs)
-            assert home.snapshot()["served"] == 1
-            engine._breakers[home.index].record_failure()
-            assert engine._breakers[home.index].state == "open"
-            sibling = engine.shards[1 - home.index]
-            calls = record_serving_threads(sibling, monkeypatch)
-            assert engine.run(expr, inputs) is first
-            assert len(calls) == 1 and calls[0][0] is sibling.thread
+            calls = record_serving_threads(home, monkeypatch)
+            gate = Gate()
+            gate.lock.acquire()
+            home._serving = gate
+            try:
+                blocker = engine.submit(expr, make_inputs(seed=26))
+                assert gate.waiting.wait(30)  # the worker drained it and waits
+                twins = [engine.submit(expr, inputs) for _ in range(2)]
+                assert home.queue.qsize() == 2
+                assert not any(future.done() for future in twins)
+            finally:
+                gate.lock.release()
+            blocker.result(timeout=30)
+            first, second = (future.result(timeout=30) for future in twins)
+            assert second is first
+            assert [len(batch) for _, batch in calls] == [1, 2]
+            assert all(thread is home.thread for thread, _ in calls)
             stats = engine.stats()
-            assert (stats.rerouted, stats.result_cache_hits, stats.served) == (1, 1, 2)
-            assert sibling.snapshot()["result_cache_hits"] == 1
-        finally:
-            engine.close()
-
-    def test_a_door_hit_takes_no_half_open_probe_slot(self):
-        engine = ServingEngine(
-            shards=2, config=config(), breaker_threshold=1, breaker_reset=0.05,
-            supervise=False,
-        )
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(seed=26)
-            home = home_shard(engine, expr)
-            breaker = engine._breakers[home.index]
-            first = engine.run(expr, inputs)
-            breaker.record_failure()
-            time.sleep(0.1)
-            assert breaker.state == "half_open"
-            assert engine.submit(expr, inputs).result(timeout=0) is first
-            # the probe slot is still free: fresh inputs reach the home shard
-            engine.run(expr, make_inputs(seed=27))
-            assert breaker.state == "closed"
-            stats = engine.stats()
-            assert (stats.rerouted, stats.result_cache_hits, stats.served) == (0, 1, 3)
-            assert home.snapshot()["served"] == 3
+            assert (stats.result_cache_hits, stats.served, stats.batched_requests) == (1, 3, 2)
+            assert home.snapshot()["result_cache_hits"] == 1
         finally:
             engine.close()
 
