@@ -2,7 +2,7 @@
 
 The reliability layer (:mod:`repro.reliability` threaded through
 :class:`repro.serve.ServingEngine`) claims that faults cost *latency*,
-never *answers*: a crashed shard is restarted and its work requeued, a
+never *answers*: a crashed batch is requeued for the pool, a
 transient execution fault is retried in place, a store read/write fault
 demotes to a cache miss / skipped persist, and an optimizer fault degrades
 to the unoptimized baseline plan (semantically identical under SPORES'
@@ -19,7 +19,7 @@ evaluation workloads:
   faults serves the same streams entirely from baseline plans — the
   bitwise reference for any storm request answered in degraded mode.
 * **Storm pass.**  A third engine serves the identical streams under a
-  deterministic, seeded fault schedule: shard crashes
+  deterministic, seeded fault schedule: serving crashes
   (``shard.execute`` → :class:`ShardCrashError`), transient execution
   and kernel faults (``shard.execute`` / ``tape.step`` →
   :class:`ExecutionError`), store read/write faults (``store.read`` /
@@ -29,7 +29,7 @@ evaluation workloads:
   (zero lost: every future resolves; zero duplicated: ``served`` equals
   ``submitted``; zero errors, zero sheds), and every single response is
   bitwise-identical to the clean reference *or* to the degraded-mode
-  reference — recovery by retry/restart reproduces the optimized answer
+  reference — recovery by retry/requeue reproduces the optimized answer
   exactly, and degraded fallback reproduces the baseline answer exactly.
 
 Writes ``BENCH_resilience.json`` (headline: storm-vs-clean throughput
@@ -225,7 +225,7 @@ def test_fault_storm_survival(benchmark):
         # Paired reps: each runs a fault-free clean pass (the bitwise
         # reference results and the throughput denominator) back to back
         # with a storm pass (the seeded schedule, replayed fault-for-fault
-        # each rep by a fresh injector; a retry policy; tight supervision)
+        # each rep by a fresh injector; a retry policy)
         # over the identical streams.  Pairing means machine-load drift
         # hits both sides of a rep's ratio alike, and the median ratio is
         # what a one-rep hiccup cannot move.  Each pass mounts a pristine
@@ -264,7 +264,6 @@ def test_fault_storm_survival(benchmark):
                     retry_policy=RetryPolicy(
                         max_attempts=4, base_delay=0.001, max_delay=0.02
                     ),
-                    supervision_interval=0.005,
                 )
                 try:
                     storm, seconds = _serve_pass(engine, streams, all_roots)
@@ -275,7 +274,7 @@ def test_fault_storm_survival(benchmark):
                     engine.close()
 
             # Bitwise verdicts: every storm response must match the clean
-            # reference (recovered by retry/restart) or the degraded
+            # reference (recovered by retry/requeue) or the degraded
             # reference (answered by the baseline fallback) exactly.
             matched_optimized = matched_degraded = 0
             for name, stream in streams.items():
@@ -334,7 +333,7 @@ def test_fault_storm_survival(benchmark):
     fired = record["faults"]["fired_by_site"]
     assert fired.get("shard.execute", 0) >= 4
     assert fired.get("store.read", 0) >= 1
-    assert storm["restarts"] >= 1, "no shard crash was recovered"
+    assert storm["restarts"] >= 1, "no serving crash was recovered"
     assert storm["retries"] >= 1, "no transient fault was retried"
     assert storm["degraded"] >= 1, "no request was answered in degraded mode"
     health = record["health"]
@@ -377,7 +376,7 @@ def test_resilience_report(benchmark):
             "",
             f"storm kept {record['throughput_ratio']:.0%} of clean throughput under "
             f"{record['faults']['fired']} injected faults ({fired});",
-            f"recovery: {storm['restarts']} shard restarts, {storm['retries']} "
+            f"recovery: {storm['restarts']} crash requeues, {storm['retries']} "
             f"in-place retries, "
             f"{storm['degraded']} requests answered by the degraded baseline;",
             f"correctness: {record['matched_optimized']} responses bitwise-matched "

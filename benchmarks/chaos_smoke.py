@@ -12,28 +12,29 @@ one job covers injected faults and on-disk corruption alike.
 
 Scenarios:
 
-1. **crash-recovery** — seeded shard crashes mid-burst: the supervisor
-   restarts, requeues, and every request is answered correctly; the
-   replacements run on the engine's one session, so nothing recompiles.
+1. **crash-recovery** — seeded serving crashes mid-burst: each crashed
+   batch is requeued and every request is answered correctly; everything
+   runs on the engine's one session, so nothing recompiles.
 2. **retry** — transient execution + kernel faults are retried in place;
-   no restarts, no errors.
+   no requeues, no errors.
 3. **degraded-fallback** — optimizer faults degrade to the baseline plan;
    the answer matches the reference interpreter, never persists, and is
    flagged everywhere.
 4. **store-faults** — read faults demote to cache misses, write faults to
    skipped persists; both are counted, neither surfaces to callers.
-5. **close-semantics** — with supervision off and a crashed shard, close()
-   fails stranded futures with the typed ``EngineClosedError``.
-6. **concurrent-run-close** — no faults, so ``run()`` serves idle shards on
-   the calling thread: two threads loop on it while close() runs; every
-   call returns the right answer or raises ``EngineClosedError``, and both
-   threads finish within a wall-clock bound.
+5. **close-semantics** — a pool thread busy past ``close(timeout)``:
+   close() fails its in-flight and queued futures with the typed
+   ``EngineClosedError``, leaves the queue empty and nothing pending.
+6. **concurrent-run-close** — ``run()`` serves on the calling thread: two
+   threads loop on it while close() runs; every call returns the right
+   answer or raises ``EngineClosedError``, and both threads finish within a
+   wall-clock bound.
 7. **replay** — the same seed replays the same storm, fault for fault
    (what makes every scenario above debuggable).
 8. **store-corruption** — truncated on-disk entries degrade to compiles
    (delegated to ``store_corruption_smoke``).
 9. **repeat-at-the-door** — no faults, so an exact repeat is answered from
-   the engine's result cache before any queue: two threads loop on
+   the engine's result cache before anything is served: two threads loop on
    ``submit()`` / ``run()`` of pinned repeats and fresh inputs while close()
    runs; every call returns the right answer or raises
    ``EngineClosedError``, and no future is left pending.
@@ -102,9 +103,7 @@ def crash_recovery_smoke() -> None:
         [FaultRule("shard.execute", ShardCrashError, start=2, every=5, count=4)],
         seed=11,
     )
-    engine = ServingEngine(
-        shards=2, config=config(), fault_injector=faults, supervision_interval=0.01
-    )
+    engine = ServingEngine(shards=2, config=config(), fault_injector=faults)
     try:
         expr = loss()
         input_sets = [inputs_for(seed) for seed in range(24)]
@@ -122,7 +121,7 @@ def crash_recovery_smoke() -> None:
         check("crash-recovery", engine.health()["ready"], "engine not ready")
     finally:
         engine.close()
-    print(f"crash recovery OK: {stats.restarts} restarts, {stats.served} served")
+    print(f"crash recovery OK: {stats.restarts} crashed batches requeued, {stats.served} served")
 
 
 def retry_smoke() -> None:
@@ -138,7 +137,6 @@ def retry_smoke() -> None:
         config=config(),
         fault_injector=faults,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0005),
-        supervision_interval=0.01,
     )
     try:
         expr = loss()
@@ -210,28 +208,36 @@ def store_fault_smoke() -> None:
 
 
 def close_semantics_smoke() -> None:
-    faults = FaultInjector([FaultRule("shard.execute", ShardCrashError)], seed=15)
-    engine = ServingEngine(
-        shards=1, config=config(), fault_injector=faults, supervise=False
-    )
-    futures = []
+    entered, gate = threading.Event(), threading.Event()
+
+    def slow(message: str) -> ExecutionError:
+        entered.set()
+        gate.wait(10)
+        return ExecutionError(message)
+
+    faults = FaultInjector([FaultRule("shard.execute", slow, count=1)], seed=15)
+    engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
+    expr = loss()
+    futures = [engine.submit(expr, inputs_for(0))]
     try:
-        expr = loss()
-        futures = [engine.submit(expr, inputs_for(seed)) for seed in range(3)]
-        deadline = time.monotonic() + 10
-        while engine.shards[0].thread.is_alive():
-            check("close-semantics", time.monotonic() < deadline, "worker never crashed")
-            time.sleep(0.01)
+        check("close-semantics", entered.wait(10), "the pool thread never got busy")
+        futures += [engine.submit(expr, inputs_for(seed)) for seed in (1, 2)]
+        engine.close(timeout=0.3)
     finally:
-        engine.close(timeout=5)
+        pending = [future for future in futures if not future.done()]
+        gate.set()
+    check("close-semantics", not pending, "a future left pending after close")
     for future in futures:
-        check("close-semantics", future.done(), "future left pending after close")
         try:
             future.result()
-            check("close-semantics", False, "stranded future resolved successfully")
+            check("close-semantics", False, "an unserved future resolved successfully")
         except EngineClosedError:
             pass
-    print("close semantics OK: stranded futures failed with EngineClosedError")
+    for thread in engine._threads:  # the busy thread takes its stop sentinel last
+        thread.join(10)
+        check("close-semantics", not thread.is_alive(), "a pool thread outlived close()")
+    check("close-semantics", engine.queue.empty(), "requests left on the queue")
+    print("close semantics OK: a busy pool's futures failed with EngineClosedError")
 
 
 def concurrent_run_close_smoke() -> None:
@@ -270,8 +276,7 @@ def concurrent_run_close_smoke() -> None:
     for out in outcomes:
         check("concurrent-run-close", "wrong" not in out, "a run() returned a wrong value")
         check("concurrent-run-close", out[-1] == "closed", "a client never saw close")
-    for shard in engine.shards:
-        check("concurrent-run-close", not shard.take_unresolved(), "a request left pending")
+    check("concurrent-run-close", engine.queue.empty(), "a request left on the queue")
     served = sum(out.count("ok") for out in outcomes)
     print(f"concurrent run/close OK: {served} answers, both clients saw EngineClosedError")
 
@@ -290,7 +295,6 @@ def replay_smoke() -> None:
             config=config(),
             fault_injector=faults,
             retry_policy=RetryPolicy(max_attempts=5, base_delay=0.0005),
-            supervision_interval=0.01,
         )
         try:
             expr = loss()
@@ -361,8 +365,7 @@ def repeat_at_the_door_smoke() -> None:
         check("repeat-at-the-door", "wrong" not in out, "a call returned a wrong value")
         check("repeat-at-the-door", out[-1] == "closed", "a client never saw close")
     check("repeat-at-the-door", all(f.done() for f in futures), "a future left pending")
-    for shard in engine.shards:
-        check("repeat-at-the-door", not shard.take_unresolved(), "a request left pending")
+    check("repeat-at-the-door", engine.queue.empty(), "a request left on the queue")
     stats = engine.stats()
     check("repeat-at-the-door", stats.result_cache_hits > 0, "no repeat hit the cache")
     served = sum(out.count("ok") for out in outcomes)

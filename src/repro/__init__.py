@@ -21,7 +21,7 @@ Sub-packages
 ``repro.systemml``   heuristic rule-based baseline optimizer
 ``repro.workloads``  ALS / GLM / SVM / MLR / PNMF workloads and data generators
 ``repro.serialize``  versioned plan codec and the persistent plan store
-``repro.serve``      sharded multi-worker serving engine and warm-up CLI
+``repro.serve``      multi-threaded serving engine and warm-up CLI
 ``repro.obs``        observability: metrics registry, trace spans, profiling
 
 Quickstart (Session API)

@@ -11,7 +11,7 @@ artifact and hold two cheap :class:`CompiledPlan` views.
 every declared input is provided, nothing extra is, and the shapes match
 the compiled dimension sizes — and executes the slot-space plan on the
 plan's one executable (:func:`repro.runtime.codegen.build_executable`, built
-on first use; the serving shards run the same object).  Every execution is
+on first use; the serving engine runs the same object).  Every execution is
 recorded in per-plan statistics, including the observed sparsity of each
 input; when the observed non-zero count drifts far from the hint the cost
 model optimized under, the owning Session recompiles the plan against the
@@ -123,7 +123,7 @@ class PlanEntry:
         :func:`~repro.runtime.codegen.build_executable` over the slot plan:
         a :class:`~repro.runtime.codegen.FusedPlan` under real arithmetic,
         the plain :class:`~repro.runtime.tape.TapePlan` otherwise.  Every
-        :class:`CompiledPlan` view of the entry and every serving shard runs
+        :class:`CompiledPlan` view of the entry and the serving engine run
         this object.  The memo is not a dataclass field, so neither equality
         nor the codec sees it; ``dict.setdefault`` makes concurrent first
         uses agree on one object.
@@ -410,7 +410,7 @@ class CompiledPlan:
     def executable(self) -> TapePlan:
         """The backing entry's one executor (:meth:`PlanEntry.executable`).
 
-        ``run``, ``profile``, ``codegen_info`` and the serving shards all
+        ``run``, ``profile``, ``codegen_info`` and the serving engine all
         execute or describe this object; after a drift recompile swaps the
         entry, it is the new entry's.
         """

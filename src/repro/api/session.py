@@ -171,7 +171,7 @@ class Session:
         #: plans re-pointed at a recompile after their inputs' sparsity drifted
         self.recompiles = 0
         self._state_lock = threading.Lock()
-        #: per-fingerprint [lock, waiter-count] entries; an entry lives while
+        #: per-template [lock, waiter-count] entries; an entry lives while
         #: any thread is inside the compile critical section for its key, so
         #: concurrent misses always serialize on one lock (even across a
         #: failed compile), and is removed when the last waiter leaves
@@ -189,7 +189,7 @@ class Session:
         the cached artifact was compiled from a renamed twin.
 
         Callers that already fingerprinted ``expr`` (the serving engine
-        hashes it to pick a shard before the session ever sees it)
+        does so at its door, before the session ever sees the request)
         pass the :class:`ExprSignature` along to skip the re-walk; it must
         be the signature *of this expression*, not of a twin — names ride
         on the signature, so a borrowed one would mis-bind the plan.
@@ -273,7 +273,7 @@ class Session:
     ) -> "tuple[PlanEntry, bool, bool]":
         """Resolve an instance miss; returns ``(entry, hit, template_hit)``.
 
-        Probe order, cheapest first, under a per-fingerprint lock:
+        Probe order, cheapest first, under a per-template lock:
 
         1. the instance cache again (a concurrent compile may have won);
         2. cached **plan templates** of the same size-free digest — a guard
@@ -287,11 +287,14 @@ class Session:
 
         The double-checked probe means a thread that blocked behind the
         compiling thread comes back with the freshly cached entry instead
-        of compiling again — ``hit`` is ``True`` for it.
+        of compiling again — ``hit`` is ``True`` for it.  The lock is keyed
+        by the size-free template digest, so concurrent requests for other
+        sizes of a shape wait for its one compile and specialize off it.
         """
         key = signature.digest
+        shape = signature.template_digest
         with self._state_lock:
-            registration = self._inflight.setdefault(key, [threading.Lock(), 0])
+            registration = self._inflight.setdefault(shape, [threading.Lock(), 0])
             registration[1] += 1
         try:
             with registration[0]:
@@ -356,8 +359,8 @@ class Session:
         finally:
             with self._state_lock:
                 registration[1] -= 1
-                if registration[1] == 0 and self._inflight.get(key) is registration:
-                    del self._inflight[key]
+                if registration[1] == 0 and self._inflight.get(shape) is registration:
+                    del self._inflight[shape]
 
     def _specialize_from_template(
         self, signature: ExprSignature

@@ -10,7 +10,7 @@ Three pillars:
   owners' stats records; ``ServingEngine.metrics_text()`` renders those
   under Prometheus names whether or not the global registry is enabled.
 * **Trace spans** (:mod:`repro.obs.trace`): structured spans with
-  context propagated across shard worker threads, covering the compile
+  context propagated across serving threads, covering the compile
   phases (lower → saturate → extract → lift) and the serve path
   (enqueue → micro-batch → tape execute); exportable as JSON and as a
   Chrome-trace file via the global :func:`tracer`.

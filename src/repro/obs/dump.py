@@ -1,7 +1,7 @@
 """Observability dump CLI: ``python -m repro.obs.dump``.
 
 Enables the global instrumentation, drives the selected evaluation
-workloads through a small sharded :class:`~repro.serve.ServingEngine`
+workloads through a small :class:`~repro.serve.ServingEngine`
 (so both the compile spans and the serve-path spans fire), and writes
 whatever surfaces were asked for:
 
@@ -66,7 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="requests per workload root through the engine (default: 3)",
     )
     parser.add_argument(
-        "--shards", type=int, default=2, help="serving shards (default: 2)"
+        "--shards", type=int, default=2, help="serving pool threads (default: 2)"
     )
     parser.add_argument(
         "--metrics",
@@ -105,7 +105,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.metrics = "-"
 
     obs.enable()
-    engine = ServingEngine(shards=args.shards, supervise=False)
+    engine = ServingEngine(shards=args.shards)
     profiles: List[str] = []
     try:
         for name, size in selection:

@@ -7,7 +7,7 @@ instruments, injected faults; it is **disabled by
 default** — a disabled registry's instruments short-circuit on a single
 attribute check, so the instrumentation compiled into the hot paths costs
 one branch until someone opts in with :func:`repro.obs.enable`.  A counter
-that has an owner (a session, store or shard record) is counted there
+that has an owner (a session, store or serving record) is counted there
 only.  Always-enabled registries serve the rest: the serving engine keeps
 its latency histogram in one, and ``metrics_text()`` renders the engine's
 records through a throwaway one at call time.
@@ -23,9 +23,8 @@ Design points:
   different ``site`` are two series, exactly as in Prometheus.
 * **Histograms are bounded reservoirs**, not buckets: a ``deque(maxlen=N)``
   of recent observations plus monotonic count/sum/min/max.  Quantiles are
-  nearest-rank over the reservoir — the same estimator the serving engine
-  previously applied to its per-shard latency deques, now in one shared
-  instrument instead of a list copy per ``stats()`` call.
+  nearest-rank over the reservoir, in one shared instrument instead of a
+  list copy per ``stats()`` call.
 * **Exposition** renders the whole registry in the Prometheus text format
   (``# TYPE`` comments, ``name{label="v"} value`` samples); histograms
   expose ``_count``/``_sum`` plus quantile samples.

@@ -34,7 +34,7 @@ class TapeProfiler:
     One profiler instance can observe many executions of the same tape —
     counts and seconds accumulate, output sizes keep the latest run's
     values (they are deterministic per input shape).  Thread-safe so a
-    serving shard could profile in place, though the intended use is
+    serving thread could profile in place, though the intended use is
     ``CompiledPlan.profile()`` on a caller thread.
     """
 

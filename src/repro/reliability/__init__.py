@@ -4,13 +4,13 @@ SPORES' soundness property (every optimized plan is semantically equal to
 its input) makes aggressive fault tolerance cheap: any failure between
 "request arrived" and "result computed" has a *correct* fallback — retry
 the pure computation, or execute the unoptimized baseline plan.  Sending it
-to a sibling shard is no fallback: every shard serves from one session and
-one result cache, so a sibling fails the same way.  This package supplies
+to another serving thread is no fallback: every thread serves from one
+session and one result cache, so it fails the same way.  This package supplies
 the three mechanisms the serving stack builds that story from:
 
 * :mod:`repro.reliability.errors` — the typed taxonomy; every class
-  carries a ``retriable`` flag, the single bit retry and supervision key
-  on.
+  carries a ``retriable`` flag, the single bit retry and crash requeue
+  key on.
 * :class:`RetryPolicy` — bounded exponential backoff with deterministic
   jitter and per-error-class budgets; deadline-aware, so a retried
   request never outlives its latency budget.

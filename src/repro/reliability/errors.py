@@ -2,11 +2,11 @@
 
 Every failure the serving pipeline can survive is classified here, and
 every class carries a ``retriable`` flag — the single bit the retry and
-supervision machinery keys on.  The taxonomy leans on SPORES' core
+requeue machinery keys on.  The taxonomy leans on SPORES' core
 soundness property: an optimized plan is *semantically equal* to its
 input (R_EQ), so any failure between "request arrived" and "result
-computed" has a correct fallback — retry the same work, route it to a
-sibling shard, or execute the unoptimized baseline plan.  Nothing in the
+computed" has a correct fallback — retry the same work, requeue it for
+another serving thread, or execute the unoptimized baseline plan.  Nothing in the
 compile/cache/store/serve pipeline is allowed to turn into a wrong
 answer; the only terminal outcomes are a correct result or a typed,
 attributable error.
@@ -21,8 +21,8 @@ error                  retriable  meaning
 =====================  =========  ==========================================
 PlanStoreError         yes        store tier IO fault (read or write);
                                   demoted to cache-miss / skip-persist
-ShardCrashError        yes        a shard worker died mid-request;
-                                  the supervisor restarts and requeues
+ShardCrashError        yes        a serving thread died mid-batch; the
+                                  engine requeues the unresolved requests
 ExecutionError         yes        a transient executor fault (an injected
                                   ``tape.step`` fault, a kernel hiccup);
                                   re-running the pure plan is always sound
@@ -71,11 +71,12 @@ class PlanStoreError(ReliabilityError, OSError):
 
 
 class ShardCrashError(ReliabilityError):
-    """A shard worker crashed with work in flight.
+    """A serving thread crashed with work in flight.
 
-    Raised *through* a worker thread to simulate — or report — its death;
-    the engine's supervisor restarts the shard on the engine's one session
-    (every plan stays cached) and requeues the unresolved requests.
+    Raised *through* the thread serving a batch to simulate — or report —
+    its death; the engine puts the batch's unresolved requests back on its
+    queue, where a pool thread serves them on the engine's one session
+    (every plan stays cached).
     """
 
     retriable = True
@@ -136,7 +137,7 @@ def is_retriable(error: BaseException) -> bool:
 
     Foreign exceptions (anything outside the taxonomy) default to
     non-retriable: an unknown failure is assumed deterministic, and the
-    typed fallback paths (degradation, supervision) are the safety net.
+    typed fallback paths (degradation, crash requeue) are the safety net.
     """
     return bool(getattr(error, "retriable", False))
 

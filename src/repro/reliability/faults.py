@@ -14,10 +14,10 @@ site                      where it fires, and its fault contract
 ``store.write``           inside :meth:`PlanStore._write_atomic`'s IO block;
                           handled as a failed persist — counted, skipped,
                           the in-memory plan stays authoritative
-``shard.execute``         in :meth:`ShardWorker._execute`, before the tape
-                          runs; a retriable error enters the worker's retry
-                          loop, a :class:`ShardCrashError` kills the worker
-                          thread for the supervisor to restart
+``shard.execute``         in :meth:`BatchServer._execute`, before the tape
+                          runs; a retriable error enters the serving retry
+                          loop, a :class:`ShardCrashError` aborts the batch
+                          and the engine requeues its unresolved requests
 ``optimizer.saturate``    in the pipeline, before each region's saturation
                           run; :class:`OptimizerBudgetExceeded` triggers the
                           session's degraded-mode baseline fallback
@@ -111,7 +111,7 @@ class FaultRule:
 class FaultInjector:
     """A seeded, deterministic schedule of faults over named sites.
 
-    Thread-safe: serving shards, the supervisor, and submitting threads
+    Thread-safe: pool threads, inline callers and submitting threads
     may all hit sites concurrently; counters and the fired log are guarded
     by one lock.  Determinism is per *site counter* — under concurrency
     the interleaving of sites can vary, but each site's Nth invocation

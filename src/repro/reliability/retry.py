@@ -28,7 +28,7 @@ class RetryPolicy:
 
     ``max_attempts`` counts *retries*, not tries: a request is executed at
     most ``max_attempts + 1`` times.  ``class_budgets`` overrides the
-    budget per error class name (e.g. ``{"ShardCrashError": 1}``), so a
+    budget per error class name (e.g. ``{"ExecutionError": 1}``), so a
     policy can retry cheap transient faults generously while giving
     expensive failure modes one shot.
     """

@@ -3,7 +3,7 @@
 A serving micro-batch frequently holds many requests for the *same*
 instance digest that differ only in one ``(m, 1)`` input — the query
 vector of a matvec-shaped plan, with the big data matrices pinned across
-requests.  When the plan is **columnwise** in that slot, the shard can
+requests.  When the plan is **columnwise** in that slot, serving can
 stack the k vectors into one ``(m, k)`` matrix, execute the plan once, and
 slice the result columns back out: one BLAS/CSR matmat instead of k
 matvecs.
@@ -22,10 +22,10 @@ the stacked input and on pinned values:
 
 The structural check is necessary, not sufficient, for *bitwise* equality:
 dense gemm on a stacked matrix may accumulate differently from k gemvs.
-The serving shard therefore verifies — every member of a plan's first
+The serving engine therefore verifies — every member of a plan's first
 stacked batch, then one rotating member per batch — against the
 individually-computed result, and permanently disables stacking for the
-plan on any mismatch (see ``ShardWorker._serve_stacked``).
+plan on any mismatch (see ``BatchServer._serve_stacked``).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ product dropped the entry; values are equal, ``nnz`` counts it.
 evaluate ``U %*% V`` only at the stored entries of the sparse operand through
 one SDDMM core, :func:`sampled_dot`; ``mmchain`` is ``t(X) %*% (w * (X %*% v))``
 in two passes over ``X``; ``sprop`` is ``P * (1 - P)``.  Outputs are allocated
-once and scratch per call: shards run kernels concurrently.
+once and scratch per call: serving threads run kernels concurrently.
 
 **Numeric policy.**  Elementwise results do not depend on the layout; a
 reduction follows the operand's storage order, so CSR and CSC may differ by

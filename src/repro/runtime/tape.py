@@ -1,4 +1,4 @@
-"""Tape-compiled execution: what compiled plans and serving shards run.
+"""Tape-compiled execution: what compiled plans and the serving engine run.
 
 :class:`repro.runtime.engine.Executor` interprets an LA DAG recursively on
 every run — structural hashing for runtime CSE, per-intermediate bufferpool
@@ -154,8 +154,9 @@ class StepReuseCache:
     ``steps`` restricts the memo to those step indices (the pinned-only
     steps an executable hoists); every other step runs as if there were no
     cache.  A restricted cache marks what it stores ``hoisted``.  The
-    unrestricted cache is not thread-safe — each serving shard owns one per
-    plan; the restricted one lives on its executable, and a race between
+    unrestricted cache is not thread-safe — the serving engine keeps one per
+    executable and serves it under a lock; the restricted one lives on its
+    executable, and a race between
     two runs costs at most one extra build of a hoisted value.
     """
 

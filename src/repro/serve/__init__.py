@@ -1,38 +1,33 @@
-"""Sharded multi-worker serving on top of the Session API.
+"""Multi-threaded serving on top of the Session API.
 
 The package that turns the compile-once/execute-many contract into a
 deployable service shape:
 
-* :class:`ServingEngine` — shards requests across a pool of worker
-  threads by template-digest hash; every shard resolves plans through the
-  engine's one :class:`~repro.api.Session`, which writes through one
+* :class:`ServingEngine` — serves :meth:`~ServingEngine.run` on the calling
+  thread and :meth:`~ServingEngine.submit` from one bounded queue drained
+  by a pool of ``shards`` threads; every request resolves its plan through
+  the engine's one :class:`~repro.api.Session`, which writes through one
   persistent :class:`~repro.serialize.PlanStore`.  ``submit`` returns a
   future; ``run_many`` serves a batch; ``stats`` reports throughput,
-  p50/p95 latency and per-shard hit rates.
-* :class:`ShardWorker` — one shard's thread and bounded queue:
-  micro-batches same-instance requests, executes each plan entry's one
-  executable (:mod:`repro.runtime.tape`) with its own pinned-parameter
-  reuse state, memoizes repeated identical requests in a bounded result
-  cache.
+  p50/p95 latency and hit rates.
+* :mod:`repro.serve.worker` — the serving path both use: micro-batches
+  same-instance requests, executes each plan entry's one executable
+  (:mod:`repro.runtime.tape`) with pinned-parameter reuse and columnwise
+  stacking, and answers exact repeats from one bounded result cache.
 * :mod:`repro.serve.warmup` — the deploy-time CLI
   (``python -m repro.serve.warmup``) that pre-compiles a workload list
-  into a store so a fresh pool starts 100% warm.
+  into a store so a fresh engine starts 100% warm.
 
-Reliability (see :mod:`repro.reliability`): the engine supervises its
-shards (crash detection, restart on the same session, idempotent
-requeue), retries transient execution faults under the request deadline,
-degrades to baseline plans when the optimizer overruns its budget, and
-reports it all through :meth:`ServingEngine.health`.
+Reliability (see :mod:`repro.reliability`): a crashed batch is requeued
+(idempotent by future state plus the result cache), transient execution
+faults are retried under the request deadline, compiles degrade to baseline
+plans when the optimizer overruns its budget, and :meth:`ServingEngine.health`
+reports it all.
 """
 
 from repro.reliability.errors import EngineClosedError
 from repro.serve.engine import EngineStats, QueueFullError, ServingEngine
-from repro.serve.worker import (
-    DeadlineExceededError,
-    ShardCounters,
-    ShardRequest,
-    ShardWorker,
-)
+from repro.serve.worker import DeadlineExceededError, ShardRequest
 
 
 def __getattr__(name: str):
@@ -48,9 +43,7 @@ def __getattr__(name: str):
 __all__ = [
     "ServingEngine",
     "EngineStats",
-    "ShardWorker",
     "ShardRequest",
-    "ShardCounters",
     "QueueFullError",
     "DeadlineExceededError",
     "EngineClosedError",

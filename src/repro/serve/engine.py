@@ -1,42 +1,35 @@
-"""The sharded serving engine: many workers, one plan store, one front door.
+"""The serving engine: one session, one front door, one pool of threads.
 
 :class:`ServingEngine` is the deployment shape the Session API was built
-toward — SPORES' compile-once/execute-many contract stretched across a
-worker pool:
+toward — SPORES' compile-once/execute-many contract behind a thread-safe
+front door:
 
-* **Sharding by template digest.**  Every request is canonically
-  fingerprinted (:func:`repro.canonical.fingerprint.signature_of`, memoized
-  by expression identity so a service declaring its workloads once never
-  re-walks them) and routed by its *size-free* template digest:
-  ``hash(template) % shards``.  One workload shape — the whole size ladder
-  of a GLM, say — lands on one shard, where its requests batch together
-  and share step-reuse state.
-* **One session.**  Every shard resolves plans through the engine's one
-  :class:`repro.api.Session` — one plan cache bounded by ``cache_size``,
-  one compile per shape whichever shard asks, one set of counters — and
-  the workers that replace crashed shards get the same session.  It writes
+* **One session.**  Every request resolves its plan through the engine's
+  one :class:`repro.api.Session` — one plan cache bounded by
+  ``cache_size``, one compile per shape whichever thread asks (the session
+  serializes concurrent misses of one size-free template, so a size ladder
+  compiles once and specializes the rest), one set of counters.  It writes
   through a single :class:`repro.serialize.PlanStore`, so the engine
-  inherits the cross-process warm-start story: a fresh pool pointed at a
+  inherits the cross-process warm-start story: a fresh engine pointed at a
   store that a warm-up run (``python -m repro.serve.warmup``) filled starts
   with zero compilations.
-* **Async-friendly submission.**  :meth:`submit` enqueues onto the target
-  shard's bounded queue and returns a :class:`concurrent.futures.Future`
-  immediately (back-pressure blocks the producer only once the shard is a
-  full queue behind); :meth:`run_many` is the synchronous convenience on
-  top.
+* **Callers run.**  :meth:`run` and :meth:`plan_for` serve their request on
+  the calling thread, through the same batch path the pool uses
+  (:class:`~repro.serve.worker.BatchServer`); concurrent callers run side
+  by side and take turns only on one executable's serving state.
+* **Async-friendly submission.**  :meth:`submit` puts the request on one
+  bounded queue and returns a :class:`concurrent.futures.Future`
+  immediately (back-pressure blocks the producer only once the queue is
+  full); ``shards`` pool threads drain it in micro-batches of up to
+  ``max_batch``.  :meth:`run_many` is the synchronous convenience on top.
 * **Answers at the door.**  An exact repeat (same fingerprint, same input
-  objects) resolves from the engine's one result cache before any queue;
-  shards consult it too, so batch-mates and requeues hit it.
-* **Caller runs.**  :meth:`run` and :meth:`plan_for` route and admit like
-  ``submit``, but when the target shard is idle — empty queue, its
-  ``_serving`` lock free — the calling thread serves the request through
-  the shard's own ``_serve_batch`` instead of waiting on a thread hand-off;
-  a busy shard (or any enabled fault injection) gets it queued.
-* **Engine-level statistics.**  :meth:`stats` sums the shards'
-  :class:`~repro.serve.worker.ShardCounters` into throughput, p50/p95
-  latency and per-shard hit rates, and takes compilation and template-hit
-  counts from the session's own records; :meth:`metrics_text` renders the
-  same records as Prometheus text.
+  objects) resolves from the engine's one result cache before anything is
+  served or queued; execution consults it too, so batch-mates and requeues
+  hit it.
+* **Engine-level statistics.**  :meth:`stats` copies the engine's one
+  :class:`~repro.serve.worker.ServingCounters` record and adds throughput,
+  p50/p95 latency and the session's compilation and template-hit counts;
+  :meth:`metrics_text` renders the same records as Prometheus text.
 
 The serving fast path executes each plan entry's one executable
 (:meth:`repro.api.plan.PlanEntry.executable` — an instruction tape whose
@@ -47,22 +40,19 @@ interpreter, minus its per-intermediate bufferpool accounting.
 
 **Reliability** (:mod:`repro.reliability` threaded end to end):
 
-* **Shard supervision.**  A monitor thread watches every worker's thread
-  liveness; a crashed shard is replaced by a fresh worker on the same
-  session (every plan stays cached) on the same result cache, and requeues
-  every still-unresolved request — requests are idempotent by future state
-  plus the result cache, so a crash costs latency, never answers and never
-  a compile.  Every request goes to its home shard: a shard keeps no plan
-  and no answer of its own, so a failure one shard sees, its sibling would
-  see identically.
+* **Crash requeue.**  A :class:`~repro.reliability.ShardCrashError` (the
+  serving thread dying mid-batch) puts the batch's unresolved requests back
+  on the queue, where a pool thread serves them on the same session and
+  result cache — a crash costs latency, never answers and never a compile.
+  A pool thread's loop survives every error, so nothing needs restarting.
 * **Graceful degradation.**  With an ``optimizer_budget``, a compile that
   overruns (or an injected optimizer fault) falls back to the unoptimized
   baseline plan — semantically identical under SPORES' equality-saturation
   contract, marked ``degraded`` in every stats surface.  Store read/write
   failures demote to cache misses / skipped persists.
-* **Health.**  :meth:`health` reports liveness, readiness, per-shard
-  thread state, restart counts and the degraded-request rate — the
-  machine-readable shape a load balancer or test harness polls.
+* **Health.**  :meth:`health` reports liveness, readiness, queue depth,
+  crash requeues and the degraded-request rate — the machine-readable shape
+  a load balancer or test harness polls.
 """
 
 from __future__ import annotations
@@ -73,7 +63,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro import obs
@@ -82,19 +72,17 @@ from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature, signature_of
 from repro.lang import expr as la
 from repro.optimizer.config import OptimizerConfig
-from repro.reliability.errors import EngineClosedError
+from repro.reliability.errors import EngineClosedError, ShardCrashError
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.reliability.retry import RetryPolicy
 from repro.runtime.engine import ExecutionResult
 from repro.serialize.store import PlanStore, StoreStats
 from repro.serve.worker import (
+    BatchServer,
     DeadlineExceededError,
-    ResultCache,
     ServingCounters,
     ShardRequest,
-    ShardWorker,
     _fail,
-    _mark_running,
 )
 
 
@@ -105,14 +93,17 @@ _TRACER = obs.tracer()
 #: entries in the engine's expression-identity -> signature memo
 SIGNATURE_MEMO_SIZE = 1024
 
+#: sentinel telling one pool thread to exit
+_STOP = object()
+
 #: help text of each series :meth:`ServingEngine.metrics_text` renders from the
 #: engine's own records
 _RECORD_HELP = {
-    "serve_requests_total": "Shard requests by final disposition",
-    "serve_retries_total": "Transient shard execution failures retried in place",
+    "serve_requests_total": "Served requests by final disposition",
+    "serve_retries_total": "Transient execution failures retried in place",
     "serve_degraded_total": "Requests answered by a degraded baseline plan",
-    "serve_batches_total": "Micro-batches drained by shard workers",
-    "serve_restarts_total": "Crashed shard workers replaced by the supervisor",
+    "serve_batches_total": "Micro-batches served",
+    "serve_restarts_total": "Batches requeued after a serving crash",
     "plan_cache_hits_total": "Plan requests served from cached state",
     "plan_cache_misses_total": "Plan requests that ran the optimizer pipeline",
     "plan_cache_evictions_total": "Plan-cache LRU evictions",
@@ -128,7 +119,7 @@ _RECORD_HELP = {
 
 
 class QueueFullError(RuntimeError):
-    """A deadline-bearing request found its shard queue full for too long.
+    """A deadline-bearing request found the queue full for too long.
 
     The load-shedding half of back-pressure: requests *without* a deadline
     still block the producer (the legacy behavior — a batch loader wants
@@ -139,20 +130,33 @@ class QueueFullError(RuntimeError):
     """
 
 
+class _PoolQueue(queue.Queue):
+    """The bounded request queue, plus a put the bound does not apply to.
+
+    Producers get back-pressure from the bound; the engine's own puts — a
+    crashed batch's requeue, the stop sentinels — must never wait on the
+    threads that drain the queue, so they use :meth:`force`.
+    """
+
+    def force(self, item: object) -> None:
+        with self.mutex:
+            self._put(item)
+            self.unfinished_tasks += 1
+            self.not_empty.notify()
+
+
 @dataclass
 class EngineStats(ServingCounters):
     """An aggregate, JSON-serializable view of a :class:`ServingEngine`:
-    the shards' :class:`ServingCounters` summed, plus the engine's own."""
+    its :class:`ServingCounters` plus what the session and clock add."""
 
+    #: pool threads serving submit()
     shards: int = 0
-    submitted: int = 0
     compilations: int = 0
     #: instance compiles avoided by specializing a cached plan template
     template_hits: int = 0
     unique_fingerprints: int = 0
     unique_templates: int = 0
-    #: crashed shards replaced by the supervisor
-    restarts: int = 0
     #: requests completed per second between the first submit and the most
     #: recent completion (0.0 before anything completed)
     throughput: float = 0.0
@@ -160,17 +164,15 @@ class EngineStats(ServingCounters):
     p50_latency: float = 0.0
     p95_latency: float = 0.0
     #: fraction of served requests that skipped compilation entirely — the
-    #: serving-level hit rate (each per-shard snapshot carries that shard's
-    #: own ``session.compile`` hits and compilations)
+    #: serving-level hit rate
     hit_rate: float = 0.0
-    per_shard: List[Dict[str, object]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class ServingEngine:
-    """Serves LA workloads from a pool of template-routed shards on one Session."""
+class ServingEngine(BatchServer):
+    """Serves LA workloads on the caller's thread and a pool, on one Session."""
 
     def __init__(
         self,
@@ -186,19 +188,15 @@ class ServingEngine:
         degrade_on_error: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        supervise: bool = True,
-        supervision_interval: float = 0.05,
     ) -> None:
         # Checked before anything starts: queue.Queue(0) is unbounded (no
-        # back-pressure, no QueueFullError) and Event.wait(0) spins.
+        # back-pressure, no QueueFullError).
         if shards < 1:
-            raise ValueError("a serving engine needs at least one shard")
+            raise ValueError("a serving engine needs at least one pool thread (shards >= 1)")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if supervision_interval <= 0:
-            raise ValueError("supervision_interval must be positive")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive (or None)")
         self.config = config or OptimizerConfig()
@@ -206,71 +204,56 @@ class ServingEngine:
         #: does not set its own; ``None`` keeps the legacy queue-forever
         #: back-pressure behavior
         self.default_deadline = default_deadline
-        self.faults = fault_injector or NO_FAULTS
-        self.retry_policy = retry_policy
-        self._supervision_interval = supervision_interval
-        #: the one session every shard — and every replacement — resolves
-        #: plans through
-        self.session = Session(
-            self.config,
-            cache_size=cache_size,
-            auto_recompile=False,  # deterministic under concurrent load
-            store_path=store_path,
-            store=store,
-            optimizer_budget=optimizer_budget,
-            degrade_on_error=degrade_on_error,
-            fault_injector=fault_injector,
-        )
+        self.max_batch = max_batch
         #: private always-enabled registry backing the engine's latency
-        #: accounting: one shared reservoir the shard workers observe into.
-        #: It is engine-owned (not per-worker) so the reservoir survives
-        #: supervisor restarts, and always-enabled so p50/p95 report whether
-        #: or not the process opted into the global obs registry.
+        #: accounting, so p50/p95 report whether or not the process opted
+        #: into the global obs registry
         self._metrics = obs.MetricsRegistry(namespace="repro", enabled=True)
         self._latency = self._metrics.histogram(
             "serve_latency_seconds",
             "Submit-to-completion latency over a bounded recent window",
         )
-        self.results = ResultCache()
-        self._worker_kwargs = dict(
-            results=self.results,
-            queue_depth=queue_depth,
-            max_batch=max_batch,
+        super().__init__(
+            session=Session(
+                self.config,
+                cache_size=cache_size,
+                auto_recompile=False,  # deterministic under concurrent load
+                store_path=store_path,
+                store=store,
+                optimizer_budget=optimizer_budget,
+                degrade_on_error=degrade_on_error,
+                fault_injector=fault_injector,
+            ),
+            faults=fault_injector or NO_FAULTS,
             retry_policy=retry_policy,
-            faults=self.faults,
             latency_histogram=self._latency,
         )
-        self.shards: List[ShardWorker] = [
-            ShardWorker(index=index, session=self.session, **self._worker_kwargs)
-            for index in range(shards)
-        ]
-        self._submitted = 0
-        #: deadline-bearing submissions rejected at the queue (shard-side
-        #: sheds of expired queued requests are counted by the workers)
-        self._queue_sheds = 0
+        self.queue = _PoolQueue(maxsize=queue_depth)
         self._first_submit: Optional[float] = None
         self._closed = False
-        self._lock = threading.Lock()
-        self._restarts = [0] * shards
-        #: submitters currently between the closed-check and their queue put;
-        #: close() waits for this to reach zero before stopping the shards,
-        #: so a request can never land on a queue after its worker exited
+        #: set once close() has failed what was left on the queue; a crash
+        #: requeue after that fails its requests instead
+        self._drained = False
+        #: submitters (and inline callers) between the closed-check and the
+        #: end of their queue put or serve; close() waits for this to reach
+        #: zero before stopping the pool, so a request can never land on the
+        #: queue after the threads exited
         self._pending_submits = 0
         self._no_pending = threading.Condition(self._lock)
         #: expression-identity -> signature memo; holds strong references so
         #: an id can never be recycled while its entry lives
         self._signatures: "OrderedDict[int, Tuple[la.LAExpr, ExprSignature]]" = OrderedDict()
-        for shard in self.shards:
-            shard.start()
-        self._stop_supervisor = threading.Event()
-        self._supervisor: Optional[threading.Thread] = None
-        if supervise:
-            self._supervisor = threading.Thread(
-                target=self._supervise_loop, name="spores-serve-supervisor", daemon=True
+        #: each pool thread's in-flight batch, for close() to fail on timeout
+        self._in_flight: List[List[ShardRequest]] = [[] for _ in range(shards)]
+        self._threads = [
+            threading.Thread(
+                target=self._pool_loop, args=(index,), name=f"spores-serve-{index}", daemon=True
             )
-            self._supervisor.start()
+            for index in range(shards)
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    # -- routing ---------------------------------------------------------------
     def signature_for(self, expr: la.LAExpr) -> ExprSignature:
         """Fingerprint ``expr``, memoized by object identity.
 
@@ -294,11 +277,6 @@ class ServingEngine:
                 self._signatures.popitem(last=False)
         return signature
 
-    def shard_of(self, digest: str) -> int:
-        """Deterministic shard index for a digest (requests route by the
-        signature's *template* digest so size ladders co-locate)."""
-        return int(digest[:16], 16) % len(self.shards)
-
     # -- submission ------------------------------------------------------------
     def submit(
         self,
@@ -310,16 +288,16 @@ class ServingEngine:
     ) -> "Future[ExecutionResult]":
         """Enqueue one request; returns a future resolving to its result.
 
-        Routing (fingerprint, shard pick, binding) and the result-cache
-        lookup happen on the caller's thread: an exact repeat — every input
-        the very object an earlier request bound — resolves before ``submit``
-        returns.  A miss compiles and executes on the shard's worker thread
-        (unlike :meth:`run`, which may serve inline).
+        Fingerprinting, binding and the result-cache lookup happen on the
+        caller's thread: an exact repeat — every input the very object an
+        earlier request bound — resolves before ``submit`` returns.  A miss
+        compiles and executes on a pool thread (unlike :meth:`run`, which
+        serves inline).
         ``deadline`` (seconds from now; falls back to the engine's
         ``default_deadline``) turns back-pressure into load shedding: a
         full queue rejects the request with :class:`QueueFullError` once
         waiting would eat the budget, and a request that expires *in* the
-        queue is shed by its worker with
+        queue is shed by the pool with
         :class:`~repro.serve.worker.DeadlineExceededError` — both resolve
         the future exceptionally and are counted in the engine stats.
         Without a deadline a full queue blocks the producer, as before.
@@ -339,19 +317,15 @@ class ServingEngine:
         deadline: Optional[float] = None,
         **named: InputValue,
     ) -> ExecutionResult:
-        """Serve one request and wait for it: ``submit(...).result()``.
+        """Serve one request on the calling thread and return its result.
 
-        Routed, admitted and shed as :meth:`submit`, whose door answers exact
-        repeats too.  When the target shard is idle (empty queue, nobody
-        serving) the *calling* thread serves the request through the shard's
-        own batch path — same reuse state and counters — instead of handing
-        it to the worker and waiting for the wake-up.  A busy shard, or an
-        engine with fault injection on, gets the request queued as by ``submit``.
+        Admitted and shed as :meth:`submit`, whose door answers exact
+        repeats too; a miss is served through the pool's own batch path —
+        same reuse state and counters — on this thread, with no hand-off.
+        Only a crash sends the request to the pool, and then this waits.
         """
         merged = self._merge_inputs(inputs, named)
-        future = self._enqueue(
-            expr, merged, compile_only=False, deadline=deadline, caller_runs=True
-        )
+        future = self._enqueue(expr, merged, compile_only=False, deadline=deadline, inline=True)
         return future.result()
 
     def run_many(
@@ -360,14 +334,14 @@ class ServingEngine:
     ) -> List[ExecutionResult]:
         """Submit a batch of ``(expr, inputs)`` pairs; gather results in order.
 
-        Submission interleaves with execution across shards; the returned
+        Submission interleaves with execution on the pool; the returned
         list matches the input order regardless of completion order.
         """
         futures = [self._enqueue(expr, inputs, compile_only=False) for expr, inputs in requests]
         return [future.result() for future in futures]
 
     def warm(self, exprs: Iterable[la.LAExpr]) -> int:
-        """Pre-compile expressions through their shards without executing.
+        """Pre-compile expressions on the pool without executing.
 
         Returns the number of *new* compilations the warm-up caused (zero
         when every shape was already cached in memory or loadable from the
@@ -381,8 +355,7 @@ class ServingEngine:
 
     def plan_for(self, expr: la.LAExpr) -> CompiledPlan:
         """The compiled plan serving ``expr`` (compiling it if needed)."""
-        future = self._enqueue(expr, None, compile_only=True, caller_runs=True)
-        plan = future.result()
+        plan = self._enqueue(expr, None, compile_only=True, inline=True).result()
         assert isinstance(plan, CompiledPlan)
         return plan
 
@@ -392,12 +365,9 @@ class ServingEngine:
         inputs: Optional[Mapping[str, InputValue]],
         compile_only: bool,
         deadline: Optional[float] = None,
-        caller_runs: bool = False,
+        inline: bool = False,
     ) -> "Future[object]":
         signature = self.signature_for(expr)
-        # Route by the size-free *template* digest: every point of a size
-        # ladder lands on one shard, where its requests batch together.
-        index = self.shard_of(signature.template_digest)
         future: "Future[object]" = Future()
         # The engine-wide default budget is a *serving* latency contract;
         # compile-only work (deploy-time warm(), plan_for()) is expected to
@@ -405,14 +375,14 @@ class ServingEngine:
         budget = deadline
         if budget is None and not compile_only:
             budget = self.default_deadline
-        # The enqueue span covers routing plus the queue put (so its
+        # The enqueue span covers binding plus the queue put (so its
         # duration surfaces back-pressure waits); its context rides on the
-        # request so the worker-side serve.request span parents to it across
-        # the thread handoff — and across supervisor requeues.
-        with _TRACER.span("serve.enqueue", digest=signature.digest[:12], shard=index):
+        # request so the serve.request span parents to it across the thread
+        # hand-off — and across crash requeues.
+        with _TRACER.span("serve.enqueue", digest=signature.digest[:12]):
             try:
                 values = None if compile_only else tuple(bind_signature(signature, inputs))
-            except Exception:  # unbound: the shard binds again and fails the future
+            except Exception:  # unbound: serving binds again and fails the future
                 values = None
             enqueued = time.perf_counter()
             request = ShardRequest(
@@ -430,59 +400,40 @@ class ServingEngine:
                 if self._closed:
                     raise EngineClosedError("ServingEngine is closed")
                 self._pending_submits += 1
-                self._submitted += 1
+                self.counters.submitted += 1
                 if self._first_submit is None:
                     self._first_submit = request.enqueued
-            # The door answers a live exact repeat before admission.  Faults
-            # skip it: repeats must reach injection sites.
+            # The door answers a live exact repeat before anything is served.
+            # Faults skip it: repeats must reach injection sites.
             live = request.deadline is None or time.perf_counter() <= request.deadline
             door = live and values is not None and not self.faults.enabled
             hit = self.results.get(signature.digest, values) if door else None
-            shard = self.shards[index]
-            # Caller runs serves an idle shard here, under its _serving lock
-            # (not under faults: crashes must kill workers).
-            inline = (
-                hit is None
-                and caller_runs
-                and not self.faults.enabled
-                and shard.queue.empty()
-                and shard._serving.acquire(blocking=False)
-            )
             if hit is None and not inline:
                 try:
-                    # Outside the lock: a full queue blocks on worker
-                    # progress, and workers keep draining until close() —
-                    # which waits for us — sends the stop sentinel.
+                    # Outside the lock: a full queue blocks on pool progress,
+                    # and the pool keeps draining until close() — which
+                    # waits for us — sends the stop sentinels.
                     if request.deadline is None:
-                        self._put_blocking(shard, request)
+                        self._put_blocking(request)
                     else:
-                        self._put_or_shed(shard, request)
+                        self._put_or_shed(request)
                 finally:
                     self._end_submit()
         if hit is not None:
-            self._end_submit()  # a hit puts nothing on a queue for close() to wait on
-            # Opened after serve.enqueue closed, parented to it, as on a shard.
+            self._end_submit()  # a hit puts nothing on the queue for close() to wait on
+            # Opened after serve.enqueue closed, parented to it, as served.
             with _TRACER.span(
-                "serve.request", parent=request.trace_context, shard=index,
+                "serve.request", parent=request.trace_context,
                 digest=signature.digest[:12], cache="result",
             ):
-                future.set_result(hit)
-                shard.count_served(request, cache_hit=True)
-            return future
-        if inline:
+                future.set_result(hit[0])
+                self.count_served(request, degraded=hit[1], cache_hit=True)
+        elif inline:
             # Still inside the _pending_submits window, so close() waits.
             try:
-                shard._serve_batch([request])
+                self._serve_or_requeue([request])
             finally:
-                shard._serving.release()
                 self._end_submit()
-            return future
-        # A supervisor restart racing with our put may have swapped the
-        # shard out from under us, stranding the request on a queue no
-        # thread drains; detect the swap and move it to the live worker.
-        current = self.shards[index]
-        if current is not shard:
-            self._rescue_stranded(shard, current)
         return future
 
     def _end_submit(self) -> None:
@@ -492,46 +443,29 @@ class ServingEngine:
             if self._pending_submits == 0:
                 self._no_pending.notify_all()
 
-    def _put_blocking(self, shard: ShardWorker, request: ShardRequest) -> None:
+    def _put_blocking(self, request: ShardRequest) -> None:
         """Back-pressure enqueue that still cannot outlive the engine.
 
         Without a deadline a full queue blocks the producer — but only
         while the engine is open: once close() is observed, the pending
         future fails with the typed :class:`EngineClosedError` instead of
-        leaving the submitter blocked on a queue no worker will drain.
+        leaving the submitter blocked on a queue nobody will drain.
         """
         while True:
             try:
-                shard.queue.put(request, timeout=0.1)
+                self.queue.put(request, timeout=0.1)
                 return
             except queue.Full:
                 with self._lock:
                     closed = self._closed
                 if closed:
-                    if _mark_running(request.future):
-                        _fail(
-                            request.future,
-                            EngineClosedError(
-                                "ServingEngine closed while waiting for queue space"
-                            ),
-                        )
+                    _fail(
+                        request.future,
+                        EngineClosedError("ServingEngine closed while waiting for queue space"),
+                    )
                     return
 
-    def _rescue_stranded(self, dead: ShardWorker, live: ShardWorker) -> None:
-        """Move requests that landed on a replaced worker's queue.
-
-        Covers the submit/restart race: the supervisor drained the dead
-        queue before swapping, but a submitter that had already picked the
-        old worker object may put after the swap.  Draining again and
-        forwarding the unresolved remainder closes the gap; queue.Queue is
-        thread-safe, so concurrent rescuers are merely redundant.
-        """
-        stranded, _ = dead._drain(None)
-        for request in stranded:
-            if not request.future.done():
-                live.queue.put(request)
-
-    def _put_or_shed(self, shard: ShardWorker, request: ShardRequest) -> None:
+    def _put_or_shed(self, request: ShardRequest) -> None:
         """Bounded-wait enqueue for deadline-bearing requests.
 
         Waits for queue space only as long as the request's own budget
@@ -542,19 +476,19 @@ class ServingEngine:
         remaining = request.deadline - time.perf_counter()
         try:
             if remaining > 0:
-                shard.queue.put(request, timeout=remaining)
+                self.queue.put(request, timeout=remaining)
                 return
         except queue.Full:
             pass
         with self._lock:
-            self._queue_sheds += 1
-        if request.future.set_running_or_notify_cancel():
-            request.future.set_exception(
-                QueueFullError(
-                    f"shard {shard.index} queue full past the request deadline "
-                    f"({(time.perf_counter() - request.enqueued):.3f}s waited)"
-                )
-            )
+            self.counters.sheds += 1
+        _fail(
+            request.future,
+            QueueFullError(
+                f"queue full past the request deadline "
+                f"({(time.perf_counter() - request.enqueued):.3f}s waited)"
+            ),
+        )
 
     @staticmethod
     def _merge_inputs(
@@ -567,114 +501,98 @@ class ServingEngine:
         merged.update(named)
         return merged
 
-    # -- supervision -----------------------------------------------------------
-    def _supervise_loop(self) -> None:
-        while not self._stop_supervisor.wait(self._supervision_interval):
-            try:
-                self._check_shards()
-            except Exception:  # pragma: no cover - supervisor must survive
-                # A monitoring bug must never take down request serving;
-                # the next tick retries with fresh state.
-                continue
+    # -- the pool --------------------------------------------------------------
+    def _pool_loop(self, index: int) -> None:
+        """Drain the queue in micro-batches until this thread's stop sentinel."""
+        while True:
+            batch = [self.queue.get()]
+            while batch[-1] is not _STOP and len(batch) < self.max_batch:
+                try:
+                    batch.append(self.queue.get_nowait())
+                except queue.Empty:
+                    break
+            stop = batch[-1] is _STOP
+            if stop:
+                batch.pop()
+            if batch:
+                self._in_flight[index] = batch
+                self._serve_or_requeue(batch)
+                self._in_flight[index] = []
+            if stop:
+                return
 
-    def _check_shards(self) -> None:
-        for index in range(len(self.shards)):
-            with self._lock:
-                if self._closed:
-                    return
-            worker = self.shards[index]
-            if not worker.thread.is_alive() and not worker.stopped:
-                self._restart_shard(index, worker)
+    def _serve_or_requeue(self, batch: List[ShardRequest]) -> None:
+        """Serve a batch on this thread; nothing that escapes it is lost.
 
-    def _restart_shard(self, index: int, dead: ShardWorker) -> None:
-        """Replace a crashed worker and requeue its unresolved work.
-
-        The replacement runs on the engine's one session and result cache,
-        so every plan is still cached and a requeued request that was
-        already answered is a cache hit; it inherits the dead worker's
-        monotonic counters, so engine totals never regress.
+        A :class:`~repro.reliability.ShardCrashError` puts the unresolved
+        requests back on the queue for the pool (an inline caller then
+        waits on its future); any other escaping error fails them.
         """
-        replacement = ShardWorker(index=index, session=self.session, **self._worker_kwargs)
-        replacement.counters = dead.counters
-        with self._lock:
-            self._restarts[index] += 1
-            restart_count = self._restarts[index]
-        logger.warning(
-            "shard %d worker crashed; restarting (restart #%d for this shard)",
-            index,
-            restart_count,
-        )
-        self.shards[index] = replacement
-        replacement.start()
-        # After the swap: new submissions route to the replacement, so the
-        # dead queue only shrinks (the submit-race remainder is caught by
-        # _rescue_stranded).  Requeue in arrival order.
-        for request in dead.take_unresolved():
-            replacement.queue.put(request)
+        try:
+            self._serve_batch(batch)
+        except ShardCrashError:
+            unresolved = [request for request in batch if not request.future.done()]
+            with self._lock:
+                self.counters.restarts += 1
+                restarts = self.counters.restarts
+                requeue = not self._drained
+                if requeue:
+                    for request in unresolved:
+                        self.queue.force(request)
+            logger.warning(
+                "serving crashed; restarting %d unresolved request(s) from the queue "
+                "(restart #%d)",
+                len(unresolved),
+                restarts,
+            )
+            if not requeue:  # close() already failed the queue; nobody drains it
+                for request in unresolved:
+                    _fail(request.future, EngineClosedError("ServingEngine closed"))
+        except Exception as error:
+            unresolved = [request for request in batch if not request.future.done()]
+            logger.exception("serving a batch failed; failing %d request(s)", len(unresolved))
+            with self._lock:
+                self.counters.errors += len(unresolved)
+            for request in unresolved:
+                _fail(request.future, error)
 
     # -- monitoring ------------------------------------------------------------
     @property
     def compilations(self) -> int:
-        """Pipeline runs of the engine's session (0 on a store-warmed fresh pool)."""
+        """Pipeline runs of the engine's session (0 on a store-warmed fresh engine)."""
         return self.session.compilations
 
     def health(self) -> Dict[str, object]:
         """Machine-readable liveness/readiness — what a balancer would poll.
 
-        ``live``: the engine is open and at least one shard thread runs.
-        ``ready``: open *and* every shard thread runs — none is waiting for
-        a restart.  Per shard: thread liveness, queue depth, restart count
-        and served/degraded counts.  ``degraded_rate`` is the fraction of
-        served requests answered by a baseline (unoptimized) plan.
+        ``live``: the engine is open and a pool thread runs.  ``ready``:
+        open *and* every pool thread runs.  ``queue_depth`` is what waits
+        for the pool; ``restarts`` counts crash requeues; ``degraded_rate``
+        is the fraction of served requests answered by a baseline
+        (unoptimized) plan.
         """
+        alive = sum(thread.is_alive() for thread in self._threads)
         with self._lock:
             closed = self._closed
-            restarts = list(self._restarts)
-        shard_records: List[Dict[str, object]] = []
-        served = degraded = 0
-        alive_shards = 0
-        for index, worker in enumerate(self.shards):
-            alive = worker.thread.is_alive()
-            alive_shards += alive
-            with worker._lock:
-                shard_served = worker.counters.served
-                shard_degraded = worker.counters.degraded
-            served += shard_served
-            degraded += shard_degraded
-            shard_records.append(
-                {
-                    "shard": index,
-                    "alive": alive,
-                    "stopped": worker.stopped,
-                    "queue_depth": worker.queue.qsize(),
-                    "restarts": restarts[index],
-                    "served": shard_served,
-                    "degraded": shard_degraded,
-                }
-            )
+            counters = self.counters
+            served, degraded, restarts = counters.served, counters.degraded, counters.restarts
         return {
-            "live": not closed and alive_shards > 0,
-            "ready": not closed and alive_shards == len(self.shards),
-            "shards": shard_records,
-            "restarts": sum(restarts),
+            "live": not closed and alive > 0,
+            "ready": not closed and alive == len(self._threads),
+            "queue_depth": self.queue.qsize(),
+            "restarts": restarts,
             "degraded_rate": degraded / served if served else 0.0,
         }
 
     def stats(self) -> EngineStats:
-        """Aggregate the shard snapshots into one engine-level record."""
-        snapshots = [shard.snapshot() for shard in self.shards]
-
-        def total(name: str) -> int:
-            return sum(int(snap[name]) for snap in snapshots)
-
-        counters = {f.name: total(f.name) for f in fields(ServingCounters)}
-        served = counters["served"]
+        """The engine's counters, plus throughput, latency and plan counts."""
         with self._lock:
-            submitted = self._submitted
-            queue_sheds = self._queue_sheds
+            counters = {f.name: getattr(self.counters, f.name) for f in fields(ServingCounters)}
             first_submit = self._first_submit
-            restarts = sum(self._restarts)
-        last_completion = max((shard.last_completion() for shard in self.shards), default=0.0)
+            last_completion = self._last_completion
+            unique_fingerprints = len(self._seen_fingerprints)
+            unique_templates = len(self._seen_templates)
+        served = counters["served"]
         throughput = 0.0
         if served and first_submit is not None and last_completion > first_submit:
             throughput = served / (last_completion - first_submit)
@@ -682,25 +600,19 @@ class ServingEngine:
         # Clamped: a compile whose requests then all failed binding counts
         # in compilations but not in served.
         hit_rate = max(0.0, served - compilations) / served if served else 0.0
-        # Deadline-bearing submissions rejected at a full queue never reach
-        # a shard; they are sheds all the same.
-        counters["sheds"] += queue_sheds
         return EngineStats(
             **counters,
-            shards=len(self.shards),
-            submitted=submitted,
+            shards=len(self._threads),
             compilations=compilations,
             template_hits=self.session.stats.template_hits,
-            unique_fingerprints=total("unique_fingerprints"),
-            unique_templates=total("unique_templates"),
-            restarts=restarts,
+            unique_fingerprints=unique_fingerprints,
+            unique_templates=unique_templates,
             throughput=throughput,
-            # Quantiles come straight from the shared latency histogram the
-            # workers observe into (nearest-rank over a bounded reservoir).
+            # Quantiles come straight from the latency histogram every
+            # completion observes into (nearest-rank over a bounded reservoir).
             p50_latency=self._latency.quantile(0.5),
             p95_latency=self._latency.quantile(0.95),
             hit_rate=hit_rate,
-            per_shard=snapshots,
         )
 
     def metrics_text(self) -> str:
@@ -758,20 +670,20 @@ class ServingEngine:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self, timeout: Optional[float] = None) -> None:
-        """Stop accepting work, let shards finish their queues, join threads.
+        """Stop accepting work, let the pool finish the queue, join it.
 
         Submissions racing with close either fail the closed-check (typed
         :class:`~repro.reliability.EngineClosedError`) or win it — and
-        then close waits for their queue put to land before the stop
-        sentinel is sent, so no future is ever silently dropped.  A
-        producer *blocked* on a full queue unblocks with the same typed
-        error.  After the workers join, any request still sitting on a
-        queue (a crashed shard's leftovers, a timed-out join) has its
-        future failed with :class:`EngineClosedError` — close never leaves
-        a pending future behind.  ``timeout`` bounds the wait for
-        in-flight submitters and each shard join; on expiry close proceeds
-        best-effort: a worker still busy then exits after its current batch
-        (daemon workers never block interpreter exit).
+        then close waits for their queue put (or inline serve) to finish
+        before the stop sentinels are sent, so no future is ever silently
+        dropped.  A producer *blocked* on a full queue unblocks with the
+        same typed error.  After the pool joins, any request still on the
+        queue or in the batch of a thread that outlasted ``timeout`` has its
+        future failed with :class:`EngineClosedError` — close never leaves a
+        pending future behind.  ``timeout`` bounds the wait for in-flight
+        submitters and the pool's join; on expiry close proceeds
+        best-effort: a thread still busy then exits after its current batch
+        (daemon threads never block interpreter exit).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
@@ -783,28 +695,30 @@ class ServingEngine:
                 if remaining is not None and remaining <= 0:
                     break
                 self._no_pending.wait(remaining)
-        self._stop_supervisor.set()
-        if self._supervisor is not None:
-            self._supervisor.join(timeout)
-        for shard in self.shards:
-            shard.stop(timeout)
-        # Drain once more: a crashed shard (no supervisor anymore) or a
-        # timed-out join may leave requests nobody will serve — queued or
-        # abandoned mid-batch.  Fail their futures with the typed closed
-        # error so no submitter waits forever on an engine that no longer
-        # exists.  On a clean shutdown every worker drained its queue and
-        # cleared its batch, so this is a no-op.
-        for shard in self.shards:
-            for request in shard.take_unresolved():
-                if _mark_running(request.future):
-                    _fail(
-                        request.future,
-                        EngineClosedError("ServingEngine closed before serving request"),
-                    )
-            # A live worker that outlasted the timeout never got the stop
-            # sentinel (its queue was full) or just lost it to the drain
-            # above; the queue is empty now, so hand it over without waiting.
-            shard.stop(0)
+        for _ in self._threads:
+            self.queue.force(_STOP)
+        for thread in self._threads:
+            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        # On a clean shutdown the pool served the whole queue; otherwise fail
+        # whatever is left — queued, or in the batch of a thread that is
+        # still busy — and hand each busy thread its sentinel back.
+        with self._lock:
+            self._drained = True
+            leftovers: List[ShardRequest] = [r for batch in self._in_flight for r in batch]
+            stops = 0
+            while True:
+                try:
+                    item = self.queue.get_nowait()
+                except queue.Empty:
+                    break
+                if item is _STOP:
+                    stops += 1
+                else:
+                    leftovers.append(item)
+            for _ in range(stops):
+                self.queue.force(_STOP)
+        for request in leftovers:
+            _fail(request.future, EngineClosedError("ServingEngine closed before serving request"))
 
     def __enter__(self) -> "ServingEngine":
         return self

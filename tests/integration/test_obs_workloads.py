@@ -64,7 +64,7 @@ def test_profile_validates_cost_model_on_workload(name, session):
 
 def test_trace_exports_round_trip_across_compile_and_serve():
     """One trace covers compile phases and serve path; both exports parse."""
-    engine = ServingEngine(shards=2, config=CONFIG, supervise=False)
+    engine = ServingEngine(shards=2, config=CONFIG)
     try:
         for name in workload_names():
             workload = get_workload(name, "S")

@@ -508,10 +508,9 @@ class TestServingStacked:
         vectors = [MatrixValue(rng.random((32, 1))) for _ in range(4)]
         engine = ServingEngine(shards=1)
         engine.run(expr, {"A": pinned, "q": vectors[0]})
-        worker = engine.shards[0]
         plan = engine.plan_for(expr)
         tape = plan.executable()
-        local = worker._local[tape]
+        local = engine._local[tape]
         requests = [
             ShardRequest(
                 signature=plan.signature,
@@ -523,34 +522,32 @@ class TestServingStacked:
             )
             for vector in vectors
         ]
-        return engine, worker, tape, local, requests, pinned, vectors
+        return engine, tape, local, requests, pinned, vectors
 
     def test_stacked_execution_matches_individual(self):
-        engine, worker, tape, local, requests, pinned, vectors = self._engine_and_state()
+        engine, tape, local, requests, pinned, vectors = self._engine_and_state()
         try:
             assert local.slot == 1
-            worker._serve_stacked(tape, local, requests)
+            prestacked = engine._serve_stacked(tape, local, requests)
             assert local.status == "on"
-            assert len(worker._prestacked) == len(requests)
-            assert worker.counters.stacked_batches == 1
-            assert worker.counters.stacked_requests == len(requests)
+            assert len(prestacked) == len(requests)
+            assert engine.counters.stacked_batches == 1
+            assert engine.counters.stacked_requests == len(requests)
             for request, vector in zip(requests, vectors):
-                got = worker._prestacked[id(request)].value
+                got = prestacked[id(request)].value
                 individual = tape.execute([pinned, vector], local.reuse, None).value
                 assert got.is_sparse == individual.is_sparse
                 assert np.array_equal(got.to_dense(), individual.to_dense())
         finally:
-            worker._prestacked.clear()
             engine.close()
 
     def test_differing_pinned_inputs_disable_the_stack(self):
-        engine, worker, tape, local, requests, pinned, vectors = self._engine_and_state()
+        engine, tape, local, requests, pinned, vectors = self._engine_and_state()
         try:
             other = MatrixValue(pinned.to_dense().copy())
             requests[2].inputs = {"A": other, "q": vectors[2]}
             requests[2].values = (other, vectors[2])
-            worker._serve_stacked(tape, local, requests)
-            assert worker._prestacked == {}
+            assert engine._serve_stacked(tape, local, requests) == {}
             assert local.status == "untested"  # no verdict, just skipped
         finally:
             engine.close()

@@ -492,10 +492,9 @@ class TestSparseFormatsThroughThePlan:
                     engine.run(expr, {"A": pinned, "q": mv(vector)}).value.to_dense()
                     for vector in vectors
                 ]
-                worker = engine.shards[0]
                 plan = engine.plan_for(expr)
                 tape = plan.executable()
-                local = worker._local[tape]
+                local = engine._local[tape]
                 requests = []
                 for vector in vectors:
                     inputs = {"A": pinned, "q": mv(vector)}
@@ -507,11 +506,10 @@ class TestSparseFormatsThroughThePlan:
                         enqueued=time.perf_counter(),
                         values=tuple(bind_signature(plan.signature, inputs)),
                     ))
-                worker._serve_stacked(tape, local, requests)
+                prestacked = engine._serve_stacked(tape, local, requests)
                 assert local.status == "on"
-                assert worker.counters.stacked_requests == len(requests)
-                stacked = [worker._prestacked[id(r)].value.to_dense() for r in requests]
-                worker._prestacked.clear()
+                assert engine.counters.stacked_requests == len(requests)
+                stacked = [prestacked[id(r)].value.to_dense() for r in requests]
             finally:
                 engine.close()
             if expected is None:

@@ -218,7 +218,7 @@ class TestPlanCache:
 
         monkeypatch.setattr(session_module, "compile_expression", held_compile)
         session = greedy_session()
-        key = signature_of(reconstruction_loss()).digest
+        key = signature_of(reconstruction_loss()).template_digest
         with ThreadPoolExecutor(max_workers=2) as pool:
             compiling = pool.submit(session.compile, reconstruction_loss())
             assert started.wait(timeout=60)

@@ -15,7 +15,7 @@ from repro.cost import LACostModel
 from repro.egraph import RunnerConfig
 from repro.optimizer import OptimizerConfig
 from repro.rules import relational_rules
-from repro.serve import EngineStats, ServingEngine, ShardWorker
+from repro.serve import EngineStats, ServingEngine
 
 
 def defaulted(callable_):
@@ -34,14 +34,7 @@ def test_serving_engine_options():
     assert defaulted(ServingEngine) == [
         "shards", "config", "store", "store_path", "cache_size",
         "queue_depth", "max_batch", "default_deadline", "optimizer_budget",
-        "degrade_on_error", "fault_injector", "retry_policy", "supervise",
-        "supervision_interval",
-    ]
-
-
-def test_shard_worker_options():
-    assert defaulted(ShardWorker) == [
-        "queue_depth", "max_batch", "retry_policy", "faults", "latency_histogram",
+        "degrade_on_error", "fault_injector", "retry_policy",
     ]
 
 
@@ -69,7 +62,8 @@ def test_optimizer_options():
 def test_engine_stats_keys():
     assert sorted(EngineStats().to_dict()) == [
         "batched_requests", "batches", "compilations", "degraded", "errors",
-        "hit_rate", "p50_latency", "p95_latency", "per_shard", "restarts", "result_cache_hits", "retries", "served", "shards", "sheds",
+        "hit_rate", "p50_latency", "p95_latency", "restarts", "result_cache_hits", "retries",
+        "served", "shards", "sheds",
         "stacked_batches", "stacked_requests", "step_reuse_hits", "submitted",
         "template_hits", "throughput", "unique_fingerprints", "unique_templates",
     ]

@@ -2,7 +2,7 @@
 
 Everything here injects faults through :class:`repro.reliability.FaultInjector`
 schedules — deterministic, seeded, replayable — and asserts the engine's
-survival contract: requests are answered correctly (retry, shard restart,
+survival contract: requests are answered correctly (retry, crash requeue,
 degraded fallback) or failed with a *typed* error; nothing is lost and
 nothing blocks forever.
 """
@@ -61,8 +61,8 @@ def expected(expr, inputs):
 
 
 class TestCrashRecovery:
-    def test_shard_crash_restarts_and_requeues(self):
-        """A crashed worker's request survives: restart, requeue, answer."""
+    def test_a_crash_requeues_and_answers(self):
+        """A crashed batch's request survives: requeue, answer."""
         faults = FaultInjector(
             [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
         )
@@ -70,7 +70,6 @@ class TestCrashRecovery:
             shards=2,
             config=config(),
             fault_injector=faults,
-            supervision_interval=0.01,
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(1)
@@ -87,32 +86,29 @@ class TestCrashRecovery:
         finally:
             engine.close()
 
-    def test_a_crashed_shard_is_not_ready_until_restarted(self):
-        """``ready`` is "every shard thread alive": a dead worker waiting
-        for the supervisor clears it, its replacement restores it."""
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
-        )
-        engine = ServingEngine(
-            shards=2, config=config(), fault_injector=faults, supervise=False
-        )
+    def test_an_escaping_error_fails_its_batch_and_the_pool_thread_lives_on(self, monkeypatch):
+        """Anything but a crash that escapes a batch fails that batch's
+        futures; the pool thread keeps serving, so nothing restarts it."""
+        engine = ServingEngine(shards=1, config=config())
+        serve_batch = engine._serve_batch
+        calls = []
+
+        def broken_once(batch):
+            calls.append(len(batch))
+            if len(calls) == 1:
+                raise RuntimeError("serving defect")
+            serve_batch(batch)
+
+        monkeypatch.setattr(engine, "_serve_batch", broken_once)
         try:
-            expr, inputs = make_loss(0.05), make_inputs(1)
-            home = engine.shard_of(engine.signature_for(expr).template_digest)
-            future = engine.submit(expr, inputs)
-            engine.shards[home].thread.join(30)
-            health = engine.health()
-            assert health["live"] and not health["ready"]
-            assert [record["alive"] for record in health["shards"]] == [
-                index != home for index in range(2)
-            ]
-            engine._check_shards()  # one supervisor pass, on this thread
-            assert future.result(timeout=30).scalar() == pytest.approx(
-                expected(expr, inputs), rel=1e-12
-            )
-            health = engine.health()
-            assert health["live"] and health["ready"]
-            assert health["restarts"] == 1
+            expr, inputs = make_loss(0.05), make_inputs(2)
+            with pytest.raises(RuntimeError, match="serving defect"):
+                engine.submit(expr, inputs).result(timeout=30)
+            result = engine.submit(expr, inputs).result(timeout=30)
+            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
+            stats = engine.stats()
+            assert (stats.errors, stats.served, stats.restarts) == (1, 1, 0)
+            assert engine.health()["ready"]
         finally:
             engine.close()
 
@@ -125,7 +121,6 @@ class TestCrashRecovery:
             shards=2,
             config=config(),
             fault_injector=faults,
-            supervision_interval=0.01,
         )
         try:
             expr = make_loss(0.05)
@@ -143,14 +138,15 @@ class TestCrashRecovery:
             engine.close()
 
     def test_restarts_keep_the_one_session_and_compile_once(self):
-        """The chaos smoke's crash schedule without a store: every replacement
-        runs on the engine's one session, so the shape compiles once."""
+        """The chaos smoke's crash schedule without a store: every requeued
+        request is served on the engine's one session, so the shape compiles
+        once."""
         faults = FaultInjector(
             [FaultRule("shard.execute", ShardCrashError, start=2, every=5, count=4)],
             seed=11,
         )
         engine = ServingEngine(
-            shards=2, config=config(), fault_injector=faults, supervision_interval=0.01
+            shards=2, config=config(), fault_injector=faults
         )
         try:
             expr = make_loss(0.05)
@@ -162,7 +158,6 @@ class TestCrashRecovery:
                 )
             assert engine.stats().restarts == 4
             assert engine.compilations == 1
-            assert all(shard.session is engine.session for shard in engine.shards)
         finally:
             engine.close()
 
@@ -177,7 +172,6 @@ class TestRetries:
             config=config(),
             fault_injector=faults,
             retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0005),
-            supervision_interval=0.01,
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(1)
@@ -200,7 +194,6 @@ class TestRetries:
             config=config(),
             fault_injector=faults,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0005),
-            supervision_interval=0.01,
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(3)
@@ -225,7 +218,6 @@ class TestRetries:
             config=config(),
             fault_injector=faults,
             retry_policy=RetryPolicy(max_attempts=3, base_delay=0.2, jitter=0.0),
-            supervision_interval=0.01,
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(1)
@@ -248,14 +240,12 @@ class TestRetries:
 class TestOneClientsErrors:
     def test_a_clients_errors_stay_with_that_client(self):
         """Five missing-input requests for one root are that client's own
-        error: the next valid request for another root with the same home
-        shard is served by that home shard."""
+        error: they are counted as errors, and the next valid request is
+        served as if they never happened."""
         workload = get_workload("GLM", "S")
         failing, valid = workload.roots["hessian_vector"], workload.roots["deviance"]
-        engine = ServingEngine(shards=2, config=config(), supervision_interval=0.01)
+        engine = ServingEngine(shards=2, config=config())
         try:
-            home = engine.shard_of(engine.signature_for(valid).template_digest)
-            assert engine.shard_of(engine.signature_for(failing).template_digest) == home
             for _ in range(5):
                 with pytest.raises(PlanBindingError):
                     engine.run(failing, {})
@@ -264,10 +254,7 @@ class TestOneClientsErrors:
             result = engine.run(valid, leaves)
             assert result.scalar() == pytest.approx(expected(valid, leaves), rel=1e-9)
             stats = engine.stats()
-            assert [shard["served"] for shard in stats.per_shard] == [
-                int(index == home) for index in range(2)
-            ]
-            assert stats.per_shard[home]["errors"] == 5
+            assert (stats.served, stats.errors, stats.restarts) == (1, 5, 0)
             assert engine.health()["ready"]
         finally:
             engine.close()
@@ -283,57 +270,10 @@ class TestCloseSemantics:
         with pytest.raises(RuntimeError):
             engine.submit(make_loss(0.05), make_inputs(0))
 
-    def test_close_fails_unserveable_requests_instead_of_stranding_them(self):
-        """With supervision off, a crash leaves queued work nobody will
-        serve; close() must fail those futures with EngineClosedError."""
-        faults = FaultInjector([FaultRule("shard.execute", ShardCrashError)])
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-            supervise=False,  # nobody restarts the shard
-        )
-        try:
-            expr = make_loss(0.05)
-            futures = [engine.submit(expr, make_inputs(seed)) for seed in range(3)]
-            deadline = time.monotonic() + 10
-            while engine.shards[0].thread.is_alive():
-                assert time.monotonic() < deadline, "worker never crashed"
-                time.sleep(0.01)
-        finally:
-            engine.close(timeout=5)
-        for future in futures:
-            assert future.done()
-            with pytest.raises(EngineClosedError):
-                future.result()
-
-    def test_close_returns_when_the_dead_shards_queue_is_full(self):
-        """Same crash, but the queue behind the dead worker is full: close()
-        must not block handing it a stop sentinel nobody will drain."""
-        faults = FaultInjector([FaultRule("shard.execute", ShardCrashError)])
-        engine = ServingEngine(
-            shards=1, config=config(), fault_injector=faults, supervise=False, queue_depth=2
-        )
-        expr = make_loss(0.05)
-        futures = [engine.submit(expr, make_inputs(0))]
-        deadline = time.monotonic() + 10
-        while engine.shards[0].thread.is_alive():
-            assert time.monotonic() < deadline, "worker never crashed"
-            time.sleep(0.01)
-        futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
-        assert engine.shards[0].queue.full()
-        closer = threading.Thread(target=engine.close, kwargs={"timeout": 1.0}, daemon=True)
-        closer.start()
-        closer.join(2.0)
-        assert not closer.is_alive(), "close() blocked behind a dead shard's full queue"
-        for future in futures:
-            assert future.done()
-            with pytest.raises(EngineClosedError):
-                future.result()
-
-    def test_close_still_stops_a_busy_worker_whose_queue_was_full(self):
-        """A live worker too slow for the timeout, queue full: close() fails
-        the futures and the worker must still get its stop sentinel."""
+    @staticmethod
+    def gated_engine(**options):
+        """An engine whose one pool thread blocks in its first execution
+        until ``gate`` is set; returns ``(engine, entered, gate)``."""
         entered, gate = threading.Event(), threading.Event()
 
         def slow(message):
@@ -342,14 +282,56 @@ class TestCloseSemantics:
             return ExecutionError(message)
 
         faults = FaultInjector([FaultRule("shard.execute", slow, count=1)])
-        engine = ServingEngine(
-            shards=1, config=config(), fault_injector=faults, supervise=False, queue_depth=2
-        )
+        engine = ServingEngine(shards=1, config=config(), fault_injector=faults, **options)
+        return engine, entered, gate
+
+    def test_close_fails_unserved_requests_instead_of_stranding_them(self):
+        """The pool thread is busy past close(timeout): close() fails its
+        in-flight request and the queued ones with EngineClosedError."""
+        engine, entered, gate = self.gated_engine()
         expr = make_loss(0.05)
         futures = [engine.submit(expr, make_inputs(0))]
-        assert entered.wait(10), "worker never reached the execute site"
+        assert entered.wait(10), "the pool thread never reached the execute site"
         futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
-        assert engine.shards[0].queue.full()
+        try:
+            engine.close(timeout=0.3)
+            for future in futures:
+                assert future.done()
+                with pytest.raises(EngineClosedError):
+                    future.result()
+        finally:
+            gate.set()
+
+    def test_close_returns_when_a_busy_pool_leaves_the_queue_full(self):
+        """Same busy thread, but the queue behind it is full: close() must
+        not block handing out stop sentinels."""
+        engine, entered, gate = self.gated_engine(queue_depth=2)
+        expr = make_loss(0.05)
+        futures = [engine.submit(expr, make_inputs(0))]
+        assert entered.wait(10), "the pool thread never reached the execute site"
+        futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
+        assert engine.queue.full()
+        try:
+            closer = threading.Thread(target=engine.close, kwargs={"timeout": 1.0}, daemon=True)
+            closer.start()
+            closer.join(2.0)
+            assert not closer.is_alive(), "close() blocked behind a full queue"
+            for future in futures:
+                assert future.done()
+                with pytest.raises(EngineClosedError):
+                    future.result()
+        finally:
+            gate.set()
+
+    def test_close_still_stops_a_busy_pool_thread_whose_queue_was_full(self):
+        """A pool thread too slow for the timeout, queue full: close() fails
+        the futures and the thread must still get its stop sentinel."""
+        engine, entered, gate = self.gated_engine(queue_depth=2)
+        expr = make_loss(0.05)
+        futures = [engine.submit(expr, make_inputs(0))]
+        assert entered.wait(10), "the pool thread never reached the execute site"
+        futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
+        assert engine.queue.full()
         started = time.monotonic()
         engine.close(timeout=0.3)
         assert time.monotonic() - started < 2.0
@@ -357,9 +339,9 @@ class TestCloseSemantics:
             with pytest.raises(EngineClosedError):
                 future.result(timeout=0)
         gate.set()
-        engine.shards[0].thread.join(5.0)
-        assert not engine.shards[0].thread.is_alive(), "worker never saw the stop sentinel"
-        assert engine.shards[0].stopped
+        (thread,) = engine._threads
+        thread.join(5.0)
+        assert not thread.is_alive(), "the pool thread never saw its stop sentinel"
 
 
 class TestDegradedMode:
@@ -369,7 +351,6 @@ class TestDegradedMode:
             shards=1,
             config=config(),
             fault_injector=faults,
-            supervision_interval=0.01,
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(1)

@@ -1,6 +1,6 @@
-"""Tests for the sharded serving engine and the tape fast path."""
+"""Tests for the serving engine (callers run, one pooled queue) and the tape fast path."""
 
-import queue
+import json
 import sys
 import threading
 import time
@@ -13,11 +13,17 @@ from repro.api.plan import PlanBindingError
 from repro.canonical.fingerprint import signature_of, slot_expression
 from repro.lang import Dim, Matrix, Sum, Vector
 from repro.optimizer import OptimizerConfig
-from repro.reliability import EngineClosedError, ExecutionError, FaultInjector, FaultRule
+from repro.reliability import (
+    EngineClosedError,
+    ExecutionError,
+    FaultInjector,
+    FaultRule,
+    ShardCrashError,
+)
 from repro.runtime import MatrixValue, execute, execute_slots
 from repro.runtime.tape import StepReuseCache, TapePlan
 from repro.serve import DeadlineExceededError, QueueFullError, ServingEngine
-from repro.serve.worker import ResultCache, ShardWorker
+from repro.serve.engine import _PoolQueue
 from repro.workloads import (
     get_semiring_workload,
     get_workload,
@@ -103,18 +109,22 @@ class TestServingEngine:
         finally:
             engine.close()
 
-    def test_sharding_partitions_fingerprints(self):
+    def test_each_fingerprint_is_counted_once(self):
         exprs = [make_loss(s) for s in (0.03, 0.05, 0.08, 0.12)]
         engine = ServingEngine(shards=2, config=config())
         try:
             inputs = make_inputs(seed=0)
+            futures = []
             for expr in exprs:
                 engine.run(expr, inputs)
-                digest = signature_of(expr).digest
-                assert engine.shard_of(digest) == engine.shard_of(digest)
-            snapshots = [shard.snapshot() for shard in engine.shards]
-            total = sum(s["unique_fingerprints"] for s in snapshots)
-            assert total == len(exprs), "a fingerprint was served by two shards"
+                fresh = dict(inputs, u=MatrixValue(inputs["u"].data.copy()))
+                futures.append(engine.submit(expr, fresh))
+            engine.run_many([(expr, inputs) for expr in exprs])
+            for future in futures:
+                future.result(timeout=60)
+            stats = engine.stats()
+            assert stats.unique_fingerprints == len(exprs)
+            assert stats.served == 3 * len(exprs) and stats.errors == 0
         finally:
             engine.close()
 
@@ -203,37 +213,50 @@ class TestServingEngine:
             {"queue_depth": -1},
             {"max_batch": 0},
             {"max_batch": -1},
-            {"supervision_interval": 0.0},
-            {"supervision_interval": -0.5},
+            {"shards": 0},
         ],
     )
     def test_out_of_range_options_fail_before_any_thread_starts(self, option):
-        # queue.Queue(0) is unbounded and Event.wait(0) spins the supervisor:
-        # none of these values means anything, so none constructs.
+        # queue.Queue(0) is unbounded and a pool of no threads serves no
+        # submit(): none of these values means anything, so none constructs.
         before = set(threading.enumerate())
         with pytest.raises(ValueError):
-            ServingEngine(shards=2, config=config(), **option)
+            ServingEngine(config=config(), **{"shards": 2, **option})
         assert set(threading.enumerate()) <= before
 
-    def test_an_idle_worker_blocks_on_its_queue(self):
-        # Crash detection is thread liveness, so an idle shard has nothing to
+    def test_an_idle_pool_thread_blocks_on_the_queue(self, monkeypatch):
+        # Nothing watches a pool thread, so an idle one has nothing to
         # refresh: it waits in one blocking get, not a polling loop.
-        worker = ShardWorker(index=0, session=Session(config()), results=ResultCache())
         calls = []
+        get = _PoolQueue.get
 
-        class CountingQueue(queue.Queue):
-            def get(self, block=True, timeout=None):
-                calls.append((block, timeout))
-                return super().get(block, timeout)
+        def counting(queue_, block=True, timeout=None):
+            calls.append((block, timeout))
+            return get(queue_, block, timeout)
 
-        worker.queue = CountingQueue(maxsize=4)
-        worker.start()
+        monkeypatch.setattr(_PoolQueue, "get", counting)
+        engine = ServingEngine(shards=1, config=config())
         try:
             time.sleep(0.3)
             assert calls == [(True, None)]
         finally:
-            worker.stop(timeout=30)
-        assert worker.stopped and not worker.thread.is_alive()
+            engine.close(timeout=30)
+        assert not any(thread.is_alive() for thread in engine._threads)
+
+    def test_an_engine_starts_exactly_its_pool(self):
+        before = set(threading.enumerate())
+        engine = ServingEngine(shards=3, config=config())
+        try:
+            started = set(threading.enumerate()) - before
+            assert len(started) == 3
+            assert sorted(thread.name for thread in started) == [
+                "spores-serve-0", "spores-serve-1", "spores-serve-2",
+            ]
+            assert not [t for t in threading.enumerate() if "supervis" in t.name]
+            assert engine.stats().shards == 3
+        finally:
+            engine.close()
+        assert not any(thread.is_alive() for thread in started)
 
     def test_closed_engine_rejects_submissions(self):
         engine = ServingEngine(shards=1, config=config())
@@ -337,9 +360,8 @@ class TestServingEngine:
         finally:
             engine.close()
 
-    def test_size_ladder_shares_one_shard_and_one_compile(self):
-        """Template routing: every ladder point lands on one shard and only
-        the first size compiles."""
+    def test_size_ladder_shares_one_compile(self):
+        """Only the first size of a ladder compiles; the rest specialize."""
         def loss_at(rows):
             m, n = Dim("m", rows), Dim("n", COLS)
             X = Matrix("X", m, n, sparsity=0.05)
@@ -365,8 +387,7 @@ class TestServingEngine:
             stats = engine.stats()
             assert stats.template_hits == len(ladder) - 1
             assert stats.unique_templates == 1
-            active = [s for s in engine.shards if s.snapshot()["served"] > 0]
-            assert len(active) == 1, "a size ladder must land on one shard"
+            assert stats.unique_fingerprints == len(ladder)
         finally:
             engine.close()
 
@@ -374,45 +395,40 @@ class TestServingEngine:
         record = engine.describe()
         assert record["shards"] == 2
         assert record["store"] is None
-        assert isinstance(record["per_shard"], list)
-        for shard_record in record["per_shard"]:
-            assert {"served", "cache_hit_rate", "compilations"} <= set(shard_record)
+        assert {"served", "hit_rate", "compilations", "restarts"} <= set(record)
+        assert json.loads(json.dumps(record)) == record
 
 
-def record_serving_threads(shard, monkeypatch):
-    """Wrap ``shard._serve_batch``: returns the list of (thread, batch inputs)
+def record_serving_threads(engine, monkeypatch):
+    """Wrap ``engine._serve_batch``: returns the list of (thread, batch inputs)
     it appends to, one entry per call, whichever thread makes it."""
     calls = []
-    serve_batch = shard._serve_batch
+    serve_batch = engine._serve_batch
 
     def recording(batch):
         calls.append((threading.current_thread(), [request.inputs for request in batch]))
         serve_batch(batch)
 
-    monkeypatch.setattr(shard, "_serve_batch", recording)
+    monkeypatch.setattr(engine, "_serve_batch", recording)
     return calls
 
 
-class Gate:
-    """A stand-in ``_serving`` lock whose blocking acquire announces itself."""
+def hold_the_pool(engine, monkeypatch):
+    """Make the next batch wait in ``_serve_batch`` until released.
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.waiting = threading.Event()
+    Returns ``(held, release)``: ``held`` is set once the batch is inside,
+    and setting ``release`` lets it (and every later batch) through."""
+    held, release = threading.Event(), threading.Event()
+    serve_batch = engine._serve_batch
 
-    def acquire(self, blocking=True):
-        if blocking:
-            self.waiting.set()
-        return self.lock.acquire(blocking)
+    def holding(batch):
+        if not held.is_set():
+            held.set()
+            assert release.wait(30)
+        serve_batch(batch)
 
-    def release(self):
-        self.lock.release()
-
-    def __enter__(self):
-        self.acquire()
-
-    def __exit__(self, *exc_info):
-        self.release()
+    monkeypatch.setattr(engine, "_serve_batch", holding)
+    return held, release
 
 
 def wait_until(condition, timeout=30.0):
@@ -423,13 +439,13 @@ def wait_until(condition, timeout=30.0):
 
 
 class TestCallerRuns:
-    """``run`` and ``plan_for`` serve an idle shard on the calling thread,
-    through the shard's own ``_serve_batch``; anything else queues."""
+    """``run`` and ``plan_for`` serve on the calling thread, through the
+    engine's own ``_serve_batch``; ``submit`` goes through the pool."""
 
-    def test_idle_shard_is_served_on_the_calling_thread(self, monkeypatch):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
+    def test_run_and_plan_for_serve_on_the_calling_thread(self, monkeypatch):
+        engine = ServingEngine(shards=1, config=config())
         try:
-            calls = record_serving_threads(engine.shards[0], monkeypatch)
+            calls = record_serving_threads(engine, monkeypatch)
             expr, inputs = make_loss(0.05), make_inputs(seed=10)
             assert engine.plan_for(expr).fingerprint
             result = engine.run(expr, inputs)
@@ -442,86 +458,82 @@ class TestCallerRuns:
         finally:
             engine.close()
 
-    def test_busy_shard_serves_run_on_the_worker_in_arrival_order(self, monkeypatch):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
-        shard = engine.shards[0]
-        expr = make_loss(0.05)
-        engine.warm([expr])
-        calls = record_serving_threads(shard, monkeypatch)
-        first, second, third = (make_inputs(seed) for seed in (11, 12, 13))
+    def test_concurrent_runs_of_two_plans_each_serve_on_their_own_thread(self, monkeypatch):
+        """Two callers run two plans at once, each on its own thread — even
+        on a one-thread pool that is busy: nothing routes them anywhere."""
+        engine = ServingEngine(shards=1, config=config())
+        exprs = [make_loss(0.03), make_loss(0.9)]
+        assert len({engine.signature_for(e).template_digest for e in exprs}) == 2
+        engine.warm(exprs)
+        both_inside = threading.Barrier(2, timeout=30)
+        threads = {}
+        execute_ = engine._execute
+
+        def meeting(tape, local, request, *rest):
+            if threading.current_thread().name.startswith("caller-"):
+                threads[id(request.expr)] = threading.current_thread()
+                both_inside.wait()  # neither can finish until both execute
+            return execute_(tape, local, request, *rest)
+
+        monkeypatch.setattr(engine, "_execute", meeting)
+        held, release = hold_the_pool(engine, monkeypatch)
         results = {}
-
-        def run_in_thread(name, inputs):
-            thread = threading.Thread(
-                target=lambda: results.__setitem__(name, engine.run(expr, inputs))
-            )
-            thread.start()
-            return thread
-
-        gate = Gate()
-        gate.lock.acquire()
-        shard._serving = gate
         try:
-            try:
-                queued = engine.submit(expr, first)
-                # the worker drained `first` and now waits on _serving
-                assert gate.waiting.wait(30)
-                # (1) the shard holds _serving: run() queues behind it
-                busy = run_in_thread("busy", second)
-                wait_until(lambda: shard.queue.qsize() == 1)
-                # (2) queued work and a free-looking lock: run() still queues
-                shard._serving = threading.Lock()
-                backlog = run_in_thread("backlog", third)
-                wait_until(lambda: shard.queue.qsize() == 2)
-            finally:
-                shard._serving = gate
-                gate.lock.release()
-            queued.result(timeout=30)
-            busy.join(30)
-            backlog.join(30)
-            assert set(results) == {"busy", "backlog"}
-            assert all(thread is shard.thread for thread, _ in calls)
-            served = [inputs for _, batch in calls for inputs in batch]
-            assert list(map(id, served)) == list(map(id, (first, second, third)))
-            for name, inputs in (("busy", second), ("backlog", third)):
-                want = execute(expr, inputs).scalar()
-                assert results[name].scalar() == pytest.approx(want, rel=1e-12)
+            blocker = engine.submit(exprs[0], make_inputs(seed=30))
+            assert held.wait(30)  # the pool's only thread is busy
+            callers = [
+                threading.Thread(
+                    target=lambda e=expr, i=index: results.__setitem__(
+                        i, engine.run(e, make_inputs(seed=31 + i))
+                    ),
+                    name=f"caller-{index}",
+                )
+                for index, expr in enumerate(exprs)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30)
+                assert not caller.is_alive()
+            assert [threads[id(expr)] for expr in exprs] == callers
+            release.set()
+            blocker.result(timeout=30)
+            for index, expr in enumerate(exprs):
+                want = execute(expr, make_inputs(seed=31 + index)).scalar()
+                assert results[index].scalar() == pytest.approx(want, rel=1e-12)
         finally:
+            release.set()
             engine.close()
 
-    def test_fault_injection_always_queues(self, monkeypatch):
+    def test_fault_injection_serves_inline_too(self, monkeypatch):
         faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
-        engine = ServingEngine(
-            shards=1, config=config(), fault_injector=faults, supervise=False
-        )
+        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
         try:
-            calls = record_serving_threads(engine.shards[0], monkeypatch)
+            calls = record_serving_threads(engine, monkeypatch)
             expr = make_loss(0.05)
             engine.plan_for(expr)
             for seed in range(3):
                 engine.run(expr, make_inputs(seed))
-            assert len(calls) == 4
-            assert all(thread is engine.shards[0].thread for thread, _ in calls)
+            assert [thread for thread, _ in calls] == [threading.current_thread()] * 4
         finally:
             engine.close()
 
-    def test_run_after_submit_hits_the_shards_result_cache(self, monkeypatch):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
-        shard = engine.shards[0]
+    def test_run_after_submit_hits_the_result_cache(self, monkeypatch):
+        engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=14)
             queued = engine.submit(expr, inputs).result(timeout=30)
-            calls = record_serving_threads(shard, monkeypatch)
+            calls = record_serving_threads(engine, monkeypatch)
             inline = engine.run(expr, dict(inputs))  # same value objects
             assert calls == []  # answered at the door: no serving call
             assert inline is queued
             assert engine.stats().result_cache_hits == 1
-            assert len(shard._local) == 1  # one reuse state, whichever thread ran
+            assert len(engine._local) == 1  # one reuse state, whichever thread ran
         finally:
             engine.close()
 
     def test_run_deadline_is_a_parameter_and_sheds(self):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=15)
             want = execute(expr, inputs).scalar()
@@ -535,31 +547,30 @@ class TestCallerRuns:
         finally:
             engine.close()
 
-    def test_serve_batch_has_one_holder_at_a_time_under_stress(self, monkeypatch):
-        """Six threads mixing run() and submit() on one shard, with a short
-        switch interval: _serve_batch never runs twice at once, and every
-        answer (result-cache hits included) is right."""
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
-        shard = engine.shards[0]
+    def test_one_holder_of_a_plans_serving_state_under_stress(self, monkeypatch):
+        """Six threads mixing run() and submit() on one plan, with a short
+        switch interval: its serving state has one holder at a time, and
+        every answer (result-cache hits included) is right."""
+        engine = ServingEngine(shards=2, config=config())
         expr = make_loss(0.05)
         input_sets = [make_inputs(seed) for seed in range(3)]
         expected = [execute(expr, inputs).scalar() for inputs in input_sets]
         engine.warm([expr])
         guard = threading.Lock()
         inside = [0, 0]  # [now, most at once]
-        serve_batch = shard._serve_batch
+        serve_one = engine._serve_one
 
-        def counting(batch):
+        def counting(*args):
             with guard:
                 inside[0] += 1
                 inside[1] = max(inside)
             try:
-                serve_batch(batch)
+                serve_one(*args)
             finally:
                 with guard:
                     inside[0] -= 1
 
-        monkeypatch.setattr(shard, "_serve_batch", counting)
+        monkeypatch.setattr(engine, "_serve_one", counting)
         wrong = []
 
         def client(index):
@@ -590,6 +601,31 @@ class TestCallerRuns:
         assert not wrong
         assert inside[1] == 1
         assert engine.stats().served == 1 + 6 * 30  # the warm() request too
+
+    def test_a_crash_inside_run_is_requeued_and_answered_bitwise(self, monkeypatch):
+        crashed_on = []
+
+        def crash(message):
+            crashed_on.append(threading.current_thread())
+            return ShardCrashError(message)
+
+        faults = FaultInjector([FaultRule("shard.execute", crash, start=0, count=1)])
+        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=16)
+            plan = engine.plan_for(expr)
+            calls = record_serving_threads(engine, monkeypatch)
+            got = engine.run(expr, inputs).value
+            # the crash hit this thread; the pool answered the requeued request
+            assert crashed_on == [threading.current_thread()]
+            assert [thread for thread, _ in calls] == [crashed_on[0], engine._threads[0]]
+            want = plan.executable().execute(plan.bind(inputs)).value
+            assert got.is_sparse == want.is_sparse
+            assert np.array_equal(got.to_dense(), want.to_dense())
+            stats = engine.stats()
+            assert (stats.restarts, stats.served, stats.errors) == (1, 2, 0)
+        finally:
+            engine.close()
 
     def test_close_racing_run_loops_leaves_nothing_pending(self):
         engine = ServingEngine(shards=2, config=config())
@@ -622,74 +658,110 @@ class TestCallerRuns:
             assert not thread.is_alive(), "a run() call outlived close()"
         for out in outcomes:
             assert out[-1] == "closed" and "wrong" not in out
-        for shard in engine.shards:
-            assert shard.queue.empty() and not shard.take_unresolved()
+        assert engine.queue.empty() and engine._in_flight == [[], []]
 
 
-def home_shard(engine, expr):
-    return engine.shards[engine.shard_of(engine.signature_for(expr).template_digest)]
+class TestOneCompilePerTemplate:
+    """Concurrent misses of one size-free template compile it once; the
+    other sizes wait for that compile and specialize off it."""
+
+    @staticmethod
+    def ladder():
+        def loss_at(rows):
+            m, n = Dim("m", rows), Dim("n", COLS)
+            X = Matrix("X", m, n, sparsity=0.05)
+            return Sum((X - Vector("u", m) @ Vector("v", n).T) ** 2)
+
+        return [loss_at(rows) for rows in (60, 90, 120, 180)]
+
+    @staticmethod
+    def all_at_once(compile_):
+        ladder = TestOneCompilePerTemplate.ladder()
+        start = threading.Barrier(len(ladder), timeout=30)
+        errors = []
+
+        def go(expr):
+            start.wait()
+            try:
+                compile_(expr)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=go, args=(expr,)) for expr in ladder]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not errors
+
+    def test_through_a_session(self):
+        session = Session(config())
+        self.all_at_once(session.compile)
+        assert (session.compilations, session.template_hits) == (1, 3)
+
+    def test_through_the_engine(self):
+        engine = ServingEngine(shards=2, config=config())
+        try:
+            self.all_at_once(engine.plan_for)
+            stats = engine.stats()
+            assert (stats.compilations, stats.template_hits) == (1, 3)
+        finally:
+            engine.close()
 
 
 class TestResultCacheAtTheDoor:
     """One engine-owned result cache, consulted on the caller's thread
-    before anything is queued; the shards consult the same cache."""
+    before anything is served or queued; serving consults the same cache."""
 
-    def test_a_repeat_resolves_before_submit_returns(self):
-        engine = ServingEngine(shards=2, config=config(), supervise=False)
+    def test_a_repeat_resolves_before_submit_returns(self, monkeypatch):
+        engine = ServingEngine(shards=2, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=20)
             first = engine.submit(expr, inputs).result(timeout=30)
-            home = home_shard(engine, expr)
             observed = engine._latency.count
-            with home._serving:  # the home shard can serve nothing now
-                future = engine.submit(expr, dict(inputs))  # same value objects
-                assert future.done()
-                assert future.result() is first
-                assert home.queue.empty()
+            calls = record_serving_threads(engine, monkeypatch)
+            future = engine.submit(expr, dict(inputs))  # same value objects
+            assert future.done()
+            assert future.result() is first
+            assert engine.queue.empty() and calls == []
             assert engine._latency.count == observed + 1
             stats = engine.stats()
             assert (stats.submitted, stats.served, stats.result_cache_hits) == (2, 2, 1)
             assert (stats.batches, stats.errors) == (1, 0)
-            assert home.snapshot()["result_cache_hits"] == 1
         finally:
             engine.close()
 
     def test_a_batch_mate_repeat_hits_what_its_twin_stored(self, monkeypatch):
-        # Faults turn the door off, so both twins queue behind the busy home
-        # shard, drain as one batch, and the second's execute-time lookup
+        # Faults turn the door off, so both twins queue behind the busy pool
+        # thread, drain as one batch, and the second's execute-time lookup
         # finds the answer the first stored.
         faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
-        engine = ServingEngine(
-            shards=2, config=config(), fault_injector=faults, supervise=False
-        )
+        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=21)
-            home = home_shard(engine, expr)
-            calls = record_serving_threads(home, monkeypatch)
-            gate = Gate()
-            gate.lock.acquire()
-            home._serving = gate
+            engine.warm([expr])
+            held, release = hold_the_pool(engine, monkeypatch)
+            calls = record_serving_threads(engine, monkeypatch)
             try:
                 blocker = engine.submit(expr, make_inputs(seed=26))
-                assert gate.waiting.wait(30)  # the worker drained it and waits
+                assert held.wait(30)  # the pool thread drained it and waits
                 twins = [engine.submit(expr, inputs) for _ in range(2)]
-                assert home.queue.qsize() == 2
+                assert engine.queue.qsize() == 2
                 assert not any(future.done() for future in twins)
             finally:
-                gate.lock.release()
+                release.set()
             blocker.result(timeout=30)
             first, second = (future.result(timeout=30) for future in twins)
             assert second is first
             assert [len(batch) for _, batch in calls] == [1, 2]
-            assert all(thread is home.thread for thread, _ in calls)
+            assert all(thread is engine._threads[0] for thread, _ in calls)
             stats = engine.stats()
-            assert (stats.result_cache_hits, stats.served, stats.batched_requests) == (1, 3, 2)
-            assert home.snapshot()["result_cache_hits"] == 1
+            assert (stats.result_cache_hits, stats.served, stats.batched_requests) == (1, 4, 2)
         finally:
             engine.close()
 
     def test_an_equal_copy_of_any_one_input_misses(self):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=22)
             first = engine.run(expr, inputs)
@@ -705,25 +777,23 @@ class TestResultCacheAtTheDoor:
         finally:
             engine.close()
 
-    def test_fault_injection_sends_a_repeat_to_the_shard(self, monkeypatch):
+    def test_fault_injection_sends_a_repeat_to_the_pool(self, monkeypatch):
         faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
-        engine = ServingEngine(
-            shards=1, config=config(), fault_injector=faults, supervise=False
-        )
+        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=23)
             first = engine.run(expr, inputs)
-            calls = record_serving_threads(engine.shards[0], monkeypatch)
+            calls = record_serving_threads(engine, monkeypatch)
             assert engine.submit(expr, inputs).result(timeout=30) is first
-            assert len(calls) == 1 and calls[0][0] is engine.shards[0].thread
+            assert len(calls) == 1 and calls[0][0] is engine._threads[0]
             stats = engine.stats()
-            # the shard's execute-time lookup counted the hit, once
+            # the execute-time lookup counted the hit, once
             assert (stats.result_cache_hits, stats.served) == (1, 2)
         finally:
             engine.close()
 
-    def test_a_bind_error_is_a_miss_the_shard_fails_and_counts_once(self):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
+    def test_a_bind_error_is_a_miss_that_fails_and_counts_once(self):
+        engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=25)
             engine.run(expr, inputs)
@@ -735,7 +805,7 @@ class TestResultCacheAtTheDoor:
             engine.close()
 
     def test_a_repeat_whose_deadline_passed_is_shed_not_answered(self):
-        engine = ServingEngine(shards=1, config=config(), supervise=False)
+        engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=24)
             engine.run(expr, inputs)
@@ -743,6 +813,19 @@ class TestResultCacheAtTheDoor:
                 engine.run(expr, inputs, deadline=1e-9)
             stats = engine.stats()
             assert (stats.sheds, stats.result_cache_hits) == (1, 0)
+        finally:
+            engine.close()
+
+    def test_a_degraded_answer_repeated_at_the_door_counts_as_degraded(self):
+        engine = ServingEngine(shards=1, config=config(), optimizer_budget=1e-9)
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=27)
+            first = engine.run(expr, inputs)
+            assert engine.run(expr, inputs) is first  # answered at the door
+            stats = engine.stats()
+            assert (stats.served, stats.result_cache_hits, stats.degraded) == (2, 1, 2)
+            assert engine.health()["degraded_rate"] == 1.0
+            assert engine.plan_for(expr).degraded
         finally:
             engine.close()
 
@@ -767,9 +850,9 @@ class TestOneExecutable:
             for root_name, root in workload.roots.items():
                 plan = pool.plan_for(root)
                 bound = {name: inputs[name] for name in plan.input_names}
-                # the shard keys its local state by the executable it ran:
+                # the engine keys its serving state by the executable it ran:
                 # by identity, so membership means the very same object
-                assert plan.executable() in pool.shards[0]._local, root_name
+                assert plan.executable() in pool._local, root_name
                 expected = execute_slots(
                     plan._entry.slot_plan, plan.bind(bound), ring=plan.ring
                 ).value
