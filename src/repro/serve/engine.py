@@ -20,8 +20,10 @@ front door:
 * **Async-friendly submission.**  :meth:`submit` puts the request on one
   bounded queue and returns a :class:`concurrent.futures.Future`
   immediately (back-pressure blocks the producer only once the queue is
-  full); ``shards`` pool threads drain it in micro-batches of up to
-  ``max_batch``.  :meth:`run_many` is the synchronous convenience on top.
+  full); ``shards`` pool threads drain it, each taking everything queued
+  as one batch (``queue_depth`` bounds it), so a burst's same-plan matvecs
+  stack into one matmat.  :meth:`run_many` is the synchronous convenience
+  on top.
 * **Answers at the door.**  An exact repeat (same fingerprint, same input
   objects) resolves from the engine's one result cache before anything is
   served or queued; execution consults it too, so batch-mates and requeues
@@ -182,7 +184,6 @@ class ServingEngine(BatchServer):
         store_path: Optional[str] = None,
         cache_size: int = 256,
         queue_depth: int = 256,
-        max_batch: int = 16,
         default_deadline: Optional[float] = None,
         optimizer_budget: Optional[float] = None,
         degrade_on_error: bool = False,
@@ -195,8 +196,6 @@ class ServingEngine(BatchServer):
             raise ValueError("a serving engine needs at least one pool thread (shards >= 1)")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive (or None)")
         self.config = config or OptimizerConfig()
@@ -204,7 +203,6 @@ class ServingEngine(BatchServer):
         #: does not set its own; ``None`` keeps the legacy queue-forever
         #: back-pressure behavior
         self.default_deadline = default_deadline
-        self.max_batch = max_batch
         #: private always-enabled registry backing the engine's latency
         #: accounting, so p50/p95 report whether or not the process opted
         #: into the global obs registry
@@ -503,10 +501,14 @@ class ServingEngine(BatchServer):
 
     # -- the pool --------------------------------------------------------------
     def _pool_loop(self, index: int) -> None:
-        """Drain the queue in micro-batches until this thread's stop sentinel."""
+        """Serve each drain of the queue as one batch until a stop sentinel.
+
+        A drain takes everything queued, so a burst's stackable requests
+        meet in one batch; ``queue_depth`` bounds its size.
+        """
         while True:
             batch = [self.queue.get()]
-            while batch[-1] is not _STOP and len(batch) < self.max_batch:
+            while batch[-1] is not _STOP:
                 try:
                     batch.append(self.queue.get_nowait())
                 except queue.Empty:

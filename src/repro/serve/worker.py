@@ -21,18 +21,20 @@ through the same method.  Everything it keeps is engine-wide:
   group is served: two threads serving one plan take turns, two plans run
   side by side.
 
-**Micro-batching.**  A batch is grouped by instance digest, in arrival
-order: each group resolves its plan once and serves its requests
-back-to-back with warm step-reuse state.  Other sizes of one template
-specialize off the cached template through the session's template tier
-whatever order they arrive in.  An inline batch is just one request.
+**Micro-batching.**  A batch is grouped by instance digest and the groups
+are served largest first — a stacked group answers the most requests per
+millisecond; each group resolves its plan once and serves its requests, in
+arrival order, back-to-back with warm step-reuse state.  Other sizes of one
+template specialize off the cached template through the session's template
+tier whatever order they arrive in.  An inline batch is just one request.
 
 **Executables and columnwise stacking.**  Each resolved plan executes on
 its entry's one executable (:meth:`~repro.api.plan.PlanEntry.executable`) —
 a tape whose steps are fusion regions under real arithmetic, the plain
 operator tape otherwise; both are bitwise identical to the interpreter.
-When a plan is structurally columnwise in one ``(m, 1)`` slot, an instance
-group's k matvec requests are additionally *stacked* into one matmat
+When a plan is structurally columnwise in one ``(m, 1)`` slot, each family
+of an instance group's matvec requests — members that bind the very same
+objects in every other slot — is additionally *stacked* into one matmat
 execution and the result columns split back out, verified per plan against
 individual execution (see ``_serve_stacked``).
 
@@ -276,7 +278,8 @@ class BatchServer:
         # submit-side parent contexts, so per-request spans parent to the
         # submitter, not to the batch that happened to drain them.
         with _TRACER.span("serve.batch", parent=None, size=len(batch), groups=len(groups)):
-            for members in groups.values():
+            # Largest group first (a stable sort keeps ties in arrival order).
+            for members in sorted(groups.values(), key=len, reverse=True):
                 # Re-check expiry at the group head: an earlier group's
                 # compile may have outlived these members' budgets, and a
                 # group of dead requests must not pay its own resolve.
@@ -437,61 +440,77 @@ class BatchServer:
     def _serve_stacked(
         self, tape: TapePlan, local: _LocalState, members: List[ShardRequest]
     ) -> Dict[int, ExecutionResult]:
-        """Serve one instance group as a single column-stacked execution.
+        """Serve each family of one instance group as a column-stacked execution.
 
         Columnwise numeric batching: when the plan is structurally
-        columnwise in one ``(m, 1)`` slot (``stackable_slot``), k requests
-        that pin every other slot to the *same* value objects are executed
-        as one matmat over the column-stacked inputs, and the result columns
-        are returned per request, keyed by ``id(request)``, for ``_execute``
-        to hand out.
+        columnwise in one ``(m, 1)`` slot (``stackable_slot``), the members
+        whose column is a dense ``(m, 1)`` value and whose every other slot
+        binds the *same* value objects form a family; each family of two or
+        more is executed as one matmat over its column-stacked inputs, and
+        the result columns are returned per request, keyed by
+        ``id(request)``, for ``_execute`` to hand out.  A member outside
+        every family (other objects, unbound, a sparse column) is absent
+        from the mapping and served on its own.
 
         Structure is necessary but not sufficient for bitwise equality
         (stacked gemm may accumulate differently from k gemvs), so results
         are *verified* against individual execution — every member of the
-        plan's first stacked batch, then one rotating member per batch —
-        and any mismatch permanently disables stacking for the plan.
-        Every bail-out path returns an empty mapping and the per-request
-        loop serves individually.  Called under ``local.lock``.
+        plan's first stacked execution, then one rotating member per
+        execution — and any mismatch permanently disables stacking for the
+        plan; that family is then served individually.  Called under
+        ``local.lock``.
         """
+        slot = local.slot
         if (
-            local.slot is None
+            slot is None
             or local.status == "off"
             or len(members) < 2
             or self._tape_faults is not None
-            or any(request.values is None for request in members)  # compile-only or unbound
         ):
             return {}
-        bound = [request.values for request in members]
-        slot = local.slot
-        first = bound[0]
-        rows = first[slot].shape[0]
-        for values in bound:
+        families: Dict[Tuple[object, ...], List[ShardRequest]] = {}
+        for request in members:
+            values = request.values
+            if values is None:  # compile-only or unbound
+                continue
             column = values[slot]
-            if column.is_sparse or column.shape != (rows, 1):
-                return {}
-            if any(
-                values[i] is not first[i] for i in range(len(values)) if i != slot
-            ):
-                return {}  # pinned slots differ; not one logical matvec family
-        stacked_column = MatrixValue(
-            np.concatenate([values[slot].to_dense() for values in bound], axis=1)
+            if column.is_sparse or column.shape[1] != 1:
+                continue
+            key = (column.shape, *(id(value) for i, value in enumerate(values) if i != slot))
+            families.setdefault(key, []).append(request)
+        prestacked: Dict[int, ExecutionResult] = {}
+        for family in families.values():
+            if local.status == "off":
+                break
+            if len(family) > 1:
+                prestacked.update(self._stack_family(tape, local, family))
+        return prestacked
+
+    def _stack_family(
+        self, tape: TapePlan, local: _LocalState, family: List[ShardRequest]
+    ) -> Dict[int, ExecutionResult]:
+        """One verified stacked execution of a family (see ``_serve_stacked``)."""
+        slot = local.slot
+        bound = [request.values for request in family]
+        # Row-major: stack the columns as rows, then transpose once —
+        # concatenating (m, 1) columns writes every element strided.
+        stacked_values = list(bound[0])
+        stacked_values[slot] = MatrixValue(
+            np.ascontiguousarray(np.vstack([values[slot].to_dense().ravel() for values in bound]).T)
         )
-        stacked_values = list(first)
-        stacked_values[slot] = stacked_column
         stacked = self._run_tape(tape, local, stacked_values)
         dense_out = stacked.value.to_dense()
-        if dense_out.ndim != 2 or dense_out.shape[1] != len(members):
+        if dense_out.ndim != 2 or dense_out.shape[1] != len(family):
             local.status = "off"
             return {}
         results = [
             MatrixValue(np.ascontiguousarray(dense_out[:, j : j + 1])).compacted()
-            for j in range(len(members))
+            for j in range(len(family))
         ]
         verify = (
-            range(len(members))
+            range(len(family))
             if local.status == "untested"
-            else (local.batches % len(members),)
+            else (local.batches % len(family),)
         )
         for j in verify:
             individual = self._run_tape(tape, local, bound[j])
@@ -506,8 +525,8 @@ class BatchServer:
         local.batches += 1
         with self._lock:
             self.counters.stacked_batches += 1
-            self.counters.stacked_requests += len(members)
-        elapsed = stacked.stats.elapsed / len(members)
+            self.counters.stacked_requests += len(family)
+        elapsed = stacked.stats.elapsed / len(family)
         stats = ExecutionStats(
             elapsed=elapsed,
             operators_executed=stacked.stats.operators_executed,
@@ -515,7 +534,7 @@ class BatchServer:
         )
         return {
             id(request): ExecutionResult(value=value, stats=stats)
-            for request, value in zip(members, results)
+            for request, value in zip(family, results)
         }
 
     def _execute(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import threading
 import time
 from typing import Dict, Iterable, Tuple
 
@@ -219,3 +220,23 @@ def early_stop_outcomes(seeds: Iterable[int]) -> Dict[str, float]:
         else:
             outcomes["identical"] += 1
     return outcomes
+
+
+def hold_first_pool_batch(engine) -> Tuple[threading.Event, threading.Event]:
+    """Make the engine's next ``_serve_batch`` wait until released.
+
+    Returns ``(busy, release)``: ``busy`` is set once a pool thread holds its
+    batch, and requests submitted after that queue behind it until
+    ``release`` is set.  Inline ``run()`` serves through ``_serve_batch`` too,
+    so install this after any inline reference runs.
+    """
+    serve_batch, busy, release = engine._serve_batch, threading.Event(), threading.Event()
+
+    def held(batch):
+        if not busy.is_set():
+            busy.set()
+            release.wait(60)
+        serve_batch(batch)
+
+    engine._serve_batch = held
+    return busy, release

@@ -541,19 +541,46 @@ class TestServingStacked:
         finally:
             engine.close()
 
-    def test_differing_pinned_inputs_disable_the_stack(self):
+    def test_an_odd_member_leaves_its_batch_mates_stacked(self):
         engine, tape, local, requests, pinned, vectors = self._engine_and_state()
         try:
             other = MatrixValue(pinned.to_dense().copy())
             requests[2].inputs = {"A": other, "q": vectors[2]}
             requests[2].values = (other, vectors[2])
-            assert engine._serve_stacked(tape, local, requests) == {}
-            assert local.status == "untested"  # no verdict, just skipped
+            prestacked = engine._serve_stacked(tape, local, requests)
+            assert set(prestacked) == {id(requests[i]) for i in (0, 1, 3)}
+            assert local.status == "on"
+            assert engine.counters.stacked_batches == 1
+            assert engine.counters.stacked_requests == 3
+            for i in (0, 1, 3):
+                individual = tape.execute([pinned, vectors[i]], local.reuse, None).value
+                assert np.array_equal(prestacked[id(requests[i])].value.to_dense(),
+                                      individual.to_dense())
+        finally:
+            engine.close()
+
+    def test_each_family_of_shared_pinned_inputs_stacks_on_its_own(self):
+        engine, tape, local, requests, pinned, vectors = self._engine_and_state()
+        try:
+            other = MatrixValue(pinned.to_dense() * 2.0)
+            for request in requests[2:]:
+                vector = request.values[1]
+                request.inputs = {"A": other, "q": vector}
+                request.values = (other, vector)
+            prestacked = engine._serve_stacked(tape, local, requests)
+            assert set(prestacked) == {id(request) for request in requests}
+            assert engine.counters.stacked_batches == 2
+            assert engine.counters.stacked_requests == 4
+            for request in requests:
+                individual = tape.execute(list(request.values), local.reuse, None).value
+                assert np.array_equal(prestacked[id(request)].value.to_dense(),
+                                      individual.to_dense())
         finally:
             engine.close()
 
     def test_engine_serves_stacked_bitwise_results(self):
         from repro.serve.engine import ServingEngine
+        from tests.helpers import hold_first_pool_batch
 
         m, n = Dim("m", 96), Dim("n", 64)
         A = la.Var("A", Shape(m, n))
@@ -562,23 +589,37 @@ class TestServingStacked:
         rng = np.random.default_rng(7)
         pinned = MatrixValue(rng.random((96, 64)))
         vectors = [MatrixValue(rng.random((64, 1))) for _ in range(24)]
-        engine = ServingEngine(shards=1, max_batch=32)
+        engine = ServingEngine(shards=1)
+        release = None
         try:
+            # Inline run() is the unbatched reference; equal copies miss the door.
             baseline = [
-                engine.run(expr, {"A": pinned, "q": vector}).value.to_dense()
+                engine.run(expr, {"A": pinned, "q": MatrixValue(vector.data.copy())})
+                .value.to_dense()
                 for vector in vectors
             ]
+            before = engine.stats()
+            # Hold the one pool thread in its first batch, so the 24 matvecs
+            # queue behind it and meet in the next drain.
+            busy, release = hold_first_pool_batch(engine)
+            occupier = engine.submit(expr, {"A": pinned, "q": MatrixValue(rng.random((64, 1)))})
+            assert busy.wait(60)
             futures = [
                 engine.submit(expr, {"A": pinned, "q": vector}) for vector in vectors
             ]
+            release.set()
+            occupier.result(timeout=60)
             for future, expected in zip(futures, baseline):
-                got = future.result().value.to_dense()
+                got = future.result(timeout=60).value.to_dense()
                 assert np.array_equal(got, expected)
             stats = engine.stats()
             assert stats.errors == 0
-            assert stats.stacked_requests >= 0  # counters surfaced end to end
-            assert "stacked_batches" in stats.to_dict()
+            assert stats.batches - before.batches == 2
+            assert stats.stacked_batches - before.stacked_batches == 1
+            assert stats.stacked_requests - before.stacked_requests == len(vectors)
         finally:
+            if release is not None:
+                release.set()
             engine.close()
 
 

@@ -33,7 +33,7 @@ def field_names(cls):
 def test_serving_engine_options():
     assert defaulted(ServingEngine) == [
         "shards", "config", "store", "store_path", "cache_size",
-        "queue_depth", "max_batch", "default_deadline", "optimizer_budget",
+        "queue_depth", "default_deadline", "optimizer_budget",
         "degrade_on_error", "fault_injector", "retry_policy",
     ]
 

@@ -30,6 +30,7 @@ from repro.workloads import (
     semiring_workload_names,
     workload_names,
 )
+from tests.helpers import hold_first_pool_batch
 
 ROWS, COLS = 60, 30
 
@@ -131,7 +132,7 @@ class TestServingEngine:
     def test_micro_batching_and_result_cache(self):
         expr = make_loss(0.05)
         inputs = make_inputs(seed=2)
-        engine = ServingEngine(shards=1, config=config(), max_batch=8)
+        engine = ServingEngine(shards=1, config=config())
         try:
             results = engine.run_many([(expr, inputs)] * 40)
             values = {r.scalar() for r in results}
@@ -143,6 +144,36 @@ class TestServingEngine:
             assert stats.batches < stats.served
             assert stats.batched_requests > 0
         finally:
+            engine.close()
+
+    def test_one_drain_is_one_batch_served_largest_group_first(self):
+        engine = ServingEngine(shards=1, config=config())
+        engine.plan_for(make_loss(0.05))
+        engine.plan_for(make_loss(0.9))
+        before = engine.stats().batches
+        busy, release = hold_first_pool_batch(engine)
+        try:
+            first = engine.submit(make_loss(0.05), make_inputs(seed=0))
+            assert busy.wait(60)
+            # Queued behind the held batch: a group of one, then a group of three.
+            queued = [(make_loss(0.9), 1)] + [(make_loss(0.05), seed) for seed in (2, 3, 4)]
+            order = []
+            futures = []
+            for index, (expr, seed) in enumerate(queued):
+                future = engine.submit(expr, make_inputs(seed=seed))
+                future.add_done_callback(lambda _f, i=index: order.append(i))
+                futures.append(future)
+            release.set()
+            first.result(timeout=60)
+            for future in futures:
+                assert np.isfinite(future.result(timeout=60).scalar())
+            stats = engine.stats()
+            assert stats.batches - before == 2  # the held request, then the whole queue
+            assert stats.batched_requests == 3
+            engine.close()  # joins the pool thread, so every done-callback has run
+            assert order == [1, 2, 3, 0]  # largest group first, arrival order within
+        finally:
+            release.set()
             engine.close()
 
     def test_renamed_and_permuted_twins_bind_their_own_names(self, engine):
@@ -211,8 +242,6 @@ class TestServingEngine:
         [
             {"queue_depth": 0},
             {"queue_depth": -1},
-            {"max_batch": 0},
-            {"max_batch": -1},
             {"shards": 0},
         ],
     )
@@ -288,7 +317,7 @@ class TestServingEngine:
     def test_full_queue_sheds_instead_of_blocking_forever(self):
         """Deadline-bearing submissions reject with QueueFullError under
         overload instead of stalling the producer."""
-        engine = ServingEngine(shards=1, config=config(), queue_depth=1, max_batch=1)
+        engine = ServingEngine(shards=1, config=config(), queue_depth=1)
         try:
             inputs = make_inputs(seed=1)
             futures = [
@@ -340,7 +369,7 @@ class TestServingEngine:
     def test_expired_batch_sheds_before_compiling(self):
         """A batch of dead requests must not pay a compile (the shed check
         runs before plan resolution)."""
-        engine = ServingEngine(shards=1, config=config(), max_batch=8)
+        engine = ServingEngine(shards=1, config=config())
         try:
             inputs = make_inputs(seed=3)
             slow = engine.submit(make_loss(0.05), inputs)  # occupies the worker
