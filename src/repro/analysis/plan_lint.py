@@ -183,7 +183,7 @@ def lint_rexpr(node: RExpr, where: str) -> List[Finding]:
 
 
 def lint_tape(
-    tape: TapePlan, where: str, expr: Optional[la.LAExpr] = None
+    executable: TapePlan, where: str, expr: Optional[la.LAExpr] = None
 ) -> List[Finding]:
     """Dead-step and duplicate-subcomputation checks over a compiled tape.
 
@@ -192,21 +192,21 @@ def lint_tape(
     steps that the root-position check alone would miss.
     """
     findings: List[Finding] = []
-    n_steps = len(tape)
+    n_steps = len(executable)
     if n_steps:
-        last_position = tape.n_slots + n_steps - 1
-        if tape._root != last_position:
-            dead = last_position - max(tape._root, tape.n_slots - 1)
+        last_position = executable.n_slots + n_steps - 1
+        if executable._root != last_position:
+            dead = last_position - max(executable._root, executable.n_slots - 1)
             findings.append(
                 _finding(
                     "dead-tape-step",
                     where,
-                    f"{dead} step(s) after the root at position {tape._root} "
+                    f"{dead} step(s) after the root at position {executable._root} "
                     "are never read",
                 )
             )
     if expr is not None:
-        mirror = TapePlan(expr, tape.n_slots)
+        mirror = TapePlan(expr, executable.n_slots)
         if n_steps > len(mirror):
             findings.append(
                 _finding(
@@ -222,7 +222,7 @@ def lint_tape(
     materialized: List[la.LAExpr] = []
     duplicates = 0
     for index in range(n_steps):
-        node = tape.step_node(index)
+        node = executable.step_node(index)
         if node is None or not node.children:
             continue
         if any(node == other for other in materialized):

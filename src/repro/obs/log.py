@@ -7,7 +7,7 @@ the application opts in), and :func:`configure_logging` is the opt-in —
 one call attaches a stream handler with a structured single-line format
 carrying the logger name, level, and message.
 
-Events routed through this logger include crash requeues,
+Events routed through this logger include failed batches,
 degraded-mode compile fallbacks, injected faults, store read/write
 demotions, and request sheds.
 """

@@ -161,7 +161,7 @@ class ProfileReport:
 
 
 def build_report(
-    tape: TapePlan,
+    executable: TapePlan,
     profiler: TapeProfiler,
     slot_plan: Any,
     cost_model: Optional[LACostModel] = None,
@@ -182,8 +182,8 @@ def build_report(
     model = cost_model or LACostModel()
     report = model.cost(slot_plan)
     steps: List[StepProfile] = []
-    for index in range(len(tape)):
-        group = tape.step_group(index)
+    for index in range(len(executable)):
+        group = executable.step_group(index)
         predicted_cost: Optional[float] = None
         predicted_nnz: Optional[float] = None
         if group:
@@ -194,7 +194,7 @@ def build_report(
         steps.append(
             StepProfile(
                 step=index,
-                op=tape.step_label(index),
+                op=executable.step_label(index),
                 calls=profiler.calls[index],
                 seconds=profiler.seconds[index],
                 cells=profiler.cells[index],

@@ -8,12 +8,12 @@ The :class:`Tracer` keeps the *current* span context in a
 parent automatically within one thread.
 
 Crossing threads is explicit by design: the serving engine runs a request
-on the caller's thread or on whichever pool thread picks it up (and
-possibly a *different* thread after a crash requeue), so the enqueue path
-calls :meth:`Tracer.capture` and stores the :class:`SpanContext` on the
-request object; the serving thread passes it as ``parent=`` when it opens
-the serve span.  That keeps parentage intact through micro-batching and
-requeues without any thread-local inheritance magic.
+on the caller's thread or on whichever pool thread picks it up, so the
+enqueue path calls :meth:`Tracer.capture` and stores the
+:class:`SpanContext` on the request object; the serving thread passes it
+as ``parent=`` when it opens the serve span.  That keeps parentage intact
+through micro-batching and the queue hand-off without any thread-local
+inheritance magic.
 
 Finished spans accumulate in a bounded ring (oldest dropped) and export
 two ways:

@@ -14,16 +14,9 @@ site                      where it fires, and its fault contract
 ``store.write``           inside :meth:`PlanStore._write_atomic`'s IO block;
                           handled as a failed persist — counted, skipped,
                           the in-memory plan stays authoritative
-``shard.execute``         in :meth:`BatchServer._execute`, before the tape
-                          runs; a retriable error enters the serving retry
-                          loop, a :class:`ShardCrashError` aborts the batch
-                          and the engine requeues its unresolved requests
 ``optimizer.saturate``    in the pipeline, before each region's saturation
                           run; :class:`OptimizerBudgetExceeded` triggers the
                           session's degraded-mode baseline fallback
-``tape.step``             per executed tape step; models a transient kernel
-                          fault mid-plan, surfaced as a retriable
-                          :class:`reliability.ExecutionError`
 ========================  ====================================================
 
 Schedules are **deterministic**: each site keeps an invocation counter
@@ -47,13 +40,7 @@ from repro import obs
 logger = logging.getLogger(__name__)
 
 #: the injection-site names the real code paths carry
-SITES = (
-    "store.read",
-    "store.write",
-    "shard.execute",
-    "optimizer.saturate",
-    "tape.step",
-)
+SITES = ("store.read", "store.write", "optimizer.saturate")
 
 #: what a rule raises: an exception type (instantiated with a descriptive
 #: message) or a factory called with that message
@@ -135,8 +122,8 @@ class FaultInjector:
 
         Called by the real code paths on every invocation of the site.
         Raises the scheduled error (recording it in :attr:`fired`) or
-        returns normally.  Sites pass a stable ``key`` (a fingerprint, a
-        step index) so schedules can target specific work.
+        returns normally.  Sites pass a stable ``key`` (a store file name,
+        a region index) so schedules can target specific work.
         """
         if not self.enabled:
             return

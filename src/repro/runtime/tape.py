@@ -68,7 +68,6 @@ from typing import (
 )
 
 from repro.lang import expr as la
-from repro.reliability.faults import FaultInjector
 from repro.runtime import kernels
 from repro.runtime.data import MatrixValue
 from repro.runtime.engine import (
@@ -380,7 +379,6 @@ class TapePlan:
         self,
         values: Sequence[MatrixValue],
         reuse: Optional[StepReuseCache] = None,
-        faults: Optional[FaultInjector] = None,
         profiler: Optional[TapeProfilerLike] = None,
     ) -> ExecutionResult:
         """Run the tape over a positional slot-value vector.
@@ -391,17 +389,10 @@ class TapePlan:
         return the remembered result instead of recomputing; without it, the
         steps only pinned slots determine go through :attr:`hoisted`.
 
-        Fault contract (``tape.step``): with ``faults`` given, the site is
-        checked before every step with the step index as its key — it
-        models a transient kernel fault mid-plan.  An injected retriable
-        error aborts this run (no partial result escapes; the scratch
-        vector is cleared on release) and the serving retry loop
-        re-executes the pure tape from scratch.
-
         With ``profiler`` (see :class:`repro.obs.profile.TapeProfiler`),
         every step is individually timed and its output recorded, which
         is what attributes wall-time and intermediate cells to plan
-        nodes.  All three hooks default to ``None``, which keeps the
+        nodes.  Both hooks default to ``None``, which keeps the
         production loop a bare dispatch over the tape.
         """
         if len(values) != self.n_slots:
@@ -414,11 +405,11 @@ class TapePlan:
         try:
             if reuse is None:
                 reuse = self.hoisted
-            if reuse is None and faults is None and profiler is None:
+            if reuse is None and profiler is None:
                 for fn, out, _, _, _ in self._steps:
                     vals[out] = fn(vals)
             else:
-                self._run_hooked(vals, reuse, faults, profiler)
+                self._run_hooked(vals, reuse, profiler)
             value = vals[self._root]
         finally:
             self._pool.release(vals)
@@ -435,12 +426,9 @@ class TapePlan:
         self,
         vals: List[Optional[MatrixValue]],
         reuse: Optional[StepReuseCache],
-        faults: Optional[FaultInjector],
         profiler: Optional[TapeProfilerLike],
     ) -> None:
         for index, (fn, out, deps, _, _) in enumerate(self._steps):
-            if faults is not None:
-                faults.check("tape.step", str(index))
             step_start = time.perf_counter() if profiler is not None else 0.0
             reused = False
             if reuse is not None and deps and reuse.covers(index):

@@ -18,11 +18,11 @@ deployable service shape:
   (``python -m repro.serve.warmup``) that pre-compiles a workload list
   into a store so a fresh engine starts 100% warm.
 
-Reliability (see :mod:`repro.reliability`): a crashed batch is requeued
-(idempotent by future state plus the result cache), transient execution
-faults are retried under the request deadline, compiles degrade to baseline
-plans when the optimizer overruns its budget, and :meth:`ServingEngine.health`
-reports it all.
+Reliability (see :mod:`repro.reliability`): an error fails its own
+request's future with no retry (plans are pure, so it would repeat),
+compiles degrade to baseline plans when the optimizer overruns its budget,
+store faults demote to misses and skipped persists, and
+:meth:`ServingEngine.health` reports liveness and the degraded rate.
 """
 
 from repro.reliability.errors import EngineClosedError

@@ -26,8 +26,7 @@ front door:
   on top.
 * **Answers at the door.**  An exact repeat (same fingerprint, same input
   objects) resolves from the engine's one result cache before anything is
-  served or queued; execution consults it too, so batch-mates and requeues
-  hit it.
+  served or queued; execution consults it too, so batch-mates hit it.
 * **Engine-level statistics.**  :meth:`stats` copies the engine's one
   :class:`~repro.serve.worker.ServingCounters` record and adds throughput,
   p50/p95 latency and the session's compilation and template-hit counts;
@@ -42,19 +41,19 @@ interpreter, minus its per-intermediate bufferpool accounting.
 
 **Reliability** (:mod:`repro.reliability` threaded end to end):
 
-* **Crash requeue.**  A :class:`~repro.reliability.ShardCrashError` (the
-  serving thread dying mid-batch) puts the batch's unresolved requests back
-  on the queue, where a pool thread serves them on the same session and
-  result cache — a crash costs latency, never answers and never a compile.
-  A pool thread's loop survives every error, so nothing needs restarting.
+* **Typed failures, no retries.**  Plans are pure, so an execution error
+  repeats on every attempt and every thread: it fails its own request's
+  future, once.  An error that escapes a batch fails that batch's
+  unresolved futures; a pool thread's loop survives every error, so
+  nothing needs restarting.
 * **Graceful degradation.**  With an ``optimizer_budget``, a compile that
   overruns (or an injected optimizer fault) falls back to the unoptimized
   baseline plan — semantically identical under SPORES' equality-saturation
   contract, marked ``degraded`` in every stats surface.  Store read/write
   failures demote to cache misses / skipped persists.
-* **Health.**  :meth:`health` reports liveness, readiness, queue depth,
-  crash requeues and the degraded-request rate — the machine-readable shape
-  a load balancer or test harness polls.
+* **Health.**  :meth:`health` reports liveness, readiness, queue depth and
+  the degraded-request rate — the machine-readable shape a load balancer or
+  test harness polls.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature, signature_of
 from repro.lang import expr as la
 from repro.optimizer.config import OptimizerConfig
-from repro.reliability.errors import EngineClosedError, ShardCrashError
-from repro.reliability.faults import NO_FAULTS, FaultInjector
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.errors import EngineClosedError
+from repro.reliability.faults import FaultInjector
 from repro.runtime.engine import ExecutionResult
 from repro.serialize.store import PlanStore, StoreStats
 from repro.serve.worker import (
@@ -102,10 +100,8 @@ _STOP = object()
 #: engine's own records
 _RECORD_HELP = {
     "serve_requests_total": "Served requests by final disposition",
-    "serve_retries_total": "Transient execution failures retried in place",
     "serve_degraded_total": "Requests answered by a degraded baseline plan",
     "serve_batches_total": "Micro-batches served",
-    "serve_restarts_total": "Batches requeued after a serving crash",
     "plan_cache_hits_total": "Plan requests served from cached state",
     "plan_cache_misses_total": "Plan requests that ran the optimizer pipeline",
     "plan_cache_evictions_total": "Plan-cache LRU evictions",
@@ -135,9 +131,9 @@ class QueueFullError(RuntimeError):
 class _PoolQueue(queue.Queue):
     """The bounded request queue, plus a put the bound does not apply to.
 
-    Producers get back-pressure from the bound; the engine's own puts — a
-    crashed batch's requeue, the stop sentinels — must never wait on the
-    threads that drain the queue, so they use :meth:`force`.
+    Producers get back-pressure from the bound; the engine's own puts — the
+    stop sentinels — must never wait on the threads that drain the queue,
+    so they use :meth:`force`.
     """
 
     def force(self, item: object) -> None:
@@ -168,6 +164,9 @@ class EngineStats(ServingCounters):
     #: fraction of served requests that skipped compilation entirely — the
     #: serving-level hit rate
     hit_rate: float = 0.0
+    #: always 0: nothing retries or requeues; kept for records that read them
+    retries: int = 0
+    restarts: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -188,7 +187,6 @@ class ServingEngine(BatchServer):
         optimizer_budget: Optional[float] = None,
         degrade_on_error: bool = False,
         fault_injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         # Checked before anything starts: queue.Queue(0) is unbounded (no
         # back-pressure, no QueueFullError).
@@ -222,16 +220,11 @@ class ServingEngine(BatchServer):
                 degrade_on_error=degrade_on_error,
                 fault_injector=fault_injector,
             ),
-            faults=fault_injector or NO_FAULTS,
-            retry_policy=retry_policy,
             latency_histogram=self._latency,
         )
         self.queue = _PoolQueue(maxsize=queue_depth)
         self._first_submit: Optional[float] = None
         self._closed = False
-        #: set once close() has failed what was left on the queue; a crash
-        #: requeue after that fails its requests instead
-        self._drained = False
         #: submitters (and inline callers) between the closed-check and the
         #: end of their queue put or serve; close() waits for this to reach
         #: zero before stopping the pool, so a request can never land on the
@@ -320,7 +313,6 @@ class ServingEngine(BatchServer):
         Admitted and shed as :meth:`submit`, whose door answers exact
         repeats too; a miss is served through the pool's own batch path —
         same reuse state and counters — on this thread, with no hand-off.
-        Only a crash sends the request to the pool, and then this waits.
         """
         merged = self._merge_inputs(inputs, named)
         future = self._enqueue(expr, merged, compile_only=False, deadline=deadline, inline=True)
@@ -376,7 +368,7 @@ class ServingEngine(BatchServer):
         # The enqueue span covers binding plus the queue put (so its
         # duration surfaces back-pressure waits); its context rides on the
         # request so the serve.request span parents to it across the thread
-        # hand-off — and across crash requeues.
+        # hand-off.
         with _TRACER.span("serve.enqueue", digest=signature.digest[:12]):
             try:
                 values = None if compile_only else tuple(bind_signature(signature, inputs))
@@ -402,9 +394,8 @@ class ServingEngine(BatchServer):
                 if self._first_submit is None:
                     self._first_submit = request.enqueued
             # The door answers a live exact repeat before anything is served.
-            # Faults skip it: repeats must reach injection sites.
             live = request.deadline is None or time.perf_counter() <= request.deadline
-            door = live and values is not None and not self.faults.enabled
+            door = live and values is not None
             hit = self.results.get(signature.digest, values) if door else None
             if hit is None and not inline:
                 try:
@@ -429,7 +420,7 @@ class ServingEngine(BatchServer):
         elif inline:
             # Still inside the _pending_submits window, so close() waits.
             try:
-                self._serve_or_requeue([request])
+                self._serve_or_fail([request])
             finally:
                 self._end_submit()
         return future
@@ -518,38 +509,15 @@ class ServingEngine(BatchServer):
                 batch.pop()
             if batch:
                 self._in_flight[index] = batch
-                self._serve_or_requeue(batch)
+                self._serve_or_fail(batch)
                 self._in_flight[index] = []
             if stop:
                 return
 
-    def _serve_or_requeue(self, batch: List[ShardRequest]) -> None:
-        """Serve a batch on this thread; nothing that escapes it is lost.
-
-        A :class:`~repro.reliability.ShardCrashError` puts the unresolved
-        requests back on the queue for the pool (an inline caller then
-        waits on its future); any other escaping error fails them.
-        """
+    def _serve_or_fail(self, batch: List[ShardRequest]) -> None:
+        """Serve a batch on this thread; an escaping error fails what it left."""
         try:
             self._serve_batch(batch)
-        except ShardCrashError:
-            unresolved = [request for request in batch if not request.future.done()]
-            with self._lock:
-                self.counters.restarts += 1
-                restarts = self.counters.restarts
-                requeue = not self._drained
-                if requeue:
-                    for request in unresolved:
-                        self.queue.force(request)
-            logger.warning(
-                "serving crashed; restarting %d unresolved request(s) from the queue "
-                "(restart #%d)",
-                len(unresolved),
-                restarts,
-            )
-            if not requeue:  # close() already failed the queue; nobody drains it
-                for request in unresolved:
-                    _fail(request.future, EngineClosedError("ServingEngine closed"))
         except Exception as error:
             unresolved = [request for request in batch if not request.future.done()]
             logger.exception("serving a batch failed; failing %d request(s)", len(unresolved))
@@ -569,20 +537,17 @@ class ServingEngine(BatchServer):
 
         ``live``: the engine is open and a pool thread runs.  ``ready``:
         open *and* every pool thread runs.  ``queue_depth`` is what waits
-        for the pool; ``restarts`` counts crash requeues; ``degraded_rate``
-        is the fraction of served requests answered by a baseline
-        (unoptimized) plan.
+        for the pool; ``degraded_rate`` is the fraction of served requests
+        answered by a baseline (unoptimized) plan.
         """
         alive = sum(thread.is_alive() for thread in self._threads)
         with self._lock:
             closed = self._closed
-            counters = self.counters
-            served, degraded, restarts = counters.served, counters.degraded, counters.restarts
+            served, degraded = self.counters.served, self.counters.degraded
         return {
             "live": not closed and alive > 0,
             "ready": not closed and alive == len(self._threads),
             "queue_depth": self.queue.qsize(),
-            "restarts": restarts,
             "degraded_rate": degraded / served if served else 0.0,
         }
 
@@ -636,10 +601,8 @@ class ServingEngine(BatchServer):
             ("serve_requests_total", "ok"): stats.served,
             ("serve_requests_total", "error"): stats.errors,
             ("serve_requests_total", "shed"): stats.sheds,
-            ("serve_retries_total", None): stats.retries,
             ("serve_degraded_total", None): stats.degraded,
             ("serve_batches_total", None): stats.batches,
-            ("serve_restarts_total", None): stats.restarts,
             ("plan_cache_hits_total", None): cache.hits,
             ("plan_cache_misses_total", None): cache.misses,
             ("plan_cache_evictions_total", None): cache.evictions,
@@ -705,7 +668,6 @@ class ServingEngine(BatchServer):
         # whatever is left — queued, or in the batch of a thread that is
         # still busy — and hand each busy thread its sentinel back.
         with self._lock:
-            self._drained = True
             leftovers: List[ShardRequest] = [r for batch in self._in_flight for r in batch]
             stops = 0
             while True:

@@ -11,7 +11,7 @@ through the same method.  Everything it keeps is engine-wide:
   signature)``; a cache hit is a dictionary probe), so a plan compiled,
   loaded or specialized by any thread is there for all of them;
 * the engine's one :class:`ResultCache`, consulted again when a request
-  executes, so batch-mates and requeued requests hit what a twin stored;
+  executes, so batch-mates hit what a twin stored;
 * one :class:`ServingCounters` record under the engine lock;
 * per-executable serving state (:class:`_LocalState`): a
   :class:`~repro.runtime.tape.StepReuseCache` for pinned-parameter reuse and
@@ -45,17 +45,10 @@ executor time on answers nobody is waiting for.
 
 **Failure semantics.**  Every request carries a
 :class:`concurrent.futures.Future`, which stays pending until it is
-answered.  An execution error first enters the **retry loop** (the engine's
-:class:`~repro.reliability.RetryPolicy`: retriable errors back off and
-re-execute, bounded per error class, never past the request deadline); only
-an exhausted or non-retriable error resolves the future exceptionally.  The
-one exception that escapes ``_serve_batch`` is
-:class:`~repro.reliability.ShardCrashError`, which models the serving
-thread dying mid-batch: the engine puts the batch's unresolved requests
-back on its queue (idempotent: a requeued request meets the result cache
-again, so completed work is never re-executed).  Nothing here keeps a
-failure history: a request that fails on one thread would fail identically
-on any other.
+answered.  A compile error fails the requests of its instance group, an
+execution or binding error fails its own request; nothing is retried.
+Plans are pure functions of their inputs, so an error would repeat on
+every attempt and on every thread.
 """
 
 from __future__ import annotations
@@ -75,9 +68,7 @@ from repro.api.plan import CompiledPlan, InputValue, bind_signature
 from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature
 from repro.lang import expr as la
-from repro.reliability.errors import DeadlineExceededError, ShardCrashError
-from repro.reliability.faults import FaultInjector
-from repro.reliability.retry import RetryPolicy
+from repro.reliability.errors import DeadlineExceededError
 from repro.runtime.codegen import stackable_slot
 from repro.runtime.data import MatrixValue
 from repro.runtime.engine import ExecutionResult, ExecutionStats
@@ -157,8 +148,8 @@ class ShardRequest:
     #: absolute perf_counter time after which the request is shed unserved
     deadline: Optional[float] = None
     #: trace context captured at submit time; the serve-path span parents to
-    #: it, so parentage survives micro-batching, the queue hand-off and crash
-    #: requeues — the context rides on the request object
+    #: it, so parentage survives micro-batching and the queue hand-off — the
+    #: context rides on the request object
     trace_context: Optional[obs.SpanContext] = None
     #: inputs in slot order, bound at the door (None: compile-only, or unbound)
     values: Optional[Tuple[MatrixValue, ...]] = None
@@ -198,8 +189,6 @@ class ServingCounters:
     #: requests rejected unserved because their deadline had already passed,
     #: in the queue or at a full queue
     sheds: int = 0
-    #: transient execution failures retried in place (never past a deadline)
-    retries: int = 0
     #: requests answered by a degraded (unoptimized baseline) plan
     degraded: int = 0
     batches: int = 0
@@ -211,8 +200,6 @@ class ServingCounters:
     stacked_requests: int = 0
     result_cache_hits: int = 0
     step_reuse_hits: int = 0
-    #: batches requeued after a serving crash
-    restarts: int = 0
 
 
 class BatchServer:
@@ -221,20 +208,13 @@ class BatchServer:
     def __init__(
         self,
         session: Session,
-        faults: FaultInjector,
-        retry_policy: Optional[RetryPolicy],
         latency_histogram: obs.Histogram,
     ) -> None:
         #: the one session every request resolves its plan through
         self.session = session
         #: the one result cache the door and every execution consult
         self.results = ResultCache()
-        self.faults = faults
-        self.retry_policy = retry_policy
         self.latency_histogram = latency_histogram
-        #: pass-through for TapePlan.execute: None keeps its fast path when
-        #: injection is off (the default singleton never fires)
-        self._tape_faults: Optional[FaultInjector] = faults if faults.enabled else None
         #: the engine lock: counters, the sets below, _local's membership
         self._lock = threading.Lock()
         self.counters = ServingCounters()
@@ -297,8 +277,6 @@ class BatchServer:
                     plan = self._compile(members[0])
                     tape = plan.executable()
                     local = self._local_state(plan, tape)
-                except ShardCrashError:
-                    raise  # a crash is a crash wherever it lands
                 except Exception as error:  # compile failure poisons the instance only
                     with self._lock:
                         self.counters.errors += len(members)
@@ -332,18 +310,17 @@ class BatchServer:
         tape: TapePlan,
         local: _LocalState,
         values: Sequence[MatrixValue],
-        faults: Optional[FaultInjector] = None,
     ) -> ExecutionResult:
         """Execute on the executable's reuse state, counting its hits."""
         reuse = local.reuse
         try:
-            return tape.execute(values, reuse, faults)
+            return tape.execute(values, reuse)
         finally:
             with self._lock:
                 self.counters.step_reuse_hits += reuse.hits
             reuse.hits = reuse.misses = 0
 
-    def _shed(self, request: ShardRequest, reason: str = "in queue") -> None:
+    def _shed(self, request: ShardRequest) -> None:
         """Drop an expired request with the typed shed error (counted)."""
         if request.future.done():
             return
@@ -353,7 +330,7 @@ class BatchServer:
             request.future,
             DeadlineExceededError(
                 f"request deadline exceeded after "
-                f"{time.perf_counter() - request.enqueued:.3f}s {reason}"
+                f"{time.perf_counter() - request.enqueued:.3f}s in queue"
             ),
         )
 
@@ -369,59 +346,29 @@ class BatchServer:
             # The budget expired while earlier groups of this batch ran.
             self._shed(request)
             return
-        if request.future.done():  # cancelled, or answered before a requeue
+        if request.future.done():  # cancelled, or failed by close()
             return
         with _TRACER.span(
             "serve.request",
             parent=request.trace_context,
             digest=request.signature.digest[:12],
         ) as span:
-            attempt = 0
-            while True:
-                try:
-                    if not request.compile_only:
-                        result: object = self._execute(
-                            tape, local, request, prestacked, plan.degraded
-                        )
-                    elif plan.signature is request.signature:
-                        result = plan
-                    else:  # a renamed twin's plan must speak its own names
-                        result = self._compile(request)
-                    break
-                except ShardCrashError:
-                    # Models the serving thread dying mid-request: leave the
-                    # future unresolved; the engine requeues it.
-                    raise
-                except Exception as error:
-                    policy = self.retry_policy
-                    if policy is not None and policy.should_retry(error, attempt):
-                        wait = policy.delay_within(
-                            attempt,
-                            key=request.signature.digest,
-                            now=time.perf_counter(),
-                            deadline=request.deadline,
-                        )
-                        if wait is None:
-                            # The backoff would land past the deadline: shed
-                            # now rather than promise an answer we cannot give
-                            # in time.  Counted with the other sheds.
-                            self._shed(request, reason="retrying")
-                            span.set_attribute("result", "shed")
-                            return
-                        with self._lock:
-                            self.counters.retries += 1
-                        if wait > 0.0:
-                            time.sleep(wait)
-                        attempt += 1
-                        continue
-                    with self._lock:
-                        self.counters.errors += 1
-                    span.set_attribute("result", "error")
-                    _fail(request.future, error)
-                    return
+            try:
+                if not request.compile_only:
+                    result: object = self._execute(
+                        tape, local, request, prestacked, plan.degraded
+                    )
+                elif plan.signature is request.signature:
+                    result = plan
+                else:  # a renamed twin's plan must speak its own names
+                    result = self._compile(request)
+            except Exception as error:
+                with self._lock:
+                    self.counters.errors += 1
+                span.set_attribute("result", "error")
+                _fail(request.future, error)
+                return
             self.count_served(request, degraded=plan.degraded)
-            if attempt:
-                span.set_attribute("retries", attempt)
             span.set_attribute("result", "ok")
             _resolve(request.future, result)
 
@@ -461,12 +408,7 @@ class BatchServer:
         ``local.lock``.
         """
         slot = local.slot
-        if (
-            slot is None
-            or local.status == "off"
-            or len(members) < 2
-            or self._tape_faults is not None
-        ):
+        if slot is None or local.status == "off" or len(members) < 2:
             return {}
         families: Dict[Tuple[object, ...], List[ShardRequest]] = {}
         for request in members:
@@ -555,13 +497,9 @@ class BatchServer:
             with self._lock:
                 self.counters.result_cache_hits += 1
             return cached[0]
-        # Injection site ``shard.execute``: fires *before* the tape runs and
-        # before anything is cached, so a retriable fault re-executes from a
-        # clean slate and a ShardCrashError leaves no partial state behind.
-        self.faults.check("shard.execute", digest)
         result = prestacked.pop(id(request), None)
         if result is None:
             with _TRACER.span("serve.execute", steps=len(tape)):
-                result = self._run_tape(tape, local, values, self._tape_faults)
+                result = self._run_tape(tape, local, values)
         self.results.put(digest, values, result, degraded)
         return result

@@ -535,7 +535,7 @@ class TestServingStacked:
             assert engine.counters.stacked_requests == len(requests)
             for request, vector in zip(requests, vectors):
                 got = prestacked[id(request)].value
-                individual = tape.execute([pinned, vector], local.reuse, None).value
+                individual = tape.execute([pinned, vector], local.reuse).value
                 assert got.is_sparse == individual.is_sparse
                 assert np.array_equal(got.to_dense(), individual.to_dense())
         finally:
@@ -553,7 +553,7 @@ class TestServingStacked:
             assert engine.counters.stacked_batches == 1
             assert engine.counters.stacked_requests == 3
             for i in (0, 1, 3):
-                individual = tape.execute([pinned, vectors[i]], local.reuse, None).value
+                individual = tape.execute([pinned, vectors[i]], local.reuse).value
                 assert np.array_equal(prestacked[id(requests[i])].value.to_dense(),
                                       individual.to_dense())
         finally:
@@ -572,7 +572,7 @@ class TestServingStacked:
             assert engine.counters.stacked_batches == 2
             assert engine.counters.stacked_requests == 4
             for request in requests:
-                individual = tape.execute(list(request.values), local.reuse, None).value
+                individual = tape.execute(list(request.values), local.reuse).value
                 assert np.array_equal(prestacked[id(request)].value.to_dense(),
                                       individual.to_dense())
         finally:

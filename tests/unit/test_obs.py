@@ -279,14 +279,14 @@ class TestLogging:
         assert len(logging.getLogger("repro").handlers) == before
 
     def test_reliability_events_route_through_repro_logger(self, caplog):
-        from repro.reliability import FaultInjector, FaultRule, ShardCrashError
+        from repro.reliability import FaultInjector, FaultRule, PlanStoreError
 
-        faults = FaultInjector([FaultRule("shard.execute", ShardCrashError, count=1)])
+        faults = FaultInjector([FaultRule("store.read", PlanStoreError, count=1)])
         with caplog.at_level(logging.INFO, logger="repro"):
-            with pytest.raises(ShardCrashError):
-                faults.check("shard.execute")
+            with pytest.raises(PlanStoreError):
+                faults.check("store.read")
         assert any(
-            r.name.startswith("repro.") and "injected fault at shard.execute" in r.message
+            r.name.startswith("repro.") and "injected fault at store.read" in r.message
             for r in caplog.records
         )
 

@@ -4,13 +4,11 @@ The serving-side contract of :mod:`repro.obs`: the ``serve.request`` span
 parents to its submit-side ``serve.enqueue`` span because the captured
 context rides on the :class:`~repro.serve.worker.ShardRequest` — so
 parentage must survive everything that can happen to a request between
-submit and answer: micro-batching with strangers, the hand-off to a pool
-thread, and a crash that requeues it.  Latency quantiles come from the
+submit and answer: micro-batching with strangers and the hand-off to a pool
+thread.  Latency quantiles come from the
 engine-owned histogram, and ``metrics_text()`` parses as Prometheus text
 exposition.
 """
-
-import logging
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from repro import obs
 from repro.api.plan import PlanBindingError
 from repro.lang import Dim, Matrix, Sum, Vector
 from repro.optimizer import OptimizerConfig
-from repro.reliability import FaultInjector, FaultRule, ShardCrashError
 from repro.runtime import MatrixValue
 from repro.serve import ServingEngine
 
@@ -99,29 +96,6 @@ class TestServeSpans:
         request_threads = {s.thread for s in requests}
         assert request_threads.isdisjoint(enqueue_threads)
 
-    def test_parentage_survives_a_crash_requeue(self):
-        """A crash-requeued request keeps its original trace context."""
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
-        )
-        engine = ServingEngine(
-            shards=2,
-            config=config(),
-            fault_injector=faults,
-        )
-        try:
-            expr, inputs = make_loss(), make_inputs(1)
-            engine.run(expr, inputs)
-            assert engine.stats().restarts == 1
-            parsed = obs.parse_exposition(engine.metrics_text())
-        finally:
-            engine.close()
-        requests = assert_request_parents_enqueue()
-        # the crashed attempt and the requeued attempt belong to the same
-        # trace: one enqueue, served inline and then on a pool thread
-        assert len({s.trace_id for s in requests}) == 1
-        assert parsed["repro_serve_restarts_total"] == 1
-
     def test_execute_span_nests_under_request_span(self):
         engine = ServingEngine(shards=1, config=config())
         try:
@@ -187,29 +161,6 @@ class TestLatencyHistogram:
         finally:
             engine.close()
 
-    def test_histogram_counts_a_requeued_request_once(self):
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=1, count=1)]
-        )
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-        )
-        try:
-            expr = make_loss()
-            engine.run(expr, make_inputs(0))  # served clean
-            engine.run(expr, make_inputs(1))  # crash, requeue, answer
-            stats = engine.stats()
-            assert stats.restarts == 1
-            assert stats.served == 2
-            # both completions observed into the one engine-owned reservoir
-            assert engine._latency.count == 2
-            assert stats.p50_latency > 0.0
-        finally:
-            engine.close()
-
-
 class TestMetricsText:
     def test_exposition_parses_and_counts_requests(self):
         engine = ServingEngine(shards=2, config=config())
@@ -226,35 +177,14 @@ class TestMetricsText:
         assert parsed["repro_compile_total"] >= 1
         assert parsed["repro_plan_cache_misses_total"] >= 1
 
-    def test_serve_counters_track_retries_and_sheds(self):
-        from repro.reliability import ExecutionError, RetryPolicy
-
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ExecutionError, start=0, count=1)]
-        )
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0005),
-        )
-        try:
-            engine.run(make_loss(), make_inputs(0))
-        finally:
-            engine.close()
-        stats = engine.stats()
-        assert stats.retries == 1
-        assert stats.served == 1
-
     def test_every_record_series_reads_its_record_with_obs_disabled(self, tmp_path):
         """metrics_text() renders the stats records, not a disabled mirror.
 
-        One request retried, one shed and one corrupt store entry: each
+        Two requests served, one shed and one corrupt store entry: each
         serve, plan-cache, session and plan-store series must equal the
         record it is rendered from, though the global registry is off.
         """
         from repro.api import Session
-        from repro.reliability import ExecutionError, RetryPolicy
         from repro.serialize import PlanStore
         from repro.serve import QueueFullError
 
@@ -263,19 +193,14 @@ class TestMetricsText:
         Session(config(), store=store).compile(make_loss())
         (entry,) = [path for path in tmp_path.glob("*.json") if path.name != "manifest.json"]
         entry.write_text(entry.read_text()[:64])
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ExecutionError, start=0, count=1)]
-        )
         engine = ServingEngine(
             shards=2,
             config=config(),
             store=PlanStore(tmp_path, config()),
-            fault_injector=faults,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0005),
         )
         try:
             expr = make_loss()
-            engine.run(expr, make_inputs(0))  # corrupt entry, alias hit, one retry
+            engine.run(expr, make_inputs(0))  # corrupt entry, alias hit
             engine.run(expr, make_inputs(1))
             with pytest.raises(QueueFullError):
                 engine.submit(expr, make_inputs(2), deadline=1e-9).result(timeout=60)
@@ -288,10 +213,8 @@ class TestMetricsText:
             'repro_serve_requests_total{result="ok"}': stats.served,
             'repro_serve_requests_total{result="error"}': stats.errors,
             'repro_serve_requests_total{result="shed"}': stats.sheds,
-            "repro_serve_retries_total": stats.retries,
             "repro_serve_degraded_total": stats.degraded,
             "repro_serve_batches_total": stats.batches,
-            "repro_serve_restarts_total": stats.restarts,
             "repro_plan_cache_hits_total": cache["hits"],
             "repro_plan_cache_misses_total": cache["misses"],
             "repro_plan_cache_evictions_total": cache["evictions"],
@@ -317,7 +240,7 @@ class TestMetricsText:
         assert rendered == set(expected)
         assert {name: parsed[name] for name in expected} == expected
         # the mix reached the counters it was built for
-        assert (stats.served, stats.retries, stats.sheds) == (2, 1, 1)
+        assert (stats.served, stats.sheds) == (2, 1)
         # the corrupt entry is a load error; its intact template alias served
         assert disk["load_errors"] == disk["template_hits"] == cache["template_hits"] == 1
 
@@ -341,23 +264,6 @@ class TestMetricsText:
         assert not [
             name for name in parsed if "breaker" in name or "rerout" in name
         ]
-
-    def test_restart_events_are_logged(self, caplog):
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
-        )
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-        )
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            try:
-                engine.run(make_loss(), make_inputs(0))
-            finally:
-                engine.close()
-        assert any("restarting" in record.message for record in caplog.records)
-
 
 class TestProfilerReconciliation:
     def test_profiler_totals_reconcile_with_span_durations(self):

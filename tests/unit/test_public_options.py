@@ -34,7 +34,7 @@ def test_serving_engine_options():
     assert defaulted(ServingEngine) == [
         "shards", "config", "store", "store_path", "cache_size",
         "queue_depth", "default_deadline", "optimizer_budget",
-        "degrade_on_error", "fault_injector", "retry_policy",
+        "degrade_on_error", "fault_injector",
     ]
 
 

@@ -2,9 +2,9 @@
 
 Everything here injects faults through :class:`repro.reliability.FaultInjector`
 schedules — deterministic, seeded, replayable — and asserts the engine's
-survival contract: requests are answered correctly (retry, crash requeue,
-degraded fallback) or failed with a *typed* error; nothing is lost and
-nothing blocks forever.
+survival contract: requests are answered correctly (degraded fallback, store
+faults demoted) or failed with a *typed* error; nothing is lost and nothing
+blocks forever.
 """
 
 import threading
@@ -18,15 +18,11 @@ from repro.api.plan import PlanBindingError
 from repro.lang import Dim, Matrix, Sum, Vector, dag
 from repro.optimizer import OptimizerConfig
 from repro.reliability import (
-    DeadlineExceededError,
     EngineClosedError,
-    ExecutionError,
     FaultInjector,
     FaultRule,
     OptimizerBudgetExceeded,
     PlanStoreError,
-    RetryPolicy,
-    ShardCrashError,
 )
 from repro.runtime import MatrixValue, execute
 from repro.serialize.store import PlanStore
@@ -60,35 +56,10 @@ def expected(expr, inputs):
     return execute(expr, inputs).scalar()
 
 
-class TestCrashRecovery:
-    def test_a_crash_requeues_and_answers(self):
-        """A crashed batch's request survives: requeue, answer."""
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=0, count=1)]
-        )
-        engine = ServingEngine(
-            shards=2,
-            config=config(),
-            fault_injector=faults,
-        )
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(1)
-            result = engine.run(expr, inputs)
-            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
-            stats = engine.stats()
-            assert stats.restarts == 1
-            assert stats.served == 1
-            assert stats.errors == 0
-            assert faults.fired_at("shard.execute")  # the crash really fired
-            health = engine.health()
-            assert health["live"] and health["ready"]
-            assert health["restarts"] == 1
-        finally:
-            engine.close()
-
+class TestEscapingErrors:
     def test_an_escaping_error_fails_its_batch_and_the_pool_thread_lives_on(self, monkeypatch):
-        """Anything but a crash that escapes a batch fails that batch's
-        futures; the pool thread keeps serving, so nothing restarts it."""
+        """An error that escapes a batch fails that batch's futures; the
+        pool thread keeps serving, so nothing restarts it."""
         engine = ServingEngine(shards=1, config=config())
         serve_batch = engine._serve_batch
         calls = []
@@ -107,135 +78,10 @@ class TestCrashRecovery:
             result = engine.submit(expr, inputs).result(timeout=30)
             assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
             stats = engine.stats()
-            assert (stats.errors, stats.served, stats.restarts) == (1, 1, 0)
+            assert (stats.errors, stats.served) == (1, 1)
             assert engine.health()["ready"]
         finally:
             engine.close()
-
-    def test_repeated_crashes_drain_no_requests(self):
-        """Several crashes across a request burst: all answered, none lost."""
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=0, every=7, count=3)]
-        )
-        engine = ServingEngine(
-            shards=2,
-            config=config(),
-            fault_injector=faults,
-        )
-        try:
-            expr = make_loss(0.05)
-            input_sets = [make_inputs(seed) for seed in range(20)]
-            futures = [engine.submit(expr, inputs) for inputs in input_sets]
-            results = [future.result(timeout=60) for future in futures]
-            for inputs, result in zip(input_sets, results):
-                assert result.scalar() == pytest.approx(
-                    expected(expr, inputs), rel=1e-12
-                )
-            stats = engine.stats()
-            assert stats.served == len(input_sets)
-            assert stats.restarts == 3
-        finally:
-            engine.close()
-
-    def test_restarts_keep_the_one_session_and_compile_once(self):
-        """The chaos smoke's crash schedule without a store: every requeued
-        request is served on the engine's one session, so the shape compiles
-        once."""
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ShardCrashError, start=2, every=5, count=4)],
-            seed=11,
-        )
-        engine = ServingEngine(
-            shards=2, config=config(), fault_injector=faults
-        )
-        try:
-            expr = make_loss(0.05)
-            input_sets = [make_inputs(seed) for seed in range(24)]
-            futures = [engine.submit(expr, inputs) for inputs in input_sets]
-            for inputs, future in zip(input_sets, futures):
-                assert future.result(timeout=60).scalar() == pytest.approx(
-                    expected(expr, inputs), rel=1e-12
-                )
-            assert engine.stats().restarts == 4
-            assert engine.compilations == 1
-        finally:
-            engine.close()
-
-
-class TestRetries:
-    def test_transient_execution_fault_is_retried_in_place(self):
-        faults = FaultInjector(
-            [FaultRule("shard.execute", ExecutionError, start=0, count=2)]
-        )
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0005),
-        )
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(1)
-            result = engine.run(expr, inputs)
-            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
-            stats = engine.stats()
-            assert stats.retries == 2
-            assert stats.errors == 0
-            assert stats.restarts == 0  # retried in place, no crash
-        finally:
-            engine.close()
-
-    def test_tape_step_fault_is_retried_from_a_clean_slate(self):
-        """A mid-plan kernel fault never leaks a partial result."""
-        faults = FaultInjector(
-            [FaultRule("tape.step", ExecutionError, start=0, count=1)]
-        )
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0005),
-        )
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(3)
-            result = engine.run(expr, inputs)
-            assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
-            assert engine.stats().retries == 1
-        finally:
-            engine.close()
-
-    def test_retries_never_exceed_the_deadline(self):
-        """Deadline x retry: the backoff that would overrun sheds instead.
-
-        The fault fires on every execution attempt, the policy would allow
-        3 retries — but the first backoff (0.2s) already overruns the 0.15s
-        request budget, so the worker sheds with the typed
-        DeadlineExceededError, counted in stats().sheds, without sleeping
-        past the deadline.
-        """
-        faults = FaultInjector([FaultRule("shard.execute", ExecutionError)])
-        engine = ServingEngine(
-            shards=1,
-            config=config(),
-            fault_injector=faults,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.2, jitter=0.0),
-        )
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(1)
-            engine.warm([expr])  # compile outside the timed budget
-            started = time.perf_counter()
-            future = engine.submit(expr, inputs, deadline=0.15)
-            with pytest.raises(DeadlineExceededError):
-                future.result(timeout=30)
-            elapsed = time.perf_counter() - started
-            # Shed the moment the backoff no longer fits — far before the
-            # 3-retry schedule (0.6s of sleeps) would have completed.
-            assert elapsed < 0.6
-            stats = engine.stats()
-            assert stats.sheds >= 1
-            assert stats.retries == 0  # never retried past the deadline
-        finally:
-            engine.close()
-
 
 class TestOneClientsErrors:
     def test_a_clients_errors_stay_with_that_client(self):
@@ -254,7 +100,7 @@ class TestOneClientsErrors:
             result = engine.run(valid, leaves)
             assert result.scalar() == pytest.approx(expected(valid, leaves), rel=1e-9)
             stats = engine.stats()
-            assert (stats.served, stats.errors, stats.restarts) == (1, 5, 0)
+            assert (stats.served, stats.errors) == (1, 5)
             assert engine.health()["ready"]
         finally:
             engine.close()
@@ -272,16 +118,17 @@ class TestCloseSemantics:
 
     @staticmethod
     def gated_engine(**options):
-        """An engine whose one pool thread blocks in its first execution
-        until ``gate`` is set; returns ``(engine, entered, gate)``."""
+        """An engine whose one pool thread blocks in its first compile (the
+        first request's expression is cold) until ``gate`` is set; returns
+        ``(engine, entered, gate)``."""
         entered, gate = threading.Event(), threading.Event()
 
         def slow(message):
             entered.set()
             gate.wait(10)
-            return ExecutionError(message)
+            return OptimizerBudgetExceeded(message)
 
-        faults = FaultInjector([FaultRule("shard.execute", slow, count=1)])
+        faults = FaultInjector([FaultRule("optimizer.saturate", slow, count=1)])
         engine = ServingEngine(shards=1, config=config(), fault_injector=faults, **options)
         return engine, entered, gate
 
@@ -291,7 +138,7 @@ class TestCloseSemantics:
         engine, entered, gate = self.gated_engine()
         expr = make_loss(0.05)
         futures = [engine.submit(expr, make_inputs(0))]
-        assert entered.wait(10), "the pool thread never reached the execute site"
+        assert entered.wait(10), "the pool thread never reached the compile"
         futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
         try:
             engine.close(timeout=0.3)
@@ -308,7 +155,7 @@ class TestCloseSemantics:
         engine, entered, gate = self.gated_engine(queue_depth=2)
         expr = make_loss(0.05)
         futures = [engine.submit(expr, make_inputs(0))]
-        assert entered.wait(10), "the pool thread never reached the execute site"
+        assert entered.wait(10), "the pool thread never reached the compile"
         futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
         assert engine.queue.full()
         try:
@@ -329,7 +176,7 @@ class TestCloseSemantics:
         engine, entered, gate = self.gated_engine(queue_depth=2)
         expr = make_loss(0.05)
         futures = [engine.submit(expr, make_inputs(0))]
-        assert entered.wait(10), "the pool thread never reached the execute site"
+        assert entered.wait(10), "the pool thread never reached the compile"
         futures += [engine.submit(expr, make_inputs(seed)) for seed in (1, 2)]
         assert engine.queue.full()
         started = time.monotonic()

@@ -12,13 +12,15 @@ from repro.api import Session
 from repro.api.plan import PlanBindingError
 from repro.canonical.fingerprint import signature_of, slot_expression
 from repro.lang import Dim, Matrix, Sum, Vector
+from repro.lang import expr as la
+from repro.lang.dims import Shape
 from repro.optimizer import OptimizerConfig
 from repro.reliability import (
     EngineClosedError,
-    ExecutionError,
     FaultInjector,
     FaultRule,
-    ShardCrashError,
+    OptimizerBudgetExceeded,
+    PlanStoreError,
 )
 from repro.runtime import MatrixValue, execute, execute_slots
 from repro.runtime.tape import StepReuseCache, TapePlan
@@ -424,7 +426,7 @@ class TestServingEngine:
         record = engine.describe()
         assert record["shards"] == 2
         assert record["store"] is None
-        assert {"served", "hit_rate", "compilations", "restarts"} <= set(record)
+        assert {"served", "hit_rate", "compilations", "sheds"} <= set(record)
         assert json.loads(json.dumps(record)) == record
 
 
@@ -535,7 +537,9 @@ class TestCallerRuns:
             engine.close()
 
     def test_fault_injection_serves_inline_too(self, monkeypatch):
-        faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
+        faults = FaultInjector(
+            [FaultRule("optimizer.saturate", OptimizerBudgetExceeded, start=10**6)]
+        )
         engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
         try:
             calls = record_serving_threads(engine, monkeypatch)
@@ -630,31 +634,6 @@ class TestCallerRuns:
         assert not wrong
         assert inside[1] == 1
         assert engine.stats().served == 1 + 6 * 30  # the warm() request too
-
-    def test_a_crash_inside_run_is_requeued_and_answered_bitwise(self, monkeypatch):
-        crashed_on = []
-
-        def crash(message):
-            crashed_on.append(threading.current_thread())
-            return ShardCrashError(message)
-
-        faults = FaultInjector([FaultRule("shard.execute", crash, start=0, count=1)])
-        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(seed=16)
-            plan = engine.plan_for(expr)
-            calls = record_serving_threads(engine, monkeypatch)
-            got = engine.run(expr, inputs).value
-            # the crash hit this thread; the pool answered the requeued request
-            assert crashed_on == [threading.current_thread()]
-            assert [thread for thread, _ in calls] == [crashed_on[0], engine._threads[0]]
-            want = plan.executable().execute(plan.bind(inputs)).value
-            assert got.is_sparse == want.is_sparse
-            assert np.array_equal(got.to_dense(), want.to_dense())
-            stats = engine.stats()
-            assert (stats.restarts, stats.served, stats.errors) == (1, 2, 0)
-        finally:
-            engine.close()
 
     def test_close_racing_run_loops_leaves_nothing_pending(self):
         engine = ServingEngine(shards=2, config=config())
@@ -761,11 +740,10 @@ class TestResultCacheAtTheDoor:
             engine.close()
 
     def test_a_batch_mate_repeat_hits_what_its_twin_stored(self, monkeypatch):
-        # Faults turn the door off, so both twins queue behind the busy pool
-        # thread, drain as one batch, and the second's execute-time lookup
-        # finds the answer the first stored.
-        faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
-        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
+        # Neither twin is answered yet when both pass the door, so both queue
+        # behind the busy pool thread, drain as one batch, and the second's
+        # execute-time lookup finds the answer the first stored.
+        engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=21)
             engine.warm([expr])
@@ -806,21 +784,6 @@ class TestResultCacheAtTheDoor:
         finally:
             engine.close()
 
-    def test_fault_injection_sends_a_repeat_to_the_pool(self, monkeypatch):
-        faults = FaultInjector([FaultRule("shard.execute", ExecutionError, start=10**6)])
-        engine = ServingEngine(shards=1, config=config(), fault_injector=faults)
-        try:
-            expr, inputs = make_loss(0.05), make_inputs(seed=23)
-            first = engine.run(expr, inputs)
-            calls = record_serving_threads(engine, monkeypatch)
-            assert engine.submit(expr, inputs).result(timeout=30) is first
-            assert len(calls) == 1 and calls[0][0] is engine._threads[0]
-            stats = engine.stats()
-            # the execute-time lookup counted the hit, once
-            assert (stats.result_cache_hits, stats.served) == (1, 2)
-        finally:
-            engine.close()
-
     def test_a_bind_error_is_a_miss_that_fails_and_counts_once(self):
         engine = ServingEngine(shards=1, config=config())
         try:
@@ -856,6 +819,69 @@ class TestResultCacheAtTheDoor:
             assert engine.health()["degraded_rate"] == 1.0
             assert engine.plan_for(expr).degraded
         finally:
+            engine.close()
+
+
+class TestStoreFaultsChangeNoServing:
+    """An injector whose rules only reach the store leaves serving as it is
+    without one: the door answers repeats and families still stack."""
+
+    @staticmethod
+    def store_faults():
+        return FaultInjector(
+            [
+                FaultRule("store.read", PlanStoreError, every=2),
+                FaultRule("store.write", PlanStoreError, every=2),
+            ]
+        )
+
+    def test_a_repeat_is_answered_at_the_door(self, tmp_path, monkeypatch):
+        engine = ServingEngine(
+            shards=1, config=config(), store_path=str(tmp_path),
+            fault_injector=self.store_faults(),
+        )
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=28)
+            first = engine.run(expr, inputs)
+            calls = record_serving_threads(engine, monkeypatch)
+            future = engine.submit(expr, inputs)
+            assert future.done() and future.result() is first
+            assert engine.queue.empty() and calls == []
+            assert engine.stats().result_cache_hits == 1
+        finally:
+            engine.close()
+
+    def test_a_stackable_family_still_stacks(self, tmp_path):
+        m, n = Dim("m", 96), Dim("n", 64)
+        A = la.Var("A", Shape(m, n))
+        q = la.Var("q", Shape(n, Dim("one", 1)))
+        expr = la.UnaryFunc("sigmoid", la.MatMul(A, q))
+        rng = np.random.default_rng(8)
+        pinned = MatrixValue(rng.random((96, 64)))
+        vectors = [MatrixValue(rng.random((64, 1))) for _ in range(8)]
+        engine = ServingEngine(
+            shards=1, store_path=str(tmp_path), fault_injector=self.store_faults()
+        )
+        release = None
+        try:
+            plan = engine.plan_for(expr)
+            busy, release = hold_first_pool_batch(engine)
+            occupier = engine.submit(expr, {"A": pinned, "q": MatrixValue(rng.random((64, 1)))})
+            assert busy.wait(60)
+            futures = [engine.submit(expr, {"A": pinned, "q": vector}) for vector in vectors]
+            release.set()
+            occupier.result(timeout=60)
+            for future, vector in zip(futures, vectors):
+                want = plan.executable().execute(plan.bind({"A": pinned, "q": vector}))
+                want = want.value.to_dense()
+                assert np.array_equal(future.result(timeout=60).value.to_dense(), want)
+            stats = engine.stats()
+            assert stats.errors == 0
+            assert stats.stacked_batches >= 1
+            assert stats.stacked_requests == len(vectors)
+        finally:
+            if release is not None:
+                release.set()
             engine.close()
 
 
