@@ -10,6 +10,8 @@ engine-owned histogram, and ``metrics_text()`` parses as Prometheus text
 exposition.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro import obs
 from repro.api.plan import PlanBindingError
 from repro.lang import Dim, Matrix, Sum, Vector
 from repro.optimizer import OptimizerConfig
-from repro.runtime import MatrixValue
+from repro.runtime import ExecutionError, MatrixValue
 from repro.serve import ServingEngine
 
 ROWS, COLS = 60, 30
@@ -53,6 +55,18 @@ def config():
 
 def spans_by_name(name):
     return [s for s in obs.tracer().finished() if s.name == name]
+
+
+def poison_the_tape(engine, monkeypatch, poison):
+    """Executions that bind the ``poison`` value raise ExecutionError."""
+    run_tape = engine._run_tape
+
+    def failing(tape, local, values):
+        if any(value is poison for value in values):
+            raise ExecutionError("kernel rejected its operand")
+        return run_tape(tape, local, values)
+
+    monkeypatch.setattr(engine, "_run_tape", failing)
 
 
 def assert_request_parents_enqueue():
@@ -108,6 +122,25 @@ class TestServeSpans:
         for span in executes:
             assert span.parent_id in requests
 
+    def test_a_failed_request_keeps_its_parent_and_marks_the_error(self, monkeypatch):
+        """A request whose execution fails still parents to its enqueue
+        span; its serve.request span says error and serve.execute names it."""
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr, bad = make_loss(), make_inputs(3)
+            engine.warm([expr])
+            poison_the_tape(engine, monkeypatch, bad["u"])
+            obs.tracer().clear()
+            with pytest.raises(ExecutionError):
+                engine.submit(expr, bad).result(timeout=30)
+        finally:
+            engine.close()
+        (request,) = assert_request_parents_enqueue()
+        assert request.attributes["result"] == "error"
+        (execute_span,) = spans_by_name("serve.execute")
+        assert execute_span.parent_id == request.span_id
+        assert execute_span.attributes["error"] == "ExecutionError"
+
     def test_door_hit_request_span_follows_its_enqueue_span(self):
         """A repeat answered at the door opens its serve.request span after
         serve.enqueue closed, parented to it, so a caller's span joins both."""
@@ -160,6 +193,24 @@ class TestLatencyHistogram:
             assert stats.p50_latency > 0.0
         finally:
             engine.close()
+
+    def test_a_failed_request_is_not_observed(self, monkeypatch):
+        """The histogram times answers: a failed request is counted as an
+        error, not as a latency sample."""
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr, bad = make_loss(), make_inputs(0)
+            poison_the_tape(engine, monkeypatch, bad["u"])
+            with pytest.raises(ExecutionError):
+                engine.run(expr, bad)
+            engine.run(expr, make_inputs(1))
+            engine.run(expr, make_inputs(2))
+            stats = engine.stats()
+            assert (stats.served, stats.errors) == (2, 1)
+            assert engine._latency.count == 2
+        finally:
+            engine.close()
+
 
 class TestMetricsText:
     def test_exposition_parses_and_counts_requests(self):
@@ -264,6 +315,47 @@ class TestMetricsText:
         assert not [
             name for name in parsed if "breaker" in name or "rerout" in name
         ]
+
+    def test_no_retry_or_restart_series_is_exported(self, monkeypatch):
+        """A failure and a shed leave the retry and restart records at 0 and
+        put no retry or restart series in the exposition or health()."""
+        from repro.serve import DeadlineExceededError
+
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr, bad = make_loss(), make_inputs(0)
+            engine.warm([expr])
+            poison_the_tape(engine, monkeypatch, bad["u"])
+            with pytest.raises(ExecutionError):
+                engine.run(expr, bad)
+            with pytest.raises(DeadlineExceededError):
+                engine.run(expr, make_inputs(1), deadline=-1.0)
+            parsed = obs.parse_exposition(engine.metrics_text())
+            stats, health = engine.stats(), engine.health()
+        finally:
+            engine.close()
+        assert (stats.errors, stats.sheds) == (1, 1)
+        assert (stats.retries, stats.restarts) == (0, 0)
+        assert not [name for name in parsed if "retr" in name or "restart" in name]
+        assert set(health) == {"live", "ready", "queue_depth", "degraded_rate"}
+
+    def test_an_escaping_error_is_logged(self, monkeypatch, caplog):
+        engine = ServingEngine(shards=1, config=config())
+
+        def broken(batch):
+            raise RuntimeError("serving defect")
+
+        monkeypatch.setattr(engine, "_serve_batch", broken)
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            try:
+                with pytest.raises(RuntimeError, match="serving defect"):
+                    engine.submit(make_loss(), make_inputs(0)).result(timeout=30)
+            finally:
+                engine.close()
+        (record,) = [r for r in caplog.records if "serving a batch failed" in r.getMessage()]
+        assert record.levelno == logging.ERROR
+        assert record.exc_info[1].args == ("serving defect",)
+
 
 class TestProfilerReconciliation:
     def test_profiler_totals_reconcile_with_span_durations(self):

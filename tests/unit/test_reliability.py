@@ -32,6 +32,38 @@ class TestErrorTaxonomy:
         ):
             assert issubclass(cls, ReliabilityError)
 
+    def test_class_defaults(self):
+        # Every class is a plain exception over its message: no class carries
+        # a retry default, because nothing retries.
+        for cls in (
+            PlanStoreError,
+            OptimizerBudgetExceeded,
+            DeadlineExceededError,
+            EngineClosedError,
+        ):
+            error = cls("what failed")
+            assert str(error) == "what failed"
+            assert not hasattr(error, "retriable")
+
+    def test_the_retry_surface_is_gone(self):
+        import importlib
+
+        import repro.reliability as reliability
+
+        for name in ("RetryPolicy", "NO_RETRY", "is_retriable", "ShardCrashError"):
+            assert not hasattr(reliability, name), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.reliability.retry")
+
+    def test_the_taxonomy_table_names_exactly_the_exported_classes(self):
+        from repro.reliability import errors
+
+        lines = errors.__doc__.splitlines()
+        rules = [n for n, line in enumerate(lines) if line.startswith("====")]
+        body = lines[rules[1] + 1 : rules[2]]  # between the header and the last rule
+        listed = {line.split()[0] for line in body if line[:1].isalpha()}
+        assert listed == set(errors.__all__) - {"ReliabilityError"}
+
     def test_the_runtimes_execution_error_is_the_only_one(self):
         # A tape error is deterministic, so no taxonomy class shadows it.
         import repro.reliability as reliability
@@ -109,6 +141,19 @@ class TestFaultInjector:
         for gone in ("shard.execute", "tape.step"):
             with pytest.raises(ValueError):
                 FaultRule(gone, PlanStoreError)
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_a_rule_fires_only_at_its_own_site(self, site):
+        faults = FaultInjector([FaultRule(site, PlanStoreError)])
+        for other in SITES:
+            if other != site:
+                faults.check(other, "bystander")
+        with pytest.raises(PlanStoreError):
+            faults.check(site, "victim")
+        assert faults.fired == [(site, 0, "victim", "PlanStoreError")]
+        assert {other: faults.counter(other) for other in SITES} == {
+            other: 1 for other in SITES
+        }
 
     def test_no_faults_is_silent_and_disabled(self):
         for site in SITES:

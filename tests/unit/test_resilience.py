@@ -24,7 +24,7 @@ from repro.reliability import (
     OptimizerBudgetExceeded,
     PlanStoreError,
 )
-from repro.runtime import MatrixValue, execute
+from repro.runtime import ExecutionError, MatrixValue, execute
 from repro.serialize.store import PlanStore
 from repro.serve import ServingEngine
 from repro.workloads import get_workload, workload_names
@@ -56,7 +56,10 @@ def expected(expr, inputs):
     return execute(expr, inputs).scalar()
 
 
-class TestEscapingErrors:
+class TestCrashRecovery:
+    """A batch that crashes (an error escapes it) fails only its own
+    futures; the pool thread recovers on the spot and keeps serving."""
+
     def test_an_escaping_error_fails_its_batch_and_the_pool_thread_lives_on(self, monkeypatch):
         """An error that escapes a batch fails that batch's futures; the
         pool thread keeps serving, so nothing restarts it."""
@@ -82,6 +85,189 @@ class TestEscapingErrors:
             assert engine.health()["ready"]
         finally:
             engine.close()
+
+    def test_repeated_escaping_errors_lose_no_requests(self, monkeypatch):
+        """Every third batch escapes with an error: each request is either
+        answered correctly or failed with that error, none hangs, and the
+        engine's one session compiles the shape once."""
+        engine = ServingEngine(shards=2, config=config())
+        serve_batch = engine._serve_batch
+        calls = []
+        lock = threading.Lock()
+
+        def broken_every_third(batch):
+            with lock:
+                calls.append(len(batch))
+                broken = len(calls) % 3 == 1
+            if broken:
+                raise RuntimeError("serving defect")
+            serve_batch(batch)
+
+        monkeypatch.setattr(engine, "_serve_batch", broken_every_third)
+        session = engine.session
+        try:
+            expr = make_loss(0.05)
+            input_sets = [make_inputs(seed) for seed in range(12)]
+            failed = 0
+            for inputs in input_sets:  # one at a time: one request per batch
+                try:
+                    result = engine.submit(expr, inputs).result(timeout=60)
+                except RuntimeError as error:
+                    assert str(error) == "serving defect"
+                    failed += 1
+                    continue
+                assert result.scalar() == pytest.approx(expected(expr, inputs), rel=1e-12)
+            assert failed == 4  # batches 1, 4, 7 and 10
+            stats = engine.stats()
+            assert (stats.errors, stats.served) == (4, 8)
+            assert engine.session is session
+            assert engine.compilations == 1
+            assert engine.health()["ready"]
+        finally:
+            engine.close()
+
+
+def poison_the_tape(engine, monkeypatch, poison):
+    """A deterministic tape error: every execution that binds the ``poison``
+    value raises the runtime's ExecutionError.  Returns the list of value
+    tuples the tape was asked to execute."""
+    run_tape = engine._run_tape
+    executed = []
+
+    def failing(tape, local, values):
+        executed.append(values)
+        if any(value is poison for value in values):
+            raise ExecutionError("kernel rejected its operand")
+        return run_tape(tape, local, values)
+
+    monkeypatch.setattr(engine, "_run_tape", failing)
+    return executed
+
+
+class TestDeterministicExecutionErrors:
+    """A plan is a pure function of its inputs, so a tape error is answered
+    by failing the request once: nothing retries it and nothing requeues it."""
+
+    def test_a_tape_error_fails_its_request_once(self, monkeypatch):
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr, bad, good = make_loss(0.05), make_inputs(4), make_inputs(5)
+            executed = poison_the_tape(engine, monkeypatch, bad["u"])
+            with pytest.raises(ExecutionError, match="kernel rejected"):
+                engine.submit(expr, bad).result(timeout=30)
+            assert len(executed) == 1  # one attempt, no retry
+            result = engine.submit(expr, good).result(timeout=30)
+            assert result.scalar() == pytest.approx(expected(expr, good), rel=1e-12)
+            stats = engine.stats()
+            assert (stats.errors, stats.served) == (1, 1)
+            assert (stats.retries, stats.restarts) == (0, 0)
+        finally:
+            engine.close()
+
+    def test_a_repeat_of_a_failed_request_fails_the_same_way(self, monkeypatch):
+        """The failure is not stored at the door: the repeat executes again,
+        on the calling thread or a pool thread, and fails identically."""
+        engine = ServingEngine(shards=2, config=config())
+        try:
+            expr, bad = make_loss(0.05), make_inputs(6)
+            executed = poison_the_tape(engine, monkeypatch, bad["u"])
+            messages = []
+            with pytest.raises(ExecutionError) as inline:
+                engine.run(expr, bad)
+            messages.append(str(inline.value))
+            for _ in range(2):
+                with pytest.raises(ExecutionError) as pooled:
+                    engine.submit(expr, bad).result(timeout=30)
+                messages.append(str(pooled.value))
+            assert messages == ["kernel rejected its operand"] * 3
+            assert len(executed) == 3
+            stats = engine.stats()
+            assert (stats.errors, stats.served, stats.result_cache_hits) == (3, 0, 0)
+        finally:
+            engine.close()
+
+    def test_a_failed_batch_mate_leaves_its_batch_served(self, monkeypatch):
+        """One poisoned request in a drained batch fails alone; its batch
+        mates are answered from the same compile."""
+        from tests.helpers import hold_first_pool_batch
+
+        engine = ServingEngine(shards=1, config=config())
+        release = None
+        try:
+            expr = make_loss(0.05)
+            engine.warm([expr])
+            input_sets = [make_inputs(seed) for seed in range(7, 12)]
+            poison_the_tape(engine, monkeypatch, input_sets[2]["u"])
+            busy, release = hold_first_pool_batch(engine)
+            occupier = engine.submit(expr, make_inputs(99))
+            assert busy.wait(60)
+            futures = [engine.submit(expr, inputs) for inputs in input_sets]
+            release.set()
+            occupier.result(timeout=60)
+            for index, (inputs, future) in enumerate(zip(input_sets, futures)):
+                if index == 2:
+                    with pytest.raises(ExecutionError):
+                        future.result(timeout=60)
+                else:
+                    assert future.result(timeout=60).scalar() == pytest.approx(
+                        expected(expr, inputs), rel=1e-12
+                    )
+            stats = engine.stats()
+            assert stats.errors == 1
+            assert engine.compilations == 1
+        finally:
+            if release is not None:
+                release.set()
+            engine.close()
+
+
+class TestCompileFailures:
+    def test_a_compile_failure_fails_its_group_and_the_batch_serves_the_rest(
+        self, monkeypatch
+    ):
+        """A compile that fails (outside the degrading budget path) fails
+        its own instance group once; the other group drained in the same
+        batch is compiled and answered."""
+        from tests.helpers import hold_first_pool_batch
+
+        engine = ServingEngine(shards=1, config=config())
+        broken, sound = make_loss(0.05), make_loss(0.9)
+        occupier_expr = make_loss(0.3)
+        engine.warm([occupier_expr])
+        compile_ = engine.session.compile
+        attempts = []
+
+        def compile_or_fail(expr, *rest, **options):
+            if expr is broken:
+                attempts.append(expr)
+                raise RuntimeError("pipeline defect")
+            return compile_(expr, *rest, **options)
+
+        monkeypatch.setattr(engine.session, "compile", compile_or_fail)
+        release = None
+        try:
+            busy, release = hold_first_pool_batch(engine)
+            occupier = engine.submit(occupier_expr, make_inputs(0))
+            assert busy.wait(60)
+            failing = [engine.submit(broken, make_inputs(seed)) for seed in (1, 2)]
+            served = engine.submit(sound, make_inputs(3))
+            release.set()
+            occupier.result(timeout=60)
+            for future in failing:
+                with pytest.raises(RuntimeError, match="pipeline defect"):
+                    future.result(timeout=60)
+            assert served.result(timeout=60).scalar() == pytest.approx(
+                expected(sound, make_inputs(3)), rel=1e-12
+            )
+            assert len(attempts) == 1  # one resolve for the group, not one per member
+            stats = engine.stats()
+            assert stats.errors == 2
+            assert engine.health()["ready"]
+        finally:
+            if release is not None:
+                release.set()
+            engine.close()
+
 
 class TestOneClientsErrors:
     def test_a_clients_errors_stay_with_that_client(self):
@@ -294,6 +480,36 @@ class TestStoreFaults:
         assert not plan.cache_hit
         assert reader.compilations == 1
         assert store.stats.load_errors >= 1
+
+    def test_store_faults_under_served_traffic_fail_no_request(self, tmp_path):
+        """Store reads and writes fault at the engine's own store: every
+        request is still answered correctly, and each fired write fault is a
+        counted, skipped persist."""
+        faults = FaultInjector(
+            [
+                FaultRule("store.read", PlanStoreError, rate=0.5),
+                FaultRule("store.write", PlanStoreError, rate=0.5),
+            ],
+            seed=3,
+        )
+        engine = ServingEngine(
+            shards=2, config=config(), store_path=str(tmp_path), fault_injector=faults
+        )
+        try:
+            exprs = [make_loss(0.05), make_loss(0.9)]
+            jobs = [(expr, make_inputs(seed)) for seed in range(4) for expr in exprs]
+            futures = [engine.submit(expr, inputs) for expr, inputs in jobs]
+            for (expr, inputs), future in zip(jobs, futures):
+                assert future.result(timeout=60).scalar() == pytest.approx(
+                    expected(expr, inputs), rel=1e-12
+                )
+            stats = engine.stats()
+            assert (stats.errors, stats.served) == (0, len(jobs))
+            store = engine.session.store.stats
+        finally:
+            engine.close()
+        assert faults.fired_at("store.write")
+        assert store.write_errors == len(faults.fired_at("store.write"))
 
     def test_entry_writes_fsync_before_the_atomic_rename(self, tmp_path, monkeypatch):
         """Durability satellite: the temp file is flushed and fsynced

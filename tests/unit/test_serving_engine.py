@@ -551,6 +551,42 @@ class TestCallerRuns:
         finally:
             engine.close()
 
+    def test_an_error_inside_run_fails_that_run_and_the_next_is_answered_bitwise(
+        self, monkeypatch
+    ):
+        """A tape error inside run() is raised on the calling thread, once;
+        nothing hands the request to the pool, and the next run is served
+        as if the failure never happened."""
+        from repro.runtime import ExecutionError
+
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr, bad, good = make_loss(0.05), make_inputs(seed=16), make_inputs(seed=17)
+            plan = engine.plan_for(expr)
+            run_tape, executed = engine._run_tape, []
+
+            def failing(tape, local, values):
+                executed.append(threading.current_thread())
+                if values[plan.signature.var_order.index("u")] is bad["u"]:
+                    raise ExecutionError("kernel rejected its operand")
+                return run_tape(tape, local, values)
+
+            monkeypatch.setattr(engine, "_run_tape", failing)
+            calls = record_serving_threads(engine, monkeypatch)
+            with pytest.raises(ExecutionError, match="kernel rejected"):
+                engine.run(expr, bad)
+            got = engine.run(expr, good).value
+            me = threading.current_thread()
+            assert executed == [me, me]
+            assert [thread for thread, _ in calls] == [me, me]
+            want = plan.executable().execute(plan.bind(good)).value
+            assert got.is_sparse == want.is_sparse
+            assert np.array_equal(got.to_dense(), want.to_dense())
+            stats = engine.stats()
+            assert (stats.served, stats.errors) == (2, 1)  # plan_for and the good run
+        finally:
+            engine.close()
+
     def test_run_after_submit_hits_the_result_cache(self, monkeypatch):
         engine = ServingEngine(shards=1, config=config())
         try:
@@ -822,23 +858,31 @@ class TestResultCacheAtTheDoor:
             engine.close()
 
 
+INJECTORS = {
+    # store rules that fire on every other IO
+    "store": lambda: FaultInjector(
+        [
+            FaultRule("store.read", PlanStoreError, every=2),
+            FaultRule("store.write", PlanStoreError, every=2),
+        ]
+    ),
+    # an enabled optimizer rule that never comes due
+    "optimizer": lambda: FaultInjector(
+        [FaultRule("optimizer.saturate", OptimizerBudgetExceeded, start=10**6)]
+    ),
+}
+
+
+@pytest.mark.parametrize("faults", sorted(INJECTORS))
 class TestStoreFaultsChangeNoServing:
-    """An injector whose rules only reach the store leaves serving as it is
-    without one: the door answers repeats and families still stack."""
+    """An injector whose rules reach only the store or the optimizer leaves
+    serving as it is without one: the door answers repeats and families
+    still stack."""
 
-    @staticmethod
-    def store_faults():
-        return FaultInjector(
-            [
-                FaultRule("store.read", PlanStoreError, every=2),
-                FaultRule("store.write", PlanStoreError, every=2),
-            ]
-        )
-
-    def test_a_repeat_is_answered_at_the_door(self, tmp_path, monkeypatch):
+    def test_a_repeat_is_answered_at_the_door(self, faults, tmp_path, monkeypatch):
         engine = ServingEngine(
             shards=1, config=config(), store_path=str(tmp_path),
-            fault_injector=self.store_faults(),
+            fault_injector=INJECTORS[faults](),
         )
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=28)
@@ -851,7 +895,7 @@ class TestStoreFaultsChangeNoServing:
         finally:
             engine.close()
 
-    def test_a_stackable_family_still_stacks(self, tmp_path):
+    def test_a_stackable_family_still_stacks(self, faults, tmp_path):
         m, n = Dim("m", 96), Dim("n", 64)
         A = la.Var("A", Shape(m, n))
         q = la.Var("q", Shape(n, Dim("one", 1)))
@@ -860,7 +904,7 @@ class TestStoreFaultsChangeNoServing:
         pinned = MatrixValue(rng.random((96, 64)))
         vectors = [MatrixValue(rng.random((64, 1))) for _ in range(8)]
         engine = ServingEngine(
-            shards=1, store_path=str(tmp_path), fault_injector=self.store_faults()
+            shards=1, store_path=str(tmp_path), fault_injector=INJECTORS[faults]()
         )
         release = None
         try:
@@ -953,6 +997,29 @@ class TestTapePlan:
             expected = execute(expr, inputs).to_dense()
             got = tape.execute(values, reuse).to_dense()
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_a_failing_execution_fails_the_same_way_and_leaves_reuse_sound(self):
+        """A kernel error is a pure function of the inputs: it repeats
+        identically, and the pinned steps it memoized before failing serve
+        the next, valid execution correctly."""
+        m = Dim("m", ROWS)
+        X = Matrix("X", m, Dim("n", COLS), sparsity=0.05)
+        u = Vector("u", m)
+        expr = X.T @ u
+        tape, signature = self.build(expr)
+        reuse = StepReuseCache()
+        inputs = make_inputs(seed=2)
+        rng = np.random.default_rng(3)
+        bad = dict(inputs, u=MatrixValue.random_dense(ROWS + 1, 1, rng))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as error:
+                tape.execute([bad[name] for name in signature.var_order], reuse)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        got = tape.execute([inputs[name] for name in signature.var_order], reuse).to_dense()
+        np.testing.assert_allclose(got, execute(expr, inputs).to_dense(), rtol=1e-12, atol=1e-12)
+        assert reuse.hits >= 2  # the transpose of X was reused, not recomputed
 
     def test_rejects_non_slot_expressions(self):
         from repro.runtime.engine import ExecutionError
