@@ -94,7 +94,8 @@ COLD_WORKLOAD = "PNMF"
 
 def storm_schedule() -> FaultInjector:
     """The seeded storm: store faults and optimizer faults.  Every rule is
-    counter-based, so the schedule is exactly reproducible.
+    counter-based, so the schedule is exactly reproducible, and every rule
+    fires in each storm pass (``test_fault_storm_survival`` asserts it).
     """
     return FaultInjector(
         [
@@ -102,8 +103,10 @@ def storm_schedule() -> FaultInjector:
             FaultRule("store.read", PlanStoreError, start=0, every=4),
             # every other persist fails -> demoted to a skipped write
             FaultRule("store.write", PlanStoreError, start=0, every=2),
-            # every other saturation region overruns -> recompiles degrade
-            FaultRule("optimizer.saturate", OptimizerBudgetExceeded, start=0, every=2),
+            # the first saturation region overruns -> that compile degrades;
+            # the others finish, so their persists meet the store.write rule
+            # (a degraded entry is never persisted)
+            FaultRule("optimizer.saturate", OptimizerBudgetExceeded, start=0, count=1),
         ],
         seed=STORM_SEED,
     )
@@ -246,8 +249,9 @@ def test_fault_storm_survival(benchmark):
                     # bounds the cold workload's compiles, and the recompile
                     # behind a faulted store load: over budget they degrade
                     # to the baseline plan instead of paying an unbounded
-                    # saturation mid-storm
-                    optimizer_budget=0.01,
+                    # saturation mid-storm (S-size compiles take milliseconds,
+                    # so only the scheduled fault degrades one)
+                    optimizer_budget=0.25,
                 )
                 try:
                     storm, seconds = _serve_pass(engine, streams, all_roots)
@@ -314,10 +318,11 @@ def test_fault_storm_survival(benchmark):
     assert storm["errors"] == 0
     assert storm["sheds"] == 0
     assert record["matched_optimized"] + record["matched_degraded"] == requests_total
-    # The storm actually stormed, and every recovery mechanism fired.
+    # The storm actually stormed: every rule of the schedule fired (each
+    # rule has a site of its own), so every recovery mechanism ran.
     fired = record["faults"]["fired_by_site"]
-    assert fired.get("store.read", 0) >= 1
-    assert fired.get("optimizer.saturate", 0) >= 1
+    unfired = [rule.site for rule in storm_schedule().rules if fired.get(rule.site, 0) < 1]
+    assert not unfired, f"storm rules that never fired: {unfired} (fired: {fired})"
     assert storm["degraded"] >= 1, "no request was answered in degraded mode"
     health = record["health"]
     assert health["live"] and health["ready"]

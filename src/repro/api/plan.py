@@ -13,19 +13,21 @@ the compiled dimension sizes — and executes the slot-space plan on the
 plan's one executable (:func:`repro.runtime.codegen.build_executable`, built
 on first use; the serving engine runs the same object).  Every execution is
 recorded in per-plan statistics, including the observed sparsity of each
-input; when the observed non-zero count drifts far from the hint the cost
-model optimized under, the owning Session recompiles the plan against the
-observed statistics (the plan object keeps working, now backed by the
-re-optimized artifact).
+input.
 
-A plan also learns which of its inputs are *pinned*: the same object run
-after run, like a solver's data ``X`` while its parameters move.  When some
-but not all slots repeat, the owning Session compiles a variant with those
-slots pinned — the cost model charges what only they determine once, so
-extraction may pick a Gram form ``(t(X) %*% X) %*% s`` — and the plan
-adopts it once the pinned objects have repeated as often as the variant
-needs to repay its hoisted build.  A pinned object that changes sends the
-plan back to its unpinned entry before the run that brought it.
+**Context.**  An entry is optimized under a :class:`PlanContext`: the
+sparsity hint of every input and the inputs held *pinned* (the same object
+run after run, like a solver's data ``X`` while its parameters move — the
+cost model charges what only pinned inputs determine once, so extraction
+may pick a Gram form ``(t(X) %*% X) %*% s``).  Adaptation only ever moves
+a plan to another context, through one table ``{context: (entry, N*)}``
+that the owning Session fills (:meth:`Session._variant`).  After a run whose
+smoothed sparsity drifted off the hints, the plan moves to the observed
+hints (``N* = 0``: adopted at once).  Before a run, a plan whose inputs
+partly repeat moves to the context with those inputs pinned once they have
+repeated ``N*`` times, and back to the unpinned context of the same hints
+as soon as a pinned input changes.  ``signature`` and ``source`` stay as
+compiled; the hints in force are the backing entry's.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from __future__ import annotations
 import logging
 import math
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +58,9 @@ from repro.runtime.engine import ExecutionResult
 from repro.runtime.semiring import Semiring, resolve_semiring
 from repro.runtime.tape import TapePlan
 
+if TYPE_CHECKING:
+    from repro.api.session import Session
+
 InputValue = Union[MatrixValue, np.ndarray, float, int]
 
 logger = logging.getLogger(__name__)
@@ -65,7 +71,7 @@ class PlanBindingError(ValueError):
 
 
 class TemplateGuardError(ValueError):
-    """Raised when an instantiation falls outside a template's guard."""
+    """Raised when an instantiation names a dimension the plan does not have."""
 
 
 #: observed nnz may exceed (or undershoot) the compiled hint by this factor
@@ -78,6 +84,13 @@ DEFAULT_DRIFT_FACTOR = 8.0
 #: only this weight of the way), while a sustained regime change converges
 #: on the observed level within a few executions and trips the drift factor.
 DEFAULT_DRIFT_ALPHA = 0.4
+
+
+class PlanContext(NamedTuple):
+    """What an entry was optimized under: per-slot sparsity hints and pinned slots."""
+
+    hints: Tuple[Optional[float], ...]
+    pinned: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,15 @@ class PlanEntry:
     def template_digest(self) -> str:
         """Size-free digest this entry can serve (via its guard)."""
         return self.signature.template_digest
+
+    @cached_property
+    def context(self) -> PlanContext:
+        """The hints and pinned slots this entry was compiled under."""
+        slots = self.signature.slots
+        return PlanContext(
+            tuple(spec.sparsity for spec in slots),
+            tuple(spec.index for spec in slots if spec.pinned),
+        )
 
     def executable(self, ring: Union[str, Semiring, None] = None) -> TapePlan:
         """The one executor of this entry on ``ring``, built on first use.
@@ -205,13 +227,8 @@ class PlanStats:
         incremented, elapsed not yet).  ``to_dict``/``explain`` snapshot
         through this under :attr:`CompiledPlan._lock` instead.
         """
-        return PlanStats(
-            executions=self.executions,
-            total_elapsed=self.total_elapsed,
-            drift_events=self.drift_events,
-            recompiles=self.recompiles,
-            pin_adoptions=self.pin_adoptions,
-            pin_reverts=self.pin_reverts,
+        return replace(
+            self,
             observed_sparsity=dict(self.observed_sparsity),
             smoothed_sparsity=dict(self.smoothed_sparsity),
         )
@@ -225,15 +242,14 @@ class CompiledPlan:
         entry: PlanEntry,
         signature: ExprSignature,
         source: la.LAExpr,
-        session: Optional[object] = None,
+        session: "Session",
         cache_hit: bool = False,
         template_hit: bool = False,
-        ring: Union[str, Semiring, None] = None,
     ) -> None:
         self._entry = entry
         self.signature = signature
         self.source = source
-        #: the owning Session, held strongly: drift and pinned recompiles go
+        #: the owning Session, held strongly: every context is resolved
         #: through it, and a solver loop often keeps its plans, not its session
         self._session = session
         #: whether this plan came out of the cache (saturation was skipped)
@@ -242,24 +258,23 @@ class CompiledPlan:
         #: compiled at *different* sizes (a guard hit): saturation was
         #: skipped, only size re-pinning was paid
         self.template_hit = template_hit
-        #: the semiring this plan executes over — inherited from the owning
-        #: session's config at compile time; a detached plan keeps it so
-        #: re-instantiation stays in-ring
-        self.ring = resolve_semiring(ring)
+        #: the semiring this plan executes over: its session's
+        self.ring = session.config.ring()
         self.stats = PlanStats()
         self._lock = threading.Lock()
         #: last :class:`repro.obs.profile.ProfileReport` from :meth:`profile`
         self._profile = None
-        #: pinned-input learning (see :meth:`run`): the previous run's
-        #: values, each slot's count of consecutive repeats, the resolved
-        #: pinned variants with their break-even repeat counts, and — while
-        #: a variant is adopted — its pinned slots and the unpinned entry
-        self._learns = len(signature.slots) > 1 and not source.shape.is_scalar
+        #: every context this plan has resolved, with its entry and the
+        #: repeats ``N*`` after which moving to it pays (see :meth:`run`)
+        self._contexts: Dict[PlanContext, Tuple[PlanEntry, float]] = {entry.context: (entry, 0.0)}
+        #: pinned-input learning: the previous run's values and each slot's
+        #: count of consecutive repeats; a source that pins inputs itself
+        #: keeps them as compiled
+        self._learns = (
+            len(signature.slots) > 1 and not source.shape.is_scalar and not entry.context.pinned
+        )
         self._seen: Optional[List[MatrixValue]] = None
         self._repeats: List[int] = [0] * len(signature.slots)
-        self._variants: Dict[Tuple[int, ...], Tuple[PlanEntry, float]] = {}
-        self._pinned: Tuple[int, ...] = ()
-        self._unpinned: Optional[PlanEntry] = None
 
     # -- introspection ---------------------------------------------------------
     @property
@@ -301,28 +316,28 @@ class CompiledPlan:
 
     @property
     def slots(self) -> Tuple[SlotSpec, ...]:
-        """Slot metadata under *this request's* names.
+        """Slot metadata under *this request's* names, in the context in force.
 
-        The request signature is digest-equal to the cached entry's — same
-        sizes, same sparsity hints — so it is the authoritative description
-        of the slots, with the names this plan actually binds (a cache-hit
-        twin must not leak the names of whoever compiled first).
+        Sizes and names come from the request signature (a cache-hit twin
+        must not leak the names of whoever compiled first); the sparsity
+        hints and pinned flags from the backing entry, which a drift or a
+        pinned context moves.
         """
-        return self.signature.slots
+        return self._slots(self._entry)
+
+    def _slots(self, entry: PlanEntry) -> Tuple[SlotSpec, ...]:
+        return tuple(
+            replace(spec, sparsity=backing.sparsity, pinned=backing.pinned)
+            for spec, backing in zip(self.signature.slots, entry.signature.slots)
+        )
 
     @property
     def input_names(self) -> Tuple[str, ...]:
         """The input names this plan binds, in slot order."""
         return self.signature.var_order
 
-    def _in_request_names(
-        self,
-        expr: la.LAExpr,
-        entry: Optional[PlanEntry] = None,
-        signature: Optional[ExprSignature] = None,
-        source: Optional[la.LAExpr] = None,
-    ) -> la.LAExpr:
-        """Render a cached (compile-time-named) expression in this plan's names.
+    def _in_request_names(self, expr: la.LAExpr, entry: PlanEntry) -> la.LAExpr:
+        """Render ``entry``'s (compile-time-named) expression in this plan's names.
 
         A cache-hit twin shares an artifact compiled from someone else's
         expression; everything user-facing must speak the twin's own names.
@@ -331,17 +346,12 @@ class CompiledPlan:
         request permutes names the compiling expression also used — e.g.
         compiled with ``(A, B)``, requested with ``(B, A)`` in swapped
         roles — so ``A -> B`` can never collide with ``B -> A`` mid-walk.
-        Callers that snapshot under the plan lock pass the snapshotted
-        entry/signature/source explicitly.
         """
-        entry = entry if entry is not None else self._entry
-        signature = signature if signature is not None else self.signature
-        source = source if source is not None else self.source
-        request_vars = {var.name: var for var in dag.variables(source)}
+        request_vars = {var.name: var for var in dag.variables(self.source)}
         bindings = {
             entry_name: request_vars[request_name]
             for entry_name, request_name in zip(
-                entry.signature.var_order, signature.var_order
+                entry.signature.var_order, self.signature.var_order
             )
             if entry_name != request_name and request_name in request_vars
         }
@@ -352,25 +362,19 @@ class CompiledPlan:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable record: lineage plus binding and run statistics.
 
-        Everything mutable — the backing entry (a drift recompile can swap
-        it), the signature, and the run statistics — is snapshotted under
-        the plan lock first, so a record taken while another thread is in
-        ``run`` is internally consistent, never torn.
+        The backing entry, the run statistics and the context table are
+        snapshotted under the plan lock first, so a record taken while
+        another thread is in ``run`` is internally consistent, never torn.
         """
         with self._lock:
             entry = self._entry
-            signature = self.signature
-            source = self.source
             stats = self.stats.snapshot()
             profile = self._profile
+            contexts = list(self._contexts.items())
         record = entry.artifact.to_dict()
-        record["original"] = str(source)
-        record["optimized"] = str(
-            self._in_request_names(entry.artifact.optimized, entry, signature, source)
-        )
-        record["fused"] = str(
-            self._in_request_names(entry.artifact.fused, entry, signature, source)
-        )
+        record["original"] = str(self.source)
+        record["optimized"] = str(self._in_request_names(entry.artifact.optimized, entry))
+        record["fused"] = str(self._in_request_names(entry.artifact.fused, entry))
         record["fingerprint"] = entry.signature.digest
         record["template_digest"] = entry.template_digest
         record["cache_hit"] = self.cache_hit
@@ -378,41 +382,46 @@ class CompiledPlan:
         record["degraded"] = entry.degraded
         record["guard"] = entry.guard.to_json() if entry.guard is not None else None
         record["slots"] = [
-            {
-                "index": spec.index,
-                "name": name,
-                "rows": spec.rows,
-                "cols": spec.cols,
-                "sparsity": spec.sparsity,
-            }
-            for spec, name in zip(signature.slots, signature.var_order)
+            {key: getattr(spec, key) for key in ("index", "name", "rows", "cols", "sparsity")}
+            for spec in self._slots(entry)
         ]
-        record["stats"] = {
-            "executions": stats.executions,
-            "total_elapsed": stats.total_elapsed,
-            "mean_elapsed": stats.mean_elapsed,
-            "drift_events": stats.drift_events,
-            "recompiles": stats.recompiles,
-            "pin_adoptions": stats.pin_adoptions,
-            "pin_reverts": stats.pin_reverts,
-            "observed_sparsity": {
-                str(slot): value for slot, value in sorted(stats.observed_sparsity.items())
-            },
-            "smoothed_sparsity": {
-                str(slot): value for slot, value in sorted(stats.smoothed_sparsity.items())
-            },
-        }
+        record["stats"] = dict(
+            asdict(stats),
+            mean_elapsed=stats.mean_elapsed,
+            observed_sparsity={str(slot): v for slot, v in sorted(stats.observed_sparsity.items())},
+            smoothed_sparsity={str(slot): v for slot, v in sorted(stats.smoothed_sparsity.items())},
+        )
+        record["context"] = dict(
+            self._context_record(entry.context),
+            table=[
+                dict(self._context_record(context), breakeven=None if math.isinf(n) else n)
+                for context, (_, n) in contexts
+            ],
+        )
         if profile is not None:
             record["profile"] = profile.to_dict()
         record["codegen"] = self.codegen_info()
         return record
 
+    def _context_record(self, context: PlanContext) -> Dict[str, object]:
+        """``context`` under this plan's input names."""
+        names = self.signature.var_order
+        return {
+            "hints": dict(zip(names, context.hints)),
+            "pinned": [names[slot] for slot in context.pinned],
+        }
+
+    def _describe_context(self, context: PlanContext) -> str:
+        names = self.signature.var_order
+        hints = ", ".join(f"{n}={'-' if h is None else h}" for n, h in zip(names, context.hints))
+        return f"hints {hints}; pinned {', '.join(names[s] for s in context.pinned) or 'none'}"
+
     def executable(self) -> TapePlan:
         """The backing entry's one executor (:meth:`PlanEntry.executable`).
 
         ``run``, ``profile``, ``codegen_info`` and the serving engine all
-        execute or describe this object; after a drift recompile swaps the
-        entry, it is the new entry's.
+        execute or describe this object; after the plan moves to another
+        context, it is that context's entry's.
         """
         return self._entry.executable(self.ring)
 
@@ -423,9 +432,8 @@ class CompiledPlan:
         plain tape's step count, and the columnwise batching slot.  Purely
         introspective — it reads :meth:`executable` and executes nothing.
         """
-        executable = self.executable()
-        with self._lock:
-            entry = self._entry
+        entry = self._entry
+        executable = entry.executable(self.ring)
         info: Dict[str, object] = {
             "fused": isinstance(executable, FusedPlan),
             "tape_steps": executable.tape_steps,
@@ -444,9 +452,9 @@ class CompiledPlan:
         """Human-readable summary of what this plan is and where it came from."""
         with self._lock:
             entry = self._entry
-            signature = self.signature
-            source = self.source
             stats = self.stats.snapshot()
+            contexts = list(self._contexts.items())
+            profile = self._profile
         report = entry.artifact.report
         times = report.phase_times
         guard = entry.guard.describe() if entry.guard is not None else "none (exact)"
@@ -464,14 +472,10 @@ class CompiledPlan:
             f"guard       : {guard}",
             f"cache hit   : {self.cache_hit}"
             + (" (degraded: baseline plan, optimizer budget fallback)" if entry.degraded else ""),
-            "inputs      : "
-            + ", ".join(
-                replace(spec, pinned=backing.pinned).describe()
-                for spec, backing in zip(signature.slots, entry.signature.slots)
-            ),
-            f"declared    : {source}",
-            f"optimized   : {self._in_request_names(entry.artifact.optimized, entry, signature, source)}",
-            f"physical    : {self._in_request_names(entry.artifact.fused, entry, signature, source)}",
+            "inputs      : " + ", ".join(spec.describe() for spec in self._slots(entry)),
+            f"declared    : {self.source}",
+            f"optimized   : {self._in_request_names(entry.artifact.optimized, entry)}",
+            f"physical    : {self._in_request_names(entry.artifact.fused, entry)}",
             f"codegen     : {self._describe_codegen()}",
             f"cost        : {report.original_cost:.4g} -> {report.optimized_cost:.4g}"
             f" ({report.speedup_estimate:.3g}x estimated)",
@@ -487,9 +491,13 @@ class CompiledPlan:
             f" drift events {stats.drift_events}, recompiles {stats.recompiles},"
             f" pinned variant adopted {stats.pin_adoptions}x, reverted {stats.pin_reverts}x)",
             f"sparsity    : smoothed {smoothed}",
+            f"context     : {self._describe_context(entry.context)}",
         ]
-        with self._lock:
-            profile = self._profile
+        lines.extend(
+            f"  learned   : N* {'never' if math.isinf(n) else f'{n:g}'}"
+            f" -> {self._describe_context(context)}"
+            for context, (_, n) in contexts
+        )
         if profile is not None:
             lines.append("profile     : predicted cost vs measured, per tape step")
             lines.extend("  " + line for line in profile.table())
@@ -543,10 +551,9 @@ class CompiledPlan:
 
         if runs < 1:
             raise ValueError("profile requires runs >= 1")
-        values = self._bind(inputs, named)
-        with self._lock:
-            entry = self._entry
-        executable = self.executable()
+        values = bind_signature(self.signature, inputs, named)
+        entry = self._entry
+        executable = entry.executable(self.ring)
         profiler = TapeProfiler(len(executable))
         for _ in range(runs):
             executable.execute(values, profiler=profiler)
@@ -580,19 +587,21 @@ class CompiledPlan:
         **What a plan learns.**  Under a Session with ``auto_recompile``,
         a plan with two or more inputs and a non-scalar output counts, per
         slot, the consecutive runs that bound the very same object.  When
-        a non-empty strict subset of the slots repeats, the Session
-        compiles the variant with those slots pinned (once per subset,
-        cached like any plan) and prices it: the variant saves
-        ``total(unpinned) - total(pinned)`` per run and pays its hoisted
-        cost once per pinned value, so it pays after ``N* = hoisted /
-        saving`` repeats.  The plan **adopts** the variant on the run where
-        the pinned objects' repeat count reaches ``N*`` — its executable
-        then computes each pinned-only step once per pinned value — and
-        **reverts** to the unpinned entry, before executing, on the first
-        run that binds a new object to a pinned slot.  Scalar outputs
-        never learn: their pinned forms (``wᵀGw − 2wᵀXᵀy + yᵀy``) cancel.
+        a non-empty strict subset of the slots repeats, the plan looks up
+        the context with those slots pinned under the hints in force (the
+        Session compiles it once, cached like any plan) and its price: the
+        variant saves ``total(unpinned) - total(pinned)`` per run and pays
+        its hoisted cost once per pinned value, so it pays after ``N* =
+        hoisted / saving`` repeats.  The plan **adopts** the variant on the
+        run where the pinned objects' repeat count reaches ``N*`` — its
+        executable then computes each pinned-only step once per pinned
+        value — and **reverts** to the unpinned context of the same hints,
+        before executing, on the first run that binds a new object to a
+        pinned slot.  Scalar outputs never learn: their pinned forms
+        (``wᵀGw − 2wᵀXᵀy + yᵀy``) cancel.  After the run, a drift of the
+        smoothed sparsity moves the plan to the observed hints.
         """
-        values = self._bind(inputs, named)
+        values = bind_signature(self.signature, inputs, named)
         result = self._learn(values).execute(values)
         self._record(values, result)
         return result
@@ -615,7 +624,7 @@ class CompiledPlan:
         the slot vector themselves (the serving tier, the benchmarks).
         Raises :class:`PlanBindingError` exactly as ``run`` would.
         """
-        return self._bind(inputs, named)
+        return bind_signature(self.signature, inputs, named)
 
     def __call__(self, **named: InputValue) -> ExecutionResult:
         return self.run(**named)
@@ -630,11 +639,10 @@ class CompiledPlan:
         admits the resized instance, the returned plan shares this plan's
         artifact with only its sizes re-pinned — no saturation.
 
-        Guard semantics: a plan owned by a :class:`~repro.api.Session` is
-        instantiated through the session's normal compile path, so a guard
-        miss *falls back to a fresh specialization* (a real compile at the
-        new sizes, cached as usual) rather than failing.  A detached plan
-        has nowhere to compile, so a guard miss raises
+        The plan is instantiated through its session's normal compile path,
+        so a guard miss *falls back to a fresh specialization* (a real
+        compile at the new sizes, cached as usual) rather than failing.
+        Naming a dimension the plan does not have raises
         :class:`TemplateGuardError`.
         """
         known = set(self.signature.dim_names)
@@ -648,104 +656,86 @@ class CompiledPlan:
         signature = signature_of(resized)
         if signature.digest == self.signature.digest:
             return self
-        session = self._session
-        if session is not None:
-            return session.compile(resized, signature)
-        with self._lock:
-            entry = self._entry
-        specialized = (
-            specialize_entry(entry, signature)
-            if signature.template_digest == entry.template_digest
-            else None
-        )
-        if specialized is None:
-            guard = entry.guard.describe() if entry.guard is not None else "exact"
-            raise TemplateGuardError(
-                f"instance {dict(bindings)} is outside this template's guard "
-                f"({guard}) and the plan has no session to respecialize through"
-            )
-        return CompiledPlan(
-            specialized,
-            signature,
-            resized,
-            session=None,
-            cache_hit=True,
-            template_hit=True,
-            ring=self.ring,
-        )
+        return self._session.compile(resized, signature)
 
-    # -- binding and validation ------------------------------------------------
-    def _bind(
-        self,
-        inputs: Optional[Mapping[str, InputValue]],
-        named: Mapping[str, InputValue],
-    ) -> List[MatrixValue]:
-        return bind_signature(self.signature, inputs, named)
-
-    # -- pinned inputs -----------------------------------------------------------
+    # -- context ---------------------------------------------------------------
     def _learn(self, values: List[MatrixValue]) -> TapePlan:
-        """Count repeated input objects; adopt or leave a pinned variant.
+        """Count repeated input objects; move between pinned contexts.
 
         Returns the executable this run executes on.
         """
-        session = self._session
-        if not self._learns or session is None or not session.auto_recompile:
+        if not self._learns or not self._session.auto_recompile:
             return self.executable()
         with self._lock:
             seen, self._seen = self._seen, values
             repeats = self._repeats
             for slot, value in enumerate(values):
                 repeats[slot] = repeats[slot] + 1 if seen is not None and value is seen[slot] else 0
-            if self._pinned and not all(repeats[slot] for slot in self._pinned):
-                self._entry, self._unpinned, self._pinned = self._unpinned, None, ()
-                self.stats.pin_reverts += 1
             pinned = tuple(slot for slot, count in enumerate(repeats) if count)
-            base = self._entry
-            if self._pinned or not pinned or len(pinned) == len(values):
-                return base.executable(self.ring)
-            count = min(repeats[slot] for slot in pinned)
-            variant = self._variants.get(pinned)
-        if variant is None:
-            try:
-                variant = session._pinned_variant(self, base, pinned)
-            except Exception as error:  # a variant is an optimization, never a failure
-                logger.warning("pinned variant of %s failed: %s", base.signature.digest[:12], error)
-                variant = (base, math.inf)
-            with self._lock:
-                self._variants[pinned] = variant
-        entry, breakeven = variant
-        if count >= breakeven:
-            with self._lock:
-                if self._entry is base:
-                    self._entry, self._unpinned, self._pinned = entry, base, pinned
-                    self.stats.pin_adoptions += 1
+            count = min(repeats[slot] for slot in pinned) if pinned else 0
+            hints, held = self._entry.context
+        if any(slot not in pinned for slot in held):
+            held = ()
+            self._move(PlanContext(hints), 0, "pin_reverts")
+        if not held and 0 < len(pinned) < len(values):
+            self._move(PlanContext(hints, pinned), count, "pin_adoptions")
         return self.executable()
 
-    # -- statistics and drift --------------------------------------------------
+    def _move(self, context: PlanContext, count: int, counter: str) -> bool:
+        """Re-point the plan at ``context``'s entry once ``count`` reaches its
+        ``N*``, counting the move in ``stats.<counter>``; returns whether it moved.
+
+        A context missing from the table is resolved by the session
+        (:meth:`Session._variant`); one that fails to build is kept as never
+        paying (``N* = ∞``): a context is an optimization, never a failure.
+        """
+        base = self._entry
+        found = self._contexts.get(context)
+        if found is None:
+            try:
+                found = self._session._variant(self, context)
+            except Exception as error:
+                logger.warning("context of %s failed: %s", base.signature.digest[:12], error)
+                found = (base, math.inf)
+            with self._lock:
+                found = self._contexts.setdefault(context, found)
+        entry, breakeven = found
+        if count < breakeven:
+            return False
+        with self._lock:
+            if self._entry is not base:
+                return False  # another run moved the plan first
+            self._entry = entry
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            if context.hints != base.context.hints:
+                # the smoothed estimates described the old hints' regime
+                self.stats.smoothed_sparsity.clear()
+        return True
+
     def _record(self, values: List[MatrixValue], result: ExecutionResult) -> None:
         drifted: Dict[int, float] = {}
-        session = self._session
         # counting non-zeros is the expensive part and needs no lock: a value
         # memoises its count, so pinned inputs are counted once, ever
         observations = [
-            (spec, value.sparsity, float(value.cells))
-            for spec, value in zip(self.signature.slots, values)
+            (slot, value.sparsity, float(value.cells))
+            for slot, value in enumerate(values)
             if value.cells > 1
         ]
         with self._lock:
+            hints = self._entry.context.hints
             self.stats.executions += 1
             self.stats.total_elapsed += result.stats.elapsed
-            for spec, observed, cells in observations:
-                self.stats.observed_sparsity[spec.index] = observed
-                hint = spec.sparsity if spec.sparsity is not None else 1.0
+            for slot, observed, cells in observations:
+                self.stats.observed_sparsity[slot] = observed
+                hint = hints[slot] if hints[slot] is not None else 1.0
                 # Drift detection compares the *smoothed* observation, not
                 # the last one: the per-slot EWMA is seeded at the compiled
                 # hint, so a lone outlier moves it only the EWMA weight of the way
                 # while a sustained regime change converges and trips the
                 # factor within a few runs.
-                previous = self.stats.smoothed_sparsity.get(spec.index, hint)
+                previous = self.stats.smoothed_sparsity.get(slot, hint)
                 smoothed = DEFAULT_DRIFT_ALPHA * observed + (1.0 - DEFAULT_DRIFT_ALPHA) * previous
-                self.stats.smoothed_sparsity[spec.index] = smoothed
+                self.stats.smoothed_sparsity[slot] = smoothed
                 # Expected nnz for *this* value: the compiled hint times the
                 # actual cell count (shape checks already pinned concrete
                 # dims, and for symbolic dims the hint still applies).
@@ -755,34 +745,29 @@ class CompiledPlan:
                     smoothed_nnz > expected_nnz * DEFAULT_DRIFT_FACTOR
                     or expected_nnz > smoothed_nnz * DEFAULT_DRIFT_FACTOR
                 ):
-                    drifted[spec.index] = observed
+                    # quantized so near-identical observations share a context
+                    drifted[slot] = _quantize_sparsity(observed)
             if drifted:
                 self.stats.drift_events += 1
-        if drifted and session is not None and getattr(session, "auto_recompile", False):
-            session._recompile_plan(self, drifted)
-
-    def _adopt(
-        self, entry: PlanEntry, signature: ExprSignature, source: la.LAExpr
-    ) -> None:
-        """Switch this plan to a re-optimized artifact (drift recompilation)."""
-        with self._lock:
-            self._entry = entry
-            self.signature = signature
-            self.source = source
-            self.stats.recompiles += 1
-            # The smoothed estimates described the *old* hints' regime; the
-            # fresh artifact carries new hints, so smoothing restarts from
-            # them on the next execution.
-            self.stats.smoothed_sparsity.clear()
-            # pinned variants were compiled under the old hints: relearn
-            self._variants = {}
-            self._pinned, self._unpinned = (), None
+        if not drifted or not self._session.auto_recompile:
+            return
+        target = PlanContext(tuple(drifted.get(slot, hint) for slot, hint in enumerate(hints)))
+        if target != PlanContext(hints) and self._move(target, 0, "recompiles"):
+            logger.info(
+                "drift recompile: plan %s, slots %s", self.fingerprint[:12], sorted(drifted)
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CompiledPlan {self.fingerprint[:12]} inputs={list(self.input_names)} "
             f"runs={self.stats.executions}>"
         )
+
+
+def _quantize_sparsity(value: float) -> float:
+    """Bucket an observed sparsity to two significant digits in (0, 1]."""
+    clamped = min(max(value, 1e-12), 1.0)
+    return float(f"{clamped:.2g}")
 
 
 def bind_signature(

@@ -20,14 +20,12 @@ lower/saturate/extract/lift pipeline on a cache miss.  Per-fingerprint
 in-flight locks guarantee that concurrent misses of the *same* shape
 compile exactly once while different shapes compile in parallel.
 
-Plans report the observed sparsity of every input back to the session; when
-observation drifts beyond :data:`~repro.api.plan.DEFAULT_DRIFT_FACTOR` of
-the hint the cost model optimized under, the session recompiles the
-expression with the observed statistics (quantized so near-identical
-observations share a fingerprint) and atomically re-points the plan at the
-fresher artifact.  The same path compiles a plan's *pinned* variant when
-some of its inputs keep arriving as the same objects
-(:meth:`CompiledPlan.run` says when it is adopted and when it reverts).
+Every plan holds its session, and the session builds every entry a plan
+adapts to: :meth:`Session._variant` rebuilds the plan's source under a
+:class:`~repro.api.plan.PlanContext` — the observed sparsity hints after a
+drift beyond :data:`~repro.api.plan.DEFAULT_DRIFT_FACTOR`, or the inputs
+that keep arriving as the same objects held pinned — and resolves it like
+any compile (:meth:`CompiledPlan.run` says when a plan moves).
 
 A session may also be given a **persistent plan store**
 (``Session(store_path=...)``, a :class:`repro.serialize.PlanStore`
@@ -66,10 +64,10 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.api.cache import CacheStats, PlanCache
-from repro.api.plan import CompiledPlan, InputValue, PlanEntry, specialize_entry
+from repro.api.plan import CompiledPlan, InputValue, PlanContext, PlanEntry, specialize_entry
 from repro.canonical.fingerprint import ExprSignature, signature_of, slot_expression
 from repro.lang import dag
 from repro.lang import expr as la
@@ -92,17 +90,12 @@ logger = logging.getLogger(__name__)
 class Session:
     """Compiles LA expressions into reusable plans, caching by fingerprint.
 
-    ``auto_recompile`` (default ``True``) lets plans re-point themselves at
-    variants compiled from what their runs observe.  A plan whose input
-    sparsity drifts off its hints is recompiled with the observed hints.  A
-    plan with two or more inputs and a non-scalar output counts the runs
-    that bind the very same object to each slot; when a strict subset of
-    its slots repeats, the session compiles the variant with those inputs
-    pinned and prices its hoisted build against its per-run saving
-    (``N*``).  The plan adopts the variant once the pinned objects have
-    repeated ``N*`` times and reverts to its unpinned entry, before
-    executing, when a pinned slot receives a new object.  ``False`` (the
-    serving engine's setting) keeps every plan as compiled.
+    ``auto_recompile`` (default ``True``) lets plans move to contexts
+    compiled from what their runs observe: the observed hints of inputs
+    whose sparsity drifted, and the inputs a plan keeps receiving as the
+    same objects held pinned, adopted once they have repeated ``N*`` times
+    (:meth:`_variant`).  ``False`` (the serving engine's setting) keeps
+    every plan as compiled.
     """
 
     def __init__(
@@ -131,10 +124,9 @@ class Session:
                 "(or pass store_path and let the session build it)"
             )
         self.cache: PlanCache[PlanEntry] = PlanCache(cache_size)
-        #: re-point plans at variants compiled from what they observe: the
+        #: let plans move to contexts compiled from what they observe: the
         #: drifted sparsity of an input, and inputs that stay pinned (the
-        #: same object run after run — a plan adopts its pinned variant once
-        #: the repeats repay the hoisted build and reverts when one changes)
+        #: same object run after run)
         self.auto_recompile = auto_recompile
         #: fault-injection schedule threaded through the session's own
         #: ``optimizer.saturate`` site and into a store the session builds
@@ -168,7 +160,7 @@ class Session:
         self.misses = 0
         #: the hits served by specializing a plan template
         self.template_hits = 0
-        #: plans re-pointed at a recompile after their inputs' sparsity drifted
+        #: drift contexts resolved for plans whose inputs' sparsity drifted
         self.recompiles = 0
         self._state_lock = threading.Lock()
         #: per-template [lock, waiter-count] entries; an entry lives while
@@ -201,10 +193,9 @@ class Session:
             entry,
             signature,
             expr,
-            session=self,
+            self,
             cache_hit=hit,
             template_hit=template_hit,
-            ring=self.config.ring(),
         )
 
     def run(
@@ -454,63 +445,26 @@ class Session:
         adopted, _ = self.cache.insert(signature.digest, specialized, signature.template_digest)
         return adopted
 
-    def _variant(
-        self, plan: CompiledPlan, slots: Iterable[int], var: Callable[[la.Var, int], la.Var]
-    ) -> "tuple[PlanEntry, ExprSignature, la.LAExpr]":
-        """Compile (or find) ``plan``'s source with the inputs of ``slots``
-        rebuilt by ``var(input, slot)``; returns ``(entry, signature, expr)``."""
-        slot_of = plan.signature.slot_of
-        wanted = set(slots)
-        mapping: Dict[la.LAExpr, la.LAExpr] = {}
-        for node in dag.postorder(plan.source):
-            if isinstance(node, la.Var) and slot_of.get(node.name) in wanted:
-                mapping[node] = var(node, slot_of[node.name])
-        new_expr = dag.substitute(plan.source, mapping)
-        new_signature = signature_of(new_expr)
-        if new_signature.digest == plan.signature.digest:
-            return plan._entry, plan.signature, plan.source
-        entry, _, _ = self._resolve(new_expr, new_signature)
-        return entry, new_signature, new_expr
+    def _variant(self, plan: CompiledPlan, context: PlanContext) -> "tuple[PlanEntry, float]":
+        """``plan``'s entry under ``context`` and the repeats ``N*`` after which it pays.
 
-    def _pinned_variant(
-        self, plan: CompiledPlan, base: PlanEntry, slots: "tuple[int, ...]"
-    ) -> "tuple[PlanEntry, float]":
-        """``plan``'s variant with ``slots`` pinned, and the repeat count at
-        which it repays its hoisted build against ``base`` (ski rental)."""
-        entry, _, _ = self._variant(
-            plan, slots, lambda node, slot: la.Var(node.name, node.var_shape, node.sparsity, True)
-        )
-        return entry, breakeven_runs(entry.artifact, base.artifact, self.config.ring())
-
-    def _recompile_plan(self, plan: CompiledPlan, observed: Dict[int, float]) -> None:
-        """Re-optimize a plan whose observed input nnz drifted off its hints.
-
-        Builds a copy of the plan's source expression whose drifted inputs
-        carry the *observed* sparsity (quantized to two significant digits
-        so a stream of near-identical observations maps to one fingerprint),
-        compiles it through the normal cached path, and re-points the plan.
+        Rebuilds the plan's source with every input's hint and pinned flag
+        taken from ``context`` and resolves it like any compile (cache,
+        template tier, compile lock).  A context without pins is a drift
+        recompile, adopted at once (``N* = 0``).  A pinned context prices its
+        hoisted build against the unpinned entry of the same hints, which
+        the plan's table always holds (ski rental).
         """
-        entry, new_signature, new_expr = self._variant(
-            plan,
-            observed,
-            lambda node, slot: la.Var(
-                node.name, node.var_shape, _quantize_sparsity(observed[slot])
-            ),
-        )
-        if new_signature is plan.signature:
-            return  # quantization landed on the hints already in force
-        plan._adopt(entry, new_signature, new_expr)
-        logger.info(
-            "drift recompile: plan %s -> %s (drifted slots: %s)",
-            plan.fingerprint[:12],
-            new_signature.digest[:12],
-            sorted(observed),
-        )
+        slot_of = plan.signature.slot_of
+        mapping: Dict[la.LAExpr, la.LAExpr] = {}
+        for var in dag.variables(plan.source):
+            hint, pinned = context.hints[slot_of[var.name]], slot_of[var.name] in context.pinned
+            mapping[var] = la.Var(var.name, var.var_shape, hint, pinned)
+        expr = dag.substitute(plan.source, mapping)
+        entry, _, _ = self._resolve(expr, signature_of(expr))
+        if context.pinned:
+            base, _ = plan._contexts[PlanContext(context.hints)]
+            return entry, breakeven_runs(entry.artifact, base.artifact, self.config.ring())
         with self._state_lock:
             self.recompiles += 1
-
-
-def _quantize_sparsity(value: float) -> float:
-    """Bucket an observed sparsity to two significant digits in (0, 1]."""
-    clamped = min(max(value, 1e-12), 1.0)
-    return float(f"{clamped:.2g}")
+        return entry, 0.0

@@ -404,8 +404,10 @@ class BatchServer:
         are *verified* against individual execution — every member of the
         plan's first stacked execution, then one rotating member per
         execution — and any mismatch permanently disables stacking for the
-        plan; that family is then served individually.  Called under
-        ``local.lock``.
+        plan; that family is then served individually.  An error raised for
+        one family (a member's input the tape rejects) leaves stacking as it
+        was: that family alone is served individually, so the error fails
+        only its own request.  Called under ``local.lock``.
         """
         slot = local.slot
         if slot is None or local.status == "off" or len(members) < 2:
@@ -425,7 +427,10 @@ class BatchServer:
             if local.status == "off":
                 break
             if len(family) > 1:
-                prestacked.update(self._stack_family(tape, local, family))
+                try:
+                    prestacked.update(self._stack_family(tape, local, family))
+                except Exception:  # a member's own error: serve the family one by one
+                    continue
         return prestacked
 
     def _stack_family(

@@ -42,6 +42,11 @@ def requests(plan, inputs, pinned, runs, seed=1):
         }
 
 
+def pinned_variants(plan) -> dict:
+    """The pinned contexts ``plan`` resolved, by pinned slots: ``{slots: (entry, N*)}``."""
+    return {context.pinned: found for context, found in plan._contexts.items() if context.pinned}
+
+
 def gram_form(expr: la.LAExpr) -> bool:
     """Whether ``expr`` multiplies by a hoisted ``t(X) %*% X``."""
     return any(
@@ -81,7 +86,7 @@ class TestAdoption:
                 s = request["s"].to_dense()
                 bound = gram_ulp_bound(inputs["X"].to_dense(), s, 0.01 * s)
                 assert np.all(np.abs(result - expected) <= bound)
-        ((slots, (entry, breakeven)),) = plan._variants.items()
+        ((slots, (entry, breakeven)),) = pinned_variants(plan).items()
         assert slots == (0,) and 1 <= breakeven < 40
         # run k has seen X k times before: the variant is adopted when the
         # repeat count reaches N*, and kept while X stays the same object
@@ -143,7 +148,7 @@ class TestRevert:
         runs = 60
         for run in range(runs):
             plan.run(X=xs[(run // block) % 2], s=fresh(rng, inputs["s"]))
-        variants = list(plan._variants.values())
+        variants = list(pinned_variants(plan).values())
         if block == 1:
             assert not variants  # X never repeated: nothing to learn
             return
@@ -163,7 +168,7 @@ class TestNoLearning:
         inputs = workload.inputs(0)
         for _ in range(10):
             plan.run(A=inputs["A"])
-        assert session.compilations == 1 and not plan._variants
+        assert session.compilations == 1 and not pinned_variants(plan)
         assert plan.stats.pin_adoptions == 0 and plan.executable().hoisted is None
 
     def test_repeating_every_input_of_a_multi_input_plan_learns_nothing(self):
@@ -172,7 +177,7 @@ class TestNoLearning:
         plan = session.compile(expr)
         for _ in range(10):
             plan.run(X=inputs["X"], s=inputs["s"])
-        assert session.compilations == 1 and not plan._variants
+        assert session.compilations == 1 and not pinned_variants(plan)
 
     def test_scalar_roots_keep_their_unpinned_plan(self):
         _, expr, inputs = svm("objective")
@@ -181,7 +186,7 @@ class TestNoLearning:
         unpinned = plan._entry
         for request in requests(plan, inputs, {"X", "y"}, 20):
             plan.run(request)
-        assert plan._entry is unpinned and not plan._variants
+        assert plan._entry is unpinned and not pinned_variants(plan)
         assert session.compilations == 1
 
     def test_auto_recompile_off_learns_nothing(self):
@@ -190,7 +195,7 @@ class TestNoLearning:
         plan = session.compile(expr)
         for request in requests(plan, inputs, {"X"}, 20):
             plan.run(request)
-        assert session.compilations == 1 and not plan._variants
+        assert session.compilations == 1 and not pinned_variants(plan)
 
 
 def test_unpinned_compiles_keep_their_digests():

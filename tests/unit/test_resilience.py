@@ -221,6 +221,54 @@ class TestDeterministicExecutionErrors:
             engine.close()
 
 
+    def test_a_poisoned_family_member_fails_alone_and_keeps_stacking(self, monkeypatch):
+        """An error inside a stacked family (here the verify run of its
+        poisoned member) stays in that family: the family is served one by
+        one, only the poisoned request fails, the drain's other instance
+        group is served, and stacking is not switched off for the plan."""
+        from tests.helpers import hold_first_pool_batch
+
+        m, n = Dim("m", 48), Dim("n", 32)
+        matvec, loss = Matrix("A", m, n) @ Vector("q", n), make_loss(0.05)
+        rng = np.random.default_rng(21)
+
+        def dyadic(*shape):  # exact sums: the stacked run verifies bitwise
+            return MatrixValue(rng.integers(1, 64, shape) / 64.0)
+
+        a, columns = dyadic(48, 32), [dyadic(32, 1) for _ in range(4)]
+        loss_inputs = [make_inputs(seed) for seed in (30, 31)]
+
+        def copies(inputs):  # new objects: the door's result cache misses
+            return {name: MatrixValue(value.data.copy()) for name, value in inputs.items()}
+
+        engine = ServingEngine(shards=1, config=config())
+        release = None
+        try:
+            references = [engine.run(matvec, copies({"A": a, "q": q})) for q in columns]
+            references += [engine.run(loss, copies(inputs)) for inputs in loss_inputs]
+            poison_the_tape(engine, monkeypatch, columns[1])
+            busy, release = hold_first_pool_batch(engine)
+            occupier = engine.submit(loss, make_inputs(99))
+            assert busy.wait(60)
+            futures = [engine.submit(matvec, {"A": a, "q": q}) for q in columns]
+            futures += [engine.submit(loss, inputs) for inputs in loss_inputs]
+            release.set()
+            occupier.result(timeout=60)
+            with pytest.raises(ExecutionError, match="kernel rejected"):
+                futures[1].result(timeout=60)
+            for index in (0, 2, 3, 4, 5):
+                got, want = futures[index].result(timeout=60).value, references[index].value
+                assert got.is_sparse == want.is_sparse
+                assert np.array_equal(got.to_dense(), want.to_dense())
+            assert engine.stats().errors == 1
+            local = engine._local[engine.plan_for(matvec).executable()]
+            assert local.slot is not None and local.status == "untested"
+        finally:
+            if release is not None:
+                release.set()
+            engine.close()
+
+
 class TestCompileFailures:
     def test_a_compile_failure_fails_its_group_and_the_batch_serves_the_rest(
         self, monkeypatch

@@ -186,11 +186,11 @@ class TestDriftRecompilation:
         assert second.scalar() == pytest.approx(first.scalar(), rel=1e-9)
 
     def test_recompile_rebuilds_the_executable(self):
-        """``_adopt`` drops the owned executable; the next use rebuilds it
-        from the re-optimized entry instead of running the stale one."""
+        """A drift moves the plan to the re-optimized entry; the next use runs
+        that entry's executable instead of the stale one."""
         from repro.runtime import execute_slots
 
-        session = greedy_session()  # plans hold their session weakly
+        session = greedy_session()  # plans hold their session strongly
         plan = session.compile(make_loss(sparsity=0.001))
         stale = plan.executable()
         assert plan.executable() is stale  # owned, not rebuilt per call
@@ -272,6 +272,41 @@ class TestDriftRecompilation:
         stats = plan.to_dict()["stats"]
         assert stats["smoothed_sparsity"], "smoothed sparsity must be recorded"
         assert "smoothed" in plan.explain()
+        # the context in force, under the request's names: the compiled one
+        hints = {"X": 0.01, "u": None, "v": None}
+        assert plan.to_dict()["context"] == {
+            "hints": hints,
+            "pinned": [],
+            "table": [{"hints": hints, "pinned": [], "breakeven": 0.0}],
+        }
+        assert "context     : hints X=0.01, u=-, v=-; pinned none" in plan.explain()
+        # a drift moves the hints in force (N* 0); a pinned context that
+        # cannot be built is kept as never paying
+        m, n = Dim("m", 40), Dim("n", 20)
+        X, v = Matrix("X", m, n, sparsity=0.01), Vector("v", n)
+        session = greedy_session()
+        plan = session.compile(X.T @ (X @ v))
+        variant = session._variant
+
+        def no_pinned_variant(plan, context):
+            if context.pinned:
+                raise RuntimeError("no pinned variant")
+            return variant(plan, context)
+
+        session._variant = no_pinned_variant
+        rng = np.random.default_rng(0)
+        x = MatrixValue.random_dense(40, 20, rng)
+        for _ in range(3):
+            plan.run(X=x, v=MatrixValue.random_dense(20, 1, rng))
+        assert plan.stats.recompiles == 1 and plan.stats.pin_adoptions == 0
+        context = plan.to_dict()["context"]
+        assert (context["hints"], context["pinned"]) == ({"X": 1.0, "v": None}, [])
+        rows = [(row["hints"]["X"], row["pinned"], row["breakeven"]) for row in context["table"]]
+        assert rows == [(0.01, [], 0.0), (1.0, [], 0.0), (1.0, ["X"], None)]
+        explained = plan.explain()
+        assert "context     : hints X=1.0, v=-; pinned none" in explained
+        assert "learned   : N* 0 -> hints X=0.01, v=-; pinned none" in explained
+        assert "learned   : N* never -> hints X=1.0, v=-; pinned X" in explained
 
     def test_symbolic_dims_use_sparsity_hint_for_drift(self):
         """Unsized dims must not fall back to a dense-input assumption."""
