@@ -345,7 +345,7 @@ class Session:
                 # a pinned variant is learned at run time: it stays in memory
                 pinned = any(spec.pinned for spec in signature.slots)
                 if inserted and not degraded and not pinned and self.store is not None:
-                    self._save_to_store(key, entry)
+                    self.store.save(key, entry)  # counts and swallows its IO errors
                 return entry, False, False
         finally:
             with self._state_lock:
@@ -389,34 +389,18 @@ class Session:
         """
         return isinstance(error, ReliabilityError) or self.degrade_on_error
 
-    def _save_to_store(self, key: str, entry: PlanEntry) -> None:
-        """Write-through, demoted to skip-persist on any IO failure.
-
-        The store already swallows and counts its own IO errors; this
-        second line of defense keeps even an unexpected store defect from
-        failing a request that holds a perfectly good in-memory plan.
-        """
-        try:
-            self.store.save(key, entry)
-        except OSError:
-            pass
-
     def _load_from_store(self, key: str) -> Optional[PlanEntry]:
         """Probe the persistent tier after a memory miss.
 
         A disk hit is served from cached state rather than a compile, so it
-        counts as a hit and the entry is promoted into memory.  Corrupt or
-        incompatible entries load as ``None`` (the store counts them), and
-        an IO failure escaping the store is demoted to a miss here — the
-        caller falls through to compiling, so a damaged store never takes a
-        request down.
+        counts as a hit and the entry is promoted into memory.  Corrupt,
+        incompatible or unreadable entries load as ``None`` (the store
+        counts them) and the caller falls through to compiling, so a damaged
+        store never takes a request down.
         """
         if self.store is None:
             return None
-        try:
-            entry = self.store.load(key)
-        except OSError:
-            return None
+        entry = self.store.load(key)
         if entry is None:
             return None
         entry, _ = self.cache.insert(key, entry, template_key=entry.template_digest)
@@ -435,10 +419,7 @@ class Session:
         """
         if self.store is None or not signature.template_digest:
             return None
-        try:
-            pivot = self.store.load_template(signature.template_digest)
-        except OSError:  # demoted to a template miss, same as _load_from_store
-            return None
+        pivot = self.store.load_template(signature.template_digest)
         specialized = specialize_entry(pivot, signature) if pivot is not None else None
         if specialized is None:
             return None

@@ -15,9 +15,9 @@ Recognised patterns:
 * ``P * (1 - P)`` / ``(1 - P) * P``                                → ``sprop``
 * ``t(X) %*% (w * (X %*% v))`` and ``t(X) %*% (X %*% v)``          → ``mmchain``
 
-With ``respect_sharing=True`` (SystemML's behaviour) a pattern whose inner
-matrix product feeds other consumers is left unfused, because fusing it
-would force the shared product to be recomputed.  This guard is part of the
+As in SystemML, a pattern whose inner matrix product feeds other consumers
+is left unfused, because fusing it would force the shared product to be
+recomputed.  This guard is part of the
 PNMF story in Sec. 4.2: neither the ``sum(W %*% H)`` rewrite nor the
 ``wcemm`` fusion fires for SystemML because ``W %*% H`` is shared, while the
 plan SPORES produces no longer shares it and fuses cleanly.
@@ -31,15 +31,13 @@ from repro.lang import dag
 from repro.lang import expr as la
 
 
-def fuse_operators(root: la.LAExpr, respect_sharing: bool = True) -> la.LAExpr:
+def fuse_operators(root: la.LAExpr) -> la.LAExpr:
     """Replace fusible patterns with fused operator nodes, bottom-up."""
-    fuse = fusion_matcher(root, respect_sharing)
+    fuse = fusion_matcher(root)
     return dag.transform_bottom_up(root, lambda node: fuse(node) or node)
 
 
-def fusion_matcher(
-    root: la.LAExpr, respect_sharing: bool = True
-) -> Callable[[la.LAExpr], Optional[la.LAExpr]]:
+def fusion_matcher(root: la.LAExpr) -> Callable[[la.LAExpr], Optional[la.LAExpr]]:
     """The fused operator a node of ``root`` becomes, or ``None``.
 
     Sharing is judged on ``root``'s DAG: the test :func:`fuse_operators`
@@ -48,7 +46,7 @@ def fusion_matcher(
     consumers = dag.consumer_counts(root)
 
     def is_shared(node: la.LAExpr) -> bool:
-        return respect_sharing and consumers.get(node, 0) > 1
+        return consumers.get(node, 0) > 1
 
     def fuse(node: la.LAExpr) -> Optional[la.LAExpr]:
         for matcher in (_match_wsloss, _match_wcemm, _match_wdivmm, _match_sprop, _match_mmchain):

@@ -18,29 +18,23 @@ A :class:`TapePlan` compiles a *slot-space* plan (as stored in
 * constants (``Literal``, ``FilledMatrix``) are materialized once at tape
   compile time, not per request;
 * each step records which input **slots** it transitively depends on, which
-  enables the pinned-parameter reuse below.
+  is how a pinned plan finds the steps it hoists.
 
-**Pinned-parameter reuse.**  Serving requests typically rebind only the
-small query-side inputs (a parameter vector, a mini-batch) while the big
-data matrices stay the *same objects* request after request — the model's
-pinned state.  A :class:`StepReuseCache` remembers, per tape step, the last
-result together with strong references to the exact slot values it was
-computed from; a later run reuses the result only when every dependency
-``is`` the remembered object.  Identity (not equality) makes the check O(1)
-and, because the cache keeps the operands alive, immune to id recycling.
-Steps fed by varying inputs simply miss and recompute.  Callers that mutate
-input arrays in place must not share value objects across requests (the
-same contract NumPy views have always had).
-
-A plan compiled for *pinned* slots (``TapePlan(..., pinned=slots)``; the
-:class:`~repro.api.plan.CompiledPlan` learns them from repeated input
-objects) owns one such cache restricted to the steps only pinned slots
-determine, :attr:`TapePlan.hoisted`: a Gram matrix ``t(X) %*% X`` or a
-transposed ``t(X)`` is computed once per tuple of pinned objects and read
-on every later run, with no second memo.  What it stores is marked
-``hoisted``, so a CSC value keeps a CSR copy for matrix-vector products
+**Hoisting.**  A plan compiled for *pinned* slots
+(``TapePlan(..., pinned=slots)``; the :class:`~repro.api.plan.CompiledPlan`
+learns them from repeated input objects) owns a :class:`StepReuseCache`
+restricted to the steps only pinned slots determine,
+:attr:`TapePlan.hoisted`: a Gram matrix ``t(X) %*% X`` or a transposed
+``t(X)`` is computed once per tuple of pinned objects and read on every
+later run.  A hit requires every pinned operand to be the *same object* it
+was computed from; the cache keeps those objects alive, so the identity
+check is O(1) and immune to id recycling.  Callers that mutate a pinned
+array in place must bind a new object (the contract NumPy views have
+always had).  What it stores is marked ``hoisted``, so a CSC value keeps a
+CSR copy for matrix-vector products
 (:attr:`~repro.runtime.data.MatrixValue.row_major`).  An unpinned plan has
-no such cache and runs the bare loop.
+no such cache and runs the bare loop, and no run keeps its inputs or
+intermediates once it returns.
 
 The tape produces numerically identical results to the interpreter — it
 calls the same :mod:`repro.runtime.kernels` in the same operand order — and
@@ -98,51 +92,6 @@ class TapeProfilerLike(Protocol):
     ) -> None: ...
 
 
-class ValuePool:
-    """A bounded pool of reusable value-vector scratch buffers.
-
-    ``TapePlan.execute`` used to rebuild its scratch list
-    (``list(values) + [None] * len(steps)``) on every request — three
-    allocations per execution on the serving fast path.  The pool hands out
-    preallocated buffers instead; ``prefill`` entries (position, value) are
-    constants that survive across runs, everything else is cleared on
-    release so request data is never pinned.
-
-    Thread-safety relies on ``list.append``/``list.pop`` being atomic under
-    the GIL; a lost race simply allocates one extra buffer.
-    """
-
-    __slots__ = ("_size", "_prefill", "_clear", "_buffers", "_limit")
-
-    def __init__(
-        self,
-        size: int,
-        prefill: Sequence[Tuple[int, MatrixValue]] = (),
-        limit: int = 4,
-    ) -> None:
-        self._size = size
-        self._prefill = tuple(prefill)
-        pinned = {position for position, _ in self._prefill}
-        self._clear = tuple(i for i in range(size) if i not in pinned)
-        self._buffers: List[List[Optional[MatrixValue]]] = []
-        self._limit = limit
-
-    def acquire(self) -> List[Optional[MatrixValue]]:
-        try:
-            return self._buffers.pop()
-        except IndexError:
-            buffer: List[Optional[MatrixValue]] = [None] * self._size
-            for position, value in self._prefill:
-                buffer[position] = value
-            return buffer
-
-    def release(self, buffer: List[Optional[MatrixValue]]) -> None:
-        if len(self._buffers) < self._limit:
-            for position in self._clear:
-                buffer[position] = None
-            self._buffers.append(buffer)
-
-
 class StepReuseCache:
     """Per-plan memo of step results keyed by the identity of their inputs.
 
@@ -152,11 +101,10 @@ class StepReuseCache:
 
     ``steps`` restricts the memo to those step indices (the pinned-only
     steps an executable hoists); every other step runs as if there were no
-    cache.  A restricted cache marks what it stores ``hoisted``.  The
-    unrestricted cache is not thread-safe — the serving engine keeps one per
-    executable and serves it under a lock; the restricted one lives on its
-    executable, and a race between
-    two runs costs at most one extra build of a hoisted value.
+    cache.  A restricted cache marks what it stores ``hoisted``; it lives on
+    its executable, and a race between two runs costs at most one extra
+    build of a hoisted value.  An unrestricted cache is not thread-safe:
+    whoever passes it to :meth:`TapePlan.execute` owns it.
     """
 
     __slots__ = ("_entries", "hits", "misses", "steps")
@@ -328,12 +276,15 @@ class TapePlan:
         fused_operators: int,
         prefill: Sequence[Tuple[int, MatrixValue]] = (),
     ) -> None:
-        """Install the step list and size the pooled value vector."""
+        """Install the step list and the value vector every run starts from."""
         #: executed in order; each step writes position ``step.out``
         self._steps = steps
         self._root = root
         self._fused_steps = fused_operators
-        self._pool = ValuePool(n_positions, prefill)
+        #: copied once per run: ``None`` but for the ``prefill`` constants
+        self._template: List[Optional[MatrixValue]] = [None] * n_positions
+        for position, value in prefill:
+            self._template[position] = value
         hoisted = frozenset(
             index
             for index, step in enumerate(steps)
@@ -400,19 +351,16 @@ class TapePlan:
                 f"tape expects {self.n_slots} slot values, got {len(values)}"
             )
         start = time.perf_counter()
-        vals = self._pool.acquire()
+        vals = self._template.copy()
         vals[: self.n_slots] = values
-        try:
-            if reuse is None:
-                reuse = self.hoisted
-            if reuse is None and profiler is None:
-                for fn, out, _, _, _ in self._steps:
-                    vals[out] = fn(vals)
-            else:
-                self._run_hooked(vals, reuse, profiler)
-            value = vals[self._root]
-        finally:
-            self._pool.release(vals)
+        if reuse is None:
+            reuse = self.hoisted
+        if reuse is None and profiler is None:
+            for fn, out, _, _, _ in self._steps:
+                vals[out] = fn(vals)
+        else:
+            self._run_hooked(vals, reuse, profiler)
+        value = vals[self._root]
         stats = ExecutionStats(
             elapsed=time.perf_counter() - start,
             operators_executed=len(self._steps),

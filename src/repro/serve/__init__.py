@@ -12,8 +12,8 @@ deployable service shape:
   p50/p95 latency and hit rates.
 * :mod:`repro.serve.worker` — the serving path both use: micro-batches
   same-instance requests, executes each plan entry's one executable
-  (:mod:`repro.runtime.tape`) with pinned-parameter reuse and columnwise
-  stacking, and answers exact repeats from one bounded result cache.
+  (:mod:`repro.runtime.tape`) with columnwise stacking, and answers exact
+  repeats from one bounded result cache.
 * :mod:`repro.serve.warmup` — the deploy-time CLI
   (``python -m repro.serve.warmup``) that pre-compiles a workload list
   into a store so a fresh engine starts 100% warm.

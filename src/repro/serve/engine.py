@@ -35,9 +35,9 @@ front door:
 The serving fast path executes each plan entry's one executable
 (:meth:`repro.api.plan.PlanEntry.executable` — an instruction tape whose
 steps are fusion regions under real arithmetic, see ``docs/codegen.md``)
-with pinned-parameter step reuse and columnwise stacking of same-plan
-matvecs behind the engine's result cache — bitwise identical to the reference
-interpreter, minus its per-intermediate bufferpool accounting.
+with columnwise stacking of same-plan matvecs behind the engine's result
+cache — bitwise identical to the reference interpreter, minus its
+per-intermediate bufferpool accounting.
 
 **Reliability** (:mod:`repro.reliability` threaded end to end):
 
@@ -164,9 +164,11 @@ class EngineStats(ServingCounters):
     #: fraction of served requests that skipped compilation entirely — the
     #: serving-level hit rate
     hit_rate: float = 0.0
-    #: always 0: nothing retries or requeues; kept for records that read them
+    #: always 0: nothing retries, requeues or memoizes steps per engine; kept
+    #: for records that read them
     retries: int = 0
     restarts: int = 0
+    step_reuse_hits: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -312,7 +314,7 @@ class ServingEngine(BatchServer):
 
         Admitted and shed as :meth:`submit`, whose door answers exact
         repeats too; a miss is served through the pool's own batch path —
-        same reuse state and counters — on this thread, with no hand-off.
+        same serving state and counters — on this thread, with no hand-off.
         """
         merged = self._merge_inputs(inputs, named)
         future = self._enqueue(expr, merged, compile_only=False, deadline=deadline, inline=True)

@@ -13,9 +13,8 @@ through the same method.  Everything it keeps is engine-wide:
 * the engine's one :class:`ResultCache`, consulted again when a request
   executes, so batch-mates hit what a twin stored;
 * one :class:`ServingCounters` record under the engine lock;
-* per-executable serving state (:class:`_LocalState`): a
-  :class:`~repro.runtime.tape.StepReuseCache` for pinned-parameter reuse and
-  the columnwise-stacking verdict, in a :class:`weakref.WeakKeyDictionary`
+* per-executable serving state (:class:`_LocalState`): the
+  columnwise-stacking verdict, in a :class:`weakref.WeakKeyDictionary`
   keyed by the plan entry's executable, so an entry the session evicts takes
   its state with it.  Each state has its own lock, held while an instance
   group is served: two threads serving one plan take turns, two plans run
@@ -24,14 +23,16 @@ through the same method.  Everything it keeps is engine-wide:
 **Micro-batching.**  A batch is grouped by instance digest and the groups
 are served largest first — a stacked group answers the most requests per
 millisecond; each group resolves its plan once and serves its requests, in
-arrival order, back-to-back with warm step-reuse state.  Other sizes of one
-template specialize off the cached template through the session's template
-tier whatever order they arrive in.  An inline batch is just one request.
+arrival order, back-to-back.  Other sizes of one template specialize off the
+cached template through the session's template tier whatever order they
+arrive in.  An inline batch is just one request.
 
 **Executables and columnwise stacking.**  Each resolved plan executes on
 its entry's one executable (:meth:`~repro.api.plan.PlanEntry.executable`) —
 a tape whose steps are fusion regions under real arithmetic, the plain
 operator tape otherwise; both are bitwise identical to the interpreter.
+It runs as :meth:`~repro.api.plan.CompiledPlan.run` runs it: the engine
+memoizes no step.
 When a plan is structurally columnwise in one ``(m, 1)`` slot, each family
 of an instance group's matvec requests — members that bind the very same
 objects in every other slot — is additionally *stacked* into one matmat
@@ -72,7 +73,7 @@ from repro.reliability.errors import DeadlineExceededError
 from repro.runtime.codegen import stackable_slot
 from repro.runtime.data import MatrixValue
 from repro.runtime.engine import ExecutionResult, ExecutionStats
-from repro.runtime.tape import StepReuseCache, TapePlan
+from repro.runtime.tape import TapePlan
 
 #: entries in the engine's (fingerprint, input identities) -> result memo
 RESULT_CACHE_SIZE = 256
@@ -161,15 +162,15 @@ class _LocalState:
 
     Everything here is name-free — slot space only — so every renamed or
     permuted twin of a shape shares it; binding always goes through the
-    *request's* signature.  ``reuse`` memoizes pinned-parameter steps.
-    ``slot`` is the structurally-stackable column slot (``None`` disables
-    stacking outright); ``status`` walks ``untested`` (verify every member
-    of the first stacked batch) -> ``on`` (verify one rotating member per
-    batch) -> ``off`` (any mismatch permanently disables stacking).  See
-    ``_serve_stacked``.  Only the holder of ``lock`` touches the rest."""
+    *request's* signature.  ``slot`` is the structurally-stackable column
+    slot (``None`` disables stacking outright); ``status`` walks
+    ``untested`` (verify every member of the first stacked batch) -> ``on``
+    (verify one rotating member per batch) -> ``off`` (any mismatch
+    permanently disables stacking).  See ``_serve_stacked``.  ``lock`` is
+    held while an instance group is served; the stacking state is the only
+    state it guards."""
 
     slot: Optional[int]
-    reuse: StepReuseCache = field(default_factory=StepReuseCache)
     status: str = "untested"
     batches: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -199,7 +200,6 @@ class ServingCounters:
     #: requests whose answer came out of a stacked execution
     stacked_requests: int = 0
     result_cache_hits: int = 0
-    step_reuse_hits: int = 0
 
 
 class BatchServer:
@@ -286,7 +286,7 @@ class BatchServer:
                 with local.lock:
                     prestacked = self._serve_stacked(tape, local, members)
                     for request in members:
-                        self._serve_one(plan, tape, local, request, prestacked)
+                        self._serve_one(plan, tape, request, prestacked)
 
     def _local_state(self, plan: CompiledPlan, tape: TapePlan) -> _LocalState:
         """The executable's serving state, created on first use."""
@@ -305,20 +305,9 @@ class BatchServer:
             self._seen_templates.add(request.signature.template_digest)
         return plan
 
-    def _run_tape(
-        self,
-        tape: TapePlan,
-        local: _LocalState,
-        values: Sequence[MatrixValue],
-    ) -> ExecutionResult:
-        """Execute on the executable's reuse state, counting its hits."""
-        reuse = local.reuse
-        try:
-            return tape.execute(values, reuse)
-        finally:
-            with self._lock:
-                self.counters.step_reuse_hits += reuse.hits
-            reuse.hits = reuse.misses = 0
+    def _run_tape(self, tape: TapePlan, values: Sequence[MatrixValue]) -> ExecutionResult:
+        """The serving path's one call into an executable."""
+        return tape.execute(values)
 
     def _shed(self, request: ShardRequest) -> None:
         """Drop an expired request with the typed shed error (counted)."""
@@ -338,7 +327,6 @@ class BatchServer:
         self,
         plan: CompiledPlan,
         tape: TapePlan,
-        local: _LocalState,
         request: ShardRequest,
         prestacked: Dict[int, ExecutionResult],
     ) -> None:
@@ -355,9 +343,7 @@ class BatchServer:
         ) as span:
             try:
                 if not request.compile_only:
-                    result: object = self._execute(
-                        tape, local, request, prestacked, plan.degraded
-                    )
+                    result: object = self._execute(tape, request, prestacked, plan.degraded)
                 elif plan.signature is request.signature:
                     result = plan
                 else:  # a renamed twin's plan must speak its own names
@@ -445,7 +431,7 @@ class BatchServer:
         stacked_values[slot] = MatrixValue(
             np.ascontiguousarray(np.vstack([values[slot].to_dense().ravel() for values in bound]).T)
         )
-        stacked = self._run_tape(tape, local, stacked_values)
+        stacked = self._run_tape(tape, stacked_values)
         dense_out = stacked.value.to_dense()
         if dense_out.ndim != 2 or dense_out.shape[1] != len(family):
             local.status = "off"
@@ -460,7 +446,7 @@ class BatchServer:
             else (local.batches % len(family),)
         )
         for j in verify:
-            individual = self._run_tape(tape, local, bound[j])
+            individual = self._run_tape(tape, bound[j])
             if (
                 individual.value.is_sparse != results[j].is_sparse
                 or individual.value.shape != results[j].shape
@@ -487,7 +473,6 @@ class BatchServer:
     def _execute(
         self,
         tape: TapePlan,
-        local: _LocalState,
         request: ShardRequest,
         prestacked: Dict[int, ExecutionResult],
         degraded: bool = False,
@@ -505,6 +490,6 @@ class BatchServer:
         result = prestacked.pop(id(request), None)
         if result is None:
             with _TRACER.span("serve.execute", steps=len(tape)):
-                result = self._run_tape(tape, local, values)
+                result = self._run_tape(tape, values)
         self.results.put(digest, values, result, degraded)
         return result

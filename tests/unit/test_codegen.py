@@ -8,8 +8,10 @@ Bitwise parity across whole workloads lives in
 """
 
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from repro.runtime.optable import (
 )
 from repro.runtime.semiring import AUDIT_SEMIRINGS, MIN_PLUS, REAL
 from repro.serialize import decode_expression, encode_expression
-from repro.runtime.tape import TapePlan, ValuePool
+from repro.runtime.tape import TapePlan
 
 
 def _slots(*shapes):
@@ -315,36 +317,51 @@ class TestEmit:
 
 
 # ---------------------------------------------------------------------------
-# ValuePool
+# What an executable keeps between runs
 # ---------------------------------------------------------------------------
 
 
-class TestValuePool:
-    def test_acquire_release_reuses_buffers(self):
-        pool = ValuePool(4)
-        buf = pool.acquire()
-        assert buf == [None, None, None, None]
-        buf[2] = "x"
-        pool.release(buf)
-        again = pool.acquire()
-        assert again is buf
-        assert again == [None, None, None, None]
+class TestExecutablesKeepNoRequestData:
+    """A run's value vector is its own: once ``execute`` returns, nothing of
+    the request stays alive in the executable, except on a pinned plan the
+    hoisted values and the pinned objects they were computed from."""
 
-    def test_prefill_positions_survive_release(self):
-        pool = ValuePool(3, prefill=[(1, "const")])
-        buf = pool.acquire()
-        assert buf == [None, "const", None]
-        buf[0] = buf[2] = "junk"
-        pool.release(buf)
-        assert pool.acquire() == [None, "const", None]
+    @staticmethod
+    def _live_values():
+        gc.collect()
+        return {id(value): value for value in gc.get_objects() if isinstance(value, MatrixValue)}
 
-    def test_limit_bounds_retained_buffers(self):
-        pool = ValuePool(2, limit=1)
-        first, second = pool.acquire(), pool.acquire()
-        pool.release(first)
-        pool.release(second)  # beyond the limit: dropped
-        assert pool.acquire() is first
-        assert pool.acquire() is not second
+    def _kept_by_a_run(self, executable, values):
+        """The values a run creates that outlive it once its result is dropped."""
+        before = self._live_values()
+        executable.execute(values)
+        return [value for key, value in self._live_values().items() if key not in before]
+
+    def test_an_unpinned_run_keeps_nothing(self):
+        expr, n_slots = _chain_expr()
+        for executable in (TapePlan(expr, n_slots), compile_fused(expr, n_slots, ring="real")):
+            values = _dense_inputs(n_slots)
+            probe = weakref.ref(values[0])
+            assert self._kept_by_a_run(executable, values) == []
+            del values
+            assert probe() is None, type(executable).__name__
+
+    def test_a_pinned_run_keeps_only_its_hoisted_values(self):
+        m, n = _dims(24, 18)
+        A, B = _slots((m, n), (m, n))
+        expr = la.Sum(la.ElemPlus(la.ElemMul(A, A), B))  # A * A reads the pinned slot alone
+        pinned_slots = frozenset({0})
+        for executable in (
+            TapePlan(expr, 2, pinned=pinned_slots),
+            compile_fused(expr, 2, ring="real", pinned=pinned_slots),
+        ):
+            pinned, query = _dense_inputs(2)
+            pinned_probe, query_probe = weakref.ref(pinned), weakref.ref(query)
+            kept = self._kept_by_a_run(executable, [pinned, query])
+            assert len(kept) == 1 and kept[0].hoisted, type(executable).__name__
+            del pinned, query, kept
+            assert query_probe() is None
+            assert pinned_probe() is not None  # the hoisted entry's key
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +552,7 @@ class TestServingStacked:
             assert engine.counters.stacked_requests == len(requests)
             for request, vector in zip(requests, vectors):
                 got = prestacked[id(request)].value
-                individual = tape.execute([pinned, vector], local.reuse).value
+                individual = tape.execute([pinned, vector]).value
                 assert got.is_sparse == individual.is_sparse
                 assert np.array_equal(got.to_dense(), individual.to_dense())
         finally:
@@ -553,7 +570,7 @@ class TestServingStacked:
             assert engine.counters.stacked_batches == 1
             assert engine.counters.stacked_requests == 3
             for i in (0, 1, 3):
-                individual = tape.execute([pinned, vectors[i]], local.reuse).value
+                individual = tape.execute([pinned, vectors[i]]).value
                 assert np.array_equal(prestacked[id(requests[i])].value.to_dense(),
                                       individual.to_dense())
         finally:
@@ -572,7 +589,7 @@ class TestServingStacked:
             assert engine.counters.stacked_batches == 2
             assert engine.counters.stacked_requests == 4
             for request in requests:
-                individual = tape.execute(list(request.values), local.reuse).value
+                individual = tape.execute(list(request.values)).value
                 assert np.array_equal(prestacked[id(request)].value.to_dense(),
                                       individual.to_dense())
         finally:

@@ -61,10 +61,10 @@ def poison_the_tape(engine, monkeypatch, poison):
     """Executions that bind the ``poison`` value raise ExecutionError."""
     run_tape = engine._run_tape
 
-    def failing(tape, local, values):
+    def failing(tape, values):
         if any(value is poison for value in values):
             raise ExecutionError("kernel rejected its operand")
-        return run_tape(tape, local, values)
+        return run_tape(tape, values)
 
     monkeypatch.setattr(engine, "_run_tape", failing)
 

@@ -134,11 +134,11 @@ def poison_the_tape(engine, monkeypatch, poison):
     run_tape = engine._run_tape
     executed = []
 
-    def failing(tape, local, values):
+    def failing(tape, values):
         executed.append(values)
         if any(value is poison for value in values):
             raise ExecutionError("kernel rejected its operand")
-        return run_tape(tape, local, values)
+        return run_tape(tape, values)
 
     monkeypatch.setattr(engine, "_run_tape", failing)
     return executed

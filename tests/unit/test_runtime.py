@@ -182,10 +182,8 @@ class TestFusion:
         alone = Sum(X * log(product))
         assert isinstance(fuse_operators(alone), la.WCeMM)
         shared = Sum(product) - Sum(X * log(product))
-        fused_shared = fuse_operators(shared, respect_sharing=True)
+        fused_shared = fuse_operators(shared)
         assert not any(isinstance(node, la.WCeMM) for node in fused_shared.walk())
-        fused_free = fuse_operators(shared, respect_sharing=False)
-        assert any(isinstance(node, la.WCeMM) for node in fused_free.walk())
 
     def test_sprop_pattern_fused(self):
         P = self.symbols["u"]

@@ -500,11 +500,11 @@ class TestCallerRuns:
         threads = {}
         execute_ = engine._execute
 
-        def meeting(tape, local, request, *rest):
+        def meeting(tape, request, *rest):
             if threading.current_thread().name.startswith("caller-"):
                 threads[id(request.expr)] = threading.current_thread()
                 both_inside.wait()  # neither can finish until both execute
-            return execute_(tape, local, request, *rest)
+            return execute_(tape, request, *rest)
 
         monkeypatch.setattr(engine, "_execute", meeting)
         held, release = hold_the_pool(engine, monkeypatch)
@@ -565,11 +565,11 @@ class TestCallerRuns:
             plan = engine.plan_for(expr)
             run_tape, executed = engine._run_tape, []
 
-            def failing(tape, local, values):
+            def failing(tape, values):
                 executed.append(threading.current_thread())
                 if values[plan.signature.var_order.index("u")] is bad["u"]:
                     raise ExecutionError("kernel rejected its operand")
-                return run_tape(tape, local, values)
+                return run_tape(tape, values)
 
             monkeypatch.setattr(engine, "_run_tape", failing)
             calls = record_serving_threads(engine, monkeypatch)
@@ -597,7 +597,7 @@ class TestCallerRuns:
             assert calls == []  # answered at the door: no serving call
             assert inline is queued
             assert engine.stats().result_cache_hits == 1
-            assert len(engine._local) == 1  # one reuse state, whichever thread ran
+            assert len(engine._local) == 1  # one serving state, whichever thread ran
         finally:
             engine.close()
 
@@ -960,6 +960,27 @@ class TestOneExecutable:
                     assert np.array_equal(got.to_dense(), expected.to_dense()), root_name
         finally:
             pool.close()
+
+    def test_a_stream_on_pinned_objects_runs_the_bare_executable(self):
+        """Requests that rebind the same ``X`` with fresh vectors run the
+        executable as ``plan.run`` does: its ``t(X)`` step, which reads
+        ``X`` alone, is memoized per engine no more than any other."""
+        m, n = Dim("m", ROWS), Dim("n", COLS)
+        X, u, v = Matrix("X", m, n, sparsity=0.05), Vector("u", m), Vector("v", n)
+        expr = X.T @ u + v
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            pinned = make_inputs(seed=40)["X"]
+            plan = engine.plan_for(expr)
+            for seed in range(41, 45):
+                inputs = dict(make_inputs(seed), X=pinned)
+                got = engine.run(expr, inputs).value
+                want = plan.run(inputs).value
+                assert np.array_equal(got.to_dense(), want.to_dense())
+            stats = engine.stats()
+            assert (stats.result_cache_hits, stats.step_reuse_hits) == (0, 0)
+        finally:
+            engine.close()
 
 
 class TestTapePlan:
