@@ -39,6 +39,11 @@ class CacheStats:
     #: same size-free digest (each also counts as a hit: the request was
     #: served from cached state, saturation was skipped)
     template_hits: int = 0
+    #: adoptions of a pinned variant, and returns to the unpinned entry, by
+    #: the plans of the entries cached now (an evicted entry takes its
+    #: moves with it)
+    pin_adoptions: int = 0
+    pin_reverts: int = 0
 
     @property
     def lookups(self) -> int:
@@ -146,6 +151,11 @@ class PlanCache(Generic[T]):
             self._entries.clear()
             self._templates.clear()
             self._template_of.clear()
+
+    def values(self) -> List[T]:
+        """Cached values, least recently used first."""
+        with self._lock:
+            return list(self._entries.values())
 
     def keys(self) -> List[str]:
         """Fingerprints currently cached, least recently used first."""

@@ -12,8 +12,15 @@ every declared input is provided, nothing extra is, and the shapes match
 the compiled dimension sizes — and executes the slot-space plan on the
 plan's one executable (:func:`repro.runtime.codegen.build_executable`, built
 on first use; the serving engine runs the same object).  Every execution is
-recorded in per-plan statistics, including the observed sparsity of each
-input.
+recorded in statistics, including the observed sparsity of each input.
+
+**One learning state per entry.**  What runs teach a plan lives on the
+cached entry the Session resolved for the instance digest
+(:attr:`PlanEntry.learning`), not on the view: every view of the entry — a
+later ``compile`` of the same expression, a renamed twin, the serving
+engine's per-request views — counts repeats, records statistics and moves
+the entry in force on one :class:`PlanLearning`.  An entry the Session's
+cache evicts takes its learning state with it.
 
 **Context.**  An entry is optimized under a :class:`PlanContext`: the
 sparsity hint of every input and the inputs held *pinned* (the same object
@@ -37,7 +44,18 @@ import math
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -98,7 +116,8 @@ class PlanEntry:
     """The cached unit: one compilation artifact in slot space.
 
     Shared by every :class:`CompiledPlan` whose expression fingerprints to
-    the same key; immutable so sharing across threads is safe.
+    the same key.  Its fields are immutable; what runs learn lives in its
+    :attr:`learning` state, which has its own lock.
 
     Since the plan-template refactor an entry doubles as a **guarded
     template**: ``guard`` records the compile-time size of every dimension
@@ -124,6 +143,10 @@ class PlanEntry:
     #: entries are never persisted to the store and never serve as
     #: templates; a later compile with budget to spare replaces them.
     degraded: bool = False
+
+    def __post_init__(self) -> None:
+        # not a field: neither equality nor the codec sees it
+        object.__setattr__(self, "learning", PlanLearning(self))
 
     @property
     def template_digest(self) -> str:
@@ -196,7 +219,7 @@ def specialize_entry(entry: PlanEntry, signature: ExprSignature) -> Optional[Pla
 
 @dataclass
 class PlanStats:
-    """Per-plan execution statistics (one plan = one request-side view)."""
+    """Execution statistics of one cached entry, shared by every view of it."""
 
     executions: int = 0
     total_elapsed: float = 0.0
@@ -220,18 +243,41 @@ class PlanStats:
         return self.total_elapsed / self.executions
 
     def snapshot(self) -> "PlanStats":
-        """A consistent copy (callers must hold the owning plan's lock).
+        """A consistent copy (callers must hold :attr:`PlanLearning.lock`).
 
         ``run`` mutates several fields per execution; reading them one at a
         time from another thread can observe a torn record (executions
         incremented, elapsed not yet).  ``to_dict``/``explain`` snapshot
-        through this under :attr:`CompiledPlan._lock` instead.
+        through this under the learning lock instead.
         """
         return replace(
             self,
             observed_sparsity=dict(self.observed_sparsity),
             smoothed_sparsity=dict(self.smoothed_sparsity),
         )
+
+
+class PlanLearning:
+    """What the runs of every view of one entry have taught it.
+
+    ``entry`` is the entry in force — the owner itself until a run moves it
+    to another context — and ``contexts`` every context resolved so far,
+    with its entry and the repeats ``N*`` after which moving to it pays.
+    Pinned-input learning keeps the previous run's values (``seen``) and
+    each slot's count of consecutive repeats; a plan with fewer than two
+    inputs, a scalar output, or inputs its source pins itself keeps its
+    context as compiled (``learns`` is false).  ``lock`` guards all of it.
+    """
+
+    def __init__(self, entry: PlanEntry) -> None:
+        slots = len(entry.signature.slots)
+        self.lock = threading.Lock()
+        self.entry = entry
+        self.stats = PlanStats()
+        self.contexts: Dict[PlanContext, Tuple[PlanEntry, float]] = {entry.context: (entry, 0.0)}
+        self.learns = slots > 1 and not entry.slot_plan.shape.is_scalar and not entry.context.pinned
+        self.seen: Optional[Sequence[MatrixValue]] = None
+        self.repeats: List[int] = [0] * slots
 
 
 class CompiledPlan:
@@ -246,7 +292,6 @@ class CompiledPlan:
         cache_hit: bool = False,
         template_hit: bool = False,
     ) -> None:
-        self._entry = entry
         self.signature = signature
         self.source = source
         #: the owning Session, held strongly: every context is resolved
@@ -260,23 +305,27 @@ class CompiledPlan:
         self.template_hit = template_hit
         #: the semiring this plan executes over: its session's
         self.ring = session.config.ring()
-        self.stats = PlanStats()
-        self._lock = threading.Lock()
+        #: the compiled entry's learning state, shared by every view of it
+        self._learning = entry.learning
+        self._lock = self._learning.lock
         #: last :class:`repro.obs.profile.ProfileReport` from :meth:`profile`
         self._profile = None
-        #: every context this plan has resolved, with its entry and the
-        #: repeats ``N*`` after which moving to it pays (see :meth:`run`)
-        self._contexts: Dict[PlanContext, Tuple[PlanEntry, float]] = {entry.context: (entry, 0.0)}
-        #: pinned-input learning: the previous run's values and each slot's
-        #: count of consecutive repeats; a source that pins inputs itself
-        #: keeps them as compiled
-        self._learns = (
-            len(signature.slots) > 1 and not source.shape.is_scalar and not entry.context.pinned
-        )
-        self._seen: Optional[List[MatrixValue]] = None
-        self._repeats: List[int] = [0] * len(signature.slots)
 
     # -- introspection ---------------------------------------------------------
+    @property
+    def _entry(self) -> PlanEntry:
+        """The entry in force (see :class:`PlanLearning`)."""
+        return self._learning.entry
+
+    @property
+    def _contexts(self) -> Dict[PlanContext, Tuple[PlanEntry, float]]:
+        return self._learning.contexts
+
+    @property
+    def stats(self) -> PlanStats:
+        """The run statistics of every view of the compiled entry."""
+        return self._learning.stats
+
     @property
     def fingerprint(self) -> str:
         """Canonical fingerprint of the artifact currently backing the plan."""
@@ -584,25 +633,27 @@ class CompiledPlan:
         typos fail loudly.  The mapping parameter is positional-only, so a
         plan input literally named ``inputs`` still binds by keyword.
 
-        **What a plan learns.**  Under a Session with ``auto_recompile``,
-        a plan with two or more inputs and a non-scalar output counts, per
-        slot, the consecutive runs that bound the very same object.  When
-        a non-empty strict subset of the slots repeats, the plan looks up
-        the context with those slots pinned under the hints in force (the
-        Session compiles it once, cached like any plan) and its price: the
-        variant saves ``total(unpinned) - total(pinned)`` per run and pays
-        its hoisted cost once per pinned value, so it pays after ``N* =
-        hoisted / saving`` repeats.  The plan **adopts** the variant on the
-        run where the pinned objects' repeat count reaches ``N*`` — its
-        executable then computes each pinned-only step once per pinned
-        value — and **reverts** to the unpinned context of the same hints,
-        before executing, on the first run that binds a new object to a
-        pinned slot.  Scalar outputs never learn: their pinned forms
-        (``wᵀGw − 2wᵀXᵀy + yᵀy``) cancel.  After the run, a drift of the
-        smoothed sparsity moves the plan to the observed hints.
+        **What a plan learns.**  A plan with two or more inputs and a
+        non-scalar output counts, per slot, the consecutive runs that bound
+        the very same object.  When a non-empty strict subset of the slots
+        repeats, the plan looks up the context with those slots pinned under
+        the hints in force (the Session compiles it once, cached like any
+        plan) and its price: the variant saves ``total(unpinned) -
+        total(pinned)`` per run and pays its hoisted cost once per pinned
+        value, so it pays after ``N* = hoisted / saving`` repeats.  The plan
+        **adopts** the variant on the run where the pinned objects' repeat
+        count reaches ``N*`` — its executable then computes each pinned-only
+        step once per pinned value — and **reverts** to the unpinned context
+        of the same hints, before executing, on the first run that binds a
+        new object to a pinned slot.  Scalar outputs never learn: their
+        pinned forms (``wᵀGw − 2wᵀXᵀy + yᵀy``) cancel.  After the run, a
+        drift of the smoothed sparsity moves the plan to the observed hints.
+        Every view of the compiled entry — and the serving engine, which
+        runs this same learn → execute → record step — counts on one
+        learning state (:class:`PlanLearning`).
         """
         values = bind_signature(self.signature, inputs, named)
-        result = self._learn(values).execute(values)
+        result = self._learn(values).executable(self.ring).execute(values)
         self._record(values, result)
         return result
 
@@ -659,27 +710,32 @@ class CompiledPlan:
         return self._session.compile(resized, signature)
 
     # -- context ---------------------------------------------------------------
-    def _learn(self, values: List[MatrixValue]) -> TapePlan:
+    def _learn(self, values: Sequence[MatrixValue]) -> PlanEntry:
         """Count repeated input objects; move between pinned contexts.
 
-        Returns the executable this run executes on.
+        Returns the entry in force for this run, whose executable it runs on.
         """
-        if not self._learns or not self._session.auto_recompile:
-            return self.executable()
-        with self._lock:
-            seen, self._seen = self._seen, values
-            repeats = self._repeats
+        learning = self._learning
+        if not learning.learns:
+            return learning.entry
+        with learning.lock:
+            seen, learning.seen = learning.seen, values
+            repeats = learning.repeats
             for slot, value in enumerate(values):
                 repeats[slot] = repeats[slot] + 1 if seen is not None and value is seen[slot] else 0
             pinned = tuple(slot for slot, count in enumerate(repeats) if count)
             count = min(repeats[slot] for slot in pinned) if pinned else 0
-            hints, held = self._entry.context
+            hints, held = learning.entry.context
         if any(slot not in pinned for slot in held):
             held = ()
             self._move(PlanContext(hints), 0, "pin_reverts")
         if not held and 0 < len(pinned) < len(values):
             self._move(PlanContext(hints, pinned), count, "pin_adoptions")
-        return self.executable()
+        return learning.entry
+
+    def _unpinned(self, entry: PlanEntry) -> PlanEntry:
+        """The resolved entry of ``entry``'s hints with nothing pinned, else ``entry``."""
+        return self._contexts.get(PlanContext(entry.context.hints), (entry,))[0]
 
     def _move(self, context: PlanContext, count: int, counter: str) -> bool:
         """Re-point the plan at ``context``'s entry once ``count`` reaches its
@@ -689,30 +745,32 @@ class CompiledPlan:
         (:meth:`Session._variant`); one that fails to build is kept as never
         paying (``N* = ∞``): a context is an optimization, never a failure.
         """
-        base = self._entry
-        found = self._contexts.get(context)
+        learning = self._learning
+        base = learning.entry
+        found = learning.contexts.get(context)
         if found is None:
             try:
                 found = self._session._variant(self, context)
             except Exception as error:
                 logger.warning("context of %s failed: %s", base.signature.digest[:12], error)
                 found = (base, math.inf)
-            with self._lock:
-                found = self._contexts.setdefault(context, found)
+            with learning.lock:
+                found = learning.contexts.setdefault(context, found)
         entry, breakeven = found
         if count < breakeven:
             return False
-        with self._lock:
-            if self._entry is not base:
+        with learning.lock:
+            if learning.entry is not base:
                 return False  # another run moved the plan first
-            self._entry = entry
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            learning.entry = entry
+            stats = learning.stats
+            setattr(stats, counter, getattr(stats, counter) + 1)
             if context.hints != base.context.hints:
                 # the smoothed estimates described the old hints' regime
-                self.stats.smoothed_sparsity.clear()
+                stats.smoothed_sparsity.clear()
         return True
 
-    def _record(self, values: List[MatrixValue], result: ExecutionResult) -> None:
+    def _record(self, values: Sequence[MatrixValue], result: ExecutionResult) -> None:
         drifted: Dict[int, float] = {}
         # counting non-zeros is the expensive part and needs no lock: a value
         # memoises its count, so pinned inputs are counted once, ever
@@ -721,21 +779,23 @@ class CompiledPlan:
             for slot, value in enumerate(values)
             if value.cells > 1
         ]
-        with self._lock:
-            hints = self._entry.context.hints
-            self.stats.executions += 1
-            self.stats.total_elapsed += result.stats.elapsed
+        learning = self._learning
+        stats = learning.stats
+        with learning.lock:
+            hints = learning.entry.context.hints
+            stats.executions += 1
+            stats.total_elapsed += result.stats.elapsed
             for slot, observed, cells in observations:
-                self.stats.observed_sparsity[slot] = observed
+                stats.observed_sparsity[slot] = observed
                 hint = hints[slot] if hints[slot] is not None else 1.0
                 # Drift detection compares the *smoothed* observation, not
                 # the last one: the per-slot EWMA is seeded at the compiled
                 # hint, so a lone outlier moves it only the EWMA weight of the way
                 # while a sustained regime change converges and trips the
                 # factor within a few runs.
-                previous = self.stats.smoothed_sparsity.get(slot, hint)
+                previous = stats.smoothed_sparsity.get(slot, hint)
                 smoothed = DEFAULT_DRIFT_ALPHA * observed + (1.0 - DEFAULT_DRIFT_ALPHA) * previous
-                self.stats.smoothed_sparsity[slot] = smoothed
+                stats.smoothed_sparsity[slot] = smoothed
                 # Expected nnz for *this* value: the compiled hint times the
                 # actual cell count (shape checks already pinned concrete
                 # dims, and for symbolic dims the hint still applies).
@@ -748,8 +808,8 @@ class CompiledPlan:
                     # quantized so near-identical observations share a context
                     drifted[slot] = _quantize_sparsity(observed)
             if drifted:
-                self.stats.drift_events += 1
-        if not drifted or not self._session.auto_recompile:
+                stats.drift_events += 1
+        if not drifted:
             return
         target = PlanContext(tuple(drifted.get(slot, hint) for slot, hint in enumerate(hints)))
         if target != PlanContext(hints) and self._move(target, 0, "recompiles"):

@@ -90,19 +90,18 @@ logger = logging.getLogger(__name__)
 class Session:
     """Compiles LA expressions into reusable plans, caching by fingerprint.
 
-    ``auto_recompile`` (default ``True``) lets plans move to contexts
-    compiled from what their runs observe: the observed hints of inputs
-    whose sparsity drifted, and the inputs a plan keeps receiving as the
-    same objects held pinned, adopted once they have repeated ``N*`` times
-    (:meth:`_variant`).  ``False`` (the serving engine's setting) keeps
-    every plan as compiled.
+    Plans move to contexts compiled from what their runs observe: the
+    observed hints of inputs whose sparsity drifted, and the inputs a plan
+    keeps receiving as the same objects held pinned, adopted once they have
+    repeated ``N*`` times (:meth:`_variant`).  What they learn lives on the
+    cached entry (:class:`~repro.api.plan.PlanLearning`), so every plan this
+    session returns for one instance digest learns on one state.
     """
 
     def __init__(
         self,
         config: Optional[OptimizerConfig] = None,
         cache_size: int = 64,
-        auto_recompile: bool = True,
         store_path: Optional[Union[str, "os.PathLike"]] = None,
         store: Optional[PlanStore] = None,
         optimizer_budget: Optional[float] = None,
@@ -124,10 +123,6 @@ class Session:
                 "(or pass store_path and let the session build it)"
             )
         self.cache: PlanCache[PlanEntry] = PlanCache(cache_size)
-        #: let plans move to contexts compiled from what they observe: the
-        #: drifted sparsity of an input, and inputs that stay pinned (the
-        #: same object run after run)
-        self.auto_recompile = auto_recompile
         #: fault-injection schedule threaded through the session's own
         #: ``optimizer.saturate`` site and into a store the session builds
         #: itself; the no-op default keeps every site quiet
@@ -211,7 +206,17 @@ class Session:
     # -- monitoring ------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
-        """A consistent copy of the cache counters, taken under the lock."""
+        """A consistent copy of the cache counters, taken under the lock.
+
+        The pinned-variant moves are read from the learning state of every
+        cached entry, where the plans' runs count them.
+        """
+        adoptions = reverts = 0
+        for entry in self.cache.values():
+            learning = entry.learning
+            with learning.lock:
+                adoptions += learning.stats.pin_adoptions
+                reverts += learning.stats.pin_reverts
         with self._state_lock:
             return CacheStats(
                 hits=self.hits,
@@ -219,6 +224,8 @@ class Session:
                 evictions=self.cache.evictions,
                 recompiles=self.recompiles,
                 template_hits=self.template_hits,
+                pin_adoptions=adoptions,
+                pin_reverts=reverts,
             )
 
     def describe(self) -> Dict[str, object]:

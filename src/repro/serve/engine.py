@@ -16,7 +16,7 @@ front door:
 * **Callers run.**  :meth:`run` and :meth:`plan_for` serve their request on
   the calling thread, through the same batch path the pool uses
   (:class:`~repro.serve.worker.BatchServer`); concurrent callers run side
-  by side and take turns only on one executable's serving state.
+  by side and take turns only on one executable's stacking verdict.
 * **Async-friendly submission.**  :meth:`submit` puts the request on one
   bounded queue and returns a :class:`concurrent.futures.Future`
   immediately (back-pressure blocks the producer only once the queue is
@@ -32,7 +32,11 @@ front door:
   p50/p95 latency and the session's compilation and template-hit counts;
   :meth:`metrics_text` renders the same records as Prometheus text.
 
-The serving fast path executes each plan entry's one executable
+The serving fast path runs each request through the learn → execute →
+record step of :meth:`repro.api.plan.CompiledPlan.run`, on the learning
+state of the session's cached entry: a plan whose data inputs keep arriving
+as the same objects adopts its pinned variant once that pays, exactly as a
+``Session`` plan does.  It executes the entry in force's one executable
 (:meth:`repro.api.plan.PlanEntry.executable` — an instruction tape whose
 steps are fusion regions under real arithmetic, see ``docs/codegen.md``)
 with columnwise stacking of same-plan matvecs behind the engine's result
@@ -164,6 +168,10 @@ class EngineStats(ServingCounters):
     #: fraction of served requests that skipped compilation entirely — the
     #: serving-level hit rate
     hit_rate: float = 0.0
+    #: adoptions of a pinned variant, and returns to the unpinned entry, by
+    #: the plans the session caches now: read from their learning state
+    pin_adoptions: int = 0
+    pin_reverts: int = 0
     #: always 0: nothing retries, requeues or memoizes steps per engine; kept
     #: for records that read them
     retries: int = 0
@@ -215,7 +223,6 @@ class ServingEngine(BatchServer):
             session=Session(
                 self.config,
                 cache_size=cache_size,
-                auto_recompile=False,  # deterministic under concurrent load
                 store_path=store_path,
                 store=store,
                 optimizer_budget=optimizer_budget,
@@ -566,6 +573,7 @@ class ServingEngine(BatchServer):
         if served and first_submit is not None and last_completion > first_submit:
             throughput = served / (last_completion - first_submit)
         compilations = self.compilations
+        cache = self.session.stats
         # Clamped: a compile whose requests then all failed binding counts
         # in compilations but not in served.
         hit_rate = max(0.0, served - compilations) / served if served else 0.0
@@ -573,7 +581,9 @@ class ServingEngine(BatchServer):
             **counters,
             shards=len(self._threads),
             compilations=compilations,
-            template_hits=self.session.stats.template_hits,
+            template_hits=cache.template_hits,
+            pin_adoptions=cache.pin_adoptions,
+            pin_reverts=cache.pin_reverts,
             unique_fingerprints=unique_fingerprints,
             unique_templates=unique_templates,
             throughput=throughput,

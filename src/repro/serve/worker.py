@@ -16,9 +16,13 @@ through the same method.  Everything it keeps is engine-wide:
 * per-executable serving state (:class:`_LocalState`): the
   columnwise-stacking verdict, in a :class:`weakref.WeakKeyDictionary`
   keyed by the plan entry's executable, so an entry the session evicts takes
-  its state with it.  Each state has its own lock, held while an instance
-  group is served: two threads serving one plan take turns, two plans run
-  side by side.
+  its state with it.  Each state has its own lock, held only while a family
+  is stacked on that executable: two threads serving one plan execute side
+  by side and take turns only on its stacking verdict.
+
+What a plan *learns* is not kept here: it lives on the session's cached
+entry (:class:`~repro.api.plan.PlanLearning`), shared with every
+:class:`~repro.api.plan.CompiledPlan` view of it.
 
 **Micro-batching.**  A batch is grouped by instance digest and the groups
 are served largest first — a stacked group answers the most requests per
@@ -27,17 +31,28 @@ arrival order, back-to-back.  Other sizes of one template specialize off the
 cached template through the session's template tier whatever order they
 arrive in.  An inline batch is just one request.
 
-**Executables and columnwise stacking.**  Each resolved plan executes on
-its entry's one executable (:meth:`~repro.api.plan.PlanEntry.executable`) —
-a tape whose steps are fusion regions under real arithmetic, the plain
-operator tape otherwise; both are bitwise identical to the interpreter.
-It runs as :meth:`~repro.api.plan.CompiledPlan.run` runs it: the engine
-memoizes no step.
-When a plan is structurally columnwise in one ``(m, 1)`` slot, each family
-of an instance group's matvec requests — members that bind the very same
-objects in every other slot — is additionally *stacked* into one matmat
-execution and the result columns split back out, verified per plan against
-individual execution (see ``_serve_stacked``).
+**Learn → execute → record.**  Each request runs the step
+:meth:`~repro.api.plan.CompiledPlan.run` runs: ``_learn`` counts its bound
+objects on the entry's learning state and returns the entry in force — the
+pinned variant once the repeats reach its ``N*``, the unpinned entry again
+as soon as a pinned object changes — the request executes on that entry's
+one executable (:meth:`~repro.api.plan.PlanEntry.executable`, a tape whose
+steps are fusion regions under real arithmetic, the plain operator tape
+otherwise; both bitwise identical to the interpreter), and ``_record``
+counts the run and checks drift.  An instance group learns every member,
+in arrival order, before anything executes, then executes and records them
+in the same order.  An exact repeat answered at the door learns nothing.
+
+**Columnwise stacking.**  When a plan is structurally columnwise in one
+``(m, 1)`` slot, each family of an instance group's matvec requests —
+members that bind the very same objects in every other slot — is
+additionally *stacked* into one matmat execution and the result columns
+split back out, verified per executable against individual execution (see
+``_serve_stacked``).  A family stacks on the executable its members learned
+while that executable's verdict holds; once it is ``off`` (a pinned
+variant's dense Gram ``G @ W`` is one gemm, not bitwise equal to the gemvs
+``G @ w``), the family stacks on the unpinned entry of the same hints
+instead.
 
 **Deadlines.**  A request may carry an absolute deadline; expired requests
 are shed before their plan is resolved (typed
@@ -65,7 +80,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from repro import obs
-from repro.api.plan import CompiledPlan, InputValue, bind_signature
+from repro.api.plan import CompiledPlan, InputValue, PlanEntry, bind_signature
 from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature
 from repro.lang import expr as la
@@ -166,9 +181,9 @@ class _LocalState:
     slot (``None`` disables stacking outright); ``status`` walks
     ``untested`` (verify every member of the first stacked batch) -> ``on``
     (verify one rotating member per batch) -> ``off`` (any mismatch
-    permanently disables stacking).  See ``_serve_stacked``.  ``lock`` is
-    held while an instance group is served; the stacking state is the only
-    state it guards."""
+    permanently disables stacking).  See ``_serve_stacked``.  ``lock``
+    guards ``status`` and ``batches``: it is held while a family is stacked
+    on this executable, and at no other time."""
 
     slot: Optional[int]
     status: str = "untested"
@@ -275,27 +290,79 @@ class BatchServer:
                     continue
                 try:
                     plan = self._compile(members[0])
-                    tape = plan.executable()
-                    local = self._local_state(plan, tape)
+                    entry = plan._entry
+                    self._local_state(entry, entry.executable(plan.ring))
                 except Exception as error:  # compile failure poisons the instance only
                     with self._lock:
                         self.counters.errors += len(members)
                     for request in members:
                         _fail(request.future, error)
                     continue
-                with local.lock:
-                    prestacked = self._serve_stacked(tape, local, members)
-                    for request in members:
-                        self._serve_one(plan, tape, request, prestacked)
+                self._serve_group(plan, members)
 
-    def _local_state(self, plan: CompiledPlan, tape: TapePlan) -> _LocalState:
+    def _serve_group(self, plan: CompiledPlan, members: List[ShardRequest]) -> None:
+        """Learn every executing member in arrival order, stack, serve each."""
+        entries: Dict[int, PlanEntry] = {}
+        for request in members:
+            # unbound at the door: _execute binds again and fails the request
+            if request.compile_only or request.values is None or request.future.done():
+                continue
+            entries[id(request)] = plan._learn(request.values)
+        prestacked = self._prestack(plan, members, entries) if len(entries) > 1 else {}
+        for request in members:
+            self._serve_one(plan, entries.get(id(request)), request, prestacked)
+
+    def _local_state(self, entry: PlanEntry, tape: TapePlan) -> _LocalState:
         """The executable's serving state, created on first use."""
         with self._lock:
             local = self._local.get(tape)
             if local is None:
-                local = _LocalState(slot=stackable_slot(plan._entry.slot_plan, tape.n_slots))
+                local = _LocalState(slot=stackable_slot(entry.slot_plan, tape.n_slots))
                 self._local[tape] = local
             return local
+
+    def _prestack(
+        self,
+        plan: CompiledPlan,
+        members: List[ShardRequest],
+        entries: Dict[int, PlanEntry],
+    ) -> Dict[int, ExecutionResult]:
+        """Stack the families of each entry the members learned (``_serve_stacked``).
+
+        Members go to the executable of the entry they learned; where that
+        verdict is ``off`` they go, with that entry's other members, to the
+        unpinned entry of the same hints, whose stacking holds on its own.
+        """
+        learned: Dict[int, Tuple[PlanEntry, List[ShardRequest]]] = {}
+        for request in members:
+            entry = entries.get(id(request))
+            if entry is not None:
+                learned.setdefault(id(entry), (entry, []))[1].append(request)
+        prestacked: Dict[int, ExecutionResult] = {}
+        unpinned: Dict[int, Tuple[PlanEntry, List[ShardRequest]]] = {}
+        for entry, group in learned.values():
+            base = plan._unpinned(entry)
+            if base is entry or not self._stack_on(plan, entry, group, prestacked):
+                unpinned.setdefault(id(base), (base, []))[1].extend(group)
+        for base, group in unpinned.values():
+            self._stack_on(plan, base, group, prestacked)
+        return prestacked
+
+    def _stack_on(
+        self,
+        plan: CompiledPlan,
+        entry: PlanEntry,
+        members: List[ShardRequest],
+        prestacked: Dict[int, ExecutionResult],
+    ) -> bool:
+        """Stack ``members`` on ``entry``'s executable; false once its verdict is off."""
+        tape = entry.executable(plan.ring)
+        local = self._local_state(entry, tape)
+        if local.slot is None:
+            return False
+        with local.lock:
+            prestacked.update(self._serve_stacked(tape, local, members))
+            return local.status != "off"
 
     def _compile(self, request: ShardRequest) -> CompiledPlan:
         """The session's plan under this request's names."""
@@ -326,7 +393,7 @@ class BatchServer:
     def _serve_one(
         self,
         plan: CompiledPlan,
-        tape: TapePlan,
+        entry: Optional[PlanEntry],
         request: ShardRequest,
         prestacked: Dict[int, ExecutionResult],
     ) -> None:
@@ -343,7 +410,7 @@ class BatchServer:
         ) as span:
             try:
                 if not request.compile_only:
-                    result: object = self._execute(tape, request, prestacked, plan.degraded)
+                    result: object = self._execute(plan, entry, request, prestacked)
                 elif plan.signature is request.signature:
                     result = plan
                 else:  # a renamed twin's plan must speak its own names
@@ -354,7 +421,7 @@ class BatchServer:
                 span.set_attribute("result", "error")
                 _fail(request.future, error)
                 return
-            self.count_served(request, degraded=plan.degraded)
+            self.count_served(request, degraded=(entry or plan._entry).degraded)
             span.set_attribute("result", "ok")
             _resolve(request.future, result)
 
@@ -393,7 +460,8 @@ class BatchServer:
         plan; that family is then served individually.  An error raised for
         one family (a member's input the tape rejects) leaves stacking as it
         was: that family alone is served individually, so the error fails
-        only its own request.  Called under ``local.lock``.
+        only its own request.  Called under ``local.lock``, the one lock
+        of ``status`` and ``batches``.
         """
         slot = local.slot
         if slot is None or local.status == "off" or len(members) < 2:
@@ -472,10 +540,10 @@ class BatchServer:
 
     def _execute(
         self,
-        tape: TapePlan,
+        plan: CompiledPlan,
+        entry: PlanEntry,
         request: ShardRequest,
         prestacked: Dict[int, ExecutionResult],
-        degraded: bool = False,
     ) -> ExecutionResult:
         # Bound at the door through the request's own signature; a failed bind raises here.
         values = request.values
@@ -489,7 +557,9 @@ class BatchServer:
             return cached[0]
         result = prestacked.pop(id(request), None)
         if result is None:
+            tape = entry.executable(plan.ring)
             with _TRACER.span("serve.execute", steps=len(tape)):
                 result = self._run_tape(tape, values)
-        self.results.put(digest, values, result, degraded)
+        plan._record(values, result)
+        self.results.put(digest, values, result, entry.degraded)
         return result

@@ -252,7 +252,7 @@ class TestSessionStoreIntegration:
 
     def test_drift_recompile_writes_through(self, tmp_path, monkeypatch):
         monkeypatch.setattr(plan_module, "DEFAULT_DRIFT_FACTOR", 2.0)
-        session = Session(config(), store_path=tmp_path, auto_recompile=True)
+        session = Session(config(), store_path=tmp_path)
         plan = session.compile(make_loss())
         assert session.describe()["store"]["writes"] == 1
         dense = make_inputs()

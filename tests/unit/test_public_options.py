@@ -40,7 +40,7 @@ def test_serving_engine_options():
 
 def test_session_and_store_options():
     assert defaulted(Session) == [
-        "config", "cache_size", "auto_recompile", "store_path", "store",
+        "config", "cache_size", "store_path", "store",
         "optimizer_budget", "fault_injector", "degrade_on_error",
     ]
     assert defaulted(PlanStore) == ["config", "max_entries", "compress", "fault_injector"]
@@ -62,7 +62,8 @@ def test_optimizer_options():
 def test_engine_stats_keys():
     assert sorted(EngineStats().to_dict()) == [
         "batched_requests", "batches", "compilations", "degraded", "errors",
-        "hit_rate", "p50_latency", "p95_latency", "restarts", "result_cache_hits", "retries",
+        "hit_rate", "p50_latency", "p95_latency", "pin_adoptions", "pin_reverts", "restarts",
+        "result_cache_hits", "retries",
         "served", "shards", "sheds",
         "stacked_batches", "stacked_requests", "step_reuse_hits", "submitted",
         "template_hits", "throughput", "unique_fingerprints", "unique_templates",

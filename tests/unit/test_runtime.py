@@ -38,6 +38,11 @@ class TestMatrixValue:
         ones = MatrixValue.filled(1.0, 4, 4)
         assert ones.nnz == 16
 
+    def test_dense_nnz_counts_nan_and_inf_but_not_negative_zero(self):
+        data = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 1e-300]])
+        assert MatrixValue(data).nnz == np.count_nonzero(data) == 4
+        assert MatrixValue(data.T).nnz == 4
+
     def test_vector_input_reshaped_to_column(self):
         value = MatrixValue(np.arange(3.0))
         assert value.shape == (3, 1)

@@ -500,11 +500,11 @@ class TestCallerRuns:
         threads = {}
         execute_ = engine._execute
 
-        def meeting(tape, request, *rest):
+        def meeting(plan, entry, request, *rest):
             if threading.current_thread().name.startswith("caller-"):
                 threads[id(request.expr)] = threading.current_thread()
                 both_inside.wait()  # neither can finish until both execute
-            return execute_(tape, request, *rest)
+            return execute_(plan, entry, request, *rest)
 
         monkeypatch.setattr(engine, "_execute", meeting)
         held, release = hold_the_pool(engine, monkeypatch)
@@ -616,43 +616,51 @@ class TestCallerRuns:
         finally:
             engine.close()
 
-    def test_one_holder_of_a_plans_serving_state_under_stress(self, monkeypatch):
-        """Six threads mixing run() and submit() on one plan, with a short
-        switch interval: its serving state has one holder at a time, and
-        every answer (result-cache hits included) is right."""
+    def test_one_holder_of_a_plans_stacking_state_under_stress(self, monkeypatch):
+        """Six threads mixing run() and submit() of one stackable matvec, with
+        a short switch interval: each executable's stacking state has one
+        holder at a time, and every answer — stacked, executed alone or a
+        result-cache hit — is bitwise the executable's own."""
+        m, n = Dim("m", ROWS), Dim("n", COLS)
+        expr = la.UnaryFunc("sigmoid", la.MatMul(Matrix("A", m, n), Vector("q", n)))
+        rng = np.random.default_rng(0)
+        pinned = MatrixValue.random_dense(ROWS, COLS, rng)
+        vectors = [MatrixValue.random_dense(COLS, 1, rng) for _ in range(3)]
         engine = ServingEngine(shards=2, config=config())
-        expr = make_loss(0.05)
-        input_sets = [make_inputs(seed) for seed in range(3)]
-        expected = [execute(expr, inputs).scalar() for inputs in input_sets]
-        engine.warm([expr])
+        plan = engine.plan_for(expr)
+        expected = [
+            plan.executable().execute(plan.bind(A=pinned, q=vector)).value.to_dense()
+            for vector in vectors
+        ]
         guard = threading.Lock()
-        inside = [0, 0]  # [now, most at once]
-        serve_one = engine._serve_one
+        inside, most = {}, [0]  # holders per stacking state now, most at once
+        serve_stacked = engine._serve_stacked
 
-        def counting(*args):
+        def counting(tape, local, members):
             with guard:
-                inside[0] += 1
-                inside[1] = max(inside)
+                inside[id(local)] = inside.get(id(local), 0) + 1
+                most[0] = max(most[0], inside[id(local)])
             try:
-                serve_one(*args)
+                return serve_stacked(tape, local, members)
             finally:
                 with guard:
-                    inside[0] -= 1
+                    inside[id(local)] -= 1
 
-        monkeypatch.setattr(engine, "_serve_one", counting)
+        monkeypatch.setattr(engine, "_serve_stacked", counting)
         wrong = []
 
         def client(index):
             for step in range(30):
-                which = (index + step) % len(input_sets)
-                inputs = input_sets[which]
-                if step % 3 == 0:  # fresh value objects: a result-cache miss
-                    inputs = {k: MatrixValue(v.data.copy()) for k, v in inputs.items()}
+                which = (index + step) % len(vectors)
+                vector = vectors[which]
+                if step % 3 == 0:  # a fresh value object: a result-cache miss
+                    vector = MatrixValue(vector.data.copy())
+                inputs = {"A": pinned, "q": vector}
                 if (index + step) % 2:
                     result = engine.submit(expr, inputs).result(timeout=30)
                 else:
                     result = engine.run(expr, inputs)
-                if result.scalar() != pytest.approx(expected[which], rel=1e-12):
+                if not np.array_equal(result.value.to_dense(), expected[which]):
                     wrong.append((index, step))
 
         interval = sys.getswitchinterval()
@@ -668,8 +676,44 @@ class TestCallerRuns:
             sys.setswitchinterval(interval)
             engine.close()
         assert not wrong
-        assert inside[1] == 1
-        assert engine.stats().served == 1 + 6 * 30  # the warm() request too
+        assert most[0] == 1
+        stats = engine.stats()
+        assert (stats.served, stats.errors) == (1 + 6 * 30, 0)  # the plan_for request too
+
+    def test_two_callers_of_one_plan_execute_side_by_side(self, monkeypatch):
+        """No serving lock is held while a request executes: two inline
+        callers of one plan are inside its executable at once."""
+        engine = ServingEngine(shards=1, config=config())
+        expr = make_loss(0.05)
+        engine.warm([expr])
+        both_inside = threading.Barrier(2, timeout=30)
+        run_tape = engine._run_tape
+
+        def meeting(tape, values):
+            both_inside.wait()  # neither can finish until both execute
+            return run_tape(tape, values)
+
+        monkeypatch.setattr(engine, "_run_tape", meeting)
+        results = {}
+        try:
+            callers = [
+                threading.Thread(
+                    target=lambda i=index: results.__setitem__(
+                        i, engine.run(expr, make_inputs(seed=50 + i))
+                    )
+                )
+                for index in range(2)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+                assert not caller.is_alive()
+        finally:
+            engine.close()
+        for index in range(2):
+            want = execute(expr, make_inputs(seed=50 + index)).scalar()
+            assert results[index].scalar() == pytest.approx(want, rel=1e-12)
 
     def test_close_racing_run_loops_leaves_nothing_pending(self):
         engine = ServingEngine(shards=2, config=config())

@@ -210,18 +210,6 @@ class TestDriftRecompilation:
         expected = execute_slots(plan._entry.slot_plan, plan.bind(dense)).value
         assert np.array_equal(plan.run(dense).value.to_dense(), expected.to_dense())
 
-    def test_auto_recompile_can_be_disabled(self):
-        session = greedy_session(auto_recompile=False)
-        plan = session.compile(make_loss(sparsity=0.001))
-        rng = np.random.default_rng(0)
-        plan.run(
-            X=MatrixValue.random_dense(200, 100, rng),
-            u=MatrixValue.random_dense(200, 1, rng),
-            v=MatrixValue.random_dense(100, 1, rng),
-        )
-        assert plan.stats.drift_events == 1
-        assert plan.stats.recompiles == 0
-
     def test_matching_data_does_not_drift(self):
         plan = greedy_session().compile(make_loss())
         plan.run(make_inputs())
@@ -229,7 +217,7 @@ class TestDriftRecompilation:
 
     def test_single_moderate_outlier_does_not_trigger(self):
         """EWMA smoothing: one 12x-off request must not recompile the plan."""
-        session = greedy_session(auto_recompile=False)
+        session = greedy_session()
         plan = session.compile(make_loss(sparsity=0.01))
         rng = np.random.default_rng(0)
         normal = make_inputs(sparsity=0.01)
@@ -243,7 +231,7 @@ class TestDriftRecompilation:
 
     def test_sustained_drift_converges_and_triggers(self):
         """The same 12x regime, sustained, must trip the drift factor."""
-        session = greedy_session(auto_recompile=False)
+        session = greedy_session()
         plan = session.compile(make_loss(sparsity=0.01))
         rng = np.random.default_rng(0)
         drifted = dict(
@@ -256,7 +244,7 @@ class TestDriftRecompilation:
 
     def test_drift_alpha_one_restores_last_observation_triggering(self, monkeypatch):
         monkeypatch.setattr(plan_module, "DEFAULT_DRIFT_ALPHA", 1.0)
-        session = greedy_session(auto_recompile=False)
+        session = greedy_session()
         plan = session.compile(make_loss(sparsity=0.01))
         rng = np.random.default_rng(0)
         outlier = dict(
