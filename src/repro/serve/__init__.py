@@ -7,13 +7,15 @@ deployable service shape:
   thread and :meth:`~ServingEngine.submit` from one bounded queue drained
   by a pool of ``shards`` threads; every request resolves its plan through
   the engine's one :class:`~repro.api.Session`, which writes through one
-  persistent :class:`~repro.serialize.PlanStore`.  ``submit`` returns a
-  future; ``run_many`` serves a batch; ``stats`` reports throughput,
-  p50/p95 latency and hit rates.
+  persistent :class:`~repro.serialize.PlanStore`.  Requests are bound at
+  the door, where an unbindable one fails and an exact repeat is answered
+  from one bounded result cache.  ``submit`` returns a future; ``run_many``
+  serves a batch; ``warm`` and ``plan_for`` only compile, on the caller's
+  thread; ``stats`` reports throughput, p50/p95 latency and result-cache
+  hits.
 * :mod:`repro.serve.worker` — the serving path both use: micro-batches
-  same-instance requests, executes each plan entry's one executable
-  (:mod:`repro.runtime.tape`) with columnwise stacking, and answers exact
-  repeats from one bounded result cache.
+  same-instance requests and executes each plan entry's one executable
+  (:mod:`repro.runtime.tape`) with columnwise stacking.
 * :mod:`repro.serve.warmup` — the deploy-time CLI
   (``python -m repro.serve.warmup``) that pre-compiles a workload list
   into a store so a fresh engine starts 100% warm.

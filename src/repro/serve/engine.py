@@ -13,10 +13,13 @@ front door:
   inherits the cross-process warm-start story: a fresh engine pointed at a
   store that a warm-up run (``python -m repro.serve.warmup``) filled starts
   with zero compilations.
-* **Callers run.**  :meth:`run` and :meth:`plan_for` serve their request on
-  the calling thread, through the same batch path the pool uses
+* **Callers run.**  :meth:`run` serves its request on the calling thread,
+  through the same batch path the pool uses
   (:class:`~repro.serve.worker.BatchServer`); concurrent callers run side
   by side and take turns only on one executable's stacking verdict.
+  :meth:`plan_for` and :meth:`warm` only compile, on the calling thread,
+  straight through the session: they are no request, so no counter,
+  latency sample or deadline sees them.
 * **Async-friendly submission.**  :meth:`submit` puts the request on one
   bounded queue and returns a :class:`concurrent.futures.Future`
   immediately (back-pressure blocks the producer only once the queue is
@@ -24,9 +27,11 @@ front door:
   as one batch (``queue_depth`` bounds it), so a burst's same-plan matvecs
   stack into one matmat.  :meth:`run_many` is the synchronous convenience
   on top.
-* **Answers at the door.**  An exact repeat (same fingerprint, same input
-  objects) resolves from the engine's one result cache before anything is
-  served or queued; execution consults it too, so batch-mates hit it.
+* **One door.**  Binding happens once, on the caller's thread: a request
+  that cannot bind fails its future there, and nothing compiles or queues
+  for it.  An exact repeat (same fingerprint, same input objects) resolves
+  from the engine's one result cache before anything is served or queued;
+  that lookup is the cache's only one, and every execution fills it.
 * **Engine-level statistics.**  :meth:`stats` copies the engine's one
   :class:`~repro.serve.worker.ServingCounters` record and adds throughput,
   p50/p95 latency and the session's compilation and template-hit counts;
@@ -165,9 +170,6 @@ class EngineStats(ServingCounters):
     #: seconds from submit to completion over a bounded recent window
     p50_latency: float = 0.0
     p95_latency: float = 0.0
-    #: fraction of served requests that skipped compilation entirely — the
-    #: serving-level hit rate
-    hit_rate: float = 0.0
     #: adoptions of a pinned variant, and returns to the unpinned entry, by
     #: the plans the session caches now: read from their learning state
     pin_adoptions: int = 0
@@ -290,7 +292,9 @@ class ServingEngine(BatchServer):
 
         Fingerprinting, binding and the result-cache lookup happen on the
         caller's thread: an exact repeat — every input the very object an
-        earlier request bound — resolves before ``submit`` returns.  A miss
+        earlier request bound — resolves before ``submit`` returns, and a
+        request that cannot bind fails with
+        :class:`~repro.api.plan.PlanBindingError` before it returns.  A miss
         compiles and executes on a pool thread (unlike :meth:`run`, which
         serves inline).
         ``deadline`` (seconds from now; falls back to the engine's
@@ -306,8 +310,7 @@ class ServingEngine(BatchServer):
         named ``deadline`` must be passed via the ``inputs`` mapping
         (the same contract the positional-only ``inputs`` name has).
         """
-        merged = self._merge_inputs(inputs, named)
-        return self._enqueue(expr, merged, compile_only=False, deadline=deadline)
+        return self._enqueue(expr, inputs, named, deadline)
 
     def run(
         self,
@@ -323,9 +326,7 @@ class ServingEngine(BatchServer):
         repeats too; a miss is served through the pool's own batch path —
         same serving state and counters — on this thread, with no hand-off.
         """
-        merged = self._merge_inputs(inputs, named)
-        future = self._enqueue(expr, merged, compile_only=False, deadline=deadline, inline=True)
-        return future.result()
+        return self._enqueue(expr, inputs, named, deadline, inline=True).result()
 
     def run_many(
         self,
@@ -336,76 +337,74 @@ class ServingEngine(BatchServer):
         Submission interleaves with execution on the pool; the returned
         list matches the input order regardless of completion order.
         """
-        futures = [self._enqueue(expr, inputs, compile_only=False) for expr, inputs in requests]
+        futures = [self._enqueue(expr, inputs) for expr, inputs in requests]
         return [future.result() for future in futures]
 
     def warm(self, exprs: Iterable[la.LAExpr]) -> int:
-        """Pre-compile expressions on the pool without executing.
+        """Compile expressions on the calling thread without executing.
 
         Returns the number of *new* compilations the warm-up caused (zero
         when every shape was already cached in memory or loadable from the
-        store — the deploy-time goal).
+        store — the deploy-time goal).  Warm-up is not a request: no
+        counter, latency sample or deadline sees it.
         """
         before = self.compilations
-        futures = [self._enqueue(expr, None, compile_only=True) for expr in exprs]
-        for future in futures:
-            future.result()
+        for expr in exprs:
+            self.plan_for(expr)
         return self.compilations - before
 
     def plan_for(self, expr: la.LAExpr) -> CompiledPlan:
-        """The compiled plan serving ``expr`` (compiling it if needed)."""
-        plan = self._enqueue(expr, None, compile_only=True, inline=True).result()
-        assert isinstance(plan, CompiledPlan)
-        return plan
+        """The compiled plan serving ``expr`` under its own names (compiling
+        it if needed), resolved on the calling thread."""
+        with self._lock:
+            if self._closed:
+                raise EngineClosedError("ServingEngine is closed")
+        return self._compile(self.signature_for(expr), expr)
 
     def _enqueue(
         self,
         expr: la.LAExpr,
         inputs: Optional[Mapping[str, InputValue]],
-        compile_only: bool,
+        named: Optional[Mapping[str, InputValue]] = None,
         deadline: Optional[float] = None,
         inline: bool = False,
-    ) -> "Future[object]":
+    ) -> "Future[ExecutionResult]":
         signature = self.signature_for(expr)
-        future: "Future[object]" = Future()
-        # The engine-wide default budget is a *serving* latency contract;
-        # compile-only work (deploy-time warm(), plan_for()) is expected to
-        # take a full compile's time and only honors an explicit deadline.
-        budget = deadline
-        if budget is None and not compile_only:
-            budget = self.default_deadline
+        future: "Future[ExecutionResult]" = Future()
+        budget = self.default_deadline if deadline is None else deadline
         # The enqueue span covers binding plus the queue put (so its
         # duration surfaces back-pressure waits); its context rides on the
         # request so the serve.request span parents to it across the thread
         # hand-off.
         with _TRACER.span("serve.enqueue", digest=signature.digest[:12]):
-            try:
-                values = None if compile_only else tuple(bind_signature(signature, inputs))
-            except Exception:  # unbound: serving binds again and fails the future
-                values = None
             enqueued = time.perf_counter()
-            request = ShardRequest(
-                signature=signature,
-                expr=expr,
-                inputs=inputs,
-                future=future,
-                enqueued=enqueued,
-                compile_only=compile_only,
-                deadline=None if budget is None else enqueued + budget,
-                trace_context=_TRACER.capture(),
-                values=values,
-            )
             with self._lock:
                 if self._closed:
                     raise EngineClosedError("ServingEngine is closed")
                 self._pending_submits += 1
                 self.counters.submitted += 1
                 if self._first_submit is None:
-                    self._first_submit = request.enqueued
+                    self._first_submit = enqueued
+            try:
+                values = tuple(bind_signature(signature, inputs, named))
+            except Exception as error:  # unbindable: fails here, nothing compiles or queues
+                with self._lock:
+                    self.counters.errors += 1
+                self._end_submit()
+                _fail(future, error)
+                return future
+            request = ShardRequest(
+                signature=signature,
+                expr=expr,
+                values=values,
+                future=future,
+                enqueued=enqueued,
+                deadline=None if budget is None else enqueued + budget,
+                trace_context=_TRACER.capture(),
+            )
             # The door answers a live exact repeat before anything is served.
             live = request.deadline is None or time.perf_counter() <= request.deadline
-            door = live and values is not None
-            hit = self.results.get(signature.digest, values) if door else None
+            hit = self.results.get(signature.digest, values) if live else None
             if hit is None and not inline:
                 try:
                     # Outside the lock: a full queue blocks on pool progress,
@@ -488,17 +487,6 @@ class ServingEngine(BatchServer):
             ),
         )
 
-    @staticmethod
-    def _merge_inputs(
-        inputs: Optional[Mapping[str, InputValue]],
-        named: Mapping[str, InputValue],
-    ) -> Optional[Mapping[str, InputValue]]:
-        if not named:
-            return inputs
-        merged: Dict[str, InputValue] = dict(inputs or {})
-        merged.update(named)
-        return merged
-
     # -- the pool --------------------------------------------------------------
     def _pool_loop(self, index: int) -> None:
         """Serve each drain of the queue as one batch until a stop sentinel.
@@ -572,15 +560,11 @@ class ServingEngine(BatchServer):
         throughput = 0.0
         if served and first_submit is not None and last_completion > first_submit:
             throughput = served / (last_completion - first_submit)
-        compilations = self.compilations
         cache = self.session.stats
-        # Clamped: a compile whose requests then all failed binding counts
-        # in compilations but not in served.
-        hit_rate = max(0.0, served - compilations) / served if served else 0.0
         return EngineStats(
             **counters,
             shards=len(self._threads),
-            compilations=compilations,
+            compilations=self.compilations,
             template_hits=cache.template_hits,
             pin_adoptions=cache.pin_adoptions,
             pin_reverts=cache.pin_reverts,
@@ -591,7 +575,6 @@ class ServingEngine(BatchServer):
             # completion observes into (nearest-rank over a bounded reservoir).
             p50_latency=self._latency.quantile(0.5),
             p95_latency=self._latency.quantile(0.95),
-            hit_rate=hit_rate,
         )
 
     def metrics_text(self) -> str:

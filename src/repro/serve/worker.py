@@ -1,17 +1,19 @@
 """The serving path: how a batch of requests is served, on whichever thread.
 
 :class:`BatchServer` is the half of :class:`~repro.serve.ServingEngine` that
-serves.  It owns no thread: a :meth:`~repro.serve.ServingEngine.run` or
-:meth:`~repro.serve.ServingEngine.plan_for` caller serves its one request
-through :meth:`BatchServer._serve_batch` on its own thread, and the engine's
-pool threads serve what :meth:`~repro.serve.ServingEngine.submit` queued
-through the same method.  Everything it keeps is engine-wide:
+serves.  It owns no thread: a :meth:`~repro.serve.ServingEngine.run` caller
+serves its one request through :meth:`BatchServer._serve_batch` on its own
+thread, and the engine's pool threads serve what
+:meth:`~repro.serve.ServingEngine.submit` queued through the same method.
+Every request it sees was bound at the engine's door and will execute
+unless it is shed or fails; compile-only work (``warm``, ``plan_for``) never
+becomes a request.  Everything it keeps is engine-wide:
 
 * the engine's one :class:`repro.api.Session` (``session.compile(expr,
   signature)``; a cache hit is a dictionary probe), so a plan compiled,
   loaded or specialized by any thread is there for all of them;
-* the engine's one :class:`ResultCache`, consulted again when a request
-  executes, so batch-mates hit what a twin stored;
+* the engine's one :class:`ResultCache`, which every execution fills for
+  the door to answer exact repeats from;
 * one :class:`ServingCounters` record under the engine lock;
 * per-executable serving state (:class:`_LocalState`): the
   columnwise-stacking verdict, in a :class:`weakref.WeakKeyDictionary`
@@ -55,16 +57,16 @@ variant's dense Gram ``G @ W`` is one gemm, not bitwise equal to the gemvs
 instead.
 
 **Deadlines.**  A request may carry an absolute deadline; expired requests
-are shed before their plan is resolved (typed
-:class:`DeadlineExceededError` on the future, counted) instead of spending
-executor time on answers nobody is waiting for.
+are shed at the head of their instance group, before its plan is resolved
+(typed :class:`DeadlineExceededError` on the future, counted) instead of
+spending executor time on answers nobody is waiting for.
 
 **Failure semantics.**  Every request carries a
 :class:`concurrent.futures.Future`, which stays pending until it is
 answered.  A compile error fails the requests of its instance group, an
-execution or binding error fails its own request; nothing is retried.
-Plans are pure functions of their inputs, so an error would repeat on
-every attempt and on every thread.
+execution error fails its own request (a binding error failed it at the
+door); nothing is retried.  Plans are pure functions of their inputs, so an
+error would repeat on every attempt and on every thread.
 """
 
 from __future__ import annotations
@@ -74,13 +76,13 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from repro import obs
-from repro.api.plan import CompiledPlan, InputValue, PlanEntry, bind_signature
+from repro.api.plan import CompiledPlan, PlanEntry
 from repro.api.session import Session
 from repro.canonical.fingerprint import ExprSignature
 from repro.lang import expr as la
@@ -151,24 +153,22 @@ class ResultCache:
 
 @dataclass
 class ShardRequest:
-    """One request on its way through the engine."""
+    """One request on its way through the engine: bound values that will
+    execute, unless shed or failed first."""
 
     signature: ExprSignature
     expr: la.LAExpr
-    inputs: Optional[Mapping[str, InputValue]]
-    future: "Future[object]"
+    #: inputs in slot order, bound at the door through ``signature``
+    values: Tuple[MatrixValue, ...]
+    future: "Future[ExecutionResult]"
     #: engine-side enqueue timestamp (perf_counter) for latency accounting
     enqueued: float
-    #: compile (and warm the serving state) without executing
-    compile_only: bool = False
     #: absolute perf_counter time after which the request is shed unserved
     deadline: Optional[float] = None
     #: trace context captured at submit time; the serve-path span parents to
     #: it, so parentage survives micro-batching and the queue hand-off — the
     #: context rides on the request object
     trace_context: Optional[obs.SpanContext] = None
-    #: inputs in slot order, bound at the door (None: compile-only, or unbound)
-    values: Optional[Tuple[MatrixValue, ...]] = None
 
 
 @dataclass
@@ -227,7 +227,7 @@ class BatchServer:
     ) -> None:
         #: the one session every request resolves its plan through
         self.session = session
-        #: the one result cache the door and every execution consult
+        #: the one result cache: the door reads it, every execution fills it
         self.results = ResultCache()
         self.latency_histogram = latency_histogram
         #: the engine lock: counters, the sets below, _local's membership
@@ -244,20 +244,6 @@ class BatchServer:
         self._local: "WeakKeyDictionary[TapePlan, _LocalState]" = WeakKeyDictionary()
 
     def _serve_batch(self, batch: List[ShardRequest]) -> None:
-        # Shed already-expired requests first, *before* any plan is
-        # resolved: a batch of dead requests must not pay a compile for
-        # answers nobody is waiting for (the per-request check in
-        # _serve_one still catches deadlines that expire mid-batch).
-        now = time.perf_counter()
-        live: List[ShardRequest] = []
-        for request in batch:
-            if request.deadline is not None and now > request.deadline:
-                self._shed(request)
-            else:
-                live.append(request)
-        batch = live
-        if not batch:
-            return
         # Requests of one exact instance share a resolve, in arrival order;
         # other sizes of a template specialize off it in the session
         # whatever order they arrive in.
@@ -275,11 +261,11 @@ class BatchServer:
         with _TRACER.span("serve.batch", parent=None, size=len(batch), groups=len(groups)):
             # Largest group first (a stable sort keeps ties in arrival order).
             for members in sorted(groups.values(), key=len, reverse=True):
-                # Re-check expiry at the group head: an earlier group's
-                # compile may have outlived these members' budgets, and a
-                # group of dead requests must not pay its own resolve.
+                # Shed at the group head, before its plan resolves: a group
+                # of dead requests must not pay a compile (the check in
+                # _serve_one catches budgets that expire mid-group).
                 now = time.perf_counter()
-                live = []
+                live: List[ShardRequest] = []
                 for request in members:
                     if request.deadline is not None and now > request.deadline:
                         self._shed(request)
@@ -289,9 +275,7 @@ class BatchServer:
                 if not members:
                     continue
                 try:
-                    plan = self._compile(members[0])
-                    entry = plan._entry
-                    self._local_state(entry, entry.executable(plan.ring))
+                    plan = self._compile(members[0].signature, members[0].expr)
                 except Exception as error:  # compile failure poisons the instance only
                     with self._lock:
                         self.counters.errors += len(members)
@@ -301,16 +285,12 @@ class BatchServer:
                 self._serve_group(plan, members)
 
     def _serve_group(self, plan: CompiledPlan, members: List[ShardRequest]) -> None:
-        """Learn every executing member in arrival order, stack, serve each."""
-        entries: Dict[int, PlanEntry] = {}
+        """Learn every live member in arrival order, stack, serve each."""
+        members = [request for request in members if not request.future.done()]
+        entries = {id(request): plan._learn(request.values) for request in members}
+        prestacked = self._prestack(plan, members, entries) if len(members) > 1 else {}
         for request in members:
-            # unbound at the door: _execute binds again and fails the request
-            if request.compile_only or request.values is None or request.future.done():
-                continue
-            entries[id(request)] = plan._learn(request.values)
-        prestacked = self._prestack(plan, members, entries) if len(entries) > 1 else {}
-        for request in members:
-            self._serve_one(plan, entries.get(id(request)), request, prestacked)
+            self._serve_one(plan, entries[id(request)], request, prestacked)
 
     def _local_state(self, entry: PlanEntry, tape: TapePlan) -> _LocalState:
         """The executable's serving state, created on first use."""
@@ -335,9 +315,8 @@ class BatchServer:
         """
         learned: Dict[int, Tuple[PlanEntry, List[ShardRequest]]] = {}
         for request in members:
-            entry = entries.get(id(request))
-            if entry is not None:
-                learned.setdefault(id(entry), (entry, []))[1].append(request)
+            entry = entries[id(request)]
+            learned.setdefault(id(entry), (entry, []))[1].append(request)
         prestacked: Dict[int, ExecutionResult] = {}
         unpinned: Dict[int, Tuple[PlanEntry, List[ShardRequest]]] = {}
         for entry, group in learned.values():
@@ -364,12 +343,12 @@ class BatchServer:
             prestacked.update(self._serve_stacked(tape, local, members))
             return local.status != "off"
 
-    def _compile(self, request: ShardRequest) -> CompiledPlan:
-        """The session's plan under this request's names."""
-        plan = self.session.compile(request.expr, request.signature)
+    def _compile(self, signature: ExprSignature, expr: la.LAExpr) -> CompiledPlan:
+        """The session's plan under ``signature``'s names."""
+        plan = self.session.compile(expr, signature)
         with self._lock:
-            self._seen_fingerprints.add(request.signature.digest)
-            self._seen_templates.add(request.signature.template_digest)
+            self._seen_fingerprints.add(signature.digest)
+            self._seen_templates.add(signature.template_digest)
         return plan
 
     def _run_tape(self, tape: TapePlan, values: Sequence[MatrixValue]) -> ExecutionResult:
@@ -393,7 +372,7 @@ class BatchServer:
     def _serve_one(
         self,
         plan: CompiledPlan,
-        entry: Optional[PlanEntry],
+        entry: PlanEntry,
         request: ShardRequest,
         prestacked: Dict[int, ExecutionResult],
     ) -> None:
@@ -409,19 +388,14 @@ class BatchServer:
             digest=request.signature.digest[:12],
         ) as span:
             try:
-                if not request.compile_only:
-                    result: object = self._execute(plan, entry, request, prestacked)
-                elif plan.signature is request.signature:
-                    result = plan
-                else:  # a renamed twin's plan must speak its own names
-                    result = self._compile(request)
+                result = self._execute(plan, entry, request, prestacked)
             except Exception as error:
                 with self._lock:
                     self.counters.errors += 1
                 span.set_attribute("result", "error")
                 _fail(request.future, error)
                 return
-            self.count_served(request, degraded=(entry or plan._entry).degraded)
+            self.count_served(request, degraded=entry.degraded)
             span.set_attribute("result", "ok")
             _resolve(request.future, result)
 
@@ -449,7 +423,7 @@ class BatchServer:
         more is executed as one matmat over its column-stacked inputs, and
         the result columns are returned per request, keyed by
         ``id(request)``, for ``_execute`` to hand out.  A member outside
-        every family (other objects, unbound, a sparse column) is absent
+        every family (other objects, a sparse column) is absent
         from the mapping and served on its own.
 
         Structure is necessary but not sufficient for bitwise equality
@@ -469,8 +443,6 @@ class BatchServer:
         families: Dict[Tuple[object, ...], List[ShardRequest]] = {}
         for request in members:
             values = request.values
-            if values is None:  # compile-only or unbound
-                continue
             column = values[slot]
             if column.is_sparse or column.shape[1] != 1:
                 continue
@@ -545,21 +517,12 @@ class BatchServer:
         request: ShardRequest,
         prestacked: Dict[int, ExecutionResult],
     ) -> ExecutionResult:
-        # Bound at the door through the request's own signature; a failed bind raises here.
         values = request.values
-        if values is None:
-            values = tuple(bind_signature(request.signature, request.inputs))
-        digest = request.signature.digest
-        cached = self.results.get(digest, values)
-        if cached is not None:
-            with self._lock:
-                self.counters.result_cache_hits += 1
-            return cached[0]
         result = prestacked.pop(id(request), None)
         if result is None:
             tape = entry.executable(plan.ring)
             with _TRACER.span("serve.execute", steps=len(tape)):
                 result = self._run_tape(tape, values)
         plan._record(values, result)
-        self.results.put(digest, values, result, entry.degraded)
+        self.results.put(request.signature.digest, values, result, entry.degraded)
         return result

@@ -36,7 +36,7 @@ def test_warm_store_then_fresh_pool_serves_all_workloads_cold_free(tmp_path):
         assert pool.compilations == 0, "a store-warmed pool must never compile"
         stats = pool.stats()
         assert stats.errors == 0
-        assert stats.hit_rate == 1.0
+        assert pool.session.stats.hit_rate == 1.0
 
     # Re-running the warm-up is an idempotent no-op.
     second = warm_store(PlanStore(tmp_path, config), parse_selection("all", "S"), config)

@@ -527,12 +527,11 @@ class TestServingStacked:
         engine.run(expr, {"A": pinned, "q": vectors[0]})
         plan = engine.plan_for(expr)
         tape = plan.executable()
-        local = engine._local[tape]
+        local = engine._local_state(plan._entry, tape)
         requests = [
             ShardRequest(
                 signature=plan.signature,
                 expr=expr,
-                inputs={"A": pinned, "q": vector},
                 future=Future(),
                 enqueued=time.perf_counter(),
                 values=tuple(bind_signature(plan.signature, {"A": pinned, "q": vector})),
@@ -562,7 +561,6 @@ class TestServingStacked:
         engine, tape, local, requests, pinned, vectors = self._engine_and_state()
         try:
             other = MatrixValue(pinned.to_dense().copy())
-            requests[2].inputs = {"A": other, "q": vectors[2]}
             requests[2].values = (other, vectors[2])
             prestacked = engine._serve_stacked(tape, local, requests)
             assert set(prestacked) == {id(requests[i]) for i in (0, 1, 3)}
@@ -582,7 +580,6 @@ class TestServingStacked:
             other = MatrixValue(pinned.to_dense() * 2.0)
             for request in requests[2:]:
                 vector = request.values[1]
-                request.inputs = {"A": other, "q": vector}
                 request.values = (other, vector)
             prestacked = engine._serve_stacked(tape, local, requests)
             assert set(prestacked) == {id(request) for request in requests}

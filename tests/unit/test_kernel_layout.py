@@ -494,14 +494,13 @@ class TestSparseFormatsThroughThePlan:
                 ]
                 plan = engine.plan_for(expr)
                 tape = plan.executable()
-                local = engine._local[tape]
+                local = engine._local_state(plan._entry, tape)
                 requests = []
                 for vector in vectors:
                     inputs = {"A": pinned, "q": mv(vector)}
                     requests.append(ShardRequest(
                         signature=plan.signature,
                         expr=expr,
-                        inputs=inputs,
                         future=Future(),
                         enqueued=time.perf_counter(),
                         values=tuple(bind_signature(plan.signature, inputs)),

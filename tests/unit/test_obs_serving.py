@@ -97,9 +97,9 @@ class TestServeSpans:
         finally:
             engine.close()
         requests = assert_request_parents_enqueue()
-        assert len(requests) == 9  # the warm() compile-only request plus 8
+        assert len(requests) == 8  # warm() is no request: it leaves no span
         # each request has its own distinct trace (nothing was coalesced)
-        assert len({s.trace_id for s in requests}) == 9
+        assert len({s.trace_id for s in requests}) == 8
         # the worker recorded batch spans, and at least one request span
         # ran inside a batch that held strangers
         batches = spans_by_name("serve.batch")
@@ -175,10 +175,10 @@ class TestLatencyHistogram:
             for seed in range(6):
                 engine.run(expr, make_inputs(seed))
             stats = engine.stats()
-            assert stats.served == 7  # the warm() compile-only request plus 6
+            assert stats.served == 6  # warm() is no request: it adds no sample
             assert stats.p50_latency > 0.0
             assert stats.p95_latency >= stats.p50_latency
-            assert engine._latency.count == 7
+            assert engine._latency.count == 6
             assert stats.p50_latency == engine._latency.quantile(0.5)
         finally:
             engine.close()

@@ -62,7 +62,7 @@ def test_optimizer_options():
 def test_engine_stats_keys():
     assert sorted(EngineStats().to_dict()) == [
         "batched_requests", "batches", "compilations", "degraded", "errors",
-        "hit_rate", "p50_latency", "p95_latency", "pin_adoptions", "pin_reverts", "restarts",
+        "p50_latency", "p95_latency", "pin_adoptions", "pin_reverts", "restarts",
         "result_cache_hits", "retries",
         "served", "shards", "sheds",
         "stacked_batches", "stacked_requests", "step_reuse_hits", "submitted",

@@ -140,11 +140,13 @@ class TestServingEngine:
             values = {r.scalar() for r in results}
             assert len(values) == 1
             stats = engine.stats()
-            # Identical repeated requests are memoized, and the burst was
-            # served in fewer wake-ups than requests.
-            assert stats.result_cache_hits > 0
+            # The burst was served in fewer wake-ups than requests.
             assert stats.batches < stats.served
             assert stats.batched_requests > 0
+            # An answer stored by an execution answers a later repeat at the door.
+            repeat = engine.submit(expr, inputs)
+            assert repeat.done() and repeat.result().scalar() in values
+            assert engine.stats().result_cache_hits > stats.result_cache_hits
         finally:
             engine.close()
 
@@ -356,9 +358,8 @@ class TestServingEngine:
             engine.close()
 
     def test_default_deadline_does_not_shed_warmup(self):
-        """Compile-only work (deploy-time warm/plan_for) is expected to
-        outlast a serving latency budget; only execute traffic inherits
-        the engine default."""
+        """Compile-only work (deploy-time warm/plan_for) is no request, so
+        no serving latency budget can apply to it."""
         engine = ServingEngine(shards=1, config=config(), default_deadline=1e-6)
         try:
             compiled = engine.warm([make_loss(0.05)])
@@ -372,16 +373,22 @@ class TestServingEngine:
         """A batch of dead requests must not pay a compile (the shed check
         runs before plan resolution)."""
         engine = ServingEngine(shards=1, config=config())
+        busy, release = hold_first_pool_batch(engine)
         try:
             inputs = make_inputs(seed=3)
             slow = engine.submit(make_loss(0.05), inputs)  # occupies the worker
-            # These expire while the worker is compiling `slow`'s shape;
-            # their own shape (a different sparsity *band*, so a different
-            # template — no sharing) must never compile.
+            assert busy.wait(60)
+            # These expire in the queue behind the held batch; their own
+            # shape (a different sparsity *band*, so a different template —
+            # no sharing) must never compile.
             doomed = [
-                engine.submit(make_loss(0.9), inputs, deadline=1e-4)
+                engine.submit(make_loss(0.9), inputs, deadline=0.05)
                 for _ in range(4)
             ]
+            assert engine.queue.qsize() == 4
+            latest = max(request.deadline for request in list(engine.queue.queue))
+            wait_until(lambda: time.perf_counter() > latest)
+            release.set()
             slow.result(timeout=60)
             for future in doomed:
                 with pytest.raises(DeadlineExceededError):
@@ -389,6 +396,7 @@ class TestServingEngine:
             assert engine.compilations == 1, "dead batch must not compile"
             assert engine.stats().sheds == 4
         finally:
+            release.set()
             engine.close()
 
     def test_size_ladder_shares_one_compile(self):
@@ -426,18 +434,19 @@ class TestServingEngine:
         record = engine.describe()
         assert record["shards"] == 2
         assert record["store"] is None
-        assert {"served", "hit_rate", "compilations", "sheds"} <= set(record)
+        assert {"served", "result_cache_hits", "compilations", "sheds"} <= set(record)
+        assert "hit_rate" in record["cache"]  # the session's plan-cache hit rate
         assert json.loads(json.dumps(record)) == record
 
 
 def record_serving_threads(engine, monkeypatch):
-    """Wrap ``engine._serve_batch``: returns the list of (thread, batch inputs)
+    """Wrap ``engine._serve_batch``: returns the list of (thread, batch values)
     it appends to, one entry per call, whichever thread makes it."""
     calls = []
     serve_batch = engine._serve_batch
 
     def recording(batch):
-        calls.append((threading.current_thread(), [request.inputs for request in batch]))
+        calls.append((threading.current_thread(), [request.values for request in batch]))
         serve_batch(batch)
 
     monkeypatch.setattr(engine, "_serve_batch", recording)
@@ -470,22 +479,24 @@ def wait_until(condition, timeout=30.0):
 
 
 class TestCallerRuns:
-    """``run`` and ``plan_for`` serve on the calling thread, through the
-    engine's own ``_serve_batch``; ``submit`` goes through the pool."""
+    """``run`` serves on the calling thread, through the engine's own
+    ``_serve_batch``; ``submit`` goes through the pool; ``plan_for`` and
+    ``warm`` compile on the calling thread and serve nothing."""
 
-    def test_run_and_plan_for_serve_on_the_calling_thread(self, monkeypatch):
+    def test_run_serves_on_the_calling_thread_and_plan_for_serves_nothing(self, monkeypatch):
         engine = ServingEngine(shards=1, config=config())
         try:
             calls = record_serving_threads(engine, monkeypatch)
             expr, inputs = make_loss(0.05), make_inputs(seed=10)
-            assert engine.plan_for(expr).fingerprint
+            plan = engine.plan_for(expr)
+            assert calls == []
             result = engine.run(expr, inputs)
             assert result.scalar() == pytest.approx(execute(expr, inputs).scalar(), rel=1e-12)
-            me = threading.current_thread()
-            assert [thread for thread, _ in calls] == [me, me]
-            assert calls[1][1][0] is inputs
+            assert [thread for thread, _ in calls] == [threading.current_thread()]
+            (values,) = calls[0][1]
+            assert all(v is inputs[name] for v, name in zip(values, plan.input_names))
             stats = engine.stats()
-            assert (stats.served, stats.batches, stats.errors) == (2, 2, 0)
+            assert (stats.served, stats.batches, stats.errors) == (1, 1, 0)
         finally:
             engine.close()
 
@@ -547,7 +558,7 @@ class TestCallerRuns:
             engine.plan_for(expr)
             for seed in range(3):
                 engine.run(expr, make_inputs(seed))
-            assert [thread for thread, _ in calls] == [threading.current_thread()] * 4
+            assert [thread for thread, _ in calls] == [threading.current_thread()] * 3
         finally:
             engine.close()
 
@@ -583,7 +594,7 @@ class TestCallerRuns:
             assert got.is_sparse == want.is_sparse
             assert np.array_equal(got.to_dense(), want.to_dense())
             stats = engine.stats()
-            assert (stats.served, stats.errors) == (2, 1)  # plan_for and the good run
+            assert (stats.served, stats.errors) == (1, 1)  # the good run and the bad one
         finally:
             engine.close()
 
@@ -597,7 +608,7 @@ class TestCallerRuns:
             assert calls == []  # answered at the door: no serving call
             assert inline is queued
             assert engine.stats().result_cache_hits == 1
-            assert len(engine._local) == 1  # one serving state, whichever thread ran
+            assert len(engine._local) == 0  # a lone request never stacks: no stacking state
         finally:
             engine.close()
 
@@ -678,7 +689,7 @@ class TestCallerRuns:
         assert not wrong
         assert most[0] == 1
         stats = engine.stats()
-        assert (stats.served, stats.errors) == (1 + 6 * 30, 0)  # the plan_for request too
+        assert (stats.served, stats.errors) == (6 * 30, 0)
 
     def test_two_callers_of_one_plan_execute_side_by_side(self, monkeypatch):
         """No serving lock is held while a request executes: two inline
@@ -798,8 +809,9 @@ class TestOneCompilePerTemplate:
 
 
 class TestResultCacheAtTheDoor:
-    """One engine-owned result cache, consulted on the caller's thread
-    before anything is served or queued; serving consults the same cache."""
+    """One engine-owned result cache, looked up on the caller's thread
+    before anything is served or queued — its only lookup — and filled by
+    every execution."""
 
     def test_a_repeat_resolves_before_submit_returns(self, monkeypatch):
         engine = ServingEngine(shards=2, config=config())
@@ -819,10 +831,10 @@ class TestResultCacheAtTheDoor:
         finally:
             engine.close()
 
-    def test_a_batch_mate_repeat_hits_what_its_twin_stored(self, monkeypatch):
+    def test_batch_mate_repeats_execute_and_a_later_repeat_hits_the_door(self, monkeypatch):
         # Neither twin is answered yet when both pass the door, so both queue
-        # behind the busy pool thread, drain as one batch, and the second's
-        # execute-time lookup finds the answer the first stored.
+        # behind the busy pool thread, drain as one batch and execute: the
+        # door is the cache's one lookup.  A repeat after them is answered there.
         engine = ServingEngine(shards=1, config=config())
         try:
             expr, inputs = make_loss(0.05), make_inputs(seed=21)
@@ -839,11 +851,14 @@ class TestResultCacheAtTheDoor:
                 release.set()
             blocker.result(timeout=30)
             first, second = (future.result(timeout=30) for future in twins)
-            assert second is first
+            assert second is not first and second.scalar() == first.scalar()
             assert [len(batch) for _, batch in calls] == [1, 2]
             assert all(thread is engine._threads[0] for thread, _ in calls)
             stats = engine.stats()
-            assert (stats.result_cache_hits, stats.served, stats.batched_requests) == (1, 4, 2)
+            assert (stats.result_cache_hits, stats.served, stats.batched_requests) == (0, 3, 2)
+            repeat = engine.submit(expr, inputs)
+            assert repeat.done() and repeat.result() is second
+            assert engine.stats().result_cache_hits == 1
         finally:
             engine.close()
 
@@ -900,6 +915,85 @@ class TestResultCacheAtTheDoor:
             assert engine.plan_for(expr).degraded
         finally:
             engine.close()
+
+
+class TestOnlyExecutionsAreRequests:
+    """``warm`` and ``plan_for`` compile on the calling thread and are no
+    request; a request that cannot bind fails at the door and compiles
+    nothing: every request that reaches a batch executes."""
+
+    def test_unbindable_requests_fail_at_the_door_and_compile_nothing(self):
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr, inputs = make_loss(0.05), make_inputs(seed=60)
+            for _ in range(3):
+                with pytest.raises(PlanBindingError):
+                    engine.run(expr, {})
+            future = engine.submit(expr, {"X": inputs["X"]})  # u, v missing
+            assert future.done() and isinstance(future.exception(), PlanBindingError)
+            assert engine.queue.empty()
+            assert engine.compilations == 0
+            stats = engine.stats()
+            assert (stats.submitted, stats.errors, stats.served, stats.batches) == (4, 4, 0, 0)
+            want = execute(expr, inputs).scalar()
+            assert engine.run(expr, inputs).scalar() == pytest.approx(want, rel=1e-12)
+            assert engine.submit(expr, dict(inputs)).result(timeout=30).scalar() == (
+                pytest.approx(want, rel=1e-12)
+            )
+        finally:
+            engine.close()
+
+    def test_warm_and_plan_for_are_no_requests(self):
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            assert engine.warm([make_loss(0.05), make_loss(0.9)]) == 2
+            assert engine.plan_for(make_loss(0.05)).fingerprint
+            stats = engine.stats()
+            assert (stats.submitted, stats.served, stats.batches) == (0, 0, 0)
+            assert (stats.compilations, stats.throughput) == (2, 0.0)
+            assert engine._latency.count == 0
+        finally:
+            engine.close()
+
+    def test_throughput_counts_from_the_first_request(self):
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            expr = make_loss(0.05)
+            engine.warm([expr])
+            time.sleep(0.2)
+            start = time.perf_counter()
+            engine.run(expr, make_inputs(seed=61))
+            # first submit and last completion both fall inside [start, now]
+            assert engine.stats().throughput >= 1.0 / (time.perf_counter() - start)
+        finally:
+            engine.close()
+
+    def test_plan_for_a_renamed_twin_binds_the_twins_names(self):
+        m, n = Dim("m", ROWS), Dim("n", COLS)
+        base = make_loss(0.05)
+        twin = Sum((Matrix("A", m, n, sparsity=0.05) - Vector("b", m) @ Vector("c", n).T) ** 2)
+        assert signature_of(base).digest == signature_of(twin).digest
+        engine = ServingEngine(shards=1, config=config())
+        try:
+            engine.warm([base])
+            plan = engine.plan_for(twin)
+            assert sorted(plan.input_names) == ["A", "b", "c"]
+            inputs = make_inputs(seed=62)
+            renamed = {"A": inputs["X"], "b": inputs["u"], "c": inputs["v"]}
+            want = execute(base, inputs).scalar()
+            assert plan.run(renamed).scalar() == pytest.approx(want, rel=1e-12)
+            assert engine.compilations == 1
+        finally:
+            engine.close()
+
+    def test_warm_and_plan_for_on_a_closed_engine_raise(self):
+        engine = ServingEngine(shards=1, config=config())
+        engine.close()
+        with pytest.raises(EngineClosedError):
+            engine.plan_for(make_loss(0.05))
+        with pytest.raises(EngineClosedError):
+            engine.warm([make_loss(0.05)])
+        assert engine.compilations == 0
 
 
 INJECTORS = {
@@ -990,18 +1084,20 @@ class TestOneExecutable:
             cache_size=8,
         )
         try:
+            ran = []
+            run_tape = pool._run_tape
+            pool._run_tape = lambda tape, values: ran.append(tape) or run_tape(tape, values)
             for root_name, root in workload.roots.items():
                 plan = pool.plan_for(root)
                 bound = {name: inputs[name] for name in plan.input_names}
-                # the engine keys its serving state by the executable it ran:
-                # by identity, so membership means the very same object
-                assert plan.executable() in pool._local, root_name
                 expected = execute_slots(
                     plan._entry.slot_plan, plan.bind(bound), ring=plan.ring
                 ).value
                 for got in (plan.run(bound).value, pool.run(root, bound).value):
                     assert got.is_sparse == expected.is_sparse, root_name
                     assert np.array_equal(got.to_dense(), expected.to_dense()), root_name
+                # by identity: the engine ran the very object the plan runs
+                assert ran[-1] is plan.executable(), root_name
         finally:
             pool.close()
 
