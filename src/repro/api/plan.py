@@ -597,6 +597,7 @@ class CompiledPlan:
         # Local import: repro.obs.profile pulls in the cost model, which
         # this module must not import eagerly.
         from repro.obs.profile import TapeProfiler, build_report
+        from repro.runtime.layout import row_major_reads
 
         if runs < 1:
             raise ValueError("profile requires runs >= 1")
@@ -607,7 +608,9 @@ class CompiledPlan:
         for _ in range(runs):
             executable.execute(values, profiler=profiler)
             profiler.finish_run()
-        report = build_report(executable, profiler, entry.slot_plan)
+        # the plan the executable runs: a pinned one has its layout steps
+        physical = row_major_reads(entry.slot_plan) if self.ring.is_real else entry.slot_plan
+        report = build_report(executable, profiler, physical)
         with self._lock:
             self._profile = report
         return report

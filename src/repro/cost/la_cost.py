@@ -39,7 +39,14 @@ from typing import Dict, Optional
 
 from repro.lang import dag
 from repro.lang import expr as la
-from repro.runtime.optable import CONSTANT_TYPES, OP_TABLE, cells, extent
+from repro.runtime.optable import (
+    CONSTANT_TYPES,
+    OP_TABLE,
+    SCATTER,
+    cells,
+    extent,
+    reads_column_major,
+)
 from repro.runtime.semiring import REAL, Semiring
 
 
@@ -152,18 +159,28 @@ class LACostModel:
         which bounds every ring's kernel (the ring kernels are dense).  SciPy's
         real sparse-sparse product visits the pairs of non-zeros that meet:
         ``s_l * s_r`` of the cells in expectation.  The two agree whenever
-        either operand is dense.
+        either operand is dense.  A real width-1 product that reads a sparse
+        operand column-major scatters (:data:`~repro.runtime.optable.
+        SCATTER` times the row-major pass) — ``mmchain``'s second pass always
+        does — which is what a hoisted ``RowMajor`` step saves.
         """
-        if self.ring.is_real and isinstance(node, la.MatMul):
+        work = OP_TABLE[type(node)].work(node, sparsity)
+        if not self.ring.is_real:
+            return work
+        if isinstance(node, la.MatMul):
             left, right = sparsity(node.left), sparsity(node.right)
-            return (
+            work = (
                 extent(node.left.shape.rows.size)
                 * extent(node.left.shape.cols.size)
                 * extent(node.right.shape.cols.size)
                 * left
                 * right
             )
-        return OP_TABLE[type(node)].work(node, sparsity)
+            if extent(node.right.shape.cols.size) == 1 and reads_column_major(node.left, sparsity):
+                work *= SCATTER
+        elif isinstance(node, la.MMChain) and reads_column_major(la.Transpose(node.x), sparsity):
+            work *= (1.0 + SCATTER) / 2.0
+        return work
 
     def total(self, root: la.LAExpr) -> float:
         """Scalar total cost (convenience for comparisons)."""

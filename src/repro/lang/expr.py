@@ -19,6 +19,7 @@ node            meaning
 ``ElemMinus``   element-wise subtraction ``A - B``
 ``ElemDiv``     element-wise division ``A / B``
 ``Transpose``   ``t(A)``
+``RowMajor``    ``A`` stored row-major (a physical layout step)
 ``RowSums``     row aggregation ``rowSums(A)`` (M x N -> M x 1)
 ``ColSums``     column aggregation ``colSums(A)`` (M x N -> 1 x N)
 ``Sum``         full aggregation ``sum(A)`` (M x N -> 1 x 1)
@@ -352,6 +353,20 @@ class Transpose(LAExpr):
     @property
     def shape(self) -> Shape:
         return self.child.shape.transposed()
+
+
+@node
+class RowMajor(LAExpr):
+    """``A`` stored row-major: a physical layout step, never written by users.
+
+    An executable places it under a width-1 product that would otherwise read
+    a pinned sparse operand column-major (:mod:`repro.runtime.layout`)."""
+
+    child: LAExpr
+
+    @property
+    def shape(self) -> Shape:
+        return self.child.shape
 
 
 @node

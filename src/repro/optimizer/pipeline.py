@@ -41,6 +41,7 @@ from repro.ra.rexpr import RPlanOutput
 from repro.reliability.errors import OptimizerBudgetExceeded
 from repro.reliability.faults import NO_FAULTS, FaultInjector
 from repro.runtime.fusion import fuse_operators
+from repro.runtime.layout import row_major_reads
 from repro.runtime.semiring import resolve_semiring
 from repro.translate import LiftError, LoweringError, lift, lower, simplify
 from repro.translate.lower import is_barrier
@@ -264,13 +265,18 @@ def breakeven_runs(pinned: "PlanArtifact", unpinned: "PlanArtifact", ring=None) 
 
     ``pinned`` was compiled with some inputs marked ``Var.pinned``; its
     :class:`~repro.cost.la_cost.LACostModel` report splits into the per-run
-    ``total`` and the ``hoisted`` cost paid once per pinned value.  Each run
-    saves ``total(unpinned) - total(pinned)``, so the hoisted build pays for
-    itself after ``N* = hoisted / saving`` runs on the same pinned values;
-    ``inf`` when the pinned plan saves nothing per run.
+    ``total`` and the ``hoisted`` cost paid once per pinned value.  It is
+    priced as its executable runs it, layout steps included
+    (:func:`~repro.runtime.layout.row_major_reads` on the real ring).  Each
+    run saves ``total(unpinned) - total(pinned)``, so the hoisted build pays
+    for itself after ``N* = hoisted / saving`` runs on the same pinned
+    values; ``inf`` when the pinned plan saves nothing per run.
     """
     model = LACostModel(ring=resolve_semiring(ring))
-    report = model.cost(pinned.fused)
+    plan = pinned.fused
+    if model.ring.is_real:
+        plan = row_major_reads(plan)
+    report = model.cost(plan)
     saving = model.total(unpinned.fused) - report.total
     if saving <= 0:
         return math.inf

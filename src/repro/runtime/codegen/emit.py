@@ -22,12 +22,12 @@ the interpreter).  Every formula and kernel call comes from the op table
   (``l + -1.0 * r`` for subtraction, ``x * -1.0`` for negation, the same
   masked ``np.divide`` for division) — for finite data these are
   value-identical to any sparse detour the interpreter might have taken;
-* at every order-sensitive boundary (a ``fold-root`` kernel call, or a
-  chain value leaving the region) the emitted code replays the
-  interpreter's representation decision via ``rt.boundary`` =
-  ``MatrixValue(t).compacted()`` before handing the value to the kernel, so
-  downstream accumulation order and dense/sparse representation match the
-  tape exactly;
+* at every boundary (a ``fold-root`` kernel call, or a chain value leaving
+  the region) the emitted code wraps the raw array as the dense value
+  ``rt.boundary(t)`` = ``MatrixValue(t)``: every kernel of a chain over
+  dense operands returns a dense value (its op-table row's ``delivers``),
+  so the kernel downstream sees the representation the tape hands it and
+  accumulates in the same order;
 * every region is guarded: if any elementwise operand is sparse at run
   time, ``rt.fallback`` executes the region with the interpreter kernels
   step by step.

@@ -25,14 +25,13 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
-import numpy as np
-
 from repro.lang import expr as la
 from repro.runtime import kernels
 from repro.runtime.codegen.emit import emit_source, source_digest
 from repro.runtime.codegen.regions import Region, RegionPlan, plan_regions
 from repro.runtime.data import MatrixValue
 from repro.runtime.engine import constant_value
+from repro.runtime.layout import row_major_reads
 from repro.runtime.optable import OP_TABLE
 from repro.runtime.semiring import Semiring, resolve_semiring
 from repro.runtime.tape import StepFn, TapePlan, TapeStep, kernel_step
@@ -45,11 +44,6 @@ _MODULE_CACHE: "OrderedDict[str, ModuleFactory]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
-def _boundary(array: np.ndarray) -> MatrixValue:
-    """Replay the interpreter's representation decision at a region edge."""
-    return MatrixValue(array).compacted()
-
-
 class _Runtime:
     """The ``rt`` namespace emitted region functions close over."""
 
@@ -60,7 +54,9 @@ class _Runtime:
     ) -> None:
         self.k = kernel_set
         self.fallback = fallback
-        self.boundary = _boundary
+        #: a chain value leaving the region: dense, as every kernel of a
+        #: chain over dense operands returns it
+        self.boundary = MatrixValue
         self.ediv = kernels.safe_divide  # the formula under kernels.elem_div
         for name, fn in kernels._UNARY_KERNELS.items():
             setattr(self, f"u_{name}", fn)
@@ -207,7 +203,12 @@ def build_executable(
     slot_sparsity: Optional[Mapping[int, Optional[float]]] = None,
     pinned: frozenset = frozenset(),
 ) -> TapePlan:
-    """The executor of a slot plan: fused when the ring allows, tape otherwise."""
+    """The executor of a slot plan: fused when the ring allows, tape otherwise.
+
+    A ``pinned`` real plan first gets its layout steps
+    (:func:`~repro.runtime.layout.row_major_reads`), which it hoists."""
+    if pinned and resolve_semiring(ring).is_real:
+        expr = row_major_reads(expr)
     fused = compile_fused(
         expr, n_slots, ring=ring, slot_sparsity=slot_sparsity, pinned=pinned
     )

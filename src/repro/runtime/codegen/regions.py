@@ -1,8 +1,7 @@
 """Fusion planner: group a slot plan's tape steps into contraction regions.
 
 The tape executor (:class:`repro.runtime.tape.TapePlan`) pays one Python
-closure dispatch, one :class:`MatrixValue` allocation and one full
-``count_nonzero`` compaction pass per plan node.  For chains of elementwise
+closure dispatch and one :class:`MatrixValue` allocation per plan node.  For chains of elementwise
 operators over dense operands all of that is overhead: the chain can run as
 a handful of raw-ndarray ufunc calls with no materialized
 :class:`MatrixValue` intermediates at all.
@@ -42,6 +41,7 @@ from repro.canonical.fingerprint import sparsity_band
 from repro.lang import expr as la
 from repro.runtime.optable import (
     CONSTANT_TYPES,
+    DENSE,
     ELEMENTWISE,
     FOLD_ROOT,
     FUSED_PHYSICAL,
@@ -52,7 +52,7 @@ from repro.runtime.tape import Scheduled, linearize, node_label
 
 #: bump when the region/emission semantics change; embedded in emitted
 #: sources so a reader can tell which emitter wrote them
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: operand reference inside a region: ``("val", position)`` reads the shared
 #: value vector, ``("tmp", k)`` reads the k-th entry of the region schedule
@@ -171,11 +171,12 @@ def plan_regions(
     schedule, root_position = linearize(expr, n_slots)
 
     # Split constants from operators and predict each value's density for
-    # the fusion gate.  The prediction is template-stable: only node types
-    # and sparsity *bands* flow in, never runtime data, so one template
-    # always plans the same regions.  It errs on the sparse side: a wrong
-    # "dense" merely routes a region through its runtime guard to the
-    # interpreter fallback.
+    # the fusion gate: a slot's from its hint, a step's from the
+    # representation its op-table row delivers.  The prediction is
+    # template-stable: only node types and sparsity *bands* flow in, never
+    # runtime data, so one template always plans the same regions.  A
+    # re-picked result counts as sparse, and a wrong "dense" merely routes a
+    # region through its runtime guard to the interpreter fallback.
     consts: List[Tuple[int, la.LAExpr]] = []
     sched: List[Scheduled] = []
     dense: Dict[int, bool] = {
@@ -190,9 +191,8 @@ def plan_regions(
             )
         else:
             sched.append(entry)
-            predicted = OP_TABLE[type(entry.node)].dense_result
-            if predicted is None:
-                predicted = all(dense[op] for op in entry.operands)
+            sparse = tuple(not dense[op] for op in entry.operands)
+            predicted = OP_TABLE[type(entry.node)].delivers(entry.node, sparse) == DENSE
         dense[entry.position] = predicted
 
     # -- consumer counts (per occurrence; the plan root has an external one)

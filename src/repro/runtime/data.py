@@ -24,18 +24,25 @@ caches rely on callers not doing so either, so ``nnz`` and the stored-entry
 For a sparse value ``nnz`` is the number of *stored* entries, explicit
 zeros included.
 
-**Hoisted.**  An executable marks the values it keeps across runs (the
-result of a step only pinned inputs determine).  A hoisted CSC value keeps
-a CSR copy, :attr:`MatrixValue.row_major`, made on first use: a
-matrix-vector product reads rows faster than columns, and only a value
-that is read run after run repays the copy.
+**Representation is decided by the plan.**  A kernel's result is dense or
+sparse by its op-table row (:data:`repro.runtime.optable.OP_TABLE`), from
+its operands' representations alone: no kernel counts the non-zeros of its
+output.  Only a sparse ⊗ sparse product or sum re-picks, by its stored
+count.
+
+**Row-major copy.**  A :class:`~repro.lang.expr.RowMajor` step — placed by
+:mod:`repro.runtime.layout` under a width-1 product of a pinned sparse
+operand, and hoisted by its executable — returns the operand with a CSR
+copy of its entries in :attr:`MatrixValue.row_major`: a matrix-vector
+product reads rows faster than a CSC view's columns, while a wider product
+(a stacked batch) reads the stored layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -51,8 +58,8 @@ class MatrixValue:
     """A dense or sparse two-dimensional value."""
 
     data: ArrayLike
-    #: set by the executable that keeps this value across runs
-    hoisted: ClassVar[bool] = False
+    #: the entries of a sparse ``data`` as CSR, set by a ``RowMajor`` step
+    row_major: Optional[sparse.csr_matrix] = None
 
     def __post_init__(self) -> None:
         data = self.data
@@ -139,16 +146,14 @@ class MatrixValue:
     def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, cols)`` of the stored entries in storage order; computed once.
 
-        A dense value's entries are those of its CSR conversion."""
+        Held as ``intp``, the index type ``take`` and fancy indexing use, so
+        no gather converts them (twice the bytes of SciPy's ``int32``).  A
+        dense value's entries are those of its CSR conversion."""
         stored = self.data if self.is_sparse else self.to_sparse()
         counts = np.diff(stored.indptr)
-        major = np.repeat(np.arange(counts.size, dtype=stored.indices.dtype), counts)
-        return (major, stored.indices) if stored.format == "csr" else (stored.indices, major)
-
-    @cached_property
-    def row_major(self) -> sparse.csr_matrix:
-        """The sparse value as CSR, converted once (the value itself if CSR)."""
-        return self.data.tocsr()
+        major = np.repeat(np.arange(counts.size, dtype=np.intp), counts)
+        minor = stored.indices.astype(np.intp)
+        return (major, minor) if stored.format == "csr" else (minor, major)
 
     @property
     def cells(self) -> int:
@@ -184,22 +189,17 @@ class MatrixValue:
             return self.data.tocsr()
         return sparse.csr_matrix(self.data)
 
-    def compacted(self) -> "MatrixValue":
-        """Re-pick the dense/sparse representation based on actual density."""
-        if self.cells == 0:
-            return self
-        if self.sparsity < SPARSE_THRESHOLD and not self.is_sparse and self.cells > 64:
-            return MatrixValue(sparse.csr_matrix(self.data))
-        if self.is_sparse and self.sparsity >= SPARSE_THRESHOLD:
-            return MatrixValue(self.to_dense())
-        return self
-
     def transpose(self) -> "MatrixValue":
         """A view: dense strides flip, CSR relabels as CSC (and back)."""
         flipped = self.data.T
-        if self.is_sparse:
-            flipped.has_canonical_format = True  # same entries: skip the O(nnz) re-check
-        return MatrixValue(flipped)
+        if not self.is_sparse:
+            return MatrixValue(flipped)
+        flipped.has_canonical_format = True  # same entries: skip the O(nnz) re-check
+        view = MatrixValue(flipped)
+        if "coordinates" in self.__dict__:  # the same entries in the same order
+            rows, cols = self.coordinates
+            view.__dict__["coordinates"] = (cols, rows)
+        return view
 
     def allclose(self, other: "MatrixValue", rtol: float = 1e-9, atol: float = 1e-9) -> bool:
         return np.allclose(self.to_dense(), other.to_dense(), rtol=rtol, atol=atol)

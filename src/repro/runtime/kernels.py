@@ -15,27 +15,48 @@ allocates one new ``data`` array: no diagonal product, no COO round trip.
 It may *store* an explicit ``0.0`` (a zero scale) where SciPy's sparse
 product dropped the entry; values are equal, ``nnz`` counts it.
 
-**Fused operators** mirror SystemML's: ``wsloss``, ``wcemm`` and ``wdivmm``
-evaluate ``U %*% V`` only at the stored entries of the sparse operand through
-one SDDMM core, :func:`sampled_dot`; ``mmchain`` is ``t(X) %*% (w * (X %*% v))``
-in two passes over ``X``; ``sprop`` is ``P * (1 - P)``.  Outputs are allocated
-once and scratch per call: serving threads run kernels concurrently.
+**Representation** is the op-table row's (:data:`~repro.runtime.optable.
+OP_TABLE`, ``delivers``): a pure function of the operands' representations
+and shapes, so no kernel counts the non-zeros of what it returns.  A sparse
+operand of the result's shape keeps its structure (products, quotients,
+zero-preserving maps), sums and reductions of a dense operand are dense,
+and only sparse ⊗ sparse products and sums — whose density no rule can
+know — re-pick once, by SciPy's stored count.
+
+**Fused operators** mirror SystemML's: ``wcemm`` and ``wdivmm`` (and a
+weighted ``wsloss``) evaluate ``U %*% V`` only at the stored entries of the
+sparse operand through one SDDMM core, :func:`sampled_dot`; an unweighted
+``wsloss`` pushes its cross term's sum through the join, ``sum(U * (X %*%
+V))``; ``mmchain`` is ``t(X) %*% (w * (X %*% v))`` in two passes over
+``X``; ``sprop`` is ``P * (1 - P)``.  Outputs are allocated once and
+scratch per call: serving threads run kernels concurrently.
 
 **Numeric policy.**  Elementwise results do not depend on the layout; a
 reduction follows the operand's storage order, so CSR and CSC may differ by
-re-association (not at all on the dyadic inputs the parity tests use).  The
-one exception is deliberate: ``matmul`` of a hoisted CSC value by a dense
-column reads the value's CSR copy, whose row sums run in the same ascending
-column order, so the result is bitwise the CSC one.  A plan's *pinned*
-variant (:meth:`repro.api.plan.CompiledPlan.run`) is bitwise identical across
-the tape, the fused tier and the interpreter; against the unpinned plan it
-is **ulp-bounded**, not bitwise, because ``(t(X) %*% X) %*% v`` re-associates
+re-association (not at all on the dyadic inputs the parity tests use).  Two
+re-associations are deliberate, and every executor calls the same kernel,
+so the tape, the fused tier and the interpreter stay bitwise:
+
+* ``row_sums`` / ``col_sums`` of a dense value are a BLAS product with a
+  ones vector (a thin ``8000 x 10`` reduces ~8x faster than NumPy's
+  pairwise ``sum``), and ``wsloss``'s cross term is summed per row of
+  ``X %*% V``;
+* ``matmul`` of a layout step's value by one dense column reads its CSR
+  copy (:attr:`~repro.runtime.data.MatrixValue.row_major`), whose row sums
+  run in the same ascending column order as the stored CSC's scatter: this
+  one is bitwise the stored layout's answer.
+
+A plan's *pinned* variant (:meth:`repro.api.plan.CompiledPlan.run`) is
+bitwise identical across the tape, the fused tier and the interpreter;
+against the unpinned plan it is **ulp-bounded**, not bitwise, when it
+hoists a re-association: ``(t(X) %*% X) %*% v`` re-associates
 ``t(X) %*% (X %*% v)``: each is within ``γ_(m+n)·|t(X)| |X| |v|`` of the
 exact product, with ``γ_k = k·ε / (1 − k·ε)`` (Higham, *Accuracy and
 Stability of Numerical Algorithms*, Thm. 3.5 and Lemma 3.3), so the two
 differ componentwise by at most ``2·γ_(m+n+2)·|t(X)| |X| |v| + 2·ε·|c|``
 once a term ``c`` is added.  ``tests/unit/test_pinned_plans.py`` checks that
-bound and records the SVM gradient's error near convergence.
+bound and records the SVM gradient's error near convergence.  A pinned
+variant that only adds layout steps re-associates nothing and is bitwise.
 
 The module-level kernels implement real ``(+, ×)`` arithmetic.  The
 execution engine reaches them through a :class:`KernelSet` — a flat
@@ -54,8 +75,8 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.data import MatrixValue
-from repro.runtime.optable import OP_TABLE
+from repro.runtime.data import SPARSE_THRESHOLD, MatrixValue
+from repro.runtime.optable import OP_TABLE, ZERO_PRESERVING
 from repro.runtime.semiring import Semiring, resolve_semiring
 
 
@@ -86,6 +107,29 @@ def safe_divide(left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] =
     return out
 
 
+def _repick(matrix) -> MatrixValue:
+    """A sparse ⊗ sparse result, dense once its *stored* entries reach the
+    threshold: SciPy keeps the count, so the re-pick reads no data."""
+    rows, cols = matrix.shape
+    if matrix.nnz >= SPARSE_THRESHOLD * rows * cols and rows * cols:
+        return MatrixValue(matrix.toarray())
+    return MatrixValue(matrix)
+
+
+def _at_stored(value: MatrixValue, dense: np.ndarray) -> Optional[np.ndarray]:
+    """``dense`` read at ``value``'s stored coordinates, as a fresh array —
+    ``dense`` of ``value``'s shape, or a row or column vector broadcast over
+    it; ``None`` when ``dense`` is wider than ``value``."""
+    rows, cols = value.shape
+    if dense.shape == (rows, cols):
+        return dense[value.coordinates]
+    if dense.shape == (rows, 1):
+        return dense.ravel().take(value.coordinates[0])
+    if dense.shape == (1, cols):
+        return dense.ravel().take(value.coordinates[1])
+    return None
+
+
 def elem_mul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
     """Element-wise (Hadamard) product with scalar/vector broadcasting."""
     if a.is_scalar:
@@ -93,12 +137,13 @@ def elem_mul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
     if b.is_scalar:
         return scalar_mul(b.scalar_value(), a)
     if a.is_sparse and b.is_sparse and a.shape == b.shape:
-        return MatrixValue(a.data.multiply(b.data)).compacted()
-    if a.is_sparse:
+        return MatrixValue(a.data.multiply(b.data))
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if a.is_sparse and a.shape == shape:
         return _sparse_mul(a, b.to_dense())
-    if b.is_sparse:
+    if b.is_sparse and b.shape == shape:
         return _sparse_mul(b, a.to_dense())
-    return MatrixValue(a.data * b.data).compacted()
+    return MatrixValue(a.to_dense() * b.to_dense())
 
 
 def _sparse_mul(value: MatrixValue, dense: np.ndarray) -> MatrixValue:
@@ -106,25 +151,15 @@ def _sparse_mul(value: MatrixValue, dense: np.ndarray) -> MatrixValue:
     row or column vector) is read at the stored coordinates only and scaled in
     place."""
     x = value.data
-    rows, cols = x.shape
-    if dense.shape == x.shape:
-        scale = dense[value.coordinates]
-    elif dense.shape == (rows, 1) or dense.shape == (1, cols):
-        # along the major axis: repeat per stored run; along the minor: gather
-        if (dense.shape[1] == 1) == (x.format == "csr"):
-            scale = np.repeat(dense.ravel(), np.diff(x.indptr))
-        else:
-            scale = dense.ravel().take(x.indices)
-    else:
-        return MatrixValue(x.toarray() * dense).compacted()
+    scale = _at_stored(value, dense)
     np.multiply(scale, x.data, out=scale)
-    return MatrixValue(_like(x, scale)).compacted()
+    return MatrixValue(_like(x, scale))
 
 
 def scalar_mul(value: float, matrix: MatrixValue) -> MatrixValue:
     if matrix.is_sparse:
-        return MatrixValue(_like(matrix.data, matrix.data.data * value)).compacted()
-    return MatrixValue(matrix.data * value).compacted()
+        return MatrixValue(_like(matrix.data, matrix.data.data * value))
+    return MatrixValue(matrix.data * value)
 
 
 def elem_add(a: MatrixValue, b: MatrixValue, op: Callable = operator.add) -> MatrixValue:
@@ -132,27 +167,44 @@ def elem_add(a: MatrixValue, b: MatrixValue, op: Callable = operator.add) -> Mat
     if a.is_scalar and b.is_scalar:
         return MatrixValue.scalar(op(a.scalar_value(), b.scalar_value()))
     if a.is_sparse and b.is_sparse and a.shape == b.shape:
-        return MatrixValue(op(a.data, b.data)).compacted()
-    return MatrixValue(op(a.to_dense(), b.to_dense())).compacted()
+        return _repick(op(a.data, b.data))
+    return MatrixValue(op(a.to_dense(), b.to_dense()))
 
 
 def elem_div(a: MatrixValue, b: MatrixValue) -> MatrixValue:
-    """Element-wise division; 0/0 is defined as 0 (SystemML convention)."""
-    return MatrixValue(safe_divide(a.to_dense(), b.to_dense())).compacted()
+    """Element-wise division; 0/0 is defined as 0 (SystemML convention).
+
+    A sparse dividend of the result's shape keeps its structure: ``0/x`` is
+    0 for every ``x``, so only its stored entries are divided."""
+    if a.is_sparse and not a.is_scalar:
+        if b.is_scalar:
+            divisor = np.full(a.data.nnz, b.scalar_value())
+        else:
+            divisor = _at_stored(a, b.to_dense())
+        if divisor is not None:
+            return MatrixValue(_like(a.data, safe_divide(a.data.data, divisor, out=divisor)))
+    return MatrixValue(safe_divide(a.to_dense(), b.to_dense()))
 
 
 def matmul(a: MatrixValue, b: MatrixValue) -> MatrixValue:
-    """Matrix multiplication, staying sparse when either operand is sparse."""
+    """Matrix multiplication: dense unless both operands are sparse."""
     if a.is_scalar:
         return scalar_mul(a.scalar_value(), b)
     if b.is_scalar:
         return scalar_mul(b.scalar_value(), a)
-    if a.hoisted and a.is_sparse and a.data.format == "csc" and b.shape[1] == 1 and not b.is_sparse:
-        # Column-major storage scatters a matrix-vector product; the CSR copy
-        # sums each row in the same (ascending column) order, so the result
-        # is bitwise the CSC one.  With several columns CSC is faster again.
-        return MatrixValue(a.row_major @ b.data).compacted()
-    return MatrixValue(a.data @ b.data).compacted()
+    if a.is_sparse and b.is_sparse:
+        return _repick(a.data @ b.data)
+    if a.row_major is not None and b.shape[1] == 1:
+        # a layout step's copy: rows summed in the stored (ascending) order
+        return MatrixValue(a.row_major @ b.data)
+    return MatrixValue(a.data @ b.data)
+
+
+def row_major(a: MatrixValue) -> MatrixValue:
+    """``a`` with a CSR copy of a CSC ``data`` (the layout step's kernel)."""
+    if not a.is_sparse or a.data.format == "csr":
+        return a
+    return MatrixValue(a.data, a.data.tocsr())
 
 
 def transpose(a: MatrixValue) -> MatrixValue:
@@ -167,13 +219,13 @@ def cast(a: MatrixValue) -> MatrixValue:
 def row_sums(a: MatrixValue) -> MatrixValue:
     if a.is_sparse:
         return MatrixValue(np.asarray(a.data.sum(axis=1)))
-    return MatrixValue(a.data.sum(axis=1, keepdims=True))
+    return MatrixValue(a.data @ np.ones((a.shape[1], 1)))
 
 
 def col_sums(a: MatrixValue) -> MatrixValue:
     if a.is_sparse:
         return MatrixValue(np.asarray(a.data.sum(axis=0)))
-    return MatrixValue(a.data.sum(axis=0, keepdims=True))
+    return MatrixValue(np.ones((1, a.shape[0])) @ a.data)
 
 
 def full_sum(a: MatrixValue) -> MatrixValue:
@@ -182,8 +234,8 @@ def full_sum(a: MatrixValue) -> MatrixValue:
 
 def power(a: MatrixValue, exponent: float) -> MatrixValue:
     if a.is_sparse and exponent > 0:
-        return MatrixValue(_like(a.data, a.data.data**exponent)).compacted()
-    return MatrixValue(np.power(a.to_dense(), exponent)).compacted()
+        return MatrixValue(_like(a.data, a.data.data**exponent))
+    return MatrixValue(np.power(a.to_dense(), exponent))
 
 
 def negate(a: MatrixValue) -> MatrixValue:
@@ -205,9 +257,9 @@ def unary(func: str, a: MatrixValue) -> MatrixValue:
     kernel = _UNARY_KERNELS.get(func)
     if kernel is None:
         raise ValueError(f"unknown unary function {func!r}")
-    if a.is_sparse and func in ("abs", "sign", "sqrt", "round"):
-        return MatrixValue(_like(a.data, kernel(a.data.data))).compacted()
-    return MatrixValue(kernel(a.to_dense())).compacted()
+    if a.is_sparse and func in ZERO_PRESERVING:
+        return MatrixValue(_like(a.data, kernel(a.data.data)))
+    return MatrixValue(kernel(a.to_dense()))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +296,14 @@ def sampled_dot(
 
 
 def wsloss(x: MatrixValue, u: MatrixValue, v: MatrixValue, w: Optional[MatrixValue]) -> MatrixValue:
-    """``sum(W * (X - U %*% t(V))^2)`` streaming over the non-zeros of ``X``.
+    """``sum(W * (X - U %*% t(V))^2)`` without materialising ``U %*% t(V)``.
 
-    The dense low-rank product is folded into three cheap terms:
-    ``sum((U %*% t(V))^2)`` is ``sum((t(U)U) * (t(V)V))``, the cross term
-    streams over ``X``'s non-zeros, and ``sum(X^2)`` is a single pass.  With
-    a weight matrix the kernel streams over ``W`` instead.
+    The square is folded into three cheap terms: ``sum((U %*% t(V))^2)`` is
+    ``sum((t(U)U) * (t(V)V))``, ``sum(X^2)`` is one pass over ``X``'s
+    entries, and the cross term ``sum(X * (U %*% t(V)))`` is
+    ``sum(U * (X %*% V))`` — one sparse × dense product, the aggregate
+    pushed through the join.  With a weight matrix the kernel streams the
+    residual over ``W``'s stored entries instead (SDDMM).
     """
     u_dense = u.to_dense()
     v_dense = v.to_dense()
@@ -263,13 +317,12 @@ def wsloss(x: MatrixValue, u: MatrixValue, v: MatrixValue, w: Optional[MatrixVal
         weighted = w_stored.data * residual
         weighted *= residual
         return MatrixValue.scalar(float(np.sum(weighted)))
-    x_stored = _stored(x)
     gram = float(np.sum((u_dense.T @ u_dense) * (v_dense.T @ v_dense)))
-    scratch = sampled_dot(x_stored, u_dense, v_dense, x.coordinates)
-    scratch *= x_stored.data
-    cross = float(np.sum(scratch))
-    np.multiply(x_stored.data, x_stored.data, out=scratch)
-    return MatrixValue.scalar(float(np.sum(scratch)) - 2.0 * cross + gram)
+    pushed = np.asarray(x.data @ v_dense)
+    pushed *= u_dense
+    cross = float(np.sum(pushed))
+    entries = x.data.data if x.is_sparse else x.data
+    return MatrixValue.scalar(float(np.sum(entries * entries)) - 2.0 * cross + gram)
 
 
 def wcemm(x: MatrixValue, u: MatrixValue, v: MatrixValue) -> MatrixValue:
@@ -297,14 +350,14 @@ def wdivmm(
     quotient = sampled_dot(x_stored, u_dense, v_dense.T, x.coordinates)
     weighted = _like(x_stored, safe_divide(x_stored.data, quotient, out=quotient))
     if multiply_left:
-        return MatrixValue(np.asarray((weighted.T @ u_dense).T)).compacted()
-    return MatrixValue(np.asarray(weighted @ v_dense.T)).compacted()
+        return MatrixValue(np.asarray((weighted.T @ u_dense).T))
+    return MatrixValue(np.asarray(weighted @ v_dense.T))
 
 
 def sprop(p: MatrixValue) -> MatrixValue:
     """``P * (1 - P)`` in a single pass."""
     dense = p.to_dense()
-    return MatrixValue(dense * (1.0 - dense)).compacted()
+    return MatrixValue(dense * (1.0 - dense))
 
 
 def mmchain(x: MatrixValue, v: MatrixValue, w: Optional[MatrixValue]) -> MatrixValue:
@@ -313,7 +366,7 @@ def mmchain(x: MatrixValue, v: MatrixValue, w: Optional[MatrixValue]) -> MatrixV
     if w is not None:
         inner = np.asarray(inner) * w.to_dense()
     result = x.data.T @ np.asarray(inner)
-    return MatrixValue(np.asarray(result)).compacted()
+    return MatrixValue(np.asarray(result))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +543,7 @@ KERNELS: Dict[str, Tuple[Callable, Optional[Callable[[Semiring], Callable]]]] = 
     "scalar_mul": (scalar_mul, _ring_scalar_mul),
     # pure layout moves: ring-independent
     "transpose": (transpose, lambda ring: transpose),
+    "row_major": (row_major, lambda ring: row_major),
     "cast": (cast, lambda ring: cast),
     "row_sums": (row_sums, _ring_row_sums),
     "col_sums": (col_sums, _ring_col_sums),

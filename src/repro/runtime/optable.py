@@ -8,7 +8,7 @@ know about it:
 * **execution** — the statistics name, the :class:`~repro.runtime.kernels.
   KernelSet` attribute that computes it (the node's static payload rides
   along as kernel arguments), its loop class, the raw-ndarray twin of its
-  kernel formula, and how its result's density follows from its operands';
+  kernel formula, and the representation its real kernel delivers;
 * **ring** — ``needs``: what a semiring must provide for the operator to
   mean anything (``None``, ``"subtraction"``, ``"division"``, ``"real"``);
 * **cost** — the sparsity rule and the work rule of the analytic cost model.
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.lang import expr as la
+from repro.runtime.data import SPARSE_THRESHOLD
 
 #: per-cell operator: may sit inside a fused region or be its root
 ELEMENTWISE = "elementwise"
@@ -115,8 +116,33 @@ def _sp_power(node: la.Power, sp: Sparsity) -> float:
     return 1.0 if node.exponent == 0 else sp(node.child)
 
 
+#: unary functions that map zero to zero: computed on the stored entries
+ZERO_PRESERVING = ("abs", "sign", "sqrt", "round")
+
+
 def _sp_unary(node: la.UnaryFunc, sp: Sparsity) -> float:
-    return sp(node.child) if node.func in ("abs", "sign", "sqrt", "round") else 1.0
+    return sp(node.child) if node.func in ZERO_PRESERVING else 1.0
+
+
+#: Per-run cost of a width-1 product that reads a sparse operand column-major
+#: (a CSC view such as ``t(X)`` of a CSR ``X``): SciPy scatters into the
+#: output, and a matrix-vector product measured 1.9-2.2x slower than on a
+#: CSR copy of the same entries (40000 x 400 at 2 % and 40000 x 200 at 5 %).
+SCATTER = 2.0
+
+
+def reads_column_major(operand: la.LAExpr, sp: Sparsity) -> bool:
+    """Whether a real kernel reads ``operand`` as a sparse CSC matrix.
+
+    Inputs are stored as they arrive, CSR by default; ``t()`` of a row-major
+    value is a CSC view, and a :class:`~repro.lang.expr.RowMajor` step
+    stores the row-major copy a width-1 product reads instead.
+    """
+    return (
+        isinstance(operand, la.Transpose)
+        and not isinstance(operand.child, la.Transpose)
+        and sp(operand) < SPARSE_THRESHOLD
+    )
 
 
 def _work_input(node: la.LAExpr, sp: Sparsity) -> float:
@@ -150,6 +176,95 @@ def _work_sampled(passes: float) -> CostRule:
     return work
 
 
+# ---------------------------------------------------------------------------
+# Representation rules
+# ---------------------------------------------------------------------------
+#
+# A rule maps ``(node, sparse)`` — ``sparse[i]`` is whether the i-th operand
+# the kernel reads is stored sparse — to what the real kernel returns.  It
+# reads representations and static shapes only, never data, so an
+# executable knows each step's representation when it is built.
+
+#: the kernel returns a dense array
+DENSE = "dense"
+#: the kernel returns a sparse matrix
+SPARSE = "sparse"
+#: sparse ⊗ sparse of uncertain density: the kernel re-picks once, dense
+#: when the *stored* entries reach the threshold (an O(1) count)
+REPICK = "repick"
+
+Delivers = Callable[[la.LAExpr, Tuple[bool, ...]], str]
+
+
+def _unit(dim) -> bool:
+    return dim.is_unit or dim.size == 1
+
+
+def _scalar(operand: la.LAExpr) -> bool:
+    return _unit(operand.shape.rows) and _unit(operand.shape.cols)
+
+
+def _full(operand: la.LAExpr, node: la.LAExpr) -> bool:
+    """``operand`` has the result's shape: it is not broadcast along an axis."""
+    shape, result = operand.shape, node.shape
+    return (_unit(shape.rows) <= _unit(result.rows)) and (_unit(shape.cols) <= _unit(result.cols))
+
+
+def _scaled(node: la.LAExpr, sparse: Tuple[bool, ...]) -> Optional[str]:
+    """A scalar operand scales the other one, whose representation it keeps."""
+    if _scalar(node.left):
+        return SPARSE if sparse[1] else DENSE
+    if _scalar(node.right):
+        return SPARSE if sparse[0] else DENSE
+    return None
+
+
+def _delivers_dense(node: la.LAExpr, sparse: Tuple[bool, ...]) -> str:
+    return DENSE
+
+
+def _delivers_first(node: la.LAExpr, sparse: Tuple[bool, ...]) -> str:
+    # computed on the first operand's structure when it is sparse
+    return SPARSE if sparse[0] else DENSE
+
+
+def _delivers_product(node: la.LAExpr, sparse: Tuple[bool, ...]) -> str:
+    # a sparse operand of the result's shape keeps its structure; a sparse
+    # vector broadcast over a dense matrix does not
+    scaled = _scaled(node, sparse)
+    if scaled is not None:
+        return scaled
+    full = (_full(node.left, node), _full(node.right, node))
+    return SPARSE if any(s and f for s, f in zip(sparse, full)) else DENSE
+
+
+def _delivers_sum(node: la.LAExpr, sparse: Tuple[bool, ...]) -> str:
+    # the union of two sparse patterns: its density is not known in advance
+    same = _full(node.left, node) and _full(node.right, node)
+    return REPICK if all(sparse) and same and not _scalar(node) else DENSE
+
+
+def _delivers_quotient(node: la.LAExpr, sparse: Tuple[bool, ...]) -> str:
+    # zero-preserving in the dividend (x/0 is 0 by kernel convention)
+    keeps = _full(node.left, node) and not _scalar(node.left)
+    return SPARSE if sparse[0] and keeps else DENSE
+
+
+def _delivers_matmul(node: la.MatMul, sparse: Tuple[bool, ...]) -> str:
+    scaled = _scaled(node, sparse)
+    if scaled is not None:
+        return scaled
+    return REPICK if all(sparse) else DENSE
+
+
+def _delivers_power(node: la.Power, sparse: Tuple[bool, ...]) -> str:
+    return SPARSE if sparse[0] and node.exponent > 0 else DENSE
+
+
+def _delivers_unary(node: la.UnaryFunc, sparse: Tuple[bool, ...]) -> str:
+    return SPARSE if sparse[0] and node.func in ZERO_PRESERVING else DENSE
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """One operator's row."""
@@ -164,6 +279,9 @@ class OpSpec:
     sparsity: CostRule
     #: estimated floating-point work of producing the result
     work: CostRule
+    #: the representation the real kernel returns (:data:`DENSE`,
+    #: :data:`SPARSE` or :data:`REPICK`), from its operands'
+    delivers: Delivers
     loop: str = PLAIN
     #: raw-ndarray twin of the real kernel's formula, in the kernel's operand
     #: order (``{0}``/``{1}`` operands, ``{s}`` the static payload); only
@@ -174,9 +292,6 @@ class OpSpec:
     #: the last child is a weight; ``Literal(1.0)`` there means unweighted:
     #: the child is never evaluated and the kernel receives ``None``
     optional_weight: bool = False
-    #: density of the result: ``None`` follows the operands (dense iff all
-    #: are), ``True`` always dense, ``False`` conservatively sparse
-    dense_result: Optional[bool] = None
     #: what :meth:`Semiring.provides` must hold for the executing ring:
     #: ``"subtraction"``, ``"division"``, or ``"real"`` for operators that
     #: are real analysis or hard-code real arithmetic; ``None`` = any ring
@@ -220,55 +335,84 @@ class OpSpec:
 
 
 OP_TABLE: Dict[Type[la.LAExpr], OpSpec] = {
-    la.ElemMul: OpSpec("elemmul", "elem_mul", _sp_both, nnz, ELEMENTWISE, "({0} * {1})"),
-    la.ElemPlus: OpSpec("elemplus", "elem_add", _sp_either, nnz, ELEMENTWISE, "({0} + {1})"),
+    la.ElemMul: OpSpec(
+        "elemmul", "elem_mul", _sp_both, nnz, _delivers_product, ELEMENTWISE, "({0} * {1})"
+    ),
+    la.ElemPlus: OpSpec(
+        "elemplus", "elem_add", _sp_either, nnz, _delivers_sum, ELEMENTWISE, "({0} + {1})"
+    ),
     # bitwise what kernels.elem_sub's ``left - right`` computes
     la.ElemMinus: OpSpec(
         "elemminus",
         "elem_sub",
         _sp_either,
         nnz,
+        _delivers_sum,
         ELEMENTWISE,
         "({0} + -1.0 * {1})",
         needs="subtraction",
     ),
     la.ElemDiv: OpSpec(
-        "elemdiv", "elem_div", _sp_first, nnz, ELEMENTWISE, "rt.ediv({0}, {1})", needs="division"
+        "elemdiv",
+        "elem_div",
+        _sp_first,
+        nnz,
+        _delivers_quotient,
+        ELEMENTWISE,
+        "rt.ediv({0}, {1})",
+        needs="division",
     ),
-    la.Power: OpSpec("power", "power", _sp_power, _work_input, ELEMENTWISE, "np.power({0}, {s!r})"),
+    la.Power: OpSpec(
+        "power",
+        "power",
+        _sp_power,
+        _work_input,
+        _delivers_power,
+        ELEMENTWISE,
+        "np.power({0}, {s!r})",
+    ),
     # kernels.negate is scalar_mul(-1.0, a) = ``matrix * -1.0``
     la.Neg: OpSpec(
-        "neg", "negate", _sp_first, _work_input, ELEMENTWISE, "({0} * -1.0)", needs="subtraction"
+        "neg",
+        "negate",
+        _sp_first,
+        _work_input,
+        _delivers_first,
+        ELEMENTWISE,
+        "({0} * -1.0)",
+        needs="subtraction",
     ),
     la.UnaryFunc: OpSpec(
         None,
         "unary",
         _sp_unary,
         _work_input,
+        _delivers_unary,
         ELEMENTWISE,
         "rt.u_{s}({0})",
         static_first=True,
         needs="real",
     ),
-    la.MatMul: OpSpec("matmul", "matmul", _sp_matmul, _work_matmul, FOLD_ROOT),
-    # sum kernels return dense arrays (or scalars) on either representation
+    la.MatMul: OpSpec("matmul", "matmul", _sp_matmul, _work_matmul, _delivers_matmul, FOLD_ROOT),
     la.RowSums: OpSpec(
-        "rowsums", "row_sums", _sp_row_sums, _work_input, FOLD_ROOT, dense_result=True
+        "rowsums", "row_sums", _sp_row_sums, _work_input, _delivers_dense, FOLD_ROOT
     ),
     la.ColSums: OpSpec(
-        "colsums", "col_sums", _sp_col_sums, _work_input, FOLD_ROOT, dense_result=True
+        "colsums", "col_sums", _sp_col_sums, _work_input, _delivers_dense, FOLD_ROOT
     ),
-    la.Sum: OpSpec("sum", "full_sum", _sp_dense, _work_input, FOLD_ROOT, dense_result=True),
-    la.Transpose: OpSpec("transpose", "transpose", _sp_first, _work_input),
-    la.CastScalar: OpSpec("cast", "cast", _sp_dense, _work_cast, dense_result=True),
+    la.Sum: OpSpec("sum", "full_sum", _sp_dense, _work_input, _delivers_dense, FOLD_ROOT),
+    la.Transpose: OpSpec("transpose", "transpose", _sp_first, _work_input, _delivers_first),
+    # a layout step: one pass over the stored entries, once per pinned value
+    la.RowMajor: OpSpec("rowmajor", "row_major", _sp_first, _work_input, _delivers_first),
+    la.CastScalar: OpSpec("cast", "cast", _sp_dense, _work_cast, _delivers_dense),
     la.WSLoss: OpSpec(
         "wsloss",
         "wsloss",
         _sp_dense,
         _work_sampled(1.0),
+        _delivers_dense,
         FUSED_PHYSICAL,
         optional_weight=True,
-        dense_result=True,
         needs="real",
     ),
     la.WCeMM: OpSpec(
@@ -276,8 +420,8 @@ OP_TABLE: Dict[Type[la.LAExpr], OpSpec] = {
         "wcemm",
         _sp_dense,
         _work_sampled(1.0),
+        _delivers_dense,
         FUSED_PHYSICAL,
-        dense_result=True,
         needs="real",
     ),
     la.WDivMM: OpSpec(
@@ -285,21 +429,21 @@ OP_TABLE: Dict[Type[la.LAExpr], OpSpec] = {
         "wdivmm",
         _sp_dense,
         _work_sampled(2.0),
+        _delivers_dense,
         FUSED_PHYSICAL,
-        dense_result=False,
         needs="real",
     ),
     la.SProp: OpSpec(
-        "sprop", "sprop", _sp_first, _work_input, FUSED_PHYSICAL, dense_result=True, needs="real"
+        "sprop", "sprop", _sp_first, _work_input, _delivers_dense, FUSED_PHYSICAL, needs="real"
     ),
     la.MMChain: OpSpec(
         "mmchain",
         "mmchain",
         _sp_dense,
         _work_mmchain,
+        _delivers_dense,
         FUSED_PHYSICAL,
         optional_weight=True,
-        dense_result=True,
         needs="real",
     ),
 }

@@ -30,11 +30,13 @@ later run.  A hit requires every pinned operand to be the *same object* it
 was computed from; the cache keeps those objects alive, so the identity
 check is O(1) and immune to id recycling.  Callers that mutate a pinned
 array in place must bind a new object (the contract NumPy views have
-always had).  What it stores is marked ``hoisted``, so a CSC value keeps a
-CSR copy for matrix-vector products
-(:attr:`~repro.runtime.data.MatrixValue.row_major`).  An unpinned plan has
-no such cache and runs the bare loop, and no run keeps its inputs or
-intermediates once it returns.
+always had).  Layout is part of the same decision:
+:func:`~repro.runtime.codegen.build_executable` places a ``RowMajor`` step
+under each width-1 product that reads a pinned sparse operand transposed
+(:mod:`repro.runtime.layout`), and only pinned slots determine that step,
+so it is hoisted like any other.  An unpinned plan has no such cache and
+runs the bare loop, and no run keeps its inputs or intermediates once it
+returns.
 
 The tape produces numerically identical results to the interpreter — it
 calls the same :mod:`repro.runtime.kernels` in the same operand order — and
@@ -101,10 +103,10 @@ class StepReuseCache:
 
     ``steps`` restricts the memo to those step indices (the pinned-only
     steps an executable hoists); every other step runs as if there were no
-    cache.  A restricted cache marks what it stores ``hoisted``; it lives on
-    its executable, and a race between two runs costs at most one extra
-    build of a hoisted value.  An unrestricted cache is not thread-safe:
-    whoever passes it to :meth:`TapePlan.execute` owns it.
+    cache.  A restricted cache lives on its executable, and a race between
+    two runs costs at most one extra build of a hoisted value.  An
+    unrestricted cache is not thread-safe: whoever passes it to
+    :meth:`TapePlan.execute` owns it.
     """
 
     __slots__ = ("_entries", "hits", "misses", "steps")
@@ -132,8 +134,6 @@ class StepReuseCache:
         return None
 
     def store(self, step: int, operands: Tuple[MatrixValue, ...], value: MatrixValue) -> None:
-        if self.steps is not None:
-            value.hoisted = True
         self._entries[step] = (operands, value)
 
     def clear(self) -> None:

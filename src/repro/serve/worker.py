@@ -477,7 +477,7 @@ class BatchServer:
             local.status = "off"
             return {}
         results = [
-            MatrixValue(np.ascontiguousarray(dense_out[:, j : j + 1])).compacted()
+            MatrixValue(np.ascontiguousarray(dense_out[:, j : j + 1]))
             for j in range(len(family))
         ]
         verify = (

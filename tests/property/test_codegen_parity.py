@@ -15,6 +15,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.session import Session
@@ -172,7 +173,8 @@ def _random_values(seed: int, n_slots: int, density: float):
     for _ in range(n_slots):
         dense = rng.random((13, 9)) + 0.25  # bounded away from 0 for ElemDiv
         mask = rng.random((13, 9)) < density
-        values.append(MatrixValue(np.where(mask, dense, 0.0)).compacted())
+        array = np.where(mask, dense, 0.0)
+        values.append(MatrixValue(sparse.csr_matrix(array) if density < 0.4 else array))
     return values
 
 

@@ -15,6 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.canonical.fingerprint import fingerprint
 from repro.cost import LACostModel
@@ -36,10 +37,12 @@ from repro.runtime.codegen import (
 from repro.runtime.data import MatrixValue
 from repro.runtime.optable import (
     CONSTANT_TYPES,
+    DENSE,
     ELEMENTWISE,
     FOLD_ROOT,
     FUSED_PHYSICAL,
     OP_TABLE,
+    SPARSE,
     OpSpec,
     nnz,
 )
@@ -107,6 +110,7 @@ def scale_operator():
         "scalar_mul",
         lambda node, sp: sp(node.child),
         nnz,
+        lambda node, sparse: SPARSE if sparse[0] else DENSE,
         ELEMENTWISE,
         "({0} * {s!r})",
         static_first=True,
@@ -157,7 +161,8 @@ class TestOpTable:
             la.Power: la.Power(A, 2.0), la.Neg: la.Neg(A),
             la.UnaryFunc: la.UnaryFunc("exp", A), la.MatMul: la.MatMul(A, la.Transpose(A)),
             la.RowSums: la.RowSums(A), la.ColSums: la.ColSums(A), la.Sum: la.Sum(A),
-            la.Transpose: la.Transpose(A), la.CastScalar: la.CastScalar(la.Sum(A)),
+            la.Transpose: la.Transpose(A), la.RowMajor: la.RowMajor(la.Transpose(A)),
+            la.CastScalar: la.CastScalar(la.Sum(A)),
             la.WSLoss: la.WSLoss(A, A, A, w), la.WCeMM: la.WCeMM(A, A, A),
             la.WDivMM: la.WDivMM(A, A, A, True), la.SProp: la.SProp(A),
             la.MMChain: la.MMChain(A, A, w),
@@ -358,7 +363,8 @@ class TestExecutablesKeepNoRequestData:
             pinned, query = _dense_inputs(2)
             pinned_probe, query_probe = weakref.ref(pinned), weakref.ref(query)
             kept = self._kept_by_a_run(executable, [pinned, query])
-            assert len(kept) == 1 and kept[0].hoisted, type(executable).__name__
+            hoisted = [value for _, value in executable.hoisted._entries.values()]
+            assert len(kept) == 1 and kept[0] is hoisted[0], type(executable).__name__
             del pinned, query, kept
             assert query_probe() is None
             assert pinned_probe() is not None  # the hoisted entry's key
@@ -461,7 +467,7 @@ class TestFusedPlan:
         rng = np.random.default_rng(3)
         dense = rng.random((40, 40))
         dense[dense < 0.95] = 0.0
-        sparse_value = MatrixValue(dense).compacted()
+        sparse_value = MatrixValue(sparse.csr_matrix(dense))
         assert sparse_value.is_sparse
         tape = TapePlan(expr, 1, ring="real")
         expected = tape.execute([sparse_value]).value

@@ -365,16 +365,18 @@ class TestAllocationBudget:
     def test_broadcast_scaling_allocates_one_data_array(self, problem):
         x, _, _, _, column = problem
         row = mv(np.random.default_rng(6).random((1, self.COLS)))
-        # scaling along the major axis: one nnz-sized float64 array plus the
-        # per-row counts.  The diagonal product this replaced peaked at ~1.85
-        # arrays (data + indices + indptr of a second matrix), so the bound
-        # is tighter than two.
+        xt = x.transpose()
+        # the value's stored-entry coordinates are made once per value (and
+        # shared by its transpose view), as ``intp``: no gather widens them
+        assert x.coordinates[0].dtype == np.intp and xt.coordinates[1] is x.coordinates[0]
+        # scaling along either axis: one nnz-sized float64 array per call.
+        # The diagonal product this replaced peaked at ~1.85 arrays (data +
+        # indices + indptr of a second matrix), so the bound is tighter than
+        # two.
         budget = 1.5 * self.NNZ * 8
         assert _traced_peak(lambda: kernels.elem_mul(x, column)) < budget
-        assert _traced_peak(lambda: kernels.elem_mul(x.transpose(), column.transpose())) < budget
-        # along the minor axis NumPy widens the int32 ``indices`` it gathers
-        # by to intp for the duration of the gather: one more transient array
-        assert _traced_peak(lambda: kernels.elem_mul(x, row)) < budget + self.NNZ * 8
+        assert _traced_peak(lambda: kernels.elem_mul(xt, column.transpose())) < budget
+        assert _traced_peak(lambda: kernels.elem_mul(x, row)) < budget
 
 
 class TestNonCanonicalInput:
@@ -428,8 +430,7 @@ class TestNnzIsCountedOnce:
         real = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: counts.append(1) or real(a))
         assert value.nnz == 2 and value.sparsity == 0.5
-        value.compacted()
-        assert value.nnz == 2
+        assert value.nnz == 2 and value.sparsity == 0.5
         assert len(counts) == 1
 
     def test_plan_statistics_reuse_the_count(self, monkeypatch):

@@ -38,14 +38,14 @@ VERSIONS = 8
 EXPECTED: Dict[str, object] = {
     "ALS/loss": ([], [], 0, 0, []),
     "ALS/gradient_u": ([("X",)], [], 0, 0, []),
-    "GLM/hessian_vector": ([("X",)], [], 0, 0, []),
+    "GLM/hessian_vector": ([("X",)], [6], 0, 0, []),
     "GLM/gradient": ([("X",)], [2], 0, 0, []),
     "GLM/deviance": ([], [], 0, 0, []),
-    "SVM/gradient": ([("X",)], [5], 0, 0, []),
-    "SVM/hessian_vector": ([("X",)], [8], 0, 0, []),
+    "SVM/gradient": ([("X",)], [4], 0, 0, []),
+    "SVM/hessian_vector": ([("X",)], [5], 0, 0, []),
     "SVM/objective": ([], [], 0, 0, []),
     "MLR/weighted_rows": ([("X",)], [], 0, 0, []),
-    "MLR/hessian_vector": ([("X",)], [], 0, 0, []),
+    "MLR/hessian_vector": ([("X",)], [6], 0, 0, []),
     "MLR/gradient": ([("X",)], [2], 0, 0, []),
     "PNMF/objective": ([], [], 0, 0, []),
     "PNMF/h_update": ([("X",)], [], 0, 0, []),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.lang import Sum
 from repro.lang import expr as la
@@ -47,10 +48,13 @@ class TestMatrixValue:
         value = MatrixValue(np.arange(3.0))
         assert value.shape == (3, 1)
 
-    def test_compacted_switches_representation(self):
-        sparse_content = np.zeros((50, 50))
-        sparse_content[0, 0] = 1.0
-        assert MatrixValue.dense(sparse_content).compacted().is_sparse
+    def test_a_sparse_sum_repicks_by_its_stored_density(self):
+        filled, empty = np.zeros((50, 50)), np.zeros((50, 50))
+        filled[:30] = 1.0
+        empty[0, 0] = 1.0
+        wide, narrow = (MatrixValue(sparse.csr_matrix(a)) for a in (filled, empty))
+        assert not kernels.elem_add(wide, narrow).is_sparse
+        assert kernels.elem_add(narrow, narrow).is_sparse
 
 
 class TestKernels:
